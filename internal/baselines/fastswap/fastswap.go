@@ -7,17 +7,11 @@
 package fastswap
 
 import (
-	"fmt"
-
-	"mira/internal/cluster"
 	"mira/internal/farmem"
-	"mira/internal/faults"
 	"mira/internal/netmodel"
 	"mira/internal/prefetch"
-	"mira/internal/rt"
+	"mira/internal/session"
 	"mira/internal/sim"
-	"mira/internal/swap"
-	"mira/internal/transport"
 	"mira/internal/workload"
 )
 
@@ -32,18 +26,6 @@ type Options struct {
 	Net netmodel.Config
 	// NodeCfg overrides the far node.
 	NodeCfg farmem.NodeConfig
-	// MajorFaultOverhead overrides the fault-path cost (zero: 4.5 µs).
-	// The multithreaded driver scales it to model kernel-lock
-	// contention (§6.2).
-	MajorFaultOverhead sim.Duration
-	// Faults wires the deterministic fault injector into the transport.
-	Faults *faults.Config
-	// Resilience overrides the transport's retry/deadline/breaker policy.
-	Resilience *transport.Policy
-	// Cluster, when non-nil, backs the swap heap with a sharded far-node
-	// pool instead of a single node (per-node faults ride in
-	// Cluster.Faults; Options.Faults must then be nil).
-	Cluster *cluster.Options
 }
 
 // Readahead prefetches the pages following each fault — profitable for
@@ -63,55 +45,32 @@ func (Readahead) PerFaultOverhead() sim.Duration {
 	return prefetch.Readahead{}.PerMissOverhead()
 }
 
-// New builds a FastSwap runtime for w: everything in the swap section.
-func New(w workload.Workload, opts Options) (*rt.Runtime, error) {
+// Spec describes a FastSwap run of w: everything in the swap section (the
+// runtime's stock fault path is FastSwap-calibrated), cluster readahead on
+// every fault. Callers add the run's fault domain, pool or tracer to the
+// returned spec before opening it.
+func Spec(w workload.Workload, opts Options) (session.Spec, error) {
 	if opts.Readahead == 0 {
 		opts.Readahead = 2
 	}
-	if opts.Net.BytesPerSecond == 0 {
-		opts.Net = netmodel.DefaultConfig()
+	cfg, err := session.SwapOnly(w.Program(), opts.LocalBudget)
+	if err != nil {
+		return session.Spec{}, err
 	}
-	if opts.NodeCfg.Capacity == 0 {
-		opts.NodeCfg = farmem.DefaultNodeConfig()
-	}
-	if opts.MajorFaultOverhead == 0 {
-		opts.MajorFaultOverhead = 4500 * sim.Nanosecond
-	}
-	// Local (pinned) objects consume budget before the page pool.
-	var local int64
-	for _, o := range w.Program().Objects {
-		if o.Local {
-			local += o.SizeBytes()
-		}
-	}
-	pool := opts.LocalBudget - local
-	if pool <= 0 {
-		return nil, fmt.Errorf("local objects (%d bytes) exceed budget %d", local, opts.LocalBudget)
-	}
-	cfg := rt.Config{
-		LocalBudget: opts.LocalBudget,
-		SwapPool:    pool,
-		Placements:  map[string]rt.Placement{},
-		Net:         opts.Net,
-		SwapCfg: swap.Config{
-			MajorFaultOverhead: opts.MajorFaultOverhead,
-			MinorFaultOverhead: 1000 * sim.Nanosecond,
-		},
-		Faults:     opts.Faults,
-		Resilience: opts.Resilience,
-		Cluster:    opts.Cluster,
-	}
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
+	cfg.Net = opts.Net
+	return session.Spec{
+		Workload: w,
+		Config:   cfg,
+		NodeCfg:  opts.NodeCfg,
+		Swap:     session.Fixed(Readahead{N: opts.Readahead}),
+	}, nil
+}
+
+// New opens a FastSwap session for w.
+func New(w workload.Workload, opts Options) (*session.Session, error) {
+	spec, err := Spec(w, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Bind(w.Program()); err != nil {
-		return nil, err
-	}
-	r.SwapPrefetcher(Readahead{N: opts.Readahead})
-	if err := w.Init(r); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return session.Open(spec)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mira/internal/apps/arraysum"
-	"mira/internal/exec"
 	"mira/internal/sim"
 )
 
@@ -24,25 +23,18 @@ func TestSequentialScanBenefitsFromReadahead(t *testing.T) {
 		w := arraysum.New(arraysum.Config{N: 1 << 14, Seed: 2})
 		// Pool comfortably above the readahead window — a window larger
 		// than the pool thrashes, which the model reproduces.
-		r, err := New(w, Options{LocalBudget: w.FullMemoryBytes() / 2, Readahead: readahead})
+		s, err := New(w, Options{LocalBudget: w.FullMemoryBytes() / 2, Readahead: readahead})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := exec.New(w.Program(), r, exec.Options{})
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.Finish(true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		clk := sim.NewClock(0)
-		if _, err := ex.Run(clk); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.FlushAll(clk); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Verify(r); err != nil {
-			t.Fatal(err)
-		}
-		return clk.Now().Sub(0)
+		return st.Time
 	}
 	small := run(1)
 	big := run(8)
@@ -53,11 +45,11 @@ func TestSequentialScanBenefitsFromReadahead(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	w := arraysum.New(arraysum.Config{N: 1024, Seed: 1})
-	r, err := New(w, Options{LocalBudget: w.FullMemoryBytes()})
+	s, err := New(w, Options{LocalBudget: w.FullMemoryBytes()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.HasSwap() {
+	if !s.RT.HasSwap() {
 		t.Fatal("no swap section created")
 	}
 }

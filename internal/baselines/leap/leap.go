@@ -8,17 +8,11 @@
 package leap
 
 import (
-	"fmt"
-
-	"mira/internal/cluster"
 	"mira/internal/farmem"
-	"mira/internal/faults"
 	"mira/internal/netmodel"
 	"mira/internal/prefetch"
-	"mira/internal/rt"
+	"mira/internal/session"
 	"mira/internal/sim"
-	"mira/internal/swap"
-	"mira/internal/transport"
 	"mira/internal/workload"
 )
 
@@ -35,14 +29,6 @@ type Options struct {
 	Net netmodel.Config
 	// NodeCfg overrides the far node.
 	NodeCfg farmem.NodeConfig
-	// Faults wires the deterministic fault injector into the transport.
-	Faults *faults.Config
-	// Resilience overrides the transport's retry/deadline/breaker policy.
-	Resilience *transport.Policy
-	// Cluster, when non-nil, backs the swap heap with a sharded far-node
-	// pool instead of a single node (per-node faults ride in
-	// Cluster.Faults; Options.Faults must then be nil).
-	Cluster *cluster.Options
 	// NoBatching disables the doorbell-batched prefetch gather (one read
 	// per prefetched page, the pre-vectored-I/O datapath).
 	NoBatching bool
@@ -65,57 +51,35 @@ func (p *Prefetcher) OnFault(page int64) []int64 { return p.p.OnMiss(page) }
 // PerFaultOverhead is the trend-detection cost on every fault.
 func (p *Prefetcher) PerFaultOverhead() sim.Duration { return p.p.PerMissOverhead() }
 
-// New builds a Leap runtime for w: everything in the swap section with the
-// majority-trend prefetcher.
-func New(w workload.Workload, opts Options) (*rt.Runtime, error) {
+// Spec describes a Leap run of w: everything in the swap section with the
+// majority-trend prefetcher. Callers add the run's fault domain, pool or
+// tracer to the returned spec before opening it.
+func Spec(w workload.Workload, opts Options) (session.Spec, error) {
 	if opts.Window == 0 {
 		opts.Window = 32
 	}
 	if opts.Depth == 0 {
 		opts.Depth = 8
 	}
-	if opts.Net.BytesPerSecond == 0 {
-		opts.Net = netmodel.DefaultConfig()
+	cfg, err := session.SwapOnly(w.Program(), opts.LocalBudget)
+	if err != nil {
+		return session.Spec{}, err
 	}
-	if opts.NodeCfg.Capacity == 0 {
-		opts.NodeCfg = farmem.DefaultNodeConfig()
-	}
-	// Local (pinned) objects consume budget before the page pool.
-	var local int64
-	for _, o := range w.Program().Objects {
-		if o.Local {
-			local += o.SizeBytes()
-		}
-	}
-	pool := opts.LocalBudget - local
-	if pool <= 0 {
-		return nil, fmt.Errorf("local objects (%d bytes) exceed budget %d", local, opts.LocalBudget)
-	}
-	cfg := rt.Config{
-		LocalBudget: opts.LocalBudget,
-		SwapPool:    pool,
-		Placements:  map[string]rt.Placement{},
-		Net:         opts.Net,
-		SwapCfg: swap.Config{
-			MajorFaultOverhead: 4500 * sim.Nanosecond,
-			MinorFaultOverhead: 1000 * sim.Nanosecond,
-			BatchPrefetch:      !opts.NoBatching,
-		},
-		Faults:     opts.Faults,
-		Resilience: opts.Resilience,
-		Cluster:    opts.Cluster,
-	}
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
+	cfg.Net = opts.Net
+	cfg.SwapCfg.BatchPrefetch = !opts.NoBatching
+	return session.Spec{
+		Workload: w,
+		Config:   cfg,
+		NodeCfg:  opts.NodeCfg,
+		Swap:     session.Fixed(NewPrefetcher(opts.Window, opts.Depth)),
+	}, nil
+}
+
+// New opens a Leap session for w.
+func New(w workload.Workload, opts Options) (*session.Session, error) {
+	spec, err := Spec(w, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Bind(w.Program()); err != nil {
-		return nil, err
-	}
-	r.SwapPrefetcher(NewPrefetcher(opts.Window, opts.Depth))
-	if err := w.Init(r); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return session.Open(spec)
 }

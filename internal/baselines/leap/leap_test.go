@@ -5,7 +5,6 @@ import (
 
 	"mira/internal/apps/arraysum"
 	"mira/internal/apps/graphtraverse"
-	"mira/internal/exec"
 	"mira/internal/sim"
 )
 
@@ -81,22 +80,14 @@ func TestLeapEndToEndCorrect(t *testing.T) {
 	// Correctness on the graph example (whose interleaved faults defeat
 	// Leap's trend detector — no prefetches expected there).
 	w := graphtraverse.New(graphtraverse.Config{Edges: 1024, Nodes: 512, Passes: 1, Seed: 4})
-	r, err := New(w, Options{LocalBudget: w.FullMemoryBytes() / 3})
+	s, err := New(w, Options{LocalBudget: w.FullMemoryBytes() / 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := exec.New(w.Program(), r, exec.Options{})
-	if err != nil {
+	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.FlushAll(clk); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Verify(r); err != nil {
+	if _, err := s.Finish(true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -105,19 +96,14 @@ func TestLeapPrefetchesPureSequentialStream(t *testing.T) {
 	// A pure sequential scan has a clean +1 page trend: Leap must
 	// prefetch along it.
 	w := arraysum.New(arraysum.Config{N: 1 << 14, Seed: 2})
-	r, err := New(w, Options{LocalBudget: w.FullMemoryBytes() / 4})
+	s, err := New(w, Options{LocalBudget: w.FullMemoryBytes() / 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := exec.New(w.Program(), r, exec.Options{})
-	if err != nil {
+	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		t.Fatal(err)
-	}
-	if r.SwapStats().Prefetches == 0 {
+	if s.RT.SwapStats().Prefetches == 0 {
 		t.Fatal("Leap issued no prefetches on a pure sequential stream")
 	}
 }

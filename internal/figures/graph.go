@@ -6,13 +6,11 @@ import (
 	"mira/internal/apps/graphtraverse"
 	"mira/internal/baselines/fastswap"
 	"mira/internal/cache"
-	"mira/internal/codegen"
-	"mira/internal/exec"
-	"mira/internal/farmem"
 	"mira/internal/harness"
 	"mira/internal/netmodel"
 	"mira/internal/planner"
 	"mira/internal/rt"
+	"mira/internal/session"
 	"mira/internal/sim"
 	"mira/internal/solver"
 )
@@ -186,44 +184,28 @@ func fig8(scale Scale) (*Figure, error) {
 // section) or separated (edges/nodes sections) configuration and reports
 // the node array's miss rate.
 func graphNodeMissRate(w *graphtraverse.Workload, budget int64, jointCache bool) (float64, error) {
-	var cfg rt.Config
 	if jointCache {
 		// The joint cache is the generic page-swap configuration every
 		// object starts in: 4 KB pages, global LRU, cluster readahead
 		// on every fault — whose useless prefetches on random node
 		// faults pollute the pool the nodes need.
-		cfg = rt.Config{
-			LocalBudget: budget,
-			SwapPool:    budget,
-			Placements:  map[string]rt.Placement{},
-		}
-		prog := w.Program()
-		node := farmem.NewNode(farmem.DefaultNodeConfig())
-		r, err := rt.New(cfg, node)
+		cfg, err := session.SwapOnly(w.Program(), budget)
 		if err != nil {
 			return 0, err
 		}
-		if err := r.Bind(prog); err != nil {
-			return 0, err
-		}
-		r.SwapPrefetcher(fastswap.Readahead{N: 8})
-		if err := w.Init(r); err != nil {
-			return 0, err
-		}
-		ex, err := exec.New(prog, r, exec.Options{})
+		s, err := session.Open(session.Spec{Workload: w, Config: cfg, Swap: session.Fixed(fastswap.Readahead{N: 8})})
 		if err != nil {
 			return 0, err
 		}
-		clk := sim.NewClock(0)
-		if _, err := ex.Run(clk); err != nil {
+		if _, err := s.Run(); err != nil {
 			return 0, err
 		}
-		faults := r.SwapFaultsIn("nodes")
+		faults := s.RT.SwapFaultsIn("nodes")
 		accesses := w.Config().Edges * w.Config().Passes * 2 * 2 // 2 nodes/edge, read+write each
 		return float64(faults) / float64(accesses), nil
 	}
 	edgeSize := budget / 8
-	cfg = rt.Config{
+	cfg := rt.Config{
 		LocalBudget: budget,
 		Sections: []rt.SectionSpec{
 			{Cache: cache.Config{Name: "edges", Structure: cache.Direct, LineBytes: 2048, SizeBytes: edgeSize}},
@@ -234,7 +216,7 @@ func graphNodeMissRate(w *graphtraverse.Workload, budget int64, jointCache bool)
 			"nodes": {Kind: rt.PlaceSection, Section: 1},
 		},
 	}
-	r, _, err := runGraphConfig(w, cfg, nil)
+	r, _, err := runGraphConfig(w, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -245,40 +227,18 @@ func graphNodeMissRate(w *graphtraverse.Workload, budget int64, jointCache bool)
 	return float64(misses) / float64(hits+misses), nil
 }
 
-// runGraphConfig executes the (optionally codegen-transformed) graph program
-// under an explicit runtime configuration.
-func runGraphConfig(w *graphtraverse.Workload, cfg rt.Config, plan *codegen.Plan) (*rt.Runtime, sim.Duration, error) {
-	prog := w.Program()
-	if plan != nil {
-		var err error
-		prog, err = codegen.Apply(prog, plan)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	node := farmem.NewNode(farmem.DefaultNodeConfig())
-	r, err := rt.New(cfg, node)
+// runGraphConfig executes the graph program under an explicit runtime
+// configuration.
+func runGraphConfig(w *graphtraverse.Workload, cfg rt.Config) (*rt.Runtime, sim.Duration, error) {
+	s, err := session.Open(session.Spec{Workload: w, Config: cfg, Swap: noSwapPrefetch})
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := r.Bind(prog); err != nil {
+	if _, err := s.Run(); err != nil {
 		return nil, 0, err
 	}
-	if err := w.Init(r); err != nil {
-		return nil, 0, err
-	}
-	ex, err := exec.New(prog, r, exec.Options{})
-	if err != nil {
-		return nil, 0, err
-	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		return nil, 0, err
-	}
-	if err := r.FlushAll(clk); err != nil {
-		return nil, 0, err
-	}
-	return r, clk.Now().Sub(0), nil
+	st, err := s.Finish(false)
+	return s.RT, st.Time, err
 }
 
 // sectionOverhead estimates a section's cache performance overhead (§4.1)
@@ -331,7 +291,7 @@ func fig9(scale Scale) (*Figure, error) {
 				"nodes": {Kind: rt.PlaceSection, Section: 1},
 			},
 		}
-		r, total, err := runGraphConfig(w, rcfg, nil)
+		r, total, err := runGraphConfig(w, rcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -387,7 +347,7 @@ func fig10(scale Scale) (*Figure, error) {
 					"nodes": {Kind: rt.PlaceSection, Section: 1},
 				},
 			}
-			_, total, err := runGraphConfig(w, rcfg, nil)
+			_, total, err := runGraphConfig(w, rcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -469,12 +429,7 @@ func runThreeSection(w *graphtraverse.Workload, budget int64, target int, ratio 
 			"rand3": {Kind: rt.PlaceSection, Section: 2},
 		},
 	}
-	return runGraphConfigAll(w, rcfg)
-}
-
-// runGraphConfigAll is runGraphConfig for the three-array variant.
-func runGraphConfigAll(w *graphtraverse.Workload, cfg rt.Config) (*rt.Runtime, sim.Duration, error) {
-	return runGraphConfig(w, cfg, nil)
+	return runGraphConfig(w, rcfg)
 }
 
 // runGraphThree runs the three-array graph example with explicit section
@@ -499,7 +454,7 @@ func runGraphThree(w *graphtraverse.Workload, budget, edgeSize, nodeSize, randSi
 			"rand3": {Kind: rt.PlaceSection, Section: 2},
 		},
 	}
-	return runGraphConfig(w, rcfg, nil)
+	return runGraphConfig(w, rcfg)
 }
 
 // fig12: application performance across partitions plus the ILP's pick.

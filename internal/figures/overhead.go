@@ -9,12 +9,11 @@ import (
 	"mira/internal/apps/graphtraverse"
 	"mira/internal/apps/mcf"
 	"mira/internal/baselines/aifm"
-	"mira/internal/exec"
-	"mira/internal/farmem"
 	"mira/internal/harness"
 	"mira/internal/planner"
-	"mira/internal/rt"
+	"mira/internal/session"
 	"mira/internal/sim"
+	"mira/internal/swap"
 	"mira/internal/workload"
 )
 
@@ -44,32 +43,28 @@ func overheadWorkloads(scale Scale) []struct {
 	}
 }
 
+// noSwapPrefetch is what the figure generators' hand-built configurations
+// and stand-alone plan runs put on the swap pool: nothing.
+var noSwapPrefetch = session.Fixed(swap.NoPrefetch{})
+
+// openPlanned starts an already-planned compilation on a (possibly
+// different-input) workload.
+func openPlanned(w workload.Workload, plan *planner.Result) (*session.Session, error) {
+	return session.Open(session.Spec{Workload: w, Program: plan.Program, Config: plan.Config, Swap: noSwapPrefetch})
+}
+
 // runPlannedOn executes an already-planned compilation against a (possibly
 // different-input) workload — the input-adaptation test of §3.
 func runPlannedOn(w workload.Workload, plan *planner.Result) (sim.Duration, error) {
-	node := farmem.NewNode(farmem.DefaultNodeConfig())
-	r, err := rt.New(plan.Config, node)
+	s, err := openPlanned(w, plan)
 	if err != nil {
 		return 0, err
 	}
-	if err := r.Bind(plan.Program); err != nil {
+	if _, err := s.Run(); err != nil {
 		return 0, err
 	}
-	if err := w.Init(r); err != nil {
-		return 0, err
-	}
-	ex, err := exec.New(plan.Program, r, exec.Options{Params: w.Params()})
-	if err != nil {
-		return 0, err
-	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		return 0, err
-	}
-	if err := r.FlushAll(clk); err != nil {
-		return 0, err
-	}
-	return clk.Now().Sub(0), nil
+	st, err := s.Finish(false)
+	return st.Time, err
 }
 
 // fig19: run-time overhead at 100% local memory — Mira and AIFM relative to
@@ -124,16 +119,12 @@ func fig20(scale Scale) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		node := farmem.NewNode(farmem.DefaultNodeConfig())
-		r, err := rt.New(plan.Config, node)
+		s, err := openPlanned(w, plan)
 		if err != nil {
 			return nil, err
 		}
-		if err := r.Bind(plan.Program); err != nil {
-			return nil, err
-		}
 		mira.X = append(mira.X, float64(i))
-		mira.Y = append(mira.Y, float64(r.MetadataBytes()))
+		mira.Y = append(mira.Y, float64(s.RT.MetadataBytes()))
 
 		aifmS.X = append(aifmS.X, float64(i))
 		if wl.aifm == nil {
@@ -233,36 +224,14 @@ func scopeStats(scale Scale) (*Figure, error) {
 
 // profiledRun executes on the swap configuration with probes on or off.
 func profiledRun(w workload.Workload, budget int64, profiling bool) (sim.Duration, error) {
-	var local int64
-	for _, o := range w.Program().Objects {
-		if o.Local {
-			local += o.SizeBytes()
-		}
-	}
-	cfg := rt.Config{
-		LocalBudget: budget,
-		SwapPool:    budget - local,
-		Placements:  map[string]rt.Placement{},
-		Profiling:   profiling,
-	}
-	node := farmem.NewNode(farmem.DefaultNodeConfig())
-	r, err := rt.New(cfg, node)
+	cfg, err := session.SwapOnly(w.Program(), budget)
 	if err != nil {
 		return 0, err
 	}
-	if err := r.Bind(w.Program()); err != nil {
-		return 0, err
-	}
-	if err := w.Init(r); err != nil {
-		return 0, err
-	}
-	ex, err := exec.New(w.Program(), r, exec.Options{Params: w.Params()})
+	cfg.Profiling = profiling
+	s, err := session.Open(session.Spec{Workload: w, Config: cfg, Swap: noSwapPrefetch})
 	if err != nil {
 		return 0, err
 	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		return 0, err
-	}
-	return clk.Now().Sub(0), nil
+	return s.Run()
 }

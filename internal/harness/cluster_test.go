@@ -7,16 +7,10 @@ import (
 
 	"mira/internal/apps/arraysum"
 	"mira/internal/apps/graphtraverse"
-	"mira/internal/baselines/fastswap"
-	"mira/internal/baselines/leap"
 	"mira/internal/cluster"
-	"mira/internal/exec"
 	"mira/internal/farmem"
 	"mira/internal/faults"
-	"mira/internal/ir"
 	"mira/internal/netmodel"
-	"mira/internal/planner"
-	"mira/internal/rt"
 	"mira/internal/sim"
 	"mira/internal/transport"
 	"mira/internal/workload"
@@ -40,61 +34,6 @@ func testClusterOpts(n int) *cluster.Options {
 	}
 }
 
-// clusterDump builds sys over an n-node pool, runs w, and dumps every object
-// (the cluster analogue of runAndDump).
-func clusterDump(t *testing.T, sys System, w *randomWorkload, budget int64, n int) (map[string][]byte, error) {
-	t.Helper()
-	co := testClusterOpts(n)
-	var prog *ir.Program
-	var r *rt.Runtime
-	switch sys {
-	case Mira:
-		res, err := planner.Plan(w, planner.Options{LocalBudget: budget, MaxIterations: 3, Cluster: co})
-		if err != nil {
-			return nil, err
-		}
-		prog = res.Program
-		r, err = rt.New(res.Config, nil) // cluster mode: the pool replaces the node
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Bind(prog); err != nil {
-			return nil, err
-		}
-		if err := w.Init(r); err != nil {
-			return nil, err
-		}
-	case FastSwap:
-		prog = w.Program()
-		var err error
-		r, err = fastswap.New(w, fastswap.Options{LocalBudget: budget, Cluster: co})
-		if err != nil {
-			return nil, err
-		}
-	case Leap:
-		prog = w.Program()
-		var err error
-		r, err = leap.New(w, leap.Options{LocalBudget: budget, Cluster: co})
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unsupported %s", sys)
-	}
-	ex, err := exec.New(prog, r, exec.Options{})
-	if err != nil {
-		return nil, err
-	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		return nil, err
-	}
-	if err := r.FlushAll(clk); err != nil {
-		return nil, err
-	}
-	return dumpAll(t, w, r), nil
-}
-
 // TestClusterDifferentialByteIdentical: random programs must compute
 // byte-identical final state whether far memory is one node or a sharded,
 // replicated pool — placement, striping, and replication are invisible to
@@ -111,7 +50,7 @@ func TestClusterDifferentialByteIdentical(t *testing.T) {
 			}
 			for _, n := range []int{1, 2, 4} {
 				for _, sys := range []System{Mira, FastSwap, Leap} {
-					got, err := clusterDump(t, sys, w, budget, n)
+					got, err := runAndDumpOn(t, sys, w, budget, testClusterOpts(n))
 					if err != nil {
 						t.Fatalf("%s nodes=%d: %v", sys, n, err)
 					}

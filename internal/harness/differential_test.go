@@ -8,11 +8,12 @@ import (
 
 	"mira/internal/baselines/fastswap"
 	"mira/internal/baselines/leap"
+	"mira/internal/cluster"
 	"mira/internal/exec"
-	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/planner"
 	"mira/internal/rt"
+	"mira/internal/session"
 	"mira/internal/sim"
 	"mira/internal/workload"
 )
@@ -188,70 +189,52 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 }
 
 // runAndDump executes w on sys and returns all object dumps. It drives the
-// system pieces directly (harness.Run verifies via the app oracles, which
+// run driver directly (harness.Run verifies via the app oracles, which
 // random programs don't have).
 func runAndDump(t *testing.T, sys System, w *randomWorkload, budget int64) (map[string][]byte, error) {
+	return runAndDumpOn(t, sys, w, budget, nil)
+}
+
+// runAndDumpOn is runAndDump over the far-node pool co (nil: one node).
+func runAndDumpOn(t *testing.T, sys System, w *randomWorkload, budget int64, co *cluster.Options) (map[string][]byte, error) {
 	t.Helper()
-	var prog *ir.Program
-	var r *rt.Runtime
+	var spec session.Spec
+	var err error
 	switch sys {
 	case Native:
-		prog = w.Program()
 		placements := map[string]rt.Placement{}
-		for _, o := range prog.Objects {
+		for _, o := range w.Program().Objects {
 			placements[o.Name] = rt.Placement{Kind: rt.PlaceLocal}
 		}
-		var err error
-		r, err = rt.New(rt.Config{LocalBudget: w.FullMemoryBytes() + (1 << 20), Placements: placements},
-			farmem.NewNode(farmem.DefaultNodeConfig()))
-		if err != nil {
-			return nil, err
-		}
+		spec = session.Spec{Workload: w, Config: rt.Config{LocalBudget: w.FullMemoryBytes() + (1 << 20), Placements: placements}}
 	case Mira:
-		res, err := planner.Plan(w, planner.Options{LocalBudget: budget, MaxIterations: 3})
-		if err != nil {
-			return nil, err
-		}
-		prog = res.Program
-		r, err = rt.New(res.Config, farmem.NewNode(farmem.DefaultNodeConfig()))
-		if err != nil {
-			return nil, err
+		var res *planner.Result
+		res, err = planner.Plan(w, planner.Options{LocalBudget: budget, MaxIterations: 3, Cluster: co})
+		if err == nil {
+			spec = session.Spec{Workload: w, Program: res.Program, Config: res.Config, Swap: session.Fixed(planner.SwapPolicy())}
 		}
 	case FastSwap:
-		prog = w.Program()
-		var err error
-		r, err = fastswap.New(w, fastswap.Options{LocalBudget: budget})
-		if err != nil {
-			return nil, err
-		}
+		spec, err = fastswap.Spec(w, fastswap.Options{LocalBudget: budget})
 	case Leap:
-		prog = w.Program()
-		var err error
-		r, err = leap.New(w, leap.Options{LocalBudget: budget})
-		if err != nil {
-			return nil, err
-		}
+		spec, err = leap.Spec(w, leap.Options{LocalBudget: budget})
 	default:
-		return nil, fmt.Errorf("unsupported %s", sys)
+		err = fmt.Errorf("unsupported %s", sys)
 	}
-	if sys == Native || sys == Mira {
-		if err := r.Bind(prog); err != nil {
-			return nil, err
-		}
-		if err := w.Init(r); err != nil {
-			return nil, err
-		}
-	}
-	ex, err := exec.New(prog, r, exec.Options{})
 	if err != nil {
 		return nil, err
 	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
+	if co != nil {
+		spec.Config.Cluster = co
+	}
+	s, err := session.Open(spec)
+	if err != nil {
 		return nil, err
 	}
-	if err := r.FlushAll(clk); err != nil {
+	if _, err := s.Run(); err != nil {
 		return nil, err
 	}
-	return dumpAll(t, w, r), nil
+	if _, err := s.Finish(false); err != nil {
+		return nil, err
+	}
+	return dumpAll(t, w, s.Dumper()), nil
 }

@@ -12,15 +12,14 @@ import (
 	"mira/internal/baselines/fastswap"
 	"mira/internal/baselines/leap"
 	"mira/internal/cluster"
-	"mira/internal/exec"
 	"mira/internal/farmem"
 	"mira/internal/faults"
-	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/planner"
 	"mira/internal/prefetch"
 	"mira/internal/rt"
-	"mira/internal/sim"
+	"mira/internal/session"
+	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/transport"
 	"mira/internal/workload"
@@ -168,10 +167,26 @@ func (o Options) clusterOpts(withFaults bool) *cluster.Options {
 	return co
 }
 
+// runConfig projects the timed run's fault domain onto cfg: the fault
+// schedule and resilience policy on the single link, or — in cluster mode —
+// the pool with the schedule on its chosen node.
+func (o Options) runConfig(cfg rt.Config) rt.Config {
+	cfg.Faults = o.Faults
+	cfg.Resilience = o.Resilience
+	if co := o.clusterOpts(true); co != nil {
+		cfg.Cluster = co
+		cfg.Faults = nil // per-node fault domains live in Cluster.Faults
+	}
+	return cfg
+}
+
 // Result is one run's outcome.
 type Result struct {
 	System System
-	Time   sim.Duration
+	// Stats is the timed run's counter block: Time, and — for every system
+	// on the Mira runtime — Net, Cluster, Messages, the byte counts,
+	// Prefetch and DemandMisses. AIFM reports Time and Net.
+	session.Stats
 	// Failed marks systems that could not execute at this budget (AIFM
 	// metadata exhaustion, Fig. 18) — plotted as absent in the paper.
 	Failed bool
@@ -179,32 +194,6 @@ type Result struct {
 	FailReason string
 	// PlanResult carries the planner record for Mira runs.
 	PlanResult *planner.Result
-	// Net reports the transport's resilience counters for the timed run
-	// (retries, timeouts, breaker trips, degraded-mode activity); summed
-	// across node links in cluster mode.
-	Net transport.Stats
-	// Cluster carries the per-node counters when the run used a cluster
-	// (nil otherwise), ordered by node ID.
-	Cluster []cluster.NodeStats
-	// Messages counts link-level transfers for the timed run (summed
-	// across node links in cluster mode) — the metric vectored I/O
-	// collapses.
-	Messages int64
-	// BytesMoved counts the bytes that crossed the interconnect.
-	BytesMoved int64
-	// BytesOnWire equals BytesMoved: what actually crossed, post-codec.
-	// Named separately so reports read next to BytesEffective.
-	BytesOnWire int64
-	// BytesEffective adds back the bytes the wire codecs kept off the
-	// link (transport.Stats.WireSaved): the pre-compression data volume.
-	// Equal to BytesOnWire when compression is off.
-	BytesEffective int64
-	// Prefetch aggregates the run's prefetch efficacy counters across both
-	// planes (cache sections + swap pool).
-	Prefetch prefetch.Efficacy
-	// DemandMisses counts the demand misses the run still paid (section
-	// misses + swap major faults) — the denominator of prefetch coverage.
-	DemandMisses int64
 }
 
 func (o Options) withDefaults() Options {
@@ -255,51 +244,28 @@ func Run(sys System, w workload.Workload, opts Options) (Result, error) {
 	}
 }
 
-// runRT executes prog over an already-bound rt runtime and verifies. For
-// Mira this must be the planner's transformed program — running the
-// workload's original would silently drop the compiled-in prefetch and
-// eviction instrumentation.
-func runRT(sys System, w workload.Workload, prog *ir.Program, r *rt.Runtime, opts Options) (Result, error) {
-	r.SetTrace(opts.Trace)
-	ex, err := exec.New(prog, r, exec.Options{Params: w.Params()})
+// runSpec opens spec with the run's tracer attached, executes it once and
+// finishes it. For Mira the spec's program must be the planner's transformed
+// one — running the workload's original would silently drop the compiled-in
+// prefetch and eviction instrumentation.
+func runSpec(sys System, spec session.Spec, opts Options) (Result, error) {
+	spec.Trace = opts.Trace
+	s, err := session.Open(spec)
 	if err != nil {
 		return Result{}, err
 	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		return Result{}, err
-	}
-	if err := r.FlushAll(clk); err != nil {
-		return Result{}, err
-	}
-	if err := verify(w, r, opts); err != nil {
-		return Result{}, fmt.Errorf("harness: %s: %w", sys, err)
-	}
-	ns := r.NetStats()
-	moved := r.Link().BytesMoved()
-	return Result{
-		System:         sys,
-		Time:           clk.Now().Sub(0),
-		Net:            ns,
-		Cluster:        r.ClusterStats(),
-		Messages:       r.Link().Messages(),
-		BytesMoved:     moved,
-		BytesOnWire:    moved,
-		BytesEffective: moved + ns.WireSaved,
-		Prefetch:       r.PrefetchStats(),
-		DemandMisses:   r.MissCount(),
-	}, nil
+	return finish(sys, s, opts)
 }
 
-func verify(w workload.Workload, d workload.ObjectDumper, opts Options) error {
-	if !opts.Verify {
-		return nil
+func finish(sys System, s *session.Session, opts Options) (Result, error) {
+	if _, err := s.Run(); err != nil {
+		return Result{}, err
 	}
-	v, ok := w.(workload.Verifier)
-	if !ok {
-		return nil
+	st, err := s.Finish(opts.Verify)
+	if err != nil {
+		return Result{}, fmt.Errorf("harness: %s: %w", sys, err)
 	}
-	return v.Verify(d)
+	return Result{System: sys, Stats: st}, nil
 }
 
 // runNative executes with every object in local memory: the figures'
@@ -307,50 +273,46 @@ func verify(w workload.Workload, d workload.ObjectDumper, opts Options) error {
 func runNative(w workload.Workload, opts Options) (Result, error) {
 	prog := w.Program()
 	placements := map[string]rt.Placement{}
-	for _, o := range prog.Objects {
-		placements[o.Name] = rt.Placement{Kind: rt.PlaceLocal}
-	}
 	var full int64
 	for _, o := range prog.Objects {
+		placements[o.Name] = rt.Placement{Kind: rt.PlaceLocal}
 		full += o.SizeBytes()
 	}
-	cfg := rt.Config{
-		LocalBudget: full + (1 << 20),
-		Placements:  placements,
-		Net:         opts.Net,
+	return runSpec(Native, session.Spec{
+		Workload: w,
+		Config:   rt.Config{LocalBudget: full + (1 << 20), Placements: placements, Net: opts.Net},
+		NodeCfg:  opts.NodeCfg,
+	}, opts)
+}
+
+// planOptions derives the planner options of a Mira run from the harness
+// knobs; planning is offline and fault-free.
+func (o Options) planOptions() planner.Options {
+	popts := o.Planner
+	popts.LocalBudget = o.Budget
+	if popts.Net.BytesPerSecond == 0 {
+		popts.Net = o.Net
 	}
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
-	if err != nil {
-		return Result{}, err
+	if popts.NodeCfg.Capacity == 0 {
+		popts.NodeCfg = o.NodeCfg
 	}
-	if err := r.Bind(prog); err != nil {
-		return Result{}, err
+	popts.WritebackQueueLines = o.wbqLines()
+	if co := o.clusterOpts(false); co != nil {
+		popts.Cluster = co
 	}
-	if err := w.Init(r); err != nil {
-		return Result{}, err
-	}
-	return runRT(Native, w, prog, r, opts)
+	return popts
 }
 
 // runMira plans (or, for MiraSwap, stops at iteration 0) and reports the
 // accepted configuration's time.
 func runMira(sys System, w workload.Workload, opts Options) (Result, error) {
-	popts := opts.Planner
-	popts.LocalBudget = opts.Budget
-	if popts.Net.BytesPerSecond == 0 {
-		popts.Net = opts.Net
-	}
-	if popts.NodeCfg.Capacity == 0 {
-		popts.NodeCfg = opts.NodeCfg
-	}
+	popts := opts.planOptions()
 	if sys == MiraSwap {
 		popts.DisableSeparation = true
 	}
 	if opts.Plane != "" {
 		popts.Plane = opts.Plane
 	}
-	popts.WritebackQueueLines = opts.wbqLines()
 	if opts.Compress != "" {
 		popts.Compress = opts.Compress
 	}
@@ -366,9 +328,6 @@ func runMira(sys System, w workload.Workload, opts Options) (Result, error) {
 		}
 		popts.Techniques.NoBatching = true
 	}
-	if co := opts.clusterOpts(false); co != nil {
-		popts.Cluster = co
-	}
 	popts.Trace = opts.Trace
 	res, err := planner.Plan(w, popts)
 	if err != nil {
@@ -379,25 +338,13 @@ func runMira(sys System, w workload.Workload, opts Options) (Result, error) {
 	// (planning itself is always fault-free — an offline activity), or to
 	// trace it (the planner's internal runs are not instrumented).
 	if opts.Verify || opts.faultsEnabled() || opts.Trace != nil {
-		node := farmem.NewNode(popts.NodeCfg)
-		cfg := res.Config
-		cfg.Faults = opts.Faults
-		cfg.Resilience = opts.Resilience
-		if co := opts.clusterOpts(true); co != nil {
-			cfg.Cluster = co
-			cfg.Faults = nil // per-node fault domains live in Cluster.Faults
-		}
-		r, err := rt.New(cfg, node)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := r.Bind(res.Program); err != nil {
-			return Result{}, err
-		}
-		if err := w.Init(r); err != nil {
-			return Result{}, err
-		}
-		rres, err := runRT(sys, w, res.Program, r, opts)
+		rres, err := runSpec(sys, session.Spec{
+			Workload: w,
+			Program:  res.Program,
+			Config:   opts.runConfig(res.Config),
+			NodeCfg:  popts.NodeCfg,
+			Swap:     session.Fixed(swap.NoPrefetch{}),
+		}, opts)
 		if err != nil {
 			return Result{}, err
 		}
@@ -407,36 +354,24 @@ func runMira(sys System, w workload.Workload, opts Options) (Result, error) {
 		}
 		return rres, nil
 	}
-	return Result{System: sys, Time: res.FinalTime, PlanResult: res}, nil
+	return Result{System: sys, Stats: session.Stats{Time: res.FinalTime}, PlanResult: res}, nil
 }
 
 func runSwapBaseline(sys System, w workload.Workload, opts Options) (Result, error) {
-	var r *rt.Runtime
+	var spec session.Spec
 	var err error
 	if sys == FastSwap {
-		fopts := fastswap.Options{
-			LocalBudget: opts.Budget, Net: opts.Net, NodeCfg: opts.NodeCfg,
-			Faults: opts.Faults, Resilience: opts.Resilience,
-		}
-		if co := opts.clusterOpts(true); co != nil {
-			fopts.Cluster, fopts.Faults = co, nil
-		}
-		r, err = fastswap.New(w, fopts)
+		spec, err = fastswap.Spec(w, fastswap.Options{LocalBudget: opts.Budget, Net: opts.Net, NodeCfg: opts.NodeCfg})
 	} else {
-		lopts := leap.Options{
-			LocalBudget: opts.Budget, Net: opts.Net, NodeCfg: opts.NodeCfg,
-			Faults: opts.Faults, Resilience: opts.Resilience,
-			NoBatching: opts.NoBatching,
-		}
-		if co := opts.clusterOpts(true); co != nil {
-			lopts.Cluster, lopts.Faults = co, nil
-		}
-		r, err = leap.New(w, lopts)
+		spec, err = leap.Spec(w, leap.Options{
+			LocalBudget: opts.Budget, Net: opts.Net, NodeCfg: opts.NodeCfg, NoBatching: opts.NoBatching,
+		})
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	return runRT(sys, w, w.Program(), r, opts)
+	spec.Config = opts.runConfig(spec.Config)
+	return runSpec(sys, spec, opts)
 }
 
 func runAIFM(w workload.Workload, opts Options) (Result, error) {
@@ -455,20 +390,5 @@ func runAIFM(w workload.Workload, opts Options) (Result, error) {
 		// reports, not a harness error.
 		return Result{System: AIFM, Failed: true, FailReason: err.Error()}, nil
 	}
-	r.SetTrace(opts.Trace)
-	ex, err := exec.New(w.Program(), r, exec.Options{Params: w.Params()})
-	if err != nil {
-		return Result{}, err
-	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		return Result{}, err
-	}
-	if err := r.FlushAll(clk); err != nil {
-		return Result{}, err
-	}
-	if err := verify(w, r, opts); err != nil {
-		return Result{}, fmt.Errorf("harness: aifm: %w", err)
-	}
-	return Result{System: AIFM, Time: clk.Now().Sub(0), Net: r.NetStats()}, nil
+	return finish(AIFM, session.Over(r, w, w.Program(), opts.Trace), opts)
 }

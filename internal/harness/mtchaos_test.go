@@ -7,22 +7,19 @@ import (
 	"mira/internal/apps/arraysum"
 	"mira/internal/apps/seqscan"
 	"mira/internal/cluster"
-	"mira/internal/exec"
-	"mira/internal/farmem"
 	"mira/internal/faults"
-	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/planner"
 	"mira/internal/rt"
+	"mira/internal/session"
 	"mira/internal/sim"
+	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/workload"
 )
 
-// buildChaosClusterRT plans w and binds it to a 2-node R=2 pool with fc (if
-// any) injected on node 0 — node 1 stays healthy, so replication must be
-// able to ride out every fault without losing data.
-func buildChaosClusterRT(t *testing.T, w workload.Workload, budget int64, fc *faults.Config) (*rt.Runtime, *ir.Program) {
+// chaosPlan is the compilation every run of these tests executes.
+func chaosPlan(t *testing.T, w workload.Workload, budget int64) *planner.Result {
 	t.Helper()
 	plan, err := planner.Plan(w, planner.Options{
 		LocalBudget:   budget,
@@ -32,6 +29,29 @@ func buildChaosClusterRT(t *testing.T, w workload.Workload, budget int64, fc *fa
 	if err != nil {
 		t.Fatal(err)
 	}
+	return plan
+}
+
+// openPlan starts plan on cfg (no page prefetcher, like the serving layer
+// these tests stand in for).
+func openPlan(t *testing.T, w workload.Workload, plan *planner.Result, cfg rt.Config, tr *trace.Tracer) *session.Session {
+	t.Helper()
+	s, err := session.Open(session.Spec{
+		Workload: w, Program: plan.Program, Config: cfg,
+		Swap: session.Fixed(swap.NoPrefetch{}), Trace: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// openChaosCluster plans w and binds it to a 2-node R=2 pool with fc (if
+// any) injected on node 0 — node 1 stays healthy, so replication must be
+// able to ride out every fault without losing data.
+func openChaosCluster(t *testing.T, w workload.Workload, budget int64, fc *faults.Config, tr *trace.Tracer) *session.Session {
+	t.Helper()
+	plan := chaosPlan(t, w, budget)
 	cfg := plan.Config
 	co := testClusterOpts(2)
 	co.Seed = 5
@@ -41,32 +61,18 @@ func buildChaosClusterRT(t *testing.T, w workload.Workload, budget int64, fc *fa
 	}
 	cfg.Cluster = co
 	cfg.Faults = nil
-	r, err := rt.New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Bind(plan.Program); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Init(r); err != nil {
-		t.Fatal(err)
-	}
-	return r, plan.Program
+	return openPlan(t, w, plan, cfg, tr)
 }
 
-// dumpFarObjects dumps every far-placed object after a flush.
-func dumpFarObjects(t *testing.T, r *rt.Runtime, prog *ir.Program) map[string][]byte {
+// finishAndDump flushes s and dumps every far-placed object.
+func finishAndDump(t *testing.T, s *session.Session) map[string][]byte {
 	t.Helper()
-	out := map[string][]byte{}
-	for _, o := range prog.Objects {
-		if o.Local {
-			continue
-		}
-		d, err := r.DumpObject(o.Name)
-		if err != nil {
-			t.Fatalf("dump %q: %v", o.Name, err)
-		}
-		out[o.Name] = d
+	if _, err := s.Finish(false); err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.Dump()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -84,45 +90,20 @@ func TestMultithreadedChaosRecoveryByteIdentical(t *testing.T) {
 
 	run := func(fc *faults.Config, horizon sim.Duration) (tb, mb []byte, dumps map[string][]byte, elapsed sim.Duration, stats []cluster.NodeStats) {
 		tr := trace.New()
-		w := mk()
-		r, prog := buildChaosClusterRT(t, w, budget, fc)
-		r.SetTrace(tr)
-		g := sim.NewThreadGroup(threads, 0)
-		sch := sim.NewScheduler(g)
-		for i := 0; i < threads; i++ {
-			sch.Spawn(func(th *sim.Thread) error {
-				// Re-assert identity after every resume: another thread ran
-				// in between and the runtime attributes by active tid.
-				yield := func() {
-					th.Yield()
-					r.SetActiveTid(th.ID())
-				}
-				for rep := 0; rep < reps; rep++ {
-					ex, err := exec.New(prog, r, exec.Options{Params: w.Params(), Yield: yield})
-					if err != nil {
-						return err
-					}
-					if _, err := ex.Run(th.Clock()); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+		s := openChaosCluster(t, mk(), budget, fc, tr)
+		ths := make([]session.Thread, threads)
+		for i := range ths {
+			ths[i] = session.Thread{S: s, Reps: reps}
 		}
-		if err := sch.Run(); err != nil {
+		elapsed, _, err := session.RunThreads(ths)
+		if err != nil {
 			t.Fatal(err)
 		}
 		// Flush past both the join and the fault horizon: degraded-mode ops
 		// complete instantly, so a chaos run can join while the victim is
 		// still inside a crash window.
-		fstart := g.Elapsed()
-		if fstart < horizon {
-			fstart = horizon
-		}
-		fclk := sim.NewClock(sim.Time(0).Add(fstart))
-		if err := r.FlushAll(fclk); err != nil {
-			t.Fatal(err)
-		}
+		s.Clock().AdvanceTo(sim.Time(0).Add(horizon))
+		dumps = finishAndDump(t, s)
 		var tbuf, mbuf bytes.Buffer
 		if err := tr.WriteTrace(&tbuf); err != nil {
 			t.Fatal(err)
@@ -130,7 +111,7 @@ func TestMultithreadedChaosRecoveryByteIdentical(t *testing.T) {
 		if err := tr.Registry().WriteJSON(&mbuf); err != nil {
 			t.Fatal(err)
 		}
-		return tbuf.Bytes(), mbuf.Bytes(), dumpFarObjects(t, r, prog), g.Elapsed(), r.ClusterStats()
+		return tbuf.Bytes(), mbuf.Bytes(), dumps, elapsed, s.RT.ClusterStats()
 	}
 
 	// The fault-free run fixes the reference contents and the horizon the
@@ -204,9 +185,8 @@ func TestClusterReadRepairWritebackRaceConverges(t *testing.T) {
 			{At: sim.Time(950 * sim.Microsecond), Kind: faults.PartitionEnd},
 		},
 	}
-	w := mk()
-	r, prog := buildChaosClusterRT(t, w, budget, fc)
-	clk := sim.NewClock(0)
+	s := openChaosCluster(t, mk(), budget, fc, nil)
+	r, clk := s.RT, s.Clock()
 	executed := 0
 	for i := 0; i < reps; i++ {
 		if i > 0 {
@@ -217,19 +197,12 @@ func TestClusterReadRepairWritebackRaceConverges(t *testing.T) {
 		if r.Link().BreakerOpen(clk.Now()) {
 			continue
 		}
-		ex, err := exec.New(prog, r, exec.Options{Params: w.Params()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ex.Run(clk); err != nil {
+		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		executed++
 	}
-	if err := r.FlushAll(clk); err != nil {
-		t.Fatal(err)
-	}
-	got := dumpFarObjects(t, r, prog)
+	got := finishAndDump(t, s)
 
 	var repairs, queued int64
 	for _, ns := range r.ClusterStats() {
@@ -251,38 +224,14 @@ func TestClusterReadRepairWritebackRaceConverges(t *testing.T) {
 
 	// Native replay of exactly the executed count is the convergence oracle.
 	w2 := mk()
-	plan, err := planner.Plan(w2, planner.Options{
-		LocalBudget:   budget,
-		Net:           netmodel.DefaultConfig(),
-		MaxIterations: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := rt.New(plan.Config, farmem.NewNode(farmem.DefaultNodeConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Bind(plan.Program); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Init(ref); err != nil {
-		t.Fatal(err)
-	}
-	rclk := sim.NewClock(0)
+	plan := chaosPlan(t, w2, budget)
+	ref := openPlan(t, w2, plan, plan.Config, nil)
 	for i := 0; i < executed; i++ {
-		ex, err := exec.New(plan.Program, ref, exec.Options{Params: w2.Params()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ex.Run(rclk); err != nil {
+		if _, err := ref.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ref.FlushAll(rclk); err != nil {
-		t.Fatal(err)
-	}
-	want := dumpFarObjects(t, ref, plan.Program)
+	want := finishAndDump(t, ref)
 	for name, wd := range want {
 		if !bytes.Equal(got[name], wd) {
 			t.Errorf("object %q: chaos cluster diverges from native replay of %d requests (dirty lines lost or rolled back)",

@@ -19,13 +19,11 @@ import (
 	"fmt"
 
 	"mira/internal/analysis"
-	"mira/internal/baselines/fastswap"
 	"mira/internal/codegen"
-	"mira/internal/farmem"
 	"mira/internal/planner"
 	"mira/internal/prefetch"
 	"mira/internal/rt"
-	"mira/internal/sim"
+	"mira/internal/session"
 	"mira/internal/swap"
 	"mira/internal/workload"
 )
@@ -40,57 +38,32 @@ func RunPagePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 		return Result{}, fmt.Errorf("harness: policy %q has no page-plane arm", spec.Policy)
 	}
 	prog := w.Program()
-	var local int64
-	for _, o := range prog.Objects {
-		if o.Local {
-			local += o.SizeBytes()
-		}
+	cfg, err := session.SwapOnly(prog, opts.Budget)
+	if err != nil {
+		return Result{}, fmt.Errorf("harness: %w", err)
 	}
-	pool := opts.Budget - local
-	if pool <= 0 {
-		return Result{}, fmt.Errorf("harness: local objects (%d bytes) exceed budget %d", local, opts.Budget)
-	}
-	cfg := rt.Config{
-		LocalBudget: opts.Budget,
-		SwapPool:    pool,
-		Placements:  map[string]rt.Placement{},
-		Net:         opts.Net,
-		SwapCfg: swap.Config{
-			MajorFaultOverhead: 4500 * sim.Nanosecond,
-			MinorFaultOverhead: 1000 * sim.Nanosecond,
-			BatchPrefetch:      !opts.NoBatching,
+	cfg.Net = opts.Net
+	cfg.SwapCfg.BatchPrefetch = !opts.NoBatching
+	cfg.WritebackQueueLines = opts.wbqLines()
+	return runSpec(System("page/"+spec.Policy), session.Spec{
+		Workload: w,
+		Config:   opts.runConfig(cfg),
+		NodeCfg:  opts.NodeCfg,
+		Swap: func(r *rt.Runtime) (swap.Prefetcher, error) {
+			var program []int64
+			if spec.Policy == "programmed" {
+				// Lower the IR's access phases to page numbers; swap-placed
+				// objects only (everything here).
+				program = analysis.LowerPhases(analysis.AccessProgram(prog), r.PageUnit)
+				spec.Window = clampWindow(spec.Window, int(cfg.SwapPool/swap.PageBytes))
+			}
+			pol, err := prefetch.Build(spec, program)
+			if err != nil {
+				return nil, err
+			}
+			return prefetch.PageAdapter{P: pol}, nil
 		},
-		Faults:              opts.Faults,
-		Resilience:          opts.Resilience,
-		WritebackQueueLines: opts.wbqLines(),
-	}
-	if co := opts.clusterOpts(true); co != nil {
-		cfg.Cluster, cfg.Faults = co, nil
-	}
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := r.Bind(prog); err != nil {
-		return Result{}, err
-	}
-	var program []int64
-	if spec.Policy == "programmed" {
-		// Lower the IR's access phases to page numbers; swap-placed
-		// objects only (everything here).
-		program = analysis.LowerPhases(analysis.AccessProgram(prog), r.PageUnit)
-		spec.Window = clampWindow(spec.Window, int(pool/swap.PageBytes))
-	}
-	pol, err := prefetch.Build(spec, program)
-	if err != nil {
-		return Result{}, err
-	}
-	r.SwapPrefetcher(prefetch.PageAdapter{P: pol})
-	if err := w.Init(r); err != nil {
-		return Result{}, err
-	}
-	return runRT(System("page/"+spec.Policy), w, prog, r, opts)
+	}, opts)
 }
 
 // clampWindow bounds a programmed runner's in-flight window to half the
@@ -125,19 +98,7 @@ func RunLinePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 // readahead in every cell so only the section policies differ.
 func RunLinePolicies(w workload.Workload, opts Options, specs []prefetch.Spec) ([]Result, error) {
 	opts = opts.withDefaults()
-	popts := opts.Planner
-	popts.LocalBudget = opts.Budget
-	if popts.Net.BytesPerSecond == 0 {
-		popts.Net = opts.Net
-	}
-	if popts.NodeCfg.Capacity == 0 {
-		popts.NodeCfg = opts.NodeCfg
-	}
-	popts.WritebackQueueLines = opts.wbqLines()
-	if co := opts.clusterOpts(false); co != nil {
-		popts.Cluster = co
-	}
-	pres, err := planner.Plan(w, popts)
+	pres, err := planner.Plan(w, opts.planOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -239,23 +200,20 @@ func runLineCell(w workload.Workload, opts Options, pres *planner.Result, v *pro
 			return Result{}, err
 		}
 	}
-	cfg := pres.Config
-	cfg.Faults = opts.Faults
-	cfg.Resilience = opts.Resilience
-	if co := opts.clusterOpts(true); co != nil {
-		cfg.Cluster, cfg.Faults = co, nil
-	}
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
+	// The swap pool stays as the planner timed it in every cell; the raced
+	// policies live on the sections.
+	s, err := session.Open(session.Spec{
+		Workload: w,
+		Program:  prog,
+		Config:   opts.runConfig(pres.Config),
+		NodeCfg:  opts.NodeCfg,
+		Swap:     session.Fixed(planner.SwapPolicy()),
+		Trace:    opts.Trace,
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	if err := r.Bind(prog); err != nil {
-		return Result{}, err
-	}
-	// Match the planner's timing environment on the swap pool in every
-	// cell; the raced policies live on the sections.
-	r.SwapPrefetcher(fastswap.Readahead{N: 2})
+	r := s.RT
 	if spec.Policy != prefetch.Compiled {
 		for i := 0; i < r.NumSections(); i++ {
 			var program []int64
@@ -280,10 +238,7 @@ func runLineCell(w workload.Workload, opts Options, pres *planner.Result, v *pro
 			}
 		}
 	}
-	if err := w.Init(r); err != nil {
-		return Result{}, err
-	}
-	res, err := runRT(System("line/"+spec.Policy), w, prog, r, opts)
+	res, err := finish(System("line/"+spec.Policy), s, opts)
 	if err != nil {
 		return Result{}, err
 	}

@@ -36,12 +36,13 @@ import (
 	"mira/internal/cache"
 	"mira/internal/codegen"
 	"mira/internal/exec"
-	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/planner"
 	"mira/internal/rt"
+	"mira/internal/session"
 	"mira/internal/sim"
+	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/workload"
 )
@@ -75,60 +76,39 @@ type Result struct {
 	// thread group (the group shares one physical link).
 	Messages   int64
 	BytesMoved int64
+
+	// oracle flushes the group's runtimes and checks the output; see Verify.
+	oracle func() error
 }
+
+// Verify flushes every runtime of the group on a post-join clock and checks
+// each replica's (or partition's) output against the workload's native
+// oracle. Costs nothing unless called; workloads without an oracle pass.
+func (res Result) Verify() error { return res.oracle() }
 
 // DefaultReps is the fixed total work of the read-only scaling experiment:
 // the batch of independent inferences the threads divide among themselves.
 const DefaultReps = 8
 
-// threadCtx is one simulated thread's execution context: the program (with
-// the thread's entry), the backend it runs against, and the runtime to
-// notify of scheduler resumes (nil for non-rt backends like AIFM).
-type threadCtx struct {
-	prog   *ir.Program
-	be     exec.Backend
-	rt     *rt.Runtime
-	params map[string]exec.Value
-	reps   int
-}
+// noSwapPrefetch is what the Mira modes run on their plans' swap pools: no
+// page prefetcher, as these drivers always have.
+var noSwapPrefetch = session.Fixed(swap.NoPrefetch{})
 
-// runInterleaved executes every thread context on the deterministic
-// scheduler and reports the fork-join time plus per-thread times.
-func runInterleaved(ctxs []threadCtx) (sim.Duration, []sim.Duration, error) {
-	g := sim.NewThreadGroup(len(ctxs), 0)
-	sch := sim.NewScheduler(g)
-	for i := range ctxs {
-		c := ctxs[i]
-		sch.Spawn(func(th *sim.Thread) error {
-			// Re-assert the thread's identity after every resume: the
-			// runtime attributes cache events to the active tid, and
-			// another thread ran between our yield and this resume.
-			yield := func() {
-				th.Yield()
-				if c.rt != nil {
-					c.rt.SetActiveTid(th.ID())
-				}
-			}
-			for rep := 0; rep < c.reps; rep++ {
-				ex, err := exec.New(c.prog, c.be, exec.Options{Params: c.params, Yield: yield})
-				if err != nil {
-					return err
-				}
-				if _, err := ex.Run(th.Clock()); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+// runThreads executes the thread group and fills in the fork-join time,
+// per-thread times and the group's link counters.
+func (res *Result) runThreads(ths []session.Thread) error {
+	var err error
+	res.Time, res.PerThread, err = session.RunThreads(ths)
+	if err != nil {
+		return err
 	}
-	if err := sch.Run(); err != nil {
-		return 0, nil, err
+	// Every mode shares one link (private runtimes share one Bandwidth),
+	// so any runtime's link counters are the group totals.
+	if r := ths[0].S.RT; r != nil {
+		res.Messages = r.Link().Messages()
+		res.BytesMoved = r.Link().BytesMoved()
 	}
-	per := make([]sim.Duration, len(ctxs))
-	for i := range per {
-		per[i] = g.Clock(i).Now().Sub(0)
-	}
-	return g.Elapsed(), per, nil
+	return nil
 }
 
 // repsFor divides the fixed DefaultReps batch across threads.
@@ -205,7 +185,7 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 	res := Result{Mode: mode, Threads: threads}
 	reps := repsFor(threads)
 	net := netmodel.DefaultConfig()
-	ctxs := make([]threadCtx, threads)
+	ths := make([]session.Thread, threads)
 
 	switch mode {
 	case MiraPrivate:
@@ -221,21 +201,23 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 			return Result{}, err
 		}
 		bw := netmodel.NewBandwidth(net)
-		for i := range ctxs {
-			node := farmem.NewNode(farmem.DefaultNodeConfig())
-			r, err := rt.New(plan.Config, node)
+		for i := range ths {
+			s, err := session.Open(session.Spec{
+				Workload: w, Program: plan.Program, Config: plan.Config,
+				Swap: noSwapPrefetch, Link: bw, Trace: tr,
+			})
 			if err != nil {
 				return Result{}, err
 			}
-			if err := r.Bind(plan.Program); err != nil {
-				return Result{}, err
+			ths[i] = session.Thread{S: s, Reps: reps}
+		}
+		res.oracle = func() error {
+			for _, t := range ths {
+				if _, err := t.S.Finish(true); err != nil {
+					return err
+				}
 			}
-			if err := w.Init(r); err != nil {
-				return Result{}, err
-			}
-			r.ShareBandwidth(bw)
-			r.SetTrace(tr)
-			ctxs[i] = threadCtx{prog: plan.Program, be: r, rt: r, params: w.Params(), reps: reps}
+			return nil
 		}
 
 	case MiraShared:
@@ -281,23 +263,17 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 		// contended far-memory budget; widen the accounting for the extra
 		// replicas so the shared sections keep their planned full size.
 		cfg.LocalBudget += int64(threads-1) * localBytesOf(plan.Program, plan.Config.Placements)
-		node := farmem.NewNode(farmem.DefaultNodeConfig())
-		r, err := rt.New(cfg, node)
+		s, err := session.Open(session.Spec{
+			Workload: mergedWorkload{Workload: w, prog: merged, n: threads},
+			Config:   cfg, Swap: noSwapPrefetch, Trace: tr,
+		})
 		if err != nil {
 			return Result{}, err
 		}
-		if err := r.Bind(merged); err != nil {
-			return Result{}, err
+		for i := range ths {
+			ths[i] = session.Thread{S: s, Program: ir.CloneForEntry(merged, ir.ReplicaName(plan.Program.Entry, i)), Reps: reps}
 		}
-		mw := mergedWorkload{Workload: w, prog: merged, n: threads}
-		if err := mw.Init(r); err != nil {
-			return Result{}, err
-		}
-		r.SetTrace(tr)
-		for i := range ctxs {
-			entry := ir.CloneForEntry(merged, ir.ReplicaName(plan.Program.Entry, i))
-			ctxs[i] = threadCtx{prog: entry, be: r, rt: r, params: w.Params(), reps: reps}
-		}
+		res.oracle = func() error { return verifyReplicas(s, w, threads) }
 
 	case FastSwapShared:
 		// One page pool shared by all threads' replicas; every major fault
@@ -305,7 +281,7 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 		// with the number of concurrently faulting threads.
 		prog := w.Program()
 		mw := mergedWorkload{Workload: w, prog: ir.MergeReplicas(prog, threads), n: threads}
-		r, err := fastswap.New(mw, fastswap.Options{
+		spec, err := fastswap.Spec(mw, fastswap.Options{
 			// Keep the shared pool at `budget` like the single-thread
 			// baseline: replica locals are per-thread stacks outside it.
 			LocalBudget: budget + int64(threads-1)*localBytesOf(prog, nil),
@@ -314,29 +290,54 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 		if err != nil {
 			return Result{}, err
 		}
-		r.SwapLock(&sim.Serializer{})
-		r.SetTrace(tr)
-		for i := range ctxs {
-			entry := ir.CloneForEntry(mw.prog, ir.ReplicaName(prog.Entry, i))
-			ctxs[i] = threadCtx{prog: entry, be: r, rt: r, params: w.Params(), reps: reps}
+		spec.Trace = tr
+		s, err := session.Open(spec)
+		if err != nil {
+			return Result{}, err
 		}
+		s.RT.SwapLock(&sim.Serializer{})
+		for i := range ths {
+			ths[i] = session.Thread{S: s, Program: ir.CloneForEntry(mw.prog, ir.ReplicaName(prog.Entry, i)), Reps: reps}
+		}
+		res.oracle = func() error { return verifyReplicas(s, w, threads) }
 
 	default:
 		return Result{}, fmt.Errorf("mtrun: mode %q not supported for read-only scaling", mode)
 	}
 
-	var err error
-	res.Time, res.PerThread, err = runInterleaved(ctxs)
-	if err != nil {
+	if err := res.runThreads(ths); err != nil {
 		return Result{}, err
 	}
-	// Every mode shares one link (private runtimes share one Bandwidth),
-	// so any runtime's link counters are the group totals.
-	if r := ctxs[0].rt; r != nil {
-		res.Messages = r.Link().Messages()
-		res.BytesMoved = r.Link().BytesMoved()
-	}
 	return res, nil
+}
+
+// replicaDumper reads one replica's renamed objects of a merged program
+// under the workload's own names.
+type replicaDumper struct {
+	d workload.ObjectDumper
+	i int
+}
+
+func (rd replicaDumper) DumpObject(name string) ([]byte, error) {
+	return rd.d.DumpObject(ir.ReplicaName(name, rd.i))
+}
+
+// verifyReplicas flushes s and checks each of the n merged replicas against
+// w's oracle.
+func verifyReplicas(s *session.Session, w workload.Workload, n int) error {
+	if _, err := s.Finish(false); err != nil {
+		return err
+	}
+	v, ok := w.(workload.Verifier)
+	if !ok {
+		return nil
+	}
+	for i := 0; i < n; i++ {
+		if err := v.Verify(replicaDumper{d: s.Dumper(), i: i}); err != nil {
+			return fmt.Errorf("mtrun: replica %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // SharedWriteFilter partitions a dataframe filter across threads writing a
@@ -365,57 +366,45 @@ func SharedWriteFilter(mode Mode, cfg dataframe.Config, budget int64, threads in
 		}
 	}
 
-	ctxs := make([]threadCtx, threads)
+	var s *session.Session
+	var err error
 	switch mode {
 	case MiraPrivate:
 		// Writable-shared threads share one runtime; the written vector
 		// lives in a shared fully-associative section with conservative
 		// configuration (§4.6); the scanned columns get a sequential
 		// direct section with prefetch.
-		compiled, r, err := miraSharedFilterRuntime(progMT, budget, net)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := w.Init(r); err != nil {
-			return Result{}, err
-		}
-		for i := range ctxs {
-			ctxs[i] = threadCtx{prog: compiled, be: r, rt: r, params: paramsFor(i), reps: 1}
-		}
-
+		s, err = miraSharedFilterSession(w, progMT, budget, net)
 	case FastSwapShared:
-		fw := filterWorkload{Workload: w, prog: progMT}
-		r, err := fastswap.New(fw, fastswap.Options{LocalBudget: budget, Net: net})
-		if err != nil {
-			return Result{}, err
+		s, err = fastswap.New(filterWorkload{Workload: w, prog: progMT}, fastswap.Options{LocalBudget: budget, Net: net})
+		if err == nil {
+			s.RT.SwapLock(&sim.Serializer{})
 		}
-		r.SwapLock(&sim.Serializer{})
-		for i := range ctxs {
-			ctxs[i] = threadCtx{prog: progMT, be: r, rt: r, params: paramsFor(i), reps: 1}
-		}
-
 	case AIFMShared:
 		fw := filterWorkload{Workload: w, prog: progMT}
-		r, err := aifm.New(fw, aifm.Options{LocalBudget: budget, ChunkBytes: 4096, Net: net})
-		if err != nil {
-			return Result{}, err
+		var r *aifm.Runtime
+		r, err = aifm.New(fw, aifm.Options{LocalBudget: budget, ChunkBytes: 4096, Net: net})
+		if err == nil {
+			s = session.Over(r, fw, progMT, nil)
 		}
-		for i := range ctxs {
-			ctxs[i] = threadCtx{prog: progMT, be: r, params: paramsFor(i), reps: 1}
-		}
-
 	default:
 		return Result{}, fmt.Errorf("mtrun: mode %q not supported for shared-write filter", mode)
 	}
-
-	var err error
-	res.Time, res.PerThread, err = runInterleaved(ctxs)
 	if err != nil {
 		return Result{}, err
 	}
-	if r := ctxs[0].rt; r != nil {
-		res.Messages = r.Link().Messages()
-		res.BytesMoved = r.Link().BytesMoved()
+	ths := make([]session.Thread, threads)
+	for i := range ths {
+		ths[i] = session.Thread{S: s, Params: paramsFor(i), Reps: 1}
+	}
+	res.oracle = func() error {
+		if _, err := s.Finish(false); err != nil {
+			return err
+		}
+		return VerifySharedFilter(cfg, threads, s.Dumper())
+	}
+	if err := res.runThreads(ths); err != nil {
+		return Result{}, err
 	}
 	return res, nil
 }
@@ -429,7 +418,7 @@ type filterWorkload struct {
 // Program returns the filterPart-entry clone.
 func (f filterWorkload) Program() *ir.Program { return f.prog }
 
-// miraSharedFilterRuntime builds the §4.6 writable-shared configuration:
+// miraSharedFilterSession builds the §4.6 writable-shared configuration:
 // payment+fare in a shared streaming section, the shared result vector in a
 // fully-associative section (largest access granularity, no eviction
 // hints), and applies codegen with prefetch on the scanned columns. Both
@@ -438,7 +427,7 @@ func (f filterWorkload) Program() *ir.Program { return f.prog }
 // indexing would let aliasing streams conflict-evict each other's lines on
 // every access — the §4.6 conservative rule (assume any other thread may
 // touch the section) applies to the scanned columns too.
-func miraSharedFilterRuntime(prog *ir.Program, budget int64, net netmodel.Config) (*ir.Program, *rt.Runtime, error) {
+func miraSharedFilterSession(w workload.Workload, prog *ir.Program, budget int64, net netmodel.Config) (*session.Session, error) {
 	seqBytes := budget / 4
 	cfg := rt.Config{
 		LocalBudget: budget,
@@ -466,17 +455,9 @@ func miraSharedFilterRuntime(prog *ir.Program, budget int64, net netmodel.Config
 	}}
 	compiled, err := codegen.Apply(prog, plan)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	node := farmem.NewNode(farmem.DefaultNodeConfig())
-	r, err := rt.New(cfg, node)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.Bind(compiled); err != nil {
-		return nil, nil, err
-	}
-	return compiled, r, nil
+	return session.Open(session.Spec{Workload: w, Program: compiled, Config: cfg, Swap: noSwapPrefetch})
 }
 
 // Oracle verification for the partitioned filter.

@@ -7,7 +7,6 @@ import (
 	"mira/internal/apps/dataframe"
 	"mira/internal/apps/gpt2"
 	"mira/internal/cache"
-	"mira/internal/exec"
 	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/netmodel"
@@ -100,57 +99,20 @@ func TestSharedWriteFilterCorrectAndScales(t *testing.T) {
 	}
 }
 
+// TestSharedWriteFilterVerifies: the interleaved partitioned filter leaves
+// the oracle's result vector in far memory, in every mode.
 func TestSharedWriteFilterVerifies(t *testing.T) {
 	cfg := dataframe.Config{Rows: 4096, Seed: 11}
 	budget := int64(4096) * 8 * 2
-	threads := 4
-
-	// Run Mira mode and verify the shared result vector.
-	cfgF := cfg
-	cfgF.FilterOnly = true
-	w := dataframe.New(cfgF)
-	prog := w.Program()
-	progMT := cloneForEntryForTest(prog)
-	compiled, r, err := miraSharedFilterRuntime(progMT, budget, defaultNet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Init(r); err != nil {
-		t.Fatal(err)
-	}
-	rows := w.Config().Rows
-	clk := sim.NewClock(0)
-	for i := 0; i < threads; i++ {
-		lo := rows * int64(i) / int64(threads)
-		hi := rows * int64(i+1) / int64(threads)
-		if err := runFilterPart(compiled, r, clk, lo, hi); err != nil {
-			t.Fatal(err)
+	for _, mode := range []Mode{MiraPrivate, FastSwapShared, AIFMShared} {
+		res, err := SharedWriteFilter(mode, cfg, budget, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if err := res.Verify(); err != nil {
+			t.Errorf("%s: %v", mode, err)
 		}
 	}
-	if err := r.FlushAll(clk); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySharedFilter(cfg, threads, r); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Test helpers reusing mtrun internals.
-func cloneForEntryForTest(p *ir.Program) *ir.Program { return ir.CloneForEntry(p, "filterPart") }
-
-func defaultNet() netmodel.Config { return netmodel.DefaultConfig() }
-
-func runFilterPart(prog *ir.Program, r *rt.Runtime, clk *sim.Clock, lo, hi int64) error {
-	ex, err := exec.New(prog, r, exec.Options{Params: map[string]exec.Value{
-		"start":   exec.IntV(lo),
-		"end":     exec.IntV(hi),
-		"outbase": exec.IntV(lo),
-	}})
-	if err != nil {
-		return err
-	}
-	_, err = ex.Run(clk)
-	return err
 }
 
 func TestInvalidThreadCount(t *testing.T) {

@@ -5,11 +5,8 @@ import (
 	"sort"
 
 	"mira/internal/analysis"
-	"mira/internal/baselines/fastswap"
 	"mira/internal/cache"
 	"mira/internal/codegen"
-	"mira/internal/exec"
-	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/profile"
@@ -687,36 +684,19 @@ func sampleRun(w Workload, compiled, prog *ir.Program, all []*sectionDraft, nonS
 		}
 	}
 	cfg := assembleConfig(prog, all, merged, pool, opts)
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
+	s, err := open(w, compiled, cfg, opts, nil)
 	if err != nil {
 		return 0, err
 	}
-	if err := r.Bind(compiled); err != nil {
-		return 0, err
-	}
-	r.SwapPrefetcher(fastswap.Readahead{N: 2})
-	if err := w.Init(r); err != nil {
-		return 0, err
-	}
-	ex, err := exec.New(compiled, r, exec.Options{
-		ComputeOp: opts.Cost.ComputeOp,
-		FloatOp:   opts.Cost.FloatOp,
-		Params:    w.Params(),
-	})
+	total, err := s.Run()
 	if err != nil {
 		return 0, err
 	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
-		return 0, err
-	}
-	total := clk.Now().Sub(0)
 	if total <= 0 {
 		return 0, nil
 	}
 	// Target section's share of runtime overhead, from its counters.
-	st := r.SectionStats(sectionIndex(all, nonSeq[target].name))
+	st := s.RT.SectionStats(sectionIndex(all, nonSeq[target].name))
 	lookup := opts.Cost.Lookup(nonSeq[target].structure)
 	secTime := sim.Duration(st.Hits+st.Misses)*lookup +
 		sim.Duration(st.Misses)*(opts.Cost.MissHandling+opts.Net.RTTEstimate(nonSeq[target].lineBytes))

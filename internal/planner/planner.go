@@ -16,13 +16,14 @@ import (
 	"mira/internal/baselines/fastswap"
 	"mira/internal/cluster"
 	"mira/internal/codegen"
-	"mira/internal/exec"
 	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/profile"
 	"mira/internal/rt"
+	"mira/internal/session"
 	"mira/internal/sim"
+	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/workload"
 )
@@ -381,27 +382,29 @@ func withDefaults(opts Options) Options {
 	return opts
 }
 
+// SwapPolicy is what runs on the swap pool of every configuration the
+// planner times: the generic swap section behaves like a traditional swap
+// system (§3 "the initial execution works almost the same as traditional
+// page swap-based systems"), cluster readahead included. Whoever executes an
+// accepted plan as it was measured installs this.
+func SwapPolicy() swap.Prefetcher { return fastswap.Readahead{N: 2} }
+
 // swapOnlyConfig places every non-local object in the swap section.
 func swapOnlyConfig(prog *ir.Program, opts Options) (rt.Config, error) {
-	local := localBytes(prog)
-	pool := opts.LocalBudget - local
-	if pool <= 0 {
-		return rt.Config{}, fmt.Errorf("planner: local objects (%d bytes) exceed budget %d", local, opts.LocalBudget)
+	cfg, err := session.SwapOnly(prog, opts.LocalBudget)
+	if err != nil {
+		return rt.Config{}, fmt.Errorf("planner: %w", err)
 	}
-	return rt.Config{
-		LocalBudget:         opts.LocalBudget,
-		SwapPool:            pool,
-		Placements:          map[string]rt.Placement{},
-		Cost:                opts.Cost,
-		Net:                 opts.Net,
-		Cluster:             opts.Cluster,
-		WritebackQueueLines: opts.WritebackQueueLines,
-		SwapCompress:        opts.Compress == "on",
-		// Plane modes lay the whole heap out hybrid-style so objects can
-		// migrate between planes; all-swap hybrid layout is byte-identical
-		// to the classic one, so this never changes baseline timings.
-		Hybrid: opts.Plane != "",
-	}, nil
+	cfg.Cost = opts.Cost
+	cfg.Net = opts.Net
+	cfg.Cluster = opts.Cluster
+	cfg.WritebackQueueLines = opts.WritebackQueueLines
+	cfg.SwapCompress = opts.Compress == "on"
+	// Plane modes lay the whole heap out hybrid-style so objects can
+	// migrate between planes; all-swap hybrid layout is byte-identical
+	// to the classic one, so this never changes baseline timings.
+	cfg.Hybrid = opts.Plane != ""
+	return cfg, nil
 }
 
 func localBytes(prog *ir.Program) int64 {
@@ -414,53 +417,46 @@ func localBytes(prog *ir.Program) int64 {
 	return t
 }
 
+// open starts a planner-timed session: prog under cfg with the planner's
+// swap policy, fault-free.
+func open(w Workload, prog *ir.Program, cfg rt.Config, opts Options, col *profile.Collector) (*session.Session, error) {
+	return session.Open(session.Spec{
+		Workload:  w,
+		Program:   prog,
+		Config:    cfg,
+		NodeCfg:   opts.NodeCfg,
+		Swap:      session.Fixed(SwapPolicy()),
+		Collector: col,
+	})
+}
+
 // runOnce executes a program under a configuration and returns elapsed time
 // and the profile.
 func runOnce(w Workload, prog *ir.Program, cfg rt.Config, opts Options, profiling bool) (sim.Duration, *profile.Collector, error) {
 	cfg.Profiling = profiling
-	node := farmem.NewNode(opts.NodeCfg)
-	r, err := rt.New(cfg, node)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := r.Bind(prog); err != nil {
-		return 0, nil, err
-	}
-	// The generic swap section behaves like a traditional swap system
-	// (§3 "the initial execution works almost the same as traditional
-	// page swap-based systems"), cluster readahead included.
-	r.SwapPrefetcher(fastswap.Readahead{N: 2})
-	if err := w.Init(r); err != nil {
-		return 0, nil, err
-	}
 	col := profile.NewCollector()
-	ex, err := exec.New(prog, r, exec.Options{
-		ComputeOp: opts.Cost.ComputeOp,
-		FloatOp:   opts.Cost.FloatOp,
-		Collector: col,
-		Params:    w.Params(),
-	})
+	s, err := open(w, prog, cfg, opts, col)
 	if err != nil {
 		return 0, nil, err
 	}
-	clk := sim.NewClock(0)
-	if _, err := ex.Run(clk); err != nil {
+	if _, err := s.Run(); err != nil {
 		return 0, nil, err
 	}
-	if err := r.FlushAll(clk); err != nil {
+	st, err := s.Finish(false)
+	if err != nil {
 		return 0, nil, err
 	}
 	// Fold the transport's resilience counters into the profile. Planner
 	// runs are fault-free, so these are zero unless a caller wires a
 	// fault schedule into the runtime under profile.
-	ns := r.NetStats()
+	ns := st.Net
 	col.RecordNet(profile.NetRecord{
 		Retries: ns.Retries, Timeouts: ns.Timeouts,
 		Corruptions: ns.Corruptions, BreakerTrips: ns.BreakerTrips,
 		QueuedWritebacks: ns.QueuedWritebacks, DegradedReads: ns.DegradedReads,
 		DegradedTime: ns.DegradedTime, BackoffTime: ns.BackoffTime,
 	})
-	return clk.Now().Sub(0), col, nil
+	return st.Time, col, nil
 }
 
 // largestObjectsIn returns the largest frac of objects accessed by the

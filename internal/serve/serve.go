@@ -20,14 +20,14 @@ import (
 	"fmt"
 
 	"mira/internal/cluster"
-	"mira/internal/exec"
 	"mira/internal/farmem"
 	"mira/internal/faults"
-	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/planner"
 	"mira/internal/rt"
+	"mira/internal/session"
 	"mira/internal/sim"
+	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/transport"
 	"mira/internal/workload"
@@ -162,9 +162,8 @@ func failFastPolicy() transport.Policy {
 // scheduler threads, which run one at a time — no locks.
 type tenant struct {
 	spec     TenantSpec
+	s        *session.Session
 	rt       *rt.Runtime
-	prog     *ir.Program
-	params   map[string]exec.Value
 	arrivals []sim.Time
 
 	next       int // next unclaimed arrival index
@@ -244,13 +243,11 @@ func Run(specs []TenantSpec, opts Options) (*Result, error) {
 
 	tenants := make([]*tenant, len(specs))
 	for i := range specs {
-		t, err := buildTenant(specs[i], opts, net, horizon)
+		t, err := buildTenant(specs[i], opts, net, bw, horizon)
 		if err != nil {
 			return nil, err
 		}
 		bw.SetTenantWeight(t.spec.Name, t.spec.Weight)
-		t.rt.ShareBandwidth(bw)
-		t.rt.SetTrace(opts.Trace)
 		t.lat = reg.Reservoir("serve.latency{tenant=" + t.spec.Name + "}")
 		t.mAdm = reg.Counter("serve.admitted{tenant=" + t.spec.Name + "}")
 		t.mRej = map[string]*trace.Counter{}
@@ -264,44 +261,42 @@ func Run(specs []TenantSpec, opts Options) (*Result, error) {
 	}
 
 	res := &Result{}
-	workers := 0
-	for _, t := range tenants {
-		workers += t.spec.Workers
-	}
-	n := workers
-	if opts.Elastic {
-		n++
-	}
-	g := sim.NewThreadGroup(n, 0)
-	sch := sim.NewScheduler(g)
 	var lv *lease
+	var threads []session.Thread
 	for _, t := range tenants {
 		for w := 0; w < t.spec.Workers; w++ {
 			t := t
-			sch.Spawn(func(th *sim.Thread) error {
-				return serveWorker(th, t, bw, opts, &lv)
-			})
+			threads = append(threads, session.Thread{S: t.s, Body: func(th *sim.Thread, yield func()) error {
+				return serveWorker(th, yield, t, bw, opts, &lv)
+			}})
 		}
 	}
 	if opts.Elastic {
-		sch.Spawn(func(th *sim.Thread) error {
+		threads = append(threads, session.Thread{Body: func(th *sim.Thread, _ func()) error {
 			return reclaimer(th, tenants, opts, &lv, &res.Leases)
-		})
+		}})
 	}
-	if err := sch.Run(); err != nil {
+	var err error
+	if res.Elapsed, _, err = session.RunThreads(threads); err != nil {
 		return nil, err
 	}
-	res.Elapsed = g.Elapsed()
 
-	// Final flush + integrity dumps on a post-join clock: every queued
-	// write-back reaches far memory (chaos windows are long over by the
-	// time the clock passes the horizon).
-	fclk := sim.NewClock(sim.Time(0).Add(res.Elapsed))
+	// Final flush + integrity dumps on a post-join clock, one tenant after
+	// the other: every queued write-back reaches far memory (chaos windows
+	// are long over by the time the clock passes the horizon).
+	fclk := sim.Time(0).Add(res.Elapsed)
 	for _, t := range tenants {
-		if err := t.rt.FlushAll(fclk); err != nil {
+		t.s.Clock().AdvanceTo(fclk)
+		st, err := t.s.Finish(false)
+		if err != nil {
 			return nil, fmt.Errorf("serve: tenant %q: final flush: %w", t.spec.Name, err)
 		}
-		tr := TenantResult{
+		fclk = t.s.Clock().Now()
+		dumps, err := t.s.Dump()
+		if err != nil {
+			return nil, fmt.Errorf("serve: tenant %q: %w", t.spec.Name, err)
+		}
+		res.Tenants = append(res.Tenants, TenantResult{
 			Name:      t.spec.Name,
 			Requests:  t.spec.Requests,
 			Admitted:  t.admitted,
@@ -311,34 +306,40 @@ func Run(specs []TenantSpec, opts Options) (*Result, error) {
 			P95:       sim.Duration(t.lat.P95()),
 			P99:       sim.Duration(t.lat.P99()),
 			Max:       sim.Duration(t.lat.Max()),
-			Dumps:     map[string][]byte{},
-		}
-		for _, o := range t.prog.Objects {
-			if o.Local {
-				continue
-			}
-			dump, err := t.rt.DumpObject(o.Name)
-			if err != nil {
-				return nil, fmt.Errorf("serve: tenant %q: dump %q: %w", t.spec.Name, o.Name, err)
-			}
-			tr.Dumps[o.Name] = dump
-		}
-		res.Tenants = append(res.Tenants, tr)
-		moved := t.rt.Link().BytesMoved()
-		res.BytesOnWire += moved
-		res.BytesEffective += moved + t.rt.NetStats().WireSaved
+			Dumps:     dumps,
+		})
+		res.BytesOnWire += st.BytesOnWire
+		res.BytesEffective += st.BytesEffective
 	}
 	return res, nil
 }
 
-// buildTenant plans the tenant's workload and binds it to a replicated pool
-// of its own, with the chaos schedule (if any) on node 0.
-func buildTenant(spec TenantSpec, opts Options, net netmodel.Config, horizon sim.Duration) (*tenant, error) {
-	plan, err := planner.Plan(spec.Workload, planner.Options{
+// plan is the tenant's compilation; NativeReplay plans identically.
+func plan(spec TenantSpec, net netmodel.Config) (*planner.Result, error) {
+	return planner.Plan(spec.Workload, planner.Options{
 		LocalBudget:   spec.Budget,
 		Net:           net,
 		MaxIterations: 3,
 	})
+}
+
+// open starts the tenant's planned program on cfg. Serving runs no page
+// prefetcher on the plan's swap pool.
+func open(spec TenantSpec, plan *planner.Result, cfg rt.Config, bw *netmodel.Bandwidth, tr *trace.Tracer) (*session.Session, error) {
+	return session.Open(session.Spec{
+		Workload: spec.Workload,
+		Program:  plan.Program,
+		Config:   cfg,
+		Swap:     session.Fixed(swap.NoPrefetch{}),
+		Link:     bw,
+		Trace:    tr,
+	})
+}
+
+// buildTenant plans the tenant's workload and binds it to a replicated pool
+// of its own, with the chaos schedule (if any) on node 0.
+func buildTenant(spec TenantSpec, opts Options, net netmodel.Config, bw *netmodel.Bandwidth, horizon sim.Duration) (*tenant, error) {
+	plan, err := plan(spec, net)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %q: plan: %w", spec.Name, err)
 	}
@@ -363,22 +364,15 @@ func buildTenant(spec TenantSpec, opts Options, net netmodel.Config, horizon sim
 	}
 	cfg.Cluster = co
 	cfg.Faults = nil
-	r, err := rt.New(cfg, nil)
+	s, err := open(spec, plan, cfg, bw, opts.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %q: runtime: %w", spec.Name, err)
-	}
-	if err := r.Bind(plan.Program); err != nil {
-		return nil, err
-	}
-	if err := spec.Workload.Init(r); err != nil {
-		return nil, err
 	}
 	rng := sim.NewRNG(sim.SplitSeed(opts.Seed, "arrivals/"+spec.Name))
 	return &tenant{
 		spec:     spec,
-		rt:       r,
-		prog:     plan.Program,
-		params:   spec.Workload.Params(),
+		s:        s,
+		rt:       s.RT,
 		arrivals: genArrivals(rng, spec.Arrivals, spec.Requests, spec.Mean, spec.Burst),
 		rejected: map[string]int{},
 	}, nil
@@ -387,15 +381,14 @@ func buildTenant(spec TenantSpec, opts Options, net netmodel.Config, horizon sim
 // serveWorker is one tenant worker: claim the next arrival, wait for it,
 // decide admission, execute, record. Workers of one tenant drain a shared
 // arrival schedule in index order.
-func serveWorker(th *sim.Thread, t *tenant, bw *netmodel.Bandwidth, opts Options, lv **lease) error {
+func serveWorker(th *sim.Thread, yieldTid func(), t *tenant, bw *netmodel.Bandwidth, opts Options, lv **lease) error {
 	clk := th.Clock()
 	// Re-assert identity after every resume: another tenant's thread ran
 	// between our yield and this resume, and both the runtime's per-tid
-	// attribution and the link's fair-share accounting follow the active
-	// thread.
+	// attribution (yieldTid) and the link's fair-share accounting follow
+	// the active thread.
 	yield := func() {
-		th.Yield()
-		t.rt.SetActiveTid(th.ID())
+		yieldTid()
 		bw.SetActiveTenant(t.spec.Name)
 	}
 	for {
@@ -434,11 +427,7 @@ func serveWorker(th *sim.Thread, t *tenant, bw *netmodel.Bandwidth, opts Options
 		t.admitted++
 		t.mAdm.Inc()
 		start := now
-		ex, err := exec.New(t.prog, t.rt, exec.Options{Params: t.params, Yield: yield})
-		if err != nil {
-			return err
-		}
-		if _, err := ex.Run(clk); err != nil {
+		if err := t.s.Exec(clk, yield); err != nil {
 			return fmt.Errorf("serve: tenant %q request %d: %w", t.spec.Name, i, err)
 		}
 		end := clk.Now()
@@ -570,47 +559,21 @@ func restoreLease(clk *sim.Clock, l *lease) error {
 // returns its far-object dumps — the integrity reference: a chaos-serving
 // run that admitted `reps` requests must leave byte-identical far memory.
 func NativeReplay(spec TenantSpec, reps int) (map[string][]byte, error) {
-	plan, err := planner.Plan(spec.Workload, planner.Options{
-		LocalBudget:   spec.Budget,
-		Net:           netmodel.DefaultConfig(),
-		MaxIterations: 3,
-	})
+	plan, err := plan(spec, netmodel.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	r, err := rt.New(plan.Config, farmem.NewNode(farmem.DefaultNodeConfig()))
+	s, err := open(spec, plan, plan.Config, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Bind(plan.Program); err != nil {
-		return nil, err
-	}
-	if err := spec.Workload.Init(r); err != nil {
-		return nil, err
-	}
-	clk := sim.NewClock(0)
 	for rep := 0; rep < reps; rep++ {
-		ex, err := exec.New(plan.Program, r, exec.Options{Params: spec.Workload.Params()})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := ex.Run(clk); err != nil {
+		if _, err := s.Run(); err != nil {
 			return nil, err
 		}
 	}
-	if err := r.FlushAll(clk); err != nil {
+	if _, err := s.Finish(false); err != nil {
 		return nil, err
 	}
-	dumps := map[string][]byte{}
-	for _, o := range plan.Program.Objects {
-		if o.Local {
-			continue
-		}
-		d, err := r.DumpObject(o.Name)
-		if err != nil {
-			return nil, err
-		}
-		dumps[o.Name] = d
-	}
-	return dumps, nil
+	return s.Dump()
 }

@@ -1,0 +1,346 @@
+// Package session is the run driver: the one place a runtime is constructed
+// and a program executed on it. Every program-on-runtime execution — the
+// planner's timing and sampling runs, the harness cells, the multithreaded
+// and serving drivers, the figure generators, the swap baselines — goes
+// through the same sequence:
+//
+//	Open:   rt.New → Bind → swap policy → Init → trace / shared-link attach
+//	Run:    exec.New → Run, on the session clock or on scheduler threads
+//	Finish: FlushAll → optional Verify → Stats
+//
+// so the configuration the planner measured is, by construction, the
+// configuration everyone else executes. The swap pool's prefetch policy is
+// part of that configuration and has no default: a caller states what it
+// runs (planner.SwapPolicy for a plan as it was timed, swap.NoPrefetch for
+// none).
+package session
+
+import (
+	"fmt"
+
+	"mira/internal/cluster"
+	"mira/internal/exec"
+	"mira/internal/farmem"
+	"mira/internal/ir"
+	"mira/internal/netmodel"
+	"mira/internal/prefetch"
+	"mira/internal/profile"
+	"mira/internal/rt"
+	"mira/internal/sim"
+	"mira/internal/swap"
+	"mira/internal/trace"
+	"mira/internal/transport"
+	"mira/internal/workload"
+)
+
+// SwapPolicy builds the swap pool's page prefetcher for a bound runtime
+// (policies lowered from the program need its address layout).
+type SwapPolicy func(r *rt.Runtime) (swap.Prefetcher, error)
+
+// Fixed is the SwapPolicy that installs pf as is.
+func Fixed(pf swap.Prefetcher) SwapPolicy {
+	return func(*rt.Runtime) (swap.Prefetcher, error) { return pf, nil }
+}
+
+// Spec describes one execution environment.
+type Spec struct {
+	// Workload supplies the data (Init), the entry parameters and — when
+	// Program is nil — the program.
+	Workload workload.Workload
+	// Program is the program to bind and run: a planner's compiled clone, a
+	// merged replica set. Nil runs Workload.Program().
+	Program *ir.Program
+	// Config is the runtime configuration.
+	Config rt.Config
+	// NodeCfg configures the single far node (zero: defaults; unused in
+	// cluster mode).
+	NodeCfg farmem.NodeConfig
+	// Swap states what runs on the swap pool. Required whenever the bound
+	// configuration has one.
+	Swap SwapPolicy
+	// Trace, when non-nil, instruments the runtime's whole data path.
+	Trace *trace.Tracer
+	// Link, when non-nil, replaces the runtime's private link with a shared
+	// one (threads with private sections, co-located tenants).
+	Link *netmodel.Bandwidth
+	// Collector, when non-nil, receives the executor's profiling events.
+	Collector *profile.Collector
+}
+
+// Backend is what a session drives: the Mira runtime, or a baseline with its
+// own object cache (AIFM).
+type Backend interface {
+	exec.Backend
+	workload.ObjectDumper
+	FlushAll(clk *sim.Clock) error
+	NetStats() transport.Stats
+	SetTrace(tr *trace.Tracer)
+}
+
+// Session is one bound, initialized runtime plus the clock single-threaded
+// runs advance.
+type Session struct {
+	// RT is the Mira runtime, nil when the session wraps a foreign backend.
+	RT *rt.Runtime
+
+	be   Backend
+	w    workload.Workload
+	prog *ir.Program
+	col  *profile.Collector
+	clk  *sim.Clock
+}
+
+// Open builds the runtime spec describes, binds the program, installs the
+// stated swap policy and loads the workload's data.
+func Open(spec Spec) (*Session, error) {
+	prog := spec.Program
+	if prog == nil {
+		prog = spec.Workload.Program()
+	}
+	var node *farmem.Node
+	if spec.Config.Cluster == nil {
+		if spec.NodeCfg.Capacity == 0 {
+			spec.NodeCfg = farmem.DefaultNodeConfig()
+		}
+		node = farmem.NewNode(spec.NodeCfg)
+	}
+	r, err := rt.New(spec.Config, node)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Bind(prog); err != nil {
+		return nil, err
+	}
+	if r.HasSwap() {
+		if spec.Swap == nil {
+			return nil, fmt.Errorf("session: %s has a swap pool but no swap policy was stated", spec.Workload.Name())
+		}
+		pf, err := spec.Swap(r)
+		if err != nil {
+			return nil, err
+		}
+		r.SwapPrefetcher(pf)
+	}
+	if err := spec.Workload.Init(r); err != nil {
+		return nil, err
+	}
+	if spec.Link != nil {
+		r.ShareBandwidth(spec.Link)
+	}
+	s := Over(r, spec.Workload, prog, spec.Trace)
+	s.RT, s.col = r, spec.Collector
+	return s, nil
+}
+
+// Over wraps an already-built, already-initialized backend (AIFM) so it
+// shares Run and Finish.
+func Over(be Backend, w workload.Workload, prog *ir.Program, tr *trace.Tracer) *Session {
+	be.SetTrace(tr)
+	return &Session{be: be, w: w, prog: prog, clk: sim.NewClock(0)}
+}
+
+// Program is the bound program.
+func (s *Session) Program() *ir.Program { return s.prog }
+
+// Clock is the session clock: Run advances it, Finish flushes on it.
+func (s *Session) Clock() *sim.Clock { return s.clk }
+
+// exec runs prog once on clk against the session's backend.
+func (s *Session) exec(clk *sim.Clock, prog *ir.Program, params map[string]exec.Value, yield func()) error {
+	opt := exec.Options{Collector: s.col, Params: params, Yield: yield}
+	if s.RT != nil {
+		cost := s.RT.Config().Cost
+		opt.ComputeOp, opt.FloatOp = cost.ComputeOp, cost.FloatOp
+	}
+	ex, err := exec.New(prog, s.be, opt)
+	if err != nil {
+		return err
+	}
+	_, err = ex.Run(clk)
+	return err
+}
+
+// Run executes the program once on the session clock and reports the
+// clock's reading: the elapsed time of every Run so far, before any flush.
+func (s *Session) Run() (sim.Duration, error) {
+	if err := s.exec(s.clk, s.prog, s.w.Params(), nil); err != nil {
+		return 0, err
+	}
+	return s.clk.Now().Sub(0), nil
+}
+
+// Exec executes the program once on clk — one request of a scheduler thread
+// — calling yield before every memory operation.
+func (s *Session) Exec(clk *sim.Clock, yield func()) error {
+	return s.exec(clk, s.prog, s.w.Params(), yield)
+}
+
+// Thread is one simulated thread of RunThreads.
+type Thread struct {
+	// S is the session the thread executes against (nil for a thread that
+	// touches no runtime).
+	S *Session
+	// Program and Params override S's program and the workload's entry
+	// parameters (a replica's entry clone, a partition's bounds).
+	Program *ir.Program
+	Params  map[string]exec.Value
+	// Reps is how many times the default body executes the program back to
+	// back.
+	Reps int
+	// Body, when non-nil, replaces the default body. yield is the thread's
+	// scheduler yield (see RunThreads).
+	Body func(th *sim.Thread, yield func()) error
+}
+
+// RunThreads runs the threads on one deterministic scheduler (lowest
+// (virtual time, id) next) and reports the fork-join time and each thread's
+// completion time. Every thread's yield re-asserts its identity on its
+// runtime after each resume: the runtime attributes cache events to the
+// active tid, and another thread ran in between. Afterwards every session
+// clock stands at the join, so Finish flushes on a post-join clock.
+func RunThreads(threads []Thread) (sim.Duration, []sim.Duration, error) {
+	g := sim.NewThreadGroup(len(threads), 0)
+	sch := sim.NewScheduler(g)
+	for i := range threads {
+		t := threads[i]
+		sch.Spawn(func(th *sim.Thread) error {
+			yield := th.Yield
+			if t.S != nil && t.S.RT != nil {
+				yield = func() {
+					th.Yield()
+					t.S.RT.SetActiveTid(th.ID())
+				}
+			}
+			if t.Body != nil {
+				return t.Body(th, yield)
+			}
+			prog, params := t.Program, t.Params
+			if prog == nil {
+				prog = t.S.prog
+			}
+			if params == nil {
+				params = t.S.w.Params()
+			}
+			for rep := 0; rep < t.Reps; rep++ {
+				if err := t.S.exec(th.Clock(), prog, params, yield); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	if err := sch.Run(); err != nil {
+		return 0, nil, err
+	}
+	per := make([]sim.Duration, len(threads))
+	for i := range per {
+		per[i] = g.Clock(i).Now().Sub(0)
+	}
+	join := g.Join()
+	for _, t := range threads {
+		if t.S != nil {
+			t.S.clk.AdvanceTo(join)
+		}
+	}
+	return g.Elapsed(), per, nil
+}
+
+// Stats is a finished run's counter block.
+type Stats struct {
+	// Time is the session clock after the final flush.
+	Time sim.Duration
+	// Net reports the transport's resilience counters (retries, timeouts,
+	// breaker trips, degraded-mode activity); summed across node links in
+	// cluster mode.
+	Net transport.Stats
+	// Cluster carries the per-node counters when the run used a cluster
+	// (nil otherwise), ordered by node ID.
+	Cluster []cluster.NodeStats
+	// Messages counts link-level transfers (summed across node links in
+	// cluster mode) — the metric vectored I/O collapses.
+	Messages int64
+	// BytesMoved counts the bytes that crossed the interconnect.
+	BytesMoved int64
+	// BytesOnWire equals BytesMoved: what actually crossed, post-codec.
+	// Named separately so reports read next to BytesEffective.
+	BytesOnWire int64
+	// BytesEffective adds back the bytes the wire codecs kept off the
+	// link (transport.Stats.WireSaved): the pre-compression data volume.
+	// Equal to BytesOnWire when compression is off.
+	BytesEffective int64
+	// Prefetch aggregates the prefetch efficacy counters across both
+	// planes (cache sections + swap pool).
+	Prefetch prefetch.Efficacy
+	// DemandMisses counts the demand misses the run still paid (section
+	// misses + swap major faults) — the denominator of prefetch coverage.
+	DemandMisses int64
+}
+
+// Finish flushes every dirty line and page on the session clock, checks the
+// output against the workload's native oracle when verify is set (and the
+// workload has one), and reports the run's counters. A foreign backend
+// reports Time and Net only.
+func (s *Session) Finish(verify bool) (Stats, error) {
+	if err := s.be.FlushAll(s.clk); err != nil {
+		return Stats{}, err
+	}
+	if v, ok := s.w.(workload.Verifier); ok && verify {
+		if err := v.Verify(s.be); err != nil {
+			return Stats{}, err
+		}
+	}
+	st := Stats{Time: s.clk.Now().Sub(0), Net: s.be.NetStats()}
+	if r := s.RT; r != nil {
+		moved := r.Link().BytesMoved()
+		st.Cluster = r.ClusterStats()
+		st.Messages = r.Link().Messages()
+		st.BytesMoved, st.BytesOnWire = moved, moved
+		st.BytesEffective = moved + st.Net.WireSaved
+		st.Prefetch = r.PrefetchStats()
+		st.DemandMisses = r.MissCount()
+	}
+	return st, nil
+}
+
+// Dump returns the current contents of every far-placed object — the
+// integrity image two runs are compared by. Call after Finish to include
+// cached state.
+func (s *Session) Dump() (map[string][]byte, error) {
+	out := map[string][]byte{}
+	for _, o := range s.prog.Objects {
+		if o.Local {
+			continue
+		}
+		d, err := s.be.DumpObject(o.Name)
+		if err != nil {
+			return nil, fmt.Errorf("session: dump %q: %w", o.Name, err)
+		}
+		out[o.Name] = d
+	}
+	return out, nil
+}
+
+// Dumper exposes the backend's object contents to oracle checks that address
+// objects by other names than the workload's own (merged replicas).
+func (s *Session) Dumper() workload.ObjectDumper { return s.be }
+
+// SwapOnly is the generic swap configuration every object starts in (§3):
+// local objects pinned, everything else paged through one pool filling the
+// rest of budget.
+func SwapOnly(prog *ir.Program, budget int64) (rt.Config, error) {
+	var local int64
+	for _, o := range prog.Objects {
+		if o.Local {
+			local += o.SizeBytes()
+		}
+	}
+	pool := budget - local
+	if pool <= 0 {
+		return rt.Config{}, fmt.Errorf("local objects (%d bytes) exceed budget %d", local, budget)
+	}
+	return rt.Config{
+		LocalBudget: budget,
+		SwapPool:    pool,
+		Placements:  map[string]rt.Placement{},
+	}, nil
+}
