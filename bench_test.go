@@ -351,6 +351,9 @@ func TestBenchMT(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s x%d: %v", mode, n, err)
 			}
+			if err := res.Verify(); err != nil {
+				t.Errorf("%s x%d: %v", mode, n, err)
+			}
 			if n == 1 {
 				t1 = int64(res.Time)
 			}

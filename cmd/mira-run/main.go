@@ -80,7 +80,7 @@ func buildWorkload(app string) (mira.Workload, error) {
 // simulated threads. Two runs with identical flags produce byte-identical
 // traces — the interleaving is fully determined by (virtual time, tid).
 func runMultithreaded(w mira.Workload, budget int64, app, system string, mem float64,
-	threads int, privateSections bool, traceOut, metricsOut string) {
+	threads int, privateSections, verify bool, traceOut, metricsOut string) {
 	var mode mira.MTMode
 	switch system {
 	case "mira":
@@ -119,6 +119,14 @@ func runMultithreaded(w mira.Workload, budget int64, app, system string, mem flo
 		app, system, res.Mode, threads, mem*100, budget, res.Time)
 	for i, t := range res.PerThread {
 		fmt.Printf("  thread %d: %v\n", i, t)
+	}
+	// After the trace is written: the oracle's flush is not part of the run.
+	if verify {
+		if err := res.Verify(); err != nil {
+			fmt.Fprintf(os.Stderr, "mira-run: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Println("  output verified against the native oracle")
 	}
 }
 
@@ -179,7 +187,7 @@ func main() {
 	// one-thread group on the scheduler), so thread sweeps compare one
 	// driver with itself; without the flag, 1 means the classic run path.
 	if rf.threadsActive() {
-		runMultithreaded(w, budget, *app, *system, *mem, *threads, *privateSections,
+		runMultithreaded(w, budget, *app, *system, *mem, *threads, *privateSections, *verify,
 			*traceOut, *metricsOut)
 		return
 	}

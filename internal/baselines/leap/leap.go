@@ -74,12 +74,3 @@ func Spec(w workload.Workload, opts Options) (session.Spec, error) {
 		Swap:     session.Fixed(NewPrefetcher(opts.Window, opts.Depth)),
 	}, nil
 }
-
-// New opens a Leap session for w.
-func New(w workload.Workload, opts Options) (*session.Session, error) {
-	spec, err := Spec(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return session.Open(spec)
-}

@@ -5,7 +5,9 @@ import (
 
 	"mira/internal/apps/arraysum"
 	"mira/internal/apps/graphtraverse"
+	"mira/internal/session"
 	"mira/internal/sim"
+	"mira/internal/workload"
 )
 
 func TestMajorityTrendDetected(t *testing.T) {
@@ -76,11 +78,19 @@ func TestPerFaultOverheadPositive(t *testing.T) {
 	}
 }
 
+func open(w workload.Workload, opts Options) (*session.Session, error) {
+	spec, err := Spec(w, opts)
+	if err != nil {
+		return nil, err
+	}
+	return session.Open(spec)
+}
+
 func TestLeapEndToEndCorrect(t *testing.T) {
 	// Correctness on the graph example (whose interleaved faults defeat
 	// Leap's trend detector — no prefetches expected there).
 	w := graphtraverse.New(graphtraverse.Config{Edges: 1024, Nodes: 512, Passes: 1, Seed: 4})
-	s, err := New(w, Options{LocalBudget: w.FullMemoryBytes() / 3})
+	s, err := open(w, Options{LocalBudget: w.FullMemoryBytes() / 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +106,7 @@ func TestLeapPrefetchesPureSequentialStream(t *testing.T) {
 	// A pure sequential scan has a clean +1 page trend: Leap must
 	// prefetch along it.
 	w := arraysum.New(arraysum.Config{N: 1 << 14, Seed: 2})
-	s, err := New(w, Options{LocalBudget: w.FullMemoryBytes() / 4})
+	s, err := open(w, Options{LocalBudget: w.FullMemoryBytes() / 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +120,7 @@ func TestLeapPrefetchesPureSequentialStream(t *testing.T) {
 
 func TestLocalObjectsOverBudget(t *testing.T) {
 	w := graphtraverse.New(graphtraverse.Config{Edges: 128, Nodes: 64, Passes: 1, Seed: 1})
-	if _, err := New(w, Options{LocalBudget: 0}); err == nil {
+	if _, err := open(w, Options{LocalBudget: 0}); err == nil {
 		t.Fatal("zero budget accepted")
 	}
 }

@@ -230,7 +230,7 @@ func graphNodeMissRate(w *graphtraverse.Workload, budget int64, jointCache bool)
 // runGraphConfig executes the graph program under an explicit runtime
 // configuration.
 func runGraphConfig(w *graphtraverse.Workload, cfg rt.Config) (*rt.Runtime, sim.Duration, error) {
-	s, err := session.Open(session.Spec{Workload: w, Config: cfg, Swap: noSwapPrefetch})
+	s, err := session.Open(session.Spec{Workload: w, Config: cfg, Swap: session.NoPrefetch})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -13,7 +13,6 @@ import (
 	"mira/internal/planner"
 	"mira/internal/session"
 	"mira/internal/sim"
-	"mira/internal/swap"
 	"mira/internal/workload"
 )
 
@@ -43,14 +42,10 @@ func overheadWorkloads(scale Scale) []struct {
 	}
 }
 
-// noSwapPrefetch is what the figure generators' hand-built configurations
-// and stand-alone plan runs put on the swap pool: nothing.
-var noSwapPrefetch = session.Fixed(swap.NoPrefetch{})
-
 // openPlanned starts an already-planned compilation on a (possibly
 // different-input) workload.
 func openPlanned(w workload.Workload, plan *planner.Result) (*session.Session, error) {
-	return session.Open(session.Spec{Workload: w, Program: plan.Program, Config: plan.Config, Swap: noSwapPrefetch})
+	return session.Open(session.Spec{Workload: w, Program: plan.Program, Config: plan.Config, Swap: session.NoPrefetch})
 }
 
 // runPlannedOn executes an already-planned compilation against a (possibly
@@ -229,7 +224,7 @@ func profiledRun(w workload.Workload, budget int64, profiling bool) (sim.Duratio
 		return 0, err
 	}
 	cfg.Profiling = profiling
-	s, err := session.Open(session.Spec{Workload: w, Config: cfg, Swap: noSwapPrefetch})
+	s, err := session.Open(session.Spec{Workload: w, Config: cfg, Swap: session.NoPrefetch})
 	if err != nil {
 		return 0, err
 	}

@@ -12,7 +12,6 @@ import (
 	"mira/internal/exec"
 	"mira/internal/ir"
 	"mira/internal/planner"
-	"mira/internal/rt"
 	"mira/internal/session"
 	"mira/internal/sim"
 	"mira/internal/workload"
@@ -202,11 +201,7 @@ func runAndDumpOn(t *testing.T, sys System, w *randomWorkload, budget int64, co 
 	var err error
 	switch sys {
 	case Native:
-		placements := map[string]rt.Placement{}
-		for _, o := range w.Program().Objects {
-			placements[o.Name] = rt.Placement{Kind: rt.PlaceLocal}
-		}
-		spec = session.Spec{Workload: w, Config: rt.Config{LocalBudget: w.FullMemoryBytes() + (1 << 20), Placements: placements}}
+		spec = session.Spec{Workload: w, Config: session.Native(w.Program())}
 	case Mira:
 		var res *planner.Result
 		res, err = planner.Plan(w, planner.Options{LocalBudget: budget, MaxIterations: 3, Cluster: co})

@@ -13,7 +13,6 @@ import (
 	"mira/internal/rt"
 	"mira/internal/session"
 	"mira/internal/sim"
-	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/workload"
 )
@@ -38,7 +37,7 @@ func openPlan(t *testing.T, w workload.Workload, plan *planner.Result, cfg rt.Co
 	t.Helper()
 	s, err := session.Open(session.Spec{
 		Workload: w, Program: plan.Program, Config: cfg,
-		Swap: session.Fixed(swap.NoPrefetch{}), Trace: tr,
+		Swap: session.NoPrefetch, Trace: tr,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -93,6 +93,18 @@ func (p *Program) Object(name string) (*Object, bool) {
 	return nil, false
 }
 
+// LocalBytes sums the objects pinned in local memory: what they take out of
+// a local-memory budget before any cache or page pool.
+func (p *Program) LocalBytes() int64 {
+	var t int64
+	for _, o := range p.Objects {
+		if o.Local {
+			t += o.SizeBytes()
+		}
+	}
+	return t
+}
+
 // Func resolves a function by name.
 func (p *Program) Func(name string) (*Func, bool) {
 	for _, f := range p.Funcs {

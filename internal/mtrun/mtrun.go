@@ -25,6 +25,7 @@
 package mtrun
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -42,7 +43,6 @@ import (
 	"mira/internal/rt"
 	"mira/internal/session"
 	"mira/internal/sim"
-	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/workload"
 )
@@ -82,17 +82,16 @@ type Result struct {
 }
 
 // Verify flushes every runtime of the group on a post-join clock and checks
-// each replica's (or partition's) output against the workload's native
-// oracle. Costs nothing unless called; workloads without an oracle pass.
+// the far memory the threads left behind against the native oracle: for
+// ReadOnlyScaling, every thread's copy of every object must equal a native
+// replay of the thread's share of the batch; for SharedWriteFilter, the
+// shared result vector must hold every partition's output. Costs nothing
+// unless called.
 func (res Result) Verify() error { return res.oracle() }
 
 // DefaultReps is the fixed total work of the read-only scaling experiment:
 // the batch of independent inferences the threads divide among themselves.
 const DefaultReps = 8
-
-// noSwapPrefetch is what the Mira modes run on their plans' swap pools: no
-// page prefetcher, as these drivers always have.
-var noSwapPrefetch = session.Fixed(swap.NoPrefetch{})
 
 // runThreads executes the thread group and fills in the fork-join time,
 // per-thread times and the group's link counters.
@@ -118,26 +117,6 @@ func repsFor(threads int) int {
 		reps = 1
 	}
 	return reps
-}
-
-// localBytesOf sums the sizes of the objects a config would place in local
-// memory (per-thread stacks and pinned state).
-func localBytesOf(p *ir.Program, placements map[string]rt.Placement) int64 {
-	var total int64
-	for _, o := range p.Objects {
-		pl, ok := placements[o.Name]
-		if !ok {
-			if o.Local {
-				pl = rt.Placement{Kind: rt.PlaceLocal}
-			} else {
-				pl = rt.Placement{Kind: rt.PlaceSwap}
-			}
-		}
-		if pl.Kind == rt.PlaceLocal {
-			total += o.SizeBytes()
-		}
-	}
-	return total
 }
 
 // replicaIniter redirects a workload's object initialization to one
@@ -186,6 +165,9 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 	reps := repsFor(threads)
 	net := netmodel.DefaultConfig()
 	ths := make([]session.Thread, threads)
+	// copies[i] reads thread i's copy of the workload's objects, under the
+	// workload's own names.
+	copies := make([]workload.ObjectDumper, threads)
 
 	switch mode {
 	case MiraPrivate:
@@ -204,20 +186,13 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 		for i := range ths {
 			s, err := session.Open(session.Spec{
 				Workload: w, Program: plan.Program, Config: plan.Config,
-				Swap: noSwapPrefetch, Link: bw, Trace: tr,
+				Swap: session.NoPrefetch, Link: bw, Trace: tr,
 			})
 			if err != nil {
 				return Result{}, err
 			}
 			ths[i] = session.Thread{S: s, Reps: reps}
-		}
-		res.oracle = func() error {
-			for _, t := range ths {
-				if _, err := t.S.Finish(true); err != nil {
-					return err
-				}
-			}
-			return nil
+			copies[i] = s.Dumper()
 		}
 
 	case MiraShared:
@@ -244,36 +219,28 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 		}
 		merged := ir.MergeReplicas(plan.Program, threads)
 		cfg := plan.Config
-		placements := make(map[string]rt.Placement, threads*len(plan.Program.Objects))
-		for _, o := range plan.Program.Objects {
-			pl, ok := cfg.Placements[o.Name]
-			if !ok {
-				if o.Local {
-					pl = rt.Placement{Kind: rt.PlaceLocal}
-				} else {
-					pl = rt.Placement{Kind: rt.PlaceSwap}
-				}
-			}
+		placements := make(map[string]rt.Placement, threads*len(cfg.Placements))
+		for name, pl := range cfg.Placements {
 			for i := 0; i < threads; i++ {
-				placements[ir.ReplicaName(o.Name, i)] = pl
+				placements[ir.ReplicaName(name, i)] = pl
 			}
 		}
 		cfg.Placements = placements
 		// Per-thread local objects (stacks, pinned state) live outside the
 		// contended far-memory budget; widen the accounting for the extra
 		// replicas so the shared sections keep their planned full size.
-		cfg.LocalBudget += int64(threads-1) * localBytesOf(plan.Program, plan.Config.Placements)
+		cfg.LocalBudget += int64(threads-1) * plan.Program.LocalBytes()
 		s, err := session.Open(session.Spec{
 			Workload: mergedWorkload{Workload: w, prog: merged, n: threads},
-			Config:   cfg, Swap: noSwapPrefetch, Trace: tr,
+			Config:   cfg, Swap: session.NoPrefetch, Trace: tr,
 		})
 		if err != nil {
 			return Result{}, err
 		}
 		for i := range ths {
 			ths[i] = session.Thread{S: s, Program: ir.CloneForEntry(merged, ir.ReplicaName(plan.Program.Entry, i)), Reps: reps}
+			copies[i] = replicaDumper{d: s.Dumper(), i: i}
 		}
-		res.oracle = func() error { return verifyReplicas(s, w, threads) }
 
 	case FastSwapShared:
 		// One page pool shared by all threads' replicas; every major fault
@@ -284,7 +251,7 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 		spec, err := fastswap.Spec(mw, fastswap.Options{
 			// Keep the shared pool at `budget` like the single-thread
 			// baseline: replica locals are per-thread stacks outside it.
-			LocalBudget: budget + int64(threads-1)*localBytesOf(prog, nil),
+			LocalBudget: budget + int64(threads-1)*prog.LocalBytes(),
 			Net:         net,
 		})
 		if err != nil {
@@ -298,13 +265,21 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 		s.RT.SwapLock(&sim.Serializer{})
 		for i := range ths {
 			ths[i] = session.Thread{S: s, Program: ir.CloneForEntry(mw.prog, ir.ReplicaName(prog.Entry, i)), Reps: reps}
+			copies[i] = replicaDumper{d: s.Dumper(), i: i}
 		}
-		res.oracle = func() error { return verifyReplicas(s, w, threads) }
 
 	default:
 		return Result{}, fmt.Errorf("mtrun: mode %q not supported for read-only scaling", mode)
 	}
 
+	res.oracle = func() error {
+		for _, t := range ths {
+			if _, err := t.S.Finish(false); err != nil {
+				return err
+			}
+		}
+		return verifyReplay(w, reps, copies)
+	}
 	if err := res.runThreads(ths); err != nil {
 		return Result{}, err
 	}
@@ -322,19 +297,33 @@ func (rd replicaDumper) DumpObject(name string) ([]byte, error) {
 	return rd.d.DumpObject(ir.ReplicaName(name, rd.i))
 }
 
-// verifyReplicas flushes s and checks each of the n merged replicas against
-// w's oracle.
-func verifyReplicas(s *session.Session, w workload.Workload, n int) error {
-	if _, err := s.Finish(false); err != nil {
+// verifyReplay compares every thread's copy of every far object with a
+// native execution of reps back-to-back runs of w. Read-only scaling
+// workloads update their state in place, so the reference must repeat the
+// thread's whole share of the batch, not one run.
+func verifyReplay(w workload.Workload, reps int, copies []workload.ObjectDumper) error {
+	native, err := session.Open(session.Spec{Workload: w, Config: session.Native(w.Program())})
+	if err != nil {
 		return err
 	}
-	v, ok := w.(workload.Verifier)
-	if !ok {
-		return nil
+	for rep := 0; rep < reps; rep++ {
+		if _, err := native.Run(); err != nil {
+			return err
+		}
 	}
-	for i := 0; i < n; i++ {
-		if err := v.Verify(replicaDumper{d: s.Dumper(), i: i}); err != nil {
-			return fmt.Errorf("mtrun: replica %d: %w", i, err)
+	want, err := native.Dump()
+	if err != nil {
+		return err
+	}
+	for i, d := range copies {
+		for name, ref := range want {
+			got, err := d.DumpObject(name)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, ref) {
+				return fmt.Errorf("mtrun: thread %d: object %q diverges from a native replay of %d runs", i, name, reps)
+			}
 		}
 	}
 	return nil
@@ -457,7 +446,7 @@ func miraSharedFilterSession(w workload.Workload, prog *ir.Program, budget int64
 	if err != nil {
 		return nil, err
 	}
-	return session.Open(session.Spec{Workload: w, Program: compiled, Config: cfg, Swap: noSwapPrefetch})
+	return session.Open(session.Spec{Workload: w, Program: compiled, Config: cfg, Swap: session.NoPrefetch})
 }
 
 // Oracle verification for the partitioned filter.

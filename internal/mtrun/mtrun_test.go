@@ -27,6 +27,9 @@ func TestReadOnlyScalingShapes(t *testing.T) {
 		if res.Time <= 0 {
 			t.Fatalf("%s x%d: zero time", mode, threads)
 		}
+		if err := res.Verify(); err != nil {
+			t.Errorf("%s x%d: %v", mode, threads, err)
+		}
 		return res.Time
 	}
 
@@ -154,6 +157,9 @@ func TestContentionMonotone(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s x%d: %v", mode, threads, err)
 			}
+			if err := res.Verify(); err != nil {
+				t.Errorf("%s x%d: %v", mode, threads, err)
+			}
 			reps := DefaultReps / threads
 			if reps < 1 {
 				reps = 1
@@ -255,7 +261,11 @@ func mtTraceRun(t *testing.T, mode Mode) (string, string) {
 	t.Helper()
 	tr := trace.New()
 	w := gpt2.New(gpt2.Config{Layers: 2, DModel: 32, DFF: 128, SeqLen: 8, Seed: 9})
-	if _, err := ReadOnlyScalingTraced(mode, w, w.FullMemoryBytes()/2, 4, tr); err != nil {
+	res, err := ReadOnlyScalingTraced(mode, w, w.FullMemoryBytes()/2, 4, tr)
+	if err != nil {
+		t.Fatalf("%s: %v", mode, err)
+	}
+	if err := res.Verify(); err != nil {
 		t.Fatalf("%s: %v", mode, err)
 	}
 	var tb, mb bytes.Buffer

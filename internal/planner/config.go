@@ -83,7 +83,7 @@ func buildConfig(w Workload, prog *ir.Program, report *analysis.Report, objs []s
 	drafts := groupSections(prog, merged, tech, opts.Net)
 
 	// Budget carve-up.
-	local := localBytes(prog)
+	local := prog.LocalBytes()
 	var unselectedBytes int64
 	for _, o := range prog.Objects {
 		if o.Local {
@@ -725,13 +725,13 @@ func assembleConfig(prog *ir.Program, drafts []*sectionDraft, merged map[string]
 		}
 		total += size
 	}
-	if excess := total + pool - (opts.LocalBudget - localBytes(prog)); excess > 0 {
+	if excess := total + pool - (opts.LocalBudget - prog.LocalBytes()); excess > 0 {
 		pool -= excess
 		// A pool that shrank below one page is only restored to a page
 		// when that still fits; growing it past the budget would just
 		// trade a section overshoot for a pool overshoot (the runtime
 		// validates either way, and the planner rejects the candidate).
-		if pool < 4096 && total+4096 <= opts.LocalBudget-localBytes(prog) {
+		if pool < 4096 && total+4096 <= opts.LocalBudget-prog.LocalBytes() {
 			pool = 4096
 		}
 		if pool < 0 {

@@ -407,16 +407,6 @@ func swapOnlyConfig(prog *ir.Program, opts Options) (rt.Config, error) {
 	return cfg, nil
 }
 
-func localBytes(prog *ir.Program) int64 {
-	var t int64
-	for _, o := range prog.Objects {
-		if o.Local {
-			t += o.SizeBytes()
-		}
-	}
-	return t
-}
-
 // open starts a planner-timed session: prog under cfg with the planner's
 // swap policy, fault-free.
 func open(w Workload, prog *ir.Program, cfg rt.Config, opts Options, col *profile.Collector) (*session.Session, error) {

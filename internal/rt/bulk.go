@@ -86,8 +86,8 @@ func (r *Runtime) bulk(clk *sim.Clock, name string, elem int64, buf []byte, writ
 			return err
 		}
 		clk.Advance(r.cfg.Cost.Lookup(s.spec.Cache.Structure))
-		if write && fullyCovered {
-			continue // write-allocate without fetch
+		if r.takeQueued(s, l) || (write && fullyCovered) {
+			continue // recovered from the write-back queue, or write-allocate without fetch
 		}
 		done, err := r.fetchLine(clk.Now(), s, o, l)
 		if err != nil {
@@ -116,11 +116,13 @@ func (r *Runtime) bulk(clk *sim.Clock, name string, elem int64, buf []byte, writ
 			if err := r.retireVictim(clk, s, o, victim); err != nil {
 				return err
 			}
-			fdone, err := r.fetchLine(clk.Now(), s, o, l)
-			if err != nil {
-				return err
+			if !r.takeQueued(s, l) {
+				fdone, err := r.fetchLine(clk.Now(), s, o, l)
+				if err != nil {
+					return err
+				}
+				clk.AdvanceTo(fdone)
 			}
-			clk.AdvanceTo(fdone)
 		}
 		lineOff := int(addr - l.Tag)
 		n := lb - lineOff

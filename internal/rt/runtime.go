@@ -584,13 +584,8 @@ func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64
 	// the write-back queue is the newest copy — recover it locally. Taken
 	// even for full-line stores (the queued entry must die either way, or
 	// a later drain would clobber the new store).
-	if s.wbq != nil {
-		if e, ok := s.wbq.take(tag); ok {
-			r.wbqStats.Hits++
-			copy(l.Data, e.data)
-			l.Dirty = true
-			return l, accessMissed, nil
-		}
+	if r.takeQueued(s, l) {
+		return l, accessMissed, nil
 	}
 	if write && (opts.NoFetch || (fullLine && r.tr.BreakerOpen(clk.Now()))) {
 		// Write-only full-line store: allocate without fetching. The
@@ -611,6 +606,23 @@ func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64
 		s.mMissLat.Observe(int64(done.Sub(fetchStart)))
 	}
 	return l, accessMissed, nil
+}
+
+// takeQueued fills the just-reserved line l from the section's write-back
+// queue when its newest bytes are parked there, removing the entry. Every
+// miss path calls it before fetching (or allocating without a fetch).
+func (r *Runtime) takeQueued(s *sectionRT, l *cache.Line) bool {
+	if s.wbq == nil {
+		return false
+	}
+	e, ok := s.wbq.take(l.Tag)
+	if !ok {
+		return false
+	}
+	r.wbqStats.Hits++
+	copy(l.Data, e.data)
+	l.Dirty = true
+	return true
 }
 
 // touchSpec retires a tag's speculative mark on its first demand touch:

@@ -327,3 +327,90 @@ func TestPrefetchInflightClearedOnEviction(t *testing.T) {
 		t.Fatalf("prefetched line has wrong data: %x", g)
 	}
 }
+
+// parkLine dirties items[elem]'s first 8 bytes with w and evicts the line
+// into the write-back queue via a conflicting access (see
+// TestWbqReadYourWrites for the slot arithmetic).
+func parkLine(t *testing.T, r *Runtime, clk *sim.Clock, elem int64, w []byte) {
+	t.Helper()
+	if err := r.Access(clk, "items", elem, fld(0, 8), w, true, AccessOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EvictHint(clk, "items", elem); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Access(clk, "items", elem+16, fld(0, 8), make([]byte, 8), false, AccessOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, resident := r.secs[0].sec.Peek(r.objs["items"].farBase + uint64(elem)*64); resident {
+		t.Fatalf("items[%d]'s line still resident: nothing parked", elem)
+	}
+}
+
+// TestBulkConsultsWritebackQueue: a bulk transfer over a line whose newest
+// bytes are parked in the write-back queue must see them, like every other
+// miss path — BulkRead returns them, a partial BulkWrite merges into them,
+// and a fully-covering BulkWrite kills the queued entry so a later drain
+// cannot clobber it.
+func TestBulkConsultsWritebackQueue(t *testing.T) {
+	w := []byte{9, 8, 7, 6, 5, 4, 3, 2}
+
+	t.Run("read", func(t *testing.T) {
+		r, clk := wbqRuntime(t, 16)
+		parkLine(t, r, clk, 2, w) // elems 2,3 share tag 128
+		got := make([]byte, 128)
+		if err := r.BulkRead(clk, "items", 2, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:8], w) {
+			t.Fatalf("BulkRead fetched the stale far copy: got %x want %x", got[:8], w)
+		}
+		if hits := r.WritebackQueueStats().Hits; hits != 1 {
+			t.Fatalf("wbq hits = %d, want 1", hits)
+		}
+	})
+
+	t.Run("partial write", func(t *testing.T) {
+		r, clk := wbqRuntime(t, 16)
+		parkLine(t, r, clk, 2, w)
+		// Overwrite elem 3 only: the boundary line is partially covered, so
+		// its other half must come from the queue, not from far memory.
+		if err := r.BulkWrite(clk, "items", 3, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.FlushAll(clk); err != nil {
+			t.Fatal(err)
+		}
+		dump, err := r.DumpObject("items")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dump[2*64:2*64+8], w) {
+			t.Fatalf("partial BulkWrite lost the queued bytes: elem 2 = %x want %x", dump[2*64:2*64+8], w)
+		}
+		if dump[3*64] != 0xAB {
+			t.Fatalf("BulkWrite bytes missing: elem 3 = %x", dump[3*64:3*64+8])
+		}
+	})
+
+	t.Run("covering write", func(t *testing.T) {
+		r, clk := wbqRuntime(t, 16)
+		parkLine(t, r, clk, 2, w)
+		if err := r.BulkWrite(clk, "items", 2, bytes.Repeat([]byte{0xCD}, 128)); err != nil {
+			t.Fatal(err)
+		}
+		if n := r.secs[0].wbq.len(); n != 0 {
+			t.Fatalf("%d stale entries left in the queue under a covering BulkWrite", n)
+		}
+		if err := r.FlushAll(clk); err != nil {
+			t.Fatal(err)
+		}
+		dump, err := r.DumpObject("items")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dump[2*64:4*64], bytes.Repeat([]byte{0xCD}, 128)) {
+			t.Fatalf("stale queued line drained over a covering BulkWrite: %x", dump[2*64:2*64+8])
+		}
+	})
+}

@@ -27,7 +27,6 @@ import (
 	"mira/internal/rt"
 	"mira/internal/session"
 	"mira/internal/sim"
-	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/transport"
 	"mira/internal/workload"
@@ -314,8 +313,8 @@ func Run(specs []TenantSpec, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// plan is the tenant's compilation; NativeReplay plans identically.
-func plan(spec TenantSpec, net netmodel.Config) (*planner.Result, error) {
+// planTenant is the tenant's compilation; NativeReplay plans identically.
+func planTenant(spec TenantSpec, net netmodel.Config) (*planner.Result, error) {
 	return planner.Plan(spec.Workload, planner.Options{
 		LocalBudget:   spec.Budget,
 		Net:           net,
@@ -330,7 +329,7 @@ func open(spec TenantSpec, plan *planner.Result, cfg rt.Config, bw *netmodel.Ban
 		Workload: spec.Workload,
 		Program:  plan.Program,
 		Config:   cfg,
-		Swap:     session.Fixed(swap.NoPrefetch{}),
+		Swap:     session.NoPrefetch,
 		Link:     bw,
 		Trace:    tr,
 	})
@@ -339,7 +338,7 @@ func open(spec TenantSpec, plan *planner.Result, cfg rt.Config, bw *netmodel.Ban
 // buildTenant plans the tenant's workload and binds it to a replicated pool
 // of its own, with the chaos schedule (if any) on node 0.
 func buildTenant(spec TenantSpec, opts Options, net netmodel.Config, bw *netmodel.Bandwidth, horizon sim.Duration) (*tenant, error) {
-	plan, err := plan(spec, net)
+	plan, err := planTenant(spec, net)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %q: plan: %w", spec.Name, err)
 	}
@@ -559,7 +558,7 @@ func restoreLease(clk *sim.Clock, l *lease) error {
 // returns its far-object dumps — the integrity reference: a chaos-serving
 // run that admitted `reps` requests must leave byte-identical far memory.
 func NativeReplay(spec TenantSpec, reps int) (map[string][]byte, error) {
-	plan, err := plan(spec, netmodel.DefaultConfig())
+	plan, err := planTenant(spec, netmodel.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@
 // so the configuration the planner measured is, by construction, the
 // configuration everyone else executes. The swap pool's prefetch policy is
 // part of that configuration and has no default: a caller states what it
-// runs (planner.SwapPolicy for a plan as it was timed, swap.NoPrefetch for
+// runs (planner.SwapPolicy for a plan as it was timed, session.NoPrefetch for
 // none).
 package session
 
@@ -41,6 +41,9 @@ type SwapPolicy func(r *rt.Runtime) (swap.Prefetcher, error)
 func Fixed(pf swap.Prefetcher) SwapPolicy {
 	return func(*rt.Runtime) (swap.Prefetcher, error) { return pf, nil }
 }
+
+// NoPrefetch states that nothing prefetches on the swap pool.
+var NoPrefetch = Fixed(swap.NoPrefetch{})
 
 // Spec describes one execution environment.
 type Spec struct {
@@ -138,9 +141,6 @@ func Over(be Backend, w workload.Workload, prog *ir.Program, tr *trace.Tracer) *
 	be.SetTrace(tr)
 	return &Session{be: be, w: w, prog: prog, clk: sim.NewClock(0)}
 }
-
-// Program is the bound program.
-func (s *Session) Program() *ir.Program { return s.prog }
 
 // Clock is the session clock: Run advances it, Finish flushes on it.
 func (s *Session) Clock() *sim.Clock { return s.clk }
@@ -324,16 +324,23 @@ func (s *Session) Dump() (map[string][]byte, error) {
 // objects by other names than the workload's own (merged replicas).
 func (s *Session) Dumper() workload.ObjectDumper { return s.be }
 
+// Native places every object in local memory: native execution on full local
+// memory, the figures' normalization denominator and the oracles' reference.
+func Native(prog *ir.Program) rt.Config {
+	placements := map[string]rt.Placement{}
+	var full int64
+	for _, o := range prog.Objects {
+		placements[o.Name] = rt.Placement{Kind: rt.PlaceLocal}
+		full += o.SizeBytes()
+	}
+	return rt.Config{LocalBudget: full + (1 << 20), Placements: placements}
+}
+
 // SwapOnly is the generic swap configuration every object starts in (§3):
 // local objects pinned, everything else paged through one pool filling the
 // rest of budget.
 func SwapOnly(prog *ir.Program, budget int64) (rt.Config, error) {
-	var local int64
-	for _, o := range prog.Objects {
-		if o.Local {
-			local += o.SizeBytes()
-		}
-	}
+	local := prog.LocalBytes()
 	pool := budget - local
 	if pool <= 0 {
 		return rt.Config{}, fmt.Errorf("local objects (%d bytes) exceed budget %d", local, budget)

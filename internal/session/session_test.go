@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mira/internal/apps/arraysum"
-	"mira/internal/swap"
 )
 
 // TestSwapPolicyHasNoDefault: a configuration with a swap pool opens only
@@ -19,7 +18,7 @@ func TestSwapPolicyHasNoDefault(t *testing.T) {
 	if _, err := Open(Spec{Workload: w, Config: cfg}); err == nil || !strings.Contains(err.Error(), "swap policy") {
 		t.Fatalf("Open without a swap policy: err = %v", err)
 	}
-	s, err := Open(Spec{Workload: w, Config: cfg, Swap: Fixed(swap.NoPrefetch{})})
+	s, err := Open(Spec{Workload: w, Config: cfg, Swap: NoPrefetch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +43,7 @@ func TestRunThreadsLeavesClockAtJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(Spec{Workload: w, Config: cfg, Swap: Fixed(swap.NoPrefetch{})})
+	s, err := Open(Spec{Workload: w, Config: cfg, Swap: NoPrefetch})
 	if err != nil {
 		t.Fatal(err)
 	}
