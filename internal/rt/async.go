@@ -32,9 +32,7 @@ func (r *Runtime) Prefetch(clk *sim.Clock, name string, elem int64, field ir.Fie
 		// Speculative prefetch past the end: drop silently, but count it —
 		// dropped proposals are the denominator policy accuracy needs.
 		if o.place.Kind == PlaceSection {
-			s := r.secs[o.place.Section]
-			s.pf.Dropped++
-			s.mPfDropped.Inc()
+			r.secs[o.place.Section].dropped()
 		}
 		return nil
 	}
@@ -54,65 +52,32 @@ func (r *Runtime) Prefetch(clk *sim.Clock, name string, elem int64, field ir.Fie
 	s := r.secs[o.place.Section]
 	addr := o.farBase + uint64(elem)*uint64(o.decl.ElemBytes) + uint64(field.Offset)
 	tag := cache.AlignDown(addr, s.spec.Cache.LineBytes)
-	if _, resident := s.sec.Peek(addr); resident {
+	switch s.locate(tag) {
+	case lineHere:
 		return nil
-	}
-	if _, inflight := s.inflight[tag]; inflight {
-		return nil
-	}
-	if r.recoverFromWbq(clk, s, o, addr, tag) {
+	case lineParked:
+		r.unpark(clk, s, tag)
 		return nil
 	}
 	clk.Advance(r.cfg.Net.PerMessageOverhead)
-	l, victim := s.sec.Reserve(addr)
-	if err := r.retireVictim(clk, s, o, victim); err != nil {
+	l, recovered, err := r.claim(clk, s, addr)
+	if err != nil || recovered {
 		return err
 	}
 	post := clk.Now()
-	done, err := r.fetchLine(post, s, o, l)
+	done, err := r.fetch(post, s, o, l)
 	if err != nil {
 		if prefetchFailed(err) {
-			s.sec.Drop(tag)
-			delete(s.inflight, tag)
-			s.pf.Dropped++
-			s.mPfDropped.Inc()
+			s.dropped()
 			return nil
 		}
 		return err
 	}
-	s.inflight[tag] = done
-	s.specul[tag] = true
-	s.pf.Issued++
-	s.mPfIssued.Inc()
+	s.speculate(tag, done)
 	if r.trc != nil {
 		r.trc.Span(post, done, "rt", "prefetch", trace.S("obj", name))
 	}
 	return nil
-}
-
-// recoverFromWbq serves a prefetch target from the section's write-back
-// queue — the line was evicted but its write-back has not drained, so the
-// queued copy is the newest data and no network is needed. Reports whether
-// the line was recovered.
-func (r *Runtime) recoverFromWbq(clk *sim.Clock, s *sectionRT, o *objectRT, addr, tag uint64) bool {
-	if s.wbq == nil {
-		return false
-	}
-	e, ok := s.wbq.take(tag)
-	if !ok {
-		return false
-	}
-	r.wbqStats.Hits++
-	l, victim := s.sec.Reserve(addr)
-	if err := r.retireVictim(clk, s, o, victim); err != nil {
-		// Re-park the recovered line; the caller's prefetch is advisory.
-		s.sec.Drop(tag)
-		s.wbq.add(tag, e.data, e.o, e.ranges)
-		return true
-	}
-	copy(l.Data, e.data)
-	l.Dirty = true // newest copy still lives only locally
-	return true
 }
 
 // BatchEntry names one piece of a batched prefetch.
@@ -129,17 +94,8 @@ type BatchEntry struct {
 // (the reply streams pieces in request order), so a later access waits only
 // for its own line, not for the chain's tail.
 func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
-	type piece struct {
-		s    *sectionRT
-		l    *cache.Line
-		tag  uint64
-		snap bool // record a delta-base snapshot once the bytes land
-	}
-	var addrs []uint64
-	var sizes []int
-	var pieces []piece
+	var lines []claimed
 	var swapFars []uint64
-	allCompress := true
 	for _, e := range entries {
 		o, ok := r.objs[e.Obj]
 		if !ok {
@@ -155,34 +111,26 @@ func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
 			}
 			continue
 		}
+		s := r.secs[o.place.Section]
 		if e.Elem < 0 || e.Elem >= o.decl.Count {
-			s := r.secs[o.place.Section]
-			s.pf.Dropped++
-			s.mPfDropped.Inc()
+			s.dropped()
 			continue
 		}
-		s := r.secs[o.place.Section]
 		addr := o.farBase + uint64(e.Elem)*uint64(o.decl.ElemBytes) + uint64(e.Field.Offset)
 		tag := cache.AlignDown(addr, s.spec.Cache.LineBytes)
-		if _, resident := s.sec.Peek(addr); resident {
+		switch s.locate(tag) {
+		case lineHere:
+			continue
+		case lineParked:
+			r.unpark(clk, s, tag)
 			continue
 		}
-		if _, inflight := s.inflight[tag]; inflight {
-			continue
-		}
-		if r.recoverFromWbq(clk, s, o, addr, tag) {
-			continue
-		}
-		l, victim := s.sec.Reserve(addr)
-		if err := r.retireVictim(clk, s, o, victim); err != nil {
+		l, recovered, err := r.claim(clk, s, addr)
+		if err != nil {
 			return err
 		}
-		addrs = append(addrs, tag)
-		sizes = append(sizes, len(l.Data))
-		pieces = append(pieces, piece{s: s, l: l, tag: tag,
-			snap: s.snaps != nil && len(o.selFields) == 0})
-		if !s.spec.Compress {
-			allCompress = false
+		if !recovered {
+			lines = append(lines, claimed{s: s, o: o, l: l, tag: tag})
 		}
 	}
 	if len(swapFars) > 0 {
@@ -190,64 +138,20 @@ func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
 			return err
 		}
 	}
-	if len(addrs) == 0 {
+	if len(lines) == 0 {
 		return nil
 	}
-	clk.Advance(r.cfg.Net.VectoredPostCost(len(addrs)))
+	clk.Advance(r.cfg.Net.VectoredPostCost(len(lines)))
 	post := clk.Now()
-	// One chain carries every piece, so the codec is all-or-nothing: only a
-	// batch entirely of compressed sections ships compressed.
-	if allCompress {
-		r.setCodec(codec.ByteRun)
-		defer r.setCodec(codec.None)
-	}
-	data, done, err := r.tr.GatherOneSided(post, addrs, sizes)
+	done, err := r.land(post, lines)
 	if err != nil {
 		if prefetchFailed(err) {
-			for _, p := range pieces {
-				if cur, ok := p.s.sec.Peek(p.tag); ok && cur == p.l {
-					p.s.sec.Drop(p.tag)
-				}
-				p.s.pf.Dropped++
-				p.s.mPfDropped.Inc()
-			}
 			return nil
 		}
 		return err
 	}
-	// Per-line arrival: piece i is ready as soon as its own bytes are off
-	// the wire — the chain's completion minus the trailing pieces' wire
-	// time.
-	readies := make([]sim.Time, len(pieces))
-	suffix := 0
-	for i := len(pieces) - 1; i >= 0; i-- {
-		readies[i] = done.Add(-r.cfg.Net.WireTime(suffix))
-		suffix += sizes[i]
-	}
-	pos := 0
-	for i, p := range pieces {
-		// A line evicted by a later Reserve in this same batch (set
-		// conflict or capacity pressure) has a new tenant: copying into it
-		// would corrupt that tenant, and tagging it in-flight would leave a
-		// stale entry suppressing every future prefetch of the line. Skip
-		// pieces whose reserved line is no longer theirs.
-		if cur, ok := p.s.sec.Peek(p.tag); ok && cur == p.l && p.l.Tag == p.tag {
-			copy(p.l.Data, data[pos:pos+sizes[i]])
-			if p.snap {
-				p.s.snaps[p.tag] = append([]byte(nil), p.l.Data...)
-			}
-			p.s.inflight[p.tag] = readies[i]
-			p.s.specul[p.tag] = true
-			p.s.pf.Issued++
-			p.s.mPfIssued.Inc()
-		} else {
-			p.s.pf.Dropped++
-			p.s.mPfDropped.Inc()
-		}
-		pos += sizes[i]
-	}
 	if r.trc != nil {
-		r.trc.Span(post, done, "rt", "prefetch.batch", trace.I("lines", int64(len(addrs))))
+		r.trc.Span(post, done, "rt", "prefetch.batch", trace.I("lines", int64(len(lines))))
 	}
 	return nil
 }
@@ -273,7 +177,7 @@ func (r *Runtime) EvictHint(clk *sim.Clock, name string, elem int64) error {
 		if s.wbq == nil {
 			clk.Advance(r.cfg.Net.PerMessageOverhead)
 		}
-		if err := r.wbqEnqueue(clk, s, o, l.Tag, l.Data); err != nil {
+		if _, err := r.wbqEnqueue(clk, s, l.Tag, l.Data); err != nil {
 			return err
 		}
 		l.Dirty = false
@@ -312,8 +216,8 @@ func (r *Runtime) SettleAsync() {
 
 // Fence blocks until every in-flight prefetch and asynchronous write-back
 // has completed — including lines still parked in the write-back queues,
-// which are drained here (a drain failure re-parks them and is surfaced by
-// the next flush, so Fence itself stays infallible).
+// which are drained here (a drain failure leaves them parked and is surfaced
+// by the next flush, so Fence itself stays infallible).
 func (r *Runtime) Fence(clk *sim.Clock) {
 	start := clk.Now()
 	for _, s := range r.secs {
@@ -351,48 +255,12 @@ func (r *Runtime) FlushObject(clk *sim.Clock, name string) error {
 	}
 	start0 := clk.Now()
 	s := r.secs[o.place.Section]
-	lb := uint64(s.spec.Cache.LineBytes)
-	start := cache.AlignDown(o.farBase, int(lb))
-	end := o.farBase + uint64(o.decl.SizeBytes())
-	var tags []uint64
-	s.sec.ForEachResident(func(l *cache.Line) {
-		if l.Tag >= start && l.Tag < end {
-			tags = append(tags, l.Tag)
-		}
-	})
+	// With the queue on, every dirty line parks so the drain below pushes
+	// the whole flush as one coalesced vectored write; with it off, the
+	// flush waits for the last of the immediate write-backs.
 	last := clk.Now()
-	for _, tag := range tags {
-		v, ok := s.sec.Drop(tag)
-		if !ok {
-			continue
-		}
-		delete(s.inflight, tag)
-		s.evictSpec(tag)
-		if !v.Dirty {
-			if s.snaps != nil {
-				delete(s.snaps, tag)
-			}
-			continue
-		}
-		if s.wbq != nil {
-			// Park the line so the drain below pushes the whole flush as
-			// one coalesced vectored write.
-			if err := r.wbqEnqueue(clk, s, o, v.Tag, v.Data); err != nil {
-				return err
-			}
-			continue
-		}
-		ranges, skip := r.deltaPlan(clk, s, o, v.Tag, v.Data)
-		if skip {
-			continue
-		}
-		var done sim.Time
-		var err error
-		if ranges != nil {
-			done, err = r.writebackPatch(clk.Now(), s, v.Tag, v.Data, ranges)
-		} else {
-			done, err = r.writebackLine(clk.Now(), o, v.Tag, v.Data)
-		}
+	for _, l := range s.linesIn(o.lineRange(s)) {
+		done, err := r.drop(clk, s, l.Tag)
 		if err != nil {
 			return err
 		}
@@ -430,31 +298,12 @@ func (r *Runtime) Release(clk *sim.Clock, name string) error {
 		return nil
 	}
 	s := r.secs[o.place.Section]
-	lb := uint64(s.spec.Cache.LineBytes)
-	start := cache.AlignDown(o.farBase, int(lb))
-	end := o.farBase + uint64(o.decl.SizeBytes())
-	var tags []uint64
-	s.sec.ForEachResident(func(l *cache.Line) {
-		if l.Tag >= start && l.Tag < end {
-			tags = append(tags, l.Tag)
+	for _, l := range s.linesIn(o.lineRange(s)) {
+		if l.Dirty && s.wbq == nil {
+			clk.Advance(r.cfg.Net.PerMessageOverhead)
 		}
-	})
-	for _, tag := range tags {
-		v, ok := s.sec.Drop(tag)
-		if !ok {
-			continue
-		}
-		delete(s.inflight, tag)
-		s.evictSpec(tag)
-		if v.Dirty {
-			if s.wbq == nil {
-				clk.Advance(r.cfg.Net.PerMessageOverhead)
-			}
-			if err := r.wbqEnqueue(clk, s, o, v.Tag, v.Data); err != nil {
-				return err
-			}
-		} else if s.snaps != nil {
-			delete(s.snaps, tag)
+		if _, err := r.drop(clk, s, l.Tag); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -518,27 +367,9 @@ func (r *Runtime) ReleaseSection(clk *sim.Clock, idx int) error {
 		return fmt.Errorf("rt: release of section %d of %d", idx, len(r.secs))
 	}
 	s := r.secs[idx]
-	var tags []uint64
-	s.sec.ForEachResident(func(l *cache.Line) { tags = append(tags, l.Tag) })
-	for _, tag := range tags {
-		v, ok := s.sec.Drop(tag)
-		if !ok {
-			continue
-		}
-		delete(s.inflight, tag)
-		s.evictSpec(tag)
-		if v.Dirty {
-			// Sections serve objects with disjoint far ranges, so
-			// resolving the owner by tag is unambiguous.
-			o := r.ownerOf(tag)
-			if o == nil {
-				return fmt.Errorf("rt: dirty line %#x has no owning object", tag)
-			}
-			if err := r.wbqEnqueue(clk, s, o, v.Tag, v.Data); err != nil {
-				return err
-			}
-		} else if s.snaps != nil {
-			delete(s.snaps, tag)
+	for _, l := range s.linesIn(0, ^uint64(0)) {
+		if _, err := r.drop(clk, s, l.Tag); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -81,19 +81,19 @@ func (r *Runtime) bulk(clk *sim.Clock, name string, elem int64, buf []byte, writ
 			continue
 		}
 		fullyCovered := tag >= far && tag+uint64(lb) <= far+uint64(len(buf))
-		l, victim := s.sec.Reserve(tag)
-		if err := r.retireVictim(clk, s, o, victim); err != nil {
-			return err
-		}
-		clk.Advance(r.cfg.Cost.Lookup(s.spec.Cache.Structure))
-		if r.takeQueued(s, l) || (write && fullyCovered) {
-			continue // recovered from the write-back queue, or write-allocate without fetch
-		}
-		done, err := r.fetchLine(clk.Now(), s, o, l)
+		l, recovered, err := r.claim(clk, s, tag)
 		if err != nil {
 			return err
 		}
-		s.inflight[l.Tag] = done
+		clk.Advance(r.cfg.Cost.Lookup(s.spec.Cache.Structure))
+		if recovered || (write && fullyCovered) {
+			continue // recovered from the write-back queue, or write-allocate without fetch
+		}
+		done, err := r.fetch(clk.Now(), s, o, l)
+		if err != nil {
+			return err
+		}
+		s.inflight[tag] = done
 		if done > fetchDone {
 			fetchDone = done
 		}
@@ -111,13 +111,13 @@ func (r *Runtime) bulk(clk *sim.Clock, name string, elem int64, buf []byte, writ
 			// A later fetch in pass 1 evicted an earlier line of
 			// the same range (section smaller than the transfer):
 			// fetch it back, demand-paged.
-			var victim cache.Victim
-			l, victim = s.sec.Reserve(addr)
-			if err := r.retireVictim(clk, s, o, victim); err != nil {
+			var recovered bool
+			var err error
+			if l, recovered, err = r.claim(clk, s, addr); err != nil {
 				return err
 			}
-			if !r.takeQueued(s, l) {
-				fdone, err := r.fetchLine(clk.Now(), s, o, l)
+			if !recovered {
+				fdone, err := r.fetch(clk.Now(), s, o, l)
 				if err != nil {
 					return err
 				}

@@ -38,11 +38,7 @@ func (r *Runtime) SetSectionScale(clk *sim.Clock, scale float64) error {
 			if !v.Dirty {
 				continue
 			}
-			o := r.ownerOf(v.Tag)
-			if o == nil {
-				return fmt.Errorf("rt: resize: dirty line %#x has no owning object", v.Tag)
-			}
-			if err := r.wbqEnqueue(clk, s, o, v.Tag, v.Data); err != nil {
+			if _, err := r.wbqEnqueue(clk, s, v.Tag, v.Data); err != nil {
 				return err
 			}
 		}

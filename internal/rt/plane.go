@@ -224,35 +224,15 @@ func (p *linePlane) Access(clk *sim.Clock, far uint64, buf []byte, write bool) e
 
 func (p *linePlane) PrefetchBatch(clk *sim.Clock, fars []uint64) error {
 	s := p.s()
-	lb := s.spec.Cache.LineBytes
 	seen := make(map[uint64]bool, len(fars))
 	var tags []uint64
-	var owners []*objectRT
 	for _, far := range fars {
-		t := cache.AlignDown(far, lb)
-		if seen[t] {
-			continue
+		if t := cache.AlignDown(far, s.spec.Cache.LineBytes); !seen[t] {
+			seen[t] = true
+			tags = append(tags, t)
 		}
-		seen[t] = true
-		o := p.r.ownerOf(t)
-		if o == nil || o.place.Kind != PlaceSection || o.place.Section != p.idx {
-			s.pf.Dropped++
-			s.mPfDropped.Inc()
-			continue
-		}
-		if _, resident := s.sec.Peek(t); resident {
-			continue
-		}
-		if _, inflight := s.inflight[t]; inflight {
-			continue
-		}
-		if p.r.recoverFromWbq(clk, s, o, t, t) {
-			continue
-		}
-		tags = append(tags, t)
-		owners = append(owners, o)
 	}
-	p.r.issueSpeculative(clk, s, tags, owners)
+	p.r.issueSpeculative(clk, s, tags)
 	return nil
 }
 
@@ -299,36 +279,15 @@ func (p *linePlane) SetTrace(tr *trace.Tracer) { p.r.SetTrace(tr) }
 // lies in [lo, hi), draining the section's write-back queue so the bytes are
 // authoritative in far memory on return — the line plane's migration drain.
 func (r *Runtime) flushSectionRange(clk *sim.Clock, s *sectionRT, lo, hi uint64) error {
-	var tags []uint64
-	s.sec.ForEachResident(func(l *cache.Line) {
-		if l.Tag >= lo && l.Tag < hi {
-			tags = append(tags, l.Tag)
-		}
-	})
+	lines := s.linesIn(lo, hi)
 	// Sorted write-back order keeps queueing on the shared link — and so
 	// sim times — independent of the section's internal iteration order.
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-	for _, tag := range tags {
-		v, ok := s.sec.Drop(tag)
-		if !ok {
-			continue
-		}
-		delete(s.inflight, tag)
-		s.evictSpec(tag)
-		if !v.Dirty {
-			if s.snaps != nil {
-				delete(s.snaps, tag)
-			}
-			continue
-		}
-		o := r.ownerOf(tag)
-		if o == nil {
-			return fmt.Errorf("rt: dirty line %#x has no owning object", tag)
-		}
-		if s.wbq == nil {
+	sort.Slice(lines, func(i, j int) bool { return lines[i].Tag < lines[j].Tag })
+	for _, l := range lines {
+		if l.Dirty && s.wbq == nil {
 			clk.Advance(r.cfg.Net.PerMessageOverhead)
 		}
-		if err := r.wbqEnqueue(clk, s, o, v.Tag, v.Data); err != nil {
+		if _, err := r.drop(clk, s, l.Tag); err != nil {
 			return err
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mira/internal/cache"
-	"mira/internal/codec"
 	"mira/internal/prefetch"
 	"mira/internal/sim"
 	"mira/internal/swap"
@@ -51,137 +50,78 @@ func (r *Runtime) policyTouch(clk *sim.Clock, s *sectionRT, tag uint64) {
 	r.policyIssue(clk, s, tu.OnPrefetchedTouch(int64(tag)/lb))
 }
 
-// policyIssue filters a policy's proposals and issues the survivors as one
-// speculative doorbell-batched gather.
+// policyIssue turns a policy's proposals (line units) into tags and issues
+// them speculatively.
 //
 // The policy runs on the runner thread, off the access path: its table
 // work (PerMissOverhead) and the speculative doorbell are charged by
 // delaying when the gather is posted — slower predictors land their lines
 // later (and count Late more often) — never by stalling the demand access.
 func (r *Runtime) policyIssue(clk *sim.Clock, s *sectionRT, cands []int64) {
-	if len(cands) == 0 {
-		return
-	}
 	lb := int64(s.spec.Cache.LineBytes)
-	var tags []uint64
-	var owners []*objectRT
+	tags := make([]uint64, 0, len(cands))
 	for _, u := range cands {
 		if u < 0 {
-			s.pf.Dropped++
-			s.mPfDropped.Inc()
+			s.dropped()
 			continue
 		}
-		t := uint64(u * lb)
+		tags = append(tags, uint64(u*lb))
+	}
+	r.issueSpeculative(clk, s, tags)
+}
+
+// issueSpeculative filters candidate line tags of one section (served by
+// this section's objects, absent, not in flight) and fetches the survivors
+// in a single doorbell-batched gather, marking each landed line speculative.
+// Entirely advisory: any failure — no evictable slot, far node unreachable,
+// line re-tenanted mid-batch — drops the affected pieces and counts them,
+// never surfacing an error (the triggering demand access already succeeded).
+func (r *Runtime) issueSpeculative(clk *sim.Clock, s *sectionRT, tags []uint64) {
+	// Every parked candidate is recovered before any fetch slot is claimed.
+	var lines []claimed
+	for _, t := range tags {
 		o := r.ownerOf(t)
 		if o == nil || r.secs[o.place.Section] != s {
 			// Past an object's end or outside this section's objects:
 			// the proposal cannot be honored here.
-			s.pf.Dropped++
-			s.mPfDropped.Inc()
+			s.dropped()
 			continue
 		}
-		if _, resident := s.sec.Peek(t); resident {
-			continue
+		switch s.locate(t) {
+		case lineParked:
+			r.unpark(clk, s, t)
+		case lineFar:
+			lines = append(lines, claimed{s: s, o: o, tag: t})
 		}
-		if _, inflight := s.inflight[t]; inflight {
-			continue
-		}
-		if r.recoverFromWbq(clk, s, o, t, t) {
-			continue
-		}
-		tags = append(tags, t)
-		owners = append(owners, o)
 	}
-	r.issueSpeculative(clk, s, tags, owners)
-}
-
-// issueSpeculative fetches the given absent line tags of one section in a
-// single doorbell-batched gather, marking each landed line speculative.
-// Entirely advisory: any failure — no evictable slot, far node
-// unreachable, line re-tenanted mid-batch — drops the affected pieces and
-// counts them, never surfacing an error (the triggering demand access
-// already succeeded).
-func (r *Runtime) issueSpeculative(clk *sim.Clock, s *sectionRT, tags []uint64, owners []*objectRT) {
-	if len(tags) == 0 {
+	n := 0
+	for _, c := range lines {
+		l, recovered, err := r.claim(clk, s, c.tag)
+		if err != nil {
+			// The victim's write-back failed hard. The demand path will
+			// surface persistent trouble — an advisory fetch must not.
+			s.dropped()
+			continue
+		}
+		if !recovered {
+			c.l = l
+			lines[n] = c
+			n++
+		}
+	}
+	if lines = lines[:n]; n == 0 {
 		return
 	}
-	var addrs []uint64
-	var sizes []int
-	var lines []*cache.Line
-	var snapOK []bool
-	for i, t := range tags {
-		l, victim := s.sec.Reserve(t)
-		if err := r.retireVictim(clk, s, owners[i], victim); err != nil {
-			// The victim's write-back failed hard; give its slot back and
-			// skip this piece. The demand path will surface persistent
-			// trouble — an advisory fetch must not.
-			s.sec.Drop(t)
-			s.pf.Dropped++
-			s.mPfDropped.Inc()
-			continue
-		}
-		addrs = append(addrs, t)
-		sizes = append(sizes, len(l.Data))
-		lines = append(lines, l)
-		snapOK = append(snapOK, s.snaps != nil &&
-			(owners[i] == nil || len(owners[i].selFields) == 0))
-	}
-	if len(addrs) == 0 {
-		return
-	}
-	post := clk.Now().Add(r.cfg.Net.VectoredPostCost(len(addrs)))
+	post := clk.Now().Add(r.cfg.Net.VectoredPostCost(n))
 	if s.policy != nil {
 		// Plane-adapter callers issue without an installed policy; only the
 		// policy hook charges the predictor's own overhead.
 		post = post.Add(s.policy.PerMissOverhead())
 	}
-	if s.spec.Compress {
-		r.setCodec(codec.ByteRun)
-		defer r.setCodec(codec.None)
-	}
-	data, done, err := r.tr.GatherOneSided(post, addrs, sizes)
-	if err != nil {
-		// Advisory under faults: drop every piece whose reserved line is
-		// still its own, count them, swallow the error.
-		for i, l := range lines {
-			if cur, ok := s.sec.Peek(addrs[i]); ok && cur == l {
-				s.sec.Drop(addrs[i])
-			}
-			s.pf.Dropped++
-			s.mPfDropped.Inc()
-		}
-		return
-	}
-	// Per-line arrival, as in PrefetchBatch: piece i is ready when its own
-	// bytes are off the wire.
-	readies := make([]sim.Time, len(addrs))
-	suffix := 0
-	for i := len(addrs) - 1; i >= 0; i-- {
-		readies[i] = done.Add(-r.cfg.Net.WireTime(suffix))
-		suffix += sizes[i]
-	}
-	pos := 0
-	for i, l := range lines {
-		if cur, ok := s.sec.Peek(addrs[i]); ok && cur == l && l.Tag == addrs[i] {
-			copy(l.Data, data[pos:pos+sizes[i]])
-			if snapOK[i] {
-				s.snaps[addrs[i]] = append([]byte(nil), l.Data...)
-			}
-			s.inflight[addrs[i]] = readies[i]
-			s.specul[addrs[i]] = true
-			s.pf.Issued++
-			s.mPfIssued.Inc()
-		} else {
-			// Evicted by a later Reserve in this same batch: the bytes
-			// arrived but the slot belongs to someone else now.
-			s.pf.Dropped++
-			s.mPfDropped.Inc()
-		}
-		pos += sizes[i]
-	}
-	if r.trc != nil {
+	done, err := r.land(post, lines)
+	if err == nil && r.trc != nil {
 		r.trc.Span(post, done, "rt", "prefetch.policy",
-			trace.S("section", s.spec.Cache.Name), trace.I("lines", int64(len(addrs))))
+			trace.S("section", s.spec.Cache.Name), trace.I("lines", int64(n)))
 	}
 }
 

@@ -141,6 +141,11 @@ type objectRT struct {
 	hits, misses int64
 }
 
+// lineRange is the tag range [lo, hi) of o's lines in its section s.
+func (o *objectRT) lineRange(s *sectionRT) (lo, hi uint64) {
+	return cache.AlignDown(o.farBase, s.spec.Cache.LineBytes), o.farBase + uint64(o.decl.SizeBytes())
+}
+
 // New creates a runtime over node, or — when cfg.Cluster is set — over a
 // sharded cluster.Pool built from it (node is then ignored and may be
 // nil). Call Bind before executing a program.
@@ -569,33 +574,20 @@ func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64
 	if r.cfg.Profiling {
 		clk.Advance(r.cfg.Cost.ProfileEvent)
 	}
-	// A miss on an in-flight tag means the prefetched line was dropped
-	// before this access arrived; clear the stale tag so it cannot
-	// suppress future prefetches of the line. Its speculative mark (if
-	// any) dies with it — the prefetch neither hid this miss nor wasted a
-	// resident slot.
-	delete(s.inflight, tag)
-	delete(s.specul, tag)
-	l, victim := s.sec.Reserve(addr)
-	if err := r.retireVictim(clk, s, o, victim); err != nil {
+	l, recovered, err := r.claim(clk, s, addr)
+	if err != nil {
 		return nil, accessHit, err
 	}
-	// Read-your-writes over the async eviction pipeline: a line parked in
-	// the write-back queue is the newest copy — recover it locally. Taken
-	// even for full-line stores (the queued entry must die either way, or
-	// a later drain would clobber the new store).
-	if r.takeQueued(s, l) {
-		return l, accessMissed, nil
-	}
-	if write && (opts.NoFetch || (fullLine && r.tr.BreakerOpen(clk.Now()))) {
-		// Write-only full-line store: allocate without fetching. The
-		// second arm is the degraded-mode fallback to local allocation:
-		// while the breaker is open, a store that overwrites the whole
-		// line need not stall on a fetch that cannot succeed.
+	// A line recovered from the write-back queue needs no fetch, and neither
+	// does a write-only full-line store, which allocates without fetching.
+	// The second arm is the degraded-mode fallback to local allocation:
+	// while the breaker is open, a store that overwrites the whole line need
+	// not stall on a fetch that cannot succeed.
+	if recovered || (write && (opts.NoFetch || (fullLine && r.tr.BreakerOpen(clk.Now())))) {
 		return l, accessMissed, nil
 	}
 	fetchStart := clk.Now()
-	done, err := r.fetchLine(fetchStart, s, o, l)
+	done, err := r.fetch(fetchStart, s, o, l)
 	if err != nil {
 		return nil, accessHit, err
 	}
@@ -606,23 +598,6 @@ func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64
 		s.mMissLat.Observe(int64(done.Sub(fetchStart)))
 	}
 	return l, accessMissed, nil
-}
-
-// takeQueued fills the just-reserved line l from the section's write-back
-// queue when its newest bytes are parked there, removing the entry. Every
-// miss path calls it before fetching (or allocating without a fetch).
-func (r *Runtime) takeQueued(s *sectionRT, l *cache.Line) bool {
-	if s.wbq == nil {
-		return false
-	}
-	e, ok := s.wbq.take(l.Tag)
-	if !ok {
-		return false
-	}
-	r.wbqStats.Hits++
-	copy(l.Data, e.data)
-	l.Dirty = true
-	return true
 }
 
 // touchSpec retires a tag's speculative mark on its first demand touch:
@@ -643,44 +618,12 @@ func (s *sectionRT) touchSpec(clk *sim.Clock, tag uint64) bool {
 	return true
 }
 
-// evictSpec retires a tag's speculative mark on eviction or drop: the line
-// was fetched but never touched.
-func (s *sectionRT) evictSpec(tag uint64) {
-	if s.specul[tag] {
-		delete(s.specul, tag)
-		s.pf.Useless++
-		s.mPfUseless.Inc()
-	}
-}
-
 // waitReady blocks until an in-flight prefetch of tag lands.
 func (r *Runtime) waitReady(clk *sim.Clock, s *sectionRT, tag uint64) {
 	if ready, ok := s.inflight[tag]; ok {
 		clk.AdvanceTo(ready)
 		delete(s.inflight, tag)
 	}
-}
-
-// retireVictim parks a dirty victim in the section's write-back queue (or
-// writes it back immediately when the queue is disabled) and clears its
-// in-flight state.
-func (r *Runtime) retireVictim(clk *sim.Clock, s *sectionRT, o *objectRT, v cache.Victim) error {
-	if v.Data == nil {
-		return nil
-	}
-	s.mEvict.Inc()
-	r.bumpTid(s, &s.tidEvicts, &s.mTidEvict, "evict")
-	delete(s.inflight, v.Tag)
-	s.evictSpec(v.Tag)
-	if !v.Dirty {
-		// A clean line leaves far memory untouched; its snapshot dies with
-		// it so the map stays bounded by the cache size.
-		if s.snaps != nil {
-			delete(s.snaps, v.Tag)
-		}
-		return nil
-	}
-	return r.wbqEnqueue(clk, s, o, v.Tag, v.Data)
 }
 
 // setCodec installs a wire codec on the timed data path (the single
@@ -697,51 +640,14 @@ func (r *Runtime) setCodec(id codec.ID) {
 	}
 }
 
-// snapshotLine records the line's just-fetched bytes as the delta
-// write-back base. Selective objects are excluded: a selective fetch fills
-// only field ranges, so the rest of l.Data is not far memory's content.
-func snapshotLine(s *sectionRT, o *objectRT, l *cache.Line) {
-	if s.snaps == nil || (o != nil && len(o.selFields) > 0) {
-		return
-	}
-	s.snaps[l.Tag] = append([]byte(nil), l.Data...)
-}
-
-// fetchLine pulls the line's bytes from far memory — whole line one-sided,
-// or only the selective field ranges two-sided (§4.5, §4.7).
-func (r *Runtime) fetchLine(now sim.Time, s *sectionRT, o *objectRT, l *cache.Line) (sim.Time, error) {
+// writebackLine pushes a dirty line to far memory (whole line one-sided or
+// selective ranges two-sided).
+func (r *Runtime) writebackLine(now sim.Time, s *sectionRT, o *objectRT, tag uint64, data []byte) (sim.Time, error) {
 	if s.spec.Compress {
 		r.setCodec(codec.ByteRun)
 		defer r.setCodec(codec.None)
 	}
 	if len(o.selFields) == 0 {
-		done, err := r.tr.ReadOneSided(now, l.Tag, l.Data)
-		if err == nil {
-			snapshotLine(s, o, l)
-		}
-		return done, err
-	}
-	addrs, sizes, offs := r.selectivePieces(o, l.Tag, len(l.Data))
-	data, done, err := r.tr.GatherTwoSided(now, addrs, sizes)
-	if err != nil {
-		return now, err
-	}
-	pos := 0
-	for i, off := range offs {
-		copy(l.Data[off:off+sizes[i]], data[pos:pos+sizes[i]])
-		pos += sizes[i]
-	}
-	return done, nil
-}
-
-// writebackLine pushes a dirty line to far memory (whole line one-sided or
-// selective ranges two-sided).
-func (r *Runtime) writebackLine(now sim.Time, o *objectRT, tag uint64, data []byte) (sim.Time, error) {
-	if o != nil && o.place.Kind == PlaceSection && r.secs[o.place.Section].spec.Compress {
-		r.setCodec(codec.ByteRun)
-		defer r.setCodec(codec.None)
-	}
-	if o == nil || o.place.Kind != PlaceSection || len(o.selFields) == 0 {
 		return r.tr.WriteOneSided(now, tag, data)
 	}
 	addrs, sizes, offs := r.selectivePieces(o, tag, len(data))

@@ -77,6 +77,18 @@ func (q *writebackQueue) take(tag uint64) (wbqEntry, bool) {
 
 func (q *writebackQueue) len() int { return len(q.tags) }
 
+// clear empties the queue once a drain has written every entry out.
+func (q *writebackQueue) clear() {
+	q.entries = make(map[uint64]wbqEntry)
+	q.tags = q.tags[:0]
+}
+
+// has reports whether tag's line is parked in the queue.
+func (q *writebackQueue) has(tag uint64) bool {
+	_, ok := q.entries[tag]
+	return ok
+}
+
 // WbqStats counts the write-back pipeline's activity.
 type WbqStats struct {
 	Enqueued int64 // dirty victims parked in a queue
@@ -119,7 +131,7 @@ func (r *Runtime) deltaPlan(clk *sim.Clock, s *sectionRT, o *objectRT, tag uint6
 		return nil, false
 	}
 	delete(s.snaps, tag)
-	if (o != nil && len(o.selFields) > 0) || len(snap) != len(data) {
+	if len(o.selFields) > 0 || len(snap) != len(data) {
 		return nil, false
 	}
 	// Degraded mode: the write will park in the transport's overlay against
@@ -161,14 +173,18 @@ func (r *Runtime) WritebackQueueStats() WbqStats { return r.wbqStats }
 // wbqEnqueue parks a dirty victim in the section's queue, draining it when
 // the bound is hit — the only time an evicting access pays write-back
 // latency. With the queue disabled it falls back to issuing the write
-// immediately (the pre-pipeline behavior).
-func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, o *objectRT, tag uint64, data []byte) error {
-	if owner := r.ownerOf(tag); owner != nil {
-		o = owner
+// immediately (the pre-pipeline behavior) and returns its completion
+// instant, which flush paths block on; a parked line returns zero.
+func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, tag uint64, data []byte) (sim.Time, error) {
+	// Sections serve objects with disjoint far ranges, so resolving the
+	// owner by tag is unambiguous.
+	o := r.ownerOf(tag)
+	if o == nil {
+		return 0, fmt.Errorf("rt: dirty line %#x has no owning object", tag)
 	}
 	ranges, skip := r.deltaPlan(clk, s, o, tag, data)
 	if skip {
-		return nil // dirty flag lied: the bytes match far memory exactly
+		return 0, nil // dirty flag lied: the bytes match far memory exactly
 	}
 	if s.wbq == nil {
 		var done sim.Time
@@ -176,15 +192,15 @@ func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, o *objectRT, tag uint
 		if ranges != nil {
 			done, err = r.writebackPatch(clk.Now(), s, tag, data, ranges)
 		} else {
-			done, err = r.writebackLine(clk.Now(), o, tag, data)
+			done, err = r.writebackLine(clk.Now(), s, o, tag, data)
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if done > r.lastFlush {
 			r.lastFlush = done
 		}
-		return nil
+		return done, nil
 	}
 	r.wbqStats.Enqueued++
 	if r.trc != nil {
@@ -192,9 +208,9 @@ func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, o *objectRT, tag uint
 	}
 	if s.wbq.add(tag, data, o, ranges) {
 		_, err := r.drainWbq(clk, s)
-		return err
+		return 0, err
 	}
-	return nil
+	return 0, nil
 }
 
 // drainWbq flushes the section's write-back queue as one doorbell-batched
@@ -205,13 +221,8 @@ func (r *Runtime) drainWbq(clk *sim.Clock, s *sectionRT) (sim.Time, error) {
 	if s.wbq == nil || s.wbq.len() == 0 {
 		return clk.Now(), nil
 	}
-	tags := append([]uint64(nil), s.wbq.tags...)
 	var addrs []uint64
 	var pieces [][]byte
-	type taken struct {
-		tag uint64
-		e   wbqEntry
-	}
 	// Entries planned as patches while the link was healthy must re-expand
 	// to full lines when the drain lands in degraded mode: the write will
 	// park in the transport's overlay against a far node whose memory may
@@ -219,14 +230,9 @@ func (r *Runtime) drainWbq(clk *sim.Clock, s *sectionRT) (sim.Time, error) {
 	// no longer exist. The queue always carries the full line for exactly
 	// this reason.
 	degraded := r.tr.BreakerOpen(clk.Now())
-	var drained []taken
-	for _, tag := range tags {
-		e, ok := s.wbq.take(tag)
-		if !ok {
-			continue
-		}
-		drained = append(drained, taken{tag, e})
-		if e.o != nil && len(e.o.selFields) > 0 {
+	for _, tag := range s.wbq.tags {
+		e := s.wbq.entries[tag]
+		if len(e.o.selFields) > 0 {
 			sa, sz, offs := r.selectivePieces(e.o, tag, len(e.data))
 			for i := range sa {
 				addrs = append(addrs, sa[i])
@@ -252,6 +258,7 @@ func (r *Runtime) drainWbq(clk *sim.Clock, s *sectionRT) (sim.Time, error) {
 		pieces = append(pieces, e.data)
 	}
 	if len(addrs) == 0 {
+		s.wbq.clear()
 		return clk.Now(), nil
 	}
 	clk.Advance(r.cfg.Net.VectoredPostCost(len(addrs)))
@@ -262,18 +269,17 @@ func (r *Runtime) drainWbq(clk *sim.Clock, s *sectionRT) (sim.Time, error) {
 	}
 	done, err := r.tr.ScatterWrite(post, addrs, pieces)
 	if err != nil {
-		// Re-park everything: the queued copies are the only copies.
-		for _, d := range drained {
-			s.wbq.add(d.tag, d.e.data, d.e.o, d.e.ranges)
-		}
+		// Nothing left the queue: the queued copies are the only copies.
 		return clk.Now(), fmt.Errorf("rt: write-back drain: %w", err)
 	}
+	lines := s.wbq.len()
+	s.wbq.clear()
 	r.wbqStats.Drains++
-	r.wbqStats.Lines += int64(len(drained))
+	r.wbqStats.Lines += int64(lines)
 	r.wbqStats.Pieces += int64(len(addrs))
 	if r.trc != nil {
 		r.trc.Span(post, done, "rt", "wbq.drain",
-			trace.I("lines", int64(len(drained))), trace.I("pieces", int64(len(addrs))))
+			trace.I("lines", int64(lines)), trace.I("pieces", int64(len(addrs))))
 	}
 	if done > r.lastFlush {
 		r.lastFlush = done
