@@ -2,8 +2,8 @@
 // implementations, mirroring transporttest: implementers construct a Harness
 // around their plane and Run drives one behavioral script through it —
 // read-your-writes, flush/evict persistence to far memory, advisory
-// prefetch, fences, tail-unit handling for unaligned regions, and replay
-// determinism. Both the paged plane and the line plane must pass unchanged.
+// prefetch and its ordering against write-back and arrival, fences,
+// tail-unit handling for unaligned regions, and replay determinism. Both the paged plane and the line plane must pass unchanged.
 package planetest
 
 import (
@@ -47,6 +47,8 @@ func Run(t *testing.T, name string, mk Factory) {
 		t.Run("FlushPersists", func(t *testing.T) { testFlushPersists(t, mk(t)) })
 		t.Run("EvictRangePersists", func(t *testing.T) { testEvictRange(t, mk(t)) })
 		t.Run("PrefetchAdvisory", func(t *testing.T) { testPrefetchAdvisory(t, mk(t)) })
+		t.Run("PrefetchSeesNewestBytes", func(t *testing.T) { testPrefetchSeesNewestBytes(t, mk(t)) })
+		t.Run("PrefetchedAccessWaitsForArrival", func(t *testing.T) { testPrefetchedAccessWaits(t, mk) })
 		t.Run("FenceSettles", func(t *testing.T) { testFenceSettles(t, mk(t)) })
 		t.Run("TailUnit", func(t *testing.T) { testTailUnit(t, mk(t)) })
 		t.Run("StatsCount", func(t *testing.T) { testStatsCount(t, mk(t)) })
@@ -173,6 +175,80 @@ func testPrefetchAdvisory(t *testing.T, h *Harness) {
 	}
 	if st := h.P.Stats(); st.PrefetchIssued == 0 {
 		t.Fatalf("prefetch batch issued nothing: %+v", st)
+	}
+}
+
+// testPrefetchSeesNewestBytes: a unit written, evicted and re-requested
+// through PrefetchBatch then Access returns the newest bytes — twice over,
+// so the second round's prefetch races the first round's write-back.
+func testPrefetchSeesNewestBytes(t *testing.T, h *Harness) {
+	clk := sim.NewClock(0)
+	unit := int64(h.P.UnitBytes())
+	addr, want := h.span(unit/2, unit*2)
+	for round := byte(0); round < 2; round++ {
+		for i := range want {
+			want[i] = pattern(addr+uint64(i)) ^ round
+		}
+		if err := h.P.Access(clk, addr, want, true); err != nil {
+			t.Fatalf("round %d write: %v", round, err)
+		}
+		if err := h.P.Evict(clk, addr, int64(len(want))); err != nil {
+			t.Fatalf("round %d evict: %v", round, err)
+		}
+		if err := h.P.PrefetchBatch(clk, []uint64{addr, addr + uint64(len(want)) - 1}); err != nil {
+			t.Fatalf("round %d prefetch: %v", round, err)
+		}
+		got := make([]byte, len(want))
+		if err := h.P.Access(clk, addr, got, false); err != nil {
+			t.Fatalf("round %d read: %v", round, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: prefetch after evict served stale bytes", round)
+		}
+	}
+}
+
+// testPrefetchedAccessWaits: PrefetchBatch then Access never completes
+// before the unit's bytes could have arrived. The arrival instant comes from
+// a twin harness that runs the same script and fences where this one
+// accesses: a fence blocks exactly until the prefetched bytes have landed.
+func testPrefetchedAccessWaits(t *testing.T, mk Factory) {
+	run := func(h *Harness, access bool) sim.Time {
+		clk := sim.NewClock(0)
+		addr, buf := h.span(0, int64(h.P.UnitBytes()))
+		fill(addr, buf)
+		if err := h.P.Access(clk, addr, buf, true); err != nil {
+			t.Fatalf("seed write: %v", err)
+		}
+		if err := h.P.Flush(clk); err != nil {
+			t.Fatalf("seed flush: %v", err)
+		}
+		if err := h.P.PrefetchBatch(clk, []uint64{addr}); err != nil {
+			t.Fatalf("prefetch: %v", err)
+		}
+		if st := h.P.Stats(); st.PrefetchIssued == 0 {
+			t.Fatalf("prefetch of a flushed unit issued nothing: %+v", st)
+		}
+		posted := clk.Now()
+		if !access {
+			h.P.Fence(clk)
+			if clk.Now() == posted {
+				t.Fatalf("fence right after a prefetch did not wait: nothing was in flight")
+			}
+			return clk.Now()
+		}
+		got := make([]byte, len(buf))
+		if err := h.P.Access(clk, addr, got, false); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if !bytes.Equal(got, buf) {
+			t.Fatalf("prefetched bytes differ from the flushed image")
+		}
+		return clk.Now()
+	}
+	arrived := run(mk(t), false)
+	if accessed := run(mk(t), true); accessed < arrived {
+		t.Fatalf("access of a prefetched unit completed at %v, before its bytes arrived at %v", accessed, arrived)
 	}
 }
 

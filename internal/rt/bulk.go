@@ -66,18 +66,21 @@ func (r *Runtime) bulk(clk *sim.Clock, name string, elem int64, buf []byte, writ
 	far := o.farBase + off
 
 	// Pass 1: start fetches for all missing lines so their latencies
-	// overlap.
+	// overlap. A line already on the wire — resident or not — joins the
+	// wait: its bytes have not landed either.
 	var fetchDone sim.Time
 	for tag := cache.AlignDown(far, lb); tag < far+uint64(len(buf)); tag += uint64(lb) {
+		ready, inflight := s.inflight[tag]
+		if ready > fetchDone {
+			fetchDone = ready
+		}
 		if _, resident := s.sec.Peek(tag); resident {
 			o.hits++
+			s.touchSpec(clk, tag)
 			continue
 		}
 		o.misses++
-		if ready, inflight := s.inflight[tag]; inflight {
-			if ready > fetchDone {
-				fetchDone = ready
-			}
+		if inflight {
 			continue
 		}
 		fullyCovered := tag >= far && tag+uint64(lb) <= far+uint64(len(buf))

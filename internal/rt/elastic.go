@@ -12,11 +12,12 @@ import (
 // SetSectionScale resizes every cache section to scale × its bound size —
 // the elastic-reclaim primitive behind multi-tenant serving: an idle
 // tenant's runtime is shrunk so its local DRAM can back a loaded tenant's
-// sections, and regrown (cold) when the tenant reactivates. Dirty resident
-// lines are flushed through the write-back queue first, then every line is
-// dropped and each section is rebuilt at the scaled size, so no data is
-// lost and the reactivation penalty — refilling the cache over the link —
-// is charged to whoever triggers the resize via clk. Scales are absolute
+// sections, and regrown (cold) when the tenant reactivates. Every line is
+// dropped like any other eviction — dirty bytes drain through the write-back
+// queue, snapshots and speculative marks retire — and each section is
+// rebuilt at the scaled size, so no data is lost and the reactivation
+// penalty — refilling the cache over the link — is charged to whoever
+// triggers the resize via clk. Scales are absolute
 // (of the bound size), not cumulative. A no-op at the current scale.
 func (r *Runtime) SetSectionScale(clk *sim.Clock, scale float64) error {
 	if scale <= 0 {
@@ -27,34 +28,8 @@ func (r *Runtime) SetSectionScale(clk *sim.Clock, scale float64) error {
 	}
 	start := clk.Now()
 	for _, s := range r.secs {
-		var tags []uint64
-		s.sec.ForEachResident(func(l *cache.Line) { tags = append(tags, l.Tag) })
-		for _, tag := range tags {
-			v, ok := s.sec.Drop(tag)
-			if !ok {
-				continue
-			}
-			delete(s.inflight, tag)
-			if !v.Dirty {
-				continue
-			}
-			if _, err := r.wbqEnqueue(clk, s, v.Tag, v.Data); err != nil {
-				return err
-			}
-		}
-		done, err := r.drainWbq(clk, s)
-		if err != nil {
+		if err := r.flushSectionRange(clk, s, 0, ^uint64(0)); err != nil {
 			return err
-		}
-		clk.AdvanceTo(done)
-		// Any straggler in-flight prefetches target dropped lines; forget
-		// them — and their speculative marks, which otherwise alias fresh
-		// prefetches of the same tags after the rebuild.
-		for tag := range s.inflight {
-			delete(s.inflight, tag)
-		}
-		for tag := range s.specul {
-			delete(s.specul, tag)
 		}
 		sec, err := cache.New(s.spec.Cache.Scaled(scale))
 		if err != nil {

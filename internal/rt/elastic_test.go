@@ -109,3 +109,60 @@ func TestElasticShrunkSectionStillServes(t *testing.T) {
 		t.Fatal("scale 0 accepted")
 	}
 }
+
+// A resize drops every line, so it must retire them like any eviction: a
+// compressed section's delta snapshots die with their lines (a leaked one
+// would be the diff base of a later no-fetch write-allocate of the tag), and
+// prefetched lines that were never touched count useless.
+func TestElasticResizeRetiresSnapshotsAndPrefetches(t *testing.T) {
+	r, clk := mkRuntime(t, func(c *Config) {
+		c.Sections[0].Compress = true
+		c.WritebackQueueLines = 16
+	})
+	data := make([]byte, 128*64)
+	for i := range data {
+		data[i] = byte(i%251) + 1
+	}
+	if err := r.InitObject("items", data); err != nil {
+		t.Fatal(err)
+	}
+	g := make([]byte, 8)
+	for _, e := range []int64{0, 2, 4} { // clean lines, one snapshot each
+		if err := r.Access(clk, "items", e, fld(0, 8), g, false, AccessOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Access(clk, "items", 6, fld(0, 8), []byte{1, 2, 3, 4, 5, 6, 7, 8}, true, AccessOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []int64{8, 10, 12} { // three prefetched lines, one of them used
+		if err := r.Prefetch(clk, "items", e, fld(0, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Access(clk, "items", 8, fld(0, 8), g, false, AccessOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	s := r.secs[0]
+	if len(s.snaps) != 7 {
+		t.Fatalf("%d snapshots before the resize, want one per fetched line (7)", len(s.snaps))
+	}
+
+	if err := r.SetSectionScale(clk, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.snaps) != 0 {
+		t.Fatalf("resize leaked %d delta snapshots of lines it dropped", len(s.snaps))
+	}
+	resident := int64(len(s.specul))
+	if pf := s.pf; pf.Issued != pf.Useful+pf.Useless+resident || pf.Issued != 3 || pf.Useful != 1 {
+		t.Fatalf("prefetch accounting after the resize: %+v with %d still speculative; want issued 3 = useful 1 + useless 2", pf, resident)
+	}
+	dump, err := r.DumpObject("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dump[6*64:6*64+8], []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Fatalf("dirty line lost on resize: %x", dump[6*64:6*64+8])
+	}
+}

@@ -132,9 +132,7 @@ func (r *Runtime) retire(clk *sim.Clock, s *sectionRT, v cache.Victim) (sim.Time
 		s.mPfUseless.Inc()
 	}
 	if !v.Dirty {
-		if s.snaps != nil {
-			delete(s.snaps, v.Tag)
-		}
+		delete(s.snaps, v.Tag)
 		return 0, nil
 	}
 	return r.wbqEnqueue(clk, s, v.Tag, v.Data)

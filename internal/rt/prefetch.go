@@ -78,7 +78,7 @@ func (r *Runtime) policyIssue(clk *sim.Clock, s *sectionRT, cands []int64) {
 // never surfacing an error (the triggering demand access already succeeded).
 func (r *Runtime) issueSpeculative(clk *sim.Clock, s *sectionRT, tags []uint64) {
 	// Every parked candidate is recovered before any fetch slot is claimed.
-	var lines []claimed
+	var want []claimed
 	for _, t := range tags {
 		o := r.ownerOf(t)
 		if o == nil || r.secs[o.place.Section] != s {
@@ -91,11 +91,11 @@ func (r *Runtime) issueSpeculative(clk *sim.Clock, s *sectionRT, tags []uint64) 
 		case lineParked:
 			r.unpark(clk, s, t)
 		case lineFar:
-			lines = append(lines, claimed{s: s, o: o, tag: t})
+			want = append(want, claimed{s: s, o: o, tag: t})
 		}
 	}
-	n := 0
-	for _, c := range lines {
+	got := want[:0]
+	for _, c := range want {
 		l, recovered, err := r.claim(clk, s, c.tag)
 		if err != nil {
 			// The victim's write-back failed hard. The demand path will
@@ -105,23 +105,22 @@ func (r *Runtime) issueSpeculative(clk *sim.Clock, s *sectionRT, tags []uint64) 
 		}
 		if !recovered {
 			c.l = l
-			lines[n] = c
-			n++
+			got = append(got, c)
 		}
 	}
-	if lines = lines[:n]; n == 0 {
+	if len(got) == 0 {
 		return
 	}
-	post := clk.Now().Add(r.cfg.Net.VectoredPostCost(n))
+	post := clk.Now().Add(r.cfg.Net.VectoredPostCost(len(got)))
 	if s.policy != nil {
 		// Plane-adapter callers issue without an installed policy; only the
 		// policy hook charges the predictor's own overhead.
 		post = post.Add(s.policy.PerMissOverhead())
 	}
-	done, err := r.land(post, lines)
+	done, err := r.land(post, got)
 	if err == nil && r.trc != nil {
 		r.trc.Span(post, done, "rt", "prefetch.policy",
-			trace.S("section", s.spec.Cache.Name), trace.I("lines", int64(n)))
+			trace.S("section", s.spec.Cache.Name), trace.I("lines", int64(len(got))))
 	}
 }
 

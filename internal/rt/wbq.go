@@ -79,7 +79,7 @@ func (q *writebackQueue) len() int { return len(q.tags) }
 
 // clear empties the queue once a drain has written every entry out.
 func (q *writebackQueue) clear() {
-	q.entries = make(map[uint64]wbqEntry)
+	clear(q.entries)
 	q.tags = q.tags[:0]
 }
 

@@ -22,41 +22,6 @@ func wbqRuntime(t *testing.T, limit int) (*Runtime, *sim.Clock) {
 	return r, clk
 }
 
-func TestWbqReadYourWrites(t *testing.T) {
-	r, clk := wbqRuntime(t, 16)
-	w := []byte{9, 8, 7, 6, 5, 4, 3, 2}
-	if err := r.Access(clk, "items", 3, fld(0, 8), w, true, AccessOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.EvictHint(clk, "items", 3); err != nil {
-		t.Fatal(err)
-	}
-	// Evict the (evictable) line so the only copy of the write sits in the
-	// write-back queue. items elems are 64 B, lines 128 B, 8 slots: elem 64
-	// maps over elem 3's slot... direct slot of tag: (tag/128) % 8. Elem 3 is
-	// tag 128 (slot 1); elem 16+2 = tag 1024+128 → slot 1 again.
-	if err := r.Access(clk, "items", 18, fld(0, 8), make([]byte, 8), false, AccessOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.WritebackQueueStats().Enqueued; got == 0 {
-		t.Fatal("dirty victim did not enter the write-back queue")
-	}
-	msgsBefore := r.Link().Messages()
-	g := make([]byte, 8)
-	if err := r.Access(clk, "items", 3, fld(0, 8), g, false, AccessOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(g, w) {
-		t.Fatalf("read-your-writes broken: got %x want %x", g, w)
-	}
-	if got := r.WritebackQueueStats().Hits; got != 1 {
-		t.Fatalf("wbq hits = %d, want 1", got)
-	}
-	if r.Link().Messages() != msgsBefore {
-		t.Fatal("read of a queued line went to the network")
-	}
-}
-
 func TestWbqCoalescesAdjacentLinesIntoOnePiece(t *testing.T) {
 	r, clk := wbqRuntime(t, 16)
 	// Dirty four adjacent lines (elems 0,2,4,6 → tags 0,128,256,384) and
@@ -288,129 +253,4 @@ func firstMismatch(a, b []byte) int {
 		}
 	}
 	return -1
-}
-
-// TestPrefetchInflightClearedOnEviction is the regression test for the
-// stale in-flight entry: a prefetched-but-evicted line's tag must not keep
-// suppressing future prefetches of the same line.
-func TestPrefetchInflightClearedOnEviction(t *testing.T) {
-	r, clk := wbqRuntime(t, 16)
-	data := make([]byte, 128*64)
-	for i := range data {
-		data[i] = byte(i % 253)
-	}
-	_ = r.InitObject("items", data)
-
-	if err := r.Prefetch(clk, "items", 0, fld(0, 8)); err != nil {
-		t.Fatal(err)
-	}
-	// Elem 16 is tag 1024 → direct slot 0, same as elem 0's line: this
-	// access evicts the in-flight placeholder.
-	if err := r.Access(clk, "items", 16, fld(0, 8), make([]byte, 8), false, AccessOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	// A second prefetch of elem 0 must actually fetch (a stale in-flight
-	// entry would swallow it), so the subsequent access hits.
-	if err := r.Prefetch(clk, "items", 0, fld(0, 8)); err != nil {
-		t.Fatal(err)
-	}
-	r.Fence(clk)
-	missesBefore := r.SectionStats(0).Misses
-	g := make([]byte, 8)
-	if err := r.Access(clk, "items", 0, fld(0, 8), g, false, AccessOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if r.SectionStats(0).Misses != missesBefore {
-		t.Fatal("re-prefetch after eviction was suppressed by a stale in-flight entry")
-	}
-	if !bytes.Equal(g, data[:8]) {
-		t.Fatalf("prefetched line has wrong data: %x", g)
-	}
-}
-
-// parkLine dirties items[elem]'s first 8 bytes with w and evicts the line
-// into the write-back queue via a conflicting access (see
-// TestWbqReadYourWrites for the slot arithmetic).
-func parkLine(t *testing.T, r *Runtime, clk *sim.Clock, elem int64, w []byte) {
-	t.Helper()
-	if err := r.Access(clk, "items", elem, fld(0, 8), w, true, AccessOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.EvictHint(clk, "items", elem); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Access(clk, "items", elem+16, fld(0, 8), make([]byte, 8), false, AccessOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, resident := r.secs[0].sec.Peek(r.objs["items"].farBase + uint64(elem)*64); resident {
-		t.Fatalf("items[%d]'s line still resident: nothing parked", elem)
-	}
-}
-
-// TestBulkConsultsWritebackQueue: a bulk transfer over a line whose newest
-// bytes are parked in the write-back queue must see them, like every other
-// miss path — BulkRead returns them, a partial BulkWrite merges into them,
-// and a fully-covering BulkWrite kills the queued entry so a later drain
-// cannot clobber it.
-func TestBulkConsultsWritebackQueue(t *testing.T) {
-	w := []byte{9, 8, 7, 6, 5, 4, 3, 2}
-
-	t.Run("read", func(t *testing.T) {
-		r, clk := wbqRuntime(t, 16)
-		parkLine(t, r, clk, 2, w) // elems 2,3 share tag 128
-		got := make([]byte, 128)
-		if err := r.BulkRead(clk, "items", 2, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got[:8], w) {
-			t.Fatalf("BulkRead fetched the stale far copy: got %x want %x", got[:8], w)
-		}
-		if hits := r.WritebackQueueStats().Hits; hits != 1 {
-			t.Fatalf("wbq hits = %d, want 1", hits)
-		}
-	})
-
-	t.Run("partial write", func(t *testing.T) {
-		r, clk := wbqRuntime(t, 16)
-		parkLine(t, r, clk, 2, w)
-		// Overwrite elem 3 only: the boundary line is partially covered, so
-		// its other half must come from the queue, not from far memory.
-		if err := r.BulkWrite(clk, "items", 3, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.FlushAll(clk); err != nil {
-			t.Fatal(err)
-		}
-		dump, err := r.DumpObject("items")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dump[2*64:2*64+8], w) {
-			t.Fatalf("partial BulkWrite lost the queued bytes: elem 2 = %x want %x", dump[2*64:2*64+8], w)
-		}
-		if dump[3*64] != 0xAB {
-			t.Fatalf("BulkWrite bytes missing: elem 3 = %x", dump[3*64:3*64+8])
-		}
-	})
-
-	t.Run("covering write", func(t *testing.T) {
-		r, clk := wbqRuntime(t, 16)
-		parkLine(t, r, clk, 2, w)
-		if err := r.BulkWrite(clk, "items", 2, bytes.Repeat([]byte{0xCD}, 128)); err != nil {
-			t.Fatal(err)
-		}
-		if n := r.secs[0].wbq.len(); n != 0 {
-			t.Fatalf("%d stale entries left in the queue under a covering BulkWrite", n)
-		}
-		if err := r.FlushAll(clk); err != nil {
-			t.Fatal(err)
-		}
-		dump, err := r.DumpObject("items")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dump[2*64:4*64], bytes.Repeat([]byte{0xCD}, 128)) {
-			t.Fatalf("stale queued line drained over a covering BulkWrite: %x", dump[2*64:2*64+8])
-		}
-	})
 }
