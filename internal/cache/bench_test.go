@@ -20,6 +20,7 @@ func benchSection(b *testing.B, structure Structure) {
 	for i := uint64(0); i < lines; i++ {
 		s.Reserve(i * 128)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Lookup(uint64(i%lines) * 128)
@@ -37,6 +38,7 @@ func BenchmarkReserveEvictCycle(b *testing.B) {
 		b.Run(fmt.Sprint(st), func(b *testing.B) {
 			cfg := Config{Name: "b", Structure: st, Ways: 4, LineBytes: 128, SizeBytes: 64 << 10}
 			s, _ := New(cfg)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				addr := uint64(i) * 128

@@ -123,7 +123,15 @@ type Line struct {
 func (l *Line) Pinned() bool { return l.pins > 0 }
 
 // Victim describes an evicted line the caller must handle: if Dirty, its
-// bytes must be written back to far memory before the slot is reused.
+// bytes must be written back to far memory.
+//
+// Who owns Data: a section makes each line buffer once and recycles it. A
+// clean victim's buffer stays the section's — Data may be read until the next
+// Reserve on the section and must not be written or kept. A dirty victim's
+// buffer moves to the caller, who holds the only copy of those bytes for as
+// long as it needs them (rt parks it in the write-back queue as is) and gives
+// it back with Recycle once they are safe in far memory; a buffer that never
+// comes back is only garbage, the section makes another.
 type Victim struct {
 	Tag   uint64
 	Data  []byte
@@ -160,12 +168,20 @@ type Section interface {
 	// Peek is Lookup without recency or stats side effects.
 	Peek(addr uint64) (*Line, bool)
 	// Reserve allocates a slot for the line containing addr and returns
-	// it with zeroed Data, plus the victim it displaced (Victim.Data nil
-	// if none). The caller fills Data (from far memory or by zero-fill
-	// for write-only allocation) and must write back dirty victims.
-	// Reserve panics if addr's line is already resident — callers always
-	// Lookup first.
+	// it with zeroed Data — a recycled buffer is cleared, because selective
+	// fetches fill only field ranges and write-only allocation fills
+	// nothing — plus the victim it displaced (Victim.Data nil if none).
+	// The caller fills Data and must write back dirty victims. Reserve
+	// panics if addr's line is already resident — callers always Lookup
+	// first.
 	Reserve(addr uint64) (*Line, Victim)
+	// Spare lends a zeroed line buffer from the section's stock, for a copy
+	// of a line that stays resident (an early flush parks one in the
+	// write-back queue). Recycle returns it, or a dirty victim's buffer
+	// (see Victim), for reuse by a later Reserve; buffers of another length
+	// are ignored.
+	Spare() []byte
+	Recycle(buf []byte)
 	// MarkEvictable applies an eviction hint to addr's line if resident.
 	MarkEvictable(addr uint64) bool
 	// Pin adjusts the don't-evict count of addr's line if resident
@@ -182,6 +198,42 @@ type Section interface {
 	Stats() Stats
 	// ResetStats zeroes the counters (profiling rounds).
 	ResetStats()
+}
+
+// lineBufs is a section's stock of line buffers, embedded by all three
+// structures: every Line.Data comes from Spare and returns through retire (a
+// clean line leaving) or Recycle (the caller done with a dirty victim).
+type lineBufs struct {
+	lineBytes int
+	free      [][]byte
+}
+
+// Spare returns a zeroed line buffer. Reserve calls it before it retires the
+// victim, which is what keeps a clean Victim.Data readable until the next
+// Reserve.
+func (b *lineBufs) Spare() []byte {
+	n := len(b.free)
+	if n == 0 {
+		return make([]byte, b.lineBytes)
+	}
+	buf := b.free[n-1]
+	b.free = b.free[:n-1]
+	clear(buf)
+	return buf
+}
+
+// retire describes the line leaving l's slot, keeping its buffer when clean.
+func (b *lineBufs) retire(l *Line) Victim {
+	if !l.Dirty {
+		b.free = append(b.free, l.Data)
+	}
+	return Victim{Tag: l.Tag, Data: l.Data, Dirty: l.Dirty}
+}
+
+func (b *lineBufs) Recycle(buf []byte) {
+	if len(buf) == b.lineBytes {
+		b.free = append(b.free, buf)
+	}
 }
 
 // New builds a Section from cfg.

@@ -311,12 +311,12 @@ func TestFullAssocActiveInactivePromotion(t *testing.T) {
 	f := newFullAssoc(Config{Structure: FullAssoc, LineBytes: 64, SizeBytes: 4 * 64})
 	// First touch -> inactive; second touch -> active.
 	f.Reserve(0)
-	if f.active.Len() != 0 || f.inactive.Len() != 1 {
-		t.Fatalf("after insert: active=%d inactive=%d", f.active.Len(), f.inactive.Len())
+	if f.lru.Len(Active) != 0 || f.lru.Len(Inactive) != 1 {
+		t.Fatalf("after insert: active=%d inactive=%d", f.lru.Len(Active), f.lru.Len(Inactive))
 	}
 	f.Lookup(0)
-	if f.active.Len() != 1 || f.inactive.Len() != 0 {
-		t.Fatalf("after promote: active=%d inactive=%d", f.active.Len(), f.inactive.Len())
+	if f.lru.Len(Active) != 1 || f.lru.Len(Inactive) != 0 {
+		t.Fatalf("after promote: active=%d inactive=%d", f.lru.Len(Active), f.lru.Len(Inactive))
 	}
 }
 

@@ -5,6 +5,7 @@ package cache
 // evicted (the compiler only chooses Direct for sequential/strided patterns,
 // where conflicts do not occur — §4.2).
 type direct struct {
+	lineBufs
 	cfg      Config
 	slots    []Line
 	stats    Stats
@@ -13,7 +14,7 @@ type direct struct {
 }
 
 func newDirect(cfg Config) *direct {
-	return &direct{cfg: cfg, slots: make([]Line, cfg.Lines())}
+	return &direct{lineBufs: lineBufs{lineBytes: cfg.LineBytes}, cfg: cfg, slots: make([]Line, cfg.Lines())}
 }
 
 func (d *direct) Config() Config { return d.cfg }
@@ -50,8 +51,10 @@ func (d *direct) Reserve(addr uint64) (*Line, Victim) {
 	if s.valid && s.Tag == tag {
 		panic("cache: Reserve of resident line")
 	}
+	data := d.Spare()
 	var v Victim
 	if s.valid {
+		v = d.retire(s)
 		d.stats.Evictions++
 		if s.Evictable {
 			d.stats.HintEvicts++
@@ -60,7 +63,6 @@ func (d *direct) Reserve(addr uint64) (*Line, Victim) {
 			d.stats.Conflicts++
 			v.Conflict = true
 		}
-		v.Tag, v.Data, v.Dirty = s.Tag, s.Data, s.Dirty
 		if v.Dirty {
 			d.stats.Writebacks++
 		}
@@ -68,7 +70,7 @@ func (d *direct) Reserve(addr uint64) (*Line, Victim) {
 		d.occupied++
 	}
 	d.tick++
-	*s = Line{Tag: tag, Data: make([]byte, d.cfg.LineBytes), valid: true, lastUse: d.tick}
+	*s = Line{Tag: tag, Data: data, valid: true, lastUse: d.tick}
 	return s, v
 }
 
@@ -97,7 +99,7 @@ func (d *direct) Drop(addr uint64) (Victim, bool) {
 	if !s.valid || s.Tag != tag {
 		return Victim{}, false
 	}
-	v := Victim{Tag: s.Tag, Data: s.Data, Dirty: s.Dirty}
+	v := d.retire(s)
 	if s.Evictable {
 		d.stats.FlushedHint++
 	}

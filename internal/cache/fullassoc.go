@@ -1,27 +1,24 @@
 package cache
 
-import "container/list"
-
-// fullAssoc is a fully-associative section. Residency is a tag→line map and
+// fullAssoc is a fully-associative section. Residency is a tag→slot map and
 // replacement approximates LRU with the paper's active/inactive two-list
-// scheme (§5.3): new lines enter the inactive list; a hit on an inactive
-// line promotes it to the active list; victims come from the inactive tail
-// (preferring evictable-marked lines within a bounded scan); when the
-// inactive list runs dry the active tail is demoted.
+// scheme (§5.3, TwoList): new lines enter the inactive list; a hit on an
+// inactive line promotes it to the active list; victims come from the
+// inactive tail (preferring evictable-marked lines within a bounded scan);
+// when the inactive list runs dry the active tail is demoted.
+//
+// Slots are made on first use up to the capacity and then only recycled, so
+// a *Line stays valid (and names the same slot) for the section's lifetime.
 type fullAssoc struct {
+	lineBufs
 	cfg      Config
 	capacity int
-	lines    map[uint64]*list.Element // tag -> element in active or inactive
-	active   *list.List               // front = most recent
-	inactive *list.List               // front = most recent
+	slotOf   map[uint64]int32 // tag -> index into lines
+	lines    []*Line
+	free     []int32 // vacated slots
+	lru      *TwoList
 	stats    Stats
 	tick     uint64
-}
-
-// faEntry is the list payload: the line plus which list it lives on.
-type faEntry struct {
-	line     Line
-	inActive bool
 }
 
 // evictScanLimit bounds the eviction-hint scan of the inactive tail; a
@@ -31,141 +28,110 @@ const evictScanLimit = 8
 
 func newFullAssoc(cfg Config) *fullAssoc {
 	return &fullAssoc{
+		lineBufs: lineBufs{lineBytes: cfg.LineBytes},
 		cfg:      cfg,
 		capacity: cfg.Lines(),
-		lines:    make(map[uint64]*list.Element, cfg.Lines()),
-		active:   list.New(),
-		inactive: list.New(),
+		slotOf:   make(map[uint64]int32, cfg.Lines()),
+		lru:      NewTwoList(cfg.Lines()),
 	}
 }
 
 func (f *fullAssoc) Config() Config { return f.cfg }
 
 func (f *fullAssoc) Lookup(addr uint64) (*Line, bool) {
-	tag := AlignDown(addr, f.cfg.LineBytes)
-	el, ok := f.lines[tag]
+	i, ok := f.slotOf[AlignDown(addr, f.cfg.LineBytes)]
 	if !ok {
 		f.stats.Misses++
 		return nil, false
 	}
 	f.stats.Hits++
 	f.tick++
-	e := el.Value.(*faEntry)
-	e.line.lastUse = f.tick
-	if e.inActive {
-		f.active.MoveToFront(el)
-	} else {
-		// Promote: second touch moves the line to the active list.
-		f.inactive.Remove(el)
-		e.inActive = true
-		f.lines[tag] = f.active.PushFront(e)
-		// Bound the active list to half the capacity (the Linux
-		// active:inactive balance): otherwise streamed-once lines
-		// clog it and evictions cannibalize prefetched lines.
-		for f.active.Len() > f.capacity/2 {
-			tail := f.active.Back()
-			te := tail.Value.(*faEntry)
-			f.active.Remove(tail)
-			te.inActive = false
-			f.lines[te.line.Tag] = f.inactive.PushBack(te)
-		}
-	}
-	return &e.line, true
+	f.lines[i].lastUse = f.tick
+	f.lru.Touch(i)
+	return f.lines[i], true
 }
 
 func (f *fullAssoc) Peek(addr uint64) (*Line, bool) {
-	tag := AlignDown(addr, f.cfg.LineBytes)
-	if el, ok := f.lines[tag]; ok {
-		return &el.Value.(*faEntry).line, true
+	if i, ok := f.slotOf[AlignDown(addr, f.cfg.LineBytes)]; ok {
+		return f.lines[i], true
 	}
 	return nil, false
 }
 
 func (f *fullAssoc) Reserve(addr uint64) (*Line, Victim) {
 	tag := AlignDown(addr, f.cfg.LineBytes)
-	if _, ok := f.lines[tag]; ok {
+	if _, ok := f.slotOf[tag]; ok {
 		panic("cache: Reserve of resident line")
 	}
+	data := f.Spare()
 	var v Victim
-	if len(f.lines) >= f.capacity {
-		v = f.evictOne()
+	var i int32
+	switch {
+	case len(f.slotOf) >= f.capacity:
+		i = f.chooseVictim()
+		l := f.lines[i]
+		f.stats.Evictions++
+		if l.Evictable {
+			f.stats.HintEvicts++
+		}
+		if l.Dirty {
+			f.stats.Writebacks++
+		}
+		v = f.vacate(i)
+	case len(f.free) > 0:
+		i = f.free[len(f.free)-1]
+		f.free = f.free[:len(f.free)-1]
+	default:
+		i = int32(len(f.lines))
+		f.lines = append(f.lines, new(Line))
 	}
 	f.tick++
-	e := &faEntry{line: Line{Tag: tag, Data: make([]byte, f.cfg.LineBytes), valid: true, lastUse: f.tick}}
-	f.lines[tag] = f.inactive.PushFront(e)
-	return &e.line, v
+	*f.lines[i] = Line{Tag: tag, Data: data, valid: true, lastUse: f.tick}
+	f.slotOf[tag] = i
+	f.lru.Insert(i)
+	return f.lines[i], v
 }
 
-// evictOne removes one victim line and returns it.
-func (f *fullAssoc) evictOne() Victim {
-	el := f.chooseVictim()
-	e := el.Value.(*faEntry)
-	if e.inActive {
-		f.active.Remove(el)
-	} else {
-		f.inactive.Remove(el)
-	}
-	delete(f.lines, e.line.Tag)
-	f.stats.Evictions++
-	if e.line.Evictable {
-		f.stats.HintEvicts++
-	}
-	if e.line.Dirty {
-		f.stats.Writebacks++
-	}
-	return Victim{Tag: e.line.Tag, Data: e.line.Data, Dirty: e.line.Dirty}
+// vacate takes slot i's line out of the map and the lists and returns it as
+// a victim. The slot itself is the caller's to reuse or free.
+func (f *fullAssoc) vacate(i int32) Victim {
+	f.lru.Remove(i)
+	delete(f.slotOf, f.lines[i].Tag)
+	return f.retire(f.lines[i])
 }
 
-// chooseVictim scans the inactive tail (then the active tail) for an
-// evictable-marked unpinned line within the scan budget, falling back to the
-// least-recent unpinned line, then the raw tail.
-func (f *fullAssoc) chooseVictim() *list.Element {
-	// Refill the inactive list from the active tail if empty.
-	if f.inactive.Len() == 0 {
-		if tail := f.active.Back(); tail != nil {
-			e := tail.Value.(*faEntry)
-			f.active.Remove(tail)
-			e.inActive = false
-			f.lines[e.line.Tag] = f.inactive.PushBack(e)
+// chooseVictim scans the inactive tail for an evictable-marked unpinned line
+// within the scan budget, falling back to the least-recent unpinned line
+// scanned; when everything scanned was pinned (or the list is empty) the
+// active tail is scanned for its least-recent unpinned line.
+func (f *fullAssoc) chooseVictim() int32 {
+	f.lru.Refill()
+	for _, l := range [...]List{Inactive, Active} {
+		fallback := int32(-1)
+		scanned := 0
+		for i := f.lru.Back(l); i >= 0 && scanned < evictScanLimit; i = f.lru.Prev(i) {
+			scanned++
+			if f.lines[i].Pinned() {
+				f.stats.PinSkips++
+				continue
+			}
+			if l == Active || f.lines[i].Evictable {
+				return i
+			}
+			if fallback < 0 {
+				fallback = i
+			}
 		}
-	}
-	var fallback *list.Element
-	scanned := 0
-	for el := f.inactive.Back(); el != nil && scanned < evictScanLimit; el = el.Prev() {
-		e := el.Value.(*faEntry)
-		scanned++
-		if e.line.Pinned() {
-			f.stats.PinSkips++
-			continue
+		if fallback >= 0 {
+			return fallback
 		}
-		if e.line.Evictable {
-			return el
-		}
-		if fallback == nil {
-			fallback = el
-		}
-	}
-	if fallback != nil {
-		return fallback
-	}
-	// Everything scanned was pinned (or list empty): scan the active
-	// list the same way.
-	scanned = 0
-	for el := f.active.Back(); el != nil && scanned < evictScanLimit; el = el.Prev() {
-		e := el.Value.(*faEntry)
-		scanned++
-		if e.line.Pinned() {
-			f.stats.PinSkips++
-			continue
-		}
-		return el
 	}
 	// Fully pinned cache: evict the inactive tail (or active tail)
 	// regardless — the alternative is deadlock.
-	if el := f.inactive.Back(); el != nil {
-		return el
+	if i := f.lru.Back(Inactive); i >= 0 {
+		return i
 	}
-	return f.active.Back()
+	return f.lru.Back(Active)
 }
 
 func (f *fullAssoc) MarkEvictable(addr uint64) bool {
@@ -188,30 +154,24 @@ func (f *fullAssoc) Pin(addr uint64, delta int) bool {
 }
 
 func (f *fullAssoc) Drop(addr uint64) (Victim, bool) {
-	tag := AlignDown(addr, f.cfg.LineBytes)
-	el, ok := f.lines[tag]
+	i, ok := f.slotOf[AlignDown(addr, f.cfg.LineBytes)]
 	if !ok {
 		return Victim{}, false
 	}
-	e := el.Value.(*faEntry)
-	if e.inActive {
-		f.active.Remove(el)
-	} else {
-		f.inactive.Remove(el)
-	}
-	delete(f.lines, tag)
-	if e.line.Evictable {
+	if f.lines[i].Evictable {
 		f.stats.FlushedHint++
 	}
-	return Victim{Tag: e.line.Tag, Data: e.line.Data, Dirty: e.line.Dirty}, true
+	v := f.vacate(i)
+	*f.lines[i] = Line{}
+	f.free = append(f.free, i)
+	return v, true
 }
 
 func (f *fullAssoc) ForEachResident(fn func(*Line)) {
-	for el := f.active.Front(); el != nil; el = el.Next() {
-		fn(&el.Value.(*faEntry).line)
-	}
-	for el := f.inactive.Front(); el != nil; el = el.Next() {
-		fn(&el.Value.(*faEntry).line)
+	for _, l := range [...]List{Active, Inactive} {
+		for i := f.lru.Front(l); i >= 0; i = f.lru.Next(i) {
+			fn(f.lines[i])
+		}
 	}
 }
 
@@ -219,6 +179,6 @@ func (f *fullAssoc) Stats() Stats { return f.stats }
 func (f *fullAssoc) ResetStats()  { f.stats = Stats{} }
 
 // Resident reports the number of resident lines (tests only).
-func (f *fullAssoc) Resident() int { return len(f.lines) }
+func (f *fullAssoc) Resident() int { return len(f.slotOf) }
 
 var _ Section = (*fullAssoc)(nil)

@@ -7,6 +7,7 @@ package cache
 // pinned-full set would otherwise deadlock; the compiler's conservative
 // shared-section sizing makes this rare).
 type setAssoc struct {
+	lineBufs
 	cfg      Config
 	ways     int
 	nSets    int
@@ -27,10 +28,11 @@ func newSetAssoc(cfg Config) *setAssoc {
 		nSets = 1
 	}
 	return &setAssoc{
-		cfg:   cfg,
-		ways:  ways,
-		nSets: nSets,
-		slots: make([]Line, nSets*ways),
+		lineBufs: lineBufs{lineBytes: cfg.LineBytes},
+		cfg:      cfg,
+		ways:     ways,
+		nSets:    nSets,
+		slots:    make([]Line, nSets*ways),
 	}
 }
 
@@ -80,7 +82,7 @@ func (s *setAssoc) Reserve(addr uint64) (*Line, Victim) {
 	for i := range set {
 		if !set[i].valid {
 			s.tick++
-			set[i] = Line{Tag: tag, Data: make([]byte, s.cfg.LineBytes), valid: true, lastUse: s.tick}
+			set[i] = Line{Tag: tag, Data: s.Spare(), valid: true, lastUse: s.tick}
 			s.occupied++
 			return &set[i], Victim{}
 		}
@@ -89,9 +91,9 @@ func (s *setAssoc) Reserve(addr uint64) (*Line, Victim) {
 		}
 	}
 
-	victim := s.chooseVictim(set)
-	vl := &set[victim]
-	v := Victim{Tag: vl.Tag, Data: vl.Data, Dirty: vl.Dirty}
+	data := s.Spare()
+	vl := &set[s.chooseVictim(set)]
+	v := s.retire(vl)
 	s.stats.Evictions++
 	if vl.Evictable {
 		s.stats.HintEvicts++
@@ -104,7 +106,7 @@ func (s *setAssoc) Reserve(addr uint64) (*Line, Victim) {
 		v.Conflict = true
 	}
 	s.tick++
-	*vl = Line{Tag: tag, Data: make([]byte, s.cfg.LineBytes), valid: true, lastUse: s.tick}
+	*vl = Line{Tag: tag, Data: data, valid: true, lastUse: s.tick}
 	return vl, v
 }
 
@@ -165,7 +167,7 @@ func (s *setAssoc) Drop(addr uint64) (Victim, bool) {
 	if !ok {
 		return Victim{}, false
 	}
-	v := Victim{Tag: l.Tag, Data: l.Data, Dirty: l.Dirty}
+	v := s.retire(l)
 	if l.Evictable {
 		s.stats.FlushedHint++
 	}

@@ -57,6 +57,7 @@ type Executor struct {
 	// profiling (nil when the backend has none or no collector is set).
 	misses missCounter
 	buf    [8]byte
+	stage  []byte // bulk staging scratch, see staging
 }
 
 // missCounter is the optional backend capability behind per-function miss

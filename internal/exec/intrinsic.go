@@ -183,7 +183,7 @@ func (e *Executor) readMatrix(clk *sim.Clock, fr *frame, params map[string]Value
 		return nil, err
 	}
 	n := int(t.Elems())
-	buf := make([]byte, n*8)
+	buf := e.staging(n * 8)
 	if err := e.bulk(clk, fr, t.Obj, off.AsInt(), buf, false); err != nil {
 		return nil, err
 	}
@@ -203,11 +203,23 @@ func (e *Executor) writeMatrix(clk *sim.Clock, fr *frame, params map[string]Valu
 	if int64(len(vals)) != t.Elems() {
 		return fmt.Errorf("exec: writeMatrix size %d != %dx%d", len(vals), t.Rows, t.Cols)
 	}
-	buf := make([]byte, len(vals)*8)
+	buf := e.staging(len(vals) * 8)
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 	}
 	return e.bulk(clk, fr, t.Obj, off.AsInt(), buf, true)
+}
+
+// staging returns the executor's bulk staging buffer sized to n bytes: the
+// byte half of a tensor operand, dead as soon as readMatrix has decoded it or
+// the bulk write has returned (the float halves stay separate allocations —
+// two operands are live together). One Executor is one simulated thread's
+// one request (session.exec), so the scratch needs no locking.
+func (e *Executor) staging(n int) []byte {
+	if cap(e.stage) < n {
+		e.stage = make([]byte, n)
+	}
+	return e.stage[:n]
 }
 
 // bulk routes a bulk transfer locally or, in offloaded mode, to far-node

@@ -1,0 +1,51 @@
+//go:build !race
+
+package rt
+
+import (
+	"testing"
+
+	"mira/internal/transport/transporttest"
+)
+
+// The line plane's miss path on a warm section: a dirty miss evicts a dirty
+// line, whose buffer moves into the write-back queue as is; every
+// wbqLimit-th miss drains the queue, which hands the buffers back. Nothing is
+// allocated between two drains, and nothing across a drain either.
+func TestDirtyMissOnWarmSectionAllocatesNothing(t *testing.T) {
+	const wbqLimit = 8
+	r, clk := wbqRuntime(t, wbqLimit)
+	r.tr = &transporttest.QuietLink{} // allocates nothing itself: what is counted is the runtime's own
+	elem := int64(0)
+	dirtyMiss := func() {
+		// 8 lines of 128 B over 64 lines of items: every access misses.
+		elem = (elem + 2) % 128
+		if err := r.Access(clk, "items", elem, fld(0, 8), []byte{1, 2, 3, 4, 5, 6, 7, 8}, true, AccessOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*64; i++ {
+		dirtyMiss()
+	}
+	for r.secs[0].wbq.len() != 0 {
+		dirtyMiss()
+	}
+	st := r.WritebackQueueStats()
+	// AllocsPerRun calls once more than it counts: wbqLimit-2 parkings in all.
+	if got := testing.AllocsPerRun(wbqLimit-3, dirtyMiss); got != 0 {
+		t.Errorf("%v allocs per dirty miss between two drains, want 0", got)
+	}
+	if now := r.WritebackQueueStats(); now.Drains != st.Drains {
+		t.Fatalf("a drain ran inside the between-drains window (%d → %d)", st.Drains, now.Drains)
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		for i := 0; i < wbqLimit; i++ {
+			dirtyMiss()
+		}
+	}); got != 0 {
+		t.Errorf("%v allocs per %d dirty misses and the drain they cause, want 0", got, wbqLimit)
+	}
+	if now := r.WritebackQueueStats(); now.Drains-st.Drains < 50 || now.Enqueued-st.Enqueued < 50*wbqLimit {
+		t.Fatalf("the loop did not park and drain: %+v → %+v", st, now)
+	}
+}

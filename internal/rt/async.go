@@ -177,7 +177,10 @@ func (r *Runtime) EvictHint(clk *sim.Clock, name string, elem int64) error {
 		if s.wbq == nil {
 			clk.Advance(r.cfg.Net.PerMessageOverhead)
 		}
-		if _, err := r.wbqEnqueue(clk, s, l.Tag, l.Data); err != nil {
+		// The line stays resident, so its bytes park in a spare buffer.
+		buf := s.sec.Spare()
+		copy(buf, l.Data)
+		if _, err := r.wbqEnqueue(clk, s, l.Tag, buf); err != nil {
 			return err
 		}
 		l.Dirty = false

@@ -60,7 +60,7 @@ func (r *Runtime) claim(clk *sim.Clock, s *sectionRT, addr uint64) (l *cache.Lin
 		}
 	}
 	if e, ok := r.takeParked(s, l.Tag); ok {
-		e.restore(l)
+		s.restore(l, e)
 		return l, true, nil
 	}
 	return l, false, nil
@@ -80,11 +80,12 @@ func (r *Runtime) takeParked(s *sectionRT, tag uint64) (wbqEntry, bool) {
 }
 
 // restore fills a claimed line from its parked copy, which is always the
-// full line. The line comes back dirty: the newest copy still lives only
-// locally.
-func (e wbqEntry) restore(l *cache.Line) {
+// full line, and gives the parked buffer back to the section. The line comes
+// back dirty: the newest copy still lives only locally.
+func (s *sectionRT) restore(l *cache.Line, e wbqEntry) {
 	copy(l.Data, e.data)
 	l.Dirty = true
+	s.sec.Recycle(e.data)
 }
 
 // unpark serves a prefetch of a line that locate found parked: the queued
@@ -100,14 +101,15 @@ func (r *Runtime) unpark(clk *sim.Clock, s *sectionRT, tag uint64) {
 	}
 	l, _, err := r.claim(clk, s, tag)
 	if err != nil {
-		s.wbq.add(tag, e.data, e.o, e.ranges)
+		s.wbq.add(s.sec, tag, e.data, e.o, e.ranges)
 		return
 	}
-	e.restore(l)
+	s.restore(l, e)
 }
 
 // unclaim gives a claimed slot back when its bytes never arrived — unless a
-// later claim already took the slot for another line.
+// later claim already took the slot for another line. The line is clean, so
+// its buffer stays with the section.
 func (s *sectionRT) unclaim(tag uint64, l *cache.Line) {
 	if s.owns(tag, l) {
 		s.sec.Drop(tag)

@@ -69,6 +69,11 @@ type Runtime struct {
 	localBytes int64 // local-placed object bytes (count against budget)
 	lastFlush  sim.Time
 	wbqStats   WbqStats
+	// Scratch of one write-back drain (drainWbq): the scatter vectors and
+	// the bytes of coalesced runs.
+	drainAddrs  []uint64
+	drainPieces [][]byte
+	drainRuns   []byte
 
 	// byFar indexes section-placed objects sorted by farBase, so dirty-line
 	// owner resolution is deterministic (see ownerOf). Rebuilt by Bind.

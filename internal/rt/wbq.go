@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mira/internal/cache"
 	"mira/internal/codec"
 	"mira/internal/sim"
 	"mira/internal/trace"
@@ -20,6 +21,11 @@ const DefaultWritebackQueueLines = 16
 // doorbell-batched message). The queue is a read-your-writes overlay over
 // far memory — the miss path consults it before fetching, so a line evicted
 // and re-touched before its write-back drained is recovered locally.
+//
+// The queue copies nothing: a parked entry holds the victim's own line
+// buffer (cache.Victim), and whoever ends the entry — a newer write of the
+// tag, the drain, or the miss path that takes it — gives the buffer back to
+// the section.
 type writebackQueue struct {
 	limit   int
 	entries map[uint64]wbqEntry
@@ -43,25 +49,27 @@ func newWritebackQueue(limit int) *writebackQueue {
 	return &writebackQueue{limit: limit, entries: make(map[uint64]wbqEntry)}
 }
 
-// add parks one dirty line, latest write wins. ranges nil means a full-line
-// write-back; non-nil restricts the drain to the changed ranges. Reports
-// whether the queue is now over its bound and must drain.
-func (q *writebackQueue) add(tag uint64, data []byte, o *objectRT, ranges []codec.Range) (mustDrain bool) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	if _, exists := q.entries[tag]; !exists {
+// add parks one dirty line in data, which becomes the queue's; latest write
+// wins, and the buffer it displaces goes back to sec. ranges nil means a
+// full-line write-back; non-nil restricts the drain to the changed ranges.
+// Reports whether the queue is now over its bound and must drain.
+func (q *writebackQueue) add(sec cache.Section, tag uint64, data []byte, o *objectRT, ranges []codec.Range) (mustDrain bool) {
+	if old, exists := q.entries[tag]; exists {
+		sec.Recycle(old.data)
+	} else {
 		i := sort.Search(len(q.tags), func(i int) bool { return q.tags[i] >= tag })
 		q.tags = append(q.tags, 0)
 		copy(q.tags[i+1:], q.tags[i:])
 		q.tags[i] = tag
 	}
-	q.entries[tag] = wbqEntry{data: cp, o: o, ranges: ranges}
+	q.entries[tag] = wbqEntry{data: data, o: o, ranges: ranges}
 	return len(q.tags) >= q.limit
 }
 
 // take removes and returns the queued line for tag — the read-your-writes
-// path. The caller owns the returned buffer, which is always the full line
-// even when the entry carried a delta plan.
+// path. The caller owns the returned buffer (sectionRT.restore gives it
+// back), which is always the full line even when the entry carried a delta
+// plan.
 func (q *writebackQueue) take(tag uint64) (wbqEntry, bool) {
 	e, ok := q.entries[tag]
 	if !ok {
@@ -77,8 +85,12 @@ func (q *writebackQueue) take(tag uint64) (wbqEntry, bool) {
 
 func (q *writebackQueue) len() int { return len(q.tags) }
 
-// clear empties the queue once a drain has written every entry out.
-func (q *writebackQueue) clear() {
+// clear empties the queue once a drain has written every entry out, giving
+// the line buffers back to sec.
+func (q *writebackQueue) clear(sec cache.Section) {
+	for _, tag := range q.tags {
+		sec.Recycle(q.entries[tag].data)
+	}
 	clear(q.entries)
 	q.tags = q.tags[:0]
 }
@@ -174,7 +186,9 @@ func (r *Runtime) WritebackQueueStats() WbqStats { return r.wbqStats }
 // the bound is hit — the only time an evicting access pays write-back
 // latency. With the queue disabled it falls back to issuing the write
 // immediately (the pre-pipeline behavior) and returns its completion
-// instant, which flush paths block on; a parked line returns zero.
+// instant, which flush paths block on; a parked line returns zero. data is
+// the victim's own buffer (cache.Victim): it moves into the queue, or goes
+// back to the section once the bytes are written or found unchanged.
 func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, tag uint64, data []byte) (sim.Time, error) {
 	// Sections serve objects with disjoint far ranges, so resolving the
 	// owner by tag is unambiguous.
@@ -184,6 +198,7 @@ func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, tag uint64, data []by
 	}
 	ranges, skip := r.deltaPlan(clk, s, o, tag, data)
 	if skip {
+		s.sec.Recycle(data)
 		return 0, nil // dirty flag lied: the bytes match far memory exactly
 	}
 	if s.wbq == nil {
@@ -197,6 +212,7 @@ func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, tag uint64, data []by
 		if err != nil {
 			return 0, err
 		}
+		s.sec.Recycle(data) // the transport keeps no reference to what it sent
 		if done > r.lastFlush {
 			r.lastFlush = done
 		}
@@ -206,7 +222,7 @@ func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, tag uint64, data []by
 	if r.trc != nil {
 		r.trc.Instant(clk.Now(), "rt", "wbq.park", trace.S("section", s.spec.Cache.Name))
 	}
-	if s.wbq.add(tag, data, o, ranges) {
+	if s.wbq.add(s.sec, tag, data, o, ranges) {
 		_, err := r.drainWbq(clk, s)
 		return 0, err
 	}
@@ -217,12 +233,23 @@ func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, tag uint64, data []by
 // vectored write, coalescing adjacent lines into contiguous pieces. The
 // issuing thread pays the posting cost; completion lands in lastFlush (the
 // Fence horizon) and is returned so flush paths can block on it.
+//
+// The vectors and the bytes of coalesced runs live in scratch the runtime
+// keeps. A run is copied there, never appended onto the first entry's own
+// slice: that slice is a recycled line buffer, and what lies behind its
+// length belongs to somebody else.
 func (r *Runtime) drainWbq(clk *sim.Clock, s *sectionRT) (sim.Time, error) {
 	if s.wbq == nil || s.wbq.len() == 0 {
 		return clk.Now(), nil
 	}
-	var addrs []uint64
-	var pieces [][]byte
+	addrs, pieces := r.drainAddrs[:0], r.drainPieces[:0]
+	// Sized for every queued line up front, so that growing it cannot move
+	// the runs earlier pieces already point into.
+	if need := s.wbq.len() * s.spec.Cache.LineBytes; cap(r.drainRuns) < need {
+		r.drainRuns = make([]byte, 0, need)
+	}
+	runs := r.drainRuns[:0]
+	inRuns := false // whether the piece before this entry is the tail of runs
 	// Entries planned as patches while the link was healthy must re-expand
 	// to full lines when the drain lands in degraded mode: the write will
 	// park in the transport's overlay against a far node whose memory may
@@ -232,6 +259,8 @@ func (r *Runtime) drainWbq(clk *sim.Clock, s *sectionRT) (sim.Time, error) {
 	degraded := r.tr.BreakerOpen(clk.Now())
 	for _, tag := range s.wbq.tags {
 		e := s.wbq.entries[tag]
+		wasRun := inRuns
+		inRuns = false
 		if len(e.o.selFields) > 0 {
 			sa, sz, offs := r.selectivePieces(e.o, tag, len(e.data))
 			for i := range sa {
@@ -249,16 +278,24 @@ func (r *Runtime) drainWbq(clk *sim.Clock, s *sectionRT) (sim.Time, error) {
 			}
 			continue
 		}
-		// Adjacent whole lines merge into one contiguous piece (one WR).
+		// A whole line adjacent to the piece before it extends that piece
+		// (one WR for the run).
 		if n := len(addrs); n > 0 && addrs[n-1]+uint64(len(pieces[n-1])) == tag {
-			pieces[n-1] = append(pieces[n-1], e.data...)
+			start := len(runs) - len(pieces[n-1])
+			if !wasRun {
+				start = len(runs)
+				runs = append(runs, pieces[n-1]...)
+			}
+			runs = append(runs, e.data...)
+			pieces[n-1], inRuns = runs[start:len(runs):len(runs)], true
 			continue
 		}
 		addrs = append(addrs, tag)
 		pieces = append(pieces, e.data)
 	}
+	r.drainAddrs, r.drainPieces = addrs, pieces
 	if len(addrs) == 0 {
-		s.wbq.clear()
+		s.wbq.clear(s.sec)
 		return clk.Now(), nil
 	}
 	clk.Advance(r.cfg.Net.VectoredPostCost(len(addrs)))
@@ -273,7 +310,7 @@ func (r *Runtime) drainWbq(clk *sim.Clock, s *sectionRT) (sim.Time, error) {
 		return clk.Now(), fmt.Errorf("rt: write-back drain: %w", err)
 	}
 	lines := s.wbq.len()
-	s.wbq.clear()
+	s.wbq.clear(s.sec)
 	r.wbqStats.Drains++
 	r.wbqStats.Lines += int64(lines)
 	r.wbqStats.Pieces += int64(len(addrs))

@@ -1,8 +1,6 @@
 package swap
 
 import (
-	"sort"
-
 	"mira/internal/plane"
 	"mira/internal/sim"
 	"mira/internal/trace"
@@ -15,8 +13,8 @@ func (c *Cache) Length() int64 { return c.length }
 // eviction write-back has landed.
 func (c *Cache) Fence(clk *sim.Clock) {
 	latest := c.lastWb
-	for _, el := range c.pages {
-		if p := el.Value.(*page); p.readyAt > latest {
+	for i, p := range c.frames {
+		if p.readyAt > latest && c.resident(int32(i)) {
 			latest = p.readyAt
 		}
 	}
@@ -28,7 +26,7 @@ func (c *Cache) Fence(clk *sim.Clock) {
 // plane-migration protocol uses it to hand one object's pages over to the
 // line plane (and to shed clean stray readahead before handing back).
 func (c *Cache) FlushRange(clk *sim.Clock, far uint64, length int64) error {
-	if length <= 0 || len(c.pages) == 0 {
+	if length <= 0 || c.Resident() == 0 {
 		return nil
 	}
 	lo, hi := far, far+uint64(length)
@@ -44,26 +42,15 @@ func (c *Cache) FlushRange(clk *sim.Clock, far uint64, length int64) error {
 	}
 	first := int64((lo - c.base) / PageBytes)
 	last := int64((hi - 1 - c.base) / PageBytes)
-	// Collect in page order: map iteration order would make write-back
-	// queueing on the shared link run-dependent.
-	nos := make([]int64, 0, len(c.pages))
-	for no := range c.pages {
-		if no >= first && no <= last {
-			nos = append(nos, no)
-		}
-	}
-	sort.Slice(nos, func(i, j int) bool { return nos[i] < nos[j] })
+	// In page order, like FlushAll.
 	var done sim.Time
-	for _, no := range nos {
-		el := c.pages[no]
-		p := el.Value.(*page)
-		if p.inActive {
-			c.active.Remove(el)
-		} else {
-			c.inactive.Remove(el)
+	for no := first; no <= last; no++ {
+		i := c.frameOf[no]
+		if i < 0 {
+			continue
 		}
-		delete(c.pages, no)
-		p.resident = false
+		p := c.frames[i]
+		c.release(i)
 		if p.dirty {
 			c.stats.Writebacks++
 			t, err := c.tr.WriteOneSided(clk.Now(), c.base+uint64(no)*PageBytes, p.data)
@@ -88,7 +75,7 @@ func (c *Cache) FlushRange(clk *sim.Clock, far uint64, length int64) error {
 // prefetch statements whose object migrated to the paged plane — use it to
 // keep their hints effective across a plane switch.
 func (c *Cache) PrefetchPages(clk *sim.Clock, pnos []int64) error {
-	return c.issueAdvisory(clk, nil, pnos)
+	return c.issueAdvisory(clk, -1, pnos)
 }
 
 // Plane adapts the cache to the plane.DataPlane contract.

@@ -11,11 +11,10 @@
 package swap
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
-	"sort"
 
+	"mira/internal/cache"
 	"mira/internal/netmodel"
 	"mira/internal/sim"
 	"mira/internal/trace"
@@ -123,34 +122,52 @@ type Stats struct {
 	Writebacks      int64
 }
 
+// page is one frame of the pool and the page it currently holds. The pool
+// is an arena: a frame (this struct and its 4 KiB buffer) is made on first
+// use, up to the capacity, and from then on only recycled, so a warm cache
+// allocates nothing on any path.
 type page struct {
 	no       int64
-	data     []byte
+	data     []byte // the frame's buffer, sliced to the page's size
 	dirty    bool
 	prefetch bool     // arrived via prefetch and not yet touched
 	readyAt  sim.Time // when its fetch completes
-	inActive bool
-	resident bool
+	// gen counts the frame's tenancies: it tells a batch placeholder from
+	// the frame's next tenant when a later allocation of the same batch
+	// evicted the placeholder.
+	gen uint32
+}
+
+// placeholder names one page of a batched prefetch waiting for its bytes.
+type placeholder struct {
+	frame int32
+	gen   uint32
 }
 
 // Cache is a swap cache over one contiguous far-memory region.
 type Cache struct {
 	cfg      Config
 	tr       transport.Link
-	base     uint64 // far address of page 0
-	length   int64  // region bytes
-	capacity int    // max resident pages
-	pages    map[int64]*list.Element
-	active   *list.List
-	inactive *list.List
+	base     uint64  // far address of page 0
+	length   int64   // region bytes
+	capacity int     // max resident pages
+	frames   []*page // the arena; resident + free == len(frames) <= capacity
+	free     []int32 // frames holding no page
+	frameOf  []int32 // page number -> frame, -1 when not resident
+	lru      *cache.TwoList
 	pf       Prefetcher
 	stats    Stats
 	// faultsByPage records major-fault counts per page (per-object miss
-	// attribution for the evaluation's Fig. 8).
-	faultsByPage map[int64]int64
-	// pinned protects the in-flight demand page from being evicted by
-	// the prefetches issued on the same fault.
-	pinned *page
+	// attribution for the evaluation's Fig. 8); made on the first fault.
+	faultsByPage []int64
+	// pinned is the frame of the in-flight demand page (-1: none), which
+	// the prefetches issued on the same fault must not evict.
+	pinned int32
+	// Scratch of one advisory issue, kept so that issuing allocates nothing.
+	cands []int64
+	batch []placeholder
+	addrs []uint64
+	sizes []int
 	// lock, when set, serializes the fault path across simulated
 	// threads (the kernel swap lock).
 	lock *sim.Serializer
@@ -182,17 +199,21 @@ func New(cfg Config, tr transport.Link, base uint64, length int64, pf Prefetcher
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:      cfg,
 		tr:       tr,
 		base:     base,
 		length:   length,
 		capacity: capacity,
-		pages:    make(map[int64]*list.Element, capacity),
-		active:   list.New(),
-		inactive: list.New(),
+		lru:      cache.NewTwoList(capacity),
 		pf:       pf,
-	}, nil
+		pinned:   -1,
+	}
+	c.frameOf = make([]int32, c.npages())
+	for i := range c.frameOf {
+		c.frameOf[i] = -1
+	}
+	return c, nil
 }
 
 // npages reports the number of pages covering the region.
@@ -263,8 +284,8 @@ func (c *Cache) access(clk *sim.Clock, far uint64, buf []byte, isWrite bool) err
 // touch ensures page no is resident and mapped, charging fault costs.
 // fullWrite marks an access that will overwrite the whole page.
 func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
-	if el, ok := c.pages[no]; ok {
-		p := el.Value.(*page)
+	if i := c.frameOf[no]; i >= 0 {
+		p := c.frames[i]
 		if p.prefetch {
 			// First touch of a prefetched page: minor fault. Wait
 			// for the in-flight fetch if it has not landed yet.
@@ -281,12 +302,12 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 			// Stream-maintaining prefetchers top their window back up on
 			// the touch instead of waiting for the next major fault.
 			if tp, ok := c.pf.(TouchPrefetcher); ok {
-				if err := c.issueAdvisory(clk, p, tp.OnPrefetchedTouch(no)); err != nil {
+				if err := c.issueAdvisory(clk, i, tp.OnPrefetchedTouch(no)); err != nil {
 					return nil, err
 				}
 			}
 		}
-		c.promote(el)
+		c.lru.Touch(i)
 		return p, nil
 	}
 	// Major fault.
@@ -294,7 +315,7 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 	c.cMajor.Inc()
 	faultStart := clk.Now()
 	if c.faultsByPage == nil {
-		c.faultsByPage = make(map[int64]int64)
+		c.faultsByPage = make([]int64, c.npages())
 	}
 	c.faultsByPage[no]++
 	if c.lock != nil {
@@ -306,10 +327,11 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 	// circuit breaker is open allocates the page locally instead of
 	// stalling on a fetch that cannot succeed.
 	noFetch := fullWrite && c.tr.BreakerOpen(clk.Now())
-	p, err := c.fetch(clk.Now(), no, false, noFetch)
+	i, err := c.fetch(clk.Now(), no, false, noFetch)
 	if err != nil {
 		return nil, err
 	}
+	p := c.frames[i]
 	clk.AdvanceTo(p.readyAt)
 	if c.trc != nil {
 		c.trc.Span(faultStart, clk.Now(), "swap", "fault.major", trace.I("page", no))
@@ -321,14 +343,14 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 
 	// Consult the prefetcher after servicing the demand page so its
 	// traffic queues behind the demand fetch.
-	if err := c.issueAdvisory(clk, p, c.pf.OnFault(no)); err != nil {
+	if err := c.issueAdvisory(clk, i, c.pf.OnFault(no)); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
 // issueAdvisory filters prefetcher proposals and issues the survivors
-// (batched when configured). The demand page p is pinned throughout:
+// (batched when configured). The demand page's frame is pinned throughout:
 // prefetch-triggered evictions must not invalidate the page about to be
 // handed to the caller.
 //
@@ -336,20 +358,21 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 // runner thread, off the fault path: the delay is charged by issuing the
 // advisory fetch later — slower predictors land their prefetches later
 // (and count Late more often) — never by stalling the demand access.
-func (c *Cache) issueAdvisory(clk *sim.Clock, p *page, proposals []int64) error {
-	c.pinned = p
-	var cands []int64
+func (c *Cache) issueAdvisory(clk *sim.Clock, pin int32, proposals []int64) error {
+	c.pinned = pin
+	cands := c.cands[:0]
 	for _, pno := range proposals {
 		if pno < 0 || pno >= c.npages() {
 			c.stats.PrefetchDropped++
 			c.cPfDropped.Inc()
 			continue
 		}
-		if _, ok := c.pages[pno]; ok {
+		if c.frameOf[pno] >= 0 {
 			continue
 		}
 		cands = append(cands, pno)
 	}
+	c.cands = cands
 	var err error
 	at := clk.Now()
 	if d, ok := c.pf.(IssueDelayer); ok {
@@ -360,14 +383,14 @@ func (c *Cache) issueAdvisory(clk *sim.Clock, p *page, proposals []int64) error 
 	} else {
 		err = c.prefetchEach(at, cands)
 	}
-	c.pinned = nil
+	c.pinned = -1
 	return err
 }
 
 // prefetchEach issues one read per candidate page (the unbatched path).
 func (c *Cache) prefetchEach(now sim.Time, cands []int64) error {
 	for i, pno := range cands {
-		if _, ok := c.pages[pno]; ok {
+		if c.frameOf[pno] >= 0 {
 			continue
 		}
 		if _, err := c.fetch(now, pno, true, false); err != nil {
@@ -398,168 +421,168 @@ func (c *Cache) dropCands(n int) {
 // gather. Page i becomes usable once its bytes have streamed in — chain
 // completion minus the wire time of the pages behind it in the reply.
 func (c *Cache) prefetchBatch(now sim.Time, cands []int64) error {
-	var ps []*page
-	var addrs []uint64
-	var sizes []int
+	c.batch, c.addrs, c.sizes = c.batch[:0], c.addrs[:0], c.sizes[:0]
+	behind := 0
 	for _, pno := range cands {
-		if _, ok := c.pages[pno]; ok {
+		if c.frameOf[pno] >= 0 {
 			continue
 		}
-		if len(c.pages) >= c.capacity {
+		if c.Resident() >= c.capacity {
 			if err := c.evictOne(now); err != nil {
 				if err == errNoEvictable {
 					break // pool too small; gather what we have
 				}
-				c.dropPages(ps)
+				c.dropPlaceholders()
 				return err
 			}
 		}
-		p := &page{no: pno, data: make([]byte, c.pageSize(pno)), prefetch: true, resident: true}
-		c.pages[pno] = c.inactive.PushFront(p)
-		ps = append(ps, p)
-		addrs = append(addrs, c.base+uint64(pno)*PageBytes)
-		sizes = append(sizes, len(p.data))
+		i := c.takeFrame(pno, true)
+		c.place(i)
+		c.batch = append(c.batch, placeholder{frame: i, gen: c.frames[i].gen})
+		c.addrs = append(c.addrs, c.base+uint64(pno)*PageBytes)
+		c.sizes = append(c.sizes, len(c.frames[i].data))
+		behind += len(c.frames[i].data)
 	}
-	if len(ps) == 0 {
+	n := int64(len(c.batch))
+	if n == 0 {
 		return nil
 	}
-	data, done, err := c.tr.GatherOneSided(now, addrs, sizes)
+	data, done, err := c.tr.GatherOneSided(now, c.addrs, c.sizes)
 	if err != nil {
 		// Prefetch is advisory: the placeholder pages hold no data yet, so
 		// they must not stay resident looking like valid prefetches.
-		c.dropPages(ps)
-		c.dropCands(len(ps))
+		c.dropPlaceholders()
+		c.dropCands(int(n))
 		if errors.Is(err, transport.ErrFarUnavailable) || transport.IsTransient(err) {
 			return nil
 		}
 		return err
 	}
-	suffix := 0
-	readies := make([]sim.Time, len(ps))
-	for i := len(ps) - 1; i >= 0; i-- {
-		readies[i] = done
-		if c.cfg.Net.BytesPerSecond > 0 {
-			readies[i] = done.Add(-c.cfg.Net.WireTime(suffix))
-		}
-		suffix += sizes[i]
-	}
 	off := 0
-	for i, p := range ps {
-		copy(p.data, data[off:off+sizes[i]])
-		off += sizes[i]
-		p.readyAt = readies[i]
+	for k, ph := range c.batch {
+		behind -= c.sizes[k]
+		// A placeholder evicted by a later allocation of this batch has lost
+		// its frame, maybe to another page of the batch: its bytes are dropped.
+		if p := c.frames[ph.frame]; c.holds(ph) {
+			copy(p.data, data[off:off+c.sizes[k]])
+			p.readyAt = done
+			if c.cfg.Net.BytesPerSecond > 0 {
+				p.readyAt = done.Add(-c.cfg.Net.WireTime(behind))
+			}
+		}
+		off += c.sizes[k]
 	}
-	c.stats.Prefetches += int64(len(ps))
-	c.cPrefetch.Add(int64(len(ps)))
-	c.stats.PagesFetched += int64(len(ps))
+	c.stats.Prefetches += n
+	c.cPrefetch.Add(n)
+	c.stats.PagesFetched += n
 	if c.trc != nil {
-		c.trc.Span(now, done, "swap", "prefetch.batch", trace.I("pages", int64(len(ps))))
+		c.trc.Span(now, done, "swap", "prefetch.batch", trace.I("pages", n))
 	}
 	return nil
 }
 
-// dropPages removes batch placeholder pages that never received data. Pages
-// already evicted by a later allocation in the same batch are skipped.
-func (c *Cache) dropPages(ps []*page) {
-	for _, p := range ps {
-		el, ok := c.pages[p.no]
-		if !ok || el.Value.(*page) != p {
-			continue
+// holds reports whether ph's frame still holds the page it was taken for.
+func (c *Cache) holds(ph placeholder) bool {
+	p := c.frames[ph.frame]
+	return p.gen == ph.gen && c.frameOf[p.no] == ph.frame
+}
+
+// dropPlaceholders removes the batch's placeholder pages that never received
+// data, skipping those a later allocation of the same batch already evicted.
+func (c *Cache) dropPlaceholders() {
+	for _, ph := range c.batch {
+		if c.holds(ph) {
+			c.release(ph.frame)
 		}
-		if p.inActive {
-			c.active.Remove(el)
-		} else {
-			c.inactive.Remove(el)
-		}
-		delete(c.pages, p.no)
-		p.resident = false
 	}
 }
 
-// fetch brings page no into the pool (evicting as needed) and returns it.
-// Prefetch fetches do not block the caller; readyAt records completion.
-// noFetch allocates the page locally without touching the network (degraded
-// full-page write-allocate).
-func (c *Cache) fetch(now sim.Time, no int64, isPrefetch, noFetch bool) (*page, error) {
-	if len(c.pages) >= c.capacity {
+// takeFrame readies a free frame for page no, making one if none was ever
+// vacated (the callers have checked that the pool has room). The buffer is
+// sliced to the page's size — the region's last page may be short, and a
+// frame's previous tenant must not leak into its write-back — and is NOT
+// cleared: every caller overwrites all of it or clears it itself.
+func (c *Cache) takeFrame(no int64, isPrefetch bool) int32 {
+	var i int32
+	if n := len(c.free); n > 0 {
+		i = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		i = int32(len(c.frames))
+		c.frames = append(c.frames, &page{data: make([]byte, PageBytes)})
+	}
+	p := c.frames[i]
+	*p = page{no: no, data: p.data[:c.pageSize(no)], prefetch: isPrefetch, gen: p.gen + 1}
+	return i
+}
+
+// place makes frame i's page resident, at the inactive front.
+func (c *Cache) place(i int32) {
+	c.frameOf[c.frames[i].no] = i
+	c.lru.Insert(i)
+}
+
+// release drops frame i's page and frees the frame; its bytes stay intact
+// until the frame is taken again.
+func (c *Cache) release(i int32) {
+	c.lru.Remove(i)
+	c.frameOf[c.frames[i].no] = -1
+	c.free = append(c.free, i)
+}
+
+// fetch brings page no into the pool (evicting as needed) and returns its
+// frame. Prefetch fetches do not block the caller; readyAt records
+// completion. noFetch allocates the page locally without touching the
+// network (degraded full-page write-allocate). When the read fails the
+// frame goes back to the free list.
+func (c *Cache) fetch(now sim.Time, no int64, isPrefetch, noFetch bool) (int32, error) {
+	if c.Resident() >= c.capacity {
 		if err := c.evictOne(now); err != nil {
-			return nil, err
+			return -1, err
 		}
 	}
-	sz := c.pageSize(no)
-	p := &page{no: no, data: make([]byte, sz), prefetch: isPrefetch, resident: true}
+	i := c.takeFrame(no, isPrefetch)
+	p := c.frames[i]
 	if noFetch {
+		clear(p.data)
 		p.readyAt = now
 	} else {
 		done, err := c.tr.ReadOneSided(now, c.base+uint64(no)*PageBytes, p.data)
 		if err != nil {
-			return nil, err
+			c.free = append(c.free, i)
+			return -1, err
 		}
 		p.readyAt = done
 		c.stats.PagesFetched++
 	}
-	c.pages[no] = c.inactive.PushFront(p)
-	return p, nil
-}
-
-// promote implements the two-list LRU: touched inactive pages move to the
-// active list; active pages move to its front. As in Linux, the active list
-// is bounded to half the pool — otherwise streamed-once pages clog it and
-// evictions cannibalize prefetched pages before their first touch.
-func (c *Cache) promote(el *list.Element) {
-	p := el.Value.(*page)
-	if p.inActive {
-		c.active.MoveToFront(el)
-		return
-	}
-	c.inactive.Remove(el)
-	p.inActive = true
-	c.pages[p.no] = c.active.PushFront(p)
-	for c.active.Len() > c.capacity/2 {
-		tail := c.active.Back()
-		tp := tail.Value.(*page)
-		c.active.Remove(tail)
-		tp.inActive = false
-		c.pages[tp.no] = c.inactive.PushBack(tp)
-	}
+	c.place(i)
+	return i, nil
 }
 
 // errNoEvictable reports that every page in the pool is pinned — only
 // possible when a prefetch races the demand page in a tiny pool.
 var errNoEvictable = fmt.Errorf("swap: no evictable page")
 
-// evictOne drops the approximate-LRU page, writing it back asynchronously
-// if dirty (write-back consumes link bandwidth but does not block).
+// evictOne drops the approximate-LRU page (cache.TwoList; the pinned demand
+// page is passed over), writing it back asynchronously if dirty (write-back
+// consumes link bandwidth but does not block).
 func (c *Cache) evictOne(now sim.Time) error {
-	if c.inactive.Len() == 0 {
-		if tail := c.active.Back(); tail != nil {
-			p := tail.Value.(*page)
-			c.active.Remove(tail)
-			p.inActive = false
-			c.pages[p.no] = c.inactive.PushBack(p)
+	c.lru.Refill()
+	i := int32(-1)
+	for _, l := range [...]cache.List{cache.Inactive, cache.Active} {
+		i = c.lru.Back(l)
+		for i >= 0 && i == c.pinned {
+			i = c.lru.Prev(i)
+		}
+		if i >= 0 {
+			break
 		}
 	}
-	el := c.inactive.Back()
-	for el != nil && el.Value.(*page) == c.pinned {
-		el = el.Prev()
-	}
-	if el == nil {
-		el = c.active.Back()
-		for el != nil && el.Value.(*page) == c.pinned {
-			el = el.Prev()
-		}
-	}
-	if el == nil {
+	if i < 0 {
 		return errNoEvictable
 	}
-	p := el.Value.(*page)
-	if p.inActive {
-		c.active.Remove(el)
-	} else {
-		c.inactive.Remove(el)
-	}
-	delete(c.pages, p.no)
-	p.resident = false
+	p := c.frames[i]
+	c.release(i)
 	c.stats.Evictions++
 	c.cEvict.Inc()
 	if p.prefetch {
@@ -584,36 +607,37 @@ func (c *Cache) evictOne(now sim.Time) error {
 // blocking clk until the last write-back lands. Used at program end and
 // before offloaded calls.
 func (c *Cache) FlushAll(clk *sim.Clock) error {
-	// Write back in page order: map iteration order would make write-back
-	// queueing on the shared link — and so final sim times — run-dependent.
-	nos := make([]int64, 0, len(c.pages))
-	for no := range c.pages {
-		nos = append(nos, no)
-	}
-	sort.Slice(nos, func(i, j int) bool { return nos[i] < nos[j] })
+	// Write back in page order: write-back queueing on the shared link —
+	// and so final sim times — must not depend on frame order.
 	var last sim.Time
-	for _, no := range nos {
-		p := c.pages[no].Value.(*page)
-		if p.dirty {
-			done, err := c.tr.WriteOneSided(clk.Now(), c.base+uint64(no)*PageBytes, p.data)
-			if err != nil {
-				return err
-			}
-			c.stats.Writebacks++
-			if done > last {
-				last = done
-			}
+	for no, i := range c.frameOf {
+		if i < 0 || !c.frames[i].dirty {
+			continue
+		}
+		done, err := c.tr.WriteOneSided(clk.Now(), c.base+uint64(no)*PageBytes, c.frames[i].data)
+		if err != nil {
+			return err
+		}
+		c.stats.Writebacks++
+		if done > last {
+			last = done
 		}
 	}
-	c.pages = make(map[int64]*list.Element, c.capacity)
-	c.active.Init()
-	c.inactive.Init()
+	for i := range c.frames {
+		if c.resident(int32(i)) {
+			c.release(int32(i))
+		}
+	}
 	if last > c.lastWb {
 		c.lastWb = last
 	}
 	clk.AdvanceTo(last)
 	return nil
 }
+
+// resident reports whether frame i holds a page (a free frame keeps the
+// number of the page it held last).
+func (c *Cache) resident(i int32) bool { return c.frameOf[c.frames[i].no] == i }
 
 // FaultsInRange reports major faults on pages overlapping [far, far+length).
 // The query range is intersected with the region: an empty or disjoint range
@@ -636,7 +660,7 @@ func (c *Cache) FaultsInRange(far uint64, length int64) int64 {
 	first := int64((lo - c.base) / PageBytes)
 	last := int64((hi - 1 - c.base) / PageBytes)
 	var total int64
-	for p := first; p <= last; p++ {
+	for p := first; p <= last && c.faultsByPage != nil; p++ {
 		total += c.faultsByPage[p]
 	}
 	return total
@@ -645,8 +669,8 @@ func (c *Cache) FaultsInRange(far uint64, length int64) int64 {
 // SettleAsync marks every in-flight page fetch complete (simulated-thread
 // boundaries; see rt.SettleAsync).
 func (c *Cache) SettleAsync() {
-	for _, el := range c.pages {
-		el.Value.(*page).readyAt = 0
+	for _, p := range c.frames {
+		p.readyAt = 0 // free frames included: taking one resets it anyway
 	}
 }
 
@@ -684,7 +708,7 @@ func (c *Cache) SetPrefetcher(pf Prefetcher) {
 }
 
 // Resident reports the number of resident pages.
-func (c *Cache) Resident() int { return len(c.pages) }
+func (c *Cache) Resident() int { return c.lru.Len(cache.Inactive) + c.lru.Len(cache.Active) }
 
 // Capacity reports the pool capacity in pages.
 func (c *Cache) Capacity() int { return c.capacity }
