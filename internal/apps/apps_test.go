@@ -5,6 +5,7 @@
 package apps_test
 
 import (
+	"bytes"
 	"testing"
 
 	"mira/internal/apps/arraysum"
@@ -15,6 +16,7 @@ import (
 	"mira/internal/apps/seqscan"
 	"mira/internal/apps/stridescan"
 	"mira/internal/harness"
+	"mira/internal/session"
 	"mira/internal/workload"
 )
 
@@ -74,6 +76,69 @@ func TestMiraBeatsSwapBaselinesEverywhere(t *testing.T) {
 		} else {
 			t.Logf("%s: Mira %v vs FastSwap %v (%.1fx)", w.Name(), mira.Time, fs.Time,
 				float64(fs.Time)/float64(mira.Time))
+		}
+	}
+}
+
+// initLog records the image every InitObject call was handed, in order.
+type initLog struct {
+	names  []string
+	images [][]byte
+}
+
+func (l *initLog) InitObject(name string, data []byte) error {
+	l.names = append(l.names, name)
+	l.images = append(l.images, data)
+	return nil
+}
+
+// TestAppsGenerateTheirDataOnce: GPT-2 and DataFrame build their tables on
+// the first Init of a Workload and hand every later Init the very same
+// images, in the same order — the second Init generates nothing — and two
+// runtimes initialised from one Workload hold byte-equal objects.
+func TestAppsGenerateTheirDataOnce(t *testing.T) {
+	for _, w := range []workload.Workload{
+		gpt2.New(gpt2.Config{Layers: 2, DModel: 32, DFF: 64, SeqLen: 16, Seed: 5}),
+		dataframe.New(dataframe.Config{Rows: 2048, Seed: 2014}),
+	} {
+		var first, second initLog
+		if err := w.Init(&first); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Init(&second); err != nil {
+			t.Fatal(err)
+		}
+		if len(first.names) == 0 || len(first.names) != len(second.names) {
+			t.Fatalf("%s: %d objects initialised, then %d", w.Name(), len(first.names), len(second.names))
+		}
+		for i, name := range first.names {
+			if second.names[i] != name {
+				t.Errorf("%s: Init order differs: %v then %v", w.Name(), first.names, second.names)
+				break
+			}
+			if &first.images[i][0] != &second.images[i][0] {
+				t.Errorf("%s: object %q was generated again for the second Init", w.Name(), name)
+			}
+		}
+
+		var dumps [2]map[string][]byte
+		for i := range dumps {
+			cfg, err := session.SwapOnly(w.Program(), w.FullMemoryBytes()/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := session.Open(session.Spec{Workload: w, Config: cfg, Swap: session.NoPrefetch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dumps[i], err = s.Dump(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, name := range first.names {
+			if len(dumps[0][name]) == 0 || !bytes.Equal(dumps[0][name], dumps[1][name]) {
+				t.Errorf("%s: object %q differs between two runtimes", w.Name(), name)
+			}
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"mira/internal/exec"
 	"mira/internal/ir"
@@ -55,6 +56,15 @@ func DefaultConfig() Config { return Config{Rows: 1 << 16, Seed: 2014} }
 type Workload struct {
 	cfg  Config
 	prog *ir.Program
+
+	// The generated table, its byte images and the oracle are pure functions
+	// of cfg: each is computed once, on first use, and shared read-only by
+	// every session opened on the workload (sync.Once: mtrun's and serve's
+	// scheduler goroutines share one Workload).
+	genOnce sync.Once
+	tab     *table
+	refOnce sync.Once
+	ref     Expected
 }
 
 // New builds the workload.
@@ -203,15 +213,27 @@ func build(cfg Config) *ir.Program {
 	return b.MustProgram()
 }
 
-// table is the generated input in native form.
+// table is the generated input in native form, plus the byte image of each
+// column as Init hands it to InitObject.
 type table struct {
 	fare, distance []float64
 	passengers     []int64
 	payment        []int64
 	zone           []int64
+	images         [5][]byte // fare, distance, passengers, zone, payment
 }
 
+// generate returns the input table, building it on first use.
 func (w *Workload) generate() *table {
+	w.genOnce.Do(func() {
+		t := w.build()
+		t.images = [5][]byte{floatBytes(t.fare), floatBytes(t.distance), intBytes(t.passengers), intBytes(t.zone), intBytes(t.payment)}
+		w.tab = t
+	})
+	return w.tab
+}
+
+func (w *Workload) build() *table {
 	rng := sim.NewRNG(w.cfg.Seed)
 	t := &table{
 		fare:       make([]float64, w.cfg.Rows),
@@ -239,22 +261,16 @@ func (w *Workload) generate() *table {
 	return t
 }
 
-// Init implements workload.Workload.
+// Init implements workload.Workload. Every InitObject in the tree copies out
+// of the image it is handed; none may write to it.
 func (w *Workload) Init(dst workload.ObjectIniter) error {
 	t := w.generate()
-	if err := dst.InitObject("fare", floatBytes(t.fare)); err != nil {
-		return err
+	for i, name := range []string{"fare", "distance", "passengers", "zone", "payment"} {
+		if err := dst.InitObject(name, t.images[i]); err != nil {
+			return err
+		}
 	}
-	if err := dst.InitObject("distance", floatBytes(t.distance)); err != nil {
-		return err
-	}
-	if err := dst.InitObject("passengers", intBytes(t.passengers)); err != nil {
-		return err
-	}
-	if err := dst.InitObject("zone", intBytes(t.zone)); err != nil {
-		return err
-	}
-	return dst.InitObject("payment", intBytes(t.payment))
+	return nil
 }
 
 func floatBytes(xs []float64) []byte {
@@ -289,8 +305,14 @@ type Expected struct {
 	ZoneSum       []float64
 }
 
-// Reference computes the oracle.
+// Reference is the oracle, computed once; ZoneSum is shared and must not be
+// written.
 func (w *Workload) Reference() Expected {
+	w.refOnce.Do(func() { w.ref = w.reference() })
+	return w.ref
+}
+
+func (w *Workload) reference() Expected {
 	t := w.generate()
 	var e Expected
 	var sum float64

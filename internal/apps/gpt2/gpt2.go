@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
+	"sync"
 
 	"mira/internal/exec"
 	"mira/internal/ir"
@@ -41,10 +43,26 @@ func DefaultConfig() Config {
 	return Config{Layers: 4, DModel: 64, DFF: 256, SeqLen: 32, Seed: 117}
 }
 
-// Workload implements workload.Workload.
+// Workload implements workload.Workload. The generated tables and the
+// native reference are a pure function of cfg, so each is computed once per
+// Workload, on first use, and shared read-only by every session the planner,
+// harness, mtrun threads or serve's scheduler goroutines open on it.
 type Workload struct {
 	cfg  Config
 	prog *ir.Program
+
+	genOnce sync.Once
+	tables  []table // sorted by name
+	weights map[string][]float64
+
+	refOnce sync.Once
+	ref     []float64
+}
+
+// table is one object's byte image, as Init hands it to InitObject.
+type table struct {
+	name  string
+	image []byte
 }
 
 // New builds the workload.
@@ -155,36 +173,41 @@ func build(cfg Config) *ir.Program {
 	return b.MustProgram()
 }
 
-// weights generates all model parameters and the input deterministically.
-func (w *Workload) weights() map[string][]float64 {
-	c := w.cfg
-	rng := sim.NewRNG(c.Seed)
-	gen := func(n int64, scale float64) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = (rng.Float64()*2 - 1) * scale
+// generate builds all model parameters and the input deterministically, once.
+func (w *Workload) generate() {
+	w.genOnce.Do(func() {
+		c := w.cfg
+		rng := sim.NewRNG(c.Seed)
+		w.weights = map[string][]float64{}
+		gen := func(name string, n int64, scale float64) {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = (rng.Float64()*2 - 1) * scale
+			}
+			w.weights[name] = vals
+			w.tables = append(w.tables, table{name, floatBytes(vals)})
 		}
-		return out
-	}
-	out := map[string][]float64{}
-	D, F, T := c.DModel, c.DFF, c.SeqLen
-	scale := 1 / math.Sqrt(float64(D))
-	for l := 0; l < c.Layers; l++ {
-		out[wname("wq", l)] = gen(D*D, scale)
-		out[wname("wk", l)] = gen(D*D, scale)
-		out[wname("wv", l)] = gen(D*D, scale)
-		out[wname("wo", l)] = gen(D*D, scale)
-		out[wname("w1", l)] = gen(D*F, scale)
-		out[wname("w2", l)] = gen(F*D, 1/math.Sqrt(float64(F)))
-	}
-	out["x"] = gen(T*D, 1)
-	return out
+		D, F, T := c.DModel, c.DFF, c.SeqLen
+		scale := 1 / math.Sqrt(float64(D))
+		for l := 0; l < c.Layers; l++ {
+			gen(wname("wq", l), D*D, scale)
+			gen(wname("wk", l), D*D, scale)
+			gen(wname("wv", l), D*D, scale)
+			gen(wname("wo", l), D*D, scale)
+			gen(wname("w1", l), D*F, scale)
+			gen(wname("w2", l), F*D, 1/math.Sqrt(float64(F)))
+		}
+		gen("x", T*D, 1)
+		sort.Slice(w.tables, func(i, j int) bool { return w.tables[i].name < w.tables[j].name })
+	})
 }
 
-// Init implements workload.Workload.
+// Init implements workload.Workload: objects are loaded in name order, from
+// images every InitObject in the tree copies out of and none may write.
 func (w *Workload) Init(t workload.ObjectIniter) error {
-	for name, vals := range w.weights() {
-		if err := t.InitObject(name, floatBytes(vals)); err != nil {
+	w.generate()
+	for _, tb := range w.tables {
+		if err := t.InitObject(tb.name, tb.image); err != nil {
 			return err
 		}
 	}
@@ -199,11 +222,18 @@ func floatBytes(xs []float64) []byte {
 	return out
 }
 
-// Reference computes the final hidden state natively, replicating the
-// executor's intrinsic evaluation orders exactly.
+// Reference is the final hidden state computed natively, replicating the
+// executor's intrinsic evaluation orders exactly. Computed once; the result
+// is shared and must not be written.
 func (w *Workload) Reference() []float64 {
+	w.refOnce.Do(func() { w.ref = w.reference() })
+	return w.ref
+}
+
+func (w *Workload) reference() []float64 {
 	c := w.cfg
-	ws := w.weights()
+	w.generate()
+	ws := w.weights
 	T, D, F := int(c.SeqLen), int(c.DModel), int(c.DFF)
 	x := append([]float64(nil), ws["x"]...)
 

@@ -31,7 +31,9 @@ func TestProgramStructure(t *testing.T) {
 
 func TestWeightsDeterministic(t *testing.T) {
 	a, b := New(small()), New(small())
-	wa, wb := a.weights(), b.weights()
+	a.generate()
+	b.generate()
+	wa, wb := a.weights, b.weights
 	for k, va := range wa {
 		vb := wb[k]
 		for i := range va {

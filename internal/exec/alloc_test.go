@@ -1,0 +1,78 @@
+//go:build !race
+
+package exec
+
+import (
+	"testing"
+
+	"mira/internal/ir"
+	"mira/internal/profile"
+	"mira/internal/sim"
+)
+
+// hitPathProgram executes, per loop iteration, one of everything the
+// interpreter does on a warm section: Assign, two Loads, an If with both
+// arms, a Store, a Prefetch, a BatchPrefetch of 8 and an Evict.
+func hitPathProgram(n int64) *ir.Program {
+	b := ir.NewBuilder("hitpath")
+	b.Object("recs", 64, n, ir.F("key", 0, 8), ir.F("val", 8, 4))
+	b.IntArray("out", n)
+	fb := b.Func("main")
+	acc := fb.Var(ir.C(0))
+	fb.Loop(ir.C(0), ir.C(n), ir.C(1), func(i ir.Expr) {
+		k := fb.Load("recs", i, "key")
+		v := fb.Load("recs", i, "val")
+		nv := fb.Let(ir.Add(v, ir.Mul(k, ir.C(3))))
+		fb.If(ir.Lt(ir.Mod(i, ir.C(3)), ir.C(1)), func() {
+			fb.Set(acc, ir.Add(ir.R(acc.ID), nv))
+		}, func() {
+			fb.Set(acc, ir.Sub(ir.R(acc.ID), ir.CF(0.5)))
+		})
+		fb.Store("out", i, "", ir.R(acc.ID))
+		fb.Prefetch("recs", ir.Min(ir.Add(i, ir.C(4)), ir.C(n-1)), "key")
+		var batch []ir.PrefetchRef
+		for d := int64(1); d <= 8; d++ {
+			batch = append(batch, ir.PrefetchRef{Obj: "recs", Index: ir.Mod(ir.Add(i, ir.C(d)), ir.C(n)), Field: "val"})
+		}
+		fb.BatchPrefetch(batch...)
+		fb.Evict("recs", i)
+	})
+	fb.Return(ir.R(acc.ID))
+	return b.MustProgram()
+}
+
+// The hit path of the interpreter: once a body is resolved and its section
+// warm, executing it allocates nothing — no field key, no parameter map, no
+// batch entries, no boxed operands — with a collector listening or without.
+func TestWarmBodyAllocatesNothing(t *testing.T) {
+	const n = 256
+	p := hitPathProgram(n)
+	for _, profiled := range []bool{false, true} {
+		var opt Options
+		if profiled {
+			opt.Collector = profile.NewCollector()
+		}
+		ex, err := New(p, rtBackend(t, p), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk := sim.NewClock(0)
+		fn, _ := p.EntryFunc()
+		body := ex.tab.resolve(fn)
+		fr := ex.newFrame(clk, fn, nil)
+		run := func() {
+			if _, _, err := ex.run(&fr, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // resolve is done; this warms the section and sizes the batch scratch
+		if got := testing.AllocsPerRun(20, run); got != 0 {
+			t.Errorf("profiled=%v: %v allocs per %d warm iterations, want 0", profiled, got, n)
+		}
+		if profiled {
+			if rec := opt.Collector.Func("main"); rec == nil || rec.Accesses < 3*n {
+				t.Errorf("the collector heard nothing: %+v", rec)
+			}
+		}
+	}
+}

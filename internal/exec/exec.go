@@ -43,13 +43,18 @@ func DefaultOptions() Options {
 	return Options{ComputeOp: 1 * sim.Nanosecond, FloatOp: 1 * sim.Nanosecond}
 }
 
-// Executor interprets one program over one backend.
+// Executor interprets one program over one backend. Everything an execution
+// writes lives here or on a frame; the resolved code it runs (tab) is
+// read-only and shared with the executor's offload children.
 type Executor struct {
-	p      *ir.Program
-	be     Backend
-	opt    Options
-	fields map[string]ir.Field // "obj\x00field" -> resolved field
-	depth  int
+	p   *ir.Program
+	be  Backend
+	opt Options
+	tab *table
+	// hb is be's handle capability, probed once in New (nil: every backend
+	// call goes by name).
+	hb    handler
+	depth int
 	// remote, when non-nil, redirects accesses to far-node memory: the
 	// executor is running an offloaded function body (§4.8).
 	remote RemoteEnv
@@ -57,7 +62,12 @@ type Executor struct {
 	// profiling (nil when the backend has none or no collector is set).
 	misses missCounter
 	buf    [8]byte
-	stage  []byte // bulk staging scratch, see staging
+	stage  []byte       // bulk staging scratch, see staging
+	floats [3][]float64 // tensor operand scratch, see operand
+	// batch is the BatchPrefetch scratch: a copy of batchOf's entry template
+	// whose Elems the statement overwrites on each execution.
+	batch   []rt.BatchEntry
+	batchOf *batchSite
 }
 
 // missCounter is the optional backend capability behind per-function miss
@@ -77,13 +87,21 @@ func New(p *ir.Program, be Backend, opt Options) (*Executor, error) {
 	if opt.FloatOp == 0 {
 		opt.FloatOp = DefaultOptions().FloatOp
 	}
-	e := &Executor{p: p, be: be, opt: opt, fields: make(map[string]ir.Field)}
+	e := &Executor{p: p, be: be, opt: opt}
+	e.hb, _ = be.(handler)
+	e.tab = &table{p: p, hb: e.hb, codes: make(map[*ir.Func][]node)}
 	if opt.Collector != nil {
 		if mc, ok := be.(missCounter); ok {
 			e.misses = mc
 		}
 	}
 	return e, nil
+}
+
+// child builds the executor of an offloaded body: same program, backend and
+// resolved code, its own scratch, accesses redirected to remote, no profile.
+func (e *Executor) child(opt Options, remote RemoteEnv) *Executor {
+	return &Executor{p: e.p, be: e.be, opt: opt, tab: e.tab, hb: e.hb, remote: remote}
 }
 
 // Run executes the entry function and returns its result.
@@ -108,109 +126,116 @@ func (e *Executor) Run(clk *sim.Clock) (Value, error) {
 	return e.call(clk, f, args)
 }
 
-// frame is one function activation.
+// frame is one function activation: the clock it charges, its registers, its
+// arguments (what an exParam slot indexes) and, when profiling, the
+// function's record.
 type frame struct {
-	fn   *ir.Func
+	clk  *sim.Clock
 	regs []Value
+	args []Value
+	rec  *profile.FuncRecord
+}
+
+// newFrame opens an activation of fn.
+func (e *Executor) newFrame(clk *sim.Clock, fn *ir.Func, args []Value) frame {
+	fr := frame{clk: clk, regs: make([]Value, fn.NumRegs), args: args}
+	if e.opt.Collector != nil {
+		fr.rec = e.opt.Collector.Record(fn.Name)
+	}
+	return fr
 }
 
 // call runs fn with args, recording its profile.
 func (e *Executor) call(clk *sim.Clock, fn *ir.Func, args []Value) (Value, error) {
+	return e.invoke(clk, fn, e.tab.resolve(fn), args)
+}
+
+// invoke is call with fn's resolved body supplied: a scattered sub-offload
+// runs a function built for that one dispatch, which call would memoise for
+// nobody.
+func (e *Executor) invoke(clk *sim.Clock, fn *ir.Func, body []node, args []Value) (Value, error) {
 	if e.depth >= maxCallDepth {
 		return Value{}, fmt.Errorf("exec: call depth exceeds %d at %q", maxCallDepth, fn.Name)
 	}
 	e.depth++
-	defer func() { e.depth-- }()
-
-	fr := &frame{fn: fn, regs: make([]Value, fn.NumRegs)}
-	// Parameters are read via ir.Param, not registers; stash them on the
-	// frame.
-	params := make(map[string]Value, len(args))
-	for i, name := range fn.Params {
-		params[name] = args[i]
-	}
+	fr := e.newFrame(clk, fn, args)
 	start := clk.Now()
-	ret, _, err := e.block(clk, fr, params, fn.Body)
-	if e.opt.Collector != nil {
-		e.opt.Collector.FuncCall(fn.Name, clk.Now().Sub(start))
+	ret, _, err := e.run(&fr, body)
+	if fr.rec != nil {
+		fr.rec.Call(clk.Now().Sub(start))
 	}
+	e.depth--
 	return ret, err
 }
 
-// block executes stmts; returned reports whether a Return fired.
-func (e *Executor) block(clk *sim.Clock, fr *frame, params map[string]Value, stmts []ir.Stmt) (ret Value, returned bool, err error) {
-	for _, s := range stmts {
-		switch st := s.(type) {
-		case *ir.Assign:
-			v, err := e.eval(clk, fr, params, st.Val)
+// run executes a resolved body; returned reports whether a Return fired.
+func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err error) {
+	clk := fr.clk
+	for i := range body {
+		n := &body[i]
+		switch n.op {
+		case opAssign:
+			v, err := e.eval(fr, n.a)
 			if err != nil {
 				return Value{}, false, err
 			}
-			fr.regs[st.Dst] = v
+			fr.regs[n.dst] = v
 
-		case *ir.Load:
-			idx, err := e.eval(clk, fr, params, st.Index)
+		case opLoad:
+			idx, err := e.eval(fr, n.a)
 			if err != nil {
 				return Value{}, false, err
 			}
-			f, err := e.field(st.Obj, st.Field)
-			if err != nil {
+			a := n.acc
+			if a.err != nil {
+				return Value{}, false, a.err
+			}
+			buf := e.buf[:a.field.Bytes]
+			if err := e.access(fr, a, idx.AsInt(), buf, false); err != nil {
 				return Value{}, false, err
 			}
-			buf := e.buf[:f.Bytes]
-			if err := e.access(clk, fr, st.Obj, idx.AsInt(), f, buf, false,
-				rt.AccessOpts{Native: st.Native}); err != nil {
-				return Value{}, false, err
-			}
-			v, err := decodeField(f, buf)
-			if err != nil {
-				return Value{}, false, err
-			}
-			fr.regs[st.Dst] = v
+			fr.regs[n.dst] = a.codec.decode(buf)
 
-		case *ir.Store:
-			idx, err := e.eval(clk, fr, params, st.Index)
+		case opStore:
+			idx, err := e.eval(fr, n.a)
 			if err != nil {
 				return Value{}, false, err
 			}
-			val, err := e.eval(clk, fr, params, st.Val)
+			val, err := e.eval(fr, n.b)
 			if err != nil {
 				return Value{}, false, err
 			}
-			f, err := e.field(st.Obj, st.Field)
-			if err != nil {
-				return Value{}, false, err
+			a := n.acc
+			if a.err != nil {
+				return Value{}, false, a.err
 			}
-			buf := e.buf[:f.Bytes]
-			if err := encodeField(f, val, buf); err != nil {
-				return Value{}, false, err
-			}
-			if err := e.access(clk, fr, st.Obj, idx.AsInt(), f, buf, true,
-				rt.AccessOpts{Native: st.Native, NoFetch: st.NoFetch}); err != nil {
+			buf := e.buf[:a.field.Bytes]
+			a.codec.encode(val, buf)
+			if err := e.access(fr, a, idx.AsInt(), buf, true); err != nil {
 				return Value{}, false, err
 			}
 
-		case *ir.Loop:
-			startV, err := e.eval(clk, fr, params, st.Start)
+		case opLoop:
+			startV, err := e.eval(fr, n.a)
 			if err != nil {
 				return Value{}, false, err
 			}
-			endV, err := e.eval(clk, fr, params, st.End)
+			endV, err := e.eval(fr, n.b)
 			if err != nil {
 				return Value{}, false, err
 			}
-			stepV, err := e.eval(clk, fr, params, st.Step)
+			stepV, err := e.eval(fr, n.c)
 			if err != nil {
 				return Value{}, false, err
 			}
-			step := stepV.AsInt()
+			step, end := stepV.AsInt(), endV.AsInt()
 			if step <= 0 {
-				return Value{}, false, fmt.Errorf("exec: loop %q step %d", st.Name, step)
+				return Value{}, false, fmt.Errorf("exec: loop %q step %d", n.name, step)
 			}
-			for iv := startV.AsInt(); iv < endV.AsInt(); iv += step {
-				fr.regs[st.IVReg] = IntV(iv)
+			for iv := startV.AsInt(); iv < end; iv += step {
+				fr.regs[n.dst] = IntV(iv)
 				clk.Advance(e.opt.ComputeOp) // loop control
-				r, returned, err := e.block(clk, fr, params, st.Body)
+				r, returned, err := e.run(fr, n.body)
 				if err != nil {
 					return Value{}, false, err
 				}
@@ -219,16 +244,16 @@ func (e *Executor) block(clk *sim.Clock, fr *frame, params map[string]Value, stm
 				}
 			}
 
-		case *ir.If:
-			c, err := e.eval(clk, fr, params, st.Cond)
+		case opIf:
+			c, err := e.eval(fr, n.a)
 			if err != nil {
 				return Value{}, false, err
 			}
-			body := st.Then
+			body := n.body
 			if !c.Truthy() {
-				body = st.Else
+				body = n.els
 			}
-			r, returned, err := e.block(clk, fr, params, body)
+			r, returned, err := e.run(fr, body)
 			if err != nil {
 				return Value{}, false, err
 			}
@@ -236,14 +261,11 @@ func (e *Executor) block(clk *sim.Clock, fr *frame, params map[string]Value, stm
 				return r, true, nil
 			}
 
-		case *ir.Call:
-			callee, ok := e.p.Func(st.Callee)
-			if !ok {
-				return Value{}, false, fmt.Errorf("exec: call of unknown function %q", st.Callee)
-			}
-			args := make([]Value, len(st.Args))
-			for i, a := range st.Args {
-				v, err := e.eval(clk, fr, params, a)
+		case opCall:
+			cs := n.call
+			args := make([]Value, len(cs.args))
+			for i, a := range cs.args {
+				v, err := e.eval(fr, a)
 				if err != nil {
 					return Value{}, false, err
 				}
@@ -251,86 +273,98 @@ func (e *Executor) block(clk *sim.Clock, fr *frame, params map[string]Value, stm
 			}
 			var r Value
 			var err error
-			if st.Offload && e.remote == nil {
-				r, err = e.offloadCall(clk, callee, args)
+			if cs.offload && e.remote == nil {
+				r, err = e.offloadCall(clk, cs.callee, args)
 			} else {
-				r, err = e.call(clk, callee, args)
+				r, err = e.call(clk, cs.callee, args)
 			}
 			if err != nil {
 				return Value{}, false, err
 			}
-			if st.Dst >= 0 {
-				fr.regs[st.Dst] = r
+			if n.dst >= 0 {
+				fr.regs[n.dst] = r
 			}
 
-		case *ir.Return:
-			if st.Val == nil {
+		case opReturn:
+			if n.a == nil {
 				return Value{}, true, nil
 			}
-			v, err := e.eval(clk, fr, params, st.Val)
+			v, err := e.eval(fr, n.a)
 			if err != nil {
 				return Value{}, false, err
 			}
 			return v, true, nil
 
-		case *ir.Prefetch:
+		case opPrefetch:
 			if e.remote != nil {
 				break // far-node code needs no prefetch
 			}
-			idx, err := e.eval(clk, fr, params, st.Index)
+			idx, err := e.eval(fr, n.a)
 			if err != nil {
 				return Value{}, false, err
 			}
-			f, err := e.field(st.Obj, st.Field)
-			if err != nil {
-				return Value{}, false, err
+			a := n.acc
+			if a.err != nil {
+				return Value{}, false, a.err
 			}
 			e.yield()
 			t0 := clk.Now()
-			if err := e.be.Prefetch(clk, st.Obj, idx.AsInt(), f); err != nil {
+			if a.byH {
+				err = e.hb.PrefetchH(clk, a.h, idx.AsInt(), a.field)
+			} else {
+				err = e.be.Prefetch(clk, a.name, idx.AsInt(), a.field)
+			}
+			if err != nil {
 				return Value{}, false, err
 			}
 			e.chargeRuntime(fr, clk.Now().Sub(t0))
 
-		case *ir.BatchPrefetch:
+		case opBatchPrefetch:
 			if e.remote != nil {
 				break
 			}
-			entries := make([]rt.BatchEntry, 0, len(st.Entries))
-			for _, pe := range st.Entries {
-				idx, err := e.eval(clk, fr, params, pe.Index)
+			b := n.batch
+			if e.batchOf != b {
+				e.batch, e.batchOf = append(e.batch[:0], b.entries...), b
+			}
+			for i, x := range b.idx {
+				idx, err := e.eval(fr, x)
 				if err != nil {
 					return Value{}, false, err
 				}
-				f, err := e.field(pe.Obj, pe.Field)
-				if err != nil {
-					return Value{}, false, err
+				if b.errs != nil && b.errs[i] != nil {
+					return Value{}, false, b.errs[i]
 				}
-				entries = append(entries, rt.BatchEntry{Obj: pe.Obj, Elem: idx.AsInt(), Field: f})
+				e.batch[i].Elem = idx.AsInt()
 			}
 			e.yield()
 			t0 := clk.Now()
-			if err := e.be.PrefetchBatch(clk, entries); err != nil {
+			if err := e.be.PrefetchBatch(clk, e.batch); err != nil {
 				return Value{}, false, err
 			}
 			e.chargeRuntime(fr, clk.Now().Sub(t0))
 
-		case *ir.Evict:
+		case opEvict:
 			if e.remote != nil {
 				break
 			}
-			idx, err := e.eval(clk, fr, params, st.Index)
+			idx, err := e.eval(fr, n.a)
 			if err != nil {
 				return Value{}, false, err
 			}
 			e.yield()
 			t0 := clk.Now()
-			if err := e.be.EvictHint(clk, st.Obj, idx.AsInt()); err != nil {
+			if a := n.acc; a.byH {
+				err = e.hb.EvictHintH(clk, a.h, idx.AsInt())
+			} else {
+				err = e.be.EvictHint(clk, a.name, idx.AsInt())
+			}
+			if err != nil {
 				return Value{}, false, err
 			}
 			e.chargeRuntime(fr, clk.Now().Sub(t0))
 
-		case *ir.Fence:
+		case opFence:
 			if e.remote != nil {
 				break
 			}
@@ -339,24 +373,30 @@ func (e *Executor) block(clk *sim.Clock, fr *frame, params map[string]Value, stm
 			e.be.Fence(clk)
 			e.chargeRuntime(fr, clk.Now().Sub(t0))
 
-		case *ir.Release:
+		case opRelease:
 			if e.remote != nil {
 				break
 			}
 			e.yield()
 			t0 := clk.Now()
-			if err := e.be.Release(clk, st.Obj); err != nil {
+			var err error
+			if a := n.acc; a.byH {
+				err = e.hb.ReleaseH(clk, a.h)
+			} else {
+				err = e.be.Release(clk, a.name)
+			}
+			if err != nil {
 				return Value{}, false, err
 			}
 			e.chargeRuntime(fr, clk.Now().Sub(t0))
 
-		case *ir.Intrinsic:
-			if err := e.intrinsic(clk, fr, params, st); err != nil {
+		case opIntrinsic:
+			if err := e.intrinsic(fr, n.intr); err != nil {
 				return Value{}, false, err
 			}
 
-		default:
-			return Value{}, false, fmt.Errorf("exec: unknown statement %T", s)
+		default: // opInvalid
+			return Value{}, false, n.err
 		}
 	}
 	return Value{}, false, nil
@@ -364,22 +404,27 @@ func (e *Executor) block(clk *sim.Clock, fr *frame, params map[string]Value, stm
 
 // access routes a scalar access to the local backend or, in offloaded mode,
 // directly to far-node memory (charging the remote clock a native access).
-func (e *Executor) access(clk *sim.Clock, fr *frame, obj string, elem int64, f ir.Field, buf []byte, write bool, opts rt.AccessOpts) error {
+func (e *Executor) access(fr *frame, a *access, elem int64, buf []byte, write bool) error {
+	clk := fr.clk
+	e.yield() // offloaded too: scattered sub-offloads interleave at access boundaries
 	if e.remote != nil {
-		e.yield()                    // scattered sub-offloads interleave at access boundaries
 		clk.Advance(e.opt.ComputeOp) // native far-node access
-		return e.remote.RemoteAccess(clk, obj, elem, f, buf, write)
+		return e.remote.RemoteAccess(clk, a.name, elem, a.field, buf, write)
 	}
-	e.yield()
 	t0 := clk.Now()
 	var m0 int64
 	if e.misses != nil {
 		m0 = e.misses.MissCount()
 	}
-	err := e.be.Access(clk, obj, elem, f, buf, write, opts)
+	var err error
+	if a.byH {
+		err = e.hb.AccessH(clk, a.h, elem, a.field, buf, write, a.opts)
+	} else {
+		err = e.be.Access(clk, a.name, elem, a.field, buf, write, a.opts)
+	}
 	e.chargeRuntime(fr, clk.Now().Sub(t0))
 	if e.misses != nil {
-		e.opt.Collector.AccessEvent(fr.fn.Name, e.misses.MissCount() > m0)
+		fr.rec.Access(e.misses.MissCount() > m0)
 	}
 	return err
 }
@@ -394,64 +439,66 @@ func (e *Executor) yield() {
 
 // chargeRuntime attributes backend-internal time to the current function.
 func (e *Executor) chargeRuntime(fr *frame, d sim.Duration) {
-	if e.opt.Collector != nil && d > 0 {
-		e.opt.Collector.RuntimeTime(fr.fn.Name, d)
+	if fr.rec != nil && d > 0 {
+		fr.rec.RuntimeTime(d)
 	}
 }
 
-// field resolves obj.field with caching.
-func (e *Executor) field(obj, field string) (ir.Field, error) {
-	key := obj + "\x00" + field
-	if f, ok := e.fields[key]; ok {
-		return f, nil
+// eval computes an expression, charging one ComputeOp per operator node. A
+// subtree that cannot fail (see expr.ops) is charged for all its operators at
+// once — nothing reads the clock inside an expression — and computed by
+// value; above it operators are charged one by one as they are applied, so an
+// expression failing half way has charged exactly the operators it reached.
+func (e *Executor) eval(fr *frame, x *expr) (Value, error) {
+	if x.ops >= 0 {
+		fr.clk.Advance(e.opt.ComputeOp * sim.Duration(x.ops))
+		return fr.value(x), nil
 	}
-	o, ok := e.p.Object(obj)
-	if !ok {
-		return ir.Field{}, fmt.Errorf("exec: unknown object %q", obj)
+	switch x.kind {
+	case exBin:
+		a, err := e.eval(fr, x.a)
+		if err != nil {
+			return Value{}, err
+		}
+		b, err := e.eval(fr, x.b)
+		if err != nil {
+			return Value{}, err
+		}
+		fr.clk.Advance(e.opt.ComputeOp)
+		return applyBin(x.bin, a, b)
+	case exUn:
+		a, err := e.eval(fr, x.a)
+		if err != nil {
+			return Value{}, err
+		}
+		fr.clk.Advance(e.opt.ComputeOp)
+		return applyUn(x.un, a)
+	default: // exInvalid
+		return Value{}, x.err
 	}
-	f, ok := o.FieldByName(field)
-	if !ok {
-		return ir.Field{}, fmt.Errorf("exec: object %q has no field %q", obj, field)
-	}
-	e.fields[key] = f
-	return f, nil
 }
 
-// eval computes an expression, charging one ComputeOp per operator node.
-func (e *Executor) eval(clk *sim.Clock, fr *frame, params map[string]Value, x ir.Expr) (Value, error) {
-	switch t := x.(type) {
-	case *ir.Const:
-		return IntV(t.I), nil
-	case *ir.ConstF:
-		return FloatV(t.F), nil
-	case *ir.Reg:
-		return fr.regs[t.ID], nil
-	case *ir.Param:
-		v, ok := params[t.Name]
-		if !ok {
-			return Value{}, fmt.Errorf("exec: unbound parameter %q in %q", t.Name, fr.fn.Name)
-		}
-		return v, nil
-	case *ir.Bin:
-		a, err := e.eval(clk, fr, params, t.A)
-		if err != nil {
-			return Value{}, err
-		}
-		b, err := e.eval(clk, fr, params, t.B)
-		if err != nil {
-			return Value{}, err
-		}
-		clk.Advance(e.opt.ComputeOp)
-		return applyBin(t.Op, a, b)
-	case *ir.Un:
-		a, err := e.eval(clk, fr, params, t.A)
-		if err != nil {
-			return Value{}, err
-		}
-		clk.Advance(e.opt.ComputeOp)
-		return applyUn(t.Op, a)
-	default:
-		return Value{}, fmt.Errorf("exec: unknown expression %T", x)
+// value computes an expression that cannot fail. It is small enough to
+// inline, so a register operand costs no call.
+func (fr *frame) value(x *expr) Value {
+	if x.kind == exReg {
+		return fr.regs[x.slot]
+	}
+	return fr.valueOp(x)
+}
+
+func (fr *frame) valueOp(x *expr) Value {
+	switch x.kind {
+	case exBin:
+		v, _ := applyBin(x.bin, fr.value(x.a), fr.value(x.b))
+		return v
+	case exUn:
+		v, _ := applyUn(x.un, fr.value(x.a))
+		return v
+	case exConst:
+		return x.val
+	default: // exParam
+		return fr.args[x.slot]
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // rtBackend builds a Mira runtime with all objects of p in one
 // fully-associative section (simple, correct defaults for interpreter
 // tests).
-func rtBackend(t *testing.T, p *ir.Program) *rt.Runtime {
+func rtBackend(t testing.TB, p *ir.Program) *rt.Runtime {
 	t.Helper()
 	placements := map[string]rt.Placement{}
 	for _, o := range p.Objects {
@@ -567,5 +567,75 @@ func TestMissRateProfiled(t *testing.T) {
 	}
 	if got := rec.MissRate(); got != 8.0/256 {
 		t.Fatalf("miss rate %v", got)
+	}
+}
+
+// TestUncarriableFieldIsAnErrorWhenExecuted: ir.Validate accepts any field
+// that fits its element, but the interpreter's registers carry 1-, 2-, 4- and
+// 8-byte integers and 8-byte floats only. A Load or Store of anything else is
+// a run error at that statement — not a panic slicing the 8-byte scratch, and
+// not an error for a program that never reaches the statement.
+func TestUncarriableFieldIsAnErrorWhenExecuted(t *testing.T) {
+	cases := []struct {
+		name  string
+		decl  func(b *ir.Builder)
+		field string
+	}{
+		{"16-byte field", func(b *ir.Builder) { b.Object("s", 16, 4, ir.Field{Name: "blob", Bytes: 16}) }, "blob"},
+		{"whole 16-byte element", func(b *ir.Builder) { b.Object("s", 16, 4, ir.F("lo", 0, 8)) }, ""},
+		{"3-byte int field", func(b *ir.Builder) { b.Object("s", 8, 4, ir.Field{Name: "tri", Bytes: 3}) }, "tri"},
+		{"4-byte float field", func(b *ir.Builder) { b.Object("s", 8, 4, ir.Field{Name: "f32", Bytes: 4, Float: true}) }, "f32"},
+	}
+	for _, c := range cases {
+		for _, store := range []bool{false, true} {
+			for _, reached := range []bool{true, false} {
+				b := ir.NewBuilder("width")
+				c.decl(b)
+				fb := b.Func("main")
+				fb.If(ir.C(boolInt(reached)), func() {
+					if store {
+						fb.Store("s", ir.C(0), c.field, ir.C(1))
+					} else {
+						fb.Load("s", ir.C(0), c.field)
+					}
+				}, nil)
+				fb.Return(ir.C(7))
+				p := b.MustProgram()
+				ex, err := New(p, rtBackend(t, p), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := ex.Run(sim.NewClock(0))
+				switch {
+				case reached && err == nil:
+					t.Errorf("%s (store=%v): executed without error", c.name, store)
+				case !reached && (err != nil || v.AsInt() != 7):
+					t.Errorf("%s (store=%v): unreached statement: got %v, %v", c.name, store, v, err)
+				}
+			}
+		}
+	}
+}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestProfilingDoesNotMoveTheClock: the collector's taps observe simulated
+// time and charge none — a profiled and an unprofiled run of one program end
+// on the same clock with the same result.
+func TestProfilingDoesNotMoveTheClock(t *testing.T) {
+	p := scanProgram(512)
+	plainV, _, plain := runProgram(t, p, Options{})
+	col := profile.NewCollector()
+	profV, _, profiled := runProgram(t, p, Options{Collector: col})
+	if plain.Now() != profiled.Now() || plainV != profV {
+		t.Fatalf("unprofiled run: %v at %v; profiled run: %v at %v", plainV, plain.Now(), profV, profiled.Now())
+	}
+	if rec := col.Func("scan"); rec == nil || rec.Calls != 1 || rec.Accesses != 3*512+1 || rec.Total != profiled.Now().Sub(0) {
+		t.Fatalf("profile of the profiled run: %+v", rec)
 	}
 }

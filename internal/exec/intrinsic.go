@@ -13,22 +13,23 @@ import (
 // backend's bulk path (so they exercise the cache sections exactly like
 // scalar code does) and the arithmetic itself runs natively, charged per
 // floating-point operation.
-func (e *Executor) intrinsic(clk *sim.Clock, fr *frame, params map[string]Value, st *ir.Intrinsic) error {
-	switch st.Kind {
+func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
+	clk := fr.clk
+	switch st.kind {
 	case ir.IntrMatMul:
-		a, err := e.readMatrix(clk, fr, params, st.A)
+		a, err := e.readMatrix(fr, st.a, 0)
 		if err != nil {
 			return err
 		}
-		b, err := e.readMatrix(clk, fr, params, st.B)
+		b, err := e.readMatrix(fr, st.b, 1)
 		if err != nil {
 			return err
 		}
-		c, err := e.readMatrix(clk, fr, params, st.Dst)
+		c, err := e.readMatrix(fr, st.dst, 2)
 		if err != nil {
 			return err
 		}
-		m, k, n := int(st.A.Rows), int(st.A.Cols), int(st.B.Cols)
+		m, k, n := int(st.a.rows), int(st.a.cols), int(st.b.cols)
 		for i := 0; i < m; i++ {
 			for kk := 0; kk < k; kk++ {
 				av := a[i*k+kk]
@@ -43,22 +44,22 @@ func (e *Executor) intrinsic(clk *sim.Clock, fr *frame, params map[string]Value,
 			}
 		}
 		clk.Advance(e.opt.FloatOp * sim.Duration(2*m*n*k))
-		return e.writeMatrix(clk, fr, params, st.Dst, c)
+		return e.writeMatrix(fr, st.dst, c)
 
 	case ir.IntrMatMulT:
-		a, err := e.readMatrix(clk, fr, params, st.A)
+		a, err := e.readMatrix(fr, st.a, 0)
 		if err != nil {
 			return err
 		}
-		b, err := e.readMatrix(clk, fr, params, st.B)
+		b, err := e.readMatrix(fr, st.b, 1)
 		if err != nil {
 			return err
 		}
-		c, err := e.readMatrix(clk, fr, params, st.Dst)
+		c, err := e.readMatrix(fr, st.dst, 2)
 		if err != nil {
 			return err
 		}
-		m, k, n := int(st.A.Rows), int(st.A.Cols), int(st.B.Rows)
+		m, k, n := int(st.a.rows), int(st.a.cols), int(st.b.rows)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				var acc float64
@@ -71,34 +72,34 @@ func (e *Executor) intrinsic(clk *sim.Clock, fr *frame, params map[string]Value,
 			}
 		}
 		clk.Advance(e.opt.FloatOp * sim.Duration(2*m*n*k))
-		return e.writeMatrix(clk, fr, params, st.Dst, c)
+		return e.writeMatrix(fr, st.dst, c)
 
 	case ir.IntrAdd:
-		a, err := e.readMatrix(clk, fr, params, st.A)
+		a, err := e.readMatrix(fr, st.a, 0)
 		if err != nil {
 			return err
 		}
-		b, err := e.readMatrix(clk, fr, params, st.B)
+		b, err := e.readMatrix(fr, st.b, 1)
 		if err != nil {
 			return err
 		}
-		if len(a) != len(b) || st.Dst.Elems() != st.A.Elems() {
+		if len(a) != len(b) || st.dst.elems() != st.a.elems() {
 			return fmt.Errorf("exec: add shape mismatch")
 		}
-		out := make([]float64, len(a))
+		out := e.operand(2, len(a))
 		for i := range a {
 			out[i] = a[i] + b[i]
 		}
 		clk.Advance(e.opt.FloatOp * sim.Duration(len(a)))
-		return e.writeMatrix(clk, fr, params, st.Dst, out)
+		return e.writeMatrix(fr, st.dst, out)
 
 	case ir.IntrLayerNorm:
-		a, err := e.readMatrix(clk, fr, params, st.A)
+		a, err := e.readMatrix(fr, st.a, 0)
 		if err != nil {
 			return err
 		}
-		rows, cols := int(st.A.Rows), int(st.A.Cols)
-		out := make([]float64, len(a))
+		rows, cols := int(st.a.rows), int(st.a.cols)
+		out := e.operand(1, len(a))
 		for i := 0; i < rows; i++ {
 			row := a[i*cols : (i+1)*cols]
 			var mean float64
@@ -118,15 +119,15 @@ func (e *Executor) intrinsic(clk *sim.Clock, fr *frame, params map[string]Value,
 			}
 		}
 		clk.Advance(e.opt.FloatOp * sim.Duration(8*len(a)))
-		return e.writeMatrix(clk, fr, params, st.Dst, out)
+		return e.writeMatrix(fr, st.dst, out)
 
 	case ir.IntrSoftmax:
-		a, err := e.readMatrix(clk, fr, params, st.A)
+		a, err := e.readMatrix(fr, st.a, 0)
 		if err != nil {
 			return err
 		}
-		rows, cols := int(st.A.Rows), int(st.A.Cols)
-		out := make([]float64, len(a))
+		rows, cols := int(st.a.rows), int(st.a.cols)
+		out := e.operand(1, len(a))
 		for i := 0; i < rows; i++ {
 			row := a[i*cols : (i+1)*cols]
 			maxV := math.Inf(-1)
@@ -146,48 +147,51 @@ func (e *Executor) intrinsic(clk *sim.Clock, fr *frame, params map[string]Value,
 			}
 		}
 		clk.Advance(e.opt.FloatOp * sim.Duration(6*len(a)))
-		return e.writeMatrix(clk, fr, params, st.Dst, out)
+		return e.writeMatrix(fr, st.dst, out)
 
 	case ir.IntrGelu:
-		a, err := e.readMatrix(clk, fr, params, st.A)
+		a, err := e.readMatrix(fr, st.a, 0)
 		if err != nil {
 			return err
 		}
-		out := make([]float64, len(a))
+		out := e.operand(1, len(a))
 		const c0 = 0.7978845608028654 // sqrt(2/pi)
 		for i, v := range a {
 			out[i] = 0.5 * v * (1 + math.Tanh(c0*(v+0.044715*v*v*v)))
 		}
 		clk.Advance(e.opt.FloatOp * sim.Duration(8*len(a)))
-		return e.writeMatrix(clk, fr, params, st.Dst, out)
+		return e.writeMatrix(fr, st.dst, out)
 
 	case ir.IntrCopy:
-		a, err := e.readMatrix(clk, fr, params, st.A)
+		a, err := e.readMatrix(fr, st.a, 0)
 		if err != nil {
 			return err
 		}
-		return e.writeMatrix(clk, fr, params, st.Dst, a)
+		return e.writeMatrix(fr, st.dst, a)
 
 	case ir.IntrZero:
-		return e.writeMatrix(clk, fr, params, st.Dst, make([]float64, st.Dst.Elems()))
+		out := e.operand(0, st.dst.elems())
+		clear(out)
+		return e.writeMatrix(fr, st.dst, out)
 
 	default:
-		return fmt.Errorf("exec: unknown intrinsic %v", st.Kind)
+		return fmt.Errorf("exec: unknown intrinsic %v", st.kind)
 	}
 }
 
-// readMatrix pulls a tensor view into a float slice through the bulk path.
-func (e *Executor) readMatrix(clk *sim.Clock, fr *frame, params map[string]Value, t ir.TensorRef) ([]float64, error) {
-	off, err := e.eval(clk, fr, params, t.Off)
+// readMatrix pulls a tensor view through the bulk path into float scratch
+// slot (see operand).
+func (e *Executor) readMatrix(fr *frame, t tensor, slot int) ([]float64, error) {
+	off, err := e.eval(fr, t.off)
 	if err != nil {
 		return nil, err
 	}
-	n := int(t.Elems())
+	n := t.elems()
 	buf := e.staging(n * 8)
-	if err := e.bulk(clk, fr, t.Obj, off.AsInt(), buf, false); err != nil {
+	if err := e.bulk(fr, t.objRef, off.AsInt(), buf, false); err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
+	out := e.operand(slot, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 	}
@@ -195,26 +199,25 @@ func (e *Executor) readMatrix(clk *sim.Clock, fr *frame, params map[string]Value
 }
 
 // writeMatrix pushes a float slice back through the bulk path.
-func (e *Executor) writeMatrix(clk *sim.Clock, fr *frame, params map[string]Value, t ir.TensorRef, vals []float64) error {
-	off, err := e.eval(clk, fr, params, t.Off)
+func (e *Executor) writeMatrix(fr *frame, t tensor, vals []float64) error {
+	off, err := e.eval(fr, t.off)
 	if err != nil {
 		return err
 	}
-	if int64(len(vals)) != t.Elems() {
-		return fmt.Errorf("exec: writeMatrix size %d != %dx%d", len(vals), t.Rows, t.Cols)
+	if len(vals) != t.elems() {
+		return fmt.Errorf("exec: writeMatrix size %d != %dx%d", len(vals), t.rows, t.cols)
 	}
 	buf := e.staging(len(vals) * 8)
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 	}
-	return e.bulk(clk, fr, t.Obj, off.AsInt(), buf, true)
+	return e.bulk(fr, t.objRef, off.AsInt(), buf, true)
 }
 
 // staging returns the executor's bulk staging buffer sized to n bytes: the
 // byte half of a tensor operand, dead as soon as readMatrix has decoded it or
-// the bulk write has returned (the float halves stay separate allocations —
-// two operands are live together). One Executor is one simulated thread's
-// one request (session.exec), so the scratch needs no locking.
+// the bulk write has returned. One Executor is one simulated thread's one
+// request (session.exec), so the scratch needs no locking.
 func (e *Executor) staging(n int) []byte {
 	if cap(e.stage) < n {
 		e.stage = make([]byte, n)
@@ -222,21 +225,40 @@ func (e *Executor) staging(n int) []byte {
 	return e.stage[:n]
 }
 
+// operand returns float scratch slot sized to n values, contents unspecified:
+// the float half of a tensor operand or result. Three slots are enough
+// because no intrinsic holds more than three matrices at once (matmul's two
+// sources and its accumulating destination; add's two sources and its
+// result), an intrinsic never starts another one, and a matrix is dead once
+// writeMatrix has encoded it into the staging bytes. Like staging they belong
+// to one Executor — an offload child has its own — so nothing is locked.
+func (e *Executor) operand(slot, n int) []float64 {
+	if cap(e.floats[slot]) < n {
+		e.floats[slot] = make([]float64, n)
+	}
+	return e.floats[slot][:n]
+}
+
 // bulk routes a bulk transfer locally or, in offloaded mode, to far-node
 // memory.
-func (e *Executor) bulk(clk *sim.Clock, fr *frame, obj string, elem int64, buf []byte, write bool) error {
-	if e.remote != nil {
-		e.yield()
-		clk.Advance(e.opt.ComputeOp * sim.Duration(len(buf)/64+1))
-		return e.remote.RemoteBulk(clk, obj, elem, buf, write)
-	}
+func (e *Executor) bulk(fr *frame, o objRef, elem int64, buf []byte, write bool) error {
+	clk := fr.clk
 	e.yield()
+	if e.remote != nil {
+		clk.Advance(e.opt.ComputeOp * sim.Duration(len(buf)/64+1))
+		return e.remote.RemoteBulk(clk, o.name, elem, buf, write)
+	}
 	t0 := clk.Now()
 	var err error
-	if write {
-		err = e.be.BulkWrite(clk, obj, elem, buf)
-	} else {
-		err = e.be.BulkRead(clk, obj, elem, buf)
+	switch {
+	case o.byH && write:
+		err = e.hb.BulkWriteH(clk, o.h, elem, buf)
+	case o.byH:
+		err = e.hb.BulkReadH(clk, o.h, elem, buf)
+	case write:
+		err = e.be.BulkWrite(clk, o.name, elem, buf)
+	default:
+		err = e.be.BulkRead(clk, o.name, elem, buf)
 	}
 	e.chargeRuntime(fr, clk.Now().Sub(t0))
 	return err

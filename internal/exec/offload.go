@@ -28,7 +28,7 @@ func (e *Executor) offloadCall(clk *sim.Clock, fn *ir.Func, args []Value) (Value
 	// Flush objects the function (transitively) accesses so the far node
 	// sees up-to-date data, and so post-call local reads refetch data the
 	// far node wrote (§5.2.1 "generating offloaded function binaries").
-	for _, obj := range e.objectsOf(fn, map[string]bool{}) {
+	for _, obj := range objectsOf(e.p, fn, map[string]bool{}) {
 		t0 := clk.Now()
 		if err := e.be.FlushObject(clk, obj); err != nil {
 			return Value{}, err
@@ -45,13 +45,7 @@ func (e *Executor) offloadCall(clk *sim.Clock, fn *ir.Func, args []Value) (Value
 	}
 
 	// Run the body remotely on a fresh clock.
-	remoteExec := &Executor{
-		p:      e.p,
-		be:     e.be,
-		opt:    Options{ComputeOp: e.opt.ComputeOp, FloatOp: e.opt.FloatOp},
-		fields: e.fields,
-		remote: renv,
-	}
+	remoteExec := e.child(Options{ComputeOp: e.opt.ComputeOp, FloatOp: e.opt.FloatOp}, renv)
 	rclk := sim.NewClock(0)
 	ret, err := remoteExec.call(rclk, fn, args)
 	if err != nil {
@@ -93,11 +87,11 @@ func (e *Executor) scatterCall(clk *sim.Clock, fn *ir.Func, args []Value) (Value
 	if !ok {
 		return Value{}, false, nil
 	}
-	lo, ok := evalBound(plan.Lo, fn, args)
+	lo, ok := e.tab.bound(fn, plan.Lo, args)
 	if !ok {
 		return Value{}, false, nil
 	}
-	hi, ok := evalBound(plan.Hi, fn, args)
+	hi, ok := e.tab.bound(fn, plan.Hi, args)
 	if !ok {
 		return Value{}, false, nil
 	}
@@ -113,18 +107,12 @@ func (e *Executor) scatterCall(clk *sim.Clock, fn *ir.Func, args []Value) (Value
 	runner := func(rclk *sim.Clock, yield func(), ranges [][2]int64, env *offload.NodeEnv) (offload.Scalar, error) {
 		sfn := plan.SubFunc(ranges)
 		slow := env.Slowdown()
-		sub := &Executor{
-			p:  e.p,
-			be: e.be,
-			opt: Options{
-				ComputeOp: sim.Duration(float64(e.opt.ComputeOp) * slow),
-				FloatOp:   sim.Duration(float64(e.opt.FloatOp) * slow),
-				Yield:     yield,
-			},
-			fields: e.fields,
-			remote: scatterEnv{env: env},
-		}
-		ret, err := sub.call(rclk, sfn, args)
+		sub := e.child(Options{
+			ComputeOp: sim.Duration(float64(e.opt.ComputeOp) * slow),
+			FloatOp:   sim.Duration(float64(e.opt.FloatOp) * slow),
+			Yield:     yield,
+		}, scatterEnv{env: env})
+		ret, err := sub.invoke(rclk, sfn, e.tab.block(sfn, sfn.Body), args)
 		if err != nil {
 			return offload.Scalar{}, err
 		}
@@ -155,13 +143,9 @@ func (e *Executor) scatterCall(clk *sim.Clock, fn *ir.Func, args []Value) (Value
 	// execution would have produced.
 	e.yield()
 	e.be.Fence(clk)
-	fr := &frame{fn: fn, regs: make([]Value, fn.NumRegs)}
+	fr := e.newFrame(clk, fn, args)
 	fr.regs[plan.AccReg] = acc
-	params := make(map[string]Value, len(args))
-	for i, name := range fn.Params {
-		params[name] = args[i]
-	}
-	ret, returned, err := e.block(clk, fr, params, plan.Tail)
+	ret, returned, err := e.run(&fr, e.tab.block(fn, plan.Tail))
 	if err != nil {
 		return Value{}, true, err
 	}
@@ -174,17 +158,14 @@ func (e *Executor) scatterCall(clk *sim.Clock, fn *ir.Func, args []Value) (Value
 	return ret, true, nil
 }
 
-// evalBound resolves a scatter bound (constant or scalar parameter).
-func evalBound(x ir.Expr, fn *ir.Func, args []Value) (int64, bool) {
-	switch t := x.(type) {
-	case *ir.Const:
-		return t.I, true
-	case *ir.Param:
-		for i, name := range fn.Params {
-			if name == t.Name {
-				return args[i].AsInt(), true
-			}
-		}
+// bound computes a scatter bound, which AnalyzeScatter admits only as a
+// constant or one of fn's scalar parameters.
+func (t *table) bound(fn *ir.Func, x ir.Expr, args []Value) (int64, bool) {
+	switch r := t.expr(fn, x); r.kind {
+	case exConst:
+		return r.val.I, !r.val.Float
+	case exParam:
+		return args[r.slot].AsInt(), true
 	}
 	return 0, false
 }
@@ -213,7 +194,7 @@ func (s scatterEnv) OffloadTransfer(clk *sim.Clock, argBytes, resBytes int, remo
 
 // objectsOf lists the far-relevant objects a function (and its callees)
 // accesses.
-func (e *Executor) objectsOf(fn *ir.Func, visited map[string]bool) []string {
+func objectsOf(p *ir.Program, fn *ir.Func, visited map[string]bool) []string {
 	if visited[fn.Name] {
 		return nil
 	}
@@ -239,8 +220,8 @@ func (e *Executor) objectsOf(fn *ir.Func, visited map[string]bool) []string {
 				}
 			}
 		case *ir.Call:
-			if callee, ok := e.p.Func(st.Callee); ok {
-				for _, o := range e.objectsOf(callee, visited) {
+			if callee, ok := p.Func(st.Callee); ok {
+				for _, o := range objectsOf(p, callee, visited) {
 					add(o)
 				}
 			}

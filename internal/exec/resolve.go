@@ -1,0 +1,345 @@
+package exec
+
+import (
+	"fmt"
+
+	"mira/internal/ir"
+	"mira/internal/rt"
+	"mira/internal/sim"
+)
+
+// This file is the resolve step: everything about a function body that is
+// fixed per program — which ir.Field an access names and how its bytes become
+// a Value, which args slot a parameter reads, which *ir.Func a call reaches,
+// what the backend calls the object — is looked up once, when the body is
+// first called, and the interpreter in exec.go runs the result. Resolved code
+// is never written after it is built: the executor that built it and the
+// offload children it spawns read the same nodes, and whatever an execution
+// needs to scribble on (staging bytes, float operands, the batch-prefetch
+// entries) lives on the Executor.
+//
+// Resolution never fails. A validated program resolves cleanly except for a
+// field the scalar codec cannot carry; that error, like any other a node
+// could not be resolved past (an unvalidated body naming an unknown object,
+// field, function or parameter), is kept on the node and returned if and when
+// the node executes, after the operands the tree walk used to evaluate first.
+
+// handler is the optional backend capability that takes the name lookup off
+// the access path: the backend resolves an object to a handle once and the
+// executor presents the handle on every operation. The Mira runtime has it;
+// a backend without it is driven by name, with identical results.
+type handler interface {
+	Handle(name string) (rt.Handle, bool)
+	AccessH(clk *sim.Clock, h rt.Handle, elem int64, field ir.Field, buf []byte, write bool, opts rt.AccessOpts) error
+	PrefetchH(clk *sim.Clock, h rt.Handle, elem int64, field ir.Field) error
+	EvictHintH(clk *sim.Clock, h rt.Handle, elem int64) error
+	BulkReadH(clk *sim.Clock, h rt.Handle, elem int64, buf []byte) error
+	BulkWriteH(clk *sim.Clock, h rt.Handle, elem int64, buf []byte) error
+	ReleaseH(clk *sim.Clock, h rt.Handle) error
+}
+
+// table memoises resolved function bodies for one executor and its offload
+// children. Only the goroutine currently running the program touches it: the
+// children either run inline (whole-call offload) or as sim.Scheduler threads,
+// which hand control to one another and never run side by side.
+type table struct {
+	p     *ir.Program
+	hb    handler // the executor's; nil: the backend is driven by name
+	codes map[*ir.Func][]node
+}
+
+// resolve returns fn's resolved body, building it on first use.
+func (t *table) resolve(fn *ir.Func) []node {
+	if c, ok := t.codes[fn]; ok {
+		return c
+	}
+	c := t.block(fn, fn.Body)
+	t.codes[fn] = c
+	return c
+}
+
+// opcode is a resolved statement's kind.
+type opcode uint8
+
+const (
+	opAssign opcode = iota
+	opLoad
+	opStore
+	opLoop
+	opIf
+	opCall
+	opReturn
+	opPrefetch
+	opBatchPrefetch
+	opEvict
+	opFence
+	opRelease
+	opIntrinsic
+	opInvalid // a statement resolution could not make sense of; err says why
+)
+
+// node is one resolved statement. Which fields mean what, by op:
+//
+//	opAssign         dst = a
+//	opLoad           dst = acc[a]
+//	opStore          acc[a] = b
+//	opLoop           for dst = a; dst < b; dst += c { body }; name for errors
+//	opIf             if a { body } else { els }
+//	opCall           dst = call(...), dst < 0 for none
+//	opReturn         return a (nil: no value)
+//	opPrefetch       prefetch acc[a]
+//	opBatchPrefetch  batch
+//	opEvict          evict acc[a]
+//	opRelease        release acc
+//	opIntrinsic      intr
+//	opInvalid        err
+type node struct {
+	op        opcode
+	dst       int
+	a, b, c   *expr
+	acc       *access
+	body, els []node
+	name      string
+	call      *callSite
+	batch     *batchSite
+	intr      *intrinsicSite
+	err       error // opInvalid: returned when the node executes
+}
+
+// objRef is an object as the backend knows it: by handle when the backend
+// hands them out and knows the object, by name otherwise (the by-name call
+// then reports the unknown object exactly as it always did).
+type objRef struct {
+	name string
+	h    rt.Handle
+	byH  bool
+}
+
+// access is a resolved obj.field site.
+type access struct {
+	objRef
+	field ir.Field
+	codec scalar
+	opts  rt.AccessOpts
+	// err is why the site cannot execute: the object or field does not
+	// exist, or (scalar sites only) the codec cannot carry the field.
+	err error
+}
+
+type callSite struct {
+	callee  *ir.Func
+	args    []*expr
+	offload bool
+}
+
+// batchSite is a resolved BatchPrefetch: entries is the template (Obj, Field
+// and H set, Elem zero) the executor copies into its scratch, idx[i] computes
+// entry i's Elem, and errs — nil unless some entry failed to resolve — holds
+// entry i's error.
+type batchSite struct {
+	idx     []*expr
+	entries []rt.BatchEntry
+	errs    []error
+}
+
+// tensor is a resolved ir.TensorRef.
+type tensor struct {
+	objRef
+	off        *expr
+	rows, cols int64
+}
+
+func (t tensor) elems() int { return int(t.rows * t.cols) }
+
+type intrinsicSite struct {
+	kind      ir.IntrKind
+	dst, a, b tensor
+}
+
+// exprKind is a resolved expression's kind.
+type exprKind uint8
+
+const (
+	exConst exprKind = iota
+	exReg
+	exParam
+	exBin
+	exUn
+	exInvalid // unbound parameter or unknown expression; err says which
+)
+
+// expr is one resolved expression node. Operators keep their place in the
+// tree: none is folded away, and how they are charged is eval's business.
+type expr struct {
+	kind exprKind
+	bin  ir.BinOp
+	un   ir.UnOp
+	slot int   // exReg: register; exParam: index into the frame's args
+	val  Value // exConst
+	a, b *expr
+	// ops is the number of operators in the subtree when none of them can
+	// fail — no integer division or modulo, no operator applyBin or applyUn
+	// does not define, no exInvalid leaf — and -1 otherwise.
+	ops int
+	err error
+}
+
+// block resolves stmts as part of fn's body (fn supplies the parameter
+// slots). The scatter path hands it bodies that are not a whole function:
+// ScatterPlan.Tail, and SubFunc's per-dispatch loops.
+func (t *table) block(fn *ir.Func, stmts []ir.Stmt) []node {
+	out := make([]node, len(stmts))
+	for i, s := range stmts {
+		out[i] = t.stmt(fn, s)
+	}
+	return out
+}
+
+func (t *table) stmt(fn *ir.Func, s ir.Stmt) node {
+	switch st := s.(type) {
+	case *ir.Assign:
+		return node{op: opAssign, dst: st.Dst, a: t.expr(fn, st.Val)}
+	case *ir.Load:
+		acc := t.access(st.Obj, st.Field, true)
+		acc.opts = rt.AccessOpts{Native: st.Native}
+		return node{op: opLoad, dst: st.Dst, a: t.expr(fn, st.Index), acc: acc}
+	case *ir.Store:
+		acc := t.access(st.Obj, st.Field, true)
+		acc.opts = rt.AccessOpts{Native: st.Native, NoFetch: st.NoFetch}
+		return node{op: opStore, a: t.expr(fn, st.Index), b: t.expr(fn, st.Val), acc: acc}
+	case *ir.Loop:
+		return node{op: opLoop, dst: st.IVReg, name: st.Name,
+			a: t.expr(fn, st.Start), b: t.expr(fn, st.End), c: t.expr(fn, st.Step),
+			body: t.block(fn, st.Body)}
+	case *ir.If:
+		return node{op: opIf, a: t.expr(fn, st.Cond), body: t.block(fn, st.Then), els: t.block(fn, st.Else)}
+	case *ir.Call:
+		callee, ok := t.p.Func(st.Callee)
+		if !ok {
+			// The tree walk looked the callee up before its arguments.
+			return node{op: opInvalid, err: fmt.Errorf("exec: call of unknown function %q", st.Callee)}
+		}
+		cs := &callSite{callee: callee, args: make([]*expr, len(st.Args)), offload: st.Offload}
+		for i, a := range st.Args {
+			cs.args[i] = t.expr(fn, a)
+		}
+		return node{op: opCall, dst: st.Dst, call: cs}
+	case *ir.Return:
+		if st.Val == nil {
+			return node{op: opReturn}
+		}
+		return node{op: opReturn, a: t.expr(fn, st.Val)}
+	case *ir.Prefetch:
+		return node{op: opPrefetch, a: t.expr(fn, st.Index), acc: t.access(st.Obj, st.Field, false)}
+	case *ir.BatchPrefetch:
+		b := &batchSite{idx: make([]*expr, len(st.Entries)), entries: make([]rt.BatchEntry, len(st.Entries))}
+		for i, pe := range st.Entries {
+			b.idx[i] = t.expr(fn, pe.Index)
+			acc := t.access(pe.Obj, pe.Field, false)
+			b.entries[i] = rt.BatchEntry{Obj: pe.Obj, Field: acc.field, H: acc.h}
+			if acc.err != nil {
+				if b.errs == nil {
+					b.errs = make([]error, len(st.Entries))
+				}
+				b.errs[i] = acc.err
+			}
+		}
+		return node{op: opBatchPrefetch, batch: b}
+	case *ir.Evict:
+		return node{op: opEvict, a: t.expr(fn, st.Index), acc: &access{objRef: t.ref(st.Obj)}}
+	case *ir.Fence:
+		return node{op: opFence}
+	case *ir.Release:
+		return node{op: opRelease, acc: &access{objRef: t.ref(st.Obj)}}
+	case *ir.Intrinsic:
+		return node{op: opIntrinsic, intr: &intrinsicSite{
+			kind: st.Kind,
+			dst:  t.tensor(fn, st.Dst),
+			a:    t.tensor(fn, st.A),
+			b:    t.tensor(fn, st.B),
+		}}
+	default:
+		return node{op: opInvalid, err: fmt.Errorf("exec: unknown statement %T", s)}
+	}
+}
+
+// ref resolves an object name to what the backend is called with.
+func (t *table) ref(obj string) objRef {
+	r := objRef{name: obj}
+	if t.hb != nil {
+		r.h, r.byH = t.hb.Handle(obj)
+	}
+	return r
+}
+
+// access resolves obj.field; scalar sites (Load, Store) also resolve the
+// field's codec.
+func (t *table) access(obj, field string, scalar bool) *access {
+	a := &access{objRef: t.ref(obj)}
+	o, ok := t.p.Object(obj)
+	if !ok {
+		a.err = fmt.Errorf("exec: unknown object %q", obj)
+		return a
+	}
+	f, ok := o.FieldByName(field)
+	if !ok {
+		a.err = fmt.Errorf("exec: object %q has no field %q", obj, field)
+		return a
+	}
+	a.field = f
+	if scalar {
+		a.codec, a.err = codecOf(f)
+	}
+	return a
+}
+
+func (t *table) tensor(fn *ir.Func, r ir.TensorRef) tensor {
+	if r.Obj == "" {
+		return tensor{} // unary intrinsics leave B (and IntrZero A) empty
+	}
+	return tensor{objRef: t.ref(r.Obj), off: t.expr(fn, r.Off), rows: r.Rows, cols: r.Cols}
+}
+
+func (t *table) expr(fn *ir.Func, x ir.Expr) *expr {
+	switch x := x.(type) {
+	case *ir.Const:
+		return &expr{kind: exConst, val: IntV(x.I)}
+	case *ir.ConstF:
+		return &expr{kind: exConst, val: FloatV(x.F)}
+	case *ir.Reg:
+		return &expr{kind: exReg, slot: x.ID}
+	case *ir.Param:
+		for i, name := range fn.Params {
+			if name == x.Name {
+				return &expr{kind: exParam, slot: i}
+			}
+		}
+		return &expr{kind: exInvalid, ops: -1, err: fmt.Errorf("exec: unbound parameter %q in %q", x.Name, fn.Name)}
+	case *ir.Bin:
+		e := &expr{kind: exBin, bin: x.Op, a: t.expr(fn, x.A), b: t.expr(fn, x.B), ops: -1}
+		if e.a.ops >= 0 && e.b.ops >= 0 && infallibleBin(x.Op) {
+			e.ops = e.a.ops + e.b.ops + 1
+		}
+		return e
+	case *ir.Un:
+		e := &expr{kind: exUn, un: x.Op, a: t.expr(fn, x.A), ops: -1}
+		if e.a.ops >= 0 && x.Op >= ir.OpNeg && x.Op <= ir.OpAbs {
+			e.ops = e.a.ops + 1
+		}
+		return e
+	default:
+		return &expr{kind: exInvalid, ops: -1, err: fmt.Errorf("exec: unknown expression %T", x)}
+	}
+}
+
+// infallibleBin reports whether applyBin returns no error for op whatever
+// the operands: every operator but division and modulo (an integer zero
+// divisor; modulo on floats) and any it does not know.
+func infallibleBin(op ir.BinOp) bool {
+	switch op {
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe,
+		ir.OpEq, ir.OpNe, ir.OpAnd, ir.OpOr, ir.OpMin, ir.OpMax:
+		return true
+	}
+	return false
+}

@@ -52,49 +52,68 @@ func (v Value) String() string {
 	return fmt.Sprintf("%d", v.I)
 }
 
-// decodeField interprets buf (len == field.Bytes) as a Value.
-func decodeField(f ir.Field, buf []byte) (Value, error) {
+// scalar is how a field's bytes become a Value and back: the widths the
+// interpreter's int64/float64 registers can carry.
+type scalar uint8
+
+const (
+	scInt8 scalar = iota
+	scInt16
+	scInt32
+	scInt64
+	scFloat64
+)
+
+// codecOf picks f's codec, or says why a Load or Store of f cannot execute.
+func codecOf(f ir.Field) (scalar, error) {
 	if f.Float {
 		if f.Bytes != 8 {
-			return Value{}, fmt.Errorf("exec: float field %q must be 8 bytes, got %d", f.Name, f.Bytes)
+			return 0, fmt.Errorf("exec: float field %q must be 8 bytes, got %d", f.Name, f.Bytes)
 		}
-		return FloatV(math.Float64frombits(binary.LittleEndian.Uint64(buf))), nil
+		return scFloat64, nil
 	}
 	switch f.Bytes {
 	case 1:
-		return IntV(int64(int8(buf[0]))), nil
+		return scInt8, nil
 	case 2:
-		return IntV(int64(int16(binary.LittleEndian.Uint16(buf)))), nil
+		return scInt16, nil
 	case 4:
-		return IntV(int64(int32(binary.LittleEndian.Uint32(buf)))), nil
+		return scInt32, nil
 	case 8:
-		return IntV(int64(binary.LittleEndian.Uint64(buf))), nil
+		return scInt64, nil
 	default:
-		return Value{}, fmt.Errorf("exec: unsupported integer field width %d", f.Bytes)
+		return 0, fmt.Errorf("exec: unsupported integer field width %d", f.Bytes)
 	}
 }
 
-// encodeField writes v into buf (len == field.Bytes).
-func encodeField(f ir.Field, v Value, buf []byte) error {
-	if f.Float {
-		if f.Bytes != 8 {
-			return fmt.Errorf("exec: float field %q must be 8 bytes, got %d", f.Name, f.Bytes)
-		}
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v.AsFloat()))
-		return nil
-	}
-	i := v.AsInt()
-	switch f.Bytes {
-	case 1:
-		buf[0] = byte(i)
-	case 2:
-		binary.LittleEndian.PutUint16(buf, uint16(i))
-	case 4:
-		binary.LittleEndian.PutUint32(buf, uint32(i))
-	case 8:
-		binary.LittleEndian.PutUint64(buf, uint64(i))
+// decode interprets buf (the field's bytes) as a Value.
+func (c scalar) decode(buf []byte) Value {
+	switch c {
+	case scInt8:
+		return IntV(int64(int8(buf[0])))
+	case scInt16:
+		return IntV(int64(int16(binary.LittleEndian.Uint16(buf))))
+	case scInt32:
+		return IntV(int64(int32(binary.LittleEndian.Uint32(buf))))
+	case scInt64:
+		return IntV(int64(binary.LittleEndian.Uint64(buf)))
 	default:
-		return fmt.Errorf("exec: unsupported integer field width %d", f.Bytes)
+		return FloatV(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
 	}
-	return nil
+}
+
+// encode writes v into buf (the field's bytes).
+func (c scalar) encode(v Value, buf []byte) {
+	switch c {
+	case scInt8:
+		buf[0] = byte(v.AsInt())
+	case scInt16:
+		binary.LittleEndian.PutUint16(buf, uint16(v.AsInt()))
+	case scInt32:
+		binary.LittleEndian.PutUint32(buf, uint32(v.AsInt()))
+	case scInt64:
+		binary.LittleEndian.PutUint64(buf, uint64(v.AsInt()))
+	default:
+		binary.LittleEndian.PutUint64(buf, math.Float64bits(v.AsFloat()))
+	}
 }

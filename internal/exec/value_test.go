@@ -34,15 +34,13 @@ func TestIntFieldRoundtripProperty(t *testing.T) {
 		case 4:
 			v = int64(int32(v))
 		}
-		field := ir.Field{Bytes: w}
-		buf := make([]byte, w)
-		if err := encodeField(field, IntV(v), buf); err != nil {
-			return false
-		}
-		out, err := decodeField(field, buf)
+		c, err := codecOf(ir.Field{Bytes: w})
 		if err != nil {
 			return false
 		}
+		buf := make([]byte, w)
+		c.encode(IntV(v), buf)
+		out := c.decode(buf)
 		return out.AsInt() == v && !out.Float
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -52,17 +50,15 @@ func TestIntFieldRoundtripProperty(t *testing.T) {
 
 // Property: float64 fields round-trip bit-exactly (including NaN bits).
 func TestFloatFieldRoundtripProperty(t *testing.T) {
-	field := ir.Field{Bytes: 8, Float: true}
+	c, err := codecOf(ir.Field{Bytes: 8, Float: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := func(bits uint64) bool {
 		v := math.Float64frombits(bits)
 		buf := make([]byte, 8)
-		if err := encodeField(field, FloatV(v), buf); err != nil {
-			return false
-		}
-		out, err := decodeField(field, buf)
-		if err != nil {
-			return false
-		}
+		c.encode(FloatV(v), buf)
+		out := c.decode(buf)
 		return math.Float64bits(out.AsFloat()) == bits && out.Float
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -71,11 +67,14 @@ func TestFloatFieldRoundtripProperty(t *testing.T) {
 }
 
 func TestFieldWidthErrors(t *testing.T) {
-	if _, err := decodeField(ir.Field{Bytes: 3}, make([]byte, 3)); err == nil {
+	if _, err := codecOf(ir.Field{Bytes: 3}); err == nil {
 		t.Fatal("3-byte int field accepted")
 	}
-	if err := encodeField(ir.Field{Bytes: 4, Float: true}, FloatV(1), make([]byte, 4)); err == nil {
+	if _, err := codecOf(ir.Field{Bytes: 4, Float: true}); err == nil {
 		t.Fatal("4-byte float field accepted")
+	}
+	if _, err := codecOf(ir.Field{Bytes: 16}); err == nil {
+		t.Fatal("16-byte int field accepted")
 	}
 }
 

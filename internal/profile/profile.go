@@ -97,27 +97,33 @@ func NewCollector() *Collector {
 	}
 }
 
-// FuncCall records one completed invocation.
-func (c *Collector) FuncCall(name string, elapsed sim.Duration) {
-	f := c.fn(name)
+// Call records one completed invocation.
+func (f *FuncRecord) Call(elapsed sim.Duration) {
 	f.Calls++
 	f.Total += elapsed
 }
 
-// RuntimeTime attributes runtime-internal time to a function.
-func (c *Collector) RuntimeTime(name string, d sim.Duration) {
-	c.fn(name).Runtime += d
-}
+// RuntimeTime attributes runtime-internal time to the function.
+func (f *FuncRecord) RuntimeTime(d sim.Duration) { f.Runtime += d }
 
-// AccessEvent attributes one far-memory access (and whether it missed) to
-// a function.
-func (c *Collector) AccessEvent(name string, missed bool) {
-	f := c.fn(name)
+// Access attributes one far-memory access (and whether it missed) to the
+// function.
+func (f *FuncRecord) Access(missed bool) {
 	f.Accesses++
 	if missed {
 		f.Misses++
 	}
 }
+
+// FuncCall records one completed invocation.
+func (c *Collector) FuncCall(name string, elapsed sim.Duration) { c.Record(name).Call(elapsed) }
+
+// RuntimeTime attributes runtime-internal time to a function.
+func (c *Collector) RuntimeTime(name string, d sim.Duration) { c.Record(name).RuntimeTime(d) }
+
+// AccessEvent attributes one far-memory access (and whether it missed) to
+// a function.
+func (c *Collector) AccessEvent(name string, missed bool) { c.Record(name).Access(missed) }
 
 // AllocSite records an allocation site's size.
 func (c *Collector) AllocSite(obj string, bytes int64) {
@@ -128,7 +134,10 @@ func (c *Collector) AllocSite(obj string, bytes int64) {
 	c.objects[obj] = &ObjectRecord{Name: obj, Bytes: bytes}
 }
 
-func (c *Collector) fn(name string) *FuncRecord {
+// Record returns a function's record, creating it on first sight. The
+// executor takes it once per call and taps the record directly; Func is the
+// read-side accessor and never creates.
+func (c *Collector) Record(name string) *FuncRecord {
 	if f, ok := c.funcs[name]; ok {
 		return f
 	}
@@ -267,7 +276,7 @@ func (c *Collector) TotalRuntime() sim.Duration {
 // Merge folds other into c (multithreaded runs).
 func (c *Collector) Merge(other *Collector) {
 	for name, f := range other.funcs {
-		dst := c.fn(name)
+		dst := c.Record(name)
 		dst.Calls += f.Calls
 		dst.Total += f.Total
 		dst.Runtime += f.Runtime

@@ -204,3 +204,27 @@ func TestMergeCarriesAccessCounters(t *testing.T) {
 		t.Fatalf("merged accesses=%d misses=%d", rec.Accesses, rec.Misses)
 	}
 }
+
+// TestRecordCreatesFuncDoesNot: Record is the executor's once-per-call
+// accessor and makes the record; Func stays the read side and returns nil for
+// a name nobody recorded. Taps on the record and by name land in one place.
+func TestRecordCreatesFuncDoesNot(t *testing.T) {
+	c := NewCollector()
+	if c.Func("f") != nil {
+		t.Fatal("Func invented a record")
+	}
+	rec := c.Record("f")
+	if rec == nil || c.Func("f") != rec || c.Record("f") != rec {
+		t.Fatal("Record did not create one stable record")
+	}
+	rec.Call(10)
+	rec.RuntimeTime(4)
+	rec.Access(true)
+	c.FuncCall("f", 5)
+	c.RuntimeTime("f", 1)
+	c.AccessEvent("f", false)
+	want := FuncRecord{Name: "f", Calls: 2, Total: 15, Runtime: 5, Accesses: 2, Misses: 1}
+	if *rec != want {
+		t.Fatalf("record %+v, want %+v", *rec, want)
+	}
+}

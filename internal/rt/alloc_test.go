@@ -5,6 +5,7 @@ package rt
 import (
 	"testing"
 
+	"mira/internal/cache"
 	"mira/internal/transport/transporttest"
 )
 
@@ -47,5 +48,34 @@ func TestDirtyMissOnWarmSectionAllocatesNothing(t *testing.T) {
 	}
 	if now := r.WritebackQueueStats(); now.Drains-st.Drains < 50 || now.Enqueued-st.Enqueued < 50*wbqLimit {
 		t.Fatalf("the loop did not park and drain: %+v → %+v", st, now)
+	}
+}
+
+// The hit path by handle: resolve the object once, then nothing between the
+// caller and the section's Lookup allocates — on either plane, read or write,
+// whichever section structure serves it.
+func TestHandleAccessHitAllocatesNothing(t *testing.T) {
+	for _, st := range []cache.Structure{cache.Direct, cache.SetAssoc, cache.FullAssoc} {
+		r, clk := mkRuntime(t, func(c *Config) {
+			c.Sections[0].Cache.Structure = st
+		})
+		for _, obj := range []string{"items", "vec"} {
+			h, ok := r.Handle(obj)
+			if !ok {
+				t.Fatalf("no handle for %q", obj)
+			}
+			buf := make([]byte, 8)
+			hit := func() {
+				for elem := int64(0); elem < 8; elem++ {
+					if err := r.AccessH(clk, h, elem, fld(0, 8), buf, elem&1 == 0, AccessOpts{Native: elem&2 == 0}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			hit() // the misses that warm the lines
+			if got := testing.AllocsPerRun(100, hit); got != 0 {
+				t.Errorf("%v on %s: %v allocs per 8 handle hits, want 0", st, obj, got)
+			}
+		}
 	}
 }

@@ -28,6 +28,12 @@ func (r *Runtime) Prefetch(clk *sim.Clock, name string, elem int64, field ir.Fie
 	if !ok {
 		return fmt.Errorf("rt: prefetch of unknown object %q", name)
 	}
+	return r.PrefetchH(clk, Handle{o}, elem, field)
+}
+
+// PrefetchH is Prefetch on a handle.
+func (r *Runtime) PrefetchH(clk *sim.Clock, h Handle, elem int64, field ir.Field) error {
+	o := h.o
 	if elem < 0 || elem >= o.decl.Count {
 		// Speculative prefetch past the end: drop silently, but count it —
 		// dropped proposals are the denominator policy accuracy needs.
@@ -47,7 +53,7 @@ func (r *Runtime) Prefetch(clk *sim.Clock, name string, elem int64, field ir.Fie
 			addr := o.farBase + uint64(elem)*uint64(o.decl.ElemBytes) + uint64(field.Offset)
 			return r.swapPrefetchFars(clk, []uint64{addr})
 		}
-		return fmt.Errorf("rt: prefetch into swap section for %q (compiler bug: swap objects use the page prefetcher)", name)
+		return fmt.Errorf("rt: prefetch into swap section for %q (compiler bug: swap objects use the page prefetcher)", o.decl.Name)
 	}
 	s := r.secs[o.place.Section]
 	addr := o.farBase + uint64(elem)*uint64(o.decl.ElemBytes) + uint64(field.Offset)
@@ -75,7 +81,7 @@ func (r *Runtime) Prefetch(clk *sim.Clock, name string, elem int64, field ir.Fie
 	}
 	s.speculate(tag, done)
 	if r.trc != nil {
-		r.trc.Span(post, done, "rt", "prefetch", trace.S("obj", name))
+		r.trc.Span(post, done, "rt", "prefetch", trace.S("obj", o.decl.Name))
 	}
 	return nil
 }
@@ -85,6 +91,8 @@ type BatchEntry struct {
 	Obj   string
 	Elem  int64
 	Field ir.Field
+	// H, when set, is Obj's handle: PrefetchBatch skips the lookup by name.
+	H Handle
 }
 
 // PrefetchBatch fetches several lines — possibly of different objects and
@@ -97,9 +105,12 @@ func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
 	var lines []claimed
 	var swapFars []uint64
 	for _, e := range entries {
-		o, ok := r.objs[e.Obj]
-		if !ok {
-			return fmt.Errorf("rt: batch prefetch of unknown object %q", e.Obj)
+		o := e.H.o
+		if o == nil {
+			var ok bool
+			if o, ok = r.objs[e.Obj]; !ok {
+				return fmt.Errorf("rt: batch prefetch of unknown object %q", e.Obj)
+			}
 		}
 		if o.place.Kind != PlaceSection {
 			if o.place.Kind == PlaceSwap && r.cfg.Hybrid && r.swapC != nil &&
@@ -163,6 +174,12 @@ func (r *Runtime) EvictHint(clk *sim.Clock, name string, elem int64) error {
 	if !ok {
 		return fmt.Errorf("rt: evict hint for unknown object %q", name)
 	}
+	return r.EvictHintH(clk, Handle{o}, elem)
+}
+
+// EvictHintH is EvictHint on a handle.
+func (r *Runtime) EvictHintH(clk *sim.Clock, h Handle, elem int64) error {
+	o := h.o
 	if o.place.Kind != PlaceSection || elem < 0 || elem >= o.decl.Count {
 		return nil
 	}
@@ -297,6 +314,12 @@ func (r *Runtime) Release(clk *sim.Clock, name string) error {
 	if !ok {
 		return fmt.Errorf("rt: release of unknown object %q", name)
 	}
+	return r.ReleaseH(clk, Handle{o})
+}
+
+// ReleaseH is Release on a handle.
+func (r *Runtime) ReleaseH(clk *sim.Clock, h Handle) error {
+	o := h.o
 	if o.place.Kind != PlaceSection {
 		return nil
 	}

@@ -18,25 +18,38 @@ const nativeChunk = 64
 // serializes via the bandwidth accountant), which is what makes layer-wise
 // streaming cheap for GPT-2 (§6.1).
 func (r *Runtime) BulkRead(clk *sim.Clock, name string, elem int64, buf []byte) error {
-	return r.bulk(clk, name, elem, buf, false)
+	o, ok := r.objs[name]
+	if !ok {
+		return fmt.Errorf("rt: bulk access to unknown object %q", name)
+	}
+	return r.bulk(clk, o, elem, buf, false)
 }
 
 // BulkWrite writes buf over the elements starting at obj[elem]. Fully
 // covered missing lines are allocated without fetching (§4.5 read/write
 // optimization); partially covered boundary lines are fetched first.
 func (r *Runtime) BulkWrite(clk *sim.Clock, name string, elem int64, buf []byte) error {
-	return r.bulk(clk, name, elem, buf, true)
-}
-
-func (r *Runtime) bulk(clk *sim.Clock, name string, elem int64, buf []byte, write bool) error {
 	o, ok := r.objs[name]
 	if !ok {
 		return fmt.Errorf("rt: bulk access to unknown object %q", name)
 	}
+	return r.bulk(clk, o, elem, buf, true)
+}
+
+// BulkReadH and BulkWriteH are BulkRead and BulkWrite on a handle.
+func (r *Runtime) BulkReadH(clk *sim.Clock, h Handle, elem int64, buf []byte) error {
+	return r.bulk(clk, h.o, elem, buf, false)
+}
+
+func (r *Runtime) BulkWriteH(clk *sim.Clock, h Handle, elem int64, buf []byte) error {
+	return r.bulk(clk, h.o, elem, buf, true)
+}
+
+func (r *Runtime) bulk(clk *sim.Clock, o *objectRT, elem int64, buf []byte, write bool) error {
 	eb := uint64(o.decl.ElemBytes)
 	off := uint64(elem) * eb
 	if elem < 0 || off+uint64(len(buf)) > uint64(o.decl.SizeBytes()) {
-		return fmt.Errorf("rt: bulk access [%d,+%d) outside %q (%d bytes)", off, len(buf), name, o.decl.SizeBytes())
+		return fmt.Errorf("rt: bulk access [%d,+%d) outside %q (%d bytes)", off, len(buf), o.decl.Name, o.decl.SizeBytes())
 	}
 	switch o.place.Kind {
 	case PlaceLocal:

@@ -35,6 +35,7 @@ func (r *Runtime) SetSectionScale(clk *sim.Clock, scale float64) error {
 		if err != nil {
 			return err
 		}
+		r.secMisses -= s.sec.Stats().Misses
 		s.sec = sec
 		// Re-derive the prefetch policy's in-flight window for the resized
 		// cache: the install-time clamp ("half the plane's capacity") was

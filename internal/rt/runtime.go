@@ -66,6 +66,12 @@ type Runtime struct {
 	secs   []*sectionRT
 	objs   map[string]*objectRT
 
+	// secMisses is Σ sec.Stats().Misses over the sections, kept beside them
+	// so MissCount is a field read: lineFor's Lookup is the one place a
+	// section counts a miss, and ResetStats and SetSectionScale are the two
+	// places a section's count goes back to zero.
+	secMisses int64
+
 	localBytes int64 // local-placed object bytes (count against budget)
 	lastFlush  sim.Time
 	wbqStats   WbqStats
@@ -149,6 +155,20 @@ type objectRT struct {
 // lineRange is the tag range [lo, hi) of o's lines in its section s.
 func (o *objectRT) lineRange(s *sectionRT) (lo, hi uint64) {
 	return cache.AlignDown(o.farBase, s.spec.Cache.LineBytes), o.farBase + uint64(o.decl.SizeBytes())
+}
+
+// Handle names a bound object without its name: what a caller that touches
+// the same object many times (the executor's resolved access nodes) holds in
+// place of the string, so the dereference path starts at the object instead
+// of at a map. A handle stays valid for the runtime's life — Bind makes each
+// objectRT once and MigrateObject flips its placement in place — and means
+// nothing to any other runtime. The zero Handle names no object.
+type Handle struct{ o *objectRT }
+
+// Handle resolves a bound object's handle.
+func (r *Runtime) Handle(name string) (Handle, bool) {
+	o, ok := r.objs[name]
+	return Handle{o}, ok
 }
 
 // New creates a runtime over node, or — when cfg.Cluster is set — over a
@@ -455,8 +475,14 @@ func (r *Runtime) Access(clk *sim.Clock, name string, elem int64, field ir.Field
 	if !ok {
 		return fmt.Errorf("rt: access to unknown object %q", name)
 	}
+	return r.AccessH(clk, Handle{o}, elem, field, buf, write, opts)
+}
+
+// AccessH is Access on a handle.
+func (r *Runtime) AccessH(clk *sim.Clock, h Handle, elem int64, field ir.Field, buf []byte, write bool, opts AccessOpts) error {
+	o := h.o
 	if elem < 0 || elem >= o.decl.Count {
-		return fmt.Errorf("rt: %q[%d] out of range [0,%d)", name, elem, o.decl.Count)
+		return fmt.Errorf("rt: %q[%d] out of range [0,%d)", o.decl.Name, elem, o.decl.Count)
 	}
 	off := uint64(elem)*uint64(o.decl.ElemBytes) + uint64(field.Offset)
 	if len(buf) > field.Bytes {
@@ -572,6 +598,7 @@ func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64
 		return l, ev, nil
 	}
 	// Miss (§5.2.1 "loading an rmem pointer from far memory").
+	r.secMisses++
 	o.misses++
 	s.mMiss.Inc()
 	r.bumpTid(s, &s.tidMisses, &s.mTidMiss, "miss")

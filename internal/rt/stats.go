@@ -178,6 +178,7 @@ func (r *Runtime) ResetStats() {
 	for _, s := range r.secs {
 		s.sec.ResetStats()
 	}
+	r.secMisses = 0
 	if r.swapC != nil {
 		r.swapC.ResetStats()
 	}
@@ -187,14 +188,10 @@ func (r *Runtime) ResetStats() {
 // cheap per-access probe the profiler samples (§4.1: metrics "collected
 // only when a non-native cache event happens").
 func (r *Runtime) MissCount() int64 {
-	var t int64
-	for _, s := range r.secs {
-		t += s.sec.Stats().Misses
+	if r.swapC == nil {
+		return r.secMisses
 	}
-	if r.swapC != nil {
-		t += r.swapC.Stats().MajorFaults
-	}
-	return t
+	return r.secMisses + r.swapC.MajorFaults()
 }
 
 // SwapFaultsIn reports the swap section's major faults on the pages backing
