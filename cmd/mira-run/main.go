@@ -277,9 +277,10 @@ func main() {
 			100*float64(saved)/float64(res.BytesEffective))
 	}
 	if res.PlanResult != nil {
-		fmt.Printf("  planner: swap baseline %v -> optimized %v across %d iterations, %d sections\n",
+		fmt.Printf("  planner: swap baseline %v -> optimized %v across %d iterations, %d sections (%d timed runs, %d repeats answered from the ledger)\n",
 			res.PlanResult.BaselineTime, res.PlanResult.FinalTime,
-			len(res.PlanResult.Iterations), len(res.PlanResult.Config.Sections))
+			len(res.PlanResult.Iterations), len(res.PlanResult.Config.Sections),
+			res.PlanResult.Runs, res.PlanResult.Reused)
 		if off := res.PlanResult.Offloaded; len(off) > 0 {
 			fmt.Printf("  offloaded (%s):", *offloadMode)
 			for _, name := range off {

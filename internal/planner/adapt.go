@@ -21,13 +21,13 @@ func Adapt(prev *Result, w Workload, opts Options, tolerance float64) (*Result, 
 	if tolerance <= 0 {
 		tolerance = 0.2
 	}
-	opts = withDefaults(opts)
 
 	// Measure the existing compilation on the sampled input.
-	cur, _, err := runOnce(w, prev.Program, prev.Config, opts, false)
-	if err != nil {
-		return nil, false, fmt.Errorf("planner: adapt measurement: %w", err)
+	m := measure(prev, w, withDefaults(opts))
+	if m.err != nil {
+		return nil, false, fmt.Errorf("planner: adapt measurement: %w", m.err)
 	}
+	cur := m.time
 	threshold := sim.Duration(float64(prev.FinalTime) * (1 + tolerance))
 	if cur <= threshold {
 		return prev, false, nil
@@ -57,7 +57,14 @@ func Measure(prev *Result, w Workload, opts Options) (sim.Duration, error) {
 	if prev == nil {
 		return 0, fmt.Errorf("planner: Measure with nil result")
 	}
-	opts = withDefaults(opts)
-	t, _, err := runOnce(w, prev.Program, prev.Config, opts, false)
-	return t, err
+	m := measure(prev, w, withDefaults(opts))
+	return m.time, m.err
+}
+
+// measure times prev's compilation on w with the probes off, on a ledger of
+// its own: a new input is never answered from an old input's record.
+func measure(prev *Result, w Workload, opts Options) *outcome {
+	cfg := prev.Config
+	cfg.Profiling = false
+	return newLedger(w, opts).time(prev.Program, cfg)
 }

@@ -97,30 +97,31 @@ func sameCompressFlags(a, b rt.Config) bool {
 // same measured accept/rollback the iterations use. The incumbent only ever
 // loses to a faster candidate, so auto is never slower than off; all-on is
 // always among the candidates, so auto is never slower than on either.
-func compressAuto(w Workload, res *Result, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
-	ratios := sampleCompressibility(w)
+func compressAuto(l *ledger, res *Result, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
+	ratios := sampleCompressibility(l.w)
 	screened := withCompressFlags(res.Config,
 		func(i int) bool { return sectionCompressible(res.Config, i, ratios) },
 		swapCompressible(res.Config, ratios))
 	allOn := withCompressFlags(res.Config, func(int) bool { return true }, true)
 
-	type candidate struct {
+	type arm struct {
 		name string
 		cfg  rt.Config
 	}
-	var cands []candidate
+	var cands []arm
 	if !sameCompressFlags(screened, res.Config) {
-		cands = append(cands, candidate{"screened", screened})
+		cands = append(cands, arm{"screened", screened})
 	}
 	if !sameCompressFlags(allOn, screened) {
-		cands = append(cands, candidate{"all-on", allOn})
+		cands = append(cands, arm{"all-on", allOn})
 	}
 	for _, c := range cands {
-		t, _, err := runOnce(w, res.Program, c.cfg, opts, true)
-		if err != nil {
+		out := l.profile(res.Program, c.cfg)
+		if out.err != nil {
 			ptrc.Instant(cursor, "planner", fmt.Sprintf("compress.%s rejected", c.name))
 			continue
 		}
+		t := out.time
 		verdict := "rolled-back"
 		if t < res.FinalTime {
 			verdict = "accepted"

@@ -63,10 +63,27 @@ type sectionDraft struct {
 	interval  [2]int
 }
 
+// candidate is one derived compilation: the runtime configuration, the
+// codegen plan, and prog compiled against it.
+type candidate struct {
+	cfg       rt.Config
+	plan      *codegen.Plan
+	prog      *ir.Program
+	offloaded []string
+}
+
+// compileError marks a buildConfig failure as codegen's — a transformed
+// program that does not validate — rather than a budget too small to host
+// the sections: the first fails the planning call, the second only rejects
+// the candidate.
+type compileError struct{ error }
+
 // buildConfig derives the runtime configuration and codegen plan from the
 // analysis report and profile (§4.2 cache-section configuration, §4.3
-// sizing, §4.5 optimizations, §4.8 offloading).
-func buildConfig(w Workload, prog *ir.Program, report *analysis.Report, objs []string, col *profile.Collector, opts Options) (rt.Config, *codegen.Plan, []string, error) {
+// sizing, §4.5 optimizations, §4.8 offloading) and compiles prog against
+// them — once: the sizing samples and the caller's timed run execute the
+// same program.
+func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []string, col *profile.Collector, opts Options) (candidate, error) {
 	tech := opts.Techniques
 	merged := map[string]*analysis.ObjectAccess{}
 	for _, name := range objs {
@@ -75,7 +92,7 @@ func buildConfig(w Workload, prog *ir.Program, report *analysis.Report, objs []s
 		}
 	}
 	if len(merged) == 0 {
-		return rt.Config{}, nil, nil, fmt.Errorf("planner: no analyzable objects among %v", objs)
+		return candidate{}, fmt.Errorf("planner: no analyzable objects among %v", objs)
 	}
 
 	// Group similar patterns into shared sections (§4.1 "we group
@@ -110,7 +127,7 @@ func buildConfig(w Workload, prog *ir.Program, report *analysis.Report, objs []s
 		remaining -= pool
 	}
 	if remaining <= 0 {
-		return rt.Config{}, nil, nil, fmt.Errorf("planner: no budget left for sections")
+		return candidate{}, fmt.Errorf("planner: no budget left for sections")
 	}
 
 	// Budget-aware line sizing: a 2 KB line is pointless when the whole
@@ -244,8 +261,6 @@ func buildConfig(w Workload, prog *ir.Program, report *analysis.Report, objs []s
 		}
 	}
 
-	// Build the codegen plan now — sizing samples run the compiled
-	// program.
 	plan := buildPlan(prog, merged, drafts, dElems, tech, opts.Net)
 	// Lifetime-bounded sections: release each object where its global
 	// lifetime ends (§4.1), unless eviction hints are masked (the
@@ -317,8 +332,12 @@ func buildConfig(w Workload, prog *ir.Program, report *analysis.Report, objs []s
 		}
 		avail = remaining - seqTotal
 		if avail < int64(len(nonSeq)) {
-			return rt.Config{}, nil, nil, fmt.Errorf("planner: budget %d too small for %d sampled sections", opts.LocalBudget, len(nonSeq))
+			return candidate{}, fmt.Errorf("planner: budget %d too small for %d sampled sections", opts.LocalBudget, len(nonSeq))
 		}
+	}
+	compiled, err := l.compile(prog, plan)
+	if err != nil {
+		return candidate{}, compileError{err}
 	}
 	switch len(nonSeq) {
 	case 0:
@@ -327,14 +346,14 @@ func buildConfig(w Workload, prog *ir.Program, report *analysis.Report, objs []s
 	case 1:
 		nonSeq[0].sizeBytes = avail
 	default:
-		if err := sizeBySampling(w, prog, plan, drafts, nonSeq, avail, pool, opts); err != nil {
-			return rt.Config{}, nil, nil, err
+		if err := sizeBySampling(l, compiled, prog, drafts, nonSeq, avail, pool, opts); err != nil {
+			return candidate{}, err
 		}
 	}
 
 	normalizeSizes(drafts, remaining)
 	cfg := assembleConfig(prog, drafts, merged, pool, opts)
-	return cfg, plan, offloaded, nil
+	return candidate{cfg, plan, compiled, offloaded}, nil
 }
 
 // normalizeSizes scales section sizes down proportionally if the carve-up
@@ -594,11 +613,7 @@ func decideOffloads(prog *ir.Program, report *analysis.Report, opts Options) []s
 
 // sizeBySampling profiles each non-sequential section at the sampled size
 // ratios and solves the ILP (§4.3).
-func sizeBySampling(w Workload, prog *ir.Program, plan *codegen.Plan, all []*sectionDraft, nonSeq []*sectionDraft, avail, pool int64, opts Options) error {
-	compiled, err := codegen.Apply(prog, plan)
-	if err != nil {
-		return err
-	}
+func sizeBySampling(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSeq []*sectionDraft, avail, pool int64, opts Options) error {
 	problem := solver.Problem{Budget: avail}
 	for i, d := range nonSeq {
 		sec := solver.Section{Name: d.name, Start: d.interval[0], End: d.interval[1]}
@@ -610,7 +625,7 @@ func sizeBySampling(w Workload, prog *ir.Program, plan *codegen.Plan, all []*sec
 			if size < int64(d.lineBytes)*4 {
 				size = int64(d.lineBytes) * 4
 			}
-			overhead, err := sampleRun(w, compiled, prog, all, nonSeq, i, size, avail, pool, opts)
+			overhead, err := sampleRun(l, compiled, prog, all, nonSeq, i, size, avail, pool, opts)
 			if err != nil {
 				return err
 			}
@@ -653,7 +668,7 @@ func sizeBySampling(w Workload, prog *ir.Program, plan *codegen.Plan, all []*sec
 // sampleRun executes the compiled program with nonSeq[target] at size and
 // the other non-sequential sections splitting the rest, returning the
 // target section's profiled overhead.
-func sampleRun(w Workload, compiled, prog *ir.Program, all []*sectionDraft, nonSeq []*sectionDraft, target int, size, avail, pool int64, opts Options) (float64, error) {
+func sampleRun(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSeq []*sectionDraft, target int, size, avail, pool int64, opts Options) (float64, error) {
 	rest := avail - size
 	if rest < 0 {
 		rest = 0
@@ -683,20 +698,16 @@ func sampleRun(w Workload, compiled, prog *ir.Program, all []*sectionDraft, nonS
 			merged[m] = nil
 		}
 	}
-	cfg := assembleConfig(prog, all, merged, pool, opts)
-	s, err := open(w, compiled, cfg, opts, nil)
-	if err != nil {
-		return 0, err
+	out := l.time(compiled, assembleConfig(prog, all, merged, pool, opts))
+	if out.err != nil {
+		return 0, out.err
 	}
-	total, err := s.Run()
-	if err != nil {
-		return 0, err
-	}
+	total := out.run
 	if total <= 0 {
 		return 0, nil
 	}
 	// Target section's share of runtime overhead, from its counters.
-	st := s.RT.SectionStats(sectionIndex(all, nonSeq[target].name))
+	st := out.secs[sectionIndex(all, nonSeq[target].name)]
 	lookup := opts.Cost.Lookup(nonSeq[target].structure)
 	secTime := sim.Duration(st.Hits+st.Misses)*lookup +
 		sim.Duration(st.Misses)*(opts.Cost.MissHandling+opts.Net.RTTEstimate(nonSeq[target].lineBytes))

@@ -69,12 +69,12 @@ func offloadCandidates(prog *ir.Program) []string {
 
 // markOffloaded compiles the accepted program with the given functions
 // marked offloaded (clone + mark + fence insertion; no other rewriting).
-func markOffloaded(prog *ir.Program, funcs []string) (*ir.Program, error) {
+func markOffloaded(l *ledger, prog *ir.Program, funcs []string) (*ir.Program, error) {
 	marks := make(map[string]bool, len(funcs))
 	for _, f := range funcs {
 		marks[f] = true
 	}
-	return codegen.Apply(prog, &codegen.Plan{Offload: marks})
+	return l.compile(prog, &codegen.Plan{Offload: marks})
 }
 
 // scatterPlacements moves each offloaded function's scatter-driving object
@@ -116,7 +116,7 @@ func scatterPlacements(prog *ir.Program, cfg rt.Config, funcs []string) (rt.Conf
 // offloadPhase runs after every other planning decision settled. It
 // mutates res (Program/Config/Plan/FinalTime/Offloaded) only when a
 // candidate is accepted, and returns the advanced trace cursor.
-func offloadPhase(w Workload, res *Result, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
+func offloadPhase(l *ledger, res *Result, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
 	if opts.Offload == "" || opts.Offload == "off" {
 		return cursor
 	}
@@ -156,7 +156,7 @@ func offloadPhase(w Workload, res *Result, opts Options, ptrc *trace.Buffer, cur
 	// construction.
 	baseProg, baseCfg := res.Program, res.Config
 	for _, c := range combos {
-		compiled, err := markOffloaded(baseProg, c.funcs)
+		compiled, err := markOffloaded(l, baseProg, c.funcs)
 		if err != nil {
 			ptrc.Instant(cursor, "planner", fmt.Sprintf("offload.%s rejected", c.name))
 			continue
@@ -170,11 +170,12 @@ func offloadPhase(w Workload, res *Result, opts Options, ptrc *trace.Buffer, cur
 			}
 			cfg = scattered
 		}
-		t, _, err := runOnce(w, compiled, cfg, opts, true)
-		if err != nil {
+		out := l.profile(compiled, cfg)
+		if out.err != nil {
 			ptrc.Instant(cursor, "planner", fmt.Sprintf("offload.%s rejected", c.name))
 			continue
 		}
+		t := out.time
 		// "on" forces the all-candidates configuration (its scatter
 		// variant still has to win on time); "auto" keeps a candidate
 		// only when it strictly beats the incumbent.

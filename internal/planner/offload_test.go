@@ -61,15 +61,14 @@ func TestOffloadedPlanStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, col, err := runOnce(w, res.Program, res.Config, withDefaults(Options{}), false)
+	t1, err := Measure(res, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = col
 	if t1 <= 0 {
 		t.Fatal("no time")
 	}
-	// Verify through a fresh run with dump (runOnce flushes).
+	// Verify through a fresh run with dump (Measure flushes).
 	// The planner's own verification path is exercised in harness tests;
 	// here check the far-side result value directly.
 	if res.FinalTime <= 0 {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"mira/internal/analysis"
-	"mira/internal/codegen"
 	"mira/internal/ir"
 	"mira/internal/profile"
 	"mira/internal/rt"
@@ -39,7 +38,7 @@ func validatePlane(opts Options) error {
 // analyzable, and compile against the plan. Both the "line" arm and the
 // "hybrid" arm build their line candidate through this one helper, from the
 // same profile, so the two arms' candidates are identical by construction.
-func lineCandidate(w Workload, prog *ir.Program, col *profile.Collector, opts Options) (rt.Config, *codegen.Plan, *ir.Program, *analysis.Report, error) {
+func lineCandidate(l *ledger, prog *ir.Program, col *profile.Collector, opts Options) (candidate, *analysis.Report, error) {
 	var funcs []string
 	for _, f := range prog.Funcs {
 		funcs = append(funcs, f.Name)
@@ -54,18 +53,14 @@ func lineCandidate(w Workload, prog *ir.Program, col *profile.Collector, opts Op
 	sort.Strings(objs)
 	report, err := analysis.Analyze(prog, funcs, objs)
 	if err != nil {
-		return rt.Config{}, nil, nil, nil, err
+		return candidate{}, nil, err
 	}
-	cfg, plan, _, err := buildConfig(w, prog, report, objs, col, opts)
+	cand, err := buildConfig(l, prog, report, objs, col, opts)
 	if err != nil {
-		return rt.Config{}, nil, nil, nil, err
+		return candidate{}, nil, err
 	}
-	cfg.Hybrid = true
-	compiled, err := codegen.Apply(prog, plan)
-	if err != nil {
-		return rt.Config{}, nil, nil, nil, err
-	}
-	return cfg, plan, compiled, report, nil
+	cand.cfg.Hybrid = true
+	return cand, report, nil
 }
 
 // pageWorthy reports whether the analysis classifies an object as dense
@@ -148,8 +143,8 @@ func classifiedCandidate(cfg rt.Config, report *analysis.Report) *rt.Config {
 // "hybrid" only ever accepts improvements. Because hybrid's baseline IS the
 // page arm's result and its line candidate comes from the same helper as
 // the line arm's, hybrid's final time is <= min(page, line) by construction.
-func planeRace(w Workload, prog *ir.Program, res *Result, col *profile.Collector, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
-	lineCfg, linePlan, lineProg, report, err := lineCandidate(w, prog, col, opts)
+func planeRace(l *ledger, prog *ir.Program, res *Result, col *profile.Collector, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
+	line, report, err := lineCandidate(l, prog, col, opts)
 	if err != nil {
 		// No feasible line configuration at this budget: the page baseline
 		// stands for every mode.
@@ -158,19 +153,20 @@ func planeRace(w Workload, prog *ir.Program, res *Result, col *profile.Collector
 		return cursor
 	}
 	res.Report = report
-	t, _, err := runOnce(w, lineProg, lineCfg, opts, true)
-	if err != nil {
+	out := l.profile(line.prog, line.cfg)
+	if out.err != nil {
 		ptrc.Instant(cursor, "planner", "plane.line runtime-rejected",
-			trace.S("err", err.Error()))
+			trace.S("err", out.err.Error()))
 		return cursor
 	}
+	t := out.time
 	verdict := "rolled-back"
 	if opts.Plane == "line" || t < res.FinalTime {
 		verdict = "accepted"
 		res.FinalTime = t
-		res.Config = lineCfg
-		res.Plan = linePlan
-		res.Program = lineProg
+		res.Config = line.cfg
+		res.Plan = line.plan
+		res.Program = line.prog
 	}
 	end := cursor.Add(t)
 	ptrc.Span(cursor, end, "planner", "plane line",
@@ -180,24 +176,25 @@ func planeRace(w Workload, prog *ir.Program, res *Result, col *profile.Collector
 	if opts.Plane != "hybrid" {
 		return cursor
 	}
-	split := classifiedCandidate(lineCfg, report)
+	split := classifiedCandidate(line.cfg, report)
 	if split == nil {
 		ptrc.Instant(cursor, "planner", "plane.split unchanged")
 		return cursor
 	}
-	t, _, err = runOnce(w, lineProg, *split, opts, true)
-	if err != nil {
+	out = l.profile(line.prog, *split)
+	if out.err != nil {
 		ptrc.Instant(cursor, "planner", "plane.split runtime-rejected",
-			trace.S("err", err.Error()))
+			trace.S("err", out.err.Error()))
 		return cursor
 	}
+	t = out.time
 	verdict = "rolled-back"
 	if t < res.FinalTime {
 		verdict = "accepted"
 		res.FinalTime = t
 		res.Config = *split
-		res.Plan = linePlan
-		res.Program = lineProg
+		res.Plan = line.plan
+		res.Program = line.prog
 	}
 	end = cursor.Add(t)
 	ptrc.Span(cursor, end, "planner", "plane split",

@@ -4,11 +4,17 @@
 // within them, run the static analyses, derive cache-section configurations
 // (structure, line size, communication method), size the sections by
 // sampling + ILP, compile the program against the configuration, and accept
-// or roll back based on measured performance — repeating until the
-// iteration budget is exhausted or no gain remains.
+// or roll back based on measured performance. The loop always runs its
+// MaxIterations rounds and records each one: once the widening scope stops
+// selecting anything new, a round re-derives the previous round's candidate,
+// and the run ledger (ledger.go) answers it from the record, so such a round
+// costs its analysis and buildConfig and no execution. Every execution the
+// planner performs — profiling runs, sizing samples, the candidate races of
+// the plane, offload and compression phases — goes through that ledger.
 package planner
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -156,11 +162,28 @@ type Result struct {
 	// the scatter-gather offload engine (empty when the offload phase ran
 	// and kept nothing, nil when it never ran).
 	Offloaded []string
+	// Runs counts the sessions planning opened and Reused the candidates it
+	// met again and answered from the run ledger instead (a saturated
+	// iteration, a mirrored sizing sample): Runs+Reused executions were
+	// asked for, Runs were paid.
+	Runs, Reused int
 }
 
 // Plan runs the full iterative flow for one workload.
 func Plan(w Workload, opts Options) (*Result, error) {
 	opts = withDefaults(opts)
+	l := newLedger(w, opts)
+	res, err := plan(l, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Runs, res.Reused = len(l.runs), l.reused
+	return res, nil
+}
+
+// plan is Plan's flow on a given ledger; opts already carry their defaults.
+func plan(l *ledger, opts Options) (*Result, error) {
+	w := l.w
 	switch opts.Compress {
 	case "", "off", "on", "auto":
 	default:
@@ -195,10 +218,11 @@ func Plan(w Workload, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseTime, baseCol, err := runOnce(w, prog, swapCfg, opts, true)
-	if err != nil {
-		return nil, fmt.Errorf("planner: baseline run: %w", err)
+	base := l.profile(prog, swapCfg)
+	if base.err != nil {
+		return nil, fmt.Errorf("planner: baseline run: %w", base.err)
 	}
+	baseTime, baseCol := base.time, base.col
 	res.BaselineTime = baseTime
 	res.FinalTime = baseTime
 	res.Config = swapCfg
@@ -215,9 +239,9 @@ func Plan(w Workload, opts Options) (*Result, error) {
 		trace.I("time_ns", int64(baseTime)))
 
 	if opts.DisableSeparation {
-		cursor = offloadPhase(w, res, opts, ptrc, cursor)
+		cursor = offloadPhase(l, res, opts, ptrc, cursor)
 		if opts.Compress == "auto" {
-			compressAuto(w, res, opts, ptrc, cursor)
+			compressAuto(l, res, opts, ptrc, cursor)
 		}
 		if opts.Plane != "" {
 			res.Planes = planeAssignment(prog, res.Config)
@@ -228,10 +252,10 @@ func Plan(w Workload, opts Options) (*Result, error) {
 		// Plane modes replace the structural iterations: race the line
 		// candidate (and hybrid's classified split) against the page
 		// baseline, then let compression tune whichever plane split won.
-		cursor = planeRace(w, prog, res, baseCol, opts, ptrc, cursor)
-		cursor = offloadPhase(w, res, opts, ptrc, cursor)
+		cursor = planeRace(l, prog, res, baseCol, opts, ptrc, cursor)
+		cursor = offloadPhase(l, res, opts, ptrc, cursor)
 		if opts.Compress == "auto" {
-			compressAuto(w, res, opts, ptrc, cursor)
+			compressAuto(l, res, opts, ptrc, cursor)
 		}
 		res.Planes = planeAssignment(prog, res.Config)
 		return res, nil
@@ -266,7 +290,11 @@ func Plan(w Workload, opts Options) (*Result, error) {
 		}
 		res.Report = report
 
-		cfg, plan, offloaded, err := buildConfig(w, prog, report, objs, col, opts)
+		cand, err := buildConfig(l, prog, report, objs, col, opts)
+		var ce compileError
+		if errors.As(err, &ce) {
+			return nil, ce.error
+		}
 		if err != nil {
 			// No feasible sectioned configuration at this scope (tiny
 			// budgets can be unable to host any section beyond the
@@ -280,20 +308,16 @@ func Plan(w Workload, opts Options) (*Result, error) {
 				trace.I("iter", int64(iter)))
 			continue
 		}
-		compiled, err := codegen.Apply(prog, plan)
-		if err != nil {
-			return nil, err
-		}
-		t, newCol, err := runOnce(w, compiled, cfg, opts, true)
+		out := l.profile(cand.prog, cand.cfg)
 		rec := Iteration{
 			Index:     iter,
 			FuncFrac:  frac,
 			Funcs:     funcs,
 			Objects:   objs,
-			NumSecs:   len(cfg.Sections),
-			Offloaded: offloaded,
+			NumSecs:   len(cand.cfg.Sections),
+			Offloaded: cand.offloaded,
 		}
-		if err != nil {
+		if out.err != nil {
 			// A candidate the runtime rejects (e.g. line floors pushed
 			// the carve-up past the budget) is a rejected iteration,
 			// not a planning failure.
@@ -302,16 +326,17 @@ func Plan(w Workload, opts Options) (*Result, error) {
 				trace.I("iter", int64(iter)))
 			continue
 		}
+		t := out.time
 		rec.Time = t
 		// Accept or roll back (§4.1 "we roll back to the previous
 		// iteration's configuration").
 		if t < res.FinalTime {
 			rec.Accepted = true
 			res.FinalTime = t
-			res.Config = cfg
-			res.Plan = plan
-			res.Program = compiled
-			col = newCol
+			res.Config = cand.cfg
+			res.Plan = cand.plan
+			res.Program = cand.prog
+			col = out.col
 		}
 		res.Iterations = append(res.Iterations, rec)
 		if ptrc != nil {
@@ -324,16 +349,16 @@ func Plan(w Workload, opts Options) (*Result, error) {
 				trace.I("frac_pct", int64(frac*100+0.5)),
 				trace.I("funcs", int64(len(funcs))),
 				trace.I("objs", int64(len(objs))),
-				trace.I("secs", int64(len(cfg.Sections))),
-				trace.I("offloaded", int64(len(offloaded))),
+				trace.I("secs", int64(len(cand.cfg.Sections))),
+				trace.I("offloaded", int64(len(cand.offloaded))),
 				trace.I("time_ns", int64(t)),
 				trace.S("result", verdict))
 			cursor = end
 		}
 	}
-	cursor = offloadPhase(w, res, opts, ptrc, cursor)
+	cursor = offloadPhase(l, res, opts, ptrc, cursor)
 	if opts.Compress == "auto" {
-		compressAuto(w, res, opts, ptrc, cursor)
+		compressAuto(l, res, opts, ptrc, cursor)
 	}
 	return res, nil
 }
@@ -405,48 +430,6 @@ func swapOnlyConfig(prog *ir.Program, opts Options) (rt.Config, error) {
 	// to the classic one, so this never changes baseline timings.
 	cfg.Hybrid = opts.Plane != ""
 	return cfg, nil
-}
-
-// open starts a planner-timed session: prog under cfg with the planner's
-// swap policy, fault-free.
-func open(w Workload, prog *ir.Program, cfg rt.Config, opts Options, col *profile.Collector) (*session.Session, error) {
-	return session.Open(session.Spec{
-		Workload:  w,
-		Program:   prog,
-		Config:    cfg,
-		NodeCfg:   opts.NodeCfg,
-		Swap:      session.Fixed(SwapPolicy()),
-		Collector: col,
-	})
-}
-
-// runOnce executes a program under a configuration and returns elapsed time
-// and the profile.
-func runOnce(w Workload, prog *ir.Program, cfg rt.Config, opts Options, profiling bool) (sim.Duration, *profile.Collector, error) {
-	cfg.Profiling = profiling
-	col := profile.NewCollector()
-	s, err := open(w, prog, cfg, opts, col)
-	if err != nil {
-		return 0, nil, err
-	}
-	if _, err := s.Run(); err != nil {
-		return 0, nil, err
-	}
-	st, err := s.Finish(false)
-	if err != nil {
-		return 0, nil, err
-	}
-	// Fold the transport's resilience counters into the profile. Planner
-	// runs are fault-free, so these are zero unless a caller wires a
-	// fault schedule into the runtime under profile.
-	ns := st.Net
-	col.RecordNet(profile.NetRecord{
-		Retries: ns.Retries, Timeouts: ns.Timeouts,
-		Corruptions: ns.Corruptions, BreakerTrips: ns.BreakerTrips,
-		QueuedWritebacks: ns.QueuedWritebacks, DegradedReads: ns.DegradedReads,
-		DegradedTime: ns.DegradedTime, BackoffTime: ns.BackoffTime,
-	})
-	return st.Time, col, nil
 }
 
 // largestObjectsIn returns the largest frac of objects accessed by the
