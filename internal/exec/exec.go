@@ -33,7 +33,9 @@ type Options struct {
 	// operation (access, prefetch, eviction hint, fence, release, bulk
 	// transfer). The multithreaded drivers install sim.Thread.Yield here
 	// so the deterministic scheduler can interleave threads at every
-	// memory-op boundary; single-threaded runs leave it nil and pay one
+	// memory-op boundary: a call switches threads only when another one
+	// is now earlier in (virtual time, id) and otherwise costs a scan of
+	// the group's clocks. Single-threaded runs leave it nil and pay one
 	// nil check per operation.
 	Yield func()
 }
