@@ -354,6 +354,7 @@ func TestBenchMT(t *testing.T) {
 			if err := res.Verify(); err != nil {
 				t.Errorf("%s x%d: %v", mode, n, err)
 			}
+			res.Close()
 			if n == 1 {
 				t1 = int64(res.Time)
 			}

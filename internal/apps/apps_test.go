@@ -10,6 +10,7 @@ import (
 
 	"mira/internal/apps/arraysum"
 	"mira/internal/apps/dataframe"
+	"mira/internal/apps/distagg"
 	"mira/internal/apps/gpt2"
 	"mira/internal/apps/graphtraverse"
 	"mira/internal/apps/mcf"
@@ -92,15 +93,15 @@ func (l *initLog) InitObject(name string, data []byte) error {
 	return nil
 }
 
-// TestAppsGenerateTheirDataOnce: GPT-2 and DataFrame build their tables on
-// the first Init of a Workload and hand every later Init the very same
-// images, in the same order — the second Init generates nothing — and two
-// runtimes initialised from one Workload hold byte-equal objects.
+// TestAppsGenerateTheirDataOnce: every app builds its initial data on the
+// first Init of a Workload and hands every later Init the very same images,
+// in the same order — the second Init generates nothing — and two runtimes
+// initialised from one Workload hold byte-equal objects.
 func TestAppsGenerateTheirDataOnce(t *testing.T) {
-	for _, w := range []workload.Workload{
-		gpt2.New(gpt2.Config{Layers: 2, DModel: 32, DFF: 64, SeqLen: 16, Seed: 5}),
-		dataframe.New(dataframe.Config{Rows: 2048, Seed: 2014}),
-	} {
+	for _, w := range append(smallWorkloads(),
+		distagg.New(distagg.Config{N: 4096, Mode: "agg", Seed: 3}),
+		distagg.New(distagg.Config{N: 4096, Mode: "filter", K: 3, Seed: 3}),
+	) {
 		var first, second initLog
 		if err := w.Init(&first); err != nil {
 			t.Fatal(err)
@@ -134,10 +135,80 @@ func TestAppsGenerateTheirDataOnce(t *testing.T) {
 			if dumps[i], err = s.Dump(); err != nil {
 				t.Fatal(err)
 			}
+			s.Close()
 		}
 		for _, name := range first.names {
 			if len(dumps[0][name]) == 0 || !bytes.Equal(dumps[0][name], dumps[1][name]) {
 				t.Errorf("%s: object %q differs between two runtimes", w.Name(), name)
+			}
+		}
+	}
+}
+
+// TestRewritingRunLeavesTheImageAlone: a seqscan run rewrites every record in
+// far memory, and the session after it — whose far heap is the first one's,
+// recycled — must start from what a workload nobody has run yet generates:
+// InitObject copied out of the image, nothing wrote back into it, and the
+// recycled heap came back zeroed.
+func TestRewritingRunLeavesTheImageAlone(t *testing.T) {
+	cfg := seqscan.Config{N: 4096, Seed: 1}
+	w := seqscan.New(cfg)
+	pristine := append([]byte(nil), seqscan.New(cfg).Data()...)
+	open := func() *session.Session {
+		t.Helper()
+		rc, err := session.SwapOnly(w.Program(), w.FullMemoryBytes()/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := session.Open(session.Spec{Workload: w, Config: rc, Swap: session.NoPrefetch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	first := open()
+	if _, err := first.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Finish(true); err != nil {
+		t.Fatal(err)
+	}
+	after, err := first.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := 0
+	for i := 0; i < int(cfg.N); i++ {
+		rec := i * seqscan.RecBytes
+		if !bytes.Equal(after["recs"][rec+8:rec+16], pristine[rec+8:rec+16]) {
+			changed++
+		}
+	}
+	// Every record is stored to; the one whose key is 0 gets its old value.
+	if changed < int(cfg.N)-1 {
+		t.Fatalf("the run changed %d of %d records: the test needs them all rewritten", changed, cfg.N)
+	}
+	first.Close()
+
+	second := open()
+	defer second.Close()
+	start, err := second.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(start["recs"], pristine) {
+		t.Fatal("the second session was not initialised with the pristine records")
+	}
+	if !bytes.Equal(w.Data(), pristine) {
+		t.Fatal("the workload's image changed under the first run")
+	}
+	for name, d := range start {
+		if name == "recs" {
+			continue
+		}
+		for i, v := range d {
+			if v != 0 {
+				t.Fatalf("object %q byte %d = %#x at the start of the second session, want 0", name, i, v)
 			}
 		}
 	}

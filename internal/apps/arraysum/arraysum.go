@@ -27,6 +27,7 @@ func DefaultConfig() Config { return Config{N: 1 << 16, Seed: 1} }
 type Workload struct {
 	cfg  Config
 	prog *ir.Program
+	a    workload.Image
 }
 
 // New builds the workload.
@@ -68,8 +69,11 @@ func (w *Workload) Params() map[string]exec.Value { return nil }
 // FullMemoryBytes implements workload.Workload.
 func (w *Workload) FullMemoryBytes() int64 { return w.cfg.N*8 + 8 }
 
-// Data generates the array contents.
-func (w *Workload) Data() []byte {
+// Data is the array's initial contents, shared by every Init of this
+// workload: read-only.
+func (w *Workload) Data() []byte { return w.a.Bytes(w.generate) }
+
+func (w *Workload) generate() []byte {
 	data := make([]byte, w.cfg.N*8)
 	for i := int64(0); i < w.cfg.N; i++ {
 		binary.LittleEndian.PutUint64(data[i*8:], uint64(i*7%1000))

@@ -35,6 +35,7 @@ func DefaultConfig() Config { return Config{N: 1 << 15, K: 3, Seed: 1, Mode: "ag
 type Workload struct {
 	cfg  Config
 	prog *ir.Program
+	a    workload.Image
 }
 
 // New builds the workload.
@@ -122,8 +123,11 @@ func (w *Workload) Params() map[string]exec.Value { return nil }
 // FullMemoryBytes implements workload.Workload.
 func (w *Workload) FullMemoryBytes() int64 { return w.cfg.N*8*2 + 16 }
 
-// Data generates the array contents.
-func (w *Workload) Data() []byte {
+// Data is the array's initial contents, shared by every Init of this
+// workload: read-only.
+func (w *Workload) Data() []byte { return w.a.Bytes(w.generate) }
+
+func (w *Workload) generate() []byte {
 	data := make([]byte, w.cfg.N*8)
 	for i := int64(0); i < w.cfg.N; i++ {
 		binary.LittleEndian.PutUint64(data[i*8:], w.elem(i))

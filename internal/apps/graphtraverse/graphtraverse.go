@@ -60,8 +60,9 @@ const (
 
 // Workload implements planner.Workload.
 type Workload struct {
-	cfg  Config
-	prog *ir.Program
+	cfg   Config
+	prog  *ir.Program
+	edges workload.Image
 }
 
 // New builds the workload.
@@ -133,8 +134,11 @@ func (w *Workload) Init(t workload.ObjectIniter) error {
 	return t.InitObject("edges", w.EdgeData())
 }
 
-// EdgeData generates the deterministic edge array bytes.
-func (w *Workload) EdgeData() []byte {
+// EdgeData is the deterministic edge array, shared by every Init and oracle
+// of this workload: read-only.
+func (w *Workload) EdgeData() []byte { return w.edges.Bytes(w.generate) }
+
+func (w *Workload) generate() []byte {
 	rng := sim.NewRNG(w.cfg.Seed)
 	data := make([]byte, w.cfg.Edges*EdgeBytes)
 	for i := int64(0); i < w.cfg.Edges; i++ {

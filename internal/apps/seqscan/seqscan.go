@@ -34,6 +34,7 @@ func DefaultConfig() Config { return Config{N: 1 << 14, Seed: 1} }
 type Workload struct {
 	cfg  Config
 	prog *ir.Program
+	recs workload.Image
 }
 
 // New builds the workload.
@@ -75,8 +76,11 @@ func (w *Workload) FullMemoryBytes() int64 { return w.cfg.N*RecBytes + 8 }
 func (w *Workload) key(i int64) int64 { return (i*13 + int64(w.cfg.Seed)) % 4096 }
 func (w *Workload) val(i int64) int64 { return i * 7 % 1024 }
 
-// Data generates the record array contents.
-func (w *Workload) Data() []byte {
+// Data is the record array's initial contents, shared by every Init of this
+// workload: read-only.
+func (w *Workload) Data() []byte { return w.recs.Bytes(w.generate) }
+
+func (w *Workload) generate() []byte {
 	data := make([]byte, w.cfg.N*RecBytes)
 	for i := int64(0); i < w.cfg.N; i++ {
 		binary.LittleEndian.PutUint64(data[i*RecBytes:], uint64(w.key(i)))

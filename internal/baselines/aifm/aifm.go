@@ -84,7 +84,8 @@ func (o Options) withDefaults() Options {
 type Runtime struct {
 	opts    Options
 	node    *farmem.Node
-	tr      *transport.T
+	trT     *transport.T   // the transport, for what only a *T has (SetTrace)
+	tr      transport.Link // trT as the data path drives it
 	objs    map[string]*objState
 	cap     int64 // usable data bytes after metadata
 	used    int64
@@ -132,8 +133,12 @@ func (r *Runtime) SetTrace(tr *trace.Tracer) {
 	if tr == nil {
 		return
 	}
-	r.tr.SetTrace(tr, "net")
+	r.trT.SetTrace(tr, "net")
 }
+
+// wrapLink, when a test sets it, wraps the link every new runtime's data
+// path drives (transporttest.ScribbleLink). Nil outside tests.
+var wrapLink func(transport.Link) transport.Link
 
 // New builds an AIFM runtime for w and loads its data. It returns an error
 // when metadata leaves no room for data — the failure mode the paper
@@ -148,12 +153,16 @@ func New(w workload.Workload, opts Options) (*Runtime, error) {
 		entries: map[entryKey]*list.Element{},
 		lru:     list.New(),
 	}
-	r.tr = transport.New(r.node, opts.Net)
+	r.trT = transport.New(r.node, opts.Net)
 	if opts.Resilience != nil {
-		r.tr.SetPolicy(*opts.Resilience)
+		r.trT.SetPolicy(*opts.Resilience)
 	}
 	if opts.Faults != nil && opts.Faults.Enabled() {
-		r.tr.SetBackend(faults.New(r.node, *opts.Faults))
+		r.trT.SetBackend(faults.New(r.node, *opts.Faults))
+	}
+	r.tr = r.trT
+	if wrapLink != nil {
+		r.tr = wrapLink(r.tr)
 	}
 	var maxUnit int64
 	for _, o := range prog.Objects {

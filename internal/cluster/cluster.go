@@ -125,8 +125,12 @@ type NodeStats struct {
 
 // farNode is one member of the pool.
 type farNode struct {
-	fm    *farmem.Node
-	tr    *transport.T
+	fm *farmem.Node
+	tr *transport.T
+	// link is tr as the pool drives it: every transport.Link call of
+	// link.go goes through it, so a test can interpose on exactly what a
+	// consumer of the node link sees.
+	link  transport.Link
 	inj   *faults.Injector // nil when the node is fault-free
 	tier  *tierBackend     // nil when the node is DRAM-only
 	stale bool             // memory wiped since the last re-sync
@@ -145,10 +149,18 @@ type Pool struct {
 	next  uint64            // virtual bump pointer
 	seq   uint64            // allocation sequence number, feeds the hash
 
+	// gather is gatherVec's scratch, the reply buffer included. Unlike the
+	// table it is not guarded by mu: a link has one caller at a time.
+	gather gatherScratch
+
 	// Tracing (nil when disabled — every use is nil-safe).
 	trc       *trace.Buffer
 	cFailover *trace.Counter
 }
+
+// wrapNodeLink, when a test sets it, wraps every node link a new pool's data
+// path drives (transporttest.ScribbleLink). Nil outside tests.
+var wrapNodeLink func(transport.Link) transport.Link
 
 // New builds the pool: N far nodes, each behind its own transport and
 // optional fault injector.
@@ -177,7 +189,10 @@ func New(opts Options) (*Pool, error) {
 			pol.JitterSeed += uint64(i) * 0x9e3779b97f4a7c15
 			tr.SetPolicy(pol)
 		}
-		n := &farNode{fm: fm, tr: tr}
+		n := &farNode{fm: fm, tr: tr, link: tr}
+		if wrapNodeLink != nil {
+			n.link = wrapNodeLink(tr)
+		}
 		n.stats.Node = i
 		n.stats.CapacityBytes = cfg.Capacity
 		// Backend chain, innermost out: node <- capacity tier <- fault
@@ -199,6 +214,7 @@ func New(opts Options) (*Pool, error) {
 		}
 		p.nodes = append(p.nodes, n)
 	}
+	p.gather.byNode = make([][]int, opts.Nodes)
 	return p, nil
 }
 
@@ -382,6 +398,19 @@ func (p *Pool) AllocSection(sec uint16, size uint64) (uint64, error) {
 	return vbase, nil
 }
 
+// Release frees every placement at once: each node hands its regions to the
+// far side's free list (farmem.Node.Release) and the table is emptied, so
+// every later access answers farmem.ErrUnmapped. The pool's counters keep
+// what the run left in them.
+func (p *Pool) Release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, n := range p.nodes {
+		n.fm.Release()
+	}
+	p.table = nil
+}
+
 // seg is one piece of a pool operation that lands entirely inside one
 // placement entry.
 type seg struct {
@@ -404,10 +433,9 @@ func (p *Pool) findEntry(vaddr uint64) (*PlacementEntry, error) {
 	return e, nil
 }
 
-// segments splits [vaddr, vaddr+n) into per-entry pieces. Called with
-// p.mu held.
-func (p *Pool) segments(vaddr uint64, n int) ([]seg, error) {
-	var out []seg
+// segments splits [vaddr, vaddr+n) into per-entry pieces, appended to out
+// (nil for a fresh slice). Called with p.mu held.
+func (p *Pool) segments(out []seg, vaddr uint64, n int) ([]seg, error) {
 	at := 0
 	for n > 0 {
 		e, err := p.findEntry(vaddr)

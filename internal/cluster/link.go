@@ -38,7 +38,7 @@ func (p *Pool) chooseHome(now sim.Time, homes []Home) (int, error) {
 		if n.stale {
 			continue
 		}
-		if n.tr.BreakerOpen(now) {
+		if n.link.BreakerOpen(now) {
 			if fallback < 0 {
 				fallback = i
 			}
@@ -95,7 +95,7 @@ func (p *Pool) readSegment(now sim.Time, s seg, buf []byte) (sim.Time, error) {
 			lastErr = errStale
 			continue
 		}
-		done, err := p.nodes[h.Node].tr.ReadOneSided(now, h.Base+s.off, buf)
+		done, err := p.nodes[h.Node].link.ReadOneSided(now, h.Base+s.off, buf)
 		if err != nil {
 			lastErr = err
 			repair = append(repair, h)
@@ -129,7 +129,7 @@ func (p *Pool) readRepair(now sim.Time, targets []Home, s seg, buf []byte) {
 		if p.isStale(h.Node) {
 			continue // re-sync owns wiped nodes
 		}
-		if _, err := p.nodes[h.Node].tr.WriteOneSided(now, h.Base+s.off, buf); err == nil {
+		if _, err := p.nodes[h.Node].link.WriteOneSided(now, h.Base+s.off, buf); err == nil {
 			p.mu.Lock()
 			p.nodes[h.Node].stats.Repairs++
 			p.mu.Unlock()
@@ -233,7 +233,7 @@ func (p *Pool) resyncStale(now sim.Time) sim.Time {
 // independent links.
 func (p *Pool) ReadOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, error) {
 	p.mu.Lock()
-	segs, err := p.segments(addr, len(buf))
+	segs, err := p.segments(nil, addr, len(buf))
 	p.mu.Unlock()
 	if err != nil {
 		return now, err
@@ -261,7 +261,7 @@ func (p *Pool) writeSegment(now sim.Time, s seg, data []byte) (sim.Time, error) 
 	var lastErr error
 	var missed []int
 	for _, h := range s.entry.Homes {
-		d, err := p.nodes[h.Node].tr.WriteOneSided(now, h.Base+s.off, data)
+		d, err := p.nodes[h.Node].link.WriteOneSided(now, h.Base+s.off, data)
 		if err != nil {
 			lastErr = err
 			missed = append(missed, h.Node)
@@ -290,7 +290,7 @@ func (p *Pool) writeSegment(now sim.Time, s seg, data []byte) (sim.Time, error) 
 // WriteOneSided implements transport.Link.
 func (p *Pool) WriteOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, error) {
 	p.mu.Lock()
-	segs, err := p.segments(addr, len(buf))
+	segs, err := p.segments(nil, addr, len(buf))
 	p.mu.Unlock()
 	if err != nil {
 		return now, err
@@ -312,7 +312,8 @@ func (p *Pool) WriteOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, e
 // serving nodes and batched into one two-sided message per node, so a
 // gather spanning the cluster pays one RPC per involved link — in
 // parallel. A node whose batch fails (or turns out wiped) falls back to
-// per-segment reads with full failover.
+// per-segment reads with full failover. The reply is the pool's, valid
+// until the next call on the pool.
 func (p *Pool) GatherTwoSided(now sim.Time, addrs []uint64, sizes []int) ([]byte, sim.Time, error) {
 	return p.gatherVec(now, addrs, sizes, false)
 }
@@ -325,65 +326,85 @@ func (p *Pool) GatherOneSided(now sim.Time, addrs []uint64, sizes []int) ([]byte
 	return p.gatherVec(now, addrs, sizes, true)
 }
 
+// gatherScratch is what one gatherVec call works in, kept on the pool so a
+// warm gather allocates nothing. out is the reply: like a single
+// transport's it belongs to the link and is overwritten by the next gather.
+type gatherScratch struct {
+	segs   []seg
+	chosen []int    // serving home index per segment
+	byNode [][]int  // node -> indices into segs, in request order
+	addrs  []uint64 // the vectors of the node message being issued
+	sizes  []int
+	out    []byte
+}
+
 // gatherVec routes pieces to their serving nodes and issues one vectored
-// message per node — two-sided or doorbell-batched one-sided. Failover and
-// stale handling are identical for both flavors.
+// message per node — two-sided or doorbell-batched one-sided — in ascending
+// node order, so the issue sequence is deterministic. Failover and stale
+// handling are identical for both flavors. Each node's reply is copied into
+// the pool's own before the next message goes out (a node link's reply does
+// not outlive the next call on that link, and the per-segment fallback makes
+// such calls).
 func (p *Pool) gatherVec(now sim.Time, addrs []uint64, sizes []int, oneSided bool) ([]byte, sim.Time, error) {
+	g := &p.gather
 	total := 0
-	var segs []seg
+	segs := g.segs[:0]
 	p.mu.Lock()
 	for i, a := range addrs {
-		ss, err := p.segments(a, sizes[i])
+		first := len(segs)
+		var err error
+		segs, err = p.segments(segs, a, sizes[i])
 		if err != nil {
 			p.mu.Unlock()
 			return nil, now, err
 		}
-		for _, s := range ss {
-			s.at += total
-			segs = append(segs, s)
+		for j := first; j < len(segs); j++ {
+			segs[j].at += total
 		}
 		total += sizes[i]
 	}
 	p.mu.Unlock()
+	g.segs = segs
 
-	out := make([]byte, total)
-	// Route each segment, then batch per node (ascending node order for a
-	// deterministic issue sequence).
-	chosen := make([]int, len(segs)) // serving home index per segment
-	byNode := make(map[int][]int)    // node -> segment indices, in order
+	if total > cap(g.out) {
+		g.out = make([]byte, total)
+	}
+	out := g.out[:total]
+	for node := range g.byNode {
+		g.byNode[node] = g.byNode[node][:0]
+	}
+	chosen := g.chosen[:0]
 	for i, s := range segs {
 		hi, err := p.chooseHome(now, s.entry.Homes)
 		if err != nil {
 			return nil, now, fmt.Errorf("cluster: gather [%#x,+%d): every home wiped or dark: %w",
 				s.entry.VBase+s.off, s.n, err)
 		}
-		chosen[i] = hi
+		chosen = append(chosen, hi)
 		node := s.entry.Homes[hi].Node
-		byNode[node] = append(byNode[node], i)
+		g.byNode[node] = append(g.byNode[node], i)
 	}
-	nodesInUse := make([]int, 0, len(byNode))
-	for node := range byNode {
-		nodesInUse = append(nodesInUse, node)
-	}
-	sortInts(nodesInUse)
+	g.chosen = chosen
 
 	done := now
-	for _, node := range nodesInUse {
-		idxs := byNode[node]
-		na := make([]uint64, len(idxs))
-		ns := make([]int, len(idxs))
-		for j, i := range idxs {
-			s := segs[i]
-			na[j] = s.entry.Homes[chosen[i]].Base + s.off
-			ns[j] = s.n
+	for node, idxs := range g.byNode {
+		if len(idxs) == 0 {
+			continue
 		}
+		na, ns := g.addrs[:0], g.sizes[:0]
+		for _, i := range idxs {
+			s := segs[i]
+			na = append(na, s.entry.Homes[chosen[i]].Base+s.off)
+			ns = append(ns, s.n)
+		}
+		g.addrs, g.sizes = na, ns
 		var data []byte
 		var d sim.Time
 		var err error
 		if oneSided {
-			data, d, err = p.nodes[node].tr.GatherOneSided(now, na, ns)
+			data, d, err = p.nodes[node].link.GatherOneSided(now, na, ns)
 		} else {
-			data, d, err = p.nodes[node].tr.GatherTwoSided(now, na, ns)
+			data, d, err = p.nodes[node].link.GatherTwoSided(now, na, ns)
 		}
 		if err == nil && p.isStale(node) {
 			err = errStale // wipe fired during the batch: zeros under valid CRC
@@ -444,7 +465,7 @@ func (p *Pool) scatterVec(now sim.Time, addrs []uint64, pieces [][]byte, oneSide
 	var all []placed
 	p.mu.Lock()
 	for i, a := range addrs {
-		ss, err := p.segments(a, len(pieces[i]))
+		ss, err := p.segments(nil, a, len(pieces[i]))
 		if err != nil {
 			p.mu.Unlock()
 			return now, err
@@ -487,9 +508,9 @@ func (p *Pool) scatterVec(now sim.Time, addrs []uint64, pieces [][]byte, oneSide
 		var d sim.Time
 		var err error
 		if oneSided {
-			d, err = p.nodes[node].tr.ScatterWrite(now, b.addrs, b.pieces)
+			d, err = p.nodes[node].link.ScatterWrite(now, b.addrs, b.pieces)
 		} else {
-			d, err = p.nodes[node].tr.ScatterTwoSided(now, b.addrs, b.pieces)
+			d, err = p.nodes[node].link.ScatterTwoSided(now, b.addrs, b.pieces)
 		}
 		if err != nil {
 			failedNodes = append(failedNodes, node)
@@ -528,7 +549,7 @@ func (p *Pool) scatterVec(now sim.Time, addrs []uint64, pieces [][]byte, oneSide
 // offload engine moves operand bytes via the placement-aware data path, so
 // the RPC control message is the only node-0 affinity).
 func (p *Pool) Call(now sim.Time, name string, args []byte) ([]byte, sim.Time, error) {
-	return p.nodes[0].tr.Call(now, name, args)
+	return p.nodes[0].link.Call(now, name, args)
 }
 
 // Flush implements transport.Link: applies every pending memory wipe (so
@@ -544,7 +565,7 @@ func (p *Pool) Flush(now sim.Time) (sim.Time, error) {
 	done := now
 	var firstErr error
 	for _, n := range p.nodes {
-		d, err := n.tr.Flush(now)
+		d, err := n.link.Flush(now)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -564,7 +585,7 @@ func (p *Pool) Flush(now sim.Time) (sim.Time, error) {
 // a single dark node is exactly when write pressure must stay local.
 func (p *Pool) BreakerOpen(now sim.Time) bool {
 	for _, n := range p.nodes {
-		if n.tr.BreakerOpen(now) {
+		if n.link.BreakerOpen(now) {
 			return true
 		}
 	}
@@ -575,7 +596,7 @@ func (p *Pool) BreakerOpen(now sim.Time) bool {
 func (p *Pool) Stats() transport.Stats {
 	var sum transport.Stats
 	for _, n := range p.nodes {
-		sum.Add(n.tr.Stats())
+		sum.Add(n.link.Stats())
 	}
 	return sum
 }
@@ -584,7 +605,7 @@ func (p *Pool) Stats() transport.Stats {
 func (p *Pool) BytesMoved() int64 {
 	var sum int64
 	for _, n := range p.nodes {
-		sum += n.tr.BytesMoved()
+		sum += n.link.BytesMoved()
 	}
 	return sum
 }
@@ -593,7 +614,7 @@ func (p *Pool) BytesMoved() int64 {
 func (p *Pool) Messages() int64 {
 	var sum int64
 	for _, n := range p.nodes {
-		sum += n.tr.Messages()
+		sum += n.link.Messages()
 	}
 	return sum
 }

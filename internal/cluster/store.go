@@ -18,7 +18,7 @@ import (
 // unrecoverable and errors.
 func (p *Pool) Read(addr uint64, buf []byte) error {
 	p.mu.Lock()
-	segs, err := p.segments(addr, len(buf))
+	segs, err := p.segments(nil, addr, len(buf))
 	if err != nil {
 		p.mu.Unlock()
 		return err
@@ -57,7 +57,7 @@ func (p *Pool) Read(addr uint64, buf []byte) error {
 // replicas identical.
 func (p *Pool) Write(addr uint64, buf []byte) error {
 	p.mu.Lock()
-	segs, err := p.segments(addr, len(buf))
+	segs, err := p.segments(nil, addr, len(buf))
 	p.mu.Unlock()
 	if err != nil {
 		return err

@@ -49,6 +49,9 @@ type Node struct {
 	mem   *Mem
 	alloc *Allocator
 	procs map[string]Proc
+	// reply is the buffer Gather assembles into: the node owns it and the
+	// next Gather overwrites it.
+	reply []byte
 
 	// stats
 	readBytes  int64
@@ -88,12 +91,14 @@ type memRegion struct {
 
 func newMem() *Mem { return &Mem{} }
 
-// addRegion registers physical backing for a new allocation.
+// addRegion registers physical backing for a new allocation: zeroed bytes,
+// recycled from a released node's when the free list holds a region of this
+// size.
 func (m *Mem) addRegion(base uint64, size uint64) {
 	i := sort.Search(len(m.regions), func(i int) bool { return m.regions[i].base > base })
 	m.regions = append(m.regions, memRegion{})
 	copy(m.regions[i+1:], m.regions[i:])
-	m.regions[i] = memRegion{base: base, data: make([]byte, size)}
+	m.regions[i] = memRegion{base: base, data: regionCache.take(int(size))}
 }
 
 // removeRegion drops the backing of a freed allocation.
@@ -176,6 +181,22 @@ func (n *Node) Free(addr uint64) error {
 	return nil
 }
 
+// Release frees every allocation at once and hands the backing to the
+// free list the next node's allocations draw on — what the far node does
+// when its tenant is gone. The node stays usable: it is empty, so every
+// access answers ErrUnmapped until something is allocated again. A window
+// from Mem.Slice must not be used past Release; its bytes belong to whoever
+// allocates next.
+func (n *Node) Release() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i := range n.mem.regions {
+		regionCache.put(n.mem.regions[i].data)
+	}
+	n.mem.regions = nil
+	n.alloc = NewAllocator(DefaultBase, n.cfg.Capacity)
+}
+
 // AllocatedBytes reports bytes currently allocated at the far node.
 func (n *Node) AllocatedBytes() uint64 {
 	n.mu.Lock()
@@ -208,7 +229,9 @@ func (n *Node) Write(addr uint64, buf []byte) error {
 
 // Gather services a two-sided scatter-gather read: the far node assembles
 // the requested pieces into one reply message (§4.5 batching, §4.7 partial
-// structure transmission). Pieces are returned concatenated in order.
+// structure transmission). Pieces are returned concatenated in order, in a
+// buffer the node owns: the reply is valid until the next Gather on this
+// node, and a caller that needs the bytes longer copies them out.
 func (n *Node) Gather(addrs []uint64, sizes []int) ([]byte, error) {
 	if len(addrs) != len(sizes) {
 		return nil, fmt.Errorf("%w: gather with %d addrs but %d sizes", ErrBadRequest, len(addrs), len(sizes))
@@ -219,7 +242,10 @@ func (n *Node) Gather(addrs []uint64, sizes []int) ([]byte, error) {
 	for _, s := range sizes {
 		total += s
 	}
-	out := make([]byte, total)
+	if total > cap(n.reply) {
+		n.reply = make([]byte, total)
+	}
+	out := n.reply[:total]
 	off := 0
 	for i, a := range addrs {
 		if err := n.mem.ReadAt(a, out[off:off+sizes[i]]); err != nil {

@@ -233,6 +233,39 @@ func TestOccasionalCorruptionCured(t *testing.T) {
 	}
 }
 
+// TestGatherCorruptionOnTheOwnedReplyCured is the gather twin: the injector
+// flips its bit in the reply buffer the far node owns and reuses, the
+// checksum the node took before the flip exposes it, and the retry — which
+// reassembles into that same buffer — delivers clean bytes; no flip survives
+// into a later reply.
+func TestGatherCorruptionOnTheOwnedReplyCured(t *testing.T) {
+	node, base := newNode(t)
+	tr := transport.New(node, netmodel.DefaultConfig())
+	tr.SetBackend(New(node, Config{Seed: 5, CorruptRate: 0.3}))
+	want := []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 2, 3, 4, 5, 6, 7, 8}
+	if err := node.Write(base, want); err != nil {
+		t.Fatal(err)
+	}
+	addrs, sizes := []uint64{base + 8, base}, []int{8, 8}
+	for i := 0; i < 60; i++ {
+		gather := tr.GatherOneSided
+		if i%2 == 1 {
+			gather = tr.GatherTwoSided
+		}
+		got, _, err := gather(sim.Time(i*1000), addrs, sizes)
+		if err != nil {
+			t.Fatalf("gather %d: %v", i, err)
+		}
+		if !bytes.Equal(got[:8], want[8:]) || !bytes.Equal(got[8:], want[:8]) {
+			t.Fatalf("gather %d returned corrupted data: %v", i, got)
+		}
+	}
+	st := tr.Stats()
+	if st.Corruptions == 0 || st.Retries < st.Corruptions {
+		t.Fatalf("corruptions %d, retries %d: no flip was injected and retried", st.Corruptions, st.Retries)
+	}
+}
+
 func TestNamedSchedules(t *testing.T) {
 	names := Names()
 	if len(names) == 0 {

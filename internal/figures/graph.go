@@ -197,6 +197,7 @@ func graphNodeMissRate(w *graphtraverse.Workload, budget int64, jointCache bool)
 		if err != nil {
 			return 0, err
 		}
+		defer s.Close()
 		if _, err := s.Run(); err != nil {
 			return 0, err
 		}
@@ -228,12 +229,14 @@ func graphNodeMissRate(w *graphtraverse.Workload, budget int64, jointCache bool)
 }
 
 // runGraphConfig executes the graph program under an explicit runtime
-// configuration.
+// configuration. The runtime it returns is closed: its counters are there to
+// read, its far memory is not.
 func runGraphConfig(w *graphtraverse.Workload, cfg rt.Config) (*rt.Runtime, sim.Duration, error) {
 	s, err := session.Open(session.Spec{Workload: w, Config: cfg, Swap: session.NoPrefetch})
 	if err != nil {
 		return nil, 0, err
 	}
+	defer s.Close()
 	if _, err := s.Run(); err != nil {
 		return nil, 0, err
 	}

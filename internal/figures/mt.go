@@ -37,6 +37,7 @@ func fig24(scale Scale) (*Figure, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s x%d: %w", mode, n, err)
 			}
+			res.Close()
 			if n == 1 {
 				t1 = float64(res.Time)
 			}
@@ -65,6 +66,7 @@ func fig25(scale Scale) (*Figure, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s x%d: %w", mode, n, err)
 			}
+			res.Close()
 			if n == 1 {
 				t1 = float64(res.Time)
 			}

@@ -55,6 +55,7 @@ func runPlannedOn(w workload.Workload, plan *planner.Result) (sim.Duration, erro
 	if err != nil {
 		return 0, err
 	}
+	defer s.Close()
 	if _, err := s.Run(); err != nil {
 		return 0, err
 	}
@@ -120,6 +121,7 @@ func fig20(scale Scale) (*Figure, error) {
 		}
 		mira.X = append(mira.X, float64(i))
 		mira.Y = append(mira.Y, float64(s.RT.MetadataBytes()))
+		s.Close()
 
 		aifmS.X = append(aifmS.X, float64(i))
 		if wl.aifm == nil {
@@ -228,5 +230,6 @@ func profiledRun(w workload.Workload, budget int64, profiling bool) (sim.Duratio
 	if err != nil {
 		return 0, err
 	}
+	defer s.Close()
 	return s.Run()
 }

@@ -253,6 +253,7 @@ func runSpec(sys System, spec session.Spec, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer s.Close()
 	return finish(sys, s, opts)
 }
 

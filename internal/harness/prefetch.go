@@ -213,6 +213,7 @@ func runLineCell(w workload.Workload, opts Options, pres *planner.Result, v *pro
 	if err != nil {
 		return Result{}, err
 	}
+	defer s.Close()
 	r := s.RT
 	if spec.Policy != prefetch.Compiled {
 		for i := 0; i < r.NumSections(); i++ {

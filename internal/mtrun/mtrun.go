@@ -79,6 +79,8 @@ type Result struct {
 
 	// oracle flushes the group's runtimes and checks the output; see Verify.
 	oracle func() error
+	// sessions are the group's open sessions; see Close.
+	sessions []*session.Session
 }
 
 // Verify flushes every runtime of the group on a post-join clock and checks
@@ -88,6 +90,17 @@ type Result struct {
 // shared result vector must hold every partition's output. Costs nothing
 // unless called.
 func (res Result) Verify() error { return res.oracle() }
+
+// Close releases the far memory of every runtime of the group
+// (session.Session.Close): call it when the point has been read and, if it
+// is to be verified, after Verify — a closed group fails verification.
+func (res Result) Close() { closeAll(res.sessions) }
+
+func closeAll(ss []*session.Session) {
+	for _, s := range ss {
+		s.Close()
+	}
+}
 
 // DefaultReps is the fixed total work of the read-only scaling experiment:
 // the batch of independent inferences the threads divide among themselves.
@@ -168,6 +181,13 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 	// copies[i] reads thread i's copy of the workload's objects, under the
 	// workload's own names.
 	copies := make([]workload.ObjectDumper, threads)
+	// A group that fails part-way gives back what it had opened.
+	ok := false
+	defer func() {
+		if !ok {
+			closeAll(res.sessions)
+		}
+	}()
 
 	switch mode {
 	case MiraPrivate:
@@ -191,6 +211,7 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 			if err != nil {
 				return Result{}, err
 			}
+			res.sessions = append(res.sessions, s)
 			ths[i] = session.Thread{S: s, Reps: reps}
 			copies[i] = s.Dumper()
 		}
@@ -237,6 +258,7 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 		if err != nil {
 			return Result{}, err
 		}
+		res.sessions = append(res.sessions, s)
 		for i := range ths {
 			ths[i] = session.Thread{S: s, Program: ir.CloneForEntry(merged, ir.ReplicaName(plan.Program.Entry, i)), Reps: reps}
 			copies[i] = replicaDumper{d: s.Dumper(), i: i}
@@ -262,6 +284,7 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 		if err != nil {
 			return Result{}, err
 		}
+		res.sessions = append(res.sessions, s)
 		s.RT.SwapLock(&sim.Serializer{})
 		for i := range ths {
 			ths[i] = session.Thread{S: s, Program: ir.CloneForEntry(mw.prog, ir.ReplicaName(prog.Entry, i)), Reps: reps}
@@ -283,6 +306,7 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 	if err := res.runThreads(ths); err != nil {
 		return Result{}, err
 	}
+	ok = true
 	return res, nil
 }
 
@@ -306,6 +330,7 @@ func verifyReplay(w workload.Workload, reps int, copies []workload.ObjectDumper)
 	if err != nil {
 		return err
 	}
+	defer native.Close()
 	for rep := 0; rep < reps; rep++ {
 		if _, err := native.Run(); err != nil {
 			return err
@@ -382,6 +407,7 @@ func SharedWriteFilter(mode Mode, cfg dataframe.Config, budget int64, threads in
 	if err != nil {
 		return Result{}, err
 	}
+	res.sessions = []*session.Session{s}
 	ths := make([]session.Thread, threads)
 	for i := range ths {
 		ths[i] = session.Thread{S: s, Params: paramsFor(i), Reps: 1}
@@ -393,6 +419,7 @@ func SharedWriteFilter(mode Mode, cfg dataframe.Config, budget int64, threads in
 		return VerifySharedFilter(cfg, threads, s.Dumper())
 	}
 	if err := res.runThreads(ths); err != nil {
+		s.Close()
 		return Result{}, err
 	}
 	return res, nil

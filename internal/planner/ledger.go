@@ -113,7 +113,7 @@ func (l *ledger) profile(prog *ir.Program, cfg rt.Config) *outcome {
 	return l.time(prog, cfg)
 }
 
-// execute opens the session and runs it to completion.
+// execute opens the session, runs it to completion and closes it.
 func (l *ledger) execute(prog *ir.Program, cfg rt.Config) *outcome {
 	var col *profile.Collector
 	if cfg.Profiling {
@@ -130,6 +130,9 @@ func (l *ledger) execute(prog *ir.Program, cfg rt.Config) *outcome {
 	if err != nil {
 		return &outcome{err: err}
 	}
+	// The outcome holds copies (times, counters, the collector); the far
+	// heap goes back for the next candidate's session to reuse.
+	defer s.Close()
 	run, err := s.Run()
 	if err != nil {
 		return &outcome{err: err}

@@ -47,6 +47,9 @@ type farStore interface {
 	Read(addr uint64, buf []byte) error
 	Write(addr uint64, buf []byte) error
 	CPUSlowdown() float64
+	// Release frees every allocation and hands the backing to the far
+	// side's free list; every address answers farmem.ErrUnmapped after.
+	Release()
 }
 
 // Runtime is one compute-node runtime instance.
@@ -171,6 +174,11 @@ func (r *Runtime) Handle(name string) (Handle, bool) {
 	return Handle{o}, ok
 }
 
+// wrapLink, when a test sets it, wraps the link every new runtime — its
+// sections and its swap pool — drives (transporttest.ScribbleLink). Nil
+// outside tests.
+var wrapLink func(transport.Link) transport.Link
+
 // New creates a runtime over node, or — when cfg.Cluster is set — over a
 // sharded cluster.Pool built from it (node is then ignored and may be
 // nil). Call Bind before executing a program.
@@ -222,6 +230,9 @@ func New(cfg Config, node *farmem.Node) (*Runtime, error) {
 		}
 		r.trT = trT
 		r.tr = trT
+	}
+	if wrapLink != nil {
+		r.tr = wrapLink(r.tr)
 	}
 	r.la = NewLocalAllocator(1<<20, r.store.Alloc)
 	for i, spec := range cfg.Sections {
@@ -278,6 +289,12 @@ func (r *Runtime) Injector() *faults.Injector { return r.inj }
 
 // Node exposes the far-memory node (nil in cluster mode).
 func (r *Runtime) Node() *farmem.Node { return r.node }
+
+// ReleaseFarMemory gives the far memory the runtime allocated — the node's
+// regions, or every pool member's — back to the far side's free list
+// (farmem.Node.Release). The runtime's counters stay readable; its data
+// does not. session.Session.Close is the caller.
+func (r *Runtime) ReleaseFarMemory() { r.store.Release() }
 
 // Config returns the runtime's configuration.
 func (r *Runtime) Config() Config { return r.cfg }

@@ -241,6 +241,15 @@ func Run(specs []TenantSpec, opts Options) (*Result, error) {
 	bw := netmodel.NewBandwidth(net)
 
 	tenants := make([]*tenant, len(specs))
+	// Everything the result carries (latencies, counters, dumps) is a copy:
+	// the tenants' far memory goes back however Run ends.
+	defer func() {
+		for _, t := range tenants {
+			if t != nil {
+				t.s.Close()
+			}
+		}
+	}()
 	for i := range specs {
 		t, err := buildTenant(specs[i], opts, net, bw, horizon)
 		if err != nil {
@@ -566,6 +575,7 @@ func NativeReplay(spec TenantSpec, reps int) (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close()
 	for rep := 0; rep < reps; rep++ {
 		if _, err := s.Run(); err != nil {
 			return nil, err

@@ -7,6 +7,7 @@
 //	Open:   rt.New → Bind → swap policy → Init → trace / shared-link attach
 //	Run:    exec.New → Run, on the session clock or on scheduler threads
 //	Finish: FlushAll → optional Verify → Stats
+//	Close:  the far memory goes back to the far side's free list
 //
 // so the configuration the planner measured is, by construction, the
 // configuration everyone else executes. The swap pool's prefetch policy is
@@ -86,15 +87,18 @@ type Session struct {
 	// RT is the Mira runtime, nil when the session wraps a foreign backend.
 	RT *rt.Runtime
 
-	be   Backend
-	w    workload.Workload
-	prog *ir.Program
-	col  *profile.Collector
-	clk  *sim.Clock
+	be     Backend
+	w      workload.Workload
+	prog   *ir.Program
+	col    *profile.Collector
+	clk    *sim.Clock
+	closed bool
 }
 
 // Open builds the runtime spec describes, binds the program, installs the
-// stated swap policy and loads the workload's data.
+// stated swap policy and loads the workload's data. Close the session when
+// its results have been read (defer s.Close() right after a successful
+// Open).
 func Open(spec Spec) (*Session, error) {
 	prog := spec.Program
 	if prog == nil {
@@ -140,6 +144,30 @@ func Open(spec Spec) (*Session, error) {
 func Over(be Backend, w workload.Workload, prog *ir.Program, tr *trace.Tracer) *Session {
 	be.SetTrace(tr)
 	return &Session{be: be, w: w, prog: prog, clk: sim.NewClock(0)}
+}
+
+// Close ends the session and returns the far memory it allocated — the
+// single node's regions or every pool member's — to the far side's free list
+// (farmem.Node.Release), where the next session's allocations of the same
+// sizes find it instead of making and zeroing their own. Everything worth
+// keeping must have been read before: Finish and Dump refuse a closed
+// session, and the far side answers farmem.ErrUnmapped to anything that
+// still reaches it. Close is idempotent, and releases nothing for a session
+// wrapped around a foreign backend (Over), whose memory is not the
+// session's. A session that is never closed is only not recycled.
+func (s *Session) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	if s.RT != nil {
+		s.RT.ReleaseFarMemory()
+	}
+}
+
+// errClosed is what a closed session answers to Finish and Dump.
+func (s *Session) errClosed(op string) error {
+	return fmt.Errorf("session: %s of %s after Close: its far memory was released", op, s.w.Name())
 }
 
 // Clock is the session clock: Run advances it, Finish flushes on it.
@@ -281,6 +309,9 @@ type Stats struct {
 // workload has one), and reports the run's counters. A foreign backend
 // reports Time and Net only.
 func (s *Session) Finish(verify bool) (Stats, error) {
+	if s.closed {
+		return Stats{}, s.errClosed("Finish")
+	}
 	if err := s.be.FlushAll(s.clk); err != nil {
 		return Stats{}, err
 	}
@@ -306,6 +337,9 @@ func (s *Session) Finish(verify bool) (Stats, error) {
 // integrity image two runs are compared by. Call after Finish to include
 // cached state.
 func (s *Session) Dump() (map[string][]byte, error) {
+	if s.closed {
+		return nil, s.errClosed("Dump")
+	}
 	out := map[string][]byte{}
 	for _, o := range s.prog.Objects {
 		if o.Local {

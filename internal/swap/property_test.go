@@ -15,6 +15,7 @@ import (
 	"mira/internal/netmodel"
 	"mira/internal/sim"
 	"mira/internal/transport"
+	"mira/internal/transport/transporttest"
 )
 
 // Property: for any sequence of writes followed by reads at the same
@@ -363,7 +364,7 @@ func newDiffPair(t *testing.T, pool int, length int64, pf Prefetcher, batch bool
 	cfg := rigN.c.cfg
 	cfg.Net = netmodel.DefaultConfig() // staggered readiness inside a batch
 	var err error
-	if d.cn, err = New(cfg, d.ln, rigN.c.base, length, pf); err != nil {
+	if d.cn, err = New(cfg, transporttest.Scribble(d.ln), rigN.c.base, length, pf); err != nil {
 		t.Fatal(err)
 	}
 	if d.cr, err = newRefCache(cfg, d.lr, rigR.c.base, length, pf); err != nil {

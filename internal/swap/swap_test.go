@@ -8,6 +8,7 @@ import (
 	"mira/internal/netmodel"
 	"mira/internal/sim"
 	"mira/internal/transport"
+	"mira/internal/transport/transporttest"
 )
 
 // testRegion allocates a far region of length bytes filled with a pattern
@@ -30,10 +31,14 @@ func testRegion(t *testing.T, length int64) (*transport.T, uint64) {
 	return tr, base
 }
 
+// newCache builds a cache over a fresh region. Its link scribbles over the
+// previous gather reply at the start of every call, as the links of the
+// other two rigs of this suite do (newUnalignedRig, newDiffPair): the batched
+// prefetch must have copied every page out by then.
 func newCache(t *testing.T, poolPages int, length int64, pf Prefetcher) (*Cache, *sim.Clock) {
 	t.Helper()
 	tr, base := testRegion(t, length)
-	c, err := New(DefaultConfig(int64(poolPages)*PageBytes), tr, base, length, pf)
+	c, err := New(DefaultConfig(int64(poolPages)*PageBytes), transporttest.Scribble(tr), base, length, pf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +239,12 @@ func TestPrefetchOutOfRangeIgnored(t *testing.T) {
 }
 
 func TestFlushAllPersistsDirtyPages(t *testing.T) {
-	c, clk := newCache(t, 4, 4*PageBytes, nil)
+	tr, base := testRegion(t, 4*PageBytes)
+	c, err := New(DefaultConfig(4*PageBytes), transporttest.Scribble(tr), base, 4*PageBytes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := sim.NewClock(0)
 	want := []byte{42, 43}
 	_ = c.Write(clk, c.Base()+PageBytes, want)
 	if err := c.FlushAll(clk); err != nil {
@@ -244,7 +254,7 @@ func TestFlushAllPersistsDirtyPages(t *testing.T) {
 		t.Fatalf("resident pages after flush: %d", c.Resident())
 	}
 	got := make([]byte, 2)
-	if err := c.tr.(*transport.T).Node.Read(c.Base()+PageBytes, got); err != nil {
+	if err := tr.Node.Read(c.Base()+PageBytes, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {

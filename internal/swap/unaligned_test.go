@@ -11,6 +11,7 @@ import (
 	"mira/internal/plane/planetest"
 	"mira/internal/sim"
 	"mira/internal/transport"
+	"mira/internal/transport/transporttest"
 )
 
 // unalignedRig builds a node + transport + cache over a region of exactly
@@ -40,7 +41,7 @@ func newUnalignedRig(t *testing.T, poolPages int, length int64, pf Prefetcher, b
 	}
 	cfg := DefaultConfig(int64(poolPages) * PageBytes)
 	cfg.BatchPrefetch = batch
-	c, err := New(cfg, tr, base, length, pf)
+	c, err := New(cfg, transporttest.Scribble(tr), base, length, pf)
 	if err != nil {
 		t.Fatal(err)
 	}

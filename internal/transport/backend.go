@@ -17,12 +17,21 @@ import (
 // checksum over what arrived and retries on mismatch. The extra duration is
 // injected delay the transport adds to the operation's completion (and
 // tests against the per-attempt deadline).
+//
+// A Gather reply belongs to the backend that assembled it: it is valid until
+// the next Gather on that backend and may be overwritten by it (the far node
+// keeps one reply buffer, as a server keeps one send buffer per connection).
+// Read, Write, Scatter and Call leave it alone — the transport drains queued
+// write-backs between receiving a reply and handing it on. A decorator that
+// forwards Gather may edit the reply in place (the fault injector's bit
+// flip) but must not keep it.
 type Backend interface {
 	// Read fills buf from far memory at addr.
 	Read(now sim.Time, addr uint64, buf []byte) (sum uint32, extra sim.Duration, err error)
 	// Write pushes buf to far memory at addr.
 	Write(now sim.Time, addr uint64, buf []byte) (extra sim.Duration, err error)
-	// Gather assembles the requested pieces into one reply.
+	// Gather assembles the requested pieces into one reply, valid until
+	// the backend's next Gather.
 	Gather(now sim.Time, addrs []uint64, sizes []int) (data []byte, sum uint32, extra sim.Duration, err error)
 	// Scatter writes several pieces in one message.
 	Scatter(now sim.Time, addrs []uint64, pieces [][]byte) (extra sim.Duration, err error)
@@ -31,9 +40,14 @@ type Backend interface {
 	Call(now sim.Time, name string, args []byte) (res []byte, farCPU sim.Duration, extra sim.Duration, err error)
 }
 
+// castagnoli is the CRC32C table: the polynomial iSCSI and RoCE's ICRC
+// successors use, and the one amd64 and arm64 compute in hardware.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // Checksum is the end-to-end integrity checksum carried alongside one-sided
-// payloads (CRC32C-style; IEEE polynomial is fine for a simulation).
-func Checksum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
+// payloads (CRC32C). The far side computes it over what it sends and the
+// transport recomputes it over what arrived.
+func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // NewNodeBackend returns the direct, fault-free backend over node — the
 // default backend, and the one the fault injector wraps.

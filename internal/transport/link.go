@@ -11,18 +11,27 @@ import "mira/internal/sim"
 // Every operation takes the caller's virtual instant and returns the
 // completion instant; data movement is real, so the whole data path stays
 // verifiable independent of the timing model.
+//
+// A gather reply belongs to the link: GatherTwoSided and GatherOneSided
+// return a buffer that is valid until the next call on the same link, of
+// any method, and a caller that needs the bytes longer copies them out
+// first (every consumer lands the pieces in its own lines, frames or
+// entries before it does anything else). transporttest.ScribbleLink holds
+// consumers to it.
 type Link interface {
 	// ReadOneSided fetches len(buf) bytes at far address addr.
 	ReadOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, error)
 	// WriteOneSided pushes buf to far address addr.
 	WriteOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, error)
-	// GatherTwoSided fetches several pieces in one two-sided message.
+	// GatherTwoSided fetches several pieces in one two-sided message. The
+	// reply is valid until the next call on the link.
 	GatherTwoSided(now sim.Time, addrs []uint64, sizes []int) ([]byte, sim.Time, error)
 	// ScatterTwoSided writes several pieces in one two-sided message.
 	ScatterTwoSided(now sim.Time, addrs []uint64, pieces [][]byte) (sim.Time, error)
 	// GatherOneSided fetches several pieces with one doorbell-batched
 	// chain of one-sided reads (one RTT, one posting overhead for the
-	// whole chain) — the runtime's batched-prefetch primitive.
+	// whole chain) — the runtime's batched-prefetch primitive. The reply is
+	// valid until the next call on the link.
 	GatherOneSided(now sim.Time, addrs []uint64, sizes []int) ([]byte, sim.Time, error)
 	// ScatterWrite pushes several pieces with one doorbell-batched chain
 	// of one-sided writes — the coalesced write-back primitive.

@@ -43,6 +43,10 @@ func TestConcurrentOpsUnderFaultsRace(t *testing.T) {
 		opsEach = 150
 		stride  = 4096
 	)
+	// A gather reply belongs to the link until the link's next gather
+	// (transport.Link), so callers that share a link take turns for the
+	// gather and for reading its reply; everything else stays unserialized.
+	var gatherMu sync.Mutex
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -58,7 +62,16 @@ func TestConcurrentOpsUnderFaultsRace(t *testing.T) {
 				case 1:
 					tr.ReadOneSided(at, addr, buf)
 				case 2:
-					tr.GatherTwoSided(at, []uint64{addr, addr + 64}, []int{32, 32})
+					gatherMu.Lock()
+					if data, _, err := tr.GatherTwoSided(at, []uint64{addr, addr + 64}, []int{32, 32}); err == nil {
+						for _, v := range data {
+							if v != 0 {
+								t.Errorf("worker %d: gather returned %#x, nobody writes non-zero bytes", g, v)
+								break
+							}
+						}
+					}
+					gatherMu.Unlock()
 				case 3:
 					tr.ScatterTwoSided(at, []uint64{addr, addr + 64}, [][]byte{buf[:32], buf[32:]})
 				case 4:

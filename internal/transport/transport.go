@@ -194,7 +194,11 @@ type T struct {
 	// incrementally on enqueue/dequeue so the drain and overlay-read paths
 	// never rebuild and re-sort the key set.
 	queuedAddrs []uint64
-	stats       Stats
+	// overlayReply is the buffer a gather served wholly from the overlay is
+	// assembled in (gatherQueued); like the far node's reply it is
+	// overwritten by the next such gather.
+	overlayReply []byte
+	stats        Stats
 
 	// Tracing (all nil when disabled — every use is nil-safe).
 	trc       *trace.Buffer
@@ -910,7 +914,8 @@ func (t *T) WriteOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, erro
 
 // GatherTwoSided fetches several pieces in one two-sided message (§4.5
 // batching, §4.7 partial-structure transmission). The reply carries the
-// pieces concatenated in request order. Pieces covered by the degraded-mode
+// pieces concatenated in request order, in a buffer that is valid until the
+// next call on this transport (see Link). Pieces covered by the degraded-mode
 // write-back queue are patched from the overlay so reads always see the
 // newest data.
 func (t *T) GatherTwoSided(now sim.Time, addrs []uint64, sizes []int) ([]byte, sim.Time, error) {
@@ -961,7 +966,10 @@ func (t *T) gatherQueued(addrs []uint64, sizes []int) ([]byte, bool) {
 	for _, s := range sizes {
 		total += s
 	}
-	out := make([]byte, total)
+	if total > cap(t.overlayReply) {
+		t.overlayReply = make([]byte, total)
+	}
+	out := t.overlayReply[:total]
 	off := 0
 	for i, a := range addrs {
 		if !t.overlayReadLocked(a, out[off:off+sizes[i]]) {
@@ -1039,6 +1047,7 @@ func (t *T) noteBatch(n int) {
 // order, streaming back-to-back on the wire — callers that hand pieces out
 // individually can therefore compute each piece's own arrival instant by
 // subtracting the trailing pieces' wire time from the returned completion.
+// The reply is valid until the next call on this transport (see Link).
 // Pieces covered by the degraded-mode write-back queue are patched from the
 // overlay so reads always see the newest data.
 func (t *T) GatherOneSided(now sim.Time, addrs []uint64, sizes []int) ([]byte, sim.Time, error) {

@@ -7,13 +7,33 @@
 package workload
 
 import (
+	"sync"
+
 	"mira/internal/exec"
 	"mira/internal/ir"
 )
 
-// ObjectIniter loads initial object contents (setup is untimed).
+// ObjectIniter loads initial object contents (setup is untimed). InitObject
+// copies: data is usually an image every session of the workload is loaded
+// from, and an implementation neither writes to it nor keeps it.
 type ObjectIniter interface {
 	InitObject(name string, data []byte) error
+}
+
+// Image is one object's initial contents: a pure function of the workload's
+// configuration, so it is generated once per workload, on first use, and
+// shared read-only by every session the planner, the harness, mtrun's threads
+// or a serving fleet open on it.
+type Image struct {
+	once sync.Once
+	data []byte
+}
+
+// Bytes returns the image, calling gen for it the first time. The result
+// must not be written to.
+func (im *Image) Bytes(gen func() []byte) []byte {
+	im.once.Do(func() { im.data = gen() })
+	return im.data
 }
 
 // ObjectDumper reads back an object's final far-memory contents.
