@@ -76,3 +76,54 @@ func TestWarmBodyAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// A tensor intrinsic on a warm section allocates nothing either: its operands
+// live in the executor's float scratch, which the bulk path reads into and
+// writes from directly, and the scratch is sized by the first execution.
+func TestWarmIntrinsicAllocatesNothing(t *testing.T) {
+	const m, k, n = 5, 7, 6 // none a multiple of four: the kernels' tails run too
+	// a at 0, b behind it, the destination (m×n or m×k) last.
+	const aOff, bOff, dstOff, total = 0, m * k, m*k + k*n, m*k + k*n + m*k
+	a, dst := ir.T("mem", ir.C(aOff), m, k), ir.T("mem", ir.C(dstOff), m, k)
+	kinds := []struct {
+		kind ir.IntrKind
+		emit func(fb *ir.FuncBuilder)
+	}{
+		{ir.IntrMatMul, func(fb *ir.FuncBuilder) {
+			fb.MatMul(ir.T("mem", ir.C(dstOff), m, n), a, ir.T("mem", ir.C(bOff), k, n))
+		}},
+		{ir.IntrMatMulT, func(fb *ir.FuncBuilder) {
+			fb.MatMulT(ir.T("mem", ir.C(dstOff), m, n), a, ir.T("mem", ir.C(bOff), n, k))
+		}},
+		{ir.IntrAdd, func(fb *ir.FuncBuilder) { fb.Binary(ir.IntrAdd, dst, a, ir.T("mem", ir.C(bOff), m, k)) }},
+		{ir.IntrLayerNorm, func(fb *ir.FuncBuilder) { fb.Unary(ir.IntrLayerNorm, dst, a) }},
+		{ir.IntrSoftmax, func(fb *ir.FuncBuilder) { fb.Unary(ir.IntrSoftmax, dst, a) }},
+		{ir.IntrGelu, func(fb *ir.FuncBuilder) { fb.Unary(ir.IntrGelu, dst, a) }},
+		{ir.IntrCopy, func(fb *ir.FuncBuilder) { fb.Unary(ir.IntrCopy, dst, a) }},
+		{ir.IntrZero, func(fb *ir.FuncBuilder) { fb.Zero(dst) }},
+	}
+	for _, tc := range kinds {
+		b := ir.NewBuilder("intr")
+		b.FloatArray("mem", total)
+		fb := b.Func("main")
+		tc.emit(fb)
+		p := b.MustProgram()
+		ex, err := New(p, rtBackend(t, p), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk := sim.NewClock(0)
+		fn, _ := p.EntryFunc()
+		body := ex.tab.resolve(fn)
+		fr := ex.newFrame(clk, fn, nil)
+		run := func() {
+			if _, _, err := ex.run(&fr, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warms the section and sizes the float scratch
+		if got := testing.AllocsPerRun(20, run); got != 0 {
+			t.Errorf("%v: %v allocs per warm execution, want 0", tc.kind, got)
+		}
+	}
+}

@@ -64,7 +64,6 @@ type Executor struct {
 	// profiling (nil when the backend has none or no collector is set).
 	misses missCounter
 	buf    [8]byte
-	stage  []byte       // bulk staging scratch, see staging
 	floats [3][]float64 // tensor operand scratch, see operand
 	// batch is the BatchPrefetch scratch: a copy of batchOf's entry template
 	// whose Elems the statement overwrites on each execution.

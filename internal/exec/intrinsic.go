@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -30,19 +29,7 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 			return err
 		}
 		m, k, n := int(st.a.rows), int(st.a.cols), int(st.b.cols)
-		for i := 0; i < m; i++ {
-			for kk := 0; kk < k; kk++ {
-				av := a[i*k+kk]
-				if av == 0 {
-					continue
-				}
-				row := b[kk*n : (kk+1)*n]
-				out := c[i*n : (i+1)*n]
-				for j := range row {
-					out[j] += av * row[j]
-				}
-			}
-		}
+		matMul(c, a, b, m, k, n)
 		clk.Advance(e.opt.FloatOp * sim.Duration(2*m*n*k))
 		return e.writeMatrix(fr, st.dst, c)
 
@@ -60,17 +47,7 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 			return err
 		}
 		m, k, n := int(st.a.rows), int(st.a.cols), int(st.b.rows)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var acc float64
-				ar := a[i*k : (i+1)*k]
-				br := b[j*k : (j+1)*k]
-				for kk := range ar {
-					acc += ar[kk] * br[kk]
-				}
-				c[i*n+j] += acc
-			}
-		}
+		matMulT(c, a, b, m, k, n)
 		clk.Advance(e.opt.FloatOp * sim.Duration(2*m*n*k))
 		return e.writeMatrix(fr, st.dst, c)
 
@@ -179,26 +156,24 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 	}
 }
 
-// readMatrix pulls a tensor view through the bulk path into float scratch
-// slot (see operand).
+// readMatrix pulls a tensor view through the bulk path straight into float
+// scratch slot (see operand): the backend fills the floats' own bytes.
 func (e *Executor) readMatrix(fr *frame, t tensor, slot int) ([]float64, error) {
 	off, err := e.eval(fr, t.off)
 	if err != nil {
 		return nil, err
 	}
-	n := t.elems()
-	buf := e.staging(n * 8)
+	out := e.operand(slot, t.elems())
+	buf := floatBytes(out)
 	if err := e.bulk(fr, t.objRef, off.AsInt(), buf, false); err != nil {
 		return nil, err
 	}
-	out := e.operand(slot, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
+	farOrder(buf)
 	return out, nil
 }
 
-// writeMatrix pushes a float slice back through the bulk path.
+// writeMatrix pushes a float slice back through the bulk path as the bytes
+// it already is; vals is dead afterwards.
 func (e *Executor) writeMatrix(fr *frame, t tensor, vals []float64) error {
 	off, err := e.eval(fr, t.off)
 	if err != nil {
@@ -207,31 +182,21 @@ func (e *Executor) writeMatrix(fr *frame, t tensor, vals []float64) error {
 	if len(vals) != t.elems() {
 		return fmt.Errorf("exec: writeMatrix size %d != %dx%d", len(vals), t.rows, t.cols)
 	}
-	buf := e.staging(len(vals) * 8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
+	buf := floatBytes(vals)
+	farOrder(buf)
 	return e.bulk(fr, t.objRef, off.AsInt(), buf, true)
 }
 
-// staging returns the executor's bulk staging buffer sized to n bytes: the
-// byte half of a tensor operand, dead as soon as readMatrix has decoded it or
-// the bulk write has returned. One Executor is one simulated thread's one
-// request (session.exec), so the scratch needs no locking.
-func (e *Executor) staging(n int) []byte {
-	if cap(e.stage) < n {
-		e.stage = make([]byte, n)
-	}
-	return e.stage[:n]
-}
-
 // operand returns float scratch slot sized to n values, contents unspecified:
-// the float half of a tensor operand or result. Three slots are enough
-// because no intrinsic holds more than three matrices at once (matmul's two
-// sources and its accumulating destination; add's two sources and its
-// result), an intrinsic never starts another one, and a matrix is dead once
-// writeMatrix has encoded it into the staging bytes. Like staging they belong
-// to one Executor — an offload child has its own — so nothing is locked.
+// a tensor operand or result, and — viewed through floatBytes — the buffer
+// the backend's bulk path reads into or writes from, so nothing stands
+// between the two. Three slots are enough because no intrinsic holds more
+// than three matrices at once (matmul's two sources and its accumulating
+// destination; add's two sources and its result), an intrinsic never starts
+// another one, and a matrix is dead once writeMatrix's bulk write has
+// returned (no backend keeps the buffer). One Executor is one simulated
+// thread's one request (session.exec) and an offload child has its own, so
+// the scratch needs no locking.
 func (e *Executor) operand(slot, n int) []float64 {
 	if cap(e.floats[slot]) < n {
 		e.floats[slot] = make([]float64, n)

@@ -15,8 +15,9 @@ import (
 // first called, and the interpreter in exec.go runs the result. Resolved code
 // is never written after it is built: the executor that built it and the
 // offload children it spawns read the same nodes, and whatever an execution
-// needs to scribble on (staging bytes, float operands, the batch-prefetch
-// entries) lives on the Executor.
+// needs to scribble on (the float operands a tensor intrinsic computes on and
+// moves through the bulk path, the batch-prefetch entries) lives on the
+// Executor.
 //
 // Resolution never fails. A validated program resolves cleanly except for a
 // field the scalar codec cannot carry; that error, like any other a node
