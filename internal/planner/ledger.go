@@ -43,11 +43,16 @@ func newLedger(w Workload, opts Options) *ledger {
 
 // ledgerRun is one executed candidate. Identity is the program's pointer —
 // compile hands equal plans the same program, so no IR is ever compared —
-// and the configuration's value.
+// and what the runtime makes of the configuration: its geometry (sizes in
+// whole lines and pages, everything else by value) and its carve-up byte
+// total, the one thing read of the raw sizes (the budget checks). cfg is
+// the configuration as first requested, which is the one that ran.
 type ledgerRun struct {
-	prog *ir.Program
-	cfg  rt.Config
-	out  *outcome
+	prog  *ir.Program
+	cfg   rt.Config
+	geom  rt.Config
+	carve int64
+	out   *outcome
 }
 
 // ledgerBuild is one compilation: src transformed by plan.
@@ -91,18 +96,23 @@ func (l *ledger) compile(src *ir.Program, plan *codegen.Plan) (*ir.Program, erro
 // time executes prog under cfg on the ledger's workload — fault-free, with
 // the planner's swap policy, profiling into a fresh collector when
 // cfg.Profiling is set — unless this ledger has already executed that very
-// candidate, in which case the recorded outcome is the answer.
+// candidate, in which case the recorded outcome is the answer. "That very
+// candidate" is decided on what the runtime builds, not on the bytes asked
+// for: "A at 0.2 of 84 583 B, B the rest" is A = 16 916 B and its mirror "B at
+// 0.8" is A = 16 917 B, and both are 8 lines of 2 KiB beside 33 — one cache,
+// one run (rt.Config.Geometry).
 func (l *ledger) time(prog *ir.Program, cfg rt.Config) *outcome {
+	geom, carve := cfg.Geometry(), cfg.CarveUpBytes()
 	if !l.forget {
 		for i := range l.runs {
-			if e := &l.runs[i]; e.prog == prog && reflect.DeepEqual(e.cfg, cfg) {
+			if e := &l.runs[i]; e.prog == prog && e.carve == carve && reflect.DeepEqual(e.geom, geom) {
 				l.reused++
 				return e.out
 			}
 		}
 	}
 	out := l.execute(prog, cfg)
-	l.runs = append(l.runs, ledgerRun{prog, cfg, out})
+	l.runs = append(l.runs, ledgerRun{prog, cfg, geom, carve, out})
 	return out
 }
 

@@ -18,6 +18,7 @@ import (
 	"mira/internal/apps/mcf"
 	"mira/internal/apps/seqscan"
 	"mira/internal/apps/stridescan"
+	"mira/internal/cache"
 	"mira/internal/cluster"
 	"mira/internal/farmem"
 	"mira/internal/sim"
@@ -29,14 +30,31 @@ func benchSeed(app string) uint64 {
 	return sim.SplitSeed(1, "app/"+app)&0x3fffffff | 1
 }
 
+// The benchmark's planned cells at fullSizes, seed 1 (benchmark/cells.go).
+func benchMCF() Workload {
+	return mcf.New(mcf.Config{Arcs: 2048, Nodes: 512, Iterations: 3, WalkLen: 64, Seed: benchSeed("mcf")})
+}
+
+func benchGPT2() Workload {
+	cfg := gpt2.DefaultConfig()
+	cfg.Layers, cfg.Seed = 4, benchSeed("gpt2")
+	return gpt2.New(cfg)
+}
+
+func benchDataframe() Workload {
+	return dataframe.New(dataframe.Config{Rows: 1 << 14, Queries: 1, Seed: benchSeed("dataframe")})
+}
+
 // distinctCandidates counts the candidates a forgetting ledger was asked for
-// that differ by value — programs compared deeply, not by pointer.
+// that differ by value — programs compared deeply, not by pointer;
+// configurations by what the runtime builds of them (rt.Config.Geometry) and
+// their carve-up byte total.
 func distinctCandidates(l *ledger) int {
 	var seen []ledgerRun
 next:
 	for _, r := range l.runs {
 		for _, s := range seen {
-			if reflect.DeepEqual(s.cfg, r.cfg) && reflect.DeepEqual(s.prog, r.prog) {
+			if s.carve == r.carve && reflect.DeepEqual(s.geom, r.geom) && reflect.DeepEqual(s.prog, r.prog) {
 				continue next
 			}
 		}
@@ -57,17 +75,13 @@ func TestEachCandidateOnce(t *testing.T) {
 		requested int // sessions the planner opened before the ledger
 		opened    int
 	}{
-		{"mcf@25", mcf.New(mcf.Config{Arcs: 2048, Nodes: 512, Iterations: 3, WalkLen: 64, Seed: benchSeed("mcf")}), 0.25, 20, 11},
-		{"mcf@10", mcf.New(mcf.Config{Arcs: 2048, Nodes: 512, Iterations: 3, WalkLen: 64, Seed: benchSeed("mcf")}), 0.10, 20, 8},
+		{"mcf@25", benchMCF(), 0.25, 20, 8},
+		{"mcf@10", benchMCF(), 0.10, 20, 8},
 		{"graph", graphtraverse.New(graphtraverse.Config{Edges: 8192, Nodes: 2048, Passes: 1, Seed: benchSeed("graph")}), 0.25, 4, 3},
 		{"seqscan", seqscan.New(seqscan.Config{N: 1 << 15, Seed: benchSeed("seqscan")}), 0.25, 4, 3},
 		{"stridescan", stridescan.New(stridescan.Config{N: 1 << 14, Seed: benchSeed("stridescan")}), 0.25, 4, 3},
 		{"arraysum", arraysum.New(arraysum.Config{N: 1 << 17, Seed: benchSeed("arraysum")}), 0.25, 4, 3},
-		{"gpt2@35", func() Workload {
-			cfg := gpt2.DefaultConfig()
-			cfg.Layers, cfg.Seed = 4, benchSeed("gpt2")
-			return gpt2.New(cfg)
-		}(), 0.35, 12, 12},
+		{"gpt2@35", benchGPT2(), 0.35, 12, 8},
 	}
 	for _, c := range cells {
 		c := c
@@ -95,6 +109,51 @@ func TestEachCandidateOnce(t *testing.T) {
 				t.Errorf("opened %d sessions for %d distinct candidates", res.Runs, d)
 			}
 		})
+	}
+}
+
+// TestMirroredSamplesShareOneSession is the smallest case of the repeat the
+// byte-exact key missed: two sampled sections splitting 4099 B. "arcs at 0.2,
+// nodes the rest" is 819 + 3280 B and its mirror "nodes at 0.8, arcs the
+// rest" is 820 + 3279 B — a byte apart, and 6 + 25 lines of 128 B both times,
+// so the four samples are two runs, and each mirror reads its overhead off
+// the run its twin paid for.
+func TestMirroredSamplesShareOneSession(t *testing.T) {
+	w := mcf.New(mcf.Config{Arcs: 256, Nodes: 64, Iterations: 1, WalkLen: 8, Seed: 42})
+	prog := w.Program()
+	const avail = 4099
+	opts := withDefaults(Options{LocalBudget: prog.LocalBytes() + avail, SampleRatios: []float64{0.2, 0.8}})
+	drafts := []*sectionDraft{
+		{name: "arcs", structure: cache.SetAssoc, ways: 4, lineBytes: 128, members: []string{"arcs"}, interval: [2]int{0, 1}},
+		{name: "nodes", structure: cache.FullAssoc, lineBytes: 128, members: []string{"nodes"}, interval: [2]int{0, 1}},
+	}
+	sample := func(forget bool) (*ledger, []int64) {
+		l := newLedger(w, opts)
+		l.forget = forget
+		if err := sizeBySampling(l, prog, prog, drafts, drafts, avail, 0, opts); err != nil {
+			t.Fatal(err)
+		}
+		return l, []int64{drafts[0].sizeBytes, drafts[1].sizeBytes}
+	}
+	on, sizes := sample(false)
+	off, want := sample(true)
+	if len(on.runs) != 2 || on.reused != 2 {
+		t.Errorf("four mirrored samples opened %d sessions and reused %d, want 2 and 2", len(on.runs), on.reused)
+	}
+	if len(off.runs) != 4 || distinctCandidates(off) != 2 {
+		t.Fatalf("forgetting ledger: %d requests, %d distinct, want 4 and 2", len(off.runs), distinctCandidates(off))
+	}
+	// The mirrors really are a byte apart, so the old key could not pair them.
+	a, b := off.runs[0].cfg, off.runs[3].cfg
+	if a.Sections[0].Cache.SizeBytes+1 != b.Sections[0].Cache.SizeBytes || a.Sections[1].Cache.SizeBytes-1 != b.Sections[1].Cache.SizeBytes {
+		t.Errorf("samples 0 and 3 are %d+%d B and %d+%d B, want one byte moved from the second section to the first",
+			a.Sections[0].Cache.SizeBytes, a.Sections[1].Cache.SizeBytes, b.Sections[0].Cache.SizeBytes, b.Sections[1].Cache.SizeBytes)
+	}
+	if !reflect.DeepEqual(off.runs[0].out, off.runs[3].out) || !reflect.DeepEqual(off.runs[1].out, off.runs[2].out) {
+		t.Error("a mirrored sample run for real measured something else than its twin")
+	}
+	if !reflect.DeepEqual(sizes, want) {
+		t.Errorf("the ILP chose %v from shared runs, %v from four runs", sizes, want)
 	}
 }
 

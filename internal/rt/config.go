@@ -134,14 +134,12 @@ func (c Config) Validate() error {
 	if err := c.Net.Validate(); err != nil {
 		return err
 	}
-	total := c.SwapPool
 	for i, s := range c.Sections {
 		if err := s.Cache.Validate(); err != nil {
 			return fmt.Errorf("rt: section %d: %w", i, err)
 		}
-		total += s.Cache.SizeBytes
 	}
-	if total > c.LocalBudget {
+	if total := c.CarveUpBytes(); total > c.LocalBudget {
 		return fmt.Errorf("rt: sections+swap use %d bytes, budget is %d", total, c.LocalBudget)
 	}
 	for name, pl := range c.Placements {
@@ -161,6 +159,45 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// CarveUpBytes is the local memory the configuration hands out: the swap pool
+// plus every section, byte for byte as requested. Validate and Bind hold it
+// against LocalBudget.
+func (c Config) CarveUpBytes() int64 {
+	total := c.SwapPool
+	for _, s := range c.Sections {
+		total += s.Cache.SizeBytes
+	}
+	return total
+}
+
+// Geometry states what New and Bind build from c's byte sizes: a copy of c
+// with each section's SizeBytes floored to whole lines as cache.Config.Lines
+// floors it (at least one line) and SwapPool floored to whole pages as
+// swap.Config.Pages floors it for swap.New (at least one page; a pool that is
+// not positive is no pool and stays as it is). Apart from the budget checks,
+// which read CarveUpBytes, nothing in rt, cache or swap reads the sizes any
+// other way (TestRawSizeReaders), so two configurations with equal Geometry
+// and equal CarveUpBytes build the same caches and run the same program to
+// the same clock, counters and bytes (TestEqualGeometryRunsIdentically).
+//
+// That holds for runs that never call SetSectionScale: cache.Config.Scaled
+// multiplies the raw SizeBytes before it floors, so an elastic rescale can
+// tell apart two sizes that Geometry cannot.
+func (c Config) Geometry() Config {
+	g := c
+	if c.SwapPool > 0 {
+		g.SwapPool = int64(swap.Config{PoolBytes: c.SwapPool}.Pages()) * swap.PageBytes
+	}
+	g.Sections = make([]SectionSpec, len(c.Sections))
+	for i, s := range c.Sections {
+		if s.Cache.LineBytes > 0 { // an invalid section is left for Validate to name
+			s.Cache.SizeBytes = int64(s.Cache.Lines()) * int64(s.Cache.LineBytes)
+		}
+		g.Sections[i] = s
+	}
+	return g
 }
 
 // writebackQueueLimit resolves the WritebackQueueLines knob: zero defaults,

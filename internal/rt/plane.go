@@ -95,7 +95,7 @@ func (r *Runtime) bindHybrid(p *ir.Program) error {
 			r.swapSz = total
 		}
 	}
-	if r.localBytes+r.cfg.SwapPool+r.sectionBytes() > r.cfg.LocalBudget {
+	if r.localBytes+r.cfg.CarveUpBytes() > r.cfg.LocalBudget {
 		return fmt.Errorf("rt: local objects (%d) + cache carve-up exceed budget %d",
 			r.localBytes, r.cfg.LocalBudget)
 	}

@@ -383,20 +383,12 @@ func (r *Runtime) Bind(p *ir.Program) error {
 			r.objs[o.Name].farBase = base + uint64(offsets[o.Name])
 		}
 	}
-	if r.localBytes+r.cfg.SwapPool+r.sectionBytes() > r.cfg.LocalBudget {
+	if r.localBytes+r.cfg.CarveUpBytes() > r.cfg.LocalBudget {
 		return fmt.Errorf("rt: local objects (%d) + cache carve-up exceed budget %d",
 			r.localBytes, r.cfg.LocalBudget)
 	}
 	r.rebuildOwnerIndex()
 	return nil
-}
-
-func (r *Runtime) sectionBytes() int64 {
-	var t int64
-	for _, s := range r.secs {
-		t += s.spec.Cache.SizeBytes
-	}
-	return t
 }
 
 // resolveSelective precomputes the object's selective-transmission field

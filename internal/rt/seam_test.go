@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -85,4 +86,86 @@ func TestLineSeam(t *testing.T) {
 func onSection(x ast.Expr) bool {
 	sel, ok := x.(*ast.SelectorExpr)
 	return ok && sel.Sel.Name == "sec"
+}
+
+// TestRawSizeReaders scans the non-test files of rt, cache and swap for reads
+// of the three byte sizes a configuration carries — cache.Config.SizeBytes,
+// Config.SwapPool, swap.Config.PoolBytes — and fails on one outside the
+// places Config.Geometry accounts for. The planner answers a candidate from a
+// recorded run whenever Geometry and CarveUpBytes agree, so a new reader of
+// the raw bytes is a way for two such runs to differ: it fails here until
+// Geometry (or the ledger's key) covers it.
+func TestRawSizeReaders(t *testing.T) {
+	// Function → reads it may hold, and what Geometry makes of each.
+	want := map[string]int{
+		"cache:Config.Lines":          1, // the floor to whole lines, which Geometry applies
+		"cache:Config.Validate":       2, // positive or not (and the message saying so): kept by the floor's minimum of one line
+		"cache:Config.Scaled":         1, // elastic rescale of the raw bytes: Geometry's stated exception
+		"rt:Runtime.SectionLiveBytes": 1, // of a Scaled configuration: a whole number of lines
+		"swap:Config.Pages":           1, // the floor to whole pages, which Geometry applies
+		"swap:New":                    2, // positive or not (and the message): a pool that is not positive stays as it is
+		"rt:Config.CarveUpBytes":      2, // the raw total, the other half of the ledger's key
+		"rt:Config.Geometry":          2, // pool positive or not; the pool handed to swap.Config.Pages
+		"rt:Runtime.Bind":             1, // the pool handed to effectiveSwapCfg → swap.New, after a positive-or-not check
+		"rt:Runtime.bindHybrid":       1, // the same, for the hybrid layout
+	}
+	sized := map[string]bool{"SizeBytes": true, "SwapPool": true, "PoolBytes": true}
+	got := map[string]int{}
+	fset := token.NewFileSet()
+	for _, dir := range []string{".", "../cache", "../swap"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				name := f.Name.Name + ":" + fn.Name.Name
+				if fn.Recv != nil {
+					recv := fn.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					name = f.Name.Name + ":" + types.ExprString(recv) + "." + fn.Name.Name
+				}
+				// Not reads: the target of an assignment, and a method call
+				// (ir.Object.SizeBytes() is an object's size, not a cache's).
+				notRead := map[ast.Expr]bool{}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							notRead[lhs] = true
+						}
+					case *ast.CallExpr:
+						notRead[n.Fun] = true
+					case *ast.SelectorExpr:
+						if sized[n.Sel.Name] && !notRead[n] {
+							got[name]++
+							if want[name] == 0 {
+								t.Errorf("%s: %s reads %s — Config.Geometry does not account for this reader",
+									fset.Position(n.Pos()), name, n.Sel.Name)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for name, n := range want {
+		if got[name] != n {
+			t.Errorf("%s reads a raw byte size at %d sites, Config.Geometry accounts for %d", name, got[name], n)
+		}
+	}
 }

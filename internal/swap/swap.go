@@ -93,6 +93,15 @@ type Config struct {
 	Net netmodel.Config
 }
 
+// Pages reports how many page frames the pool holds.
+func (c Config) Pages() int {
+	n := int(c.PoolBytes / PageBytes)
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
 // DefaultConfig returns a FastSwap-calibrated fault path.
 func DefaultConfig(poolBytes int64) Config {
 	return Config{
@@ -195,10 +204,7 @@ func New(cfg Config, tr transport.Link, base uint64, length int64, pf Prefetcher
 	if pf == nil {
 		pf = NoPrefetch{}
 	}
-	capacity := int(cfg.PoolBytes / PageBytes)
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity := cfg.Pages()
 	c := &Cache{
 		cfg:      cfg,
 		tr:       tr,
