@@ -18,7 +18,6 @@
 package aifm
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 
@@ -89,9 +88,14 @@ type Runtime struct {
 	objs    map[string]*objState
 	cap     int64 // usable data bytes after metadata
 	used    int64
-	entries map[entryKey]*list.Element
-	lru     *list.List // front = most recent
+	lru     entry        // list sentinel: lru.next is the most recent entry, lru.prev the least
+	classes []*sizeClass // evicted entries awaiting reuse, by buffer size
 	meta    int64
+
+	// One-element vectors of a miss's gather and a write-back's scatter.
+	addr1  [1]uint64
+	size1  [1]int
+	piece1 [1][]byte
 
 	// lock serializes dereferences across simulated threads: the object
 	// cache's shared state (LRU list, entry map, capacity accounting) is
@@ -113,17 +117,72 @@ type objState struct {
 	chunkElems int64
 	// chunks is the remotable-object count.
 	chunks int64
+	// table is the entry index: table[c] is chunk c's cached entry, nil
+	// when the chunk is remote. cached counts the non-nil slots.
+	table  []*entry
+	cached int
+	class  *sizeClass
 }
 
-type entryKey struct {
-	obj  string
-	elem int64
-}
-
+// entry is one cached remotable object, linked into the runtime's LRU list
+// while cached and into its size class's free list (through next) once
+// evicted.
 type entry struct {
-	key   entryKey
-	data  []byte
-	dirty bool
+	obj        *objState
+	chunk      int64
+	data       []byte // len is the chunk's size, cap the class's unit
+	dirty      bool
+	prev, next *entry
+}
+
+// sizeClass recycles the entries (and with them the data buffers) of every
+// object whose full chunk is unit bytes.
+type sizeClass struct {
+	unit int64
+	free *entry
+}
+
+func (r *Runtime) classFor(unit int64) *sizeClass {
+	for _, c := range r.classes {
+		if c.unit == unit {
+			return c
+		}
+	}
+	c := &sizeClass{unit: unit}
+	r.classes = append(r.classes, c)
+	return c
+}
+
+// farAddr is the far address of chunk c.
+func (o *objState) farAddr(c int64) uint64 {
+	return o.farBase + uint64(c)*uint64(o.chunkElems)*uint64(o.decl.ElemBytes)
+}
+
+func (r *Runtime) pushFront(e *entry) {
+	e.prev, e.next = &r.lru, r.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// drop uncaches e — unlinked, unindexed, its bytes off the budget — and
+// hands it to its size class for the next miss.
+func (r *Runtime) drop(e *entry) {
+	e.unlink()
+	o := e.obj
+	o.table[e.chunk] = nil
+	o.cached--
+	r.used -= int64(len(e.data))
+	e.next, o.class.free = o.class.free, e
+}
+
+// writeBack ships e's bytes to the far node and returns when they land.
+func (r *Runtime) writeBack(now sim.Time, e *entry) (sim.Time, error) {
+	r.addr1[0], r.piece1[0] = e.obj.farAddr(e.chunk), e.data
+	return r.tr.ScatterTwoSided(now, r.addr1[:], r.piece1[:])
 }
 
 // SetTrace attaches the deterministic tracing layer to the baseline's
@@ -147,12 +206,11 @@ func New(w workload.Workload, opts Options) (*Runtime, error) {
 	opts = opts.withDefaults()
 	prog := w.Program()
 	r := &Runtime{
-		opts:    opts,
-		node:    farmem.NewNode(opts.NodeCfg),
-		objs:    map[string]*objState{},
-		entries: map[entryKey]*list.Element{},
-		lru:     list.New(),
+		opts: opts,
+		node: farmem.NewNode(opts.NodeCfg),
+		objs: map[string]*objState{},
 	}
+	r.lru.prev, r.lru.next = &r.lru, &r.lru
 	r.trT = transport.New(r.node, opts.Net)
 	if opts.Resilience != nil {
 		r.trT.SetPolicy(*opts.Resilience)
@@ -181,9 +239,10 @@ func New(w workload.Workload, opts Options) (*Runtime, error) {
 			}
 		}
 		chunks := (o.Count + chunkElems - 1) / chunkElems
-		r.objs[o.Name] = &objState{decl: o, farBase: base, chunkElems: chunkElems, chunks: chunks}
+		unit := chunkElems * int64(o.ElemBytes)
+		r.objs[o.Name] = &objState{decl: o, farBase: base, chunkElems: chunkElems, chunks: chunks, class: r.classFor(unit)}
 		r.meta += chunks * opts.MetaPerObject
-		if unit := chunkElems * int64(o.ElemBytes); unit > maxUnit {
+		if unit > maxUnit {
 			maxUnit = unit
 		}
 	}
@@ -191,6 +250,9 @@ func New(w workload.Workload, opts Options) (*Runtime, error) {
 	if r.cap < maxUnit {
 		return nil, fmt.Errorf("aifm: %d bytes of remotable-pointer metadata leave no usable cache in %d-byte budget (fails to execute)",
 			r.meta, opts.LocalBudget)
+	}
+	for _, o := range r.objs {
+		o.table = make([]*entry, o.chunks)
 	}
 	if err := w.Init(r); err != nil {
 		return nil, err
@@ -269,11 +331,13 @@ func (o *objState) chunkSize(c int64) int64 {
 // deref resolves (obj, chunk) to a cached remotable object, fetching on
 // miss.
 func (r *Runtime) deref(clk *sim.Clock, o *objState, chunk int64) (*entry, error) {
-	key := entryKey{obj: o.decl.Name, elem: chunk}
-	if el, ok := r.entries[key]; ok {
+	if e := o.table[chunk]; e != nil {
 		r.hits++
-		r.lru.MoveToFront(el)
-		return el.Value.(*entry), nil
+		if r.lru.next != e {
+			e.unlink()
+			r.pushFront(e)
+		}
+		return e, nil
 	}
 	r.misses++
 	size := o.chunkSize(chunk)
@@ -282,43 +346,45 @@ func (r *Runtime) deref(clk *sim.Clock, o *objState, chunk int64) (*entry, error
 			return nil, err
 		}
 	}
-	e := &entry{key: key, data: make([]byte, size)}
-	addr := o.farBase + uint64(chunk)*uint64(o.chunkElems)*uint64(o.decl.ElemBytes)
 	// AIFM moves objects in messages handled by a remote agent:
 	// two-sided.
-	data, done, err := r.tr.GatherTwoSided(clk.Now(), []uint64{addr}, []int{int(size)})
+	r.addr1[0], r.size1[0] = o.farAddr(chunk), int(size)
+	data, done, err := r.tr.GatherTwoSided(clk.Now(), r.addr1[:], r.size1[:])
 	if err != nil {
 		return nil, err
 	}
+	e := o.class.free
+	if e != nil {
+		o.class.free, e.next = e.next, nil
+	} else {
+		e = &entry{data: make([]byte, o.class.unit)}
+	}
+	e.obj, e.chunk, e.data, e.dirty = o, chunk, e.data[:size], false
 	copy(e.data, data)
 	clk.AdvanceTo(done)
 	// The miss extended the critical section past the dereference hold:
 	// keep the cache lock busy until the fetch completed, so concurrent
 	// dereferences queue behind it.
 	r.lock.Acquire(done, 0)
-	r.entries[key] = r.lru.PushFront(e)
+	o.table[chunk] = e
+	o.cached++
+	r.pushFront(e)
 	r.used += size
 	return e, nil
 }
 
 // evictOne swaps out the LRU element.
 func (r *Runtime) evictOne(clk *sim.Clock) error {
-	el := r.lru.Back()
-	if el == nil {
+	e := r.lru.prev
+	if e == &r.lru {
 		return fmt.Errorf("aifm: cache exhausted with nothing to evict")
 	}
-	e := el.Value.(*entry)
-	r.lru.Remove(el)
-	delete(r.entries, e.key)
-	r.used -= int64(len(e.data))
 	r.evictions++
+	r.drop(e) // only recycles e at the next miss: its bytes outlive the write-back
 	if e.dirty {
 		r.writebacks++
-		o := r.objs[e.key.obj]
-		addr := o.farBase + uint64(e.key.elem)*uint64(o.chunkElems)*uint64(o.decl.ElemBytes)
-		if _, err := r.tr.ScatterTwoSided(clk.Now(), []uint64{addr}, [][]byte{e.data}); err != nil {
-			return err
-		}
+		_, err := r.writeBack(clk.Now(), e)
+		return err
 	}
 	return nil
 }
@@ -369,33 +435,27 @@ func (r *Runtime) bulk(clk *sim.Clock, name string, elem int64, buf []byte, writ
 	return nil
 }
 
-// FlushObject writes back and drops every cached element of the object.
+// FlushObject writes back and drops every cached element of the object,
+// in element order.
 func (r *Runtime) FlushObject(clk *sim.Clock, name string) error {
-	var keys []entryKey
-	for k := range r.entries {
-		if k.obj == name {
-			keys = append(keys, k)
-		}
+	o, ok := r.objs[name]
+	if !ok {
+		return nil
 	}
-	// Write back in element order; map order would make link queueing —
-	// and so final sim times — run-dependent.
-	sort.Slice(keys, func(i, j int) bool { return keys[i].elem < keys[j].elem })
-	for _, k := range keys {
-		el := r.entries[k]
-		e := el.Value.(*entry)
+	for c := 0; o.cached > 0; c++ {
+		e := o.table[c]
+		if e == nil {
+			continue
+		}
 		if e.dirty {
-			o := r.objs[k.obj]
-			addr := o.farBase + uint64(k.elem)*uint64(o.chunkElems)*uint64(o.decl.ElemBytes)
-			done, err := r.tr.ScatterTwoSided(clk.Now(), []uint64{addr}, [][]byte{e.data})
+			done, err := r.writeBack(clk.Now(), e)
 			if err != nil {
 				return err
 			}
 			clk.AdvanceTo(done)
 			r.writebacks++
 		}
-		r.lru.Remove(el)
-		delete(r.entries, k)
-		r.used -= int64(len(e.data))
+		r.drop(e)
 	}
 	return nil
 }

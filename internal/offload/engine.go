@@ -100,21 +100,29 @@ type Engine struct {
 
 	trc    *trace.Buffer
 	reg    *trace.Registry
-	cOps   map[int]*trace.Counter
-	cBytes map[int]*trace.Counter
+	cOps   []*trace.Counter // by node
+	cBytes []*trace.Counter
+
+	// Scratch of partition / mergeByNode (indexed by node, left zeroed
+	// between calls) and of commit.
+	lost   []bool
+	byNode []*sub
+	merger merger
 
 	stats Stats
 }
 
 // NewEngine wires an engine over a cluster pool.
 func NewEngine(pool *cluster.Pool, res Resolver, cfg Config) *Engine {
-	return &Engine{
-		pool:   pool,
-		res:    res,
-		cfg:    cfg,
-		cOps:   map[int]*trace.Counter{},
-		cBytes: map[int]*trace.Counter{},
+	e := &Engine{pool: pool, res: res, cfg: cfg}
+	if pool != nil {
+		n := pool.NodeCount()
+		e.cOps = make([]*trace.Counter, n)
+		e.cBytes = make([]*trace.Counter, n)
+		e.lost = make([]bool, n)
+		e.byNode = make([]*sub, n)
 	}
+	return e
 }
 
 // SetTrace attaches the tracing layer: offload.dispatch / offload.exec /
@@ -230,7 +238,7 @@ func (e *Engine) Execute(clk *sim.Clock, req Request, run Runner) ([]Scalar, boo
 				done = append(done, sb)
 			}
 		}
-		pending = mergeByNode(next)
+		pending = e.mergeByNode(next)
 		finish = join
 	}
 
@@ -273,7 +281,7 @@ func (e *Engine) runSub(t *sim.Thread, sb *sub, req Request, table []cluster.Pla
 		sb.lost = true
 		return nil
 	}
-	env := &NodeEnv{eng: e, node: sb.node, table: table, staged: map[uint64][]byte{}}
+	env := &NodeEnv{eng: e, node: sb.node, table: table}
 	sb.env = env
 	val, err := run(clk, t.Yield, sb.ranges, env)
 	if env.lost || errors.Is(err, ErrNodeLost) {
@@ -312,16 +320,22 @@ func (e *Engine) nodeLost(i int, now sim.Time) bool {
 // ranges into one sub per node (ascending node order). An element with no
 // surviving home is an error.
 func (e *Engine) partition(base uint64, elemBytes int, lo, hi int64, now sim.Time, table []cluster.PlacementEntry) ([]*sub, error) {
-	lost := map[int]bool{}
-	for i := 0; i < e.pool.NodeCount(); i++ {
-		lost[i] = e.nodeLost(i, now)
+	for i := range e.lost {
+		e.lost[i] = e.nodeLost(i, now)
 	}
-	byNode := map[int][][2]int64{}
+	defer clear(e.byNode)
 	curNode, curLo := -1, int64(0)
 	flush := func(end int64) {
-		if curNode >= 0 {
-			byNode[curNode] = append(byNode[curNode], [2]int64{curLo, end})
+		if curNode < 0 {
+			return
 		}
+		sb := e.byNode[curNode]
+		if sb == nil {
+			sb = &sub{node: curNode}
+			e.byNode[curNode] = sb
+		}
+		sb.ranges = append(sb.ranges, [2]int64{curLo, end})
+		sb.elems += end - curLo
 	}
 	for el := lo; el < hi; el++ {
 		addr := base + uint64(el)*uint64(elemBytes)
@@ -331,7 +345,7 @@ func (e *Engine) partition(base uint64, elemBytes int, lo, hi int64, now sim.Tim
 		}
 		node := -1
 		for _, h := range ent.Homes {
-			if !lost[h.Node] {
+			if !e.lost[h.Node] {
 				node = h.Node
 				break
 			}
@@ -345,44 +359,36 @@ func (e *Engine) partition(base uint64, elemBytes int, lo, hi int64, now sim.Tim
 		}
 	}
 	flush(hi)
-	nodes := make([]int, 0, len(byNode))
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	subs := make([]*sub, 0, len(nodes))
-	for _, n := range nodes {
-		sb := &sub{node: n, ranges: byNode[n]}
-		for _, r := range sb.ranges {
-			sb.elems += r[1] - r[0]
+	var subs []*sub
+	for _, sb := range e.byNode {
+		if sb != nil {
+			subs = append(subs, sb)
 		}
-		subs = append(subs, sb)
 	}
 	return subs, nil
 }
 
-// mergeByNode folds re-planned subs targeting the same node into one.
-func mergeByNode(subs []*sub) []*sub {
+// mergeByNode folds re-planned subs targeting the same node into one, in
+// ascending node order.
+func (e *Engine) mergeByNode(subs []*sub) []*sub {
 	if len(subs) <= 1 {
 		return subs
 	}
-	byNode := map[int]*sub{}
-	var nodes []int
+	defer clear(e.byNode)
 	for _, sb := range subs {
-		if cur, ok := byNode[sb.node]; ok {
+		if cur := e.byNode[sb.node]; cur != nil {
 			cur.ranges = append(cur.ranges, sb.ranges...)
 			cur.elems += sb.elems
 			continue
 		}
-		byNode[sb.node] = sb
-		nodes = append(nodes, sb.node)
+		e.byNode[sb.node] = sb
 	}
-	sort.Ints(nodes)
-	out := make([]*sub, 0, len(nodes))
-	for _, n := range nodes {
-		sb := byNode[n]
-		sort.Slice(sb.ranges, func(i, j int) bool { return sb.ranges[i][0] < sb.ranges[j][0] })
-		out = append(out, sb)
+	out := subs[:0]
+	for _, sb := range e.byNode {
+		if sb != nil {
+			sort.Slice(sb.ranges, func(i, j int) bool { return sb.ranges[i][0] < sb.ranges[j][0] })
+			out = append(out, sb)
+		}
 	}
 	return out
 }
@@ -401,71 +407,43 @@ func entryFor(table []cluster.PlacementEntry, addr uint64) *cluster.PlacementEnt
 }
 
 // commit is the fenced write-back: merge every finished sub's staged
-// writes (disjoint by the scatter shape), coalesce adjacent extents, and
+// extents (disjoint by the scatter shape), coalesce adjacent runs, and
 // stream them back to their serving nodes — chunked, wire-codec-encoded,
-// priced on the per-node link — before applying them to the pool with
-// replica fan-out. Nothing touches far memory before this point, which is
-// what makes mid-run loss recoverable without double-applied results.
+// priced on the per-node link, nodes in ascending order — before applying
+// them to the pool with replica fan-out. Nothing touches far memory before
+// this point, which is what makes mid-run loss recoverable without
+// double-applied results.
 func (e *Engine) commit(clk *sim.Clock, done []*sub, table []cluster.PlacementEntry) (int64, error) {
-	merged := map[uint64][]byte{}
-	for _, sb := range done {
-		for a, b := range sb.env.staged {
-			merged[a] = b
-		}
-	}
-	if len(merged) == 0 {
+	exts := e.merger.merge(done)
+	if len(exts) == 0 {
 		return 0, nil
 	}
-	addrs := make([]uint64, 0, len(merged))
-	for a := range merged {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-
-	type extent struct {
-		addr uint64
-		data []byte
-	}
-	var exts []extent
-	for _, a := range addrs {
-		b := merged[a]
-		if n := len(exts); n > 0 && exts[n-1].addr+uint64(len(exts[n-1].data)) == a {
-			exts[n-1].data = append(exts[n-1].data, b...)
-			continue
-		}
-		exts = append(exts, extent{addr: a, data: append([]byte(nil), b...)})
-	}
-
 	now := clk.Now()
-	perNode := map[int][]extent{}
-	var nodes []int
-	for _, x := range exts {
-		n := e.servingNode(x.addr, now, table)
-		if _, ok := perNode[n]; !ok {
-			nodes = append(nodes, n)
-		}
-		perNode[n] = append(perNode[n], x)
+	for i := range exts {
+		exts[i].node = e.servingNode(exts[i].addr, now, table)
 	}
-	sort.Ints(nodes)
 
 	chunk := e.Chunk()
 	id := e.pool.WireCodec()
 	cm := codec.DefaultCostModel()
 	var totalWire int64
-	for _, n := range nodes {
-		wire := 0
-		for _, x := range perNode[n] {
+	for n := 0; n < e.pool.NodeCount(); n++ {
+		wire, serves := 0, false
+		for _, x := range exts {
+			if x.node != n {
+				continue
+			}
+			serves = true
 			for off := 0; off < len(x.data); off += chunk {
-				end := off + chunk
-				if end > len(x.data) {
-					end = len(x.data)
-				}
-				piece := x.data[off:end]
+				piece := x.data[off:min(off+chunk, len(x.data))]
 				wire += codec.EncodedLen(id, piece)
 				if id != codec.None {
 					clk.Advance(cm.EncodeCost(len(piece)))
 				}
 			}
+		}
+		if !serves {
+			continue
 		}
 		bw := e.pool.Transport(n).BW
 		clk.AdvanceTo(netmodel.StreamCost(e.cfg.Net, bw, clk.Now(), wire, chunk))
@@ -566,13 +544,22 @@ func (e *Engine) addBytes(node int, n int64) {
 // from peers over the network otherwise; writes are staged locally and
 // only reach the pool at commit time.
 type NodeEnv struct {
-	eng    *Engine
-	node   int
-	table  []cluster.PlacementEntry
-	staged map[uint64][]byte
+	eng   *Engine
+	node  int
+	table []cluster.PlacementEntry
+	st    staging
+	objs  []objExtent // resolved once per sub
 
 	remoteWire int64
 	lost       bool
+}
+
+// objExtent is a resolved Resolver.ObjectExtent answer.
+type objExtent struct {
+	name      string
+	base      uint64
+	elemBytes int
+	count     int64
 }
 
 // Node reports the serving node index.
@@ -583,57 +570,78 @@ func (env *NodeEnv) Slowdown() float64 {
 	return env.eng.pool.FarNode(env.node).CPUSlowdown()
 }
 
-// Access reads or writes one element field. Writes stage; reads check the
-// staging area first (read-your-writes), then the local replica, then fall
-// back to a remote one-sided read. It returns ErrNodeLost when the serving
-// node died, which the engine turns into a re-dispatch.
-func (env *NodeEnv) Access(clk *sim.Clock, name string, elem int64, field ir.Field, buf []byte, write bool) error {
+// object resolves name through the engine's Resolver the first time the sub
+// touches it.
+func (env *NodeEnv) object(name string) (*objExtent, bool) {
+	for i := range env.objs {
+		if env.objs[i].name == name {
+			return &env.objs[i], true
+		}
+	}
 	base, elemBytes, count, ok := env.eng.res.ObjectExtent(name)
+	if !ok {
+		return nil, false
+	}
+	env.objs = append(env.objs, objExtent{name: name, base: base, elemBytes: elemBytes, count: count})
+	return &env.objs[len(env.objs)-1], true
+}
+
+// Access reads or writes one element field. Writes stage; reads of bytes
+// this sub wholly staged are served from staging (read-your-writes), others
+// from the local replica or, failing that, a remote one-sided read, with
+// any staged bytes in the range patched over what far memory returned. It
+// returns ErrNodeLost when the serving node died, which the engine turns
+// into a re-dispatch.
+func (env *NodeEnv) Access(clk *sim.Clock, name string, elem int64, field ir.Field, buf []byte, write bool) error {
+	o, ok := env.object(name)
 	if !ok {
 		return fmt.Errorf("offload: access to unknown or local object %q", name)
 	}
-	if elem < 0 || elem >= count {
-		return fmt.Errorf("offload: %s[%d] out of range (count %d)", name, elem, count)
+	if elem < 0 || elem >= o.count {
+		return fmt.Errorf("offload: %s[%d] out of range (count %d)", name, elem, o.count)
 	}
 	if len(buf) > field.Bytes {
 		buf = buf[:field.Bytes]
 	}
-	addr := base + uint64(elem)*uint64(elemBytes) + uint64(field.Offset)
+	addr := o.base + uint64(elem)*uint64(o.elemBytes) + uint64(field.Offset)
 	if write {
-		cp := make([]byte, len(buf))
-		copy(cp, buf)
-		env.staged[addr] = cp
+		env.st.store(addr, buf)
 		clk.Advance(env.eng.cfg.LocalCost)
 		return nil
 	}
-	if st, okSt := env.staged[addr]; okSt && len(st) >= len(buf) {
-		copy(buf, st)
+	staged := env.st.overlay(addr, buf)
+	if staged == len(buf) {
 		clk.Advance(env.eng.cfg.LocalCost)
 		return nil
 	}
-	if lbase, okLocal := env.localBase(addr, len(buf)); okLocal {
-		if env.checkLost(clk.Now()) {
-			return ErrNodeLost
-		}
+	if err := env.readFar(clk, addr, buf); err != nil {
+		return err
+	}
+	if staged > 0 {
+		env.st.overlay(addr, buf)
+	}
+	return nil
+}
+
+// readFar reads [addr, addr+len(buf)) from the serving node's own replica
+// when it holds the whole range, and from the pool's first surviving home,
+// priced as a one-sided read on this sub's clock, when it does not.
+func (env *NodeEnv) readFar(clk *sim.Clock, addr uint64, buf []byte) error {
+	if env.checkLost(clk.Now()) {
+		return ErrNodeLost
+	}
+	if lbase, local := env.localBase(addr, len(buf)); local {
 		if err := env.eng.pool.FarNode(env.node).Read(lbase, buf); err != nil {
 			return err
 		}
 		clk.Advance(env.eng.cfg.LocalCost)
-		if env.checkLost(clk.Now()) {
-			return ErrNodeLost
+	} else {
+		if err := env.eng.pool.Read(addr, buf); err != nil {
+			return err
 		}
-		return nil
+		clk.Advance(env.eng.cfg.Net.OneSidedCost(len(buf)))
+		env.remoteWire += int64(len(buf))
 	}
-	// Remote replica: untimed pool read (first surviving home), priced as
-	// a one-sided read on this sub's clock.
-	if env.checkLost(clk.Now()) {
-		return ErrNodeLost
-	}
-	if err := env.eng.pool.Read(addr, buf); err != nil {
-		return err
-	}
-	clk.Advance(env.eng.cfg.Net.OneSidedCost(len(buf)))
-	env.remoteWire += int64(len(buf))
 	if env.checkLost(clk.Now()) {
 		return ErrNodeLost
 	}

@@ -80,7 +80,7 @@ type History struct {
 	// tables[k] holds the order-(k+1) contexts; fifos mirror insertion
 	// order for bounded eviction. Each order shares the MaxEntries bound.
 	tables [3]map[uint64]*histEntry
-	fifos  [3][]uint64
+	fifos  [3]ring
 	// context: the last three deltas (d1 oldest) and the last observed
 	// unit (miss or prefetched touch).
 	d1, d2, d3 int64
@@ -139,9 +139,8 @@ func (h *History) recordAt(idx int, k uint64, d int64) {
 	if e == nil {
 		if len(h.tables[idx]) >= h.cfg.MaxEntries {
 			// Evict the oldest context still resident.
-			for len(h.fifos[idx]) > 0 {
-				old := h.fifos[idx][0]
-				h.fifos[idx] = h.fifos[idx][1:]
+			for h.fifos[idx].len() > 0 {
+				old := h.fifos[idx].pop()
 				if _, ok := h.tables[idx][old]; ok {
 					delete(h.tables[idx], old)
 					break
@@ -150,7 +149,7 @@ func (h *History) recordAt(idx int, k uint64, d int64) {
 		}
 		e = &histEntry{count: map[int64]uint32{}}
 		h.tables[idx][k] = e
-		h.fifos[idx] = append(h.fifos[idx], k)
+		h.fifos[idx].push(k)
 	}
 	h.bump(e, d)
 }

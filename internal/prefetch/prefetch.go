@@ -141,9 +141,13 @@ func (Readahead) PerMissOverhead() sim.Duration { return 0 }
 // along it; otherwise stay silent. Captures one global stride, loses
 // interleaved per-object patterns.
 type Leap struct {
-	window   int
-	depth    int64
-	history  []int64 // recent miss deltas
+	window int
+	depth  int64
+	// history ends in the recent miss deltas, newest last, in a buffer of
+	// twice the window: when it fills, the newest window-1 move to its
+	// front, so the window slides without reallocating and is always one
+	// contiguous slice.
+	history  []int64
 	last     int64
 	haveLast bool
 }
@@ -157,28 +161,28 @@ func NewLeap(window int, depth int64) *Leap {
 	if depth == 0 {
 		depth = 8
 	}
-	return &Leap{window: window, depth: depth}
+	return &Leap{window: window, depth: depth, history: make([]int64, 0, 2*window)}
 }
 
 func (*Leap) Name() string { return "leap" }
 
 func (p *Leap) OnMiss(unit int64) []int64 {
 	if p.haveLast {
-		delta := unit - p.last
-		p.history = append(p.history, delta)
-		if len(p.history) > p.window {
-			p.history = p.history[1:]
+		if len(p.history) == cap(p.history) {
+			p.history = p.history[:copy(p.history, p.history[len(p.history)-p.window+1:])]
 		}
+		p.history = append(p.history, unit-p.last)
 	}
 	p.last = unit
 	p.haveLast = true
-	if len(p.history) < p.window/2 {
+	recent := p.history[max(0, len(p.history)-p.window):]
+	if len(recent) < p.window/2 {
 		return nil
 	}
 	// Boyer-Moore majority vote over the window (the algorithm Leap uses).
 	var cand int64
 	count := 0
-	for _, d := range p.history {
+	for _, d := range recent {
 		if count == 0 {
 			cand = d
 			count = 1
@@ -190,12 +194,12 @@ func (p *Leap) OnMiss(unit int64) []int64 {
 	}
 	// Verify it is a true majority.
 	occurrences := 0
-	for _, d := range p.history {
+	for _, d := range recent {
 		if d == cand {
 			occurrences++
 		}
 	}
-	if occurrences*2 <= len(p.history) || cand == 0 {
+	if occurrences*2 <= len(recent) || cand == 0 {
 		return nil
 	}
 	out := make([]int64, 0, p.depth)
