@@ -34,6 +34,15 @@ func smallWorkloads() []workload.Workload {
 	}
 }
 
+// allWorkloads is smallWorkloads plus the two distributed-aggregation apps
+// built for the offload engine: all nine.
+func allWorkloads() []workload.Workload {
+	return append(smallWorkloads(),
+		distagg.New(distagg.Config{N: 4096, Mode: "agg", Seed: 3}),
+		distagg.New(distagg.Config{N: 4096, Mode: "filter", K: 3, Seed: 3}),
+	)
+}
+
 func TestEveryAppVerifiesOnEverySystem(t *testing.T) {
 	for _, w := range smallWorkloads() {
 		budget := w.FullMemoryBytes() / 3
@@ -98,10 +107,7 @@ func (l *initLog) InitObject(name string, data []byte) error {
 // in the same order — the second Init generates nothing — and two runtimes
 // initialised from one Workload hold byte-equal objects.
 func TestAppsGenerateTheirDataOnce(t *testing.T) {
-	for _, w := range append(smallWorkloads(),
-		distagg.New(distagg.Config{N: 4096, Mode: "agg", Seed: 3}),
-		distagg.New(distagg.Config{N: 4096, Mode: "filter", K: 3, Seed: 3}),
-	) {
+	for _, w := range allWorkloads() {
 		var first, second initLog
 		if err := w.Init(&first); err != nil {
 			t.Fatal(err)

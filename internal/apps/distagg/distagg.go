@@ -151,22 +151,20 @@ func (w *Workload) Verify(d workload.ObjectDumper) error {
 		return err
 	}
 	if w.cfg.Mode == "filter" {
-		var count int64
-		want := make([]byte, w.cfg.N*8)
-		for i := int64(0); i < w.cfg.N; i++ {
-			v := w.elem(i)
-			if int64(v)%w.cfg.K == 0 {
-				binary.LittleEndian.PutUint64(want[i*8:], v)
-				count++
-			}
-		}
 		out, err := d.DumpObject("out")
 		if err != nil {
 			return err
 		}
+		// Kept elements pass through, rejected slots hold zero.
+		var count int64
 		for i := int64(0); i < w.cfg.N; i++ {
-			got := binary.LittleEndian.Uint64(out[i*8:])
-			if exp := binary.LittleEndian.Uint64(want[i*8:]); got != exp {
+			exp := w.elem(i)
+			if int64(exp)%w.cfg.K == 0 {
+				count++
+			} else {
+				exp = 0
+			}
+			if got := binary.LittleEndian.Uint64(out[i*8:]); got != exp {
 				return fmt.Errorf("distagg: out[%d] = %d, want %d", i, got, exp)
 			}
 		}

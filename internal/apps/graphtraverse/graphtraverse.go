@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"mira/internal/exec"
 	"mira/internal/ir"
@@ -63,6 +64,9 @@ type Workload struct {
 	cfg   Config
 	prog  *ir.Program
 	edges workload.Image
+
+	countsOnce sync.Once
+	counts     []int64
 }
 
 // New builds the workload.
@@ -164,9 +168,15 @@ func (w *Workload) pickNode(rng *sim.RNG) int64 {
 	return (hot * 2654435761) % n
 }
 
-// ExpectedCounts computes the node counters natively — the oracle the
-// integration tests compare every system's output against.
+// ExpectedCounts is the node counters computed natively — the oracle the
+// integration tests compare every system's output against. Computed once;
+// the result is shared and must not be written.
 func (w *Workload) ExpectedCounts() []int64 {
+	w.countsOnce.Do(func() { w.counts = w.expectedCounts() })
+	return w.counts
+}
+
+func (w *Workload) expectedCounts() []int64 {
 	counts := make([]int64, w.cfg.Nodes)
 	data := w.EdgeData()
 	for p := int64(0); p < w.cfg.Passes; p++ {

@@ -10,6 +10,7 @@ package mcf
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"mira/internal/exec"
 	"mira/internal/ir"
@@ -51,6 +52,10 @@ type Workload struct {
 	// The byte images of the generated graph, as Init hands them to
 	// InitObject.
 	arcs, nodes workload.Image
+	// The reference's final potentials and flows, computed once and shared
+	// read-only by every Verify.
+	refOnce           sync.Once
+	wantPot, wantFlow []int64
 }
 
 // New builds the workload.
@@ -220,7 +225,8 @@ func (w *Workload) reference() ([]int64, []int64) {
 
 // Verify implements workload.Verifier.
 func (w *Workload) Verify(d workload.ObjectDumper) error {
-	wantPot, wantFlow := w.reference()
+	w.refOnce.Do(func() { w.wantPot, w.wantFlow = w.reference() })
+	wantPot, wantFlow := w.wantPot, w.wantFlow
 	nodes, err := d.DumpObject("nodes")
 	if err != nil {
 		return err

@@ -272,17 +272,14 @@ func (r *Runtime) InitObject(name string, data []byte) error {
 	return r.node.Write(o.farBase, data)
 }
 
-// DumpObject reads back far contents; call FlushAll first.
+// DumpObject returns the object's far contents in place (farmem.Node.View):
+// read-only, and valid until the runtime is next used. Call FlushAll first.
 func (r *Runtime) DumpObject(name string) ([]byte, error) {
 	o, ok := r.objs[name]
 	if !ok {
 		return nil, fmt.Errorf("aifm: unknown object %q", name)
 	}
-	out := make([]byte, o.decl.SizeBytes())
-	if err := r.node.Read(o.farBase, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return r.node.View(o.farBase, int(o.decl.SizeBytes()))
 }
 
 // Access dereferences one remotable object (element) and copies the field

@@ -34,9 +34,9 @@ type Options struct {
 // here for the baseline's public API).
 type Readahead struct{ N int64 }
 
-// OnFault returns the next N pages.
-func (r Readahead) OnFault(page int64) []int64 {
-	return prefetch.Readahead{N: r.N}.OnMiss(page)
+// OnFault appends the next N pages to out.
+func (r Readahead) OnFault(page int64, out []int64) []int64 {
+	return prefetch.Readahead{N: r.N}.OnMiss(page, out)
 }
 
 // PerFaultOverhead is zero: FastSwap's datapath is the fast one the other

@@ -9,7 +9,7 @@ import (
 
 func TestReadaheadWindow(t *testing.T) {
 	ra := Readahead{N: 3}
-	out := ra.OnFault(10)
+	out := ra.OnFault(10, nil)
 	if len(out) != 3 || out[0] != 11 || out[1] != 12 || out[2] != 13 {
 		t.Fatalf("readahead = %v", out)
 	}

@@ -46,7 +46,7 @@ func NewPrefetcher(window int, depth int64) *Prefetcher {
 }
 
 // OnFault records the fault and prefetches along the majority trend.
-func (p *Prefetcher) OnFault(page int64) []int64 { return p.p.OnMiss(page) }
+func (p *Prefetcher) OnFault(page int64, out []int64) []int64 { return p.p.OnMiss(page, out) }
 
 // PerFaultOverhead is the trend-detection cost on every fault.
 func (p *Prefetcher) PerFaultOverhead() sim.Duration { return p.p.PerMissOverhead() }

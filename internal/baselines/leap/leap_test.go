@@ -16,7 +16,7 @@ func TestMajorityTrendDetected(t *testing.T) {
 	// must follow it.
 	var out []int64
 	for pg := int64(0); pg < 12; pg++ {
-		out = p.OnFault(pg)
+		out = p.OnFault(pg, nil)
 	}
 	if len(out) != 4 {
 		t.Fatalf("prefetch depth %d, want 4", len(out))
@@ -32,7 +32,7 @@ func TestStrideTrend(t *testing.T) {
 	p := NewPrefetcher(8, 2)
 	var out []int64
 	for i := int64(0); i < 12; i++ {
-		out = p.OnFault(i * 3)
+		out = p.OnFault(i*3, nil)
 	}
 	if len(out) != 2 || out[0] != 33+3 || out[1] != 33+6 {
 		t.Fatalf("stride-3 prefetch = %v", out)
@@ -45,7 +45,7 @@ func TestNoMajorityNoPrefetch(t *testing.T) {
 	pages := []int64{0, 5, 2, 7, 4, 9, 6, 11, 8, 13, 10}
 	var out []int64
 	for _, pg := range pages {
-		out = p.OnFault(pg)
+		out = p.OnFault(pg, nil)
 	}
 	if len(out) != 0 {
 		t.Fatalf("prefetched %v despite no majority trend", out)
@@ -62,9 +62,9 @@ func TestInterleavedPatternDefeatsLeap(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		if i%2 == 0 {
 			seq++
-			out = p.OnFault(seq)
+			out = p.OnFault(seq, nil)
 		} else {
-			out = p.OnFault(1000 + int64(rng.Intn(500)))
+			out = p.OnFault(1000+int64(rng.Intn(500)), nil)
 		}
 		if len(out) > 0 {
 			t.Fatalf("iteration %d: prefetched %v from interleaved stream", i, out)

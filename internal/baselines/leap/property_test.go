@@ -30,7 +30,7 @@ func TestPropertyMajorityStrideDetected(t *testing.T) {
 				noise++
 			}
 			page += d
-			preds := p.OnFault(page)
+			preds := p.OnFault(page, nil)
 			warm++
 			if warm < 20 || d != stride || len(preds) == 0 {
 				continue
@@ -62,7 +62,7 @@ func TestPropertyNoMajorityNoPrediction(t *testing.T) {
 			// majority of one value in a window of 8 is vanishingly
 			// unlikely.
 			page += int64(rng.Intn(1 << 16)) // non-negative keeps pages increasing
-			if len(p.OnFault(page)) > 0 {
+			if len(p.OnFault(page, nil)) > 0 {
 				fired++
 			}
 		}
@@ -84,7 +84,7 @@ func TestPropertyPredictionShape(t *testing.T) {
 		page := int64(1 << 20)
 		for i := 0; i < 40; i++ {
 			page += stride
-			preds := p.OnFault(page)
+			preds := p.OnFault(page, nil)
 			if int64(len(preds)) > depth {
 				return false
 			}

@@ -313,6 +313,17 @@ func (n *Node) CopyOut(addr uint64, buf []byte) error {
 	return n.mem.ReadAt(addr, buf)
 }
 
+// View returns a window over the n bytes at addr, in place: what a caller
+// that only reads far memory (an oracle's dump) takes instead of a copy.
+// Like CopyOut it is not traffic. The window is read-only and valid until
+// the node is next written, allocated from or released; a caller that keeps
+// the bytes past that copies them.
+func (n *Node) View(addr uint64, size int) ([]byte, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.mem.Slice(addr, size)
+}
+
 // CopyIn is the stat-free converse of CopyOut: the capacity tier restores a
 // promoted granule's flash copy into DRAM with it.
 func (n *Node) CopyIn(addr uint64, buf []byte) error {

@@ -12,10 +12,6 @@ type HistoryConfig struct {
 	// compounds, so long chains are increasingly wrong and pollute the
 	// cache they feed.
 	Depth int
-	// MinCount is the minimum times a transition must have been observed
-	// before it is trusted (default 1: predict after one sighting, the
-	// aggressive end — the stand-in for a trained model's recall).
-	MinCount uint32
 	// MaxEntries bounds each order's transition table (default 64 Ki
 	// contexts — the table must hold a full recurrence period of the miss
 	// stream, or FIFO eviction destroys pass N's contexts before pass N+1
@@ -23,34 +19,77 @@ type HistoryConfig struct {
 	// deterministically. Capacity is paid for via the size tax in
 	// PerMissOverhead.
 	MaxEntries int
-	// MaxSuccessors bounds the candidate next-deltas kept per context
-	// (default 4). The lowest-count candidate is evicted first.
-	MaxSuccessors int
 }
 
 func (c HistoryConfig) withDefaults() HistoryConfig {
 	if c.Depth == 0 {
 		c.Depth = 8
 	}
-	if c.MinCount == 0 {
-		c.MinCount = 1
-	}
 	if c.MaxEntries == 0 {
 		c.MaxEntries = 1 << 16
-	}
-	if c.MaxSuccessors == 0 {
-		c.MaxSuccessors = 4
 	}
 	return c
 }
 
-// histEntry holds one context's observed next-deltas. Candidates live in
-// insertion order (order slice) so argmax scans never touch map iteration
-// order — determinism depends on it.
+// maxSuccessors bounds the candidate next-deltas kept per context; the
+// lowest-count candidate is evicted first.
+const maxSuccessors = 4
+
+// histEntry is one context's slot: its key and its observed next-deltas,
+// inline in insertion order with their counts, so argmax scans depend on
+// nothing but that order — determinism depends on it.
 type histEntry struct {
-	count map[int64]uint32
-	order []int64
+	key   uint64
+	succ  [maxSuccessors]int64
+	count [maxSuccessors]uint32
+	n     int32 // successors held
 	total uint32
+}
+
+// histTable is one order's bounded context table: a slab of slots and an
+// index from context key to slot. The slab fills in insertion order; once
+// it holds MaxEntries contexts, a new context takes the slot at the cursor
+// next — the oldest one's — and the cursor moves on, so a cursor lapping
+// the slots is exactly FIFO eviction.
+type histTable struct {
+	index map[uint64]int32
+	slab  []histEntry
+	next  int
+}
+
+// lookup returns the context's slot, or nil.
+func (t *histTable) lookup(k uint64) *histEntry {
+	if i, ok := t.index[k]; ok {
+		return &t.slab[i]
+	}
+	return nil
+}
+
+// entry returns the context's slot, inserting an empty one — into the
+// oldest context's slot once the slab is full — when k is new. The slab
+// grows by doubling up to maxEntries.
+func (t *histTable) entry(k uint64, maxEntries int) *histEntry {
+	if e := t.lookup(k); e != nil {
+		return e
+	}
+	i := len(t.slab)
+	switch {
+	case i < cap(t.slab):
+		t.slab = t.slab[:i+1]
+	case i < maxEntries:
+		grown := make([]histEntry, i+1, min(max(2*i, 16), maxEntries))
+		copy(grown, t.slab)
+		t.slab = grown
+	default:
+		i = t.next
+		delete(t.index, t.slab[i].key)
+		if t.next++; t.next == len(t.slab) {
+			t.next = 0
+		}
+	}
+	t.slab[i] = histEntry{key: k}
+	t.index[k] = int32(i)
+	return &t.slab[i]
 }
 
 // History is the online delta/Markov prefetcher: a deterministic
@@ -77,10 +116,9 @@ type histEntry struct {
 // PerMissOverhead, scaled with table size and chain depth.
 type History struct {
 	cfg HistoryConfig
-	// tables[k] holds the order-(k+1) contexts; fifos mirror insertion
-	// order for bounded eviction. Each order shares the MaxEntries bound.
-	tables [3]map[uint64]*histEntry
-	fifos  [3]ring
+	// tables[k] holds the order-(k+1) contexts. Each order shares the
+	// MaxEntries bound.
+	tables [3]histTable
 	// context: the last three deltas (d1 oldest) and the last observed
 	// unit (miss or prefetched touch).
 	d1, d2, d3 int64
@@ -104,7 +142,7 @@ func NewHistory(cfg HistoryConfig) *History {
 	}
 	h := &History{cfg: cfg, cost: probes + sizeTax}
 	for i := range h.tables {
-		h.tables[i] = map[uint64]*histEntry{}
+		h.tables[i].index = map[uint64]int32{}
 	}
 	return h
 }
@@ -127,123 +165,113 @@ func ctxKey(d1, d2, d3 int64) uint64 {
 // record observes transition history -> d at every context order:
 // (d1,d2,d3) in the order-3 table, (d2,d3) in order-2, d3 in order-1.
 func (h *History) record(d1, d2, d3, d int64) {
-	h.recordAt(2, ctxKey(d1, d2, d3), d)
-	h.recordAt(1, ctxKey(0, d2, d3), d)
-	h.recordAt(0, ctxKey(0, 0, d3), d)
+	h.tables[2].entry(ctxKey(d1, d2, d3), h.cfg.MaxEntries).bump(d)
+	h.tables[1].entry(ctxKey(0, d2, d3), h.cfg.MaxEntries).bump(d)
+	h.tables[0].entry(ctxKey(0, 0, d3), h.cfg.MaxEntries).bump(d)
 }
 
-// recordAt counts successor d under key k in the order-(idx+1) table,
-// inserting (with bounded FIFO eviction) as needed.
-func (h *History) recordAt(idx int, k uint64, d int64) {
-	e := h.tables[idx][k]
-	if e == nil {
-		if len(h.tables[idx]) >= h.cfg.MaxEntries {
-			// Evict the oldest context still resident.
-			for h.fifos[idx].len() > 0 {
-				old := h.fifos[idx].pop()
-				if _, ok := h.tables[idx][old]; ok {
-					delete(h.tables[idx], old)
-					break
-				}
-			}
-		}
-		e = &histEntry{count: map[int64]uint32{}}
-		h.tables[idx][k] = e
-		h.fifos[idx].push(k)
+// bump counts successor d, evicting the weakest successor when all
+// maxSuccessors slots are taken.
+func (e *histEntry) bump(d int64) {
+	i := 0
+	for i < int(e.n) && e.succ[i] != d {
+		i++
 	}
-	h.bump(e, d)
-}
-
-// bump counts successor d in entry e, evicting the weakest successor when
-// the per-context bound is hit.
-func (h *History) bump(e *histEntry, d int64) {
-	if _, seen := e.count[d]; !seen {
-		if len(e.order) >= h.cfg.MaxSuccessors {
+	if i == int(e.n) {
+		if e.n == maxSuccessors {
 			// Evict the lowest-count successor (earliest-inserted on
 			// ties) to make room.
 			vi := 0
-			for i := 1; i < len(e.order); i++ {
-				if e.count[e.order[i]] < e.count[e.order[vi]] {
-					vi = i
+			for j := 1; j < maxSuccessors; j++ {
+				if e.count[j] < e.count[vi] {
+					vi = j
 				}
 			}
-			victim := e.order[vi]
-			e.total -= e.count[victim]
-			delete(e.count, victim)
-			e.order = append(e.order[:vi], e.order[vi+1:]...)
+			e.total -= e.count[vi]
+			copy(e.succ[vi:], e.succ[vi+1:])
+			copy(e.count[vi:], e.count[vi+1:])
+			i--
+		} else {
+			e.n++
 		}
-		e.order = append(e.order, d)
+		e.succ[i], e.count[i] = d, 0
 	}
-	e.count[d]++
+	e.count[i]++
 	e.total++
 }
 
 // predict returns the confident next delta for the cascade of contexts
-// ending in (d1,d2,d3), longest first, or false. A candidate must hold a
-// strict majority of its context's observations and at least MinCount
-// sightings. Ties on count break toward the earliest-inserted candidate —
-// deterministic by construction.
+// ending in (d1,d2,d3), longest first, or false.
 func (h *History) predict(d1, d2, d3 int64) (int64, bool) {
-	if d, ok := confident(h.tables[2][ctxKey(d1, d2, d3)], h.cfg.MinCount); ok {
+	if d, ok := h.tables[2].lookup(ctxKey(d1, d2, d3)).confident(); ok {
 		return d, true
 	}
-	if d, ok := confident(h.tables[1][ctxKey(0, d2, d3)], h.cfg.MinCount); ok {
+	if d, ok := h.tables[1].lookup(ctxKey(0, d2, d3)).confident(); ok {
 		return d, true
 	}
-	return confident(h.tables[0][ctxKey(0, 0, d3)], h.cfg.MinCount)
+	return h.tables[0].lookup(ctxKey(0, 0, d3)).confident()
 }
 
-// confident extracts an entry's majority successor if it clears the
-// confidence thresholds.
-func confident(e *histEntry, minCount uint32) (int64, bool) {
-	if e == nil || len(e.order) == 0 {
-		return 0, false
-	}
-	best := e.order[0]
-	for _, d := range e.order[1:] {
-		if e.count[d] > e.count[best] {
-			best = d
+// leader is the entry's highest-count successor — the earliest-inserted on
+// ties, deterministic by construction — and its count.
+func (e *histEntry) leader() (int64, uint32) {
+	best := 0
+	for i := 1; i < int(e.n); i++ {
+		if e.count[i] > e.count[best] {
+			best = i
 		}
 	}
-	c := e.count[best]
-	if c < minCount || 2*c <= e.total {
+	return e.succ[best], e.count[best]
+}
+
+// confident extracts an entry's leader if it holds a strict majority of
+// the context's observations.
+func (e *histEntry) confident() (int64, bool) {
+	if e == nil {
 		return 0, false
 	}
-	return best, true
+	d, c := e.leader()
+	if 2*c <= e.total {
+		return 0, false
+	}
+	return d, true
 }
 
 // observe folds one unit of the true access stream — a demand miss or the
 // first touch of a prefetched unit — into the context, learns the new
-// transition, and chains confident predictions from the updated context.
-// have counts how much context has accumulated: 0 = no anchor yet, then
-// one per observed delta up to the full order-3 context at 4.
-func (h *History) observe(unit int64) []int64 {
+// transition, and appends confident predictions chained from the updated
+// context to out. have counts how much context has accumulated: 0 = no
+// anchor yet, then one per observed delta up to the full order-3 context
+// at 4.
+func (h *History) observe(unit int64, out []int64) []int64 {
 	if h.have == 0 {
 		h.have, h.last = 1, unit
-		return nil
+		return out
 	}
 	d := unit - h.last
 	if d == 0 {
 		// Re-observation of the same unit carries no transition.
-		return nil
+		return out
 	}
 	h.last = unit
 	switch h.have {
 	case 1: // first delta observed
 		h.d3, h.have = d, 2
-		return nil
+		return out
 	case 2: // second delta
 		h.d2, h.d3, h.have = h.d3, d, 3
-		return nil
+		return out
 	case 3: // context complete; nothing to record yet
 		h.d1, h.d2, h.d3, h.have = h.d2, h.d3, d, 4
 	default: // full context: learn history -> d, then shift
 		h.record(h.d1, h.d2, h.d3, d)
 		h.d1, h.d2, h.d3 = h.d2, h.d3, d
 	}
-	out := make([]int64, 0, h.cfg.Depth)
+	// Proposals already resident or in flight are filtered by the plane, so
+	// re-proposing a chain's tail on every observation is cheap and keeps
+	// the runahead window topped up.
 	d1, d2, d3, at := h.d1, h.d2, h.d3, unit
-	for len(out) < h.cfg.Depth {
+	for range h.cfg.Depth {
 		d, ok := h.predict(d1, d2, d3)
 		if !ok {
 			break
@@ -252,18 +280,14 @@ func (h *History) observe(unit int64) []int64 {
 		out = append(out, at)
 		d1, d2, d3 = d2, d3, d
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	// Proposals already resident or in flight are filtered by the plane, so
-	// re-proposing a chain's tail on every observation is cheap and keeps
-	// the runahead window topped up.
 	return out
 }
 
 // OnMiss observes a demand miss.
-func (h *History) OnMiss(unit int64) []int64 { return h.observe(unit) }
+func (h *History) OnMiss(unit int64, out []int64) []int64 { return h.observe(unit, out) }
 
 // OnPrefetchedTouch observes the first demand touch of a prefetched unit
 // (StreamTopUp), keeping the model trained on the full access stream.
-func (h *History) OnPrefetchedTouch(unit int64) []int64 { return h.observe(unit) }
+func (h *History) OnPrefetchedTouch(unit int64, out []int64) []int64 {
+	return h.observe(unit, out)
+}

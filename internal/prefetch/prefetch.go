@@ -23,14 +23,16 @@ import (
 
 // Policy is the one interface both planes consume. OnMiss observes a
 // demand miss on a unit (page number on the page plane, line index on the
-// line plane) and returns unit numbers to fetch ahead; the plane filters
-// out-of-range/resident/in-flight units. PerMissOverhead is the policy's
-// metadata cost charged to the faulting thread on every miss (trend
+// line plane) and appends unit numbers to fetch ahead to out, returning the
+// extended slice; the plane owns out — a scratch it passes back in, emptied,
+// on every miss, so proposing allocates nothing once the scratch has grown —
+// and filters out-of-range/resident/in-flight units. PerMissOverhead is the
+// policy's metadata cost charged to the faulting thread on every miss (trend
 // detection, table lookups); it models the latency prefetcher state adds
 // to the fault path itself.
 type Policy interface {
 	Name() string
-	OnMiss(unit int64) []int64
+	OnMiss(unit int64, out []int64) []int64
 	PerMissOverhead() sim.Duration
 }
 
@@ -107,17 +109,17 @@ func (e *Efficacy) Add(o Efficacy) {
 // in-flight window full without waiting for the next demand miss. Only
 // policies that know where the stream is going (the programmed runner)
 // implement it; reactive policies top up on misses alone. Proposals are
-// advisory exactly like OnMiss's.
+// advisory and appended to the plane's out exactly like OnMiss's.
 type StreamTopUp interface {
-	OnPrefetchedTouch(unit int64) []int64
+	OnPrefetchedTouch(unit int64, out []int64) []int64
 }
 
 // None never prefetches — the control arm of every race.
 type None struct{}
 
-func (None) Name() string                  { return "none" }
-func (None) OnMiss(int64) []int64          { return nil }
-func (None) PerMissOverhead() sim.Duration { return 0 }
+func (None) Name() string                        { return "none" }
+func (None) OnMiss(_ int64, out []int64) []int64 { return out }
+func (None) PerMissOverhead() sim.Duration       { return 0 }
 
 // Readahead is FastSwap/Linux cluster readahead: pull the N units following
 // every miss. Free on the fault path, profitable on sequential streams,
@@ -126,8 +128,7 @@ type Readahead struct{ N int64 }
 
 func (Readahead) Name() string { return "readahead" }
 
-func (r Readahead) OnMiss(unit int64) []int64 {
-	out := make([]int64, 0, r.N)
+func (r Readahead) OnMiss(unit int64, out []int64) []int64 {
 	for i := int64(1); i <= r.N; i++ {
 		out = append(out, unit+i)
 	}
@@ -166,7 +167,7 @@ func NewLeap(window int, depth int64) *Leap {
 
 func (*Leap) Name() string { return "leap" }
 
-func (p *Leap) OnMiss(unit int64) []int64 {
+func (p *Leap) OnMiss(unit int64, out []int64) []int64 {
 	if p.haveLast {
 		if len(p.history) == cap(p.history) {
 			p.history = p.history[:copy(p.history, p.history[len(p.history)-p.window+1:])]
@@ -177,7 +178,7 @@ func (p *Leap) OnMiss(unit int64) []int64 {
 	p.haveLast = true
 	recent := p.history[max(0, len(p.history)-p.window):]
 	if len(recent) < p.window/2 {
-		return nil
+		return out
 	}
 	// Boyer-Moore majority vote over the window (the algorithm Leap uses).
 	var cand int64
@@ -200,9 +201,8 @@ func (p *Leap) OnMiss(unit int64) []int64 {
 		}
 	}
 	if occurrences*2 <= len(recent) || cand == 0 {
-		return nil
+		return out
 	}
-	out := make([]int64, 0, p.depth)
 	for i := int64(1); i <= p.depth; i++ {
 		out = append(out, unit+cand*i)
 	}
@@ -217,7 +217,7 @@ func (p *Leap) PerMissOverhead() sim.Duration { return 300 * sim.Nanosecond }
 type PageAdapter struct{ P Policy }
 
 // OnFault forwards the faulting page to the policy's miss stream.
-func (a PageAdapter) OnFault(page int64) []int64 { return a.P.OnMiss(page) }
+func (a PageAdapter) OnFault(page int64, out []int64) []int64 { return a.P.OnMiss(page, out) }
 
 // PerFaultOverhead is zero: zoo policies run on the runner thread, off
 // the fault path (their cost is charged through IssueDelay instead).
@@ -230,11 +230,11 @@ func (a PageAdapter) IssueDelay() sim.Duration { return a.P.PerMissOverhead() }
 // OnPrefetchedTouch forwards minor-fault (first touch of a prefetched
 // page) events to stream-maintaining policies; reactive policies get
 // nothing to say here.
-func (a PageAdapter) OnPrefetchedTouch(page int64) []int64 {
+func (a PageAdapter) OnPrefetchedTouch(page int64, out []int64) []int64 {
 	if tu, ok := a.P.(StreamTopUp); ok {
-		return tu.OnPrefetchedTouch(page)
+		return tu.OnPrefetchedTouch(page, out)
 	}
-	return nil
+	return out
 }
 
 // Spec names a policy and its knobs for CLI/harness plumbing. The zero

@@ -9,7 +9,7 @@ import (
 
 func TestReadaheadProposesNextN(t *testing.T) {
 	r := Readahead{N: 3}
-	if got, want := r.OnMiss(10), []int64{11, 12, 13}; !reflect.DeepEqual(got, want) {
+	if got, want := r.OnMiss(10, nil), []int64{11, 12, 13}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("OnMiss(10) = %v, want %v", got, want)
 	}
 }
@@ -18,7 +18,7 @@ func TestLeapLocksOntoMajorityStride(t *testing.T) {
 	p := NewLeap(8, 4)
 	var out []int64
 	for u := int64(0); u < 40; u += 2 {
-		out = p.OnMiss(u)
+		out = p.OnMiss(u, nil)
 	}
 	if want := []int64{40, 42, 44, 46}; !reflect.DeepEqual(out, want) {
 		t.Fatalf("stride-2 trend proposals = %v, want %v", out, want)
@@ -28,7 +28,7 @@ func TestLeapLocksOntoMajorityStride(t *testing.T) {
 	units := []int64{0, 1, 10, 11, 20, 21, 30, 31, 40, 41}
 	var last []int64
 	for _, u := range units {
-		last = q.OnMiss(u)
+		last = q.OnMiss(u, nil)
 	}
 	if last != nil {
 		t.Fatalf("no-majority window proposed %v, want nil", last)
@@ -41,26 +41,26 @@ func TestProgrammedFillsResyncsAndTopsUp(t *testing.T) {
 		program[i] = int64(i)
 	}
 	p := NewProgrammed(program, 8)
-	if got, want := p.OnMiss(0), []int64{1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(got, want) {
+	if got, want := p.OnMiss(0, nil), []int64{1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("cold miss fill = %v, want %v", got, want)
 	}
 	// Touches drain the window; the top-up waits until half has drained,
 	// then refills in one batch (amortizing the doorbell).
 	for _, u := range []int64{1, 2, 3} {
-		if got := p.OnPrefetchedTouch(u); got != nil {
+		if got := p.OnPrefetchedTouch(u, nil); got != nil {
 			t.Fatalf("touch(%d) refilled early: %v", u, got)
 		}
 	}
-	if got, want := p.OnPrefetchedTouch(4), []int64{9, 10, 11, 12}; !reflect.DeepEqual(got, want) {
+	if got, want := p.OnPrefetchedTouch(4, nil), []int64{9, 10, 11, 12}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("half-drain top-up = %v, want %v", got, want)
 	}
 	// A re-miss behind the cursor (eviction victim touched again) re-anchors
 	// and refills the whole window forward.
-	if got, want := p.OnMiss(6), []int64{7, 8, 9, 10, 11, 12, 13, 14}; !reflect.DeepEqual(got, want) {
+	if got, want := p.OnMiss(6, nil), []int64{7, 8, 9, 10, 11, 12, 13, 14}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("re-miss resync = %v, want %v", got, want)
 	}
 	// A miss the program never mentions proposes nothing and moves nothing.
-	if got := p.OnMiss(999); got != nil {
+	if got := p.OnMiss(999, nil); got != nil {
 		t.Fatalf("uncovered miss proposed %v, want nil", got)
 	}
 }
@@ -70,7 +70,7 @@ func TestProgrammedCollapsesConsecutiveDuplicates(t *testing.T) {
 	if p.Len() != 4 {
 		t.Fatalf("deduplicated length = %d, want 4", p.Len())
 	}
-	if got, want := p.OnMiss(5), []int64{6, 7, 5}; !reflect.DeepEqual(got, want) {
+	if got, want := p.OnMiss(5, nil), []int64{6, 7, 5}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("proposals after dedup = %v, want %v", got, want)
 	}
 }
@@ -79,7 +79,7 @@ func TestHistoryLocksOntoStride(t *testing.T) {
 	h := NewHistory(HistoryConfig{Depth: 4})
 	var out []int64
 	for u := int64(0); u <= 50; u += 10 {
-		out = h.OnMiss(u)
+		out = h.OnMiss(u, nil)
 	}
 	// After a few sightings the order-1 fallback alone carries a pure
 	// stride; the chain runs Depth deep.
@@ -101,7 +101,7 @@ func TestHistoryConfidenceGate(t *testing.T) {
 	}
 	var out []int64
 	for _, u := range feed {
-		out = h.OnMiss(u)
+		out = h.OnMiss(u, nil)
 	}
 	if out != nil {
 		t.Fatalf("ambiguous context proposed %v, want nil", out)
@@ -118,7 +118,7 @@ func TestHistoryDeterministic(t *testing.T) {
 		h := NewHistory(HistoryConfig{})
 		var all [][]int64
 		for _, u := range stream {
-			all = append(all, h.OnMiss(u))
+			all = append(all, h.OnMiss(u, nil))
 		}
 		return all
 	}
@@ -152,10 +152,10 @@ func TestHistoryCoversRepeatingStream(t *testing.T) {
 		if inflight[u] {
 			delete(inflight, u)
 			covered++
-			props = h.OnPrefetchedTouch(u)
+			props = h.OnPrefetchedTouch(u, nil)
 		} else {
 			missed++
-			props = h.OnMiss(u)
+			props = h.OnMiss(u, nil)
 		}
 		for _, c := range props {
 			inflight[c] = true
@@ -170,15 +170,15 @@ func TestHistoryCoversRepeatingStream(t *testing.T) {
 
 func TestPageAdapterForwardsTouchOnlyForStreamPolicies(t *testing.T) {
 	prog := PageAdapter{P: NewProgrammed([]int64{1, 2, 3, 4}, 2)}
-	if got := prog.OnFault(1); !reflect.DeepEqual(got, []int64{2, 3}) {
+	if got := prog.OnFault(1, nil); !reflect.DeepEqual(got, []int64{2, 3}) {
 		t.Fatalf("OnFault through adapter = %v, want [2 3]", got)
 	}
-	if got := prog.OnPrefetchedTouch(2); !reflect.DeepEqual(got, []int64{4}) {
+	if got := prog.OnPrefetchedTouch(2, nil); !reflect.DeepEqual(got, []int64{4}) {
 		t.Fatalf("touch through adapter = %v, want [4]", got)
 	}
 	// Reactive policies have no touch stream: the adapter answers nil.
 	ra := PageAdapter{P: Readahead{N: 2}}
-	if got := ra.OnPrefetchedTouch(2); got != nil {
+	if got := ra.OnPrefetchedTouch(2, nil); got != nil {
 		t.Fatalf("readahead touch through adapter = %v, want nil", got)
 	}
 }

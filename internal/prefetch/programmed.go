@@ -78,7 +78,7 @@ const resyncHorizon = 4096
 // program and proposes the next Window units. A miss the program never
 // mentions (an uncovered indirect access) leaves the cursor alone and
 // proposes nothing.
-func (p *Programmed) OnMiss(unit int64) []int64 {
+func (p *Programmed) OnMiss(unit int64, out []int64) []int64 {
 	// The common case is the miss landing exactly at or just past the
 	// cursor (the first unit beyond the previous window). Scan forward a
 	// bounded horizon; fall back to a bounded backward scan for re-misses
@@ -107,17 +107,17 @@ func (p *Programmed) OnMiss(unit int64) []int64 {
 		}
 	}
 	if at < 0 {
-		return nil
+		return out
 	}
 	p.consumed = at + 1
 	p.cursor = p.consumed
-	return p.fill()
+	return p.fill(out)
 }
 
 // OnPrefetchedTouch advances the consumption point to the touched unit and
 // refills the window once at least half of it has drained — batching the
 // top-ups keeps the doorbell cost amortized over window/2 units.
-func (p *Programmed) OnPrefetchedTouch(unit int64) []int64 {
+func (p *Programmed) OnPrefetchedTouch(unit int64, out []int64) []int64 {
 	at := -1
 	for i := p.consumed; i < p.cursor; i++ {
 		if p.program[i] == unit {
@@ -128,26 +128,25 @@ func (p *Programmed) OnPrefetchedTouch(unit int64) []int64 {
 	if at < 0 {
 		// A touch the in-flight window does not explain (a re-touched
 		// stale speculative line): not ours to act on.
-		return nil
+		return out
 	}
 	p.consumed = at + 1
 	if p.cursor-p.consumed > p.window/2 {
-		return nil
+		return out
 	}
-	return p.fill()
+	return p.fill(out)
 }
 
-// fill proposes units from the cursor until the in-flight window is full.
-func (p *Programmed) fill() []int64 {
+// fill appends units from the cursor to out until the in-flight window is
+// full.
+func (p *Programmed) fill(out []int64) []int64 {
 	n := p.window - (p.cursor - p.consumed)
 	if n <= 0 {
-		return nil
+		return out
 	}
-	out := make([]int64, 0, n)
-	for i := p.cursor; i < len(p.program) && len(out) < n; i++ {
-		out = append(out, p.program[i])
-	}
-	p.cursor += len(out)
+	end := min(p.cursor+n, len(p.program))
+	out = append(out, p.program[p.cursor:end]...)
+	p.cursor = end
 	return out
 }
 

@@ -3,9 +3,11 @@
 package rt
 
 import (
+	"math/rand"
 	"testing"
 
 	"mira/internal/cache"
+	"mira/internal/prefetch"
 	"mira/internal/transport/transporttest"
 )
 
@@ -48,6 +50,56 @@ func TestDirtyMissOnWarmSectionAllocatesNothing(t *testing.T) {
 	}
 	if now := r.WritebackQueueStats(); now.Drains-st.Drains < 50 || now.Enqueued-st.Enqueued < 50*wbqLimit {
 		t.Fatalf("the loop did not park and drain: %+v → %+v", st, now)
+	}
+}
+
+// A miss on a warm line-plane section under the History policy: the policy
+// appends its proposals to the section's scratch, the filter collects the
+// lines worth a fetch in another, and the speculative gather's vectors are
+// the runtime's — so neither the miss nor the first touch of a line it
+// prefetched allocates, with History's tables full and evicting.
+func TestPolicyMissOnWarmSectionAllocatesNothing(t *testing.T) {
+	r, clk := mkRuntime(t, func(c *Config) {
+		c.Sections[0].Cache = cache.Config{Name: "items", Structure: cache.Direct, LineBytes: 128, SizeBytes: 1 << 10}
+	})
+	r.tr = &transporttest.QuietLink{Reply: make([]byte, 8*128)}
+	if err := r.InstallSectionPolicy(0, prefetch.NewHistory(prefetch.HistoryConfig{MaxEntries: 64})); err != nil {
+		t.Fatal(err)
+	}
+	// 8 lines of 128 B over 64 lines of items: a repeating irregular cycle of
+	// lines History learns, one line in four drawn at random.
+	rng := rand.New(rand.NewSource(1))
+	cycle := make([]int64, 20)
+	for i := range cycle {
+		cycle[i] = rng.Int63n(64)
+	}
+	lines := make([]int64, 4096)
+	for i := range lines {
+		lines[i] = cycle[i%len(cycle)]
+		if i%4 == 3 {
+			lines[i] = rng.Int63n(64)
+		}
+	}
+	buf := make([]byte, 8)
+	next := 0
+	run := func() {
+		for range 256 {
+			if err := r.Access(clk, "items", 2*lines[next], fld(0, 8), buf, false, AccessOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			next = (next + 1) % len(lines)
+		}
+	}
+	for range 2 * len(lines) / 256 {
+		run()
+	}
+	misses, pf := r.SectionStats(0).Misses, r.SectionPrefetchStats(0)
+	if got := testing.AllocsPerRun(20, run); got != 0 {
+		t.Errorf("%v allocs per 256 accesses under history, want 0", got)
+	}
+	if now := r.SectionPrefetchStats(0); r.SectionStats(0).Misses == misses || now.Issued == pf.Issued || now.Useful == pf.Useful {
+		t.Fatalf("the measured runs missed %d times, prefetched %d lines and used %d: the test needs all three",
+			r.SectionStats(0).Misses-misses, now.Issued-pf.Issued, now.Useful-pf.Useful)
 	}
 }
 

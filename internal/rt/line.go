@@ -243,13 +243,13 @@ type claimed struct {
 // gather fails, after giving its slot back; the caller decides whether that
 // error is advisory.
 func (r *Runtime) land(post sim.Time, ps []claimed) (sim.Time, error) {
-	addrs := make([]uint64, len(ps))
-	sizes := make([]int, len(ps))
+	addrs, sizes := r.landAddrs[:0], r.landSizes[:0]
 	compress := true
-	for i, p := range ps {
-		addrs[i], sizes[i] = p.tag, len(p.l.Data)
+	for _, p := range ps {
+		addrs, sizes = append(addrs, p.tag), append(sizes, len(p.l.Data))
 		compress = compress && p.s.spec.Compress
 	}
+	r.landAddrs, r.landSizes = addrs, sizes
 	if compress {
 		r.setCodec(codec.ByteRun)
 		defer r.setCodec(codec.None)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mira/internal/cache"
 	"mira/internal/sim"
 )
 
@@ -26,9 +27,9 @@ const (
 // proposeUnit is a section policy that proposes one fixed line unit.
 type proposeUnit int64
 
-func (proposeUnit) Name() string                  { return "propose" }
-func (p proposeUnit) OnMiss(int64) []int64        { return []int64{int64(p)} }
-func (proposeUnit) PerMissOverhead() sim.Duration { return 0 }
+func (proposeUnit) Name() string                          { return "propose" }
+func (p proposeUnit) OnMiss(_ int64, out []int64) []int64 { return append(out, int64(p)) }
+func (proposeUnit) PerMissOverhead() sim.Duration         { return 0 }
 
 func fullLine(b byte) []byte { return bytes.Repeat([]byte{b}, 128) }
 
@@ -263,6 +264,34 @@ func TestLineLifecycleTable(t *testing.T) {
 					t.Fatalf("far memory holds %x… want %x…", dump[lineElem*64:lineElem*64+8], want[:8])
 				}
 			})
+		}
+	}
+}
+
+// proposeTwice is a section policy whose chain comes back to the line it
+// started from: it proposes one line unit twice in one list.
+type proposeTwice int64
+
+func (proposeTwice) Name() string                          { return "twice" }
+func (p proposeTwice) OnMiss(_ int64, out []int64) []int64 { return append(out, int64(p), int64(p)) }
+func (proposeTwice) PerMissOverhead() sim.Duration         { return 0 }
+
+// TestPolicyProposingALineTwiceFetchesItOnce: in every section structure a
+// line proposed twice in one list is claimed and fetched once, never
+// reserved again while the batch holds it.
+func TestPolicyProposingALineTwiceFetchesItOnce(t *testing.T) {
+	for _, st := range []cache.Structure{cache.Direct, cache.SetAssoc, cache.FullAssoc} {
+		r, clk := mkRuntime(t, func(c *Config) { c.Sections[0].Cache.Structure = st })
+		_, unit, _ := r.LineUnit("items", lineElem)
+		mustNot(t, "install", r.InstallSectionPolicy(0, proposeTwice(unit)))
+		mustNot(t, "trigger miss", r.Access(clk, "items", triggerElem, fld(0, 8), make([]byte, 8), false, AccessOpts{}))
+		if pf := r.SectionPrefetchStats(0); pf.Issued != 1 || pf.Dropped != 0 {
+			t.Fatalf("%v: %+v, want the line issued once and nothing dropped", st, pf)
+		}
+		misses := r.SectionStats(0).Misses
+		mustNot(t, "touch", r.Access(clk, "items", lineElem, fld(0, 8), make([]byte, 8), false, AccessOpts{}))
+		if r.SectionStats(0).Misses != misses {
+			t.Fatalf("%v: the proposed line missed", st)
 		}
 	}
 }

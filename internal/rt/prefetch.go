@@ -34,7 +34,8 @@ func (r *Runtime) policyMiss(clk *sim.Clock, s *sectionRT, tag uint64) {
 		return
 	}
 	lb := int64(s.spec.Cache.LineBytes)
-	r.policyIssue(clk, s, s.policy.OnMiss(int64(tag)/lb))
+	s.props = s.policy.OnMiss(int64(tag)/lb, s.props[:0])
+	r.policyIssue(clk, s)
 }
 
 // policyTouch feeds the first demand touch of a speculatively fetched line
@@ -47,27 +48,28 @@ func (r *Runtime) policyTouch(clk *sim.Clock, s *sectionRT, tag uint64) {
 		return
 	}
 	lb := int64(s.spec.Cache.LineBytes)
-	r.policyIssue(clk, s, tu.OnPrefetchedTouch(int64(tag)/lb))
+	s.props = tu.OnPrefetchedTouch(int64(tag)/lb, s.props[:0])
+	r.policyIssue(clk, s)
 }
 
-// policyIssue turns a policy's proposals (line units) into tags and issues
-// them speculatively.
+// policyIssue turns the policy's proposals in s.props (line units) into
+// tags and issues them speculatively.
 //
 // The policy runs on the runner thread, off the access path: its table
 // work (PerMissOverhead) and the speculative doorbell are charged by
 // delaying when the gather is posted — slower predictors land their lines
 // later (and count Late more often) — never by stalling the demand access.
-func (r *Runtime) policyIssue(clk *sim.Clock, s *sectionRT, cands []int64) {
+func (r *Runtime) policyIssue(clk *sim.Clock, s *sectionRT) {
 	lb := int64(s.spec.Cache.LineBytes)
-	tags := make([]uint64, 0, len(cands))
-	for _, u := range cands {
+	s.want = s.want[:0]
+	for _, u := range s.props {
 		if u < 0 {
 			s.dropped()
 			continue
 		}
-		tags = append(tags, uint64(u*lb))
+		r.propose(clk, s, uint64(u*lb))
 	}
-	r.issueSpeculative(clk, s, tags)
+	r.issueWanted(clk, s)
 }
 
 // issueSpeculative filters candidate line tags of one section (served by
@@ -77,25 +79,43 @@ func (r *Runtime) policyIssue(clk *sim.Clock, s *sectionRT, cands []int64) {
 // line re-tenanted mid-batch — drops the affected pieces and counts them,
 // never surfacing an error (the triggering demand access already succeeded).
 func (r *Runtime) issueSpeculative(clk *sim.Clock, s *sectionRT, tags []uint64) {
-	// Every parked candidate is recovered before any fetch slot is claimed.
-	var want []claimed
+	s.want = s.want[:0]
 	for _, t := range tags {
-		o := r.ownerOf(t)
-		if o == nil || r.secs[o.place.Section] != s {
-			// Past an object's end or outside this section's objects:
-			// the proposal cannot be honored here.
-			s.dropped()
+		r.propose(clk, s, t)
+	}
+	r.issueWanted(clk, s)
+}
+
+// propose runs the filter on one candidate tag: a line parked in the
+// write-back queue is recovered at once, a line only far memory holds joins
+// s.want.
+func (r *Runtime) propose(clk *sim.Clock, s *sectionRT, t uint64) {
+	o := r.ownerOf(t)
+	if o == nil || r.secs[o.place.Section] != s {
+		// Past an object's end or outside this section's objects: the
+		// proposal cannot be honored here.
+		s.dropped()
+		return
+	}
+	switch s.locate(t) {
+	case lineParked:
+		r.unpark(clk, s, t)
+	case lineFar:
+		s.want = append(s.want, claimed{s: s, o: o, tag: t})
+	}
+}
+
+// issueWanted claims a slot for every line in s.want — every parked
+// candidate was recovered before the first claim — and lands them in one
+// gather.
+func (r *Runtime) issueWanted(clk *sim.Clock, s *sectionRT) {
+	got := s.want[:0]
+	for _, c := range s.want {
+		if _, resident := s.sec.Peek(c.tag); resident {
+			// Proposed twice (a chain that came back to a line): an earlier
+			// claim of this batch holds it.
 			continue
 		}
-		switch s.locate(t) {
-		case lineParked:
-			r.unpark(clk, s, t)
-		case lineFar:
-			want = append(want, claimed{s: s, o: o, tag: t})
-		}
-	}
-	got := want[:0]
-	for _, c := range want {
 		l, recovered, err := r.claim(clk, s, c.tag)
 		if err != nil {
 			// The victim's write-back failed hard. The demand path will

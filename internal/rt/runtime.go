@@ -83,6 +83,9 @@ type Runtime struct {
 	drainAddrs  []uint64
 	drainPieces [][]byte
 	drainRuns   []byte
+	// Scratch of one speculative gather (land): its vectors.
+	landAddrs []uint64
+	landSizes []int
 
 	// byFar indexes section-placed objects sorted by farBase, so dirty-line
 	// owner resolution is deterministic (see ownerOf). Rebuilt by Bind.
@@ -116,6 +119,10 @@ type sectionRT struct {
 	policy prefetch.Policy
 	specul map[uint64]bool
 	pf     prefetch.Efficacy
+	// Scratch of one speculative issue, kept so that proposing and filtering
+	// allocate nothing: the policy's proposals, then the lines worth a fetch.
+	props []int64
+	want  []claimed
 
 	// snaps holds the last-fetched bytes of each resident line when the
 	// section compresses (spec.Compress): write-back diffs against the
@@ -430,17 +437,22 @@ func (r *Runtime) InitObject(name string, data []byte) error {
 	return r.store.Write(o.farBase, data)
 }
 
-// DumpObject returns the object's current far-memory (or local) contents.
-// Call FlushAll first to include dirty cached lines.
+// DumpObject returns the object's current contents where one home holds
+// them, in place: a local object's backing, or the single far node's bytes
+// (farmem.Node.View). Only an object a pool stripes across nodes is
+// assembled into a copy. The result is read-only and valid until the
+// runtime is next used; a caller that keeps it past that clones it. Call
+// FlushAll first to include dirty cached lines.
 func (r *Runtime) DumpObject(name string) ([]byte, error) {
 	o, ok := r.objs[name]
 	if !ok {
 		return nil, fmt.Errorf("rt: DumpObject: unknown object %q", name)
 	}
-	if o.place.Kind == PlaceLocal {
-		out := make([]byte, len(o.local))
-		copy(out, o.local)
-		return out, nil
+	switch {
+	case o.place.Kind == PlaceLocal:
+		return o.local[:len(o.local):len(o.local)], nil
+	case r.node != nil:
+		return r.node.View(o.farBase, int(o.decl.SizeBytes()))
 	}
 	out := make([]byte, o.decl.SizeBytes())
 	if err := r.store.Read(o.farBase, out); err != nil {

@@ -17,6 +17,7 @@
 package session
 
 import (
+	"bytes"
 	"fmt"
 
 	"mira/internal/cluster"
@@ -333,8 +334,10 @@ func (s *Session) Finish(verify bool) (Stats, error) {
 	return st, nil
 }
 
-// Dump returns the current contents of every far-placed object — the
-// integrity image two runs are compared by. Call after Finish to include
+// Dump returns a copy of the current contents of every far-placed object —
+// the integrity image two runs are compared by, which outlives the session:
+// a backend's DumpObject may answer with its far memory in place, and Close
+// hands that memory to the next session. Call after Finish to include
 // cached state.
 func (s *Session) Dump() (map[string][]byte, error) {
 	if s.closed {
@@ -349,7 +352,7 @@ func (s *Session) Dump() (map[string][]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("session: dump %q: %w", o.Name, err)
 		}
-		out[o.Name] = d
+		out[o.Name] = bytes.Clone(d)
 	}
 	return out, nil
 }

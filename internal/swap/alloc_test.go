@@ -16,12 +16,11 @@ type nextPages struct {
 	out []int64
 }
 
-func (p *nextPages) OnFault(page int64) []int64 {
-	p.out = p.out[:0]
+func (p *nextPages) OnFault(page int64, out []int64) []int64 {
 	for i := int64(1); i <= p.n; i++ {
-		p.out = append(p.out, page+i)
+		out = append(out, page+i)
 	}
-	return p.out
+	return out
 }
 func (*nextPages) PerFaultOverhead() sim.Duration { return 0 }
 

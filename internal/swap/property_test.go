@@ -282,12 +282,12 @@ func (l *scriptLink) BreakerOpen(sim.Time) bool { return l.open }
 // and proposals that fall off both ends of the region.
 type touchSeq struct{ n int64 }
 
-func (p touchSeq) OnFault(page int64) []int64 {
-	return append(seqPrefetch{n: p.n}.OnFault(page), page-1, -3)
+func (p touchSeq) OnFault(page int64, out []int64) []int64 {
+	return append(seqPrefetch{n: p.n}.OnFault(page, out), page-1, -3)
 }
 func (touchSeq) PerFaultOverhead() sim.Duration { return 300 * sim.Nanosecond }
-func (p touchSeq) OnPrefetchedTouch(page int64) []int64 {
-	return []int64{page + p.n, page + p.n + 1}
+func (p touchSeq) OnPrefetchedTouch(page int64, out []int64) []int64 {
+	return append(out, page+p.n, page+p.n+1)
 }
 func (touchSeq) IssueDelay() sim.Duration { return 700 * sim.Nanosecond }
 

@@ -174,7 +174,7 @@ func (c *refCache) touch(clk *sim.Clock, no int64, fullWrite bool) (*refPage, er
 			// Stream-maintaining prefetchers top their window back up on
 			// the touch instead of waiting for the next major fault.
 			if tp, ok := c.pf.(TouchPrefetcher); ok {
-				if err := c.issueAdvisory(clk, p, tp.OnPrefetchedTouch(no)); err != nil {
+				if err := c.issueAdvisory(clk, p, tp.OnPrefetchedTouch(no, nil)); err != nil {
 					return nil, err
 				}
 			}
@@ -214,7 +214,7 @@ func (c *refCache) touch(clk *sim.Clock, no int64, fullWrite bool) (*refPage, er
 
 	// Consult the prefetcher after servicing the demand page so its
 	// traffic queues behind the demand fetch.
-	if err := c.issueAdvisory(clk, p, c.pf.OnFault(no)); err != nil {
+	if err := c.issueAdvisory(clk, p, c.pf.OnFault(no, nil)); err != nil {
 		return nil, err
 	}
 	return p, nil

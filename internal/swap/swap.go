@@ -27,10 +27,12 @@ const PageBytes = 4096
 // Prefetcher decides which pages to pull in around a demand fault.
 // Implementations must be deterministic.
 type Prefetcher interface {
-	// OnFault observes a demand fault on page and returns page numbers
-	// to prefetch (may be empty). Pages already resident or in flight
-	// are skipped by the cache.
-	OnFault(page int64) []int64
+	// OnFault observes a demand fault on page and appends page numbers to
+	// prefetch (maybe none) to out, returning the extended slice. out is the
+	// cache's scratch, passed in empty: proposing allocates nothing once it
+	// has grown. Pages already resident or in flight are skipped by the
+	// cache.
+	OnFault(page int64, out []int64) []int64
 	// PerFaultOverhead is the extra fault-path cost this prefetcher adds
 	// (e.g. Leap's trend detection).
 	PerFaultOverhead() sim.Duration
@@ -49,19 +51,19 @@ type IssueDelayer interface {
 
 // TouchPrefetcher is an optional Prefetcher extension for runahead
 // streams: OnPrefetchedTouch observes the first touch of a prefetched page
-// (the minor fault) and returns more pages to keep the stream's in-flight
-// window full without waiting for the next major fault. Reactive
-// prefetchers need not implement it.
+// (the minor fault) and appends more pages to out, like OnFault, to keep the
+// stream's in-flight window full without waiting for the next major fault.
+// Reactive prefetchers need not implement it.
 type TouchPrefetcher interface {
 	Prefetcher
-	OnPrefetchedTouch(page int64) []int64
+	OnPrefetchedTouch(page int64, out []int64) []int64
 }
 
 // NoPrefetch is the zero prefetcher.
 type NoPrefetch struct{}
 
-// OnFault returns no prefetch candidates.
-func (NoPrefetch) OnFault(int64) []int64 { return nil }
+// OnFault proposes no prefetch candidates.
+func (NoPrefetch) OnFault(_ int64, out []int64) []int64 { return out }
 
 // PerFaultOverhead is zero for the no-op prefetcher.
 func (NoPrefetch) PerFaultOverhead() sim.Duration { return 0 }
@@ -172,7 +174,9 @@ type Cache struct {
 	// pinned is the frame of the in-flight demand page (-1: none), which
 	// the prefetches issued on the same fault must not evict.
 	pinned int32
-	// Scratch of one advisory issue, kept so that issuing allocates nothing.
+	// Scratch of one advisory issue, kept so that issuing allocates nothing:
+	// the prefetcher's proposals, then the survivors of the filter.
+	props []int64
 	cands []int64
 	batch []placeholder
 	addrs []uint64
@@ -308,7 +312,8 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 			// Stream-maintaining prefetchers top their window back up on
 			// the touch instead of waiting for the next major fault.
 			if tp, ok := c.pf.(TouchPrefetcher); ok {
-				if err := c.issueAdvisory(clk, i, tp.OnPrefetchedTouch(no)); err != nil {
+				c.props = tp.OnPrefetchedTouch(no, c.props[:0])
+				if err := c.issueAdvisory(clk, i, c.props); err != nil {
 					return nil, err
 				}
 			}
@@ -349,7 +354,8 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 
 	// Consult the prefetcher after servicing the demand page so its
 	// traffic queues behind the demand fetch.
-	if err := c.issueAdvisory(clk, i, c.pf.OnFault(no)); err != nil {
+	c.props = c.pf.OnFault(no, c.props[:0])
+	if err := c.issueAdvisory(clk, i, c.props); err != nil {
 		return nil, err
 	}
 	return p, nil

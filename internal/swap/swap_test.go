@@ -178,8 +178,7 @@ func TestOutOfRegionAccess(t *testing.T) {
 // seqPrefetch prefetches the next n pages after a fault.
 type seqPrefetch struct{ n int64 }
 
-func (p seqPrefetch) OnFault(page int64) []int64 {
-	out := make([]int64, 0, p.n)
+func (p seqPrefetch) OnFault(page int64, out []int64) []int64 {
 	for i := int64(1); i <= p.n; i++ {
 		out = append(out, page+i)
 	}

@@ -36,7 +36,11 @@ func (im *Image) Bytes(gen func() []byte) []byte {
 	return im.data
 }
 
-// ObjectDumper reads back an object's final far-memory contents.
+// ObjectDumper reads back an object's final far-memory contents. The bytes
+// may be the backend's memory in place, not a copy: they are read-only, and
+// valid until the backend is next run, flushed or closed. A caller that
+// keeps a dump past that — to compare it with a later one, or after the
+// session is closed — clones it, as session.Dump does.
 type ObjectDumper interface {
 	DumpObject(name string) ([]byte, error)
 }
