@@ -161,6 +161,50 @@ func TestTierSurvivesCrashWipe(t *testing.T) {
 	}
 }
 
+// A promoted granule is restored into DRAM with CopyIn, which must forget
+// the checksum the node stored for the granule's old bytes: here a direct
+// whole-granule read of the wiped DRAM stores the sum of zeros just before
+// the tier brings the flash copy back, and the read through the tier must
+// still return the flash bytes with their own sum.
+func TestTierPromotedGranuleReadsBackItsSum(t *testing.T) {
+	fm := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 20, CPUSlowdown: 1})
+	addr, err := fm.Alloc(2 * farmem.GranuleBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := newTierBackend(transport.NewNodeBackend(fm), fm, TierConfig{DRAMBytes: farmem.GranuleBytes})
+	now := sim.Time(0)
+	a := fillPattern(farmem.GranuleBytes, 8)
+	got := make([]byte, farmem.GranuleBytes)
+	if _, err := tb.Write(now, addr, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tb.Read(now, addr, got); err != nil { // stores a's sum
+		t.Fatal(err)
+	}
+	if _, err := tb.Write(now, addr+farmem.GranuleBytes, fillPattern(farmem.GranuleBytes, 9)); err != nil {
+		t.Fatal(err) // demotes granule a
+	}
+	fm.WipeMemory()
+	if _, err := fm.ReadSum(addr, got); err != nil { // stores the sum of zeros
+		t.Fatal(err)
+	}
+	misses := tb.Stats().Misses
+	sum, _, err := tb.Read(now, addr, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Stats().Misses != misses+1 {
+		t.Fatal("the read did not promote the demoted granule")
+	}
+	if !bytes.Equal(got, a) {
+		t.Fatal("promoted granule lost its flash bytes")
+	}
+	if sum != farmem.Checksum(a) {
+		t.Fatalf("promoted granule read with sum %#x, its bytes hash to %#x", sum, farmem.Checksum(a))
+	}
+}
+
 func TestTierRestoreDropsFlashCopy(t *testing.T) {
 	fm := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 20, CPUSlowdown: 1})
 	addr, err := fm.Alloc(8192)

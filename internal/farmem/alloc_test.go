@@ -35,3 +35,32 @@ func TestWarmGatherAllocatesNothing(t *testing.T) {
 		t.Errorf("%v allocs per smaller Gather, want 0", got)
 	}
 }
+
+// Once a region has its checksum table, a whole-granule ReadSum allocates
+// nothing: neither when the table answers (a hit) nor when a write emptied
+// the granule's entry and the read hashes it again (a miss).
+func TestWarmGranuleReadAllocatesNothing(t *testing.T) {
+	n := newTestNode()
+	base := mustAlloc(t, n, 4*GranuleBytes)
+	addr := base + 2*GranuleBytes
+	buf := make([]byte, GranuleBytes)
+	one := []byte{0}
+	read := func() {
+		if _, err := n.ReadSum(addr, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss := func() {
+		one[0]++
+		if err := n.Write(addr+100, one); err != nil {
+			t.Fatal(err)
+		}
+		read()
+	}
+	read()
+	for name, run := range map[string]func(){"table hit": read, "table miss": miss} {
+		if got := testing.AllocsPerRun(200, run); got != 0 {
+			t.Errorf("%v allocs per warm whole-granule ReadSum (%s), want 0", got, name)
+		}
+	}
+}

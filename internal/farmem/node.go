@@ -87,6 +87,11 @@ type Mem struct {
 type memRegion struct {
 	base uint64
 	data []byte
+	// sums is the region's checksums at rest: per granule (GranuleBytes,
+	// region-relative) its CRC32C with sumKnown set, or zero where it is not
+	// known. Made by the region's first whole-granule read, emptied by
+	// every change to the granule's bytes, and recycled with data.
+	sums []uint64
 }
 
 func newMem() *Mem { return &Mem{} }
@@ -98,7 +103,8 @@ func (m *Mem) addRegion(base uint64, size uint64) {
 	i := sort.Search(len(m.regions), func(i int) bool { return m.regions[i].base > base })
 	m.regions = append(m.regions, memRegion{})
 	copy(m.regions[i+1:], m.regions[i:])
-	m.regions[i] = memRegion{base: base, data: regionCache.take(int(size))}
+	m.regions[i] = regionCache.take(int(size))
+	m.regions[i].base = base
 }
 
 // removeRegion drops the backing of a freed allocation.
@@ -136,26 +142,47 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	return nil
 }
 
+// readSum is ReadAt that also returns the CRC32C of the bytes read.
+func (m *Mem) readSum(addr uint64, buf []byte) (uint32, error) {
+	r, err := m.find(addr, len(buf))
+	if err != nil {
+		return 0, err
+	}
+	off := addr - r.base
+	copy(buf, r.data[off:])
+	return r.sum(off, len(buf)), nil
+}
+
 // WriteAt copies buf into memory at addr.
 func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	r, err := m.find(addr, len(buf))
 	if err != nil {
 		return err
 	}
-	copy(r.data[addr-r.base:], buf)
+	off := addr - r.base
+	copy(r.data[off:], buf)
+	r.invalidate(off, len(buf))
 	return nil
 }
 
 // Slice returns a window over far memory for in-place access by offloaded
 // procedures. The window aliases the backing: writes are visible
-// immediately.
+// immediately. Taking it forgets the checksums stored for the bytes it
+// covers, so a procedure writes through it before the node serves its next
+// read, as every procedure does within its Call.
 func (m *Mem) Slice(addr uint64, n int) ([]byte, error) {
 	r, err := m.find(addr, n)
 	if err != nil {
 		return nil, err
 	}
 	off := addr - r.base
-	return r.data[off : off+uint64(n) : off+uint64(n)], nil
+	r.invalidate(off, n)
+	return r.window(off, n), nil
+}
+
+// window is the n bytes at region offset off, capacity capped at them.
+func (r *memRegion) window(off uint64, n int) []byte {
+	return r.data[off : off+uint64(n) : off+uint64(n)]
 }
 
 // Alloc performs a remote allocation and returns the far virtual address.
@@ -190,8 +217,8 @@ func (n *Node) Free(addr uint64) error {
 func (n *Node) Release() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for i := range n.mem.regions {
-		regionCache.put(n.mem.regions[i].data)
+	for _, r := range n.mem.regions {
+		regionCache.put(r)
 	}
 	n.mem.regions = nil
 	n.alloc = NewAllocator(DefaultBase, n.cfg.Capacity)
@@ -214,6 +241,21 @@ func (n *Node) Read(addr uint64, buf []byte) error {
 	}
 	n.readBytes += int64(len(buf))
 	return nil
+}
+
+// ReadSum is Read that also returns the CRC32C of the bytes read: what a
+// one-sided read's reply carries. A read of one whole granule is answered
+// from the region's table and hashes nothing once the granule's sum is
+// known.
+func (n *Node) ReadSum(addr uint64, buf []byte) (uint32, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	sum, err := n.mem.readSum(addr, buf)
+	if err != nil {
+		return 0, err
+	}
+	n.readBytes += int64(len(buf))
+	return sum, nil
 }
 
 // Write services a one-sided write.
@@ -317,11 +359,16 @@ func (n *Node) CopyOut(addr uint64, buf []byte) error {
 // that only reads far memory (an oracle's dump) takes instead of a copy.
 // Like CopyOut it is not traffic. The window is read-only and valid until
 // the node is next written, allocated from or released; a caller that keeps
-// the bytes past that copies them.
+// the bytes past that copies them. Being read-only, it leaves the stored
+// checksums alone.
 func (n *Node) View(addr uint64, size int) ([]byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.mem.Slice(addr, size)
+	r, err := n.mem.find(addr, size)
+	if err != nil {
+		return nil, err
+	}
+	return r.window(addr-r.base, size), nil
 }
 
 // CopyIn is the stat-free converse of CopyOut: the capacity tier restores a
@@ -339,11 +386,9 @@ func (n *Node) CopyIn(addr uint64, buf []byte) error {
 func (n *Node) WipeMemory() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for i := range n.mem.regions {
-		d := n.mem.regions[i].data
-		for j := range d {
-			d[j] = 0
-		}
+	for _, r := range n.mem.regions {
+		clear(r.data)
+		clear(r.sums)
 	}
 }
 

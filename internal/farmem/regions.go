@@ -13,52 +13,55 @@ const regionCacheBytes = 64 << 20
 // that opens one session after another (the planner's candidates, the
 // harness cells, a serving fleet's tenants) would otherwise make and zero
 // the whole far heap again for each. Release hands a node's regions to the
-// list, addRegion takes one of exactly the size it needs and clears it, so
-// a recycled region is indistinguishable from a fresh one and runs stay
-// replay-identical. It is shared by every Node of the process — the nodes
-// are what comes and goes — and so the one lock-guarded piece of far-side
-// state.
-var regionCache = regionList{max: regionCacheBytes, bySize: map[int][][]byte{}}
+// list, addRegion takes one of exactly the size it needs and clears it —
+// its bytes and its checksum table — so a recycled region is
+// indistinguishable from a fresh one and runs stay replay-identical. It is
+// shared by every Node of the process — the nodes are what comes and goes —
+// and so the one lock-guarded piece of far-side state.
+var regionCache = regionList{max: regionCacheBytes, bySize: map[int][]memRegion{}}
 
 type regionList struct {
 	max    int // the bound on held
 	mu     sync.Mutex
-	bySize map[int][][]byte // exact length -> released buffers
-	held   int              // Σ len over bySize, ≤ max
+	bySize map[int][]memRegion // exact len(data) -> released backing, base unset
+	held   int                 // Σ len(data) over bySize, ≤ max; a table adds 1/512 of it
 }
 
-// take returns a zeroed buffer of exactly size bytes, recycled when the
-// list holds one.
-func (l *regionList) take(size int) []byte {
+// take returns zeroed backing of exactly size bytes, recycled when the list
+// holds one, with an empty checksum table if it had one.
+func (l *regionList) take(size int) memRegion {
 	l.mu.Lock()
-	bufs := l.bySize[size]
-	if len(bufs) == 0 {
+	rs := l.bySize[size]
+	if len(rs) == 0 {
 		l.mu.Unlock()
-		return make([]byte, size)
+		return memRegion{data: make([]byte, size)}
 	}
-	buf := bufs[len(bufs)-1]
-	bufs[len(bufs)-1] = nil
-	l.bySize[size] = bufs[:len(bufs)-1]
+	r := rs[len(rs)-1]
+	rs[len(rs)-1] = memRegion{}
+	l.bySize[size] = rs[:len(rs)-1]
 	l.held -= size
 	l.mu.Unlock()
-	clear(buf)
-	return buf
+	clear(r.data)
+	clear(r.sums)
+	return r
 }
 
-// put keeps buf for a later take of the same size. A buffer that would take
-// the list over its bound empties the list first: the sizes it holds are
-// those of sessions gone by, and starting again keeps the ones in use now
-// instead of the ones that filled it first.
-func (l *regionList) put(buf []byte) {
-	if len(buf) == 0 || len(buf) > l.max {
+// put keeps r's backing for a later take of the same size. Backing that
+// would take the list over its bound empties the list first: the sizes it
+// holds are those of sessions gone by, and starting again keeps the ones in
+// use now instead of the ones that filled it first.
+func (l *regionList) put(r memRegion) {
+	size := len(r.data)
+	if size == 0 || size > l.max {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.held+len(buf) > l.max {
+	if l.held+size > l.max {
 		clear(l.bySize)
 		l.held = 0
 	}
-	l.bySize[len(buf)] = append(l.bySize[len(buf)], buf)
-	l.held += len(buf)
+	r.base = 0
+	l.bySize[size] = append(l.bySize[size], r)
+	l.held += size
 }

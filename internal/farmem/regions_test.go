@@ -1,6 +1,7 @@
 package farmem
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -69,6 +70,47 @@ func TestRecycledRegionIsZeroedAndSizeKeyed(t *testing.T) {
 	}
 }
 
+// A region released with a full checksum table comes back with that table —
+// recycled, not made again — and answers every read as a fresh region does:
+// zero bytes, and the checksum of zero bytes, whole granules and partial
+// ranges alike.
+func TestRecycledRegionTableIsIndistinguishable(t *testing.T) {
+	const size = 3*GranuleBytes + 24 // a short last granule; no other test's size
+	a := newTestNode()
+	addr := mustAlloc(t, a, size)
+	fill(t, a, addr, size, 0xA5)
+	buf := make([]byte, GranuleBytes)
+	granule := func(off int) []byte { return buf[:min(GranuleBytes, size-off)] }
+	for off := 0; off < size; off += GranuleBytes {
+		if _, err := a.ReadSum(addr+uint64(off), granule(off)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table := a.mem.regions[0].sums
+	a.Release()
+
+	b := newTestNode()
+	again := mustAlloc(t, b, size)
+	if got := b.mem.regions[0].sums; len(got) == 0 || &got[0] != &table[0] {
+		t.Fatal("the checksum table was not recycled with its region")
+	}
+	zero := make([]byte, GranuleBytes)
+	for off := 0; off < size; off += GranuleBytes {
+		g := granule(off)
+		sum, err := b.ReadSum(again+uint64(off), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Checksum(zero[:len(g)]); sum != want || !bytes.Equal(g, zero[:len(g)]) {
+			t.Fatalf("granule at +%d: sum %#x, want %#x of %d zero bytes", off, sum, want, len(g))
+		}
+	}
+	sum, err := b.ReadSum(again+8, buf[:100])
+	if err != nil || sum != Checksum(zero[:100]) {
+		t.Fatalf("partial read of a recycled region: sum %#x, %v", sum, err)
+	}
+}
+
 // Release leaves an empty node: every old address answers ErrUnmapped,
 // nothing counts as allocated, and the node can be allocated from again.
 func TestReleasedNodeAnswersUnmapped(t *testing.T) {
@@ -98,16 +140,16 @@ func TestReleasedNodeAnswersUnmapped(t *testing.T) {
 // The free list never holds more than its bound, whatever is released into
 // it, and what it holds is what it counts.
 func TestRegionListStaysUnderItsBound(t *testing.T) {
-	l := regionList{max: 1 << 16, bySize: map[int][][]byte{}}
+	l := regionList{max: 1 << 16, bySize: map[int][]memRegion{}}
 	check := func() {
 		t.Helper()
 		sum := 0
-		for size, bufs := range l.bySize {
-			for _, b := range bufs {
-				if len(b) != size {
-					t.Fatalf("a %d-byte buffer filed under %d", len(b), size)
+		for size, rs := range l.bySize {
+			for _, r := range rs {
+				if len(r.data) != size {
+					t.Fatalf("a %d-byte buffer filed under %d", len(r.data), size)
 				}
-				sum += len(b)
+				sum += len(r.data)
 			}
 		}
 		if sum != l.held || l.held > l.max {
@@ -116,11 +158,11 @@ func TestRegionListStaysUnderItsBound(t *testing.T) {
 	}
 	sizes := []int{4096, 8192, 100, 1 << 15, 1 << 16, 1<<16 + 8, 24}
 	for i := 0; i < 200; i++ {
-		l.put(make([]byte, sizes[i%len(sizes)]))
+		l.put(memRegion{data: make([]byte, sizes[i%len(sizes)])})
 		check()
 		if i%3 == 0 {
-			if got := l.take(sizes[(i/3)%len(sizes)]); len(got) != sizes[(i/3)%len(sizes)] {
-				t.Fatalf("take(%d) returned %d bytes", sizes[(i/3)%len(sizes)], len(got))
+			if got := l.take(sizes[(i/3)%len(sizes)]); len(got.data) != sizes[(i/3)%len(sizes)] {
+				t.Fatalf("take(%d) returned %d bytes", sizes[(i/3)%len(sizes)], len(got.data))
 			}
 			check()
 		}

@@ -10,10 +10,12 @@ import (
 	"mira/internal/sim"
 )
 
-// A gather on a warm link allocates nothing, either flavor: the far node
-// assembles the reply in the buffer it owns, the transport checks and prices
-// it in place and hands the same bytes on. The degraded flavor — every piece
-// served from the queued write-backs — answers from the transport's own.
+// A gather or a scatter on a warm link allocates nothing, either flavor: the
+// far node assembles a gather's reply in the buffer it owns, the transport
+// checks and prices it in place and hands the same bytes on, and a scatter
+// lists its piece sizes in the transport's scratch. The degraded gather —
+// every piece served from the queued write-backs — answers from the
+// transport's own buffer.
 func TestWarmGatherAllocatesNothing(t *testing.T) {
 	node := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 22, CPUSlowdown: 1})
 	tr := New(node, netmodel.DefaultConfig())
@@ -23,8 +25,9 @@ func TestWarmGatherAllocatesNothing(t *testing.T) {
 	}
 	addrs := make([]uint64, 16)
 	sizes := make([]int, 16)
+	pieces := make([][]byte, 16)
 	for i := range addrs {
-		addrs[i], sizes[i] = base+uint64(i)*4096, 4096
+		addrs[i], sizes[i], pieces[i] = base+uint64(i)*4096, 4096, make([]byte, 4096)
 	}
 	now := sim.Time(0)
 	for name, gather := range map[string]func(sim.Time, []uint64, []int) ([]byte, sim.Time, error){
@@ -43,17 +46,77 @@ func TestWarmGatherAllocatesNothing(t *testing.T) {
 			t.Errorf("%v allocs per warm %s, want 0", got, name)
 		}
 	}
+	for name, scatter := range map[string]func(sim.Time, []uint64, [][]byte) (sim.Time, error){
+		"ScatterWrite":    tr.ScatterWrite,
+		"ScatterTwoSided": tr.ScatterTwoSided,
+	} {
+		run := func() {
+			done, err := scatter(now, addrs, pieces)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			now = done
+		}
+		run()
+		if got := testing.AllocsPerRun(200, run); got != 0 {
+			t.Errorf("%v allocs per warm %s, want 0", got, name)
+		}
+	}
 
 	// Degraded: both pieces are covered by queued write-backs.
-	tr.enqueueWrite(addrs[0], make([]byte, 4096))
-	tr.enqueueWrite(addrs[1], make([]byte, 4096))
+	tr.mu.Lock()
+	tr.enqueueWriteLocked(addrs[0], make([]byte, 4096))
+	tr.enqueueWriteLocked(addrs[1], make([]byte, 4096))
+	tr.mu.Unlock()
 	degraded := func() {
-		if data, ok := tr.gatherQueued(addrs[:2], sizes[:2]); !ok || len(data) != 8192 {
-			t.Fatalf("gather from the overlay: %d bytes, %v", len(data), ok)
+		if data, done, err := tr.GatherTwoSided(now, addrs[:2], sizes[:2]); err != nil || len(data) != 8192 || done != now {
+			t.Fatalf("gather from the overlay: %d bytes at %v, %v", len(data), done, err)
 		}
 	}
 	degraded()
 	if got := testing.AllocsPerRun(200, degraded); got != 0 {
 		t.Errorf("%v allocs per warm overlay gather, want 0", got)
+	}
+}
+
+// A one-sided read of a whole granule allocates nothing, whether the far
+// node answers its checksum from the region's table (the granule was read
+// before and not written since) or hashes it again (a write in between).
+func TestWarmGranuleReadAllocatesNothing(t *testing.T) {
+	node := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 22, CPUSlowdown: 1})
+	tr := New(node, netmodel.DefaultConfig())
+	base, err := node.Alloc(4 * farmem.GranuleBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := base + farmem.GranuleBytes
+	buf := make([]byte, farmem.GranuleBytes)
+	page := make([]byte, farmem.GranuleBytes)
+	now := sim.Time(0)
+	read := func() {
+		done, err := tr.ReadOneSided(now, addr, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	hit := read
+	miss := func() {
+		page[0]++
+		done, err := tr.WriteOneSided(now, addr, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+		read()
+		if buf[0] != page[0] {
+			t.Fatalf("read %#x after writing %#x", buf[0], page[0])
+		}
+	}
+	read()
+	for name, run := range map[string]func(){"table hit": hit, "table miss": miss} {
+		if got := testing.AllocsPerRun(200, run); got != 0 {
+			t.Errorf("%v allocs per warm granule read (%s), want 0", got, name)
+		}
 	}
 }

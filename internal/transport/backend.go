@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"hash/crc32"
-
 	"mira/internal/farmem"
 	"mira/internal/sim"
 )
@@ -12,11 +10,14 @@ import (
 // wraps the same interface and perturbs calls — delay spikes, transient I/O
 // errors, payload corruption, crash windows — before they reach the node.
 //
-// Every read-shaped call returns the checksum the far node computed over the
-// bytes it actually sent (the "wire header"); the transport recomputes the
-// checksum over what arrived and retries on mismatch. The extra duration is
-// injected delay the transport adds to the operation's completion (and
-// tests against the per-attempt deadline).
+// Every read-shaped call returns the checksum (farmem.Checksum) of the bytes
+// the far node actually sent (the "wire header"); the transport recomputes
+// it over what arrived, on every reply, and retries on mismatch. The far
+// node answers a whole-granule read's sum from the region's table of
+// checksums at rest, as a NIC checks integrity in hardware; a Gather reply
+// is hashed as assembled. The extra duration is injected delay the
+// transport adds to the operation's completion (and tests against the
+// per-attempt deadline).
 //
 // A Gather reply belongs to the backend that assembled it: it is valid until
 // the next Gather on that backend and may be overwritten by it (the far node
@@ -40,15 +41,6 @@ type Backend interface {
 	Call(now sim.Time, name string, args []byte) (res []byte, farCPU sim.Duration, extra sim.Duration, err error)
 }
 
-// castagnoli is the CRC32C table: the polynomial iSCSI and RoCE's ICRC
-// successors use, and the one amd64 and arm64 compute in hardware.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Checksum is the end-to-end integrity checksum carried alongside one-sided
-// payloads (CRC32C). The far side computes it over what it sends and the
-// transport recomputes it over what arrived.
-func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
-
 // NewNodeBackend returns the direct, fault-free backend over node — the
 // default backend, and the one the fault injector wraps.
 func NewNodeBackend(node *farmem.Node) Backend { return nodeBackend{node: node} }
@@ -57,10 +49,8 @@ func NewNodeBackend(node *farmem.Node) Backend { return nodeBackend{node: node} 
 type nodeBackend struct{ node *farmem.Node }
 
 func (nb nodeBackend) Read(_ sim.Time, addr uint64, buf []byte) (uint32, sim.Duration, error) {
-	if err := nb.node.Read(addr, buf); err != nil {
-		return 0, 0, err
-	}
-	return Checksum(buf), 0, nil
+	sum, err := nb.node.ReadSum(addr, buf)
+	return sum, 0, err
 }
 
 func (nb nodeBackend) Write(_ sim.Time, addr uint64, buf []byte) (sim.Duration, error) {
@@ -72,7 +62,7 @@ func (nb nodeBackend) Gather(_ sim.Time, addrs []uint64, sizes []int) ([]byte, u
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return data, Checksum(data), 0, nil
+	return data, farmem.Checksum(data), 0, nil
 }
 
 func (nb nodeBackend) Scatter(_ sim.Time, addrs []uint64, pieces [][]byte) (sim.Duration, error) {

@@ -62,7 +62,7 @@ func (f *flakyBackend) Read(_ sim.Time, addr uint64, buf []byte) (uint32, sim.Du
 		return 0, 0, err
 	}
 	copy(buf, f.store[addr])
-	sum := Checksum(buf)
+	sum := farmem.Checksum(buf)
 	if f.badSums > 0 {
 		f.badSums--
 		sum ^= 0xffffffff
@@ -93,7 +93,7 @@ func (f *flakyBackend) Gather(_ sim.Time, addrs []uint64, sizes []int) ([]byte, 
 		}
 		out = append(out, p[:sizes[i]]...)
 	}
-	sum := Checksum(out)
+	sum := farmem.Checksum(out)
 	if f.badSums > 0 {
 		f.badSums--
 		sum ^= 0xffffffff

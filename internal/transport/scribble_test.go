@@ -53,7 +53,7 @@ func TestScribbleLinkSpoilsAKeptReply(t *testing.T) {
 
 // CRC32C, not IEEE: the check value of the Castagnoli polynomial.
 func TestChecksumIsCRC32C(t *testing.T) {
-	if got := transport.Checksum([]byte("123456789")); got != 0xE3069283 {
+	if got := farmem.Checksum([]byte("123456789")); got != 0xE3069283 {
 		t.Fatalf("Checksum(\"123456789\") = %#x, want the CRC32C check value 0xe3069283", got)
 	}
 }

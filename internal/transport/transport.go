@@ -198,7 +198,9 @@ type T struct {
 	// assembled in (gatherQueued); like the far node's reply it is
 	// overwritten by the next such gather.
 	overlayReply []byte
-	stats        Stats
+	// sizes is the scratch a scatter lists its piece sizes in to price them.
+	sizes []int
+	stats Stats
 
 	// Tracing (all nil when disabled — every use is nil-safe).
 	trc       *trace.Buffer
@@ -253,73 +255,56 @@ func (t *T) SetCodecCost(m codec.CostModel) {
 	t.wireCost = m
 }
 
-// wireLen reports the bytes payload occupies on the wire under the active
-// codec and the codec CPU time (far-side encode + near-side decode) to add
-// to the op's completion, updating the codec counters. Callers invoke it
-// exactly once per successful op, after every failure check, so retries do
-// not double-count. With no codec installed it is the identity: raw length,
-// zero time, zero counter traffic.
-func (t *T) wireLen(payload []byte) (int, sim.Duration) {
-	t.mu.Lock()
-	id, m := t.wireCodec, t.wireCost
-	t.mu.Unlock()
-	if id == codec.None {
+// wireLenLocked reports the bytes payload occupies on the wire under the
+// active codec and the codec CPU time (far-side encode + near-side decode)
+// to add to the op's completion, updating the codec counters. Callers invoke
+// it exactly once per successful op, after every failure check, so retries
+// do not double-count. With no codec installed it is the identity: raw
+// length, zero time, zero counter traffic. t.mu must be held.
+func (t *T) wireLenLocked(payload []byte) (int, sim.Duration) {
+	if t.wireCodec == codec.None {
 		return len(payload), 0
 	}
-	w := codec.EncodedLen(id, payload)
-	t.mu.Lock()
-	t.stats.CodecOps++
-	t.stats.WireSaved += int64(len(payload) - w)
-	t.mu.Unlock()
-	return w, m.EncodeCost(len(payload)) + m.DecodeCost(len(payload))
+	return t.codecLocked(len(payload), codec.EncodedLen(t.wireCodec, payload))
 }
 
-// wireLenVec is wireLen over a concatenated vectored payload: each piece is
-// encoded independently (vectored messages carry per-piece encoded sizes
-// and codec IDs), so a compressible line never pays for an incompressible
-// neighbor in the same doorbell batch.
-func (t *T) wireLenVec(data []byte, sizes []int) (int, sim.Duration) {
-	t.mu.Lock()
-	id, m := t.wireCodec, t.wireCost
-	t.mu.Unlock()
-	if id == codec.None {
+// wireLenVecLocked is wireLenLocked over a concatenated vectored payload:
+// each piece is encoded independently (vectored messages carry per-piece
+// encoded sizes and codec IDs), so a compressible line never pays for an
+// incompressible neighbor in the same doorbell batch.
+func (t *T) wireLenVecLocked(data []byte, sizes []int) (int, sim.Duration) {
+	if t.wireCodec == codec.None {
 		return len(data), 0
 	}
-	total, raw, off := 0, 0, 0
+	total, off := 0, 0
 	for _, s := range sizes {
-		total += codec.EncodedLen(id, data[off:off+s])
-		raw += s
+		total += codec.EncodedLen(t.wireCodec, data[off:off+s])
 		off += s
 	}
-	t.mu.Lock()
-	t.stats.CodecOps++
-	t.stats.WireSaved += int64(raw - total)
-	t.mu.Unlock()
-	return total, m.EncodeCost(raw) + m.DecodeCost(raw)
+	return t.codecLocked(off, total)
 }
 
-// wireLenPieces is wireLenVec for scatter-shaped payloads.
-func (t *T) wireLenPieces(pieces [][]byte) (int, sim.Duration) {
-	t.mu.Lock()
-	id, m := t.wireCodec, t.wireCost
-	t.mu.Unlock()
-	if id == codec.None {
-		n := 0
-		for _, p := range pieces {
-			n += len(p)
-		}
-		return n, 0
-	}
-	total, raw := 0, 0
+// wireLenPiecesLocked is wireLenVecLocked for scatter-shaped payloads.
+func (t *T) wireLenPiecesLocked(pieces [][]byte) (int, sim.Duration) {
+	raw, total := 0, 0
 	for _, p := range pieces {
-		total += codec.EncodedLen(id, p)
 		raw += len(p)
 	}
-	t.mu.Lock()
+	if t.wireCodec == codec.None {
+		return raw, 0
+	}
+	for _, p := range pieces {
+		total += codec.EncodedLen(t.wireCodec, p)
+	}
+	return t.codecLocked(raw, total)
+}
+
+// codecLocked counts one op whose raw payload bytes shipped as wire bytes
+// and returns them with the codec CPU time.
+func (t *T) codecLocked(raw, wire int) (int, sim.Duration) {
 	t.stats.CodecOps++
-	t.stats.WireSaved += int64(raw - total)
-	t.mu.Unlock()
-	return total, m.EncodeCost(raw) + m.DecodeCost(raw)
+	t.stats.WireSaved += int64(raw - wire)
+	return wire, t.wireCost.EncodeCost(raw) + t.wireCost.DecodeCost(raw)
 }
 
 // SetBackend interposes a different far-node backend — the fault injector's
@@ -413,7 +398,7 @@ func (t *T) DropQueued() int {
 	return n
 }
 
-// supersedeRange reconciles the overlay with a direct write that just
+// supersedeRangeLocked reconciles the overlay with a direct write that just
 // landed on the node: queued entries fully inside [addr, addr+len(data))
 // are dropped and partially overlapping ones are patched with the fresher
 // bytes. Queued entries are always older than a direct write that lands
@@ -422,9 +407,7 @@ func (t *T) DropQueued() int {
 // over the fresher bytes. Entries can differ in granularity from the
 // superseding write (a queued read-repair line vs a coalesced multi-line
 // write-back piece), hence range reconciliation, not address matching.
-func (t *T) supersedeRange(addr uint64, data []byte) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (t *T) supersedeRangeLocked(addr uint64, data []byte) {
 	if len(t.queued) == 0 {
 		return
 	}
@@ -481,100 +464,151 @@ func (t *T) deadline(base sim.Duration) sim.Duration {
 	return t.pol.DeadlineBase + sim.Duration(float64(base)*mult)
 }
 
-// timedOut reports whether injected delay pushes an attempt past its
-// deadline.
-func (t *T) timedOut(base, extra sim.Duration) bool {
+// timedOutLocked reports whether injected delay pushes an attempt past its
+// deadline, counting it if so.
+func (t *T) timedOutLocked(base, extra sim.Duration) bool {
 	d := t.deadline(base)
-	if d <= 0 {
+	if d <= 0 || base+extra <= d {
 		return false
 	}
-	if base+extra > d {
-		t.bump(&t.stats.Timeouts)
-		t.cTimeouts.Inc()
-		return true
-	}
-	return false
+	t.stats.Timeouts++
+	t.cTimeouts.Inc()
+	return true
 }
 
-func (t *T) bump(field *int64) {
-	t.mu.Lock()
-	*field++
-	t.mu.Unlock()
+// An attempt is one try of an operation, cut where resilient takes t.mu:
+// once before the backend call and once after it, never across it. The
+// hooks marked "t.mu held" run inside those two critical sections, call and
+// land outside them, so a fault-free op takes the lock twice however many
+// counters, overlay checks and breaker updates it makes.
+type attempt struct {
+	rtt  sim.Duration // the op class's NACK-detection latency
+	base sim.Duration // its fault-free cost: the deadline's basis
+	lat  sim.Duration // what completion adds to the payload's wire time, beside injected delay and codec time
+
+	// serve (t.mu held, first attempt) answers the whole op from the
+	// write-back overlay: a read whose bytes are all queued.
+	serve func() bool
+	// degrade (t.mu held, breaker open) completes the op locally: a write
+	// queues in the overlay.
+	degrade func()
+	// call runs the backend and checks what came back, returning ErrCorrupt
+	// when a reply's bytes do not match its checksum.
+	call func(be Backend, at sim.Time) (extra sim.Duration, err error)
+	// landed (t.mu held) follows a call the backend carried out, before the
+	// deadline check: a write that landed supersedes the overlay even when
+	// it then counts as timed out.
+	landed func()
+	// settle (t.mu held) follows an attempt that succeeded: it patches a
+	// reply from the overlay, counts codec and batch stats, and returns the
+	// payload's wire bytes and codec CPU time.
+	settle func() (wire int, cpu sim.Duration)
+	// land, when set, charges the link and returns the completion in place
+	// of Acquire(wire)+lat+extra+cpu: Call's two legs around the far CPU.
+	land func(at sim.Time, extra sim.Duration) sim.Time
 }
 
-// resilient runs one operation under the retry/backoff/breaker policy.
-// op names the operation class for tracing. attempt must charge bandwidth
-// only on success; rtt is the op class's NACK-detection latency; base its
-// fault-free cost (deadline basis). degraded, when non-nil, is consulted
-// while the breaker is open (writes queue locally through it); returning
-// ok=true completes the op without the network. Permanent errors return
-// immediately with the caller's own `now` — a refused operation charges
-// neither time nor bandwidth.
-func (t *T) resilient(op string, now sim.Time, rtt, base sim.Duration,
-	attempt func(at sim.Time) (sim.Time, error),
-	degraded func(at sim.Time) (sim.Time, bool)) (sim.Time, error) {
-
-	t.bump(&t.stats.Ops)
-	t.cOps.Inc()
-	attempts := t.pol.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
+// resilient runs one operation under the retry/backoff/breaker policy; it is
+// the transport's only retry loop. op names the operation class for tracing
+// (a parameter, not a field: the tracer keeps it, and a kept field would
+// move every attempt's hooks to the heap). Bandwidth is charged only for the
+// attempt that succeeds. Permanent errors return immediately with the
+// caller's own `now` — a refused operation charges neither time nor
+// bandwidth.
+func (t *T) resilient(op string, now sim.Time, a *attempt) (sim.Time, error) {
+	attempts := max(t.pol.MaxAttempts, 1)
 	at := now
 	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if degraded != nil && t.BreakerOpen(at) {
-			if end, ok := degraded(at); ok {
-				t.trc.Span(now, end, "net", op, trace.S("mode", "degraded"))
-				return end, nil
+	for n := 0; n < attempts; n++ {
+		// Before the call: the overlay, the op count, the breaker.
+		t.mu.Lock()
+		if n == 0 {
+			if a.serve != nil && a.serve() {
+				t.mu.Unlock()
+				return now, nil
 			}
+			t.stats.Ops++
+			t.cOps.Inc()
 		}
-		at = t.breakerWait(at)
-		end, err := attempt(at)
+		if t.open && at < t.openUntil {
+			if a.degrade != nil {
+				a.degrade()
+				t.mu.Unlock()
+				t.trc.Span(now, at, "net", op, trace.S("mode", "degraded"))
+				return at, nil
+			}
+			// Wait out the cooldown in virtual time: this caller is the
+			// half-open probe.
+			t.stats.DegradedTime += t.openUntil.Sub(at)
+			at = t.openUntil
+		}
+		be := t.be
+		t.mu.Unlock()
+
+		extra, err := a.call(be, at)
+
+		// After the call: the op's bookkeeping, then the breaker's.
+		t.mu.Lock()
+		if err == nil && a.landed != nil {
+			a.landed()
+		}
+		if errors.Is(err, ErrCorrupt) { // only call gives this verdict
+			t.stats.Corruptions++
+		} else if err == nil && t.timedOutLocked(a.base, extra) {
+			err = ErrTimeout
+		}
 		if err == nil {
-			t.noteSuccess(at)
-			if a == 0 {
+			var wire int
+			var cpu sim.Duration
+			if a.settle != nil {
+				wire, cpu = a.settle()
+			}
+			wasOpen, drain := t.open, len(t.queued) > 0
+			t.consecFails, t.open = 0, false
+			t.mu.Unlock()
+			var end sim.Time
+			if a.land != nil {
+				end = a.land(at, extra)
+			} else {
+				end = t.BW.Acquire(at, wire).Add(a.lat).Add(extra).Add(cpu)
+			}
+			if wasOpen {
+				t.trc.Instant(at, "net", "breaker.close")
+			}
+			if drain {
+				t.drainOnce(at)
+			}
+			if n == 0 {
 				t.trc.Span(now, end, "net", op)
 			} else {
-				t.trc.Span(now, end, "net", op, trace.I("retries", int64(a)))
+				t.trc.Span(now, end, "net", op, trace.I("retries", int64(n)))
 			}
 			return end, nil
 		}
 		if !IsTransient(err) {
+			t.mu.Unlock()
 			return now, err
 		}
 		lastErr = err
-		retrying := a < attempts-1
+		retrying := n < attempts-1
 		if retrying {
-			t.bump(&t.stats.Retries)
+			t.stats.Retries++
 			t.cRetries.Inc()
+		} else {
+			t.stats.GaveUp++
 		}
-		at = t.noteFailure(at, a, rtt, base, err)
+		at = t.noteFailureLocked(at, n, a.rtt, a.base, err)
+		t.mu.Unlock()
 		if retrying {
-			t.trc.Instant(at, "net", op+".retry", trace.I("attempt", int64(a+1)))
+			t.trc.Instant(at, "net", op+".retry", trace.I("attempt", int64(n+1)))
 		}
 	}
-	t.bump(&t.stats.GaveUp)
 	return at, fmt.Errorf("%w after %d attempts (last: %v)", ErrFarUnavailable, attempts, lastErr)
 }
 
-// breakerWait blocks (in virtual time) until the breaker's cooldown has
-// elapsed, making the caller the half-open probe.
-func (t *T) breakerWait(at sim.Time) sim.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.open && at < t.openUntil {
-		t.stats.DegradedTime += t.openUntil.Sub(at)
-		at = t.openUntil
-	}
-	return at
-}
-
-// noteFailure charges the failure's detection latency and backoff to the
-// attempt timeline and updates the breaker.
-func (t *T) noteFailure(at sim.Time, a int, rtt, base sim.Duration, err error) sim.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// noteFailureLocked charges the failure's detection latency and backoff to
+// the attempt timeline and updates the breaker.
+func (t *T) noteFailureLocked(at sim.Time, a int, rtt, base sim.Duration, err error) sim.Time {
 	t.stats.Failures++
 	switch {
 	case errors.Is(err, ErrCorrupt):
@@ -622,23 +656,7 @@ func (t *T) noteFailure(at sim.Time, a int, rtt, base sim.Duration, err error) s
 	return at
 }
 
-// noteSuccess closes the breaker and drains any queued write-backs.
-func (t *T) noteSuccess(at sim.Time) {
-	t.mu.Lock()
-	wasOpen := t.open
-	t.consecFails = 0
-	t.open = false
-	n := len(t.queued)
-	t.mu.Unlock()
-	if wasOpen {
-		t.trc.Instant(at, "net", "breaker.close")
-	}
-	if n > 0 {
-		t.drainOnce(at)
-	}
-}
-
-// enqueueWrite queues a degraded-mode write locally. The queue is an
+// enqueueWriteLocked queues a degraded-mode write locally. The queue is an
 // overlay over far memory: reads consult it first, so queued data stays
 // visible. Entries never overlap: a new write patches the overlapping bytes
 // of existing entries in place (it is fresher) and inserts only the
@@ -646,9 +664,7 @@ func (t *T) noteSuccess(at sim.Time) {
 // coalesced multi-line write-back vs a single read-repair line — so
 // anything keyed purely by address would let an older entry shadow part of
 // a newer one at drain time.
-func (t *T) enqueueWrite(addr uint64, data []byte) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (t *T) enqueueWriteLocked(addr uint64, data []byte) {
 	t.stats.QueuedWritebacks++
 	end := addr + uint64(len(data))
 	cur := addr
@@ -749,22 +765,17 @@ func (t *T) overlayReadLocked(addr uint64, buf []byte) (covered bool) {
 	return full && cur >= end
 }
 
-// serveQueued serves [addr, addr+len(buf)) from the write-back overlay if
-// queued entries cover all of it. Partially covering entries leave their
+// serveQueuedLocked serves [addr, addr+len(buf)) from the write-back overlay
+// if queued entries cover all of it. Partially covering entries leave their
 // bytes in buf; callers that fall through to the network overwrite buf
 // wholesale and must re-patch afterwards.
-func (t *T) serveQueued(addr uint64, buf []byte) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.queued) == 0 {
+func (t *T) serveQueuedLocked(addr uint64, buf []byte) bool {
+	if len(t.queued) == 0 || !t.overlayReadLocked(addr, buf) {
 		return false
 	}
-	if t.overlayReadLocked(addr, buf) {
-		t.stats.DegradedReads++
-		t.cDegraded.Inc()
-		return true
-	}
-	return false
+	t.stats.DegradedReads++
+	t.cDegraded.Inc()
+	return true
 }
 
 // sortedQueuedAddrs snapshots the overlay keys in deterministic order. The
@@ -784,29 +795,29 @@ func (t *T) drainOnce(at sim.Time) {
 	for _, addr := range t.sortedQueuedAddrs() {
 		t.mu.Lock()
 		data, ok := t.queued[addr]
+		be := t.be
 		t.mu.Unlock()
 		if !ok {
 			continue
 		}
-		_, err := t.be.Write(at, addr, data)
-		if err == nil {
-			wlen, _ := t.wireLen(data) // async drain: bandwidth only, no caller timeline
-			t.BW.Acquire(at, wlen)
-			t.mu.Lock()
+		_, err := be.Write(at, addr, data)
+		t.mu.Lock()
+		switch {
+		case err == nil:
 			t.dequeueLocked(addr)
 			t.stats.DrainedWritebacks++
+			wlen, _ := t.wireLenLocked(data) // async drain: bandwidth only, no caller timeline
 			t.mu.Unlock()
-			continue
-		}
-		if !IsTransient(err) {
-			t.mu.Lock()
+			t.BW.Acquire(at, wlen)
+		case !IsTransient(err):
 			t.dequeueLocked(addr)
 			t.stats.DroppedWritebacks++
 			t.mu.Unlock()
-			continue
+		default:
+			t.noteFailureLocked(at, 0, t.Cfg.OneSidedRTT, t.Cfg.OneSidedCost(len(data)), err)
+			t.mu.Unlock()
+			return
 		}
-		t.noteFailure(at, 0, t.Cfg.OneSidedRTT, t.Cfg.OneSidedCost(len(data)), err)
-		return
 	}
 }
 
@@ -817,75 +828,59 @@ func (t *T) drainOnce(at sim.Time) {
 func (t *T) Flush(now sim.Time) (sim.Time, error) {
 	last := now
 	for {
-		addrs := t.sortedQueuedAddrs()
-		if len(addrs) == 0 {
+		t.mu.Lock()
+		if len(t.queuedAddrs) == 0 {
+			t.mu.Unlock()
 			return last, nil
 		}
-		addr := addrs[0]
-		t.mu.Lock()
-		data, ok := t.queued[addr]
+		addr := t.queuedAddrs[0]
+		data := t.queued[addr]
 		t.dequeueLocked(addr)
 		t.mu.Unlock()
-		if !ok {
-			continue
-		}
-		base := t.Cfg.OneSidedCost(len(data))
-		end, err := t.resilient("flush.writeback", now, t.Cfg.OneSidedRTT, base, func(at sim.Time) (sim.Time, error) {
-			extra, err := t.be.Write(at, addr, data)
-			if err != nil {
-				return 0, err
-			}
-			if t.timedOut(base, extra) {
-				return 0, ErrTimeout
-			}
-			wlen, cpu := t.wireLen(data)
-			wireEnd := t.BW.Acquire(at, wlen)
-			return wireEnd.Add(t.latencyOneSided(len(data))).Add(extra).Add(cpu), nil
-		}, nil)
+		end, err := t.resilient("flush.writeback", now, &attempt{
+			rtt: t.Cfg.OneSidedRTT, base: t.Cfg.OneSidedCost(len(data)), lat: t.latencyOneSided(len(data)),
+			call: func(be Backend, at sim.Time) (sim.Duration, error) {
+				return be.Write(at, addr, data)
+			},
+			settle: func() (int, sim.Duration) { return t.wireLenLocked(data) },
+		})
+		t.mu.Lock()
 		if err != nil {
-			t.enqueueWrite(addr, data)
-			t.mu.Lock()
+			t.enqueueWriteLocked(addr, data)
 			t.stats.QueuedWritebacks-- // re-queue of a failed flush, not a new write-back
 			t.mu.Unlock()
 			return last, fmt.Errorf("transport: flush of queued write-back %#x: %w", addr, err)
 		}
-		t.bump(&t.stats.DrainedWritebacks)
-		if end > last {
-			last = end
-		}
+		t.stats.DrainedWritebacks++
+		t.mu.Unlock()
+		last = max(last, end)
 	}
 }
 
 // ReadOneSided fetches len(buf) bytes at far address addr starting at now,
 // returning the completion instant. The payload carries an end-to-end
-// checksum; corruption is detected and retried.
+// checksum, verified in full on every reply: corruption is detected and
+// retried.
 func (t *T) ReadOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, error) {
-	if t.serveQueued(addr, buf) {
-		return now, nil
-	}
-	base := t.Cfg.OneSidedCost(len(buf))
-	return t.resilient("read", now, t.Cfg.OneSidedRTT, base, func(at sim.Time) (sim.Time, error) {
-		sum, extra, err := t.be.Read(at, addr, buf)
-		if err != nil {
-			return 0, err
-		}
-		if Checksum(buf) != sum {
-			t.bump(&t.stats.Corruptions)
-			return 0, ErrCorrupt
-		}
-		if t.timedOut(base, extra) {
-			return 0, ErrTimeout
-		}
-		// Queued writes the node hasn't seen yet are newer than its reply;
-		// patch any partial overlap (full coverage was served above). Must
-		// happen here, before this success drains the queue into the node.
-		t.mu.Lock()
-		t.overlayReadLocked(addr, buf)
-		t.mu.Unlock()
-		wlen, cpu := t.wireLen(buf)
-		wireEnd := t.BW.Acquire(at, wlen)
-		return wireEnd.Add(t.latencyOneSided(len(buf))).Add(extra).Add(cpu), nil
-	}, nil)
+	return t.resilient("read", now, &attempt{
+		rtt: t.Cfg.OneSidedRTT, base: t.Cfg.OneSidedCost(len(buf)), lat: t.latencyOneSided(len(buf)),
+		serve: func() bool { return t.serveQueuedLocked(addr, buf) },
+		call: func(be Backend, at sim.Time) (sim.Duration, error) {
+			sum, extra, err := be.Read(at, addr, buf)
+			if err == nil && farmem.Checksum(buf) != sum {
+				err = ErrCorrupt
+			}
+			return extra, err
+		},
+		settle: func() (int, sim.Duration) {
+			// Queued writes the node hasn't seen yet are newer than its
+			// reply; patch any partial overlap (full coverage was served).
+			// Must happen here, before this success drains the queue into
+			// the node.
+			t.overlayReadLocked(addr, buf)
+			return t.wireLenLocked(buf)
+		},
+	})
 }
 
 // WriteOneSided pushes buf to far address addr starting at now. One-sided
@@ -893,22 +888,14 @@ func (t *T) ReadOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, error
 // the breaker is open the write queues locally and completes immediately —
 // the degraded-mode write-back queue.
 func (t *T) WriteOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, error) {
-	base := t.Cfg.OneSidedCost(len(buf))
-	return t.resilient("write", now, t.Cfg.OneSidedRTT, base, func(at sim.Time) (sim.Time, error) {
-		extra, err := t.be.Write(at, addr, buf)
-		if err != nil {
-			return 0, err
-		}
-		t.supersedeRange(addr, buf)
-		if t.timedOut(base, extra) {
-			return 0, ErrTimeout
-		}
-		wlen, cpu := t.wireLen(buf)
-		wireEnd := t.BW.Acquire(at, wlen)
-		return wireEnd.Add(t.latencyOneSided(len(buf))).Add(extra).Add(cpu), nil
-	}, func(at sim.Time) (sim.Time, bool) {
-		t.enqueueWrite(addr, buf)
-		return at, true
+	return t.resilient("write", now, &attempt{
+		rtt: t.Cfg.OneSidedRTT, base: t.Cfg.OneSidedCost(len(buf)), lat: t.latencyOneSided(len(buf)),
+		degrade: func() { t.enqueueWriteLocked(addr, buf) },
+		call: func(be Backend, at sim.Time) (sim.Duration, error) {
+			return be.Write(at, addr, buf)
+		},
+		landed: func() { t.supersedeRangeLocked(addr, buf) },
+		settle: func() (int, sim.Duration) { return t.wireLenLocked(buf) },
 	})
 }
 
@@ -919,46 +906,66 @@ func (t *T) WriteOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, erro
 // write-back queue are patched from the overlay so reads always see the
 // newest data.
 func (t *T) GatherTwoSided(now sim.Time, addrs []uint64, sizes []int) ([]byte, sim.Time, error) {
-	if data, ok := t.gatherQueued(addrs, sizes); ok {
-		return data, now, nil
-	}
+	return t.gather("gather2s", now, addrs, sizes, t.Cfg.TwoSidedRTT, t.Cfg.BatchedCost(sizes), false)
+}
+
+// GatherOneSided fetches several pieces with one doorbell-batched chain of
+// one-sided reads: the WRs are posted together and ring the doorbell once,
+// so the whole chain pays one round trip and one posting overhead (§4.5
+// batched prefetch). The reply carries the pieces concatenated in request
+// order, streaming back-to-back on the wire — callers that hand pieces out
+// individually can therefore compute each piece's own arrival instant by
+// subtracting the trailing pieces' wire time from the returned completion.
+// The reply is valid until the next call on this transport (see Link).
+// Pieces covered by the degraded-mode write-back queue are patched from the
+// overlay so reads always see the newest data.
+func (t *T) GatherOneSided(now sim.Time, addrs []uint64, sizes []int) ([]byte, sim.Time, error) {
+	return t.gather("gather1s", now, addrs, sizes, t.Cfg.OneSidedRTT, t.Cfg.VectoredOneSidedCost(sizes), true)
+}
+
+// gather is both gathers: rtt and base price the message or the chain, and
+// batch counts it as a doorbell batch. A gather every piece of which is
+// queued is served wholly from the overlay.
+func (t *T) gather(op string, now sim.Time, addrs []uint64, sizes []int, rtt, base sim.Duration, batch bool) ([]byte, sim.Time, error) {
 	total := 0
 	for _, s := range sizes {
 		total += s
 	}
-	base := t.Cfg.BatchedCost(sizes)
 	var data []byte
-	end, err := t.resilient("gather2s", now, t.Cfg.TwoSidedRTT, base, func(at sim.Time) (sim.Time, error) {
-		d, sum, extra, err := t.be.Gather(at, addrs, sizes)
-		if err != nil {
-			return 0, err
-		}
-		if Checksum(d) != sum {
-			t.bump(&t.stats.Corruptions)
-			return 0, ErrCorrupt
-		}
-		if t.timedOut(base, extra) {
-			return 0, ErrTimeout
-		}
-		// Patch before returning success: success drains the queue, and the
-		// reply must reflect queued writes the node hasn't seen yet.
-		t.patchFromQueue(addrs, sizes, d)
-		data = d
-		wlen, cpu := t.wireLenVec(d, sizes)
-		wireEnd := t.BW.Acquire(at, wlen)
-		return wireEnd.Add(base - t.Cfg.WireTime(len(d))).Add(extra).Add(cpu), nil
-	}, nil)
+	end, err := t.resilient(op, now, &attempt{
+		rtt: rtt, base: base, lat: base - t.Cfg.WireTime(total),
+		serve: func() bool {
+			var ok bool
+			data, ok = t.gatherQueuedLocked(addrs, sizes)
+			return ok
+		},
+		call: func(be Backend, at sim.Time) (sim.Duration, error) {
+			d, sum, extra, err := be.Gather(at, addrs, sizes)
+			if err == nil && farmem.Checksum(d) != sum {
+				err = ErrCorrupt
+			}
+			data = d
+			return extra, err
+		},
+		settle: func() (int, sim.Duration) {
+			// Patch before returning success: success drains the queue, and
+			// the reply must reflect queued writes the node hasn't seen yet.
+			t.patchFromQueueLocked(addrs, sizes, data)
+			if batch {
+				t.noteBatchLocked(len(addrs))
+			}
+			return t.wireLenVecLocked(data, sizes)
+		},
+	})
 	if err != nil {
 		return nil, end, err
 	}
 	return data, end, nil
 }
 
-// gatherQueued serves a whole gather from the overlay when every piece is
-// covered by queued write-backs.
-func (t *T) gatherQueued(addrs []uint64, sizes []int) ([]byte, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// gatherQueuedLocked serves a whole gather from the overlay when every piece
+// is covered by queued write-backs.
+func (t *T) gatherQueuedLocked(addrs []uint64, sizes []int) ([]byte, bool) {
 	if len(t.queued) == 0 || len(addrs) != len(sizes) {
 		return nil, false
 	}
@@ -982,11 +989,9 @@ func (t *T) gatherQueued(addrs []uint64, sizes []int) ([]byte, bool) {
 	return out, true
 }
 
-// patchFromQueue overwrites gather-reply segments with newer queued data,
-// including partial overlaps.
-func (t *T) patchFromQueue(addrs []uint64, sizes []int, data []byte) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// patchFromQueueLocked overwrites gather-reply segments with newer queued
+// data, including partial overlaps.
+func (t *T) patchFromQueueLocked(addrs []uint64, sizes []int, data []byte) {
 	if len(t.queued) == 0 {
 		return
 	}
@@ -1000,91 +1005,7 @@ func (t *T) patchFromQueue(addrs []uint64, sizes []int, data []byte) {
 // ScatterTwoSided writes several pieces in one two-sided message. While the
 // breaker is open each piece queues locally.
 func (t *T) ScatterTwoSided(now sim.Time, addrs []uint64, pieces [][]byte) (sim.Time, error) {
-	sizes := make([]int, len(pieces))
-	total := 0
-	for i, p := range pieces {
-		sizes[i] = len(p)
-		total += len(p)
-	}
-	base := t.Cfg.BatchedCost(sizes)
-	return t.resilient("scatter2s", now, t.Cfg.TwoSidedRTT, base, func(at sim.Time) (sim.Time, error) {
-		extra, err := t.be.Scatter(at, addrs, pieces)
-		if err != nil {
-			return 0, err
-		}
-		for i := range addrs {
-			t.supersedeRange(addrs[i], pieces[i])
-		}
-		if t.timedOut(base, extra) {
-			return 0, ErrTimeout
-		}
-		wlen, cpu := t.wireLenPieces(pieces)
-		wireEnd := t.BW.Acquire(at, wlen)
-		return wireEnd.Add(base - t.Cfg.WireTime(total)).Add(extra).Add(cpu), nil
-	}, func(at sim.Time) (sim.Time, bool) {
-		for i := range addrs {
-			t.enqueueWrite(addrs[i], pieces[i])
-		}
-		return at, true
-	})
-}
-
-// noteBatch records a vectored op of n pieces in the batch-size histogram
-// (and its registry twin when tracing is on).
-func (t *T) noteBatch(n int) {
-	t.mu.Lock()
-	t.stats.Batches++
-	t.stats.BatchedPieces += int64(n)
-	t.stats.BatchHist[batchBucket(n)]++
-	t.mu.Unlock()
-	t.hBatch.Observe(int64(n))
-}
-
-// GatherOneSided fetches several pieces with one doorbell-batched chain of
-// one-sided reads: the WRs are posted together and ring the doorbell once,
-// so the whole chain pays one round trip and one posting overhead (§4.5
-// batched prefetch). The reply carries the pieces concatenated in request
-// order, streaming back-to-back on the wire — callers that hand pieces out
-// individually can therefore compute each piece's own arrival instant by
-// subtracting the trailing pieces' wire time from the returned completion.
-// The reply is valid until the next call on this transport (see Link).
-// Pieces covered by the degraded-mode write-back queue are patched from the
-// overlay so reads always see the newest data.
-func (t *T) GatherOneSided(now sim.Time, addrs []uint64, sizes []int) ([]byte, sim.Time, error) {
-	if data, ok := t.gatherQueued(addrs, sizes); ok {
-		return data, now, nil
-	}
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	base := t.Cfg.VectoredOneSidedCost(sizes)
-	var data []byte
-	end, err := t.resilient("gather1s", now, t.Cfg.OneSidedRTT, base, func(at sim.Time) (sim.Time, error) {
-		d, sum, extra, err := t.be.Gather(at, addrs, sizes)
-		if err != nil {
-			return 0, err
-		}
-		if Checksum(d) != sum {
-			t.bump(&t.stats.Corruptions)
-			return 0, ErrCorrupt
-		}
-		if t.timedOut(base, extra) {
-			return 0, ErrTimeout
-		}
-		// Patch before returning success: success drains the queue, and the
-		// reply must reflect queued writes the node hasn't seen yet.
-		t.patchFromQueue(addrs, sizes, d)
-		data = d
-		wlen, cpu := t.wireLenVec(d, sizes)
-		wireEnd := t.BW.Acquire(at, wlen)
-		t.noteBatch(len(addrs))
-		return wireEnd.Add(base - t.Cfg.WireTime(len(d))).Add(extra).Add(cpu), nil
-	}, nil)
-	if err != nil {
-		return nil, end, err
-	}
-	return data, end, nil
+	return t.scatter("scatter2s", now, addrs, pieces, t.Cfg.TwoSidedRTT, netmodel.Config.BatchedCost, false)
 }
 
 // ScatterWrite pushes several pieces with one doorbell-batched chain of
@@ -1093,35 +1014,54 @@ func (t *T) GatherOneSided(now sim.Time, addrs []uint64, sizes []int) ([]byte, s
 // idempotent (safe to retry) and degrades gracefully: while the breaker is
 // open every piece queues locally and the op completes immediately.
 func (t *T) ScatterWrite(now sim.Time, addrs []uint64, pieces [][]byte) (sim.Time, error) {
-	sizes := make([]int, len(pieces))
+	return t.scatter("scatter.write", now, addrs, pieces, t.Cfg.OneSidedRTT, netmodel.Config.VectoredOneSidedCost, true)
+}
+
+// scatter is both scatters: cost prices the pieces' sizes, which it is
+// handed in the transport's scratch, and batch counts the op as a doorbell
+// batch.
+func (t *T) scatter(op string, now sim.Time, addrs []uint64, pieces [][]byte, rtt sim.Duration,
+	cost func(netmodel.Config, []int) sim.Duration, batch bool) (sim.Time, error) {
+	t.mu.Lock()
+	t.sizes = t.sizes[:0]
 	total := 0
-	for i, p := range pieces {
-		sizes[i] = len(p)
+	for _, p := range pieces {
+		t.sizes = append(t.sizes, len(p))
 		total += len(p)
 	}
-	base := t.Cfg.VectoredOneSidedCost(sizes)
-	end, err := t.resilient("scatter.write", now, t.Cfg.OneSidedRTT, base, func(at sim.Time) (sim.Time, error) {
-		extra, err := t.be.Scatter(at, addrs, pieces)
-		if err != nil {
-			return 0, err
-		}
-		for i := range addrs {
-			t.supersedeRange(addrs[i], pieces[i])
-		}
-		if t.timedOut(base, extra) {
-			return 0, ErrTimeout
-		}
-		wlen, cpu := t.wireLenPieces(pieces)
-		wireEnd := t.BW.Acquire(at, wlen)
-		t.noteBatch(len(addrs))
-		return wireEnd.Add(base - t.Cfg.WireTime(total)).Add(extra).Add(cpu), nil
-	}, func(at sim.Time) (sim.Time, bool) {
-		for i := range addrs {
-			t.enqueueWrite(addrs[i], pieces[i])
-		}
-		return at, true
+	base := cost(t.Cfg, t.sizes)
+	t.mu.Unlock()
+	return t.resilient(op, now, &attempt{
+		rtt: rtt, base: base, lat: base - t.Cfg.WireTime(total),
+		degrade: func() {
+			for i := range addrs {
+				t.enqueueWriteLocked(addrs[i], pieces[i])
+			}
+		},
+		call: func(be Backend, at sim.Time) (sim.Duration, error) {
+			return be.Scatter(at, addrs, pieces)
+		},
+		landed: func() {
+			for i := range addrs {
+				t.supersedeRangeLocked(addrs[i], pieces[i])
+			}
+		},
+		settle: func() (int, sim.Duration) {
+			if batch {
+				t.noteBatchLocked(len(addrs))
+			}
+			return t.wireLenPiecesLocked(pieces)
+		},
 	})
-	return end, err
+}
+
+// noteBatchLocked records a vectored op of n pieces in the batch-size
+// histogram (and its registry twin when tracing is on).
+func (t *T) noteBatchLocked(n int) {
+	t.stats.Batches++
+	t.stats.BatchedPieces += int64(n)
+	t.stats.BatchHist[batchBucket(n)]++
+	t.hBatch.Observe(int64(n))
 }
 
 // Call invokes an offloaded procedure (§4.8): args travel two-sided, the far
@@ -1132,22 +1072,20 @@ func (t *T) ScatterWrite(now sim.Time, addrs []uint64, pieces [][]byte) (sim.Tim
 // the wire. Registered procedures are deterministic, so a retry after a
 // transient failure is safe.
 func (t *T) Call(now sim.Time, name string, args []byte) ([]byte, sim.Time, error) {
-	base := t.Cfg.TwoSidedCost(len(args))
 	var res []byte
-	end, err := t.resilient("call", now, t.Cfg.TwoSidedRTT, base, func(at sim.Time) (sim.Time, error) {
-		r, farCPU, extra, err := t.be.Call(at, name, args)
-		if err != nil {
-			return 0, err
-		}
-		if t.timedOut(base, extra) {
-			return 0, ErrTimeout
-		}
-		res = r
-		argsEnd := t.BW.Acquire(at, len(args)).Add(t.latencyTwoSided(len(args)))
-		computeEnd := argsEnd.Add(farCPU)
-		resEnd := t.BW.Acquire(computeEnd, len(r)).Add(t.latencyTwoSided(len(r))).Add(extra)
-		return resEnd, nil
-	}, nil)
+	var farCPU sim.Duration
+	end, err := t.resilient("call", now, &attempt{
+		rtt: t.Cfg.TwoSidedRTT, base: t.Cfg.TwoSidedCost(len(args)),
+		call: func(be Backend, at sim.Time) (sim.Duration, error) {
+			r, cpu, extra, err := be.Call(at, name, args)
+			res, farCPU = r, cpu
+			return extra, err
+		},
+		land: func(at sim.Time, extra sim.Duration) sim.Time {
+			argsEnd := t.BW.Acquire(at, len(args)).Add(t.latencyTwoSided(len(args)))
+			return t.BW.Acquire(argsEnd.Add(farCPU), len(res)).Add(t.latencyTwoSided(len(res))).Add(extra)
+		},
+	})
 	if err != nil {
 		return nil, end, err
 	}

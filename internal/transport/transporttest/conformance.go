@@ -35,7 +35,9 @@ type Factory func(t *testing.T) Instance
 // whose schedule has no window covering virtual time zero):
 //
 //   - Write then Read round-trips bytes, and the returned checksum matches
-//     transport.Checksum over the delivered payload.
+//     farmem.Checksum over the delivered payload — also for a whole granule
+//     whose sum the far side answers from its table of sums at rest, after
+//     an overwrite of part or all of it and after a wipe.
 //   - Gather returns the requested pieces concatenated in request order,
 //     checksummed; Scatter makes its pieces visible to subsequent Reads.
 //   - Accesses outside any allocation fail with farmem.ErrUnmapped and are
@@ -46,7 +48,8 @@ type Factory func(t *testing.T) Instance
 //   - With a wire codec installed on the transport above it, a bit flipped
 //     in a read reply is still caught by the checksum — which covers the
 //     decoded payload, not the wire-accounted bytes — and the retried
-//     operation replays identically.
+//     operation replays identically. The same holds for a read whose sum
+//     came from the table.
 //   - Two instances from the same factory replay an identical operation
 //     sequence identically (checksums, payloads, injected extra delay) —
 //     the determinism clause that makes fault schedules bisectable.
@@ -66,8 +69,8 @@ func Conformance(t *testing.T, mk Factory) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("read returned wrong bytes")
 		}
-		if sum != transport.Checksum(want) {
-			t.Fatalf("checksum %#x does not cover the true payload (want %#x)", sum, transport.Checksum(want))
+		if sum != farmem.Checksum(want) {
+			t.Fatalf("checksum %#x does not cover the true payload (want %#x)", sum, farmem.Checksum(want))
 		}
 	})
 
@@ -91,7 +94,7 @@ func Conformance(t *testing.T, mk Factory) {
 		if !bytes.Equal(data, want) {
 			t.Fatalf("gather reply out of order or wrong")
 		}
-		if sum != transport.Checksum(want) {
+		if sum != farmem.Checksum(want) {
 			t.Fatalf("gather checksum mismatch")
 		}
 	})
@@ -200,6 +203,102 @@ func Conformance(t *testing.T, mk Factory) {
 			t.Fatalf("wire codec never engaged (WireSaved=%d CodecOps=%d)", s1.WireSaved, s1.CodecOps)
 		}
 		// The corrupted-then-retried op must replay identically.
+		s2, end2, p2 := run()
+		if s1 != s2 || end1 != end2 || !bytes.Equal(p1, p2) {
+			t.Fatalf("corrupted read replayed differently: %+v @ %v vs %+v @ %v", s1, end1, s2, end2)
+		}
+	})
+
+	t.Run("GranuleSumFollowsOverwriteAndWipe", func(t *testing.T) {
+		// The far side may answer a whole granule's checksum from its table
+		// of sums at rest. Whatever changed the granule since — part or all
+		// of it overwritten, or the memory wiped — the sum a read returns is
+		// the checksum of the bytes it returned, and a second read (a table
+		// hit) returns the same bytes and sum.
+		in := mk(t)
+		const granules = 6
+		addr := mustAlloc(t, in.Node, granules*farmem.GranuleBytes+512)
+		at := func(i int) uint64 { return addr + uint64(i)*farmem.GranuleBytes }
+		want := make([][]byte, granules)
+		for i := range want {
+			want[i] = pattern(farmem.GranuleBytes, byte(17*i+1))
+			if _, err := in.Backend.Write(0, at(i), want[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		zero := make([]byte, farmem.GranuleBytes)
+		readAll := func(stage string, wiped bool) {
+			t.Helper()
+			for i := range want {
+				var first []byte
+				for rep := 0; rep < 2; rep++ {
+					got := make([]byte, farmem.GranuleBytes)
+					sum, _, err := in.Backend.Read(0, at(i), got)
+					if err != nil {
+						t.Fatalf("%s: read of granule %d: %v", stage, i, err)
+					}
+					if sum != farmem.Checksum(got) {
+						t.Fatalf("%s: granule %d read with sum %#x, its bytes hash to %#x", stage, i, sum, farmem.Checksum(got))
+					}
+					// A wipe zeroes DRAM; a capacity tier's flash copy of a
+					// demoted granule survives it.
+					if !bytes.Equal(got, want[i]) && !(wiped && bytes.Equal(got, zero)) {
+						t.Fatalf("%s: granule %d read back wrong bytes", stage, i)
+					}
+					if rep == 1 && !bytes.Equal(got, first) {
+						t.Fatalf("%s: granule %d read differently twice", stage, i)
+					}
+					first = got
+				}
+			}
+		}
+		readAll("written", false)
+		patch := []byte{0xEE, 0xEF, 0xF0}
+		if _, err := in.Backend.Write(0, at(1)+100, patch); err != nil {
+			t.Fatal(err)
+		}
+		copy(want[1][100:], patch)
+		want[2] = pattern(farmem.GranuleBytes, 0x5A)
+		if _, err := in.Backend.Write(0, at(2), want[2]); err != nil {
+			t.Fatal(err)
+		}
+		readAll("overwritten", false)
+		in.Node.WipeMemory()
+		readAll("wiped", true)
+	})
+
+	t.Run("BitFlipOnTableSumCaught", func(t *testing.T) {
+		// A read whose far checksum comes from the table of sums at rest is
+		// verified in full like any other: a bit flipped in its reply is
+		// caught and retried, and the retried read replays identically.
+		run := func() (transport.Stats, sim.Time, []byte) {
+			in := mk(t)
+			flip := &bitFlipBackend{Backend: in.Backend}
+			tr := transport.NewWithPolicy(in.Node, netmodel.DefaultConfig(), transport.DefaultPolicy())
+			tr.SetBackend(flip)
+			addr := mustAlloc(t, in.Node, 2*farmem.GranuleBytes) + farmem.GranuleBytes
+			want := pattern(farmem.GranuleBytes, 9)
+			if _, err := tr.WriteOneSided(0, addr, want); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			got := make([]byte, farmem.GranuleBytes)
+			if _, err := tr.ReadOneSided(sim.Time(sim.Microsecond), addr, got); err != nil {
+				t.Fatalf("first read: %v", err) // stores the granule's sum
+			}
+			flip.flips = 1
+			end, err := tr.ReadOneSided(sim.Time(2*sim.Microsecond), addr, got)
+			if err != nil {
+				t.Fatalf("read did not survive a single bit flip: %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("retried read delivered corrupt bytes")
+			}
+			return tr.Stats(), end, got
+		}
+		s1, end1, p1 := run()
+		if s1.Corruptions == 0 || s1.Retries == 0 {
+			t.Fatalf("bit flip on a table-answered read not caught and retried: %+v", s1)
+		}
 		s2, end2, p2 := run()
 		if s1 != s2 || end1 != end2 || !bytes.Equal(p1, p2) {
 			t.Fatalf("corrupted read replayed differently: %+v @ %v vs %+v @ %v", s1, end1, s2, end2)
