@@ -1,12 +1,8 @@
 package planner
 
 import (
-	"fmt"
-
 	"mira/internal/analysis"
 	"mira/internal/rt"
-	"mira/internal/sim"
-	"mira/internal/trace"
 )
 
 // compressSampler captures each object's sampled compressibility during an
@@ -93,45 +89,27 @@ func sameCompressFlags(a, b rt.Config) bool {
 
 // compressAuto is the Compress="auto" phase: after the structural iterations
 // settle, screen sections by sampled compressibility, then race the screened
-// subset and the all-on configuration against the accepted plan with the
-// same measured accept/rollback the iterations use. The incumbent only ever
-// loses to a faster candidate, so auto is never slower than off; all-on is
-// always among the candidates, so auto is never slower than on either.
-func compressAuto(l *ledger, res *Result, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
-	ratios := sampleCompressibility(l.w)
+// subset and the all-on configuration against the accepted plan through try,
+// the accept step the iterations use. The incumbent only ever loses to a
+// faster candidate, so auto is never slower than off; all-on is always among
+// the candidates, so auto is never slower than on either.
+func (p *planning) compressAuto() {
+	res := p.res
+	ratios := sampleCompressibility(p.l.w)
 	screened := withCompressFlags(res.Config,
 		func(i int) bool { return sectionCompressible(res.Config, i, ratios) },
 		swapCompressible(res.Config, ratios))
 	allOn := withCompressFlags(res.Config, func(int) bool { return true }, true)
 
-	type arm struct {
-		name string
-		cfg  rt.Config
-	}
-	var cands []arm
+	var moves []move
 	if !sameCompressFlags(screened, res.Config) {
-		cands = append(cands, arm{"screened", screened})
+		moves = append(moves, move{name: "compress screened", cfg: screened})
 	}
 	if !sameCompressFlags(allOn, screened) {
-		cands = append(cands, arm{"all-on", allOn})
+		moves = append(moves, move{name: "compress all-on", cfg: allOn})
 	}
-	for _, c := range cands {
-		out := l.profile(res.Program, c.cfg)
-		if out.err != nil {
-			ptrc.Instant(cursor, "planner", fmt.Sprintf("compress.%s rejected", c.name))
-			continue
-		}
-		t := out.time
-		verdict := "rolled-back"
-		if t < res.FinalTime {
-			verdict = "accepted"
-			res.FinalTime = t
-			res.Config = c.cfg
-		}
-		end := cursor.Add(t)
-		ptrc.Span(cursor, end, "planner", fmt.Sprintf("compress %s", c.name),
-			trace.I("time_ns", int64(t)), trace.S("result", verdict))
-		cursor = end
+	for _, m := range moves {
+		m.prog, m.plan, m.offloaded = res.Program, res.Plan, res.Offloaded
+		p.try(m)
 	}
-	return cursor
 }

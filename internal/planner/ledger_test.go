@@ -2,6 +2,7 @@ package planner
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -317,6 +318,108 @@ func TestLedgerCollectorsAreFinal(t *testing.T) {
 // open→Run sequence is a run the ledger cannot answer; a second compile site
 // is a program pointer it cannot recognise.
 func TestLedgerIsTheOnlyTimedRun(t *testing.T) {
+	fset, funcs := nonTestFuncs(t)
+	want := map[string]string{"session.Open": "execute", "codegen.Apply": "compile"}
+	found := map[string]int{}
+	for _, fn := range funcs {
+		ast.Inspect(fn, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			x, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			name := x.Name + "." + sel.Sel.Name
+			home, watched := want[name]
+			if !watched {
+				return true
+			}
+			found[name]++
+			if fn.Name.Name != home || fn.Recv == nil {
+				t.Errorf("%s: %s called from %s — go through the ledger's %s",
+					fset.Position(call.Pos()), name, fn.Name.Name, home)
+			}
+			return true
+		})
+	}
+	for name := range want {
+		if found[name] != 1 {
+			t.Errorf("%d calls to %s in the package, want exactly 1", found[name], name)
+		}
+	}
+}
+
+// TestOneAcceptRule scans the package's non-test files: try is the one
+// function that races a candidate. The verdict "rolled-back" is spelled there
+// and nowhere else; a competing candidate is profiled only there; FinalTime
+// is written only there, by plan's baseline, and by Adapt, which restamps
+// the compilation it keeps with that compilation's time on the new input;
+// and no function takes or returns a trace cursor (a sim.Time).
+func TestOneAcceptRule(t *testing.T) {
+	fset, funcs := nonTestFuncs(t)
+	homes := map[string]map[string]bool{
+		`"rolled-back"`: {"try": true},
+		"profile":       {"try": true, "plan": true},
+		"FinalTime":     {"try": true, "plan": true, "Adapt": true},
+	}
+	verdicts := 0
+	for _, fn := range funcs {
+		name := fn.Name.Name
+		for _, fields := range []*ast.FieldList{fn.Type.Params, fn.Type.Results} {
+			if fields == nil {
+				continue
+			}
+			for _, f := range fields.List {
+				if sel, ok := f.Type.(*ast.SelectorExpr); ok && fmt.Sprint(sel.X) == "sim" && sel.Sel.Name == "Time" {
+					t.Errorf("%s: %s threads a sim.Time — the cursor belongs to the planning state",
+						fset.Position(f.Pos()), name)
+				}
+			}
+		}
+		ast.Inspect(fn, func(n ast.Node) bool {
+			var what string
+			switch n := n.(type) {
+			case *ast.BasicLit:
+				if n.Value == `"rolled-back"` {
+					what = n.Value
+					verdicts++
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "profile" {
+					what = "profile"
+				}
+			case *ast.KeyValueExpr:
+				if k, ok := n.Key.(*ast.Ident); ok && k.Name == "FinalTime" {
+					what = "FinalTime"
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "FinalTime" {
+						what = "FinalTime"
+					}
+				}
+			}
+			if what != "" && !homes[what][name] {
+				t.Errorf("%s: %s in %s — candidates race through try", fset.Position(n.Pos()), what, name)
+			}
+			return true
+		})
+	}
+	if verdicts != 1 {
+		t.Errorf("%d rolled-back verdicts in the package, want exactly 1 (try's)", verdicts)
+	}
+}
+
+// nonTestFuncs parses the package's non-test files and returns their
+// function declarations.
+func nonTestFuncs(t *testing.T) (*token.FileSet, []*ast.FuncDecl) {
+	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -324,46 +427,15 @@ func TestLedgerIsTheOnlyTimedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{"session.Open": "execute", "codegen.Apply": "compile"}
-	found := map[string]int{}
+	var funcs []*ast.FuncDecl
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					funcs = append(funcs, fn)
 				}
-				ast.Inspect(fn, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					x, ok := sel.X.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					name := x.Name + "." + sel.Sel.Name
-					home, watched := want[name]
-					if !watched {
-						return true
-					}
-					found[name]++
-					if fn.Name.Name != home || fn.Recv == nil {
-						t.Errorf("%s: %s called from %s — go through the ledger's %s",
-							fset.Position(call.Pos()), name, fn.Name.Name, home)
-					}
-					return true
-				})
 			}
 		}
 	}
-	for name := range want {
-		if found[name] != 1 {
-			t.Errorf("%d calls to %s in the package, want exactly 1", found[name], name)
-		}
-	}
+	return fset, funcs
 }

@@ -1,14 +1,12 @@
 package planner
 
 import (
-	"fmt"
 	"sort"
 
 	"mira/internal/analysis"
 	"mira/internal/codegen"
 	"mira/internal/ir"
 	"mira/internal/rt"
-	"mira/internal/sim"
 	"mira/internal/trace"
 )
 
@@ -17,8 +15,8 @@ import (
 // ship to the cluster's scatter-gather engine. "on" marks every
 // scatter-safe candidate; "auto" races each candidate — and the
 // all-candidates combination — against the accepted plan and keeps offload
-// only where it is strictly faster, the same measured accept/rollback
-// discipline as -compress auto and -plane hybrid. Auto therefore never
+// only where it is strictly faster, through the accept step (try) every
+// other phase races with. Auto therefore never
 // loses to off (the incumbent only falls to a faster candidate) nor to on
 // (the all-candidates combination is always raced).
 
@@ -27,16 +25,7 @@ import (
 // actually called, not the entry, and recognized by the scatter shape
 // analysis so the engine can split them by placement.
 func offloadCandidates(prog *ir.Program) []string {
-	var funcs, objs []string
-	for _, f := range prog.Funcs {
-		funcs = append(funcs, f.Name)
-	}
-	for _, o := range prog.Objects {
-		if !o.Local {
-			objs = append(objs, o.Name)
-		}
-	}
-	report, err := analysis.Analyze(prog, funcs, objs)
+	report, _, err := analyzeAll(prog)
 	if err != nil {
 		return nil
 	}
@@ -65,16 +54,6 @@ func offloadCandidates(prog *ir.Program) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// markOffloaded compiles the accepted program with the given functions
-// marked offloaded (clone + mark + fence insertion; no other rewriting).
-func markOffloaded(l *ledger, prog *ir.Program, funcs []string) (*ir.Program, error) {
-	marks := make(map[string]bool, len(funcs))
-	for _, f := range funcs {
-		marks[f] = true
-	}
-	return l.compile(prog, &codegen.Plan{Offload: marks})
 }
 
 // scatterPlacements moves each offloaded function's scatter-driving object
@@ -113,17 +92,17 @@ func scatterPlacements(prog *ir.Program, cfg rt.Config, funcs []string) (rt.Conf
 	return cfg, true
 }
 
-// offloadPhase runs after every other planning decision settled. It
-// mutates res (Program/Config/Plan/FinalTime/Offloaded) only when a
-// candidate is accepted, and returns the advanced trace cursor.
-func offloadPhase(l *ledger, res *Result, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
+// offloadPhase runs after every other planning decision settled and tries
+// each combination of candidates on the settled plan.
+func (p *planning) offloadPhase() {
+	opts := p.opts
 	if opts.Offload == "" || opts.Offload == "off" {
-		return cursor
+		return
 	}
-	cands := offloadCandidates(res.Program)
+	cands := offloadCandidates(p.res.Program)
 	if len(cands) == 0 {
-		ptrc.Instant(cursor, "planner", "offload.no-candidates")
-		return cursor
+		p.ptrc.Instant(p.cursor, "planner", "offload.no-candidates")
+		return
 	}
 
 	type combo struct {
@@ -154,11 +133,17 @@ func offloadPhase(l *ledger, res *Result, opts Options, ptrc *trace.Buffer, curs
 	// accepted candidate: the "all" combination is then byte-identical to
 	// what Offload="on" produces, which is what makes auto <= on hold by
 	// construction.
-	baseProg, baseCfg := res.Program, res.Config
+	baseProg, baseCfg, basePlan := p.res.Program, p.res.Config, *p.res.Plan
 	for _, c := range combos {
-		compiled, err := markOffloaded(l, baseProg, c.funcs)
+		name := "offload " + c.name
+		marks := make(map[string]bool, len(c.funcs))
+		for _, f := range c.funcs {
+			marks[f] = true
+		}
+		// Clone + mark + fence insertion; no other rewriting.
+		compiled, err := p.l.compile(baseProg, &codegen.Plan{Offload: marks})
 		if err != nil {
-			ptrc.Instant(cursor, "planner", fmt.Sprintf("offload.%s rejected", c.name))
+			p.ptrc.Instant(p.cursor, "planner", name+" rejected", trace.S("err", err.Error()))
 			continue
 		}
 		cfg := baseCfg
@@ -170,38 +155,13 @@ func offloadPhase(l *ledger, res *Result, opts Options, ptrc *trace.Buffer, curs
 			}
 			cfg = scattered
 		}
-		out := l.profile(compiled, cfg)
-		if out.err != nil {
-			ptrc.Instant(cursor, "planner", fmt.Sprintf("offload.%s rejected", c.name))
-			continue
-		}
-		t := out.time
+		plan := basePlan
+		plan.Offload = marks
 		// "on" forces the all-candidates configuration (its scatter
 		// variant still has to win on time); "auto" keeps a candidate
 		// only when it strictly beats the incumbent.
-		accept := t < res.FinalTime || (opts.Offload == "on" && c.name == "all")
-		verdict := "rolled-back"
-		if accept {
-			verdict = "accepted"
-			res.FinalTime = t
-			res.Program = compiled
-			res.Config = cfg
-			res.Offloaded = append([]string(nil), c.funcs...)
-			if res.Plan != nil {
-				plan := *res.Plan
-				plan.Offload = make(map[string]bool, len(c.funcs))
-				for _, f := range c.funcs {
-					plan.Offload[f] = true
-				}
-				res.Plan = &plan
-			}
-		}
-		end := cursor.Add(t)
-		ptrc.Span(cursor, end, "planner", fmt.Sprintf("offload %s", c.name),
-			trace.I("funcs", int64(len(c.funcs))),
-			trace.I("time_ns", int64(t)),
-			trace.S("result", verdict))
-		cursor = end
+		p.try(move{name: name, prog: compiled, cfg: cfg, plan: &plan, offloaded: c.funcs,
+			force: opts.Offload == "on" && c.name == "all",
+			args:  []trace.Arg{trace.I("funcs", int64(len(c.funcs)))}})
 	}
-	return cursor
 }

@@ -1,49 +1,20 @@
 package planner
 
 import (
-	"fmt"
 	"sort"
 
 	"mira/internal/analysis"
 	"mira/internal/ir"
 	"mira/internal/profile"
 	"mira/internal/rt"
-	"mira/internal/sim"
 	"mira/internal/trace"
 )
 
-// validatePlane checks the Options.Plane mode against the rest of the
-// options. Every plane mode plans on the unified hybrid heap layout, which
-// is single-node; "line" and "hybrid" additionally need cache sections.
-func validatePlane(opts Options) error {
-	switch opts.Plane {
-	case "", "page", "line", "hybrid":
-	default:
-		return fmt.Errorf("planner: unknown Plane mode %q (want page, line, or hybrid)", opts.Plane)
-	}
-	if opts.Plane == "" {
-		return nil
-	}
-	if opts.Cluster != nil {
-		return fmt.Errorf("planner: Plane=%q uses the unified hybrid layout, which is single-node (drop Cluster)", opts.Plane)
-	}
-	if opts.Plane != "page" && opts.DisableSeparation {
-		return fmt.Errorf("planner: Plane=%q needs cache sections, but DisableSeparation is set", opts.Plane)
-	}
-	return nil
-}
-
-// lineCandidate builds the pure-line-plane configuration: analyze every
-// function and every non-local object, derive sections for everything
-// analyzable, and compile against the plan. Both the "line" arm and the
-// "hybrid" arm build their line candidate through this one helper, from the
-// same profile, so the two arms' candidates are identical by construction.
-func lineCandidate(l *ledger, prog *ir.Program, col *profile.Collector, opts Options) (candidate, *analysis.Report, error) {
-	var funcs []string
-	for _, f := range prog.Funcs {
-		funcs = append(funcs, f.Name)
-	}
-	sort.Strings(funcs)
+// analyzeAll analyzes the whole program — every function against every
+// non-local object — and returns the objects in sorted order. The plane
+// race's line candidate and the offload phase's candidate list read this
+// scope.
+func analyzeAll(prog *ir.Program) (*analysis.Report, []string, error) {
 	var objs []string
 	for _, o := range prog.Objects {
 		if !o.Local {
@@ -51,16 +22,8 @@ func lineCandidate(l *ledger, prog *ir.Program, col *profile.Collector, opts Opt
 		}
 	}
 	sort.Strings(objs)
-	report, err := analysis.Analyze(prog, funcs, objs)
-	if err != nil {
-		return candidate{}, nil, err
-	}
-	cand, err := buildConfig(l, prog, report, objs, col, opts)
-	if err != nil {
-		return candidate{}, nil, err
-	}
-	cand.cfg.Hybrid = true
-	return cand, report, nil
+	report, err := analysis.Analyze(prog, nil, objs) // nil: every function
+	return report, objs, err
 }
 
 // pageWorthy reports whether the analysis classifies an object as dense
@@ -135,71 +98,42 @@ func classifiedCandidate(cfg rt.Config, report *analysis.Report) *rt.Config {
 	return &out
 }
 
-// planeRace is the Plane="line"/"hybrid" phase, replacing the structural
-// iterations: race the pure-line candidate (and, for "hybrid", the
-// classified per-object split) against the incumbent pure-page baseline.
+// planeRace is the Plane="line"/"hybrid" structural step, replacing the
+// iterations: derive the pure-line candidate of prog — sections for
+// everything analyzable in the whole program, from the baseline profile —
+// and race it (and, for "hybrid", the classified per-object split) against
+// the incumbent pure-page baseline.
 //
-// "line" force-accepts its candidate — that is what the mode means — while
-// "hybrid" only ever accepts improvements. Because hybrid's baseline IS the
-// page arm's result and its line candidate comes from the same helper as
-// the line arm's, hybrid's final time is <= min(page, line) by construction.
-func planeRace(l *ledger, prog *ir.Program, res *Result, col *profile.Collector, opts Options, ptrc *trace.Buffer, cursor sim.Time) sim.Time {
-	line, report, err := lineCandidate(l, prog, col, opts)
+// "line" forces its candidate — that is what the mode means — while "hybrid"
+// only ever accepts improvements. Because hybrid's baseline IS the page
+// mode's result and both modes race the same line candidate, hybrid's final
+// time is <= min(page, line) by construction.
+func (p *planning) planeRace(prog *ir.Program, col *profile.Collector) {
+	report, objs, err := analyzeAll(prog)
+	var line candidate
+	if err == nil {
+		line, err = buildConfig(p.l, prog, report, objs, col, p.opts)
+	}
 	if err != nil {
 		// No feasible line configuration at this budget: the page baseline
 		// stands for every mode.
-		ptrc.Instant(cursor, "planner", "plane.line infeasible",
+		p.ptrc.Instant(p.cursor, "planner", "plane.line infeasible",
 			trace.S("err", err.Error()))
-		return cursor
+		return
 	}
-	res.Report = report
-	out := l.profile(line.prog, line.cfg)
-	if out.err != nil {
-		ptrc.Instant(cursor, "planner", "plane.line runtime-rejected",
-			trace.S("err", out.err.Error()))
-		return cursor
-	}
-	t := out.time
-	verdict := "rolled-back"
-	if opts.Plane == "line" || t < res.FinalTime {
-		verdict = "accepted"
-		res.FinalTime = t
-		res.Config = line.cfg
-		res.Plan = line.plan
-		res.Program = line.prog
-	}
-	end := cursor.Add(t)
-	ptrc.Span(cursor, end, "planner", "plane line",
-		trace.I("time_ns", int64(t)), trace.S("result", verdict))
-	cursor = end
-
-	if opts.Plane != "hybrid" {
-		return cursor
+	line.cfg.Hybrid = true
+	p.res.Report = report
+	out, _ := p.try(move{name: "plane line", prog: line.prog, cfg: line.cfg, plan: line.plan,
+		force: p.opts.Plane == "line"})
+	if out.err != nil || p.opts.Plane != "hybrid" {
+		return
 	}
 	split := classifiedCandidate(line.cfg, report)
 	if split == nil {
-		ptrc.Instant(cursor, "planner", "plane.split unchanged")
-		return cursor
+		p.ptrc.Instant(p.cursor, "planner", "plane.split unchanged")
+		return
 	}
-	out = l.profile(line.prog, *split)
-	if out.err != nil {
-		ptrc.Instant(cursor, "planner", "plane.split runtime-rejected",
-			trace.S("err", out.err.Error()))
-		return cursor
-	}
-	t = out.time
-	verdict = "rolled-back"
-	if t < res.FinalTime {
-		verdict = "accepted"
-		res.FinalTime = t
-		res.Config = *split
-		res.Plan = line.plan
-		res.Program = line.prog
-	}
-	end = cursor.Add(t)
-	ptrc.Span(cursor, end, "planner", "plane split",
-		trace.I("time_ns", int64(t)), trace.S("result", verdict))
-	return end
+	p.try(move{name: "plane split", prog: line.prog, cfg: *split, plan: line.plan})
 }
 
 // planeAssignment reports which plane the accepted configuration serves each

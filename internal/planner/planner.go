@@ -10,12 +10,15 @@
 // and the run ledger (ledger.go) answers it from the record, so such a round
 // costs its analysis and buildConfig and no execution. Every execution the
 // planner performs — profiling runs, sizing samples, the candidate races of
-// the plane, offload and compression phases — goes through that ledger.
+// the plane, offload and compression phases — goes through that ledger, and
+// every candidate a phase races is accepted or rolled back by one step,
+// planning.try.
 package planner
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mira/internal/analysis"
@@ -159,8 +162,9 @@ type Result struct {
 	// Options.Plane selected a plane mode.
 	Planes map[string]string
 	// Offloaded lists the functions the accepted configuration ships to
-	// the scatter-gather offload engine (empty when the offload phase ran
-	// and kept nothing, nil when it never ran).
+	// the scatter-gather offload engine: nil unless the offload phase
+	// accepted a candidate (the legacy EnableOffload decisions are in
+	// Iterations).
 	Offloaded []string
 	// Runs counts the sessions planning opened and Reused the candidates it
 	// met again and answered from the run ledger instead (a saturated
@@ -182,19 +186,12 @@ func Plan(w Workload, opts Options) (*Result, error) {
 }
 
 // plan is Plan's flow on a given ledger; opts already carry their defaults.
+// The baseline runs, then one structural step — nothing with
+// DisableSeparation or Plane "page", the plane race for "line" and "hybrid",
+// the iterations otherwise — then the offload and compression phases.
 func plan(l *ledger, opts Options) (*Result, error) {
 	w := l.w
-	switch opts.Compress {
-	case "", "off", "on", "auto":
-	default:
-		return nil, fmt.Errorf("planner: unknown Compress mode %q (want off, on, or auto)", opts.Compress)
-	}
-	switch opts.Offload {
-	case "", "off", "on", "auto":
-	default:
-		return nil, fmt.Errorf("planner: unknown Offload mode %q (want off, on, or auto)", opts.Offload)
-	}
-	if err := validatePlane(opts); err != nil {
+	if err := validateModes(opts); err != nil {
 		return nil, err
 	}
 	if opts.Plane == "page" {
@@ -209,7 +206,6 @@ func plan(l *ledger, opts Options) (*Result, error) {
 		opts.LocalBudget = w.FullMemoryBytes() / 2
 	}
 	prog := w.Program()
-	res := &Result{Workload: w.Name()}
 
 	// Iteration 0: generic swap configuration, profiling run (§3
 	// "initially, Mira configures the local cache as a universal swap
@@ -222,53 +218,99 @@ func plan(l *ledger, opts Options) (*Result, error) {
 	if base.err != nil {
 		return nil, fmt.Errorf("planner: baseline run: %w", base.err)
 	}
-	baseTime, baseCol := base.time, base.col
-	res.BaselineTime = baseTime
-	res.FinalTime = baseTime
-	res.Config = swapCfg
-	res.Program = prog
-	res.Plan = &codegen.Plan{}
+	p := &planning{l: l, opts: opts, ptrc: opts.Trace.Buffer("planner"),
+		cursor: sim.Time(0).Add(base.time),
+		res: &Result{Workload: w.Name(), Program: prog, Config: swapCfg, Plan: &codegen.Plan{},
+			BaselineTime: base.time, FinalTime: base.time}}
+	p.ptrc.Span(0, p.cursor, "planner", "baseline",
+		trace.I("time_ns", int64(base.time)))
 
-	// Planner spans live on a cumulative timeline: the baseline run, then
-	// each iteration's timing run back to back. Each timed run starts its
-	// own virtual clock at zero, so the cursor stitches them into one
-	// readable track.
-	ptrc := opts.Trace.Buffer("planner")
-	cursor := sim.Time(0).Add(baseTime)
-	ptrc.Span(0, cursor, "planner", "baseline",
-		trace.I("time_ns", int64(baseTime)))
-
-	if opts.DisableSeparation {
-		cursor = offloadPhase(l, res, opts, ptrc, cursor)
-		if opts.Compress == "auto" {
-			compressAuto(l, res, opts, ptrc, cursor)
+	switch {
+	case opts.DisableSeparation:
+	case opts.Plane != "":
+		// Plane modes replace the structural iterations; compression then
+		// tunes whichever plane split won.
+		p.planeRace(prog, base.col)
+	default:
+		if err := p.iterate(prog, base.col); err != nil {
+			return nil, err
 		}
-		if opts.Plane != "" {
-			res.Planes = planeAssignment(prog, res.Config)
-		}
-		return res, nil
+	}
+	p.offloadPhase()
+	if opts.Compress == "auto" {
+		p.compressAuto()
 	}
 	if opts.Plane != "" {
-		// Plane modes replace the structural iterations: race the line
-		// candidate (and hybrid's classified split) against the page
-		// baseline, then let compression tune whichever plane split won.
-		cursor = planeRace(l, prog, res, baseCol, opts, ptrc, cursor)
-		cursor = offloadPhase(l, res, opts, ptrc, cursor)
-		if opts.Compress == "auto" {
-			compressAuto(l, res, opts, ptrc, cursor)
-		}
-		res.Planes = planeAssignment(prog, res.Config)
-		return res, nil
+		p.res.Planes = planeAssignment(prog, p.res.Config)
 	}
+	return p.res, nil
+}
 
-	col := baseCol
+// planning is one Plan call's state: the ledger every run goes through, the
+// options, the Result accepted moves write, and the planner trace. Its spans
+// lie on one cumulative timeline — the baseline run, then each timed move
+// back to back — and since each timed run starts its own virtual clock at
+// zero, the cursor stitches them into one readable track.
+type planning struct {
+	l      *ledger
+	opts   Options
+	res    *Result
+	ptrc   *trace.Buffer
+	cursor sim.Time
+}
+
+// move is one candidate a phase races against the incumbent plan.
+type move struct {
+	// name is the span's; a run the runtime rejects is "<name> rejected".
+	name      string
+	prog      *ir.Program
+	cfg       rt.Config
+	plan      *codegen.Plan
+	offloaded []string
+	// force accepts the move whatever it measures: "line" mode's line
+	// candidate and Offload "on"'s all-candidates combination.
+	force bool
+	// args lead the span's time_ns and result.
+	args []trace.Arg
+}
+
+// try is the planner's one accept step (§3, §4.1 "we roll back to the
+// previous iteration's configuration"): time the move and make it the plan
+// only if it is forced or strictly faster than the incumbent. It returns the
+// run's outcome and whether the move was accepted.
+func (p *planning) try(m move) (*outcome, bool) {
+	out := p.l.profile(m.prog, m.cfg)
+	if out.err != nil {
+		// A candidate the runtime rejects (e.g. line floors pushed the
+		// carve-up past the budget) is rolled back, not a planning failure.
+		p.ptrc.Instant(p.cursor, "planner", m.name+" rejected", trace.S("err", out.err.Error()))
+		return out, false
+	}
+	accept := m.force || out.time < p.res.FinalTime
+	verdict := "rolled-back"
+	if accept {
+		verdict = "accepted"
+		p.res.FinalTime, p.res.Config, p.res.Plan = out.time, m.cfg, m.plan
+		p.res.Program, p.res.Offloaded = m.prog, m.offloaded
+	}
+	end := p.cursor.Add(out.time)
+	p.ptrc.Span(p.cursor, end, "planner", m.name,
+		append(m.args, trace.I("time_ns", int64(out.time)), trace.S("result", verdict))...)
+	p.cursor = end
+	return out, accept
+}
+
+// iterate is the structural iterations (§4.1): widen the analysis scope,
+// derive a sectioned configuration of prog for it from the last accepted
+// run's profile, and try it.
+func (p *planning) iterate(prog *ir.Program, col *profile.Collector) error {
 	// The analysis scope accumulates across iterations (§4.1: top 10%,
 	// then 20%, …): once a function or object is selected it stays
 	// selected, even if sectioning it dropped its profiled overhead out
 	// of the current round's top fraction.
 	funcSet := map[string]bool{}
 	objSet := map[string]bool{}
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
+	for iter := 1; iter <= p.opts.MaxIterations; iter++ {
 		frac := 0.1 * float64(iter)
 		for _, f := range col.TopFunctions(atLeast(frac, iter, len(col.Functions()))) {
 			funcSet[f] = true
@@ -286,14 +328,15 @@ func plan(l *ledger, opts Options) (*Result, error) {
 		}
 		report, err := analysis.Analyze(prog, funcs, objs)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Report = report
+		p.res.Report = report
 
-		cand, err := buildConfig(l, prog, report, objs, col, opts)
+		rec := Iteration{Index: iter, FuncFrac: frac, Funcs: funcs, Objects: objs}
+		cand, err := buildConfig(p.l, prog, report, objs, col, p.opts)
 		var ce compileError
 		if errors.As(err, &ce) {
-			return nil, ce.error
+			return ce.error
 		}
 		if err != nil {
 			// No feasible sectioned configuration at this scope (tiny
@@ -301,66 +344,57 @@ func plan(l *ledger, opts Options) (*Result, error) {
 			// swap pool). The candidate is rejected; the last accepted
 			// compilation — at worst iteration 0's swap config —
 			// stands (§4.1's rollback).
-			res.Iterations = append(res.Iterations, Iteration{
-				Index: iter, FuncFrac: frac, Funcs: funcs, Objects: objs,
-			})
-			ptrc.Instant(cursor, "planner", "iter.infeasible",
+			p.res.Iterations = append(p.res.Iterations, rec)
+			p.ptrc.Instant(p.cursor, "planner", "iter.infeasible",
 				trace.I("iter", int64(iter)))
 			continue
 		}
-		out := l.profile(cand.prog, cand.cfg)
-		rec := Iteration{
-			Index:     iter,
-			FuncFrac:  frac,
-			Funcs:     funcs,
-			Objects:   objs,
-			NumSecs:   len(cand.cfg.Sections),
-			Offloaded: cand.offloaded,
-		}
-		if out.err != nil {
-			// A candidate the runtime rejects (e.g. line floors pushed
-			// the carve-up past the budget) is a rejected iteration,
-			// not a planning failure.
-			res.Iterations = append(res.Iterations, rec)
-			ptrc.Instant(cursor, "planner", "iter.runtime-rejected",
-				trace.I("iter", int64(iter)))
-			continue
-		}
-		t := out.time
-		rec.Time = t
-		// Accept or roll back (§4.1 "we roll back to the previous
-		// iteration's configuration").
-		if t < res.FinalTime {
-			rec.Accepted = true
-			res.FinalTime = t
-			res.Config = cand.cfg
-			res.Plan = cand.plan
-			res.Program = cand.prog
-			col = out.col
-		}
-		res.Iterations = append(res.Iterations, rec)
-		if ptrc != nil {
-			verdict := "rolled-back"
-			if rec.Accepted {
-				verdict = "accepted"
-			}
-			end := cursor.Add(t)
-			ptrc.Span(cursor, end, "planner", fmt.Sprintf("iteration %d", iter),
+		rec.NumSecs, rec.Offloaded = len(cand.cfg.Sections), cand.offloaded
+		out, accepted := p.try(move{
+			name: fmt.Sprintf("iteration %d", iter),
+			prog: cand.prog, cfg: cand.cfg, plan: cand.plan,
+			args: []trace.Arg{
 				trace.I("frac_pct", int64(frac*100+0.5)),
 				trace.I("funcs", int64(len(funcs))),
 				trace.I("objs", int64(len(objs))),
 				trace.I("secs", int64(len(cand.cfg.Sections))),
 				trace.I("offloaded", int64(len(cand.offloaded))),
-				trace.I("time_ns", int64(t)),
-				trace.S("result", verdict))
-			cursor = end
+			},
+		})
+		rec.Time, rec.Accepted = out.time, accepted
+		if accepted {
+			col = out.col
+		}
+		p.res.Iterations = append(p.res.Iterations, rec)
+	}
+	return nil
+}
+
+// validateModes checks the three mode strings, then what the plane modes
+// need of the other options: every plane mode plans on the unified hybrid
+// heap layout, which is single-node, and "line" and "hybrid" need cache
+// sections.
+func validateModes(opts Options) error {
+	for _, m := range []struct {
+		field, mode string
+		want        []string
+	}{
+		{"Compress", opts.Compress, []string{"off", "on", "auto"}},
+		{"Offload", opts.Offload, []string{"off", "on", "auto"}},
+		{"Plane", opts.Plane, []string{"page", "line", "hybrid"}},
+	} {
+		if m.mode != "" && !slices.Contains(m.want, m.mode) {
+			return fmt.Errorf("planner: unknown %s mode %q (want %s, %s, or %s)", m.field, m.mode, m.want[0], m.want[1], m.want[2])
 		}
 	}
-	cursor = offloadPhase(l, res, opts, ptrc, cursor)
-	if opts.Compress == "auto" {
-		compressAuto(l, res, opts, ptrc, cursor)
+	switch {
+	case opts.Plane == "":
+	case opts.Cluster != nil:
+		return fmt.Errorf("planner: Plane=%q uses the unified hybrid layout, which is single-node (drop Cluster)", opts.Plane)
+	case opts.Plane != "page" && opts.DisableSeparation:
+		return fmt.Errorf("planner: Plane=%q needs cache sections, but DisableSeparation is set", opts.Plane)
 	}
-	return res, nil
+	return nil
 }
 
 // sortedKeys returns a set's members in deterministic order.
