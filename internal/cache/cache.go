@@ -14,6 +14,8 @@ package cache
 
 import (
 	"fmt"
+
+	"mira/internal/sim"
 )
 
 // Structure selects a cache section's organization (§4.2 "determining cache
@@ -110,6 +112,10 @@ type Line struct {
 	// Evictable is the compiler's eviction hint (§4.5): set after the
 	// last access in a scope; victim selection prefers these lines.
 	Evictable bool
+	// Ready (when an in-flight fetch lands; zero: none) and Spec (an
+	// untouched prefetch) are runtime-owned marks that the slot only carries.
+	Ready sim.Time
+	Spec  bool
 	// pins is the don't-evict reference count for shared sections
 	// (§4.6). A pinned line is never chosen as a victim.
 	pins int
@@ -136,6 +142,7 @@ type Victim struct {
 	Tag   uint64
 	Data  []byte
 	Dirty bool
+	Spec  bool // the leaving line's speculative mark (see Line)
 	// Conflict reports whether the eviction happened with spare capacity
 	// elsewhere in the section (i.e. a mapping conflict rather than
 	// capacity pressure). Only meaningful for Direct/SetAssoc.
@@ -227,7 +234,7 @@ func (b *lineBufs) retire(l *Line) Victim {
 	if !l.Dirty {
 		b.free = append(b.free, l.Data)
 	}
-	return Victim{Tag: l.Tag, Data: l.Data, Dirty: l.Dirty}
+	return Victim{Tag: l.Tag, Data: l.Data, Dirty: l.Dirty, Spec: l.Spec}
 }
 
 func (b *lineBufs) Recycle(buf []byte) {

@@ -36,6 +36,10 @@ func benchMCF() Workload {
 	return mcf.New(mcf.Config{Arcs: 2048, Nodes: 512, Iterations: 3, WalkLen: 64, Seed: benchSeed("mcf")})
 }
 
+func benchGraph() Workload {
+	return graphtraverse.New(graphtraverse.Config{Edges: 8192, Nodes: 2048, Passes: 1, Seed: benchSeed("graph")})
+}
+
 func benchGPT2() Workload {
 	cfg := gpt2.DefaultConfig()
 	cfg.Layers, cfg.Seed = 4, benchSeed("gpt2")
@@ -78,7 +82,7 @@ func TestEachCandidateOnce(t *testing.T) {
 	}{
 		{"mcf@25", benchMCF(), 0.25, 20, 8},
 		{"mcf@10", benchMCF(), 0.10, 20, 8},
-		{"graph", graphtraverse.New(graphtraverse.Config{Edges: 8192, Nodes: 2048, Passes: 1, Seed: benchSeed("graph")}), 0.25, 4, 3},
+		{"graph", benchGraph(), 0.25, 4, 3},
 		{"seqscan", seqscan.New(seqscan.Config{N: 1 << 15, Seed: benchSeed("seqscan")}), 0.25, 4, 3},
 		{"stridescan", stridescan.New(stridescan.Config{N: 1 << 14, Seed: benchSeed("stridescan")}), 0.25, 4, 3},
 		{"arraysum", arraysum.New(arraysum.Config{N: 1 << 17, Seed: benchSeed("arraysum")}), 0.25, 4, 3},

@@ -8,6 +8,7 @@ import (
 
 	"mira/internal/cache"
 	"mira/internal/prefetch"
+	"mira/internal/sim"
 	"mira/internal/transport/transporttest"
 )
 
@@ -100,6 +101,94 @@ func TestPolicyMissOnWarmSectionAllocatesNothing(t *testing.T) {
 	if now := r.SectionPrefetchStats(0); r.SectionStats(0).Misses == misses || now.Issued == pf.Issued || now.Useful == pf.Useful {
 		t.Fatalf("the measured runs missed %d times, prefetched %d lines and used %d: the test needs all three",
 			r.SectionStats(0).Misses-misses, now.Issued-pf.Issued, now.Useful-pf.Useful)
+	}
+}
+
+// quietPrefetcher is a warm direct-mapped section of 8 lines over a far side
+// that allocates nothing, and prefetch, which issues a compiled prefetch of
+// items[elem]'s line: 64 lines over 8 slots, so walking them claims a slot
+// and evicts a clean line on every call.
+func quietPrefetcher(t *testing.T) (r *Runtime, clk *sim.Clock, prefetch func(elem int64)) {
+	r, clk = wbqRuntime(t, 8)
+	r.tr = &transporttest.QuietLink{}
+	return r, clk, func(elem int64) {
+		if err := r.Prefetch(clk, "items", elem, fld(0, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A prefetched line's first demand touch retires its speculative mark and
+// waits for its bytes, on the line's own slot: nothing allocates.
+func TestPrefetchedLineFirstTouchAllocatesNothing(t *testing.T) {
+	r, clk, prefetch := quietPrefetcher(t)
+	buf := make([]byte, 8)
+	elem := int64(0)
+	touch := func() {
+		elem = (elem + 2) % 128
+		prefetch(elem)
+		if err := r.Access(clk, "items", elem, fld(0, 8), buf, false, AccessOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	touch()
+	pf := r.SectionPrefetchStats(0)
+	if got := testing.AllocsPerRun(100, touch); got != 0 {
+		t.Errorf("%v allocs per prefetch and first touch, want 0", got)
+	}
+	if now := r.SectionPrefetchStats(0); now.Useful-pf.Useful != 101 || now.Late-pf.Late != 101 {
+		t.Fatalf("the touches did not find their lines in flight: %+v → %+v", pf, now)
+	}
+}
+
+// A BulkRead over prefetched lines still on the wire joins their wait and
+// clears their marks: nothing allocates.
+func TestBulkReadInFlightAllocatesNothing(t *testing.T) {
+	r, clk, prefetch := quietPrefetcher(t)
+	buf := make([]byte, 4*128)
+	first := int64(0)
+	bulk := func() {
+		first = (first + 8) % 128
+		for e := first; e < first+8; e += 2 {
+			prefetch(e)
+		}
+		if err := r.BulkRead(clk, "items", first, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bulk()
+	pf := r.SectionPrefetchStats(0)
+	if got := testing.AllocsPerRun(100, bulk); got != 0 {
+		t.Errorf("%v allocs per BulkRead over 4 lines in flight, want 0", got)
+	}
+	if now := r.SectionPrefetchStats(0); now.Late-pf.Late != 4*101 {
+		t.Fatalf("the bulk reads did not find their lines in flight: %+v → %+v", pf, now)
+	}
+}
+
+// A Fence — the runtime's and the line plane's — folds every resident line's
+// landing instant without allocating.
+func TestFenceAllocatesNothing(t *testing.T) {
+	r, clk, prefetch := quietPrefetcher(t)
+	p, err := r.LinePlane(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elem := int64(0)
+	fence := func() {
+		for _, f := range []func(*sim.Clock){r.Fence, p.Fence} {
+			elem = (elem + 2) % 128
+			prefetch(elem)
+			ready := readyOf(r.secs[0], r.objs["items"].farBase+uint64(elem)*64)
+			f(clk)
+			if ready == 0 || clk.Now() != ready {
+				t.Fatalf("fenced at %v, want the prefetch's landing at %v", clk.Now(), ready)
+			}
+		}
+	}
+	fence()
+	if got := testing.AllocsPerRun(100, fence); got != 0 {
+		t.Errorf("%v allocs per two prefetches and fences, want 0", got)
 	}
 }
 

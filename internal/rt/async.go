@@ -79,7 +79,7 @@ func (r *Runtime) PrefetchH(clk *sim.Clock, h Handle, elem int64, field ir.Field
 		}
 		return err
 	}
-	s.speculate(tag, done)
+	s.speculate(l, done)
 	if r.trc != nil {
 		r.trc.Span(post, done, "rt", "prefetch", trace.S("obj", o.decl.Name))
 	}
@@ -224,9 +224,7 @@ func (r *Runtime) Pin(name string, elem int64, delta int) {
 // asynchronous completion instants remain meaningful across threads.)
 func (r *Runtime) SettleAsync() {
 	for _, s := range r.secs {
-		for tag := range s.inflight {
-			delete(s.inflight, tag)
-		}
+		s.settleReady()
 	}
 	if r.swapC != nil {
 		r.swapC.SettleAsync()
@@ -245,11 +243,7 @@ func (r *Runtime) Fence(clk *sim.Clock) {
 	}
 	latest := r.lastFlush
 	for _, s := range r.secs {
-		for _, t := range s.inflight {
-			if t > latest {
-				latest = t
-			}
-		}
+		latest = s.latestReady(latest)
 	}
 	clk.AdvanceTo(latest)
 	r.trc.Span(start, clk.Now(), "rt", "fence")

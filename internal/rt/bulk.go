@@ -79,23 +79,17 @@ func (r *Runtime) bulk(clk *sim.Clock, o *objectRT, elem int64, buf []byte, writ
 	far := o.farBase + off
 
 	// Pass 1: start fetches for all missing lines so their latencies
-	// overlap. A line already on the wire — resident or not — joins the
-	// wait: its bytes have not landed either.
+	// overlap. A resident line still on the wire joins the wait: its bytes
+	// have not landed either.
 	var fetchDone sim.Time
 	for tag := cache.AlignDown(far, lb); tag < far+uint64(len(buf)); tag += uint64(lb) {
-		ready, inflight := s.inflight[tag]
-		if ready > fetchDone {
-			fetchDone = ready
-		}
-		if _, resident := s.sec.Peek(tag); resident {
+		if l, resident := s.sec.Peek(tag); resident {
+			fetchDone = max(fetchDone, l.Ready)
 			o.hits++
-			s.touchSpec(clk, tag)
+			s.touchSpec(clk, l)
 			continue
 		}
 		o.misses++
-		if inflight {
-			continue
-		}
 		fullyCovered := tag >= far && tag+uint64(lb) <= far+uint64(len(buf))
 		l, recovered, err := r.claim(clk, s, tag)
 		if err != nil {
@@ -109,21 +103,20 @@ func (r *Runtime) bulk(clk *sim.Clock, o *objectRT, elem int64, buf []byte, writ
 		if err != nil {
 			return err
 		}
-		s.inflight[tag] = done
-		if done > fetchDone {
-			fetchDone = done
-		}
+		onWire(l, done)
+		fetchDone = max(fetchDone, done)
 	}
 	clk.AdvanceTo(fetchDone)
 
-	// Pass 2: copy through the now-resident lines.
+	// Pass 2: copy through the now-resident lines, whose bytes have all
+	// landed by now.
 	done := 0
 	for done < len(buf) {
 		addr := far + uint64(done)
-		tag := cache.AlignDown(addr, lb)
-		delete(s.inflight, tag)
 		l, resident := s.sec.Peek(addr)
-		if !resident {
+		if resident {
+			waitReady(clk, l)
+		} else {
 			// A later fetch in pass 1 evicted an earlier line of
 			// the same range (section smaller than the transfer):
 			// fetch it back, demand-paged.

@@ -14,7 +14,7 @@ import (
 // tenant's runtime is shrunk so its local DRAM can back a loaded tenant's
 // sections, and regrown (cold) when the tenant reactivates. Every line is
 // dropped like any other eviction — dirty bytes drain through the write-back
-// queue, snapshots and speculative marks retire — and each section is
+// queue, snapshots retire, marks leave with their slots — and each section is
 // rebuilt at the scaled size, so no data is lost and the reactivation
 // penalty — refilling the cache over the link — is charged to whoever
 // triggers the resize via clk. Scales are absolute

@@ -154,7 +154,7 @@ func TestElasticResizeRetiresSnapshotsAndPrefetches(t *testing.T) {
 	if len(s.snaps) != 0 {
 		t.Fatalf("resize leaked %d delta snapshots of lines it dropped", len(s.snaps))
 	}
-	resident := int64(len(s.specul))
+	resident := speculative(s)
 	if pf := s.pf; pf.Issued != pf.Useful+pf.Useless+resident || pf.Issued != 3 || pf.Useful != 1 {
 		t.Fatalf("prefetch accounting after the resize: %+v with %d still speculative; want issued 3 = useful 1 + useless 2", pf, resident)
 	}

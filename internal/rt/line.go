@@ -15,13 +15,15 @@ import (
 // who pays which posting cost and when, whether a failure is hard or
 // advisory, stall versus overlap — and never touch sec.Reserve, sec.Drop,
 // the queue's take or a far read themselves (TestLineSeam scans for it).
+// A line's marks (cache.Line.Ready, Spec) live on its slot, so only resident
+// lines have any; only this file writes them.
 
 // lineState says where a line's newest bytes are, as far as a prefetch cares.
 type lineState uint8
 
 const (
 	lineFar    lineState = iota // only far memory has them: worth a fetch
-	lineHere                    // resident, or already on the wire
+	lineHere                    // resident (its bytes may still be on the wire)
 	lineParked                  // in the write-back queue: unpark recovers them locally
 )
 
@@ -30,27 +32,21 @@ func (s *sectionRT) locate(tag uint64) lineState {
 	if _, resident := s.sec.Peek(tag); resident {
 		return lineHere
 	}
-	if _, inflight := s.inflight[tag]; inflight {
-		return lineHere
-	}
 	if s.wbq != nil && s.wbq.has(tag) {
 		return lineParked
 	}
 	return lineFar
 }
 
-// claim reserves the slot of the line containing addr: stale marks of the
-// tag die (a claim of an in-flight tag means the prefetched line was dropped
-// before it was used — the entry must not suppress future prefetches), the
-// displaced victim is retired, and only then is the write-back queue
-// consulted. A line parked there is the newest copy: it is recovered locally
-// (recovered=true, the line comes back dirty) and its entry dies — also
-// under a store that will overwrite the whole line, or a later drain would
-// clobber the store. A hard write-back failure gives the slot back.
+// claim reserves the slot of the line containing addr — a reserved slot
+// starts without marks — retires the displaced victim, and only then
+// consults the write-back queue. A line parked there is the newest copy: it
+// is recovered locally (recovered=true, the line comes back dirty) and its
+// entry dies — also under a store that will overwrite the whole line, or a
+// later drain would clobber the store. A hard write-back failure gives the
+// slot back.
 func (r *Runtime) claim(clk *sim.Clock, s *sectionRT, addr uint64) (l *cache.Line, recovered bool, err error) {
 	l, v := s.sec.Reserve(addr)
-	delete(s.inflight, l.Tag)
-	delete(s.specul, l.Tag)
 	if v.Data != nil {
 		s.mEvict.Inc()
 		r.bumpTid(s, &s.tidEvicts, &s.mTidEvict, "evict")
@@ -122,14 +118,12 @@ func (s *sectionRT) owns(tag uint64, l *cache.Line) bool {
 	return ok && cur == l && l.Tag == tag
 }
 
-// retire settles the state of a line that left the cache: its in-flight and
-// speculative marks die (fetched but never touched counts Useless), a clean
-// line's snapshot dies with it so the map stays bounded by the cache size,
-// and dirty bytes go to wbqEnqueue, whose completion instant is returned.
+// retire settles the state of a line that left the cache with its marks: an
+// untouched prefetch counts Useless, a clean line's snapshot dies with it so
+// the map stays bounded by the cache size, and dirty bytes go to wbqEnqueue,
+// whose completion instant is returned.
 func (r *Runtime) retire(clk *sim.Clock, s *sectionRT, v cache.Victim) (sim.Time, error) {
-	delete(s.inflight, v.Tag)
-	if s.specul[v.Tag] {
-		delete(s.specul, v.Tag)
+	if v.Spec {
 		s.pf.Useless++
 		s.mPfUseless.Inc()
 	}
@@ -206,11 +200,51 @@ func (r *Runtime) fetch(now sim.Time, s *sectionRT, o *objectRT, l *cache.Line) 
 
 // speculate marks a line whose prefetched bytes land at ready: in flight
 // until then, speculative until its first demand touch.
-func (s *sectionRT) speculate(tag uint64, ready sim.Time) {
-	s.inflight[tag] = ready
-	s.specul[tag] = true
+func (s *sectionRT) speculate(l *cache.Line, ready sim.Time) {
+	l.Ready, l.Spec = ready, true
 	s.pf.Issued++
 	s.mPfIssued.Inc()
+}
+
+// onWire marks a line whose demand-fetched bytes (bulk's) land at ready.
+func onWire(l *cache.Line, ready sim.Time) { l.Ready = ready }
+
+// touchSpec retires a line's speculative mark on its first demand touch: the
+// prefetch was useful, and late if its bytes are still on the wire. Reports
+// whether it did, so the caller can feed stream-maintaining policies.
+func (s *sectionRT) touchSpec(clk *sim.Clock, l *cache.Line) bool {
+	if !l.Spec {
+		return false
+	}
+	l.Spec = false
+	s.pf.Useful++
+	s.mPfUseful.Inc()
+	if l.Ready > clk.Now() {
+		s.pf.Late++
+	}
+	return true
+}
+
+// waitReady blocks until a line's in-flight bytes land.
+func waitReady(clk *sim.Clock, l *cache.Line) {
+	clk.AdvanceTo(l.Ready)
+	l.Ready = 0
+}
+
+// latestReady returns the later of t and every resident line's Ready; its
+// visitor is made once per section, so a Fence allocates nothing.
+func (s *sectionRT) latestReady(t sim.Time) sim.Time {
+	if s.foldReady == nil {
+		s.foldReady = func(l *cache.Line) { s.latest = max(s.latest, l.Ready) }
+	}
+	s.latest = t
+	s.sec.ForEachResident(s.foldReady)
+	return s.latest
+}
+
+// settleReady forgets when s's in-flight bytes land, as if all had.
+func (s *sectionRT) settleReady() {
+	s.sec.ForEachResident(func(l *cache.Line) { l.Ready = 0 })
 }
 
 // dropped counts one prefetch proposal that fetched nothing — dropped
@@ -238,10 +272,10 @@ type claimed struct {
 //
 // A line evicted by a later claim of the same batch (set conflict or
 // capacity pressure) has a new tenant: copying into it would corrupt that
-// tenant, and tagging it in flight would leave a stale entry. Pieces whose
-// slot is no longer theirs are counted dropped — as is every piece when the
-// gather fails, after giving its slot back; the caller decides whether that
-// error is advisory.
+// tenant, and marking it in flight would mark that tenant. Pieces whose
+// slot is no longer theirs are counted dropped — as is a line's second piece
+// in one batch, and every piece when the gather fails, after giving its slot
+// back; the caller decides whether that error is advisory.
 func (r *Runtime) land(post sim.Time, ps []claimed) (sim.Time, error) {
 	addrs, sizes := r.landAddrs[:0], r.landSizes[:0]
 	compress := true
@@ -265,10 +299,12 @@ func (r *Runtime) land(post sim.Time, ps []claimed) (sim.Time, error) {
 	pos, behind := 0, len(data)
 	for i, p := range ps {
 		behind -= sizes[i]
-		if p.s.owns(p.tag, p.l) {
+		// A claimed slot is unmarked until here: a marked one holds a line the
+		// batch claimed again after evicting it, and its first piece landed.
+		if p.s.owns(p.tag, p.l) && !p.l.Spec {
 			copy(p.l.Data, data[pos:pos+sizes[i]])
 			snapshotLine(p.s, p.o, p.l)
-			p.s.speculate(p.tag, done.Add(-r.cfg.Net.WireTime(behind)))
+			p.s.speculate(p.l, done.Add(-r.cfg.Net.WireTime(behind)))
 		} else {
 			p.s.dropped()
 		}

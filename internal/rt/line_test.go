@@ -200,7 +200,8 @@ func TestLineLifecycleTable(t *testing.T) {
 				tag := o.farBase + lineElem*64
 
 				img := setup.do(t, r, clk, data[lineElem*64:lineElem*64+128])
-				landing, onWire := s.inflight[tag] // the setup's prefetch, if it left the line in flight
+				landing := readyOf(s, tag) // the setup's prefetch, if it left the line in flight
+				inFlight := landing != 0
 				var hits int64
 				if setup.parked {
 					hits = 1
@@ -222,13 +223,13 @@ func TestLineLifecycleTable(t *testing.T) {
 					if clk.Now() < landing {
 						t.Fatalf("returned at %v, before the line's in-flight bytes land at %v", clk.Now(), landing)
 					}
-					if onWire && s.pf.Useful != 1 {
+					if inFlight && s.pf.Useful != 1 {
 						t.Fatalf("a used prefetch was not counted useful: %+v", s.pf)
 					}
 					if rtt := r.cfg.Net.OneSidedRTT; entry.needsFar && setup.far && clk.Now().Sub(start) < rtt {
 						t.Fatalf("took %v: less than the %v a far read needs", clk.Now().Sub(start), rtt)
 					}
-				} else if ready := s.inflight[tag]; ready > landing {
+				} else if ready := readyOf(s, tag); ready > landing {
 					landing = ready // the entry's own prefetch
 				}
 
@@ -265,6 +266,20 @@ func TestLineLifecycleTable(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBatchReclaimingALineIssuesItOnce: a batch naming a line, a line that
+// maps to its slot, and the first line again claims the first line twice —
+// the second claim evicts the conflicting one, which had evicted the first.
+// The line lands and counts issued once; the other two pieces are dropped.
+func TestBatchReclaimingALineIssuesItOnce(t *testing.T) {
+	r, clk := wbqRuntime(t, 16)
+	e := func(elem int64) BatchEntry { return BatchEntry{Obj: "items", Elem: elem, Field: fld(0, 8)} }
+	mustNot(t, "batch", r.PrefetchBatch(clk, []BatchEntry{e(lineElem), e(conflictElem), e(lineElem)}))
+	s := r.secs[0]
+	if pf := s.pf; pf.Issued != 1 || pf.Dropped != 2 || speculative(s) != 1 {
+		t.Fatalf("%+v with %d lines speculative, want the line issued once and two pieces dropped", pf, speculative(s))
 	}
 }
 

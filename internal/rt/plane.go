@@ -246,13 +246,7 @@ func (p *linePlane) Evict(clk *sim.Clock, far uint64, length int64) error {
 func (p *linePlane) Fence(clk *sim.Clock) {
 	s := p.s()
 	_, _ = p.r.drainWbq(clk, s)
-	latest := p.r.lastFlush
-	for _, t := range s.inflight {
-		if t > latest {
-			latest = t
-		}
-	}
-	clk.AdvanceTo(latest)
+	clk.AdvanceTo(s.latestReady(p.r.lastFlush))
 }
 
 func (p *linePlane) Flush(clk *sim.Clock) error {

@@ -106,23 +106,23 @@ type Runtime struct {
 }
 
 type sectionRT struct {
-	id       uint16 // RemotePtr section ID (1-based; 0 = local)
-	spec     SectionSpec
-	sec      cache.Section
-	inflight map[uint64]sim.Time // line tag -> fetch completion
-	wbq      *writebackQueue     // async eviction pipeline (nil when disabled)
+	id   uint16 // RemotePtr section ID (1-based; 0 = local)
+	spec SectionSpec
+	sec  cache.Section
+	wbq  *writebackQueue // async eviction pipeline (nil when disabled)
 
-	// policy is the section's advisory miss-path prefetcher (nil = none);
-	// specul marks prefetched tags not yet touched by a demand access, and
-	// pf accumulates the zoo's efficacy counters. Every prefetch path —
+	// policy is the section's advisory miss-path prefetcher (nil = none),
+	// and pf accumulates the zoo's efficacy counters. Every prefetch path —
 	// compiled statements and the policy hook — feeds the same counters.
 	policy prefetch.Policy
-	specul map[uint64]bool
 	pf     prefetch.Efficacy
 	// Scratch of one speculative issue, kept so that proposing and filtering
 	// allocate nothing: the policy's proposals, then the lines worth a fetch.
 	props []int64
 	want  []claimed
+	// latestReady's running maximum and the visitor that folds into it.
+	latest    sim.Time
+	foldReady func(*cache.Line)
 
 	// snaps holds the last-fetched bytes of each resident line when the
 	// section compresses (spec.Compress): write-back diffs against the
@@ -248,12 +248,10 @@ func New(cfg Config, node *farmem.Node) (*Runtime, error) {
 			return nil, err
 		}
 		srt := &sectionRT{
-			id:       uint16(i + 1),
-			spec:     spec,
-			sec:      sec,
-			inflight: make(map[uint64]sim.Time),
-			specul:   make(map[uint64]bool),
-			wbq:      newWritebackQueue(cfg.writebackQueueLimit()),
+			id:   uint16(i + 1),
+			spec: spec,
+			sec:  sec,
+			wbq:  newWritebackQueue(cfg.writebackQueueLimit()),
 		}
 		if spec.Compress {
 			srt.snaps = make(map[uint64][]byte)
@@ -588,7 +586,6 @@ const (
 // fires the section's advisory prefetch hooks after the access completes).
 // fullLine marks a write that will overwrite the whole line.
 func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64, opts AccessOpts, write, fullLine bool) (*cache.Line, accessEvent, error) {
-	tag := cache.AlignDown(addr, s.spec.Cache.LineBytes)
 	if opts.Native {
 		// Compiled native load: no lookup cost. The compiler proved
 		// residency; verify cheaply and fall back if it was wrong
@@ -598,11 +595,11 @@ func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64
 			s.mHit.Inc()
 			r.bumpTid(s, &s.tidHits, &s.mTidHit, "hit")
 			ev := accessHit
-			if s.touchSpec(clk, tag) {
+			if s.touchSpec(clk, l) {
 				ev = accessSpecTouched
 			}
 			clk.Advance(r.cfg.Cost.NativeAccess)
-			r.waitReady(clk, s, tag)
+			waitReady(clk, l)
 			return l, ev, nil
 		}
 	}
@@ -612,10 +609,10 @@ func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64
 		s.mHit.Inc()
 		r.bumpTid(s, &s.tidHits, &s.mTidHit, "hit")
 		ev := accessHit
-		if s.touchSpec(clk, tag) {
+		if s.touchSpec(clk, l) {
 			ev = accessSpecTouched
 		}
-		r.waitReady(clk, s, tag)
+		waitReady(clk, l)
 		return l, ev, nil
 	}
 	// Miss (§5.2.1 "loading an rmem pointer from far memory").
@@ -651,32 +648,6 @@ func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64
 		s.mMissLat.Observe(int64(done.Sub(fetchStart)))
 	}
 	return l, accessMissed, nil
-}
-
-// touchSpec retires a tag's speculative mark on its first demand touch:
-// the prefetch was useful — and late if its bytes are still in flight at
-// the touch (the caller's waitReady will stall on the tail). Reports
-// whether a mark was retired, so the caller can feed stream-maintaining
-// policies.
-func (s *sectionRT) touchSpec(clk *sim.Clock, tag uint64) bool {
-	if !s.specul[tag] {
-		return false
-	}
-	delete(s.specul, tag)
-	s.pf.Useful++
-	s.mPfUseful.Inc()
-	if ready, ok := s.inflight[tag]; ok && ready > clk.Now() {
-		s.pf.Late++
-	}
-	return true
-}
-
-// waitReady blocks until an in-flight prefetch of tag lands.
-func (r *Runtime) waitReady(clk *sim.Clock, s *sectionRT, tag uint64) {
-	if ready, ok := s.inflight[tag]; ok {
-		clk.AdvanceTo(ready)
-		delete(s.inflight, tag)
-	}
 }
 
 // setCodec installs a wire codec on the timed data path (the single

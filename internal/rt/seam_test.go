@@ -15,7 +15,9 @@ import (
 // with sec.Reserve, a line evicted with sec.Drop, an entry taken out of a
 // write-back queue, or a far read into a line. A miss path that spells the
 // sequence out by hand is one that can forget a step of it — the way bulk
-// forgot the write-back queue and SetSectionScale forgot the snapshots.
+// forgot the write-back queue and SetSectionScale forgot the snapshots. It
+// fails the same way on an assignment to a line's marks (cache.Line.Ready,
+// Spec) outside line.go: the prefetch counters move with them.
 func TestLineSeam(t *testing.T) {
 	// Calls allowed only in line.go, with how many sites line.go may have.
 	seam := map[string]int{
@@ -27,6 +29,8 @@ func TestLineSeam(t *testing.T) {
 		"GatherOneSided": 1, // land
 		"fetchLine":      0, // fetch's name before the seam
 	}
+	// A line's marks, which only line.go assigns.
+	marks := map[string]bool{"Ready": true, "Spec": true}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -44,6 +48,20 @@ func TestLineSeam(t *testing.T) {
 		}
 		scanned++
 		ast.Inspect(f, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok {
+				for _, lhs := range as.Lhs {
+					sel, ok := lhs.(*ast.SelectorExpr)
+					if !ok || !marks[sel.Sel.Name] {
+						continue
+					}
+					if path != "line.go" {
+						t.Errorf("%s: a line's %s set outside line.go — go through speculate, touchSpec, waitReady or onWire",
+							fset.Position(sel.Pos()), sel.Sel.Name)
+					}
+					sites[sel.Sel.Name]++
+				}
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -76,8 +94,8 @@ func TestLineSeam(t *testing.T) {
 			t.Errorf("line.go calls %s at %d sites, the seam allows %d", name, sites[name], limit)
 		}
 	}
-	if sites["Reserve"] == 0 || sites["GatherOneSided"] == 0 {
-		t.Fatalf("found no Reserve or GatherOneSided call at all: the scan no longer sees line.go (%v)", sites)
+	if sites["Reserve"] == 0 || sites["GatherOneSided"] == 0 || sites["Ready"] == 0 || sites["Spec"] == 0 {
+		t.Fatalf("found no Reserve or GatherOneSided call or no mark assignment at all: the scan no longer sees line.go (%v)", sites)
 	}
 }
 
