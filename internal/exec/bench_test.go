@@ -11,18 +11,46 @@ import (
 
 // scanProgram is seqscan's shape: two field loads, a little arithmetic and a
 // store per record, an accumulator carried across the loop.
-func scanProgram(n int64) *ir.Program {
+func scanProgram(n int64) *ir.Program { return buildScan(n, false) }
+
+// guardedScanProgram is scanProgram planned: each iteration also tests the
+// three guards codegen puts around a scan's hints (codegen.go's guarded,
+// priming and eviction blocks) — a priming gather when i == start, a batch
+// prefetch when (i+d) % le == 0 and an eviction hint when
+// i >= lag && (i-lag) % le == 0 — so most iterations evaluate three
+// conditions and take no branch.
+func guardedScanProgram(n int64) *ir.Program { return buildScan(n, true) }
+
+func buildScan(n int64, guards bool) *ir.Program {
+	const d, lag, le = 32, 8, 4 // 64-byte records, 256-byte lines
 	b := ir.NewBuilder("scan")
 	b.Object("recs", 64, n, ir.F("key", 0, 8), ir.F("val", 8, 8))
 	b.IntArray("result", 1)
 	fb := b.Func("scan")
 	acc := fb.Var(ir.C(0))
 	fb.Loop(ir.C(0), ir.C(n), ir.C(1), func(i ir.Expr) {
+		if guards {
+			fb.If(ir.Eq(i, ir.C(0)), func() {
+				var entries []ir.PrefetchRef
+				for k := int64(0); k < d/le+2; k++ {
+					entries = append(entries, ir.PrefetchRef{Obj: "recs", Index: ir.Add(i, ir.C(k*le)), Field: "key"})
+				}
+				fb.BatchPrefetch(entries...)
+			}, nil)
+			fb.If(ir.Eq(ir.Mod(ir.Add(i, ir.C(d)), ir.C(le)), ir.C(0)), func() {
+				fb.BatchPrefetch(ir.PrefetchRef{Obj: "recs", Index: ir.Add(i, ir.C(d)), Field: "key"})
+			}, nil)
+		}
 		k := fb.Load("recs", i, "key")
 		v := fb.Load("recs", i, "val")
 		nv := fb.Let(ir.Add(v, ir.Mul(k, ir.C(3))))
 		fb.Store("recs", i, "val", nv)
 		fb.Set(acc, ir.Add(ir.R(acc.ID), nv))
+		if guards {
+			fb.If(ir.And(ir.Ge(i, ir.C(lag)), ir.Eq(ir.Mod(ir.Sub(i, ir.C(lag)), ir.C(le)), ir.C(0))), func() {
+				fb.Evict("recs", ir.Sub(i, ir.C(lag)))
+			}, nil)
+		}
 	})
 	fb.Store("result", ir.C(0), "", ir.R(acc.ID))
 	fb.Return(ir.R(acc.ID))
@@ -106,6 +134,10 @@ func benchInterpreters(b *testing.B, p *ir.Program, init map[string][]byte) {
 
 func BenchmarkExecScan(b *testing.B) {
 	benchInterpreters(b, scanProgram(4096), nil)
+}
+
+func BenchmarkExecGuardedScan(b *testing.B) {
+	benchInterpreters(b, guardedScanProgram(4096), nil)
 }
 
 func BenchmarkExecChase(b *testing.B) {

@@ -127,19 +127,21 @@ func (e *Executor) Run(clk *sim.Clock) (Value, error) {
 	return e.call(clk, f, args)
 }
 
-// frame is one function activation: the clock it charges, its registers, its
-// arguments (what an exParam slot indexes) and, when profiling, the
-// function's record.
+// frame is one function activation: the clock it charges, what one operator
+// costs there (the executor's ComputeOp, which compiled expressions read when
+// they run), its registers, its arguments (what a compiled parameter reads)
+// and, when profiling, the function's record.
 type frame struct {
-	clk  *sim.Clock
-	regs []Value
-	args []Value
-	rec  *profile.FuncRecord
+	clk    *sim.Clock
+	opCost sim.Duration
+	regs   []Value
+	args   []Value
+	rec    *profile.FuncRecord
 }
 
 // newFrame opens an activation of fn.
 func (e *Executor) newFrame(clk *sim.Clock, fn *ir.Func, args []Value) frame {
-	fr := frame{clk: clk, regs: make([]Value, fn.NumRegs), args: args}
+	fr := frame{clk: clk, opCost: e.opt.ComputeOp, regs: make([]Value, fn.NumRegs), args: args}
 	if e.opt.Collector != nil {
 		fr.rec = e.opt.Collector.Record(fn.Name)
 	}
@@ -176,14 +178,14 @@ func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err er
 		n := &body[i]
 		switch n.op {
 		case opAssign:
-			v, err := e.eval(fr, n.a)
+			v, err := n.a(fr)
 			if err != nil {
 				return Value{}, false, err
 			}
 			fr.regs[n.dst] = v
 
 		case opLoad:
-			idx, err := e.eval(fr, n.a)
+			idx, err := n.a(fr)
 			if err != nil {
 				return Value{}, false, err
 			}
@@ -198,11 +200,11 @@ func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err er
 			fr.regs[n.dst] = a.codec.decode(buf)
 
 		case opStore:
-			idx, err := e.eval(fr, n.a)
+			idx, err := n.a(fr)
 			if err != nil {
 				return Value{}, false, err
 			}
-			val, err := e.eval(fr, n.b)
+			val, err := n.b(fr)
 			if err != nil {
 				return Value{}, false, err
 			}
@@ -217,15 +219,15 @@ func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err er
 			}
 
 		case opLoop:
-			startV, err := e.eval(fr, n.a)
+			startV, err := n.a(fr)
 			if err != nil {
 				return Value{}, false, err
 			}
-			endV, err := e.eval(fr, n.b)
+			endV, err := n.b(fr)
 			if err != nil {
 				return Value{}, false, err
 			}
-			stepV, err := e.eval(fr, n.c)
+			stepV, err := n.c(fr)
 			if err != nil {
 				return Value{}, false, err
 			}
@@ -246,7 +248,7 @@ func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err er
 			}
 
 		case opIf:
-			c, err := e.eval(fr, n.a)
+			c, err := n.a(fr)
 			if err != nil {
 				return Value{}, false, err
 			}
@@ -266,7 +268,7 @@ func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err er
 			cs := n.call
 			args := make([]Value, len(cs.args))
 			for i, a := range cs.args {
-				v, err := e.eval(fr, a)
+				v, err := a(fr)
 				if err != nil {
 					return Value{}, false, err
 				}
@@ -290,7 +292,7 @@ func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err er
 			if n.a == nil {
 				return Value{}, true, nil
 			}
-			v, err := e.eval(fr, n.a)
+			v, err := n.a(fr)
 			if err != nil {
 				return Value{}, false, err
 			}
@@ -300,7 +302,7 @@ func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err er
 			if e.remote != nil {
 				break // far-node code needs no prefetch
 			}
-			idx, err := e.eval(fr, n.a)
+			idx, err := n.a(fr)
 			if err != nil {
 				return Value{}, false, err
 			}
@@ -329,7 +331,7 @@ func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err er
 				e.batch, e.batchOf = append(e.batch[:0], b.entries...), b
 			}
 			for i, x := range b.idx {
-				idx, err := e.eval(fr, x)
+				idx, err := x(fr)
 				if err != nil {
 					return Value{}, false, err
 				}
@@ -349,7 +351,7 @@ func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err er
 			if e.remote != nil {
 				break
 			}
-			idx, err := e.eval(fr, n.a)
+			idx, err := n.a(fr)
 			if err != nil {
 				return Value{}, false, err
 			}
@@ -442,64 +444,6 @@ func (e *Executor) yield() {
 func (e *Executor) chargeRuntime(fr *frame, d sim.Duration) {
 	if fr.rec != nil && d > 0 {
 		fr.rec.RuntimeTime(d)
-	}
-}
-
-// eval computes an expression, charging one ComputeOp per operator node. A
-// subtree that cannot fail (see expr.ops) is charged for all its operators at
-// once — nothing reads the clock inside an expression — and computed by
-// value; above it operators are charged one by one as they are applied, so an
-// expression failing half way has charged exactly the operators it reached.
-func (e *Executor) eval(fr *frame, x *expr) (Value, error) {
-	if x.ops >= 0 {
-		fr.clk.Advance(e.opt.ComputeOp * sim.Duration(x.ops))
-		return fr.value(x), nil
-	}
-	switch x.kind {
-	case exBin:
-		a, err := e.eval(fr, x.a)
-		if err != nil {
-			return Value{}, err
-		}
-		b, err := e.eval(fr, x.b)
-		if err != nil {
-			return Value{}, err
-		}
-		fr.clk.Advance(e.opt.ComputeOp)
-		return applyBin(x.bin, a, b)
-	case exUn:
-		a, err := e.eval(fr, x.a)
-		if err != nil {
-			return Value{}, err
-		}
-		fr.clk.Advance(e.opt.ComputeOp)
-		return applyUn(x.un, a)
-	default: // exInvalid
-		return Value{}, x.err
-	}
-}
-
-// value computes an expression that cannot fail. It is small enough to
-// inline, so a register operand costs no call.
-func (fr *frame) value(x *expr) Value {
-	if x.kind == exReg {
-		return fr.regs[x.slot]
-	}
-	return fr.valueOp(x)
-}
-
-func (fr *frame) valueOp(x *expr) Value {
-	switch x.kind {
-	case exBin:
-		v, _ := applyBin(x.bin, fr.value(x.a), fr.value(x.b))
-		return v
-	case exUn:
-		v, _ := applyUn(x.un, fr.value(x.a))
-		return v
-	case exConst:
-		return x.val
-	default: // exParam
-		return fr.args[x.slot]
 	}
 }
 

@@ -159,7 +159,7 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 // readMatrix pulls a tensor view through the bulk path straight into float
 // scratch slot (see operand): the backend fills the floats' own bytes.
 func (e *Executor) readMatrix(fr *frame, t tensor, slot int) ([]float64, error) {
-	off, err := e.eval(fr, t.off)
+	off, err := t.off(fr)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func (e *Executor) readMatrix(fr *frame, t tensor, slot int) ([]float64, error) 
 // writeMatrix pushes a float slice back through the bulk path as the bytes
 // it already is; vals is dead afterwards.
 func (e *Executor) writeMatrix(fr *frame, t tensor, vals []float64) error {
-	off, err := e.eval(fr, t.off)
+	off, err := t.off(fr)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"mira/internal/analysis"
 	"mira/internal/ir"
@@ -87,11 +88,11 @@ func (e *Executor) scatterCall(clk *sim.Clock, fn *ir.Func, args []Value) (Value
 	if !ok {
 		return Value{}, false, nil
 	}
-	lo, ok := e.tab.bound(fn, plan.Lo, args)
+	lo, ok := bound(fn, plan.Lo, args)
 	if !ok {
 		return Value{}, false, nil
 	}
-	hi, ok := e.tab.bound(fn, plan.Hi, args)
+	hi, ok := bound(fn, plan.Hi, args)
 	if !ok {
 		return Value{}, false, nil
 	}
@@ -160,12 +161,14 @@ func (e *Executor) scatterCall(clk *sim.Clock, fn *ir.Func, args []Value) (Value
 
 // bound computes a scatter bound, which AnalyzeScatter admits only as a
 // constant or one of fn's scalar parameters.
-func (t *table) bound(fn *ir.Func, x ir.Expr, args []Value) (int64, bool) {
-	switch r := t.expr(fn, x); r.kind {
-	case exConst:
-		return r.val.I, !r.val.Float
-	case exParam:
-		return args[r.slot].AsInt(), true
+func bound(fn *ir.Func, x ir.Expr, args []Value) (int64, bool) {
+	switch x := x.(type) {
+	case *ir.Const:
+		return x.I, true
+	case *ir.Param:
+		if i := slices.Index(fn.Params, x.Name); i >= 0 {
+			return args[i].AsInt(), true
+		}
 	}
 	return 0, false
 }

@@ -134,10 +134,10 @@ func (m *memBackend) MissCount() int64 { return m.misses }
 // progGen builds one random program: three objects (an int array, a float
 // array, a struct of every width the scalar codec carries), two helper
 // functions with parameters and an entry that calls them; bounded loops,
-// nested ifs, int/float mixes, the occasional zero divisor, zero step,
-// out-of-range index and early Return inside a loop, hint statements and
-// small tensor intrinsics. Programs always validate; about a third of them
-// end in an error.
+// nested ifs, int/float mixes, the occasional zero divisor, float left of a
+// modulo, zero step, out-of-range index and early Return inside a loop, hint
+// statements and small tensor intrinsics. Programs always validate; about a
+// third of them end in an error.
 type progGen struct {
 	rng *rand.Rand
 	fb  *ir.FuncBuilder
@@ -239,11 +239,24 @@ func (g *progGen) expr(depth int, intOnly bool) ir.Expr {
 	a, b := g.expr(depth-1, intOnly), g.expr(depth-1, intOnly)
 	if (op == ir.OpDiv || op == ir.OpMod) && g.rng.Intn(6) > 0 {
 		b = ir.C(int64(1 + g.rng.Intn(5))) // mostly a safe divisor
-		if op == ir.OpMod && !intOnly {
+		switch {
+		case intOnly:
+		case g.rng.Intn(6) == 0:
+			a = g.floatExpr() // division's float path; modulo's error
+		case op == ir.OpMod:
 			a = g.expr(depth-1, true) // modulo is undefined on floats
 		}
 	}
 	return &ir.Bin{Op: op, A: a, B: b}
+}
+
+// floatExpr is a float constant or, when there is one, a register that may
+// hold a float.
+func (g *progGen) floatExpr() ir.Expr {
+	if len(g.any) > 0 && g.rng.Intn(2) == 0 {
+		return g.pick(g.any)
+	}
+	return ir.CF(float64(g.rng.Intn(9)-2) / 2)
 }
 
 // index builds an element index for an object of n elements: nearly always

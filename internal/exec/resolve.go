@@ -12,12 +12,12 @@ import (
 // fixed per program — which ir.Field an access names and how its bytes become
 // a Value, which args slot a parameter reads, which *ir.Func a call reaches,
 // what the backend calls the object — is looked up once, when the body is
-// first called, and the interpreter in exec.go runs the result. Resolved code
-// is never written after it is built: the executor that built it and the
-// offload children it spawns read the same nodes, and whatever an execution
-// needs to scribble on (the float operands a tensor intrinsic computes on and
-// moves through the bulk path, the batch-prefetch entries) lives on the
-// Executor.
+// first called, its expressions are compiled to closures (compile.go), and
+// the interpreter in exec.go runs the result. Resolved code is never written
+// after it is built: the executor that built it and the offload children it
+// spawns read the same nodes, and whatever an execution needs to scribble on
+// (the float operands a tensor intrinsic computes on and moves through the
+// bulk path, the batch-prefetch entries) lives on the Executor.
 //
 // Resolution never fails. A validated program resolves cleanly except for a
 // field the scalar codec cannot carry; that error, like any other a node
@@ -97,7 +97,7 @@ const (
 type node struct {
 	op        opcode
 	dst       int
-	a, b, c   *expr
+	a, b, c   evalFn
 	acc       *access
 	body, els []node
 	name      string
@@ -129,7 +129,7 @@ type access struct {
 
 type callSite struct {
 	callee  *ir.Func
-	args    []*expr
+	args    []evalFn
 	offload bool
 }
 
@@ -138,7 +138,7 @@ type callSite struct {
 // entry i's Elem, and errs — nil unless some entry failed to resolve — holds
 // entry i's error.
 type batchSite struct {
-	idx     []*expr
+	idx     []evalFn
 	entries []rt.BatchEntry
 	errs    []error
 }
@@ -146,7 +146,7 @@ type batchSite struct {
 // tensor is a resolved ir.TensorRef.
 type tensor struct {
 	objRef
-	off        *expr
+	off        evalFn
 	rows, cols int64
 }
 
@@ -155,34 +155,6 @@ func (t tensor) elems() int { return int(t.rows * t.cols) }
 type intrinsicSite struct {
 	kind      ir.IntrKind
 	dst, a, b tensor
-}
-
-// exprKind is a resolved expression's kind.
-type exprKind uint8
-
-const (
-	exConst exprKind = iota
-	exReg
-	exParam
-	exBin
-	exUn
-	exInvalid // unbound parameter or unknown expression; err says which
-)
-
-// expr is one resolved expression node. Operators keep their place in the
-// tree: none is folded away, and how they are charged is eval's business.
-type expr struct {
-	kind exprKind
-	bin  ir.BinOp
-	un   ir.UnOp
-	slot int   // exReg: register; exParam: index into the frame's args
-	val  Value // exConst
-	a, b *expr
-	// ops is the number of operators in the subtree when none of them can
-	// fail — no integer division or modulo, no operator applyBin or applyUn
-	// does not define, no exInvalid leaf — and -1 otherwise.
-	ops int
-	err error
 }
 
 // block resolves stmts as part of fn's body (fn supplies the parameter
@@ -220,7 +192,7 @@ func (t *table) stmt(fn *ir.Func, s ir.Stmt) node {
 			// The tree walk looked the callee up before its arguments.
 			return node{op: opInvalid, err: fmt.Errorf("exec: call of unknown function %q", st.Callee)}
 		}
-		cs := &callSite{callee: callee, args: make([]*expr, len(st.Args)), offload: st.Offload}
+		cs := &callSite{callee: callee, args: make([]evalFn, len(st.Args)), offload: st.Offload}
 		for i, a := range st.Args {
 			cs.args[i] = t.expr(fn, a)
 		}
@@ -233,7 +205,7 @@ func (t *table) stmt(fn *ir.Func, s ir.Stmt) node {
 	case *ir.Prefetch:
 		return node{op: opPrefetch, a: t.expr(fn, st.Index), acc: t.access(st.Obj, st.Field, false)}
 	case *ir.BatchPrefetch:
-		b := &batchSite{idx: make([]*expr, len(st.Entries)), entries: make([]rt.BatchEntry, len(st.Entries))}
+		b := &batchSite{idx: make([]evalFn, len(st.Entries)), entries: make([]rt.BatchEntry, len(st.Entries))}
 		for i, pe := range st.Entries {
 			b.idx[i] = t.expr(fn, pe.Index)
 			acc := t.access(pe.Obj, pe.Field, false)
@@ -299,48 +271,4 @@ func (t *table) tensor(fn *ir.Func, r ir.TensorRef) tensor {
 		return tensor{} // unary intrinsics leave B (and IntrZero A) empty
 	}
 	return tensor{objRef: t.ref(r.Obj), off: t.expr(fn, r.Off), rows: r.Rows, cols: r.Cols}
-}
-
-func (t *table) expr(fn *ir.Func, x ir.Expr) *expr {
-	switch x := x.(type) {
-	case *ir.Const:
-		return &expr{kind: exConst, val: IntV(x.I)}
-	case *ir.ConstF:
-		return &expr{kind: exConst, val: FloatV(x.F)}
-	case *ir.Reg:
-		return &expr{kind: exReg, slot: x.ID}
-	case *ir.Param:
-		for i, name := range fn.Params {
-			if name == x.Name {
-				return &expr{kind: exParam, slot: i}
-			}
-		}
-		return &expr{kind: exInvalid, ops: -1, err: fmt.Errorf("exec: unbound parameter %q in %q", x.Name, fn.Name)}
-	case *ir.Bin:
-		e := &expr{kind: exBin, bin: x.Op, a: t.expr(fn, x.A), b: t.expr(fn, x.B), ops: -1}
-		if e.a.ops >= 0 && e.b.ops >= 0 && infallibleBin(x.Op) {
-			e.ops = e.a.ops + e.b.ops + 1
-		}
-		return e
-	case *ir.Un:
-		e := &expr{kind: exUn, un: x.Op, a: t.expr(fn, x.A), ops: -1}
-		if e.a.ops >= 0 && x.Op >= ir.OpNeg && x.Op <= ir.OpAbs {
-			e.ops = e.a.ops + 1
-		}
-		return e
-	default:
-		return &expr{kind: exInvalid, ops: -1, err: fmt.Errorf("exec: unknown expression %T", x)}
-	}
-}
-
-// infallibleBin reports whether applyBin returns no error for op whatever
-// the operands: every operator but division and modulo (an integer zero
-// divisor; modulo on floats) and any it does not know.
-func infallibleBin(op ir.BinOp) bool {
-	switch op {
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe,
-		ir.OpEq, ir.OpNe, ir.OpAnd, ir.OpOr, ir.OpMin, ir.OpMax:
-		return true
-	}
-	return false
 }
