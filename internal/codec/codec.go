@@ -10,12 +10,14 @@
 // charge netmodel.Bandwidth for the encoded payload instead of the raw one
 // (a sender that sees encoding inflate falls back to raw — the chosen codec
 // ID rides in the message header, which PerMessageOverhead already covers),
-// and the runtime uses DiffRanges/EncodeDelta to ship a patch instead of a
-// full dirty line.
+// and the runtime uses AppendDiffRanges/MergeRanges to ship a patch instead
+// of a full dirty line.
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"mira/internal/sim"
 )
@@ -29,9 +31,6 @@ const (
 	// ByteRun is the LZ-style byte-run (RLE) codec: repeated-byte runs
 	// collapse to two-byte tokens, literals are length-prefixed.
 	ByteRun
-	// Delta encodes a payload as changed ranges against a previous
-	// version of the same bytes (write-back patches).
-	Delta
 )
 
 func (id ID) String() string {
@@ -40,8 +39,6 @@ func (id ID) String() string {
 		return "none"
 	case ByteRun:
 		return "byterun"
-	case Delta:
-		return "delta"
 	default:
 		return fmt.Sprintf("codec(%d)", uint8(id))
 	}
@@ -113,49 +110,110 @@ func AppendByteRun(dst, src []byte) []byte {
 }
 
 // byteRunLen computes len(AppendByteRun(nil, src)) without allocating the
-// encoding — the hot path for wire-length accounting.
+// encoding — the hot path for wire-length accounting. It counts eight bytes
+// a step, without finding a single run.
+//
+// Call position p "deep" when src[p-2] == src[p-1] == src[p]: the third or a
+// later byte of a repeat run. A repeat run of up to maxRun bytes is one
+// two-byte token, and a literal stretch of up to maxLiteral bytes costs one
+// control byte plus its bytes, so the encoding is len(src), less the deep
+// bytes, plus one control byte per literal stretch. A stretch is counted at
+// the repeat run that ends it — a run starting at s after a literal at s-1,
+// i.e. whose third byte s+2 sees a shallow s-1 — or at the end of src. Only a
+// run or stretch too long for one token costs more (streakExtra): its bytes
+// are a streak of equal deep flags over 128 long, so only streaks that reach
+// from one word's last flag change to a later word's first are measured.
 func byteRunLen(src []byte) int {
-	total := 0
-	i := 0
-	lit := 0
-	flushLit := func() {
-		for lit > 0 {
-			n := lit
-			if n > maxLiteral {
-				n = maxLiteral
-			}
-			total += 1 + n
-			lit -= n
-		}
+	n := len(src)
+	if n == 0 {
+		return 0
 	}
-	for i < len(src) {
-		j := i + 1
-		for j < len(src) && src[j] == src[i] {
-			j++
-		}
-		run := j - i
-		if run >= minRun {
-			flushLit()
-			for run > 0 {
-				n := run
-				if n > maxRun {
-					n = maxRun
-				}
-				if n < minRun {
-					total += 2 * n
-					run = 0
-					continue
-				}
-				total += 2
-				run -= n
-			}
+	// Each mask below keeps one flag per byte, in the byte's high bit.
+	// prevX's top byte stands for a src[-1] that differs from src[0], so
+	// neither src[0] nor src[1] is deep; prevD's top byte marks src[-1]
+	// deep, so a run at 0 has no literal stretch before it.
+	prevX, prevA, prevD := uint64(^src[0])<<56, uint64(0), uint64(0x80)<<56
+	total, since := n, 0 // since: where the current streak of equal flags began
+	for q := 0; q < n; q += 8 {
+		x, valid := uint64(0), ^uint64(0)
+		if q+8 <= n {
+			x = word(src, q)
 		} else {
-			lit += run
+			for i, c := range src[q:] {
+				x |= uint64(c) << (8 * i)
+			}
+			valid = 1<<(8*(n-q)) - 1
 		}
-		i = j
+		a := x ^ (x<<8 | prevX>>56) // byte t: src[p] ^ src[p-1], for p = q+t
+		d := zeroBytes(a) & zeroBytes(a<<8|prevA>>56) & valid
+		before := d<<8 | prevD>>56 // byte t: whether p-1 is deep
+		thirds := d &^ before
+		total += bits.OnesCount64(thirds&^(d<<24|prevD>>40)) - bits.OnesCount64(d)
+		if t := (d ^ before) & valid; t != 0 {
+			first := q + bits.TrailingZeros64(t)/8
+			total += streakExtra(first-since, d>>(8*(first-q))&0x80 == 0, false)
+			since = q + (63-bits.LeadingZeros64(t))/8
+		} else if d == highBits {
+			// Deep throughout: the run goes on while whole words repeat x,
+			// each of them deep throughout and leaving every mask as is.
+			for q+16 <= n && word(src, q+8) == x {
+				q += 8
+				total -= 8
+			}
+		}
+		prevX, prevA, prevD = x, a, d
 	}
-	flushLit()
+	lastDeep := prevD>>(8*((n-1)&7))&0x80 != 0
+	total += streakExtra(n-since, lastDeep, true)
+	if !lastDeep {
+		total++ // the control byte of the literal stretch src ends with
+	}
 	return total
+}
+
+// streakExtra is what a streak of k equal deep flags costs beyond the count
+// byteRunLen makes. A deep streak is a repeat run of k+2 bytes, one token if
+// it fits maxRun. A shallow streak is a literal stretch — the last two bytes
+// are the next run's first unless src ends there — with one control byte if
+// it fits maxLiteral.
+func streakExtra(k int, deep, atEnd bool) int {
+	if deep {
+		run := k + 2
+		if run <= maxRun {
+			return 0
+		}
+		extra := 2*(run/maxRun) - 2
+		if tail := run % maxRun; tail >= minRun {
+			extra += 2
+		} else {
+			// A 1-2 byte tail ships as single-byte literal tokens.
+			extra += 2 * tail
+		}
+		return extra
+	}
+	lit := k
+	if !atEnd {
+		lit -= 2
+	}
+	if lit <= maxLiteral {
+		return 0
+	}
+	return (lit+maxLiteral-1)/maxLiteral - 1
+}
+
+// Word-at-a-time helpers. A word holds eight consecutive bytes of a payload,
+// loaded little-endian so byte t of the payload is byte t of the word and
+// bits.TrailingZeros64 finds the lowest-addressed byte of interest.
+const (
+	lowBits  = 0x0101010101010101
+	highBits = 0x8080808080808080
+)
+
+func word(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i:]) }
+
+// zeroBytes sets the high bit of exactly the zero bytes of x.
+func zeroBytes(x uint64) uint64 {
+	return ^((x&^highBits + ^uint64(highBits)) | x) & highBits
 }
 
 // DecodeByteRun decodes enc into dst, returning the number of bytes
@@ -224,34 +282,77 @@ type Range struct {
 // bytes — every merged gap saves a scatter SGE at the cost of re-shipping
 // the gap bytes. A nil/short base yields one full-payload range.
 func DiffRanges(base, cur []byte, joinGap int) []Range {
+	return AppendDiffRanges(nil, base, cur, joinGap)
+}
+
+// AppendDiffRanges appends DiffRanges(base, cur, joinGap) to dst and returns
+// the extended slice; a dst with room for them makes it allocate nothing. It
+// compares eight bytes a step.
+func AppendDiffRanges(dst []Range, base, cur []byte, joinGap int) []Range {
 	if len(base) != len(cur) {
-		return []Range{{Off: 0, Len: len(cur)}}
+		return append(dst, Range{Off: 0, Len: len(cur)})
 	}
-	var out []Range
-	i := 0
+	i := nextDiff(base, cur, 0)
 	for i < len(cur) {
-		if cur[i] == base[i] {
-			i++
-			continue
+		end := nextSame(base, cur, i+1)
+		j := nextDiff(base, cur, end)
+		for j < len(cur) && j-end < joinGap {
+			end = nextSame(base, cur, j+1)
+			j = nextDiff(base, cur, end)
 		}
-		j := i + 1
-		gap := 0
-		for j < len(cur) {
-			if cur[j] != base[j] {
-				gap = 0
-				j++
-				continue
-			}
-			if gap+1 >= joinGap {
-				break
-			}
-			gap++
-			j++
-		}
-		out = append(out, Range{Off: i, Len: j - gap - i})
+		dst = append(dst, Range{Off: i, Len: end - i})
 		i = j
 	}
+	return dst
+}
+
+// MergeRanges merges, in place, the ranges of rs (sorted and disjoint, as
+// DiffRanges returns them) that are separated by fewer than joinGap bytes,
+// and returns the merged prefix of rs. For g2 >= g1,
+// MergeRanges(DiffRanges(b, c, g1), g2) equals DiffRanges(b, c, g2).
+func MergeRanges(rs []Range, joinGap int) []Range {
+	if len(rs) == 0 {
+		return rs
+	}
+	out := rs[:1]
+	for _, r := range rs[1:] {
+		last := &out[len(out)-1]
+		if r.Off-(last.Off+last.Len) < joinGap {
+			last.Len = r.Off + r.Len - last.Off
+			continue
+		}
+		out = append(out, r)
+	}
 	return out
+}
+
+// nextDiff returns the first k >= i with a[k] != b[k], or len(a).
+func nextDiff(a, b []byte, i int) int {
+	for ; i+8 <= len(a); i += 8 {
+		if x := word(a, i) ^ word(b, i); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < len(a) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// nextSame returns the first k >= i with a[k] == b[k], or len(a). The
+// borrow-based zero-byte mask is exact up to the lowest zero byte, which is
+// all it is asked for.
+func nextSame(a, b []byte, i int) int {
+	for ; i+8 <= len(a); i += 8 {
+		x := word(a, i) ^ word(b, i)
+		if m := (x - lowBits) &^ x & highBits; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for i < len(a) && a[i] != b[i] {
+		i++
+	}
+	return i
 }
 
 // appendUvarint appends v in unsigned LEB128 form.

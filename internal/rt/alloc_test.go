@@ -3,10 +3,12 @@
 package rt
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"mira/internal/cache"
+	"mira/internal/ir"
 	"mira/internal/prefetch"
 	"mira/internal/sim"
 	"mira/internal/transport/transporttest"
@@ -217,6 +219,77 @@ func TestHandleAccessHitAllocatesNothing(t *testing.T) {
 			if got := testing.AllocsPerRun(100, hit); got != 0 {
 				t.Errorf("%v on %s: %v allocs per 8 handle hits, want 0", st, obj, got)
 			}
+		}
+	}
+}
+
+// A warm compressed section: every line carries a snapshot lent by the
+// section, and a dirty eviction plans its write-back against it. Each step
+// misses on the next of 64 lines over 8 direct-mapped slots, so it evicts the
+// line it fetched 8 steps before, left the same way — clean, dirtied back to
+// its fetched bytes (the plan skips the write), one field changed (a patch,
+// whose ranges the queue keeps by value) or both elements rewritten (the plan
+// gives up and the full line ships). Fetching, snapshotting, planning,
+// parking and draining allocate nothing in any of the four cycles.
+func TestCompressedLineCycleAllocatesNothing(t *testing.T) {
+	r, clk := mkRuntime(t, func(c *Config) {
+		c.Sections[0].Cache = cache.Config{Name: "items", Structure: cache.Direct, LineBytes: 128, SizeBytes: 1 << 10}
+		c.Sections[0].Compress = true
+		c.WritebackQueueLines = 8
+	})
+	r.tr = &transporttest.QuietLink{}
+	// What each element's line is fetched as (QuietLink fills a line with
+	// byte(tag >> 7)), and the same bytes flipped: made up front, so that
+	// what is counted is the runtime's.
+	items := r.objs["items"]
+	fetched, flipped := make([][]byte, 128), make([][]byte, 128)
+	for e := range fetched {
+		fill := byte((items.farBase + uint64(e)*64) >> 7)
+		fetched[e], flipped[e] = bytes.Repeat([]byte{fill}, 64), bytes.Repeat([]byte{^fill}, 64)
+	}
+	access := func(elem int64, f ir.Field, buf []byte, write bool) {
+		if err := r.Access(clk, "items", elem, f, buf, write, AccessOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycles := []struct {
+		name  string
+		leave func(elem int64) // elem's line, just fetched
+		moved func(d WbqStats) bool
+	}{
+		{"clean", func(int64) {},
+			func(d WbqStats) bool { return d.Enqueued == 0 && d.DeltaSkipped == 0 }},
+		{"unchanged", func(e int64) { access(e, fld(0, 8), fetched[e][:8], true) },
+			func(d WbqStats) bool { return d.DeltaSkipped > 0 && d.Enqueued == 0 }},
+		{"patch", func(e int64) { access(e, fld(0, 8), flipped[e][:8], true) },
+			func(d WbqStats) bool { return d.DeltaLines > 0 && d.DeltaLines == d.Enqueued && d.Drains > 0 }},
+		{"full line", func(e int64) {
+			access(e, fld(0, 64), flipped[e], true)
+			access(e+1, fld(0, 64), flipped[e+1], true)
+		}, func(d WbqStats) bool { return d.DeltaLines == 0 && d.Enqueued > 0 && d.Drains > 0 }},
+	}
+	rd := make([]byte, 8)
+	for _, c := range cycles {
+		elem := int64(0)
+		step := func() {
+			elem = (elem + 2) % 128
+			access(elem, fld(8, 8), rd, false)
+			c.leave(elem)
+		}
+		for range 3 * 64 {
+			step()
+		}
+		st := r.WritebackQueueStats()
+		if got := testing.AllocsPerRun(100, step); got != 0 {
+			t.Errorf("%s: %v allocs per fetch and eviction, want 0", c.name, got)
+		}
+		now := r.WritebackQueueStats()
+		d := WbqStats{
+			Enqueued: now.Enqueued - st.Enqueued, Drains: now.Drains - st.Drains,
+			DeltaSkipped: now.DeltaSkipped - st.DeltaSkipped, DeltaLines: now.DeltaLines - st.DeltaLines,
+		}
+		if !c.moved(d) {
+			t.Fatalf("%s: the steps did not leave their lines that way: %+v", c.name, d)
 		}
 	}
 }

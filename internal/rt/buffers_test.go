@@ -30,7 +30,7 @@ func TestWbqDrainLeavesQueuedSlicesAlone(t *testing.T) {
 		if cap(data) == len(data) && win != 2 {
 			t.Fatal("setup: window has no spare capacity")
 		}
-		s.wbq.add(s.sec, o.farBase+uint64(i)*128, data, o, nil)
+		s.wbq.add(s.sec, o.farBase+uint64(i)*128, data, o, deltaPatch{})
 	}
 	if _, err := r.drainWbq(clk, s); err != nil {
 		t.Fatal(err)

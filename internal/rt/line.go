@@ -55,24 +55,24 @@ func (r *Runtime) claim(clk *sim.Clock, s *sectionRT, addr uint64) (l *cache.Lin
 			return nil, false, err
 		}
 	}
-	if e, ok := r.takeParked(s, l.Tag); ok {
+	if e, _, ok := r.takeParked(s, l.Tag); ok {
 		s.restore(l, e)
 		return l, true, nil
 	}
 	return l, false, nil
 }
 
-// takeParked removes tag's line from the write-back queue, if it is parked
-// there, and counts the read-your-writes hit.
-func (r *Runtime) takeParked(s *sectionRT, tag uint64) (wbqEntry, bool) {
+// takeParked removes tag's line and its plan from the write-back queue, if
+// it is parked there, and counts the read-your-writes hit.
+func (r *Runtime) takeParked(s *sectionRT, tag uint64) (wbqEntry, deltaPatch, bool) {
 	if s.wbq == nil {
-		return wbqEntry{}, false
+		return wbqEntry{}, deltaPatch{}, false
 	}
-	e, ok := s.wbq.take(tag)
+	e, p, ok := s.wbq.take(tag)
 	if ok {
 		r.wbqStats.Hits++
 	}
-	return e, ok
+	return e, p, ok
 }
 
 // restore fills a claimed line from its parked copy, which is always the
@@ -91,13 +91,13 @@ func (s *sectionRT) restore(l *cache.Line, e wbqEntry) {
 // its recovery. Advisory like its callers: if the victim's write-back fails,
 // the line goes back to the queue.
 func (r *Runtime) unpark(clk *sim.Clock, s *sectionRT, tag uint64) {
-	e, ok := r.takeParked(s, tag)
+	e, p, ok := r.takeParked(s, tag)
 	if !ok {
 		return
 	}
 	l, _, err := r.claim(clk, s, tag)
 	if err != nil {
-		s.wbq.add(s.sec, tag, e.data, e.o, e.ranges)
+		s.wbq.add(s.sec, tag, e.data, e.o, p)
 		return
 	}
 	s.restore(l, e)
@@ -119,16 +119,20 @@ func (s *sectionRT) owns(tag uint64, l *cache.Line) bool {
 }
 
 // retire settles the state of a line that left the cache with its marks: an
-// untouched prefetch counts Useless, a clean line's snapshot dies with it so
-// the map stays bounded by the cache size, and dirty bytes go to wbqEnqueue,
-// whose completion instant is returned.
+// untouched prefetch counts Useless, a clean line's snapshot dies with it —
+// its buffer back to the section — so the map stays bounded by the cache
+// size, and dirty bytes go to wbqEnqueue, whose completion instant is
+// returned.
 func (r *Runtime) retire(clk *sim.Clock, s *sectionRT, v cache.Victim) (sim.Time, error) {
 	if v.Spec {
 		s.pf.Useless++
 		s.mPfUseless.Inc()
 	}
 	if !v.Dirty {
-		delete(s.snaps, v.Tag)
+		if snap, ok := s.snaps[v.Tag]; ok {
+			delete(s.snaps, v.Tag)
+			s.sec.Recycle(snap)
+		}
 		return 0, nil
 	}
 	return r.wbqEnqueue(clk, s, v.Tag, v.Data)
@@ -157,13 +161,16 @@ func (s *sectionRT) linesIn(lo, hi uint64) []*cache.Line {
 }
 
 // snapshotLine records the line's just-fetched bytes as the delta
-// write-back base. Selective objects are excluded: a selective fetch fills
-// only field ranges, so the rest of l.Data is not far memory's content.
+// write-back base, in a buffer the section lends (retire or deltaPlan gives
+// it back). Selective objects are excluded: a selective fetch fills only
+// field ranges, so the rest of l.Data is not far memory's content.
 func snapshotLine(s *sectionRT, o *objectRT, l *cache.Line) {
 	if s.snaps == nil || len(o.selFields) > 0 {
 		return
 	}
-	s.snaps[l.Tag] = append([]byte(nil), l.Data...)
+	snap := s.sec.Spare()
+	copy(snap, l.Data)
+	s.snaps[l.Tag] = snap
 }
 
 // fetch pulls a claimed line's bytes from far memory in a message posted at

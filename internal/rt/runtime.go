@@ -83,6 +83,9 @@ type Runtime struct {
 	drainAddrs  []uint64
 	drainPieces [][]byte
 	drainRuns   []byte
+	// Scratch of one delta write-back plan (deltaPlan): the dirty line's
+	// changed runs.
+	deltaRuns []codec.Range
 	// Scratch of one speculative gather (land): its vectors.
 	landAddrs []uint64
 	landSizes []int
@@ -128,7 +131,8 @@ type sectionRT struct {
 	// section compresses (spec.Compress): write-back diffs against the
 	// snapshot and ships only the changed ranges. Nil when disabled. A
 	// snapshot lives exactly as long as its line is resident — it is taken
-	// at fetch and consumed (deleted) when the dirty line leaves the cache.
+	// at fetch into a buffer from the section's stock (Spare) and goes back
+	// (Recycle) when the line leaves the cache, clean or planned.
 	snaps map[uint64][]byte
 
 	// Per-section metrics (all nil when tracing is disabled).
@@ -687,14 +691,15 @@ func (r *Runtime) writebackLine(now sim.Time, s *sectionRT, o *objectRT, tag uin
 // vectored write: raw bytes at sub-line addresses, so the transport's
 // degraded-mode overlay merges patches with its ordinary non-overlap
 // machinery and a queued patch needs no special expansion.
-func (r *Runtime) writebackPatch(now sim.Time, s *sectionRT, tag uint64, data []byte, ranges []codec.Range) (sim.Time, error) {
+func (r *Runtime) writebackPatch(now sim.Time, s *sectionRT, tag uint64, data []byte, p *deltaPatch) (sim.Time, error) {
 	if s.spec.Compress {
 		r.setCodec(codec.ByteRun)
 		defer r.setCodec(codec.None)
 	}
-	addrs := make([]uint64, len(ranges))
-	pieces := make([][]byte, len(ranges))
-	for i, rg := range ranges {
+	addrs := make([]uint64, p.n)
+	pieces := make([][]byte, p.n)
+	for i := range p.n {
+		rg := p.at(i)
 		addrs[i] = tag + uint64(rg.Off)
 		pieces[i] = data[rg.Off : rg.Off+rg.Len]
 	}

@@ -2,6 +2,8 @@ package rt
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"mira/internal/cache"
@@ -28,76 +30,102 @@ const DefaultWritebackQueueLines = 16
 // the section.
 type writebackQueue struct {
 	limit   int
-	entries map[uint64]wbqEntry
-	tags    []uint64 // sorted mirror of entries' keys
+	entries []wbqEntry // sorted by tag
+	// patches restricts the drain of an entry planned as a delta patch to
+	// the line's changed byte ranges: only data[r.Off:r.Off+r.Len] pieces
+	// ship. The entry's data always holds the FULL line regardless, so the
+	// read-your-writes take path recovers complete bytes. Nil until a
+	// compressed section parks its first patch.
+	patches map[uint64]deltaPatch
 }
 
 type wbqEntry struct {
+	tag  uint64
 	data []byte
 	o    *objectRT // owning object (selective write-back resolution)
-	// ranges, when non-nil, restricts the drain to the line's changed
-	// byte ranges (delta write-back): only data[r.Off:r.Off+r.Len] pieces
-	// ship. data always holds the FULL line regardless, so the
-	// read-your-writes take path recovers complete bytes.
-	ranges []codec.Range
+}
+
+// deltaPatch is a delta write-back plan: the changed ranges of a dirty line
+// that ship instead of all of it, at most maxDeltaPieces. They are kept
+// inline as 32-bit line offsets, so the queue holds a plan by value, without
+// a slice of its own. n == 0 is no patch: the full line ships.
+type deltaPatch struct {
+	n       int
+	off, ln [maxDeltaPieces]uint32
+}
+
+// at returns the patch's i-th range.
+func (p *deltaPatch) at(i int) codec.Range {
+	return codec.Range{Off: int(p.off[i]), Len: int(p.ln[i])}
 }
 
 func newWritebackQueue(limit int) *writebackQueue {
 	if limit <= 0 {
 		return nil
 	}
-	return &writebackQueue{limit: limit, entries: make(map[uint64]wbqEntry)}
+	return &writebackQueue{limit: limit}
+}
+
+// find returns where tag's entry is, or would go, in entries.
+func (q *writebackQueue) find(tag uint64) (int, bool) {
+	i := sort.Search(len(q.entries), func(i int) bool { return q.entries[i].tag >= tag })
+	return i, i < len(q.entries) && q.entries[i].tag == tag
 }
 
 // add parks one dirty line in data, which becomes the queue's; latest write
-// wins, and the buffer it displaces goes back to sec. ranges nil means a
-// full-line write-back; non-nil restricts the drain to the changed ranges.
+// wins, and the buffer it displaces goes back to sec. A patch without ranges
+// means a full-line write-back; one with ranges restricts the drain to them.
 // Reports whether the queue is now over its bound and must drain.
-func (q *writebackQueue) add(sec cache.Section, tag uint64, data []byte, o *objectRT, ranges []codec.Range) (mustDrain bool) {
-	if old, exists := q.entries[tag]; exists {
-		sec.Recycle(old.data)
+func (q *writebackQueue) add(sec cache.Section, tag uint64, data []byte, o *objectRT, p deltaPatch) (mustDrain bool) {
+	e := wbqEntry{tag: tag, data: data, o: o}
+	if i, exists := q.find(tag); exists {
+		sec.Recycle(q.entries[i].data)
+		q.entries[i] = e
 	} else {
-		i := sort.Search(len(q.tags), func(i int) bool { return q.tags[i] >= tag })
-		q.tags = append(q.tags, 0)
-		copy(q.tags[i+1:], q.tags[i:])
-		q.tags[i] = tag
+		q.entries = slices.Insert(q.entries, i, e)
 	}
-	q.entries[tag] = wbqEntry{data: data, o: o, ranges: ranges}
-	return len(q.tags) >= q.limit
+	if p.n > 0 {
+		if q.patches == nil {
+			q.patches = make(map[uint64]deltaPatch)
+		}
+		q.patches[tag] = p
+	} else {
+		delete(q.patches, tag)
+	}
+	return len(q.entries) >= q.limit
 }
 
-// take removes and returns the queued line for tag — the read-your-writes
-// path. The caller owns the returned buffer (sectionRT.restore gives it
-// back), which is always the full line even when the entry carried a delta
-// plan.
-func (q *writebackQueue) take(tag uint64) (wbqEntry, bool) {
-	e, ok := q.entries[tag]
+// take removes and returns the queued line for tag, and its plan — the
+// read-your-writes path. The caller owns the returned buffer
+// (sectionRT.restore gives it back), which is always the full line even
+// when the entry carried a delta plan.
+func (q *writebackQueue) take(tag uint64) (wbqEntry, deltaPatch, bool) {
+	i, ok := q.find(tag)
 	if !ok {
-		return wbqEntry{}, false
+		return wbqEntry{}, deltaPatch{}, false
 	}
-	delete(q.entries, tag)
-	i := sort.Search(len(q.tags), func(i int) bool { return q.tags[i] >= tag })
-	if i < len(q.tags) && q.tags[i] == tag {
-		q.tags = append(q.tags[:i], q.tags[i+1:]...)
-	}
-	return e, true
+	e, p := q.entries[i], q.patches[tag]
+	q.entries = slices.Delete(q.entries, i, i+1)
+	delete(q.patches, tag)
+	return e, p, true
 }
 
-func (q *writebackQueue) len() int { return len(q.tags) }
+func (q *writebackQueue) len() int { return len(q.entries) }
 
 // clear empties the queue once a drain has written every entry out, giving
 // the line buffers back to sec.
 func (q *writebackQueue) clear(sec cache.Section) {
-	for _, tag := range q.tags {
-		sec.Recycle(q.entries[tag].data)
+	for _, e := range q.entries {
+		sec.Recycle(e.data)
 	}
 	clear(q.entries)
-	q.tags = q.tags[:0]
+	q.entries = q.entries[:0]
+	clear(q.patches)
 }
 
 // has reports whether tag's line is parked in the queue.
 func (q *writebackQueue) has(tag uint64) bool {
-	_, ok := q.entries[tag]
+	_, ok := q.find(tag)
 	return ok
 }
 
@@ -128,55 +156,76 @@ const deltaJoinGap = 8
 // saves real bytes.
 const maxDeltaPieces = 8
 
-// deltaPlan consumes the section's last-fetched snapshot of tag and plans
-// the dirty line's write-back. ranges nil = ship the full line; skip = the
-// bytes never actually changed, no write needed. The diff pass is charged
-// to the evicting thread as one codec encode over the line.
-func (r *Runtime) deltaPlan(clk *sim.Clock, s *sectionRT, o *objectRT, tag uint64, data []byte) (ranges []codec.Range, skip bool) {
-	if s.snaps == nil {
-		return nil, false
-	}
+// deltaPlan consumes the section's last-fetched snapshot of tag, gives its
+// buffer back to the section, and plans the dirty line's write-back: a patch
+// without ranges ships the full line; skip = the bytes never actually
+// changed, no write needed. The diff pass is charged to the evicting thread
+// as one codec encode over the line.
+//
+// The line is read once: one pass lists its changed runs at deltaJoinGap
+// into the runtime's scratch, and every wider join gap is worked out from
+// that list (joinedAt) — as is the patch, merged from it once accepted.
+func (r *Runtime) deltaPlan(clk *sim.Clock, s *sectionRT, o *objectRT, tag uint64, data []byte) (p deltaPatch, skip bool) {
 	snap, ok := s.snaps[tag]
 	if !ok {
-		// NoFetch allocation or degraded write-allocate: no base to diff
-		// against — the full line is the only safe write.
-		return nil, false
+		// Not compressed, NoFetch allocation or degraded write-allocate: no
+		// base to diff against — the full line is the only safe write.
+		return p, false
 	}
 	delete(s.snaps, tag)
-	if len(o.selFields) > 0 || len(snap) != len(data) {
-		return nil, false
+	defer s.sec.Recycle(snap)
+	// A patch's offsets are 32-bit.
+	if len(o.selFields) > 0 || len(snap) != len(data) || uint64(len(data)) > math.MaxUint32 {
+		return p, false
 	}
 	// Degraded mode: the write will park in the transport's overlay against
 	// a far node whose memory may have been crash-wiped. A full line
 	// restores it; a patch would assume surviving base bytes.
 	if r.tr.BreakerOpen(clk.Now()) {
-		return nil, false
+		return p, false
 	}
 	clk.Advance(codec.DefaultCostModel().EncodeCost(len(data)))
-	rs := codec.DiffRanges(snap, data, deltaJoinGap)
-	if len(rs) == 0 {
+	runs := codec.AppendDiffRanges(r.deltaRuns[:0], snap, data, deltaJoinGap)
+	r.deltaRuns = runs
+	if len(runs) == 0 {
 		r.wbqStats.DeltaSkipped++
-		return nil, true
+		return p, true
 	}
-	for gap := deltaJoinGap * 4; len(rs) > maxDeltaPieces && gap <= len(data); gap *= 4 {
-		rs = codec.DiffRanges(snap, data, gap)
-	}
-	if len(rs) > maxDeltaPieces {
-		return nil, false
-	}
-	patch := 0
-	for _, rg := range rs {
-		patch += rg.Len
+	gap := deltaJoinGap
+	pieces, patch := joinedAt(runs, gap)
+	for g := gap * 4; pieces > maxDeltaPieces && g <= len(data); g *= 4 {
+		gap = g
+		pieces, patch = joinedAt(runs, gap)
 	}
 	// A patch must save a solid majority of the line: each piece still pays
 	// its posting and chunking overheads, and a near-full patch loses the
 	// adjacency coalescing whole lines get in the drain.
-	if patch*4 > len(data)*3 {
-		return nil, false
+	if pieces > maxDeltaPieces || patch*4 > len(data)*3 {
+		return p, false
 	}
+	for i, rg := range codec.MergeRanges(runs, gap) {
+		p.off[i], p.ln[i] = uint32(rg.Off), uint32(rg.Len)
+	}
+	p.n = pieces
 	r.wbqStats.DeltaLines++
 	r.wbqStats.DeltaSaved += int64(len(data) - patch)
-	return rs, false
+	return p, false
+}
+
+// joinedAt reports what the changed runs (sorted, disjoint, as
+// codec.DiffRanges lists them) come to when every gap shorter than joinGap is
+// merged: the pieces left — one more than the gaps that stay open — and
+// their bytes, the runs' span less those gaps.
+func joinedAt(runs []codec.Range, joinGap int) (pieces, bytes int) {
+	last := runs[len(runs)-1]
+	pieces, bytes = 1, last.Off+last.Len-runs[0].Off
+	for i := 1; i < len(runs); i++ {
+		if g := runs[i].Off - (runs[i-1].Off + runs[i-1].Len); g >= joinGap {
+			pieces++
+			bytes -= g
+		}
+	}
+	return pieces, bytes
 }
 
 // WritebackQueueStats reports the runtime-wide write-back queue counters.
@@ -196,7 +245,7 @@ func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, tag uint64, data []by
 	if o == nil {
 		return 0, fmt.Errorf("rt: dirty line %#x has no owning object", tag)
 	}
-	ranges, skip := r.deltaPlan(clk, s, o, tag, data)
+	p, skip := r.deltaPlan(clk, s, o, tag, data)
 	if skip {
 		s.sec.Recycle(data)
 		return 0, nil // dirty flag lied: the bytes match far memory exactly
@@ -204,8 +253,8 @@ func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, tag uint64, data []by
 	if s.wbq == nil {
 		var done sim.Time
 		var err error
-		if ranges != nil {
-			done, err = r.writebackPatch(clk.Now(), s, tag, data, ranges)
+		if p.n > 0 {
+			done, err = r.writebackPatch(clk.Now(), s, tag, data, &p)
 		} else {
 			done, err = r.writebackLine(clk.Now(), s, o, tag, data)
 		}
@@ -222,7 +271,7 @@ func (r *Runtime) wbqEnqueue(clk *sim.Clock, s *sectionRT, tag uint64, data []by
 	if r.trc != nil {
 		r.trc.Instant(clk.Now(), "rt", "wbq.park", trace.S("section", s.spec.Cache.Name))
 	}
-	if s.wbq.add(s.sec, tag, data, o, ranges) {
+	if s.wbq.add(s.sec, tag, data, o, p) {
 		_, err := r.drainWbq(clk, s)
 		return 0, err
 	}
@@ -257,8 +306,8 @@ func (r *Runtime) drainWbq(clk *sim.Clock, s *sectionRT) (sim.Time, error) {
 	// no longer exist. The queue always carries the full line for exactly
 	// this reason.
 	degraded := r.tr.BreakerOpen(clk.Now())
-	for _, tag := range s.wbq.tags {
-		e := s.wbq.entries[tag]
+	for _, e := range s.wbq.entries {
+		tag := e.tag
 		wasRun := inRuns
 		inRuns = false
 		if len(e.o.selFields) > 0 {
@@ -269,10 +318,11 @@ func (r *Runtime) drainWbq(clk *sim.Clock, s *sectionRT) (sim.Time, error) {
 			}
 			continue
 		}
-		if e.ranges != nil && !degraded {
+		if p, ok := s.wbq.patches[tag]; ok && !degraded {
 			// Delta write-back: only the changed ranges ship, each as a raw
 			// sub-range piece at its own sub-line address.
-			for _, rg := range e.ranges {
+			for i := range p.n {
+				rg := p.at(i)
 				addrs = append(addrs, tag+uint64(rg.Off))
 				pieces = append(pieces, e.data[rg.Off:rg.Off+rg.Len])
 			}
