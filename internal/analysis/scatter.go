@@ -155,7 +155,8 @@ func AnalyzeScatter(p *ir.Program, fn *ir.Func) (*ScatterPlan, bool) {
 	}, true
 }
 
-// stripInstrumentation removes codegen-inserted hints that do not affect
+// stripInstrumentation folds codegen's tile nests back into the flat loops
+// they were built from, removes codegen-inserted hints that do not affect
 // values (prefetches, fences, eviction hints, releases), then dead loads
 // whose destination register is never read, then conditionals emptied by
 // the stripping. Loops keep their bodies stripped in place-order.
@@ -180,7 +181,10 @@ func stripHints(body []ir.Stmt) []ir.Stmt {
 			continue
 		case *ir.Loop:
 			cp := *st
-			cp.Body = stripHints(st.Body)
+			if flat, guards, ok := ir.MatchTileNest(st); ok && onlyHints(guards) {
+				cp = *flat
+			}
+			cp.Body = stripHints(cp.Body)
 			out = append(out, &cp)
 		case *ir.If:
 			cp := *st
@@ -192,6 +196,21 @@ func stripHints(body []ir.Stmt) []ir.Stmt {
 		}
 	}
 	return out
+}
+
+// onlyHints reports whether body is nothing but hints, possibly under
+// conditionals — what a tile nest's per-tile guards are.
+func onlyHints(body []ir.Stmt) bool {
+	ok := true
+	ir.Walk(body, func(s ir.Stmt) bool {
+		switch s.(type) {
+		case *ir.If, *ir.Prefetch, *ir.BatchPrefetch, *ir.Evict, *ir.Fence, *ir.Release:
+		default:
+			ok = false
+		}
+		return ok
+	})
+	return ok
 }
 
 // markReads records every register read by expressions in body.

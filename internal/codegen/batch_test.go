@@ -36,14 +36,31 @@ func batchedPlan(dist, lineElems, batch int64) *Plan {
 	}
 }
 
-// stmts walks the transformed loop body's top-level statements.
-func loopBody(t *testing.T, p *ir.Program) []ir.Stmt {
+// tileGuards returns the per-tile guards of the transformed program's
+// first loop, which must be a tile nest of period le whose inner loop
+// carries no line guard.
+func tileGuards(t *testing.T, p *ir.Program, le int64) []ir.Stmt {
 	t.Helper()
 	for _, f := range p.Funcs {
 		for _, st := range f.Body {
-			if l, ok := st.(*ir.Loop); ok {
-				return l.Body
+			if _, ok := st.(*ir.Loop); !ok {
+				continue
 			}
+			flat, guards, ok := ir.MatchTileNest(st)
+			if !ok {
+				t.Fatalf("first loop is not a tile nest:\n%s", ir.Print(p))
+			}
+			if step := st.(*ir.Loop).Step.(*ir.Const).I; step != le {
+				t.Fatalf("tile of %d elements, want the line's %d", step, le)
+			}
+			ir.Walk(flat.Body, func(s ir.Stmt) bool {
+				switch s.(type) {
+				case *ir.BatchPrefetch, *ir.Evict:
+					t.Fatalf("a line guard's %T runs per element:\n%s", s, ir.Print(p))
+				}
+				return true
+			})
+			return guards
 		}
 	}
 	t.Fatal("no loop in transformed program")
@@ -85,10 +102,9 @@ func TestBatchedPrefetchPerObjectEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := loopBody(t, out)
-	primed, guarded := findBatches(body)
+	primed, guarded := findBatches(tileGuards(t, out, le))
 
-	// Steady state: one BatchPrefetch guarded on period b*le with b entries
+	// Once per tile: one BatchPrefetch guarded on period b*le with b entries
 	// at iv+dist, iv+dist+le, ..., iv+dist+(b-1)*le.
 	bp, ok := guarded[b*le]
 	if !ok {
@@ -134,15 +150,14 @@ func TestBatchLinesOneKeepsPerLinePrefetch(t *testing.T) {
 	if !strings.Contains(text, "rmem.prefetch recs[") {
 		t.Fatalf("per-line prefetch missing:\n%s", text)
 	}
-	body := loopBody(t, out)
-	if primed, _ := findBatches(body); len(primed) != 0 {
+	if primed, _ := findBatches(tileGuards(t, out, 32)); len(primed) != 0 {
 		t.Fatal("unbatched stream must not emit a priming doorbell")
 	}
 }
 
 func TestFusedBatchCrossProduct(t *testing.T) {
 	// Two same-line-geometry objects in a fused loop: the batch entry list
-	// is the cross product (line offset x object).
+	// is the cross product (line offset x object), issued once per tile.
 	n := int64(1 << 12)
 	b := ir.NewBuilder("fused")
 	b.Object("a", 64, n, ir.F("v", 0, 8))
@@ -173,8 +188,7 @@ func TestFusedBatchCrossProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := loopBody(t, out)
-	primed, guarded := findBatches(body)
+	primed, guarded := findBatches(tileGuards(t, out, le))
 	bp, ok := guarded[depth*le]
 	if !ok {
 		t.Fatalf("no fused BatchPrefetch guarded on period %d:\n%s", depth*le, ir.Print(out))

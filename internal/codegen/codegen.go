@@ -10,6 +10,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"mira/internal/analysis"
 	"mira/internal/ir"
@@ -87,7 +88,7 @@ func Apply(p *ir.Program, plan *Plan) (*ir.Program, error) {
 			continue
 		}
 		g := &gen{p: out, fn: fn, plan: plan}
-		g.block(fn.Body, nil)
+		g.block(fn.Body)
 		if len(plan.Offload) > 0 {
 			fn.Body = markOffloads(fn.Body, plan.Offload)
 		}
@@ -216,15 +217,15 @@ func (g *gen) newReg() int {
 }
 
 // block processes statements; loops get prefetch/evict instrumentation.
-func (g *gen) block(body []ir.Stmt, enclosing []*ir.Loop) {
-	for _, s := range body {
+func (g *gen) block(body []ir.Stmt) {
+	for i, s := range body {
 		switch st := s.(type) {
 		case *ir.Loop:
-			g.instrumentLoop(st)
-			g.block(st.Body, append(enclosing, st))
+			body[i] = g.instrumentLoop(st)
+			g.block(st.Body)
 		case *ir.If:
-			g.block(st.Then, enclosing)
-			g.block(st.Else, enclosing)
+			g.block(st.Then)
+			g.block(st.Else)
 		case *ir.Load:
 			if op := g.plan.Objects[st.Obj]; op != nil && op.Native {
 				st.Native = true
@@ -257,16 +258,30 @@ type chainSite struct {
 }
 
 // instrumentLoop inserts prefetches at the top of the body and eviction
-// hints at the bottom, per the object plans.
-func (g *gen) instrumentLoop(l *ir.Loop) {
+// hints at the bottom, per the object plans, and returns the statement that
+// takes l's place. That is l itself, flat, unless every line-boundary guard
+// can fire only on a line boundary: then it is a tile nest (ir.TileNest) that
+// evaluates the guards once per line, around l with its chained prefetches
+// and body, whenever the nest costs fewer operators than the flat loop.
+func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 	accesses := g.collectAccesses(l)
 	if len(accesses) == 0 {
-		return
+		return l
 	}
 	iv := func() ir.Expr { return &ir.Reg{ID: l.IVReg} }
 
-	var pre []ir.Stmt
-	var post []ir.Stmt
+	// pre and post are the guards at the top and bottom of an iteration,
+	// chains the chained prefetches. tile is the gcd of the line sizes the
+	// guards fire on, or -1 once one can fire off a line boundary.
+	var pre, chains, post []ir.Stmt
+	tile := int64(0)
+	onLines := func(d, le int64) {
+		if tile < 0 || le <= 1 || d%le != 0 {
+			tile = -1
+			return
+		}
+		tile = gcd(tile, le)
+	}
 
 	// Sequential prefetches (possibly batched across fused objects).
 	var seqPF []*loopAccess
@@ -294,9 +309,11 @@ func (g *gen) instrumentLoop(l *ir.Loop) {
 			pre = append(pre, p)
 		}
 		pre = append(pre, guarded(iv, d, b*le, &ir.BatchPrefetch{Entries: entries}))
+		onLines(d, le)
 	} else {
 		for _, a := range seqPF {
 			d, le := a.plan.PrefetchDistance, a.plan.LineElems
+			onLines(d, le)
 			if b := a.plan.BatchLines; b >= 2 && le >= 1 {
 				entries := make([]ir.PrefetchRef, b)
 				for k := int64(0); k < b; k++ {
@@ -331,7 +348,7 @@ func (g *gen) instrumentLoop(l *ir.Loop) {
 			}
 			// Guard i+D < End so the chain load never runs past the
 			// source object.
-			pre = append(pre, &ir.If{
+			chains = append(chains, &ir.If{
 				Cond: ir.Lt(ir.Add(iv(), ir.C(d)), ir.CloneExpr(l.End)),
 				Then: chainBody,
 			})
@@ -350,11 +367,42 @@ func (g *gen) instrumentLoop(l *ir.Loop) {
 			cond = ir.And(cond, ir.Eq(ir.Mod(ir.Sub(iv(), ir.C(lag)), ir.C(a.plan.LineElems)), ir.C(0)))
 		}
 		post = append(post, &ir.If{Cond: cond, Then: []ir.Stmt{ev}})
+		onLines(lag, a.plan.LineElems)
 	}
 
-	if len(pre) > 0 || len(post) > 0 {
-		l.Body = append(append(pre, l.Body...), post...)
+	guards := slices.Concat(pre, post)
+	if tile > 1 && tileCheaper(l, tile, guards) {
+		l.Body = slices.Concat(chains, l.Body)
+		return ir.TileNest(l, tile, g.newReg(), guards)
 	}
+	if len(guards) > 0 || len(chains) > 0 {
+		l.Body = slices.Concat(pre, chains, l.Body, post)
+	}
+	return l
+}
+
+// tileCheaper reports whether l can be strip-mined into tiles of tile
+// elements and the nest costs fewer operators than the flat loop: the nest
+// pays ir.TileOps and the guards' conditions once per tile, the flat loop the
+// conditions once per element. Everything else — the body, the chained
+// prefetches, what a firing guard does — the two pay alike.
+func tileCheaper(l *ir.Loop, tile int64, guards []ir.Stmt) bool {
+	tiles, trips, ok := ir.Tiles(l, tile)
+	if !ok {
+		return false
+	}
+	var ops int64
+	for _, s := range guards {
+		ops += int64(ir.ExprOps(s.(*ir.If).Cond))
+	}
+	return tiles*(ir.TileOps+ops) < trips*ops
+}
+
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // guarded wraps op in a line-boundary guard: fire when (iv+d) enters a new

@@ -103,10 +103,14 @@ type Engine struct {
 	cOps   []*trace.Counter // by node
 	cBytes []*trace.Counter
 
-	// Scratch of partition / mergeByNode (indexed by node, left zeroed
-	// between calls) and of commit.
+	// Scratch of partition (lost, load, seen and byNode indexed by node,
+	// byNode left zeroed between calls) and of commit.
 	lost   []bool
+	load   []int
+	seen   []bool
 	byNode []*sub
+	segs   []segment
+	whole  [1][2]int64
 	merger merger
 
 	stats Stats
@@ -120,6 +124,8 @@ func NewEngine(pool *cluster.Pool, res Resolver, cfg Config) *Engine {
 		e.cOps = make([]*trace.Counter, n)
 		e.cBytes = make([]*trace.Counter, n)
 		e.lost = make([]bool, n)
+		e.load = make([]int, n)
+		e.seen = make([]bool, n)
 		e.byNode = make([]*sub, n)
 	}
 	return e
@@ -194,7 +200,8 @@ func (e *Engine) Execute(clk *sim.Clock, req Request, run Runner) ([]Scalar, boo
 	table := e.pool.Table()
 	sort.Slice(table, func(i, j int) bool { return table[i].VBase < table[j].VBase })
 
-	pending, err := e.partition(base, elemBytes, lo, hi, t0, table)
+	e.whole[0] = [2]int64{lo, hi}
+	pending, err := e.partition(base, elemBytes, e.whole[:], t0, table)
 	if err != nil {
 		return nil, false, nil // no surviving placement: fall back
 	}
@@ -220,25 +227,26 @@ func (e *Engine) Execute(clk *sim.Clock, req Request, run Runner) ([]Scalar, boo
 			return nil, true, err
 		}
 		join := g.Join()
-		var next []*sub
+		var lostRanges [][2]int64
 		for _, sb := range pending {
 			switch {
 			case sb.failed != nil:
 				return nil, true, sb.failed
 			case sb.lost:
 				e.stats.Redispatches++
-				for _, r := range sb.ranges {
-					re, rerr := e.partition(base, elemBytes, r[0], r[1], join, table)
-					if rerr != nil {
-						return nil, true, fmt.Errorf("offload %s: %w", req.Func, rerr)
-					}
-					next = append(next, re...)
-				}
+				lostRanges = append(lostRanges, sb.ranges...)
 			default:
 				done = append(done, sb)
 			}
 		}
-		pending = e.mergeByNode(next)
+		pending = nil
+		if len(lostRanges) > 0 {
+			// Every lost range is re-planned at once, by the same rule.
+			sort.Slice(lostRanges, func(i, j int) bool { return lostRanges[i][0] < lostRanges[j][0] })
+			if pending, err = e.partition(base, elemBytes, lostRanges, join, table); err != nil {
+				return nil, true, fmt.Errorf("offload %s: %w", req.Func, err)
+			}
+		}
 		finish = join
 	}
 
@@ -315,50 +323,76 @@ func (e *Engine) nodeLost(i int, now sim.Time) bool {
 	return e.pool.NodeStale(i)
 }
 
-// partition assigns every element of [lo, hi) to the first surviving home
-// of the placement entry owning its first byte, then merges contiguous
-// ranges into one sub per node (ascending node order). An element with no
-// surviving home is an error.
-func (e *Engine) partition(base uint64, elemBytes int, lo, hi int64, now sim.Time, table []cluster.PlacementEntry) ([]*sub, error) {
+// segment is a run of one partition's elements owned by one placement entry
+// (the entry holding each element's first byte), and the node it is given.
+type segment struct {
+	ent    *cluster.PlacementEntry
+	lo, hi int64
+	node   int
+}
+
+// partition splits ranges (ascending, disjoint) into segments, one per
+// placement entry they touch, and gives each segment to a surviving home so
+// that the most segments any node serves is as small as it can be: stripes
+// are equal-sized, so that spreads the work over every replica. Within that
+// bound the assignment is deterministic, lowest node first. It returns one
+// sub per node, in ascending node order, holding that node's ranges in
+// ascending order with adjacent ones merged. A segment with no surviving home
+// is an error.
+func (e *Engine) partition(base uint64, elemBytes int, ranges [][2]int64, now sim.Time, table []cluster.PlacementEntry) ([]*sub, error) {
 	for i := range e.lost {
 		e.lost[i] = e.nodeLost(i, now)
 	}
-	defer clear(e.byNode)
-	curNode, curLo := -1, int64(0)
-	flush := func(end int64) {
-		if curNode < 0 {
-			return
+	return e.spread(base, elemBytes, ranges, table)
+}
+
+// spread is partition over the nodes e.lost leaves.
+func (e *Engine) spread(base uint64, elemBytes int, ranges [][2]int64, table []cluster.PlacementEntry) ([]*sub, error) {
+	alive := 0
+	for _, l := range e.lost {
+		if !l {
+			alive++
 		}
-		sb := e.byNode[curNode]
-		if sb == nil {
-			sb = &sub{node: curNode}
-			e.byNode[curNode] = sb
-		}
-		sb.ranges = append(sb.ranges, [2]int64{curLo, end})
-		sb.elems += end - curLo
 	}
-	for el := lo; el < hi; el++ {
-		addr := base + uint64(el)*uint64(elemBytes)
-		ent := entryFor(table, addr)
-		if ent == nil {
-			return nil, fmt.Errorf("offload: element %d at %#x outside placement table", el, addr)
-		}
-		node := -1
-		for _, h := range ent.Homes {
-			if !e.lost[h.Node] {
-				node = h.Node
-				break
+	e.segs = e.segs[:0]
+	for _, r := range ranges {
+		for el := r[0]; el < r[1]; {
+			addr := base + uint64(el)*uint64(elemBytes)
+			ent := entryFor(table, addr)
+			if ent == nil {
+				return nil, fmt.Errorf("offload: element %d at %#x outside placement table", el, addr)
 			}
-		}
-		if node < 0 {
-			return nil, fmt.Errorf("offload: element %d: every replica lost", el)
-		}
-		if node != curNode {
-			flush(el)
-			curNode, curLo = node, el
+			end := min(r[1], int64((ent.VBase+ent.Size-base+uint64(elemBytes)-1)/uint64(elemBytes)))
+			e.segs = append(e.segs, segment{ent: ent, lo: el, hi: end, node: -1})
+			el = end
 		}
 	}
-	flush(hi)
+	for _, sg := range e.segs {
+		if !e.survives(sg.ent) {
+			return nil, fmt.Errorf("offload: element %d: every replica lost", sg.lo)
+		}
+	}
+	// The smallest per-node cap every segment fits under, raised one at a
+	// time from the even split (a cap of len(segs) always fits): each segment
+	// takes a home with room, or an augmenting path moves earlier segments
+	// between their homes to make some.
+	for limit := (len(e.segs) + alive - 1) / max(alive, 1); !e.placeAll(limit); limit++ {
+	}
+
+	defer clear(e.byNode)
+	for _, sg := range e.segs {
+		sb := e.byNode[sg.node]
+		if sb == nil {
+			sb = &sub{node: sg.node}
+			e.byNode[sg.node] = sb
+		}
+		if n := len(sb.ranges); n > 0 && sb.ranges[n-1][1] == sg.lo {
+			sb.ranges[n-1][1] = sg.hi
+		} else {
+			sb.ranges = append(sb.ranges, [2]int64{sg.lo, sg.hi})
+		}
+		sb.elems += sg.hi - sg.lo
+	}
 	var subs []*sub
 	for _, sb := range e.byNode {
 		if sb != nil {
@@ -368,29 +402,75 @@ func (e *Engine) partition(base uint64, elemBytes int, lo, hi int64, now sim.Tim
 	return subs, nil
 }
 
-// mergeByNode folds re-planned subs targeting the same node into one, in
-// ascending node order.
-func (e *Engine) mergeByNode(subs []*sub) []*sub {
-	if len(subs) <= 1 {
-		return subs
+// placeAll assigns every segment under limit, reporting whether it could.
+func (e *Engine) placeAll(limit int) bool {
+	clear(e.load)
+	for i := range e.segs {
+		e.segs[i].node = -1
 	}
-	defer clear(e.byNode)
-	for _, sb := range subs {
-		if cur := e.byNode[sb.node]; cur != nil {
-			cur.ranges = append(cur.ranges, sb.ranges...)
-			cur.elems += sb.elems
-			continue
-		}
-		e.byNode[sb.node] = sb
-	}
-	out := subs[:0]
-	for _, sb := range e.byNode {
-		if sb != nil {
-			sort.Slice(sb.ranges, func(i, j int) bool { return sb.ranges[i][0] < sb.ranges[j][0] })
-			out = append(out, sb)
+	for i := range e.segs {
+		clear(e.seen)
+		if !e.place(i, limit) {
+			return false
 		}
 	}
-	return out
+	return true
+}
+
+// survives reports whether some home of ent is not lost.
+func (e *Engine) survives(ent *cluster.PlacementEntry) bool {
+	for _, h := range ent.Homes {
+		if !e.lost[h.Node] {
+			return true
+		}
+	}
+	return false
+}
+
+// place gives segment i a surviving home holding fewer than limit segments:
+// the lowest such home, or else — lowest home first — a full home one of
+// whose segments can itself be placed elsewhere (an augmenting path; seen
+// keeps each node on the path once).
+func (e *Engine) place(i, limit int) bool {
+	for pass := 0; pass < 2; pass++ {
+		for n := range e.load {
+			if e.lost[n] || e.seen[n] || !isHome(e.segs[i].ent, n) {
+				continue
+			}
+			if pass == 0 {
+				if e.load[n] < limit {
+					e.assign(i, n)
+					return true
+				}
+				continue
+			}
+			e.seen[n] = true
+			for j := range e.segs {
+				if j != i && e.segs[j].node == n && e.place(j, limit) {
+					e.assign(i, n)
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+func (e *Engine) assign(i, n int) {
+	if old := e.segs[i].node; old >= 0 {
+		e.load[old]--
+	}
+	e.segs[i].node = n
+	e.load[n]++
+}
+
+func isHome(ent *cluster.PlacementEntry, n int) bool {
+	for _, h := range ent.Homes {
+		if h.Node == n {
+			return true
+		}
+	}
+	return false
 }
 
 // entryFor finds the placement entry covering addr in a VBase-sorted table.

@@ -351,7 +351,7 @@ func TestStagingMatchesReference(t *testing.T) {
 		}
 		table := sortedTable(eNew)
 
-		subs, err := eNew.partition(res[0].base, res[0].elemBytes, 0, res[0].count, 0, table)
+		subs, err := eNew.partition(res[0].base, res[0].elemBytes, [][2]int64{{0, res[0].count}}, 0, table)
 		if err != nil {
 			t.Fatalf("seed %d: partition: %v", seed, err)
 		}

@@ -66,10 +66,9 @@ type sectionDraft struct {
 // candidate is one derived compilation: the runtime configuration, the
 // codegen plan, and prog compiled against it.
 type candidate struct {
-	cfg       rt.Config
-	plan      *codegen.Plan
-	prog      *ir.Program
-	offloaded []string
+	cfg  rt.Config
+	plan *codegen.Plan
+	prog *ir.Program
 }
 
 // compileError marks a buildConfig failure as codegen's — a transformed
@@ -80,7 +79,7 @@ type compileError struct{ error }
 
 // buildConfig derives the runtime configuration and codegen plan from the
 // analysis report and profile (§4.2 cache-section configuration, §4.3
-// sizing, §4.5 optimizations, §4.8 offloading) and compiles prog against
+// sizing, §4.5 optimizations) and compiles prog against
 // them — once: the sizing samples and the caller's timed run execute the
 // same program.
 func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []string, col *profile.Collector, opts Options) (candidate, error) {
@@ -276,17 +275,6 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 			sort.Strings(plan.ReleaseAfter[fn])
 		}
 	}
-	var offloaded []string
-	if opts.EnableOffload {
-		offloaded = decideOffloads(prog, report, opts)
-		if len(offloaded) > 0 {
-			plan.Offload = map[string]bool{}
-			for _, f := range offloaded {
-				plan.Offload[f] = true
-			}
-		}
-	}
-
 	// Size non-sequential sections — and reused sequential ones, whose
 	// footprint-vs-streaming tradeoff only sampling can settle: a single
 	// such section takes everything; multiple are sampled and solved
@@ -353,7 +341,7 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 
 	normalizeSizes(drafts, remaining)
 	cfg := assembleConfig(prog, drafts, merged, pool, opts)
-	return candidate{cfg, plan, compiled, offloaded}, nil
+	return candidate{cfg, plan, compiled}, nil
 }
 
 // normalizeSizes scales section sizes down proportionally if the carve-up
@@ -594,8 +582,13 @@ func minI64(a, b int64) int64 {
 	return b
 }
 
-// decideOffloads applies the §4.8 cost model, never offloading the entry.
-func decideOffloads(prog *ir.Program, report *analysis.Report, opts Options) []string {
+// decideOffloads applies the §4.8 cost model when EnableOffload is set,
+// never offloading the entry.
+func (p *planning) decideOffloads(prog *ir.Program, report *analysis.Report) []string {
+	opts := p.opts
+	if !opts.EnableOffload {
+		return nil
+	}
 	params := analysis.OffloadParams{
 		Net:            opts.Net,
 		ComputeOp:      opts.Cost.ComputeOp,

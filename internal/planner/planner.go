@@ -349,21 +349,39 @@ func (p *planning) iterate(prog *ir.Program, col *profile.Collector) error {
 				trace.I("iter", int64(iter)))
 			continue
 		}
-		rec.NumSecs, rec.Offloaded = len(cand.cfg.Sections), cand.offloaded
-		out, accepted := p.try(move{
-			name: fmt.Sprintf("iteration %d", iter),
-			prog: cand.prog, cfg: cand.cfg, plan: cand.plan,
-			args: []trace.Arg{
+		rec.NumSecs = len(cand.cfg.Sections)
+		args := func(offloaded []string) []trace.Arg {
+			return []trace.Arg{
 				trace.I("frac_pct", int64(frac*100+0.5)),
 				trace.I("funcs", int64(len(funcs))),
 				trace.I("objs", int64(len(objs))),
 				trace.I("secs", int64(len(cand.cfg.Sections))),
-				trace.I("offloaded", int64(len(cand.offloaded))),
-			},
-		})
+				trace.I("offloaded", int64(len(offloaded))),
+			}
+		}
+		name := fmt.Sprintf("iteration %d", iter)
+		out, accepted := p.try(move{name: name, prog: cand.prog, cfg: cand.cfg, plan: cand.plan, args: args(nil)})
 		rec.Time, rec.Accepted = out.time, accepted
 		if accepted {
 			col = out.col
+		}
+		// The legacy §4.8 cost model's offload choice races the candidate
+		// it would offload from, so offload stays only where it is faster.
+		if offloaded := p.decideOffloads(prog, report); len(offloaded) > 0 {
+			plan := *cand.plan
+			plan.Offload = map[string]bool{}
+			for _, f := range offloaded {
+				plan.Offload[f] = true
+			}
+			oprog, err := p.l.compile(prog, &plan)
+			if err != nil {
+				return err
+			}
+			out, accepted := p.try(move{name: name + " offload", prog: oprog, cfg: cand.cfg, plan: &plan, args: args(offloaded)})
+			if accepted {
+				rec.Time, rec.Accepted, rec.Offloaded = out.time, true, offloaded
+				col = out.col
+			}
 		}
 		p.res.Iterations = append(p.res.Iterations, rec)
 	}
