@@ -22,8 +22,15 @@ type ObjectPlan struct {
 	// Pattern is the merged analyzed pattern driving the choices below.
 	Pattern analysis.Pattern
 	// PrefetchDistance is how many elements ahead to prefetch (0
-	// disables). The planner computes it as ceil(RTT / per-iteration
-	// time) (§4.5).
+	// disables). The planner leads a batched sequential or strided stream
+	// by the most whole lines that fit in its share of a quarter of its
+	// section (the section's streams split the quarter), never nearer than
+	// the round trip max(2·dElems, LineElems) rounded up to a whole line;
+	// an unbatched stream, or one in a section sized after planning, leads
+	// by that round trip. A chained indirect prefetch runs
+	// dElems ahead. dElems is the round trip in elements, RTT / profiled
+	// per-iteration time clamped to [4, 64] (§4.5); that cap bounds only
+	// indirect distances, section sizing and eviction lags.
 	PrefetchDistance int64
 	// LineElems is elements per cache line: prefetches and eviction
 	// hints fire once per line boundary, not per element.

@@ -41,6 +41,18 @@ func perIterEstimate(prog *ir.Program, report *analysis.Report, col *profile.Col
 	return per
 }
 
+// rttElems is the round trip in elements (§4.5: "one network round trip
+// earlier than actual access"): a 2 KB line's RTT over the profiled
+// per-iteration time, clamped to [4, 64]. It sizes streaming sections and
+// sets the chained indirect distance and the eviction lag. A stream's lead
+// is at least this round trip, and a batched stream's is sized from its
+// section (buildPlan): at the 64-element cap, a lead of this round trip
+// keeps a scan one to four lines ahead.
+func rttElems(prog *ir.Program, report *analysis.Report, col *profile.Collector, net netmodel.Config) int64 {
+	d := int64(net.RTTEstimate(2048) / perIterEstimate(prog, report, col))
+	return minI64(maxI64(d, 4), 64)
+}
+
 // sectionDraft is a section under construction.
 type sectionDraft struct {
 	name      string
@@ -145,17 +157,7 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 		}
 	}
 
-	// Prefetch distances from the profiled per-iteration time (§4.5:
-	// "one network round trip earlier than actual access").
-	perIter := perIterEstimate(prog, report, col)
-	rttLine := opts.Net.RTTEstimate(2048)
-	dElems := int64(rttLine / perIter)
-	if dElems < 4 {
-		dElems = 4
-	}
-	if dElems > 64 {
-		dElems = 64
-	}
+	dElems := rttElems(prog, report, col, opts.Net)
 
 	// Size sequential sections analytically: enough lines to hold the
 	// prefetch window twice over (§4.3: "sequential and strided cache
@@ -340,6 +342,16 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 	}
 
 	normalizeSizes(drafts, remaining)
+	// Making room for the sampled sections, and normalizeSizes, can shrink
+	// a streaming section below the size its leads and batches were read
+	// from: plan them again against the section's final size. The ledger
+	// hands back the program already built when the plan is unchanged.
+	final := buildPlan(prog, merged, drafts, dElems, tech, opts.Net)
+	final.ReleaseAfter = plan.ReleaseAfter
+	plan = final
+	if compiled, err = l.compile(prog, plan); err != nil {
+		return candidate{}, compileError{err}
+	}
 	cfg := assembleConfig(prog, drafts, merged, pool, opts)
 	return candidate{cfg, plan, compiled}, nil
 }
@@ -509,6 +521,14 @@ func buildPlan(prog *ir.Program, merged map[string]*analysis.ObjectAccess, draft
 		SuppressPrefetchStmts: tech.Programmed,
 	}
 	for _, d := range drafts {
+		// streams counts the section's sequential and strided members: they
+		// share its lead budget.
+		var streams int64
+		for _, name := range d.members {
+			if p := merged[name].Pattern; p == analysis.PatternSequential || p == analysis.PatternStrided {
+				streams++
+			}
+		}
 		for _, name := range d.members {
 			m := merged[name]
 			o, _ := prog.Object(name)
@@ -521,22 +541,35 @@ func buildPlan(prog *ir.Program, merged map[string]*analysis.ObjectAccess, draft
 				Pattern:   m.Pattern,
 				LineElems: le,
 			}
+			// rtt is the round-trip distance max(2·dElems, le); the
+			// eviction lag follows it, not the lead.
+			var rtt int64
 			if !tech.NoPrefetch {
 				switch m.Pattern {
 				case analysis.PatternSequential, analysis.PatternStrided:
-					op.PrefetchDistance = maxI64(2*dElems, le)
+					// A batch may take at most a quarter of the section, or
+					// landing it would evict the live window and thrash; the
+					// cap is per stream, so the batches of a section's
+					// several streams can still overcommit it. The streams
+					// share another quarter for their leads. A batched
+					// stream leads by the most whole lines
+					// of its share, never nearer than the round trip: it
+					// reads the section, not the noisy profile. An unbatched
+					// stream keeps the round trip: with no priming doorbell,
+					// every line its lead skips at the loop's start is a
+					// demand miss. Reused sections, unsized when the plan is
+					// first built and sized later by sampling, get the
+					// round-trip lead and no batching rather than a guess.
+					capLines := int64(0)
+					if d.lineBytes > 0 && !d.reused {
+						capLines = d.sizeBytes / int64(d.lineBytes)
+					}
+					rtt = maxI64(2*dElems, le)
+					op.PrefetchDistance = (rtt + le - 1) / le * le
 					if !tech.NoBatching {
-						// A batch may occupy at most a quarter of the
-						// section, or landing it would evict the live
-						// window and thrash. Sections still unsized here
-						// (reused ones, sized later by sampling) get no
-						// batching rather than a guess.
-						capLines := int64(0)
-						if d.lineBytes > 0 {
-							capLines = d.sizeBytes / int64(d.lineBytes)
-						}
 						if b := analysis.DoorbellBatchLines(net, d.lineBytes, minI64(maxBatchLines, capLines/4)); b >= 2 {
 							op.BatchLines = b
+							op.PrefetchDistance = maxI64(capLines/4/streams*le, op.PrefetchDistance)
 						}
 					}
 				case analysis.PatternIndirect:
@@ -560,7 +593,7 @@ func buildPlan(prog *ir.Program, merged map[string]*analysis.ObjectAccess, draft
 			// static or dynamic scans) must keep its lines for the
 			// next pass.
 			if !tech.NoEvictHints && m.LastLoopSequential && d.seqLike && m.Scans <= 1 {
-				op.EvictLag = maxI64(2*op.PrefetchDistance, 2*le)
+				op.EvictLag = maxI64(2*rtt, 2*le)
 			}
 			plan.Objects[name] = op
 		}
