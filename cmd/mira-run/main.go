@@ -152,8 +152,8 @@ func main() {
 	faultNode := flag.Int("fault-node", 0, "which cluster node receives the -faults schedule")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
 	metricsOut := flag.String("metrics", "", "write the run's metrics registry as JSON to this file")
-	prefetchPol := flag.String("prefetch", "", fmt.Sprintf("zoo prefetch policy %v replacing the system's stock prefetching (systems: mira = line plane, mira-swap/fastswap/leap = page plane); empty = stock", mira.PrefetchPolicyNames()))
-	prefetchWin := flag.Int("prefetch-window", 0, "programmed prefetch in-flight window in units (0 = default, clamped to half the plane's capacity)")
+	prefetchPol := flag.String("prefetch", "", fmt.Sprintf("zoo prefetch policy replacing the system's stock prefetching: %s (systems: mira = line plane, mira-swap/fastswap/leap = page plane); empty = stock", prefetchHelp()))
+	prefetchWin := flag.Int("prefetch-window", 0, "with -prefetch programmed: the runner's in-flight window in units (0 = default, clamped to half the plane's capacity)")
 	threads := flag.Int("threads", 1, "interleave this many simulated threads on the deterministic scheduler, dividing a fixed read-only batch (systems: mira, fastswap)")
 	privateSections := flag.Bool("private-sections", false, "with -threads: give each thread private cache sections (default: one shared conservative section set, the paper's Mira-unopt)")
 	flag.Parse()

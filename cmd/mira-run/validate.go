@@ -1,6 +1,11 @@
 package main
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"mira"
+)
 
 // runFlags collects the parsed flag values that constrain each other, plus
 // the set of flag names the user passed explicitly (flag.Visit) — several
@@ -74,8 +79,14 @@ func validateFlags(f runFlags) error {
 	if f.set("offload-chunk") && (f.Offload == "" || f.Offload == "off") {
 		return fmt.Errorf("-offload-chunk sizes the offload engine's streams; pass -offload on or -offload auto as well")
 	}
-	if f.set("prefetch-window") && f.Prefetch == "" {
-		return fmt.Errorf("-prefetch-window tunes a zoo policy; pass -prefetch as well")
+	if f.Prefetch != "" && f.Prefetch != mira.PrefetchCompiled && !slices.Contains(mira.PrefetchPolicyNames(), f.Prefetch) {
+		return fmt.Errorf("unknown -prefetch policy %q (%s)", f.Prefetch, prefetchHelp())
+	}
+	if f.Prefetch == mira.PrefetchCompiled && f.System != "mira" {
+		return fmt.Errorf("-prefetch compiled is mira's line plane only; system %q runs the page plane (use -system mira)", f.System)
+	}
+	if f.set("prefetch-window") && f.Prefetch != "programmed" {
+		return fmt.Errorf("-prefetch-window sizes the programmed runner; pass -prefetch programmed as well")
 	}
 	if f.Prefetch != "" && f.threadsActive() {
 		return fmt.Errorf("-prefetch does not combine with -threads")
@@ -99,4 +110,10 @@ func validateFlags(f runFlags) error {
 		}
 	}
 	return nil
+}
+
+// prefetchHelp lists every -prefetch value: the runtime policies and the
+// line plane's compiled arm.
+func prefetchHelp() string {
+	return fmt.Sprintf("%v on both planes, %s on mira's line plane only", mira.PrefetchPolicyNames(), mira.PrefetchCompiled)
 }

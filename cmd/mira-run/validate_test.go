@@ -36,6 +36,16 @@ func TestValidateFlags(t *testing.T) {
 			f.Set["prefetch-window"] = true
 		}, ""},
 		{"window-default-ok", func(f *runFlags) { f.PrefetchWindow = 0 }, ""},
+		{"window-with-leap", func(f *runFlags) {
+			f.Prefetch = "leap"
+			f.PrefetchWindow = 32
+			f.Set["prefetch-window"] = true
+		}, "-prefetch programmed"},
+		{"prefetch-unknown", func(f *runFlags) { f.Prefetch = "stride" }, "unknown -prefetch"},
+		{"prefetch-unknown-page-plane", func(f *runFlags) { f.Prefetch = "oracle"; f.System = "fastswap" }, "unknown -prefetch"},
+		{"prefetch-history-ok", func(f *runFlags) { f.Prefetch = "history"; f.System = "leap" }, ""},
+		{"prefetch-compiled-ok", func(f *runFlags) { f.Prefetch = "compiled" }, ""},
+		{"prefetch-compiled-page-plane", func(f *runFlags) { f.Prefetch = "compiled"; f.System = "mira-swap" }, "-system mira"},
 		{"prefetch-with-threads", func(f *runFlags) { f.Prefetch = "leap"; f.Threads = 2 }, "-threads"},
 		{"threads-with-faults", func(f *runFlags) { f.Threads = 4; f.Faults = "crash" }, "-faults"},
 		{"threads-faults-none-ok", func(f *runFlags) { f.Threads = 4; f.Faults = "none" }, ""},

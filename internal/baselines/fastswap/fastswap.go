@@ -11,7 +11,6 @@ import (
 	"mira/internal/netmodel"
 	"mira/internal/prefetch"
 	"mira/internal/session"
-	"mira/internal/sim"
 	"mira/internal/workload"
 )
 
@@ -28,22 +27,9 @@ type Options struct {
 	NodeCfg farmem.NodeConfig
 }
 
-// Readahead prefetches the pages following each fault — profitable for
-// sequential access, wasted bandwidth otherwise. It is the zoo's
-// prefetch.Readahead policy adapted to the swap plane (kept as a named type
-// here for the baseline's public API).
-type Readahead struct{ N int64 }
-
-// OnFault appends the next N pages to out.
-func (r Readahead) OnFault(page int64, out []int64) []int64 {
-	return prefetch.Readahead{N: r.N}.OnMiss(page, out)
-}
-
-// PerFaultOverhead is zero: FastSwap's datapath is the fast one the other
-// baselines are measured against.
-func (Readahead) PerFaultOverhead() sim.Duration {
-	return prefetch.Readahead{}.PerMissOverhead()
-}
+// Readahead is the zoo's cluster readahead policy, which FastSwap runs on
+// every fault. The name stays for callers that spell it this way.
+type Readahead = prefetch.Readahead
 
 // Spec describes a FastSwap run of w: everything in the swap section (the
 // runtime's stock fault path is FastSwap-calibrated), cluster readahead on

@@ -9,11 +9,11 @@ import (
 
 func TestReadaheadWindow(t *testing.T) {
 	ra := Readahead{N: 3}
-	out := ra.OnFault(10, nil)
+	out := ra.OnMiss(10, nil)
 	if len(out) != 3 || out[0] != 11 || out[1] != 12 || out[2] != 13 {
 		t.Fatalf("readahead = %v", out)
 	}
-	if ra.PerFaultOverhead() != 0 {
+	if ra.PerMissOverhead() != 0 {
 		t.Fatal("FastSwap's fault path should carry no extra overhead")
 	}
 }

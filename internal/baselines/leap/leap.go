@@ -13,6 +13,7 @@ import (
 	"mira/internal/prefetch"
 	"mira/internal/session"
 	"mira/internal/sim"
+	"mira/internal/swap"
 	"mira/internal/workload"
 )
 
@@ -34,43 +35,34 @@ type Options struct {
 	NoBatching bool
 }
 
-// Prefetcher is the zoo's prefetch.Leap majority-trend policy adapted to the
-// swap plane (kept as a named type here for the baseline's public API; the
-// algorithm itself now lives in internal/prefetch so both planes can race
-// it).
-type Prefetcher struct{ p *prefetch.Leap }
+// inKernel is prefetch.Leap detecting inside the fault handler: Spec puts
+// the detection on the fault path, so the advisory fetch issues undelayed.
+type inKernel struct{ *prefetch.Leap }
 
-// NewPrefetcher builds the trend detector.
-func NewPrefetcher(window int, depth int64) *Prefetcher {
-	return &Prefetcher{p: prefetch.NewLeap(window, depth)}
-}
-
-// OnFault records the fault and prefetches along the majority trend.
-func (p *Prefetcher) OnFault(page int64, out []int64) []int64 { return p.p.OnMiss(page, out) }
-
-// PerFaultOverhead is the trend-detection cost on every fault.
-func (p *Prefetcher) PerFaultOverhead() sim.Duration { return p.p.PerMissOverhead() }
+func (inKernel) PerMissOverhead() sim.Duration { return 0 }
 
 // Spec describes a Leap run of w: everything in the swap section with the
 // majority-trend prefetcher. Callers add the run's fault domain, pool or
-// tracer to the returned spec before opening it.
+// tracer to the returned spec before opening it. The trend detection is
+// part of every major fault (SwapCfg.MajorFaultOverhead); both fault costs
+// are set because the runtime fills in defaults only when the major one is
+// zero. That times runs as the fault path's two back-to-back charges did,
+// as no Leap run holds a SwapLock, whose hold time reads MajorFaultOverhead.
 func Spec(w workload.Workload, opts Options) (session.Spec, error) {
-	if opts.Window == 0 {
-		opts.Window = 32
-	}
-	if opts.Depth == 0 {
-		opts.Depth = 8
-	}
 	cfg, err := session.SwapOnly(w.Program(), opts.LocalBudget)
 	if err != nil {
 		return session.Spec{}, err
 	}
 	cfg.Net = opts.Net
 	cfg.SwapCfg.BatchPrefetch = !opts.NoBatching
+	pf := prefetch.NewLeap(opts.Window, opts.Depth)
+	stock := swap.DefaultConfig(0)
+	cfg.SwapCfg.MajorFaultOverhead = stock.MajorFaultOverhead + pf.PerMissOverhead()
+	cfg.SwapCfg.MinorFaultOverhead = stock.MinorFaultOverhead
 	return session.Spec{
 		Workload: w,
 		Config:   cfg,
 		NodeCfg:  opts.NodeCfg,
-		Swap:     session.Fixed(NewPrefetcher(opts.Window, opts.Depth)),
+		Swap:     session.Fixed(inKernel{pf}),
 	}, nil
 }

@@ -5,18 +5,19 @@ import (
 
 	"mira/internal/apps/arraysum"
 	"mira/internal/apps/graphtraverse"
+	"mira/internal/prefetch"
 	"mira/internal/session"
 	"mira/internal/sim"
 	"mira/internal/workload"
 )
 
 func TestMajorityTrendDetected(t *testing.T) {
-	p := NewPrefetcher(8, 4)
+	p := prefetch.NewLeap(8, 4)
 	// Feed a clean +1 stride; after the window warms up the prefetcher
 	// must follow it.
 	var out []int64
 	for pg := int64(0); pg < 12; pg++ {
-		out = p.OnFault(pg, nil)
+		out = p.OnMiss(pg, nil)
 	}
 	if len(out) != 4 {
 		t.Fatalf("prefetch depth %d, want 4", len(out))
@@ -29,10 +30,10 @@ func TestMajorityTrendDetected(t *testing.T) {
 }
 
 func TestStrideTrend(t *testing.T) {
-	p := NewPrefetcher(8, 2)
+	p := prefetch.NewLeap(8, 2)
 	var out []int64
 	for i := int64(0); i < 12; i++ {
-		out = p.OnFault(i*3, nil)
+		out = p.OnMiss(i*3, nil)
 	}
 	if len(out) != 2 || out[0] != 33+3 || out[1] != 33+6 {
 		t.Fatalf("stride-3 prefetch = %v", out)
@@ -40,12 +41,12 @@ func TestStrideTrend(t *testing.T) {
 }
 
 func TestNoMajorityNoPrefetch(t *testing.T) {
-	p := NewPrefetcher(8, 4)
+	p := prefetch.NewLeap(8, 4)
 	// Alternating deltas of +5 and -3: no majority.
 	pages := []int64{0, 5, 2, 7, 4, 9, 6, 11, 8, 13, 10}
 	var out []int64
 	for _, pg := range pages {
-		out = p.OnFault(pg, nil)
+		out = p.OnMiss(pg, nil)
 	}
 	if len(out) != 0 {
 		t.Fatalf("prefetched %v despite no majority trend", out)
@@ -55,26 +56,20 @@ func TestNoMajorityNoPrefetch(t *testing.T) {
 func TestInterleavedPatternDefeatsLeap(t *testing.T) {
 	// The paper's point (Fig. 15): an interleaved sequential+random fault
 	// stream has no global majority, so Leap cannot prefetch.
-	p := NewPrefetcher(16, 4)
+	p := prefetch.NewLeap(16, 4)
 	rng := sim.NewRNG(3)
 	var out []int64
 	seq := int64(0)
 	for i := 0; i < 64; i++ {
 		if i%2 == 0 {
 			seq++
-			out = p.OnFault(seq, nil)
+			out = p.OnMiss(seq, nil)
 		} else {
-			out = p.OnFault(1000+int64(rng.Intn(500)), nil)
+			out = p.OnMiss(1000+int64(rng.Intn(500)), nil)
 		}
 		if len(out) > 0 {
 			t.Fatalf("iteration %d: prefetched %v from interleaved stream", i, out)
 		}
-	}
-}
-
-func TestPerFaultOverheadPositive(t *testing.T) {
-	if NewPrefetcher(8, 4).PerFaultOverhead() <= 0 {
-		t.Fatal("Leap must pay trend-detection overhead")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mira/internal/prefetch"
 	"mira/internal/sim"
 )
 
@@ -14,7 +15,7 @@ import (
 func TestPropertyMajorityStrideDetected(t *testing.T) {
 	f := func(seed uint64, strideRaw uint8) bool {
 		stride := int64(strideRaw%5) + 1
-		p := NewPrefetcher(8, 2)
+		p := prefetch.NewLeap(8, 2)
 		rng := sim.NewRNG(seed)
 		page := int64(1000)
 		warm := 0
@@ -30,7 +31,7 @@ func TestPropertyMajorityStrideDetected(t *testing.T) {
 				noise++
 			}
 			page += d
-			preds := p.OnFault(page, nil)
+			preds := p.OnMiss(page, nil)
 			warm++
 			if warm < 20 || d != stride || len(preds) == 0 {
 				continue
@@ -53,7 +54,7 @@ func TestPropertyMajorityStrideDetected(t *testing.T) {
 // window — Leap's guard against polluting the cache on random access.
 func TestPropertyNoMajorityNoPrediction(t *testing.T) {
 	f := func(seed uint64) bool {
-		p := NewPrefetcher(8, 2)
+		p := prefetch.NewLeap(8, 2)
 		rng := sim.NewRNG(seed)
 		page := int64(0)
 		fired := 0
@@ -62,7 +63,7 @@ func TestPropertyNoMajorityNoPrediction(t *testing.T) {
 			// majority of one value in a window of 8 is vanishingly
 			// unlikely.
 			page += int64(rng.Intn(1 << 16)) // non-negative keeps pages increasing
-			if len(p.OnFault(page, nil)) > 0 {
+			if len(p.OnMiss(page, nil)) > 0 {
 				fired++
 			}
 		}
@@ -78,13 +79,13 @@ func TestPropertyNoMajorityNoPrediction(t *testing.T) {
 func TestPropertyPredictionShape(t *testing.T) {
 	f := func(seed uint64, depthRaw uint8) bool {
 		depth := int64(depthRaw%4) + 1
-		p := NewPrefetcher(6, depth)
+		p := prefetch.NewLeap(6, depth)
 		rng := sim.NewRNG(seed)
 		stride := int64(rng.Intn(9)) - 4 // -4..4, may be 0 or negative
 		page := int64(1 << 20)
 		for i := 0; i < 40; i++ {
 			page += stride
-			preds := p.OnFault(page, nil)
+			preds := p.OnMiss(page, nil)
 			if int64(len(preds)) > depth {
 				return false
 			}

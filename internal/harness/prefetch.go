@@ -24,7 +24,6 @@ import (
 	"mira/internal/prefetch"
 	"mira/internal/rt"
 	"mira/internal/session"
-	"mira/internal/swap"
 	"mira/internal/workload"
 )
 
@@ -49,34 +48,16 @@ func RunPagePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 		Workload: w,
 		Config:   opts.runConfig(cfg),
 		NodeCfg:  opts.NodeCfg,
-		Swap: func(r *rt.Runtime) (swap.Prefetcher, error) {
+		Swap: func(r *rt.Runtime) (prefetch.Policy, error) {
 			var program []int64
 			if spec.Policy == "programmed" {
 				// Lower the IR's access phases to page numbers; swap-placed
 				// objects only (everything here).
 				program = analysis.LowerPhases(analysis.AccessProgram(prog), r.PageUnit)
-				spec.Window = clampWindow(spec.Window, int(cfg.SwapPool/swap.PageBytes))
 			}
-			pol, err := prefetch.Build(spec, program)
-			if err != nil {
-				return nil, err
-			}
-			return prefetch.PageAdapter{P: pol}, nil
+			return prefetch.Build(spec, program)
 		},
 	}, opts)
-}
-
-// clampWindow bounds a programmed runner's in-flight window to half the
-// plane's capacity (in units): a window wider than the pool evicts its own
-// prefetches before their first touch.
-func clampWindow(window, capacity int) int {
-	if window == 0 {
-		window = prefetch.DefaultWindow
-	}
-	if half := capacity / 2; half >= 1 && window > half {
-		return half
-	}
-	return window
 }
 
 // RunLinePolicy races one policy on the line plane. For racing several
@@ -218,7 +199,6 @@ func runLineCell(w workload.Workload, opts Options, pres *planner.Result, v *pro
 	if spec.Policy != prefetch.Compiled {
 		for i := 0; i < r.NumSections(); i++ {
 			var program []int64
-			secSpec := spec
 			if spec.Policy == "programmed" {
 				idx := i
 				program = analysis.LowerPhases(v.phases, func(obj string, elem int64) (int64, bool) {
@@ -228,9 +208,8 @@ func runLineCell(w workload.Workload, opts Options, pres *planner.Result, v *pro
 					}
 					return unit, true
 				})
-				secSpec.Window = clampWindow(spec.Window, r.SectionConfig(i).Lines())
 			}
-			pol, err := prefetch.Build(secSpec, program)
+			pol, err := prefetch.Build(spec, program)
 			if err != nil {
 				return Result{}, err
 			}

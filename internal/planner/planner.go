@@ -22,17 +22,16 @@ import (
 	"sort"
 
 	"mira/internal/analysis"
-	"mira/internal/baselines/fastswap"
 	"mira/internal/cluster"
 	"mira/internal/codegen"
 	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/netmodel"
+	"mira/internal/prefetch"
 	"mira/internal/profile"
 	"mira/internal/rt"
 	"mira/internal/session"
 	"mira/internal/sim"
-	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/workload"
 )
@@ -464,7 +463,7 @@ func withDefaults(opts Options) Options {
 // system (§3 "the initial execution works almost the same as traditional
 // page swap-based systems"), cluster readahead included. Whoever executes an
 // accepted plan as it was measured installs this.
-func SwapPolicy() swap.Prefetcher { return fastswap.Readahead{N: 2} }
+func SwapPolicy() prefetch.Policy { return prefetch.Readahead{N: 2} }
 
 // swapOnlyConfig places every non-local object in the swap section.
 func swapOnlyConfig(prog *ir.Program, opts Options) (rt.Config, error) {

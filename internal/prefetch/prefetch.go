@@ -3,8 +3,8 @@
 // units are 4 KB page numbers) and the line-granular cache sections
 // (internal/rt, units are line indices within a section's address space).
 // A policy observes the plane's demand-miss stream and proposes units to
-// fetch speculatively; the plane filters residency, charges the policy's
-// lookup cost to simulated time, and issues the survivors through its
+// fetch speculatively; the plane filters residency, delays the advisory
+// fetch by the policy's lookup cost, and issues the survivors through its
 // existing batch/doorbell machinery. Prefetch is always advisory: a
 // proposal the plane cannot honor (out of range, no evictable slot, far
 // node unreachable) is dropped, never an error.
@@ -27,9 +27,9 @@ import (
 // extended slice; the plane owns out — a scratch it passes back in, emptied,
 // on every miss, so proposing allocates nothing once the scratch has grown —
 // and filters out-of-range/resident/in-flight units. PerMissOverhead is the
-// policy's metadata cost charged to the faulting thread on every miss (trend
-// detection, table lookups); it models the latency prefetcher state adds
-// to the fault path itself.
+// policy's metadata cost per consult (trend detection, table lookups): the
+// policy runs on a runner thread, so both planes issue its advisory fetch
+// that much later and never stall the demand access on it.
 type Policy interface {
 	Name() string
 	OnMiss(unit int64, out []int64) []int64
@@ -37,10 +37,10 @@ type Policy interface {
 }
 
 // WindowCapped is an optional Policy extension for windowed runners whose
-// in-flight window must track the plane's live capacity. Installers clamp
-// the window to half the capacity at install time; holders of a resizable
-// plane (rt.SetSectionScale's elastic leases) call CapWindow again after
-// each resize so the clamp follows the cache it protects.
+// in-flight window must track the plane's live capacity. Both planes'
+// installers call CapWindow; holders of a resizable plane
+// (rt.SetSectionScale's elastic leases) call it again after each resize so
+// the clamp follows the cache it protects.
 type WindowCapped interface {
 	// CapWindow re-derives the effective window for a plane currently
 	// holding capacityUnits units.
@@ -211,31 +211,6 @@ func (p *Leap) OnMiss(unit int64, out []int64) []int64 {
 
 // PerMissOverhead is the trend-detection cost on every miss.
 func (p *Leap) PerMissOverhead() sim.Duration { return 300 * sim.Nanosecond }
-
-// PageAdapter presents a Policy as a swap.Prefetcher (structural match —
-// swap's hook is OnFault/PerFaultOverhead over page numbers).
-type PageAdapter struct{ P Policy }
-
-// OnFault forwards the faulting page to the policy's miss stream.
-func (a PageAdapter) OnFault(page int64, out []int64) []int64 { return a.P.OnMiss(page, out) }
-
-// PerFaultOverhead is zero: zoo policies run on the runner thread, off
-// the fault path (their cost is charged through IssueDelay instead).
-func (a PageAdapter) PerFaultOverhead() sim.Duration { return 0 }
-
-// IssueDelay charges the policy's per-consult table work by delaying the
-// advisory fetch's issue (swap.IssueDelayer).
-func (a PageAdapter) IssueDelay() sim.Duration { return a.P.PerMissOverhead() }
-
-// OnPrefetchedTouch forwards minor-fault (first touch of a prefetched
-// page) events to stream-maintaining policies; reactive policies get
-// nothing to say here.
-func (a PageAdapter) OnPrefetchedTouch(page int64, out []int64) []int64 {
-	if tu, ok := a.P.(StreamTopUp); ok {
-		return tu.OnPrefetchedTouch(page, out)
-	}
-	return out
-}
 
 // Spec names a policy and its knobs for CLI/harness plumbing. The zero
 // Depth/Window select each family's defaults.

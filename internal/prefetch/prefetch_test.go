@@ -15,23 +15,40 @@ func TestReadaheadProposesNextN(t *testing.T) {
 }
 
 func TestLeapLocksOntoMajorityStride(t *testing.T) {
-	p := NewLeap(8, 4)
-	var out []int64
-	for u := int64(0); u < 40; u += 2 {
-		out = p.OnMiss(u, nil)
-	}
-	if want := []int64{40, 42, 44, 46}; !reflect.DeepEqual(out, want) {
-		t.Fatalf("stride-2 trend proposals = %v, want %v", out, want)
+	// A clean stride wins the vote once the window is half full: the last
+	// miss proposes depth units along it.
+	for _, tc := range []struct {
+		window int
+		depth  int64
+		misses []int64
+		want   []int64
+	}{
+		{8, 4, []int64{0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38}, []int64{40, 42, 44, 46}},
+		{8, 4, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, []int64{12, 13, 14, 15}},
+		{8, 2, []int64{0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33}, []int64{36, 39}},
+	} {
+		p := NewLeap(tc.window, tc.depth)
+		var out []int64
+		for _, u := range tc.misses {
+			out = p.OnMiss(u, nil)
+		}
+		if !reflect.DeepEqual(out, tc.want) {
+			t.Fatalf("misses %v: proposals = %v, want %v", tc.misses, out, tc.want)
+		}
 	}
 	// A window of alternating deltas has no majority: silence.
-	q := NewLeap(8, 4)
-	units := []int64{0, 1, 10, 11, 20, 21, 30, 31, 40, 41}
-	var last []int64
-	for _, u := range units {
-		last = q.OnMiss(u, nil)
-	}
-	if last != nil {
-		t.Fatalf("no-majority window proposed %v, want nil", last)
+	for _, units := range [][]int64{
+		{0, 1, 10, 11, 20, 21, 30, 31, 40, 41},
+		{0, 5, 2, 7, 4, 9, 6, 11, 8, 13, 10}, // +5, -3, +5, ...
+	} {
+		q := NewLeap(8, 4)
+		var last []int64
+		for _, u := range units {
+			last = q.OnMiss(u, nil)
+		}
+		if last != nil {
+			t.Fatalf("no-majority window %v proposed %v, want nil", units, last)
+		}
 	}
 }
 
@@ -165,21 +182,6 @@ func TestHistoryCoversRepeatingStream(t *testing.T) {
 	if cov < 0.6 {
 		t.Fatalf("ideal-plane coverage = %.2f (covered %d, missed %d), want >= 0.6",
 			cov, covered, missed)
-	}
-}
-
-func TestPageAdapterForwardsTouchOnlyForStreamPolicies(t *testing.T) {
-	prog := PageAdapter{P: NewProgrammed([]int64{1, 2, 3, 4}, 2)}
-	if got := prog.OnFault(1, nil); !reflect.DeepEqual(got, []int64{2, 3}) {
-		t.Fatalf("OnFault through adapter = %v, want [2 3]", got)
-	}
-	if got := prog.OnPrefetchedTouch(2, nil); !reflect.DeepEqual(got, []int64{4}) {
-		t.Fatalf("touch through adapter = %v, want [4]", got)
-	}
-	// Reactive policies have no touch stream: the adapter answers nil.
-	ra := PageAdapter{P: Readahead{N: 2}}
-	if got := ra.OnPrefetchedTouch(2, nil); got != nil {
-		t.Fatalf("readahead touch through adapter = %v, want nil", got)
 	}
 }
 

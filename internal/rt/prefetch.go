@@ -13,10 +13,14 @@ import (
 // InstallSectionPolicy attaches an advisory prefetch policy to section
 // idx's demand-miss stream (prefetcher zoo, line plane). One policy
 // instance per section: sections have disjoint miss streams and stateful
-// policies must not mix them. Nil uninstalls. Call after Bind.
+// policies must not mix them. Nil uninstalls. A windowed policy has its
+// window capped to the section (prefetch.WindowCapped). Call after Bind.
 func (r *Runtime) InstallSectionPolicy(idx int, p prefetch.Policy) error {
 	if idx < 0 || idx >= len(r.secs) {
 		return fmt.Errorf("rt: install policy on section %d of %d", idx, len(r.secs))
+	}
+	if wc, ok := p.(prefetch.WindowCapped); ok {
+		wc.CapWindow(r.secs[idx].sec.Config().Lines())
 	}
 	r.secs[idx].policy = p
 	return nil

@@ -5,6 +5,7 @@ import (
 	"mira/internal/cluster"
 	"mira/internal/faults"
 	"mira/internal/netmodel"
+	"mira/internal/prefetch"
 	"mira/internal/sim"
 	"mira/internal/swap"
 	"mira/internal/transport"
@@ -77,10 +78,9 @@ func (r *Runtime) SwapStats() swap.Stats {
 // HasSwap reports whether a swap section was created at Bind.
 func (r *Runtime) HasSwap() bool { return r.swapC != nil }
 
-// SwapPrefetcher installs a page prefetcher on the swap section (used by
-// the FastSwap/Leap baselines and Mira's pointer-following swap prefetch
-// for MCF). Must be called after Bind.
-func (r *Runtime) SwapPrefetcher(pf swap.Prefetcher) {
+// SwapPrefetcher installs a page prefetch policy on the swap section (the
+// session installs the one its spec states). Must be called after Bind.
+func (r *Runtime) SwapPrefetcher(pf prefetch.Policy) {
 	if r.swapC != nil {
 		r.swapC.SetPrefetcher(pf)
 	}

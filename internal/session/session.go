@@ -29,23 +29,22 @@ import (
 	"mira/internal/profile"
 	"mira/internal/rt"
 	"mira/internal/sim"
-	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/transport"
 	"mira/internal/workload"
 )
 
-// SwapPolicy builds the swap pool's page prefetcher for a bound runtime
+// SwapPolicy builds the swap pool's page prefetch policy for a bound runtime
 // (policies lowered from the program need its address layout).
-type SwapPolicy func(r *rt.Runtime) (swap.Prefetcher, error)
+type SwapPolicy func(r *rt.Runtime) (prefetch.Policy, error)
 
 // Fixed is the SwapPolicy that installs pf as is.
-func Fixed(pf swap.Prefetcher) SwapPolicy {
-	return func(*rt.Runtime) (swap.Prefetcher, error) { return pf, nil }
+func Fixed(pf prefetch.Policy) SwapPolicy {
+	return func(*rt.Runtime) (prefetch.Policy, error) { return pf, nil }
 }
 
 // NoPrefetch states that nothing prefetches on the swap pool.
-var NoPrefetch = Fixed(swap.NoPrefetch{})
+var NoPrefetch = Fixed(prefetch.None{})
 
 // Spec describes one execution environment.
 type Spec struct {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mira/internal/netmodel"
+	"mira/internal/prefetch"
 	"mira/internal/sim"
 	"mira/internal/transport/transporttest"
 )
@@ -16,20 +17,21 @@ type nextPages struct {
 	out []int64
 }
 
-func (p *nextPages) OnFault(page int64, out []int64) []int64 {
+func (*nextPages) Name() string { return "next" }
+func (p *nextPages) OnMiss(page int64, out []int64) []int64 {
 	for i := int64(1); i <= p.n; i++ {
 		out = append(out, page+i)
 	}
 	return out
 }
-func (*nextPages) PerFaultOverhead() sim.Duration { return 0 }
+func (*nextPages) PerMissOverhead() sim.Duration { return 0 }
 
 const allocRegionPages = 64
 
 // warmCache returns a cache of pool pages over a QuietLink that has faulted on
 // every page of its region once, dirtying each: every frame is made, every
 // scratch slice has reached its size.
-func warmCache(tb testing.TB, pool int, pf Prefetcher, batch bool) (*Cache, *sim.Clock) {
+func warmCache(tb testing.TB, pool int, pf prefetch.Policy, batch bool) (*Cache, *sim.Clock) {
 	tb.Helper()
 	cfg := DefaultConfig(int64(pool) * PageBytes)
 	cfg.BatchPrefetch = batch

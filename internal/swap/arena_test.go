@@ -15,7 +15,7 @@ import (
 // model's Resident(), after every step.
 func TestFailedFetchGivesFrameBack(t *testing.T) {
 	hard := errors.New("injected hard failure")
-	d := newDiffPair(t, 3, 8*PageBytes, nil, false)
+	d := newDiffPair(t, 3, 8*PageBytes, diffPolicy{}, false)
 	read := func(no int64) error {
 		return d.both("read", func(c swapUnderTest, clk *sim.Clock) ([]byte, error) {
 			buf := make([]byte, 8)
@@ -53,7 +53,7 @@ func TestFailedFetchGivesFrameBack(t *testing.T) {
 func TestFailedBatchGivesPlaceholdersBack(t *testing.T) {
 	hard := errors.New("injected hard failure")
 	for _, fail := range []error{transport.ErrTimeout, hard} {
-		d := newDiffPair(t, 3, 8*PageBytes, nil, true)
+		d := newDiffPair(t, 3, 8*PageBytes, diffPolicy{}, true)
 		prefetch := func(pnos ...int64) error {
 			return d.both("prefetch", func(c swapUnderTest, clk *sim.Clock) ([]byte, error) {
 				return nil, c.PrefetchPages(clk, pnos)

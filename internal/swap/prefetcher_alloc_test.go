@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mira/internal/baselines/fastswap"
 	"mira/internal/netmodel"
 	"mira/internal/prefetch"
 	"mira/internal/sim"
@@ -16,9 +15,9 @@ import (
 
 // TestFaultsUnderPrefetchersAllocatesNothing: major faults and the minor
 // faults on the pages they prefetched allocate nothing on a warm cache —
-// the prefetcher appends its proposals to the cache's scratch — under the
-// FastSwap baseline's readahead and under the zoo's History on the page
-// plane with its tables full, evicting a context on almost every fault.
+// the policy appends its proposals to the cache's scratch — under readahead
+// (the FastSwap baseline's policy) and under the zoo's History with its
+// tables full, evicting a context on almost every fault.
 func TestFaultsUnderPrefetchersAllocatesNothing(t *testing.T) {
 	const pages = 256
 	// A repeating irregular cycle History learns, with one page in four
@@ -39,10 +38,10 @@ func TestFaultsUnderPrefetchersAllocatesNothing(t *testing.T) {
 	history := prefetch.NewHistory(prefetch.HistoryConfig{MaxEntries: 64})
 	for _, tc := range []struct {
 		name string
-		pf   swap.Prefetcher
+		pf   prefetch.Policy
 	}{
-		{"fastswap.Readahead{N: 2}", fastswap.Readahead{N: 2}},
-		{"PageAdapter{History}", prefetch.PageAdapter{P: history}},
+		{"Readahead{N: 2}", prefetch.Readahead{N: 2}},
+		{"History", history},
 	} {
 		cfg := swap.DefaultConfig(16 * swap.PageBytes)
 		cfg.BatchPrefetch = true

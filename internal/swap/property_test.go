@@ -13,6 +13,7 @@ import (
 	"mira/internal/cache"
 	"mira/internal/farmem"
 	"mira/internal/netmodel"
+	"mira/internal/prefetch"
 	"mira/internal/sim"
 	"mira/internal/transport"
 	"mira/internal/transport/transporttest"
@@ -213,7 +214,7 @@ func TestSetPrefetcherSwapsBehavior(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Stats().Prefetches != 0 {
-		t.Fatal("NoPrefetch issued prefetches")
+		t.Fatal("no policy, yet prefetches were issued")
 	}
 	c.SetPrefetcher(seqPrefetch{n: 2})
 	if err := c.Read(clk, c.Base()+4*PageBytes, buf); err != nil {
@@ -222,7 +223,7 @@ func TestSetPrefetcherSwapsBehavior(t *testing.T) {
 	if c.Stats().Prefetches == 0 {
 		t.Fatal("installed prefetcher never ran")
 	}
-	// Nil resets to NoPrefetch without crashing.
+	// Nil resets to prefetch.None without crashing.
 	c.SetPrefetcher(nil)
 	if err := c.Read(clk, c.Base()+7*PageBytes, buf); err != nil {
 		t.Fatal(err)
@@ -278,18 +279,37 @@ func (l *scriptLink) GatherOneSided(now sim.Time, addrs []uint64, sizes []int) (
 
 func (l *scriptLink) BreakerOpen(sim.Time) bool { return l.open }
 
-// touchSeq is seqPrefetch with the runahead top-up of a stream prefetcher
-// and proposals that fall off both ends of the region.
+// touchSeq is seqPrefetch with the runahead top-up of a stream policy
+// (prefetch.StreamTopUp), proposals that fall off both ends of the region
+// and a 700 ns consult that delays its advisory fetches.
 type touchSeq struct{ n int64 }
 
-func (p touchSeq) OnFault(page int64, out []int64) []int64 {
-	return append(seqPrefetch{n: p.n}.OnFault(page, out), page-1, -3)
+func (touchSeq) Name() string { return "touchseq" }
+func (p touchSeq) OnMiss(page int64, out []int64) []int64 {
+	return append(seqPrefetch{n: p.n}.OnMiss(page, out), page-1, -3)
 }
-func (touchSeq) PerFaultOverhead() sim.Duration { return 300 * sim.Nanosecond }
+func (touchSeq) PerMissOverhead() sim.Duration { return 700 * sim.Nanosecond }
 func (p touchSeq) OnPrefetchedTouch(page int64, out []int64) []int64 {
 	return append(out, page+p.n, page+p.n+1)
 }
-func (touchSeq) IssueDelay() sim.Duration { return 700 * sim.Nanosecond }
+
+// kernelLeap is prefetch.Leap predicting inside the fault handler, as the
+// Leap baseline runs it: its advisory fetch is not delayed, and its
+// detection cost is on the fault path instead.
+type kernelLeap struct{ *prefetch.Leap }
+
+func (kernelLeap) PerMissOverhead() sim.Duration { return 0 }
+
+// diffPolicy is one prefetcher of the differential, pf0 to pf3 in subtest
+// names: build makes a fresh policy (nil: none), and fault is what it adds
+// to every major fault. The cache runs the policy with fault added to
+// Config.MajorFaultOverhead; the reference runs it through refHooks, which
+// charges fault in the handler and the policy's PerMissOverhead as the
+// issue delay.
+type diffPolicy struct {
+	build func() prefetch.Policy
+	fault sim.Duration
+}
 
 // swapUnderTest is what the differential script drives: the arena cache and
 // the reference model it replaced.
@@ -355,19 +375,26 @@ type diffPair struct {
 	steps      int
 }
 
-func newDiffPair(t *testing.T, pool int, length int64, pf Prefetcher, batch bool) *diffPair {
+func newDiffPair(t *testing.T, pool int, length int64, dp diffPolicy, batch bool) *diffPair {
 	t.Helper()
-	rigN := newUnalignedRig(t, pool, length, pf, batch)
-	rigR := newUnalignedRig(t, pool, length, pf, batch)
+	rigN := newUnalignedRig(t, pool, length, nil, batch)
+	rigR := newUnalignedRig(t, pool, length, nil, batch)
 	d := &diffPair{t: t, farN: rigN.node, farR: rigR.node, clkN: sim.NewClock(0), clkR: sim.NewClock(0),
 		ln: &scriptLink{Link: rigN.tr}, lr: &scriptLink{Link: rigR.tr}}
 	cfg := rigN.c.cfg
 	cfg.Net = netmodel.DefaultConfig() // staggered readiness inside a batch
+	cfgN := cfg
+	cfgN.MajorFaultOverhead += dp.fault
+	var pfN prefetch.Policy
+	var pfR refPrefetcher
+	if dp.build != nil {
+		pfN, pfR = dp.build(), refHooks{p: dp.build(), fault: dp.fault}
+	}
 	var err error
-	if d.cn, err = New(cfg, transporttest.Scribble(d.ln), rigN.c.base, length, pf); err != nil {
+	if d.cn, err = New(cfgN, transporttest.Scribble(d.ln), rigN.c.base, length, pfN); err != nil {
 		t.Fatal(err)
 	}
-	if d.cr, err = newRefCache(cfg, d.lr, rigR.c.base, length, pf); err != nil {
+	if d.cr, err = newRefCache(cfg, d.lr, rigR.c.base, length, pfR); err != nil {
 		t.Fatal(err)
 	}
 	if d.cn.base != d.cr.base {
@@ -435,14 +462,24 @@ func (d *diffPair) both(what string, do func(c swapUnderTest, clk *sim.Clock) ([
 
 // TestDifferentialAgainstReference drives the arena cache and the map +
 // container/list cache it replaced with the same seeded script — reads,
-// writes, degraded full-page stores, prefetcher proposals, batched prefetch,
-// FlushRange, FlushAll, touch-prefetcher top-ups and injected transport
-// failures, over pools of 1, 2, 3 and many pages and a region with a short
-// tail page — checking everything diffPair.both checks after every step.
+// writes, degraded full-page stores, policy proposals, batched prefetch,
+// FlushRange, FlushAll, stream top-ups and injected transport failures,
+// over pools of 1, 2, 3 and many pages and a region with a short tail page
+// — checking everything diffPair.both checks after every step. The
+// reference charges a prefetcher's fault-path cost in the handler and its
+// issue delay on the fetch, at two sites; the cache states the first in its
+// Config and charges the policy's PerMissOverhead on the fetch. Running
+// both under no policy, readahead, a stream policy with both costs and Leap
+// checks that moving the charge changed no clock.
 func TestDifferentialAgainstReference(t *testing.T) {
 	const length = 13*PageBytes + 1234
 	fails := []error{transport.ErrTimeout, transport.ErrFarUnavailable, errors.New("injected hard failure")}
-	pfs := []Prefetcher{nil, seqPrefetch{n: 3}, touchSeq{n: 2}}
+	pfs := []diffPolicy{
+		{}, // none
+		{build: func() prefetch.Policy { return prefetch.Readahead{N: 3} }},
+		{build: func() prefetch.Policy { return touchSeq{n: 2} }, fault: 300 * sim.Nanosecond},
+		{build: func() prefetch.Policy { return kernelLeap{prefetch.NewLeap(4, 3)} }, fault: prefetch.NewLeap(0, 0).PerMissOverhead()},
+	}
 	for _, pool := range []int{1, 2, 3, 8} {
 		for pi, pf := range pfs {
 			for _, batch := range []bool{false, true} {

@@ -3,7 +3,10 @@ package swap
 // refCache is the swap cache's bookkeeping as it stood before the frame
 // arena — map[int64]*list.Element, two container/list lists, a page and a
 // 4 KiB buffer allocated per fault — kept verbatim (tracing aside) as the
-// reference model of TestDifferentialAgainstReference.
+// reference model of TestDifferentialAgainstReference. It keeps the prefetch
+// hooks of its time too, and their two charge sites: a fault-path charge
+// (PerFaultOverhead, in the handler) and an issue delay (IssueDelay, on the
+// advisory fetch).
 
 import (
 	"container/list"
@@ -11,10 +14,59 @@ import (
 	"fmt"
 	"sort"
 
+	"mira/internal/prefetch"
 	"mira/internal/sim"
 	"mira/internal/trace"
 	"mira/internal/transport"
 )
+
+// refPrefetcher decides which pages to pull in around a demand fault.
+type refPrefetcher interface {
+	// OnFault observes a demand fault on page and appends page numbers to
+	// prefetch to out, returning the extended slice.
+	OnFault(page int64, out []int64) []int64
+	// PerFaultOverhead is the extra fault-path cost this prefetcher adds
+	// (e.g. Leap's trend detection).
+	PerFaultOverhead() sim.Duration
+}
+
+// refIssueDelayer is the optional refinement for prefetchers that run off
+// the fault path: IssueDelay is added to the advisory fetch's issue time.
+type refIssueDelayer interface {
+	IssueDelay() sim.Duration
+}
+
+// refTouchPrefetcher observes the first touch of a prefetched page (the
+// minor fault) and may propose more pages.
+type refTouchPrefetcher interface {
+	refPrefetcher
+	OnPrefetchedTouch(page int64, out []int64) []int64
+}
+
+// refNoPrefetch is the zero prefetcher.
+type refNoPrefetch struct{}
+
+func (refNoPrefetch) OnFault(_ int64, out []int64) []int64 { return out }
+func (refNoPrefetch) PerFaultOverhead() sim.Duration       { return 0 }
+
+// refHooks presents a policy through those hooks, as the installers did
+// then: fault is charged in the handler (the Leap baseline's trend
+// detection, 0 for a zoo policy), and the policy's PerMissOverhead delays
+// the advisory fetch (the zoo's page adapter).
+type refHooks struct {
+	p     prefetch.Policy
+	fault sim.Duration
+}
+
+func (h refHooks) OnFault(page int64, out []int64) []int64 { return h.p.OnMiss(page, out) }
+func (h refHooks) PerFaultOverhead() sim.Duration          { return h.fault }
+func (h refHooks) IssueDelay() sim.Duration                { return h.p.PerMissOverhead() }
+func (h refHooks) OnPrefetchedTouch(page int64, out []int64) []int64 {
+	if tu, ok := h.p.(prefetch.StreamTopUp); ok {
+		return tu.OnPrefetchedTouch(page, out)
+	}
+	return out
+}
 
 type refPage struct {
 	no       int64
@@ -36,7 +88,7 @@ type refCache struct {
 	pages    map[int64]*list.Element
 	active   *list.List
 	inactive *list.List
-	pf       Prefetcher
+	pf       refPrefetcher
 	stats    Stats
 	// faultsByPage records major-fault counts per page (per-object miss
 	// attribution for the evaluation's Fig. 8).
@@ -61,7 +113,7 @@ type refCache struct {
 }
 
 // New builds a swap cache covering [base, base+length) of far memory.
-func newRefCache(cfg Config, tr transport.Link, base uint64, length int64, pf Prefetcher) (*refCache, error) {
+func newRefCache(cfg Config, tr transport.Link, base uint64, length int64, pf refPrefetcher) (*refCache, error) {
 	if cfg.PoolBytes <= 0 {
 		return nil, fmt.Errorf("swap: PoolBytes must be positive, got %d", cfg.PoolBytes)
 	}
@@ -69,7 +121,7 @@ func newRefCache(cfg Config, tr transport.Link, base uint64, length int64, pf Pr
 		return nil, fmt.Errorf("swap: region length must be positive, got %d", length)
 	}
 	if pf == nil {
-		pf = NoPrefetch{}
+		pf = refNoPrefetch{}
 	}
 	capacity := int(cfg.PoolBytes / PageBytes)
 	if capacity < 1 {
@@ -173,7 +225,7 @@ func (c *refCache) touch(clk *sim.Clock, no int64, fullWrite bool) (*refPage, er
 			p.prefetch = false
 			// Stream-maintaining prefetchers top their window back up on
 			// the touch instead of waiting for the next major fault.
-			if tp, ok := c.pf.(TouchPrefetcher); ok {
+			if tp, ok := c.pf.(refTouchPrefetcher); ok {
 				if err := c.issueAdvisory(clk, p, tp.OnPrefetchedTouch(no, nil)); err != nil {
 					return nil, err
 				}
@@ -225,7 +277,7 @@ func (c *refCache) touch(clk *sim.Clock, no int64, fullWrite bool) (*refPage, er
 // prefetch-triggered evictions must not invalidate the page about to be
 // handed to the caller.
 //
-// A prefetcher that implements IssueDelayer runs its bookkeeping on the
+// A prefetcher that implements refIssueDelayer runs its bookkeeping on the
 // runner thread, off the fault path: the delay is charged by issuing the
 // advisory fetch later — slower predictors land their prefetches later
 // (and count Late more often) — never by stalling the demand access.
@@ -245,7 +297,7 @@ func (c *refCache) issueAdvisory(clk *sim.Clock, p *refPage, proposals []int64) 
 	}
 	var err error
 	at := clk.Now()
-	if d, ok := c.pf.(IssueDelayer); ok {
+	if d, ok := c.pf.(refIssueDelayer); ok {
 		at = at.Add(d.IssueDelay())
 	}
 	if c.cfg.BatchPrefetch && len(cands) >= 2 {
@@ -546,9 +598,9 @@ func (c *refCache) SetLock(l *sim.Serializer) { c.lock = l }
 // SetPrefetcher swaps in a page prefetcher (baselines install theirs after
 // the cache exists; Mira's planner installs pointer-following prefetch for
 // swap-placed indirect objects).
-func (c *refCache) SetPrefetcher(pf Prefetcher) {
+func (c *refCache) SetPrefetcher(pf refPrefetcher) {
 	if pf == nil {
-		pf = NoPrefetch{}
+		pf = refNoPrefetch{}
 	}
 	c.pf = pf
 }

@@ -1,13 +1,13 @@
 // Package swap implements the page-granular swap cache (§5.3 "swap-based
 // cache section"): a 4 KB-page local pool over far memory with demand
 // faults, an approximate global LRU (active/inactive lists, as in Linux and
-// the paper), asynchronous dirty write-back, and a pluggable prefetcher
-// hook.
+// the paper), asynchronous dirty write-back, and a pluggable
+// prefetch.Policy.
 //
 // Three systems share this substrate: Mira's generic swap section (the
 // initial iteration and the fallback for pre-compiled library code), the
-// FastSwap baseline (readahead prefetcher, fast fault path), and the Leap
-// baseline (majority-trend prefetcher, slightly costlier fault path).
+// FastSwap baseline (readahead policy, fast fault path), and the Leap
+// baseline (majority-trend policy, a fault path its Config makes costlier).
 package swap
 
 import (
@@ -16,6 +16,7 @@ import (
 
 	"mira/internal/cache"
 	"mira/internal/netmodel"
+	"mira/internal/prefetch"
 	"mira/internal/sim"
 	"mira/internal/trace"
 	"mira/internal/transport"
@@ -23,50 +24,6 @@ import (
 
 // PageBytes is the swap granularity, matching the OS page size (§5.3).
 const PageBytes = 4096
-
-// Prefetcher decides which pages to pull in around a demand fault.
-// Implementations must be deterministic.
-type Prefetcher interface {
-	// OnFault observes a demand fault on page and appends page numbers to
-	// prefetch (maybe none) to out, returning the extended slice. out is the
-	// cache's scratch, passed in empty: proposing allocates nothing once it
-	// has grown. Pages already resident or in flight are skipped by the
-	// cache.
-	OnFault(page int64, out []int64) []int64
-	// PerFaultOverhead is the extra fault-path cost this prefetcher adds
-	// (e.g. Leap's trend detection).
-	PerFaultOverhead() sim.Duration
-}
-
-// IssueDelayer is an optional Prefetcher refinement for policies whose
-// bookkeeping runs on a runner thread instead of inside the fault handler
-// (the prefetcher zoo's PageAdapter): PerFaultOverhead is zero — nothing
-// stalls the fault — and IssueDelay is added to the advisory fetch's issue
-// time instead. In-kernel prefetchers like the Leap baseline do their
-// trend detection in the fault handler and keep the PerFaultOverhead
-// charge.
-type IssueDelayer interface {
-	IssueDelay() sim.Duration
-}
-
-// TouchPrefetcher is an optional Prefetcher extension for runahead
-// streams: OnPrefetchedTouch observes the first touch of a prefetched page
-// (the minor fault) and appends more pages to out, like OnFault, to keep the
-// stream's in-flight window full without waiting for the next major fault.
-// Reactive prefetchers need not implement it.
-type TouchPrefetcher interface {
-	Prefetcher
-	OnPrefetchedTouch(page int64, out []int64) []int64
-}
-
-// NoPrefetch is the zero prefetcher.
-type NoPrefetch struct{}
-
-// OnFault proposes no prefetch candidates.
-func (NoPrefetch) OnFault(_ int64, out []int64) []int64 { return out }
-
-// PerFaultOverhead is zero for the no-op prefetcher.
-func (NoPrefetch) PerFaultOverhead() sim.Duration { return 0 }
 
 // Config parameterizes a swap cache.
 type Config struct {
@@ -166,7 +123,7 @@ type Cache struct {
 	free     []int32 // frames holding no page
 	frameOf  []int32 // page number -> frame, -1 when not resident
 	lru      *cache.TwoList
-	pf       Prefetcher
+	pf       prefetch.Policy
 	stats    Stats
 	// faultsByPage records major-fault counts per page (per-object miss
 	// attribution for the evaluation's Fig. 8); made on the first fault.
@@ -197,16 +154,14 @@ type Cache struct {
 	hFaultLat           *trace.Histogram
 }
 
-// New builds a swap cache covering [base, base+length) of far memory.
-func New(cfg Config, tr transport.Link, base uint64, length int64, pf Prefetcher) (*Cache, error) {
+// New builds a swap cache covering [base, base+length) of far memory, with
+// pf as its prefetch policy (nil: none).
+func New(cfg Config, tr transport.Link, base uint64, length int64, pf prefetch.Policy) (*Cache, error) {
 	if cfg.PoolBytes <= 0 {
 		return nil, fmt.Errorf("swap: PoolBytes must be positive, got %d", cfg.PoolBytes)
 	}
 	if length <= 0 {
 		return nil, fmt.Errorf("swap: region length must be positive, got %d", length)
-	}
-	if pf == nil {
-		pf = NoPrefetch{}
 	}
 	capacity := cfg.Pages()
 	c := &Cache{
@@ -216,13 +171,13 @@ func New(cfg Config, tr transport.Link, base uint64, length int64, pf Prefetcher
 		length:   length,
 		capacity: capacity,
 		lru:      cache.NewTwoList(capacity),
-		pf:       pf,
 		pinned:   -1,
 	}
 	c.frameOf = make([]int32, c.npages())
 	for i := range c.frameOf {
 		c.frameOf[i] = -1
 	}
+	c.SetPrefetcher(pf)
 	return c, nil
 }
 
@@ -309,9 +264,9 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 			clk.AdvanceTo(p.readyAt)
 			clk.Advance(c.cfg.MinorFaultOverhead)
 			p.prefetch = false
-			// Stream-maintaining prefetchers top their window back up on
+			// Stream-maintaining policies top their window back up on
 			// the touch instead of waiting for the next major fault.
-			if tp, ok := c.pf.(TouchPrefetcher); ok {
+			if tp, ok := c.pf.(prefetch.StreamTopUp); ok {
 				c.props = tp.OnPrefetchedTouch(no, c.props[:0])
 				if err := c.issueAdvisory(clk, i, c.props); err != nil {
 					return nil, err
@@ -333,7 +288,6 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 		clk.AdvanceTo(c.lock.Acquire(clk.Now(), c.cfg.MajorFaultOverhead))
 	}
 	clk.Advance(c.cfg.MajorFaultOverhead)
-	clk.Advance(c.pf.PerFaultOverhead())
 	// Degraded mode: a store that overwrites the whole page while the
 	// circuit breaker is open allocates the page locally instead of
 	// stalling on a fetch that cannot succeed.
@@ -352,22 +306,22 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 		return p, nil // the far node is unreachable; skip prefetch too
 	}
 
-	// Consult the prefetcher after servicing the demand page so its
-	// traffic queues behind the demand fetch.
-	c.props = c.pf.OnFault(no, c.props[:0])
+	// Consult the policy after servicing the demand page so its traffic
+	// queues behind the demand fetch.
+	c.props = c.pf.OnMiss(no, c.props[:0])
 	if err := c.issueAdvisory(clk, i, c.props); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// issueAdvisory filters prefetcher proposals and issues the survivors
+// issueAdvisory filters policy proposals and issues the survivors
 // (batched when configured). The demand page's frame is pinned throughout:
 // prefetch-triggered evictions must not invalidate the page about to be
 // handed to the caller.
 //
-// A prefetcher that implements IssueDelayer runs its bookkeeping on the
-// runner thread, off the fault path: the delay is charged by issuing the
+// The policy runs on the runner thread, off the fault path, as on the line
+// plane (rt's policyIssue): its PerMissOverhead is charged by issuing the
 // advisory fetch later — slower predictors land their prefetches later
 // (and count Late more often) — never by stalling the demand access.
 func (c *Cache) issueAdvisory(clk *sim.Clock, pin int32, proposals []int64) error {
@@ -386,10 +340,7 @@ func (c *Cache) issueAdvisory(clk *sim.Clock, pin int32, proposals []int64) erro
 	}
 	c.cands = cands
 	var err error
-	at := clk.Now()
-	if d, ok := c.pf.(IssueDelayer); ok {
-		at = at.Add(d.IssueDelay())
-	}
+	at := clk.Now().Add(c.pf.PerMissOverhead())
 	if c.cfg.BatchPrefetch && len(cands) >= 2 {
 		err = c.prefetchBatch(at, cands)
 	} else {
@@ -709,12 +660,15 @@ func (c *Cache) SetTrace(tr *trace.Tracer) {
 // threads (multithreaded swap baselines).
 func (c *Cache) SetLock(l *sim.Serializer) { c.lock = l }
 
-// SetPrefetcher swaps in a page prefetcher (baselines install theirs after
-// the cache exists; Mira's planner installs pointer-following prefetch for
-// swap-placed indirect objects).
-func (c *Cache) SetPrefetcher(pf Prefetcher) {
+// SetPrefetcher swaps in a page prefetch policy (nil: none). Baselines
+// install theirs after the cache exists. A windowed policy has its window
+// capped to the pool (prefetch.WindowCapped).
+func (c *Cache) SetPrefetcher(pf prefetch.Policy) {
 	if pf == nil {
-		pf = NoPrefetch{}
+		pf = prefetch.None{}
+	}
+	if wc, ok := pf.(prefetch.WindowCapped); ok {
+		wc.CapWindow(c.capacity)
 	}
 	c.pf = pf
 }

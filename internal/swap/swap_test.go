@@ -6,6 +6,7 @@ import (
 
 	"mira/internal/farmem"
 	"mira/internal/netmodel"
+	"mira/internal/prefetch"
 	"mira/internal/sim"
 	"mira/internal/transport"
 	"mira/internal/transport/transporttest"
@@ -35,7 +36,7 @@ func testRegion(t *testing.T, length int64) (*transport.T, uint64) {
 // previous gather reply at the start of every call, as the links of the
 // other two rigs of this suite do (newUnalignedRig, newDiffPair): the batched
 // prefetch must have copied every page out by then.
-func newCache(t *testing.T, poolPages int, length int64, pf Prefetcher) (*Cache, *sim.Clock) {
+func newCache(t *testing.T, poolPages int, length int64, pf prefetch.Policy) (*Cache, *sim.Clock) {
 	t.Helper()
 	tr, base := testRegion(t, length)
 	c, err := New(DefaultConfig(int64(poolPages)*PageBytes), transporttest.Scribble(tr), base, length, pf)
@@ -178,13 +179,14 @@ func TestOutOfRegionAccess(t *testing.T) {
 // seqPrefetch prefetches the next n pages after a fault.
 type seqPrefetch struct{ n int64 }
 
-func (p seqPrefetch) OnFault(page int64, out []int64) []int64 {
+func (seqPrefetch) Name() string { return "seq" }
+func (p seqPrefetch) OnMiss(page int64, out []int64) []int64 {
 	for i := int64(1); i <= p.n; i++ {
 		out = append(out, page+i)
 	}
 	return out
 }
-func (seqPrefetch) PerFaultOverhead() sim.Duration { return 0 }
+func (seqPrefetch) PerMissOverhead() sim.Duration { return 0 }
 
 func TestPrefetchTurnsMajorIntoMinorFaults(t *testing.T) {
 	c, clk := newCache(t, 8, 16*PageBytes, seqPrefetch{n: 2})
@@ -207,7 +209,7 @@ func TestPrefetchTurnsMajorIntoMinorFaults(t *testing.T) {
 }
 
 func TestPrefetchFasterThanDemand(t *testing.T) {
-	run := func(pf Prefetcher) sim.Duration {
+	run := func(pf prefetch.Policy) sim.Duration {
 		c, clk := newCache(t, 16, 64*PageBytes, pf)
 		buf := make([]byte, 1)
 		for i := int64(0); i < 64; i++ {
@@ -234,6 +236,56 @@ func TestPrefetchOutOfRangeIgnored(t *testing.T) {
 	// fetch beyond the region.
 	if got := c.Stats().PagesFetched; got != 1 {
 		t.Fatalf("PagesFetched = %d, want 1", got)
+	}
+}
+
+// missSpy counts the misses its readahead policy hears of.
+type missSpy struct {
+	prefetch.Readahead
+	misses int
+}
+
+func (s *missSpy) OnMiss(page int64, out []int64) []int64 {
+	s.misses++
+	return s.Readahead.OnMiss(page, out)
+}
+
+// TestTouchConsultsOnlyStreamPolicies: a minor fault reaches the policy only
+// through prefetch.StreamTopUp. A reactive policy hears of major faults
+// alone; Programmed tops its window up on every touch that drains half of it.
+func TestTouchConsultsOnlyStreamPolicies(t *testing.T) {
+	buf := make([]byte, 1)
+	read := func(c *Cache, clk *sim.Clock, pages ...int64) {
+		t.Helper()
+		for _, no := range pages {
+			if err := c.Read(clk, c.Base()+uint64(no)*PageBytes, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	spy := &missSpy{Readahead: prefetch.Readahead{N: 2}}
+	c, clk := newCache(t, 8, 16*PageBytes, spy)
+	read(c, clk, 0, 1, 2)
+	if st := c.Stats(); st.MajorFaults != 1 || st.MinorFaults != 2 || spy.misses != 1 {
+		t.Fatalf("readahead: %d major, %d minor faults, %d consults; want 1, 2, 1",
+			st.MajorFaults, st.MinorFaults, spy.misses)
+	}
+
+	c, clk = newCache(t, 8, 16*PageBytes, prefetch.NewProgrammed([]int64{0, 1, 2, 3, 4, 5, 6, 7}, 2))
+	read(c, clk, 0, 1, 2, 3, 4, 5, 6, 7)
+	if st := c.Stats(); st.MajorFaults != 1 || st.MinorFaults != 7 || st.Prefetches != 7 {
+		t.Fatalf("programmed: %d major, %d minor faults, %d prefetches; want 1, 7, 7",
+			st.MajorFaults, st.MinorFaults, st.Prefetches)
+	}
+}
+
+// TestProgrammedWindowCappedToPool: installing a windowed policy caps its
+// window to half the pool.
+func TestProgrammedWindowCappedToPool(t *testing.T) {
+	p := prefetch.NewProgrammed([]int64{0, 1, 2}, 64)
+	newCache(t, 16, 32*PageBytes, p)
+	if got := p.Window(); got != 8 {
+		t.Fatalf("window 64 on a 16-page pool: Window() = %d, want 8", got)
 	}
 }
 

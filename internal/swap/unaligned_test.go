@@ -9,6 +9,7 @@ import (
 	"mira/internal/farmem"
 	"mira/internal/netmodel"
 	"mira/internal/plane/planetest"
+	"mira/internal/prefetch"
 	"mira/internal/sim"
 	"mira/internal/transport"
 	"mira/internal/transport/transporttest"
@@ -24,7 +25,7 @@ type unalignedRig struct {
 	clk  *sim.Clock
 }
 
-func newUnalignedRig(t *testing.T, poolPages int, length int64, pf Prefetcher, batch bool) *unalignedRig {
+func newUnalignedRig(t *testing.T, poolPages int, length int64, pf prefetch.Policy, batch bool) *unalignedRig {
 	t.Helper()
 	node := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 24, CPUSlowdown: 1})
 	tr := transport.New(node, netmodel.DefaultConfig())
