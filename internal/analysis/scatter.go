@@ -177,7 +177,7 @@ func stripHints(body []ir.Stmt) []ir.Stmt {
 	out := make([]ir.Stmt, 0, len(body))
 	for _, s := range body {
 		switch st := s.(type) {
-		case *ir.Prefetch, *ir.BatchPrefetch, *ir.Evict, *ir.Fence, *ir.Release:
+		case *ir.Prefetch, *ir.BatchPrefetch, *ir.GatherPrefetch, *ir.Evict, *ir.Fence, *ir.Release:
 			continue
 		case *ir.Loop:
 			cp := *st
@@ -204,7 +204,7 @@ func onlyHints(body []ir.Stmt) bool {
 	ok := true
 	ir.Walk(body, func(s ir.Stmt) bool {
 		switch s.(type) {
-		case *ir.If, *ir.Prefetch, *ir.BatchPrefetch, *ir.Evict, *ir.Fence, *ir.Release:
+		case *ir.If, *ir.Prefetch, *ir.BatchPrefetch, *ir.GatherPrefetch, *ir.Evict, *ir.Fence, *ir.Release:
 		default:
 			ok = false
 		}

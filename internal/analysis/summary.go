@@ -268,7 +268,7 @@ func (w *walker) block(stmts []ir.Stmt) {
 		case *ir.Intrinsic:
 			w.intrinsicAccess(st)
 
-		case *ir.Prefetch, *ir.BatchPrefetch, *ir.Evict, *ir.Fence:
+		case *ir.Prefetch, *ir.BatchPrefetch, *ir.GatherPrefetch, *ir.Evict, *ir.Fence:
 			// Compiler-inserted operations carry no new program
 			// facts.
 		}

@@ -174,6 +174,12 @@ type Section interface {
 	Lookup(addr uint64) (*Line, bool)
 	// Peek is Lookup without recency or stats side effects.
 	Peek(addr uint64) (*Line, bool)
+	// Touch refreshes the recency of addr's line, if resident, as a hit
+	// would, without counting one: a prefetch that finds its line present
+	// keeps it from aging out before the access it announces. A
+	// direct-mapped section has no victim choice, so its Touch does
+	// nothing.
+	Touch(addr uint64)
 	// Reserve allocates a slot for the line containing addr and returns
 	// it with zeroed Data — a recycled buffer is cleared, because selective
 	// fetches fill only field ranges and write-only allocation fills

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -405,5 +406,52 @@ func TestSetAssocWaysClamp(t *testing.T) {
 	s.Reserve(64)
 	if _, ok := s.Lookup(0); !ok {
 		t.Fatal("line lost in clamped set-assoc section")
+	}
+}
+
+// TestTouchRefreshesRecency checks Touch on all three structures: on a
+// set-associative or fully-associative section it makes the touched line the
+// most recently used — the next victim is the other line — and counts no hit;
+// on a direct-mapped section, which has no victim choice, it changes nothing.
+// Touching an absent line changes nothing anywhere.
+func TestTouchRefreshesRecency(t *testing.T) {
+	for _, cfg := range allStructures(64, 128) {
+		cfg.Ways = 2
+		t.Run(cfg.Structure.String(), func(t *testing.T) {
+			if cfg.Structure == Direct {
+				d := newDirect(cfg)
+				d.Reserve(0)
+				d.Reserve(64)
+				before := *d
+				d.Touch(0)
+				d.Touch(64)
+				d.Touch(1 << 20)
+				if !reflect.DeepEqual(before, *d) {
+					t.Fatal("Touch changed a direct-mapped section")
+				}
+				return
+			}
+			for _, touch := range []bool{false, true} {
+				s := mkSection(t, cfg)
+				s.Reserve(0) // the least recently used line
+				s.Reserve(64)
+				before := s.Stats()
+				s.Touch(1 << 20) // absent: no effect
+				if touch {
+					s.Touch(0)
+				}
+				if s.Stats() != before {
+					t.Fatalf("touch %v: stats %+v, want %+v", touch, s.Stats(), before)
+				}
+				_, v := s.Reserve(128)
+				want := uint64(0)
+				if touch {
+					want = 64
+				}
+				if v.Tag != want {
+					t.Fatalf("touch %v: victim %d, want %d", touch, v.Tag, want)
+				}
+			}
+		})
 	}
 }

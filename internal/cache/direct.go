@@ -45,6 +45,8 @@ func (d *direct) Peek(addr uint64) (*Line, bool) {
 	return nil, false
 }
 
+func (d *direct) Touch(uint64) {}
+
 func (d *direct) Reserve(addr uint64) (*Line, Victim) {
 	tag := AlignDown(addr, d.cfg.LineBytes)
 	s := &d.slots[d.slotOf(tag)]

@@ -58,6 +58,14 @@ func (f *fullAssoc) Peek(addr uint64) (*Line, bool) {
 	return nil, false
 }
 
+func (f *fullAssoc) Touch(addr uint64) {
+	if i, ok := f.slotOf[AlignDown(addr, f.cfg.LineBytes)]; ok {
+		f.tick++
+		f.lines[i].lastUse = f.tick
+		f.lru.Touch(i)
+	}
+}
+
 func (f *fullAssoc) Reserve(addr uint64) (*Line, Victim) {
 	tag := AlignDown(addr, f.cfg.LineBytes)
 	if _, ok := f.slotOf[tag]; ok {

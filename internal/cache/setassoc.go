@@ -74,6 +74,13 @@ func (s *setAssoc) Peek(addr uint64) (*Line, bool) {
 	return nil, false
 }
 
+func (s *setAssoc) Touch(addr uint64) {
+	if l, ok := s.Peek(addr); ok {
+		s.tick++
+		l.lastUse = s.tick
+	}
+}
+
 func (s *setAssoc) Reserve(addr uint64) (*Line, Victim) {
 	tag := AlignDown(addr, s.cfg.LineBytes)
 	set := s.set(tag)

@@ -27,10 +27,12 @@ type ObjectPlan struct {
 	// section (the section's streams split the quarter), never nearer than
 	// the round trip max(2·dElems, LineElems) rounded up to a whole line;
 	// an unbatched stream, or one in a section sized after planning, leads
-	// by that round trip. A chained indirect prefetch runs
-	// dElems ahead. dElems is the round trip in elements, RTT / profiled
+	// by that round trip. A chained indirect target is nonzero here to
+	// enable its chain: gathered (GatherWindow > 0), it is prefetched one
+	// to two windows ahead; otherwise its per-element chain runs dElems
+	// ahead. dElems is the round trip in elements, RTT / profiled
 	// per-iteration time clamped to [4, 64] (§4.5); that cap bounds only
-	// indirect distances, section sizing and eviction lags.
+	// the per-element chain distance, section sizing and eviction lags.
 	PrefetchDistance int64
 	// LineElems is elements per cache line: prefetches and eviction
 	// hints fire once per line boundary, not per element.
@@ -52,9 +54,19 @@ type ObjectPlan struct {
 	EvictLag int64
 	// ChainedFrom enables indirect prefetching: this object's indices
 	// come from values loaded from ChainedFrom, so codegen loads
-	// ChainedFrom[i+D] and prefetches this object at that value (§1's
-	// motivating example).
+	// ChainedFrom's elements ahead of the loop and prefetches this object
+	// at their values (§1's motivating example). With a GatherWindow of G,
+	// one guard per G iterations loads the next window's G source elements
+	// and posts their prefetches as one doorbell-batched gather
+	// (ir.GatherPrefetch); with none, every iteration loads
+	// ChainedFrom[i+PrefetchDistance] and prefetches on its own.
 	ChainedFrom string
+	// GatherWindow is the chained target's window G in source elements (0:
+	// the per-element chain). The planner sizes it so the window in use and
+	// the one landing hold at most an eighth of the target's section, and
+	// so the gather's source loads, up to 2G ahead, stay within the source
+	// stream's lead and its section.
+	GatherWindow int64
 }
 
 // Plan is codegen's complete instruction set for one compilation.
@@ -114,6 +126,50 @@ func Apply(p *ir.Program, plan *Plan) (*ir.Program, error) {
 		return nil, fmt.Errorf("codegen: transformed program invalid: %w", err)
 	}
 	return out, nil
+}
+
+// ChainsPerElement reports, for every chained target of plan, how many
+// chained prefetches of it one source element issues: the most chain sites
+// feeding it in any one loop of p as Apply would compile it (fused when the
+// plan fuses). A target no loop chains is absent.
+func ChainsPerElement(p *ir.Program, plan *Plan) map[string]int64 {
+	out := map[string]int64{}
+	chained := false
+	for _, op := range plan.Objects {
+		chained = chained || op.ChainedFrom != ""
+	}
+	if !chained {
+		return out
+	}
+	p = ir.Clone(p)
+	for _, fn := range p.Funcs {
+		if plan.Offload[fn.Name] {
+			continue
+		}
+		if plan.FuseLoops {
+			fn.Body = fuseBlocks(fn.Body)
+		}
+		g := &gen{p: p, fn: fn, plan: plan}
+		ir.Walk(fn.Body, func(s ir.Stmt) bool {
+			l, ok := s.(*ir.Loop)
+			if !ok {
+				return true
+			}
+			k := map[string]int64{}
+			for _, a := range g.collectAccesses(l) {
+				for _, ch := range a.chains {
+					if tp := plan.Objects[ch.target]; tp != nil && tp.ChainedFrom == a.obj {
+						k[ch.target]++
+					}
+				}
+			}
+			for t, n := range k {
+				out[t] = max(out[t], n)
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // fuseBlocks merges runs of same-bounds dependence-free loops, recursively.
@@ -337,7 +393,10 @@ func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 		}
 	}
 
-	// Chained prefetches: load src[i+D], prefetch target[that value].
+	// Chained prefetches: a gathered target's chains join their source's
+	// window; any other loads src[i+D] and prefetches target[that value]
+	// on every iteration.
+	var windows []*gatherWindow
 	for _, a := range accesses {
 		if g.plan.SuppressPrefetchStmts {
 			break
@@ -345,6 +404,10 @@ func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 		for _, ch := range a.chains {
 			tplan := g.plan.Objects[ch.target]
 			if tplan == nil || tplan.PrefetchDistance <= 0 || tplan.ChainedFrom != a.obj {
+				continue
+			}
+			if w := tplan.GatherWindow; w > 0 && gatherable(l) {
+				windows = joinWindow(windows, a, w, ir.GatherChain{SrcField: ch.srcField, Target: ch.target})
 				continue
 			}
 			d := tplan.PrefetchDistance
@@ -360,6 +423,9 @@ func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 				Then: chainBody,
 			})
 		}
+	}
+	for _, w := range windows {
+		chains = append(chains, w.guards(l)...)
 	}
 
 	// Eviction hints behind the access front.
@@ -386,6 +452,89 @@ func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 		l.Body = slices.Concat(pre, chains, l.Body, post)
 	}
 	return l
+}
+
+// gatherWindow is one source's gathered chains that share a window.
+type gatherWindow struct {
+	src    *loopAccess
+	g      int64
+	chains []ir.GatherChain
+}
+
+// joinWindow adds chain c of source a to the window of g elements it shares
+// with a's other chains of that window, opening one if there is none.
+func joinWindow(ws []*gatherWindow, a *loopAccess, g int64, c ir.GatherChain) []*gatherWindow {
+	for _, w := range ws {
+		if w.src == a && w.g == g {
+			w.chains = append(w.chains, c)
+			return ws
+		}
+	}
+	return append(ws, &gatherWindow{src: a, g: g, chains: []ir.GatherChain{c}})
+}
+
+// guards builds the window's two gathers over loop l, whose iterations run
+// iv = S, S+1, …, E-1: at iv == S a priming gather of [S, min(E, S+G)), and
+// whenever (iv−S) % G == 0 the gather of the next window,
+// [iv+G, min(E, iv+2G)). Every source element in [S, E) is gathered exactly
+// once, a window ahead of its use, and none past E. The steady gathers' source
+// loads are native when the source's are: they read within the source
+// stream's lead. The priming gather's are not — its lines are the loop's
+// first, which the source stream only starts to prefetch with the loop.
+func (w *gatherWindow) guards(l *ir.Loop) []ir.Stmt {
+	iv := func() ir.Expr { return &ir.Reg{ID: l.IVReg} }
+	gather := func(lo, hi ir.Expr, native bool) []ir.Stmt {
+		return []ir.Stmt{&ir.GatherPrefetch{
+			Src:    w.src.obj,
+			Lo:     lo,
+			Hi:     ir.Min(ir.CloneExpr(l.End), hi),
+			Chains: slices.Clone(w.chains),
+			Native: native,
+		}}
+	}
+	return []ir.Stmt{
+		&ir.If{
+			Cond: ir.Eq(iv(), ir.CloneExpr(l.Start)),
+			Then: gather(iv(), ir.Add(iv(), ir.C(w.g)), false),
+		},
+		&ir.If{
+			Cond: ir.Eq(ir.Mod(ir.Sub(iv(), ir.CloneExpr(l.Start)), ir.C(w.g)), ir.C(0)),
+			Then: gather(ir.Add(iv(), ir.C(w.g)), ir.Add(iv(), ir.C(2*w.g)), w.src.plan.Native),
+		},
+	}
+}
+
+// gatherable reports whether l's chains can be gathered: a unit step, so
+// the window's elements are the ones the loop visits, and bounds the body
+// never writes, so the guards can re-read them on every iteration.
+func gatherable(l *ir.Loop) bool {
+	if st, ok := l.Step.(*ir.Const); !ok || st.I != 1 {
+		return false
+	}
+	written := map[int]bool{l.IVReg: true}
+	ir.Walk(l.Body, func(s ir.Stmt) bool {
+		switch st := s.(type) {
+		case *ir.Assign:
+			written[st.Dst] = true
+		case *ir.Load:
+			written[st.Dst] = true
+		case *ir.Call:
+			written[st.Dst] = true
+		case *ir.Loop:
+			written[st.IVReg] = true
+		}
+		return true
+	})
+	invariant := true
+	for _, e := range []ir.Expr{l.Start, l.End} {
+		ir.WalkExpr(e, func(x ir.Expr) bool {
+			if r, ok := x.(*ir.Reg); ok && written[r.ID] {
+				invariant = false
+			}
+			return invariant
+		})
+	}
+	return invariant
 }
 
 // tileCheaper reports whether l can be strip-mined into tiles of tile

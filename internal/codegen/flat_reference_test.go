@@ -118,26 +118,8 @@ func refInstrumentLoop(g *gen, l *ir.Loop) {
 		}
 	}
 
-	for _, a := range accesses {
-		if g.plan.SuppressPrefetchStmts {
-			break
-		}
-		for _, ch := range a.chains {
-			tplan := g.plan.Objects[ch.target]
-			if tplan == nil || tplan.PrefetchDistance <= 0 || tplan.ChainedFrom != a.obj {
-				continue
-			}
-			d := tplan.PrefetchDistance
-			tmp := g.newReg()
-			chainBody := []ir.Stmt{
-				&ir.Load{Dst: tmp, Obj: a.obj, Index: ir.Add(iv(), ir.C(d)), Field: ch.srcField},
-				&ir.Prefetch{Obj: ch.target, Index: &ir.Reg{ID: tmp}},
-			}
-			pre = append(pre, &ir.If{
-				Cond: ir.Lt(ir.Add(iv(), ir.C(d)), ir.CloneExpr(l.End)),
-				Then: chainBody,
-			})
-		}
+	if !g.plan.SuppressPrefetchStmts {
+		pre = append(pre, refChains(g, l, accesses)...)
 	}
 
 	for _, a := range accesses {

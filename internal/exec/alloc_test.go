@@ -3,11 +3,15 @@
 package exec
 
 import (
+	"encoding/binary"
 	"runtime"
 	"testing"
 
+	"mira/internal/cache"
+	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/profile"
+	"mira/internal/rt"
 	"mira/internal/sim"
 )
 
@@ -125,6 +129,96 @@ func TestWarmIntrinsicAllocatesNothing(t *testing.T) {
 		run() // warms the section and sizes the float scratch
 		if got := testing.AllocsPerRun(20, run); got != 0 {
 			t.Errorf("%v: %v allocs per warm execution, want 0", tc.kind, got)
+		}
+	}
+}
+
+// gatherProgram is a pointer-chasing loop over n source elements whose two
+// chains are gathered a window of g ahead, as codegen emits it: a priming
+// gather at the first iteration and one gather every g iterations.
+func gatherProgram(n, m, g int64) *ir.Program {
+	b := ir.NewBuilder("gather")
+	b.Object("src", 16, n, ir.F("a", 0, 8), ir.F("b", 8, 8))
+	b.IntArray("tgt", m)
+	fb := b.Func("main")
+	acc := fb.Var(ir.C(0))
+	fb.Loop(ir.C(0), ir.C(n), ir.C(1), func(i ir.Expr) {
+		fb.Set(acc, ir.Add(ir.R(acc.ID), fb.Load("tgt", fb.Load("src", i, "a"), "")))
+		fb.Set(acc, ir.Add(ir.R(acc.ID), fb.Load("tgt", fb.Load("src", i, "b"), "")))
+	})
+	fb.Return(ir.R(acc.ID))
+	p := b.MustProgram()
+	l := p.Funcs[0].Body[1].(*ir.Loop)
+	iv := func() ir.Expr { return ir.R(l.IVReg) }
+	gather := func(lo, hi ir.Expr) []ir.Stmt {
+		return []ir.Stmt{&ir.GatherPrefetch{Src: "src", Lo: lo, Hi: ir.Min(ir.C(n), hi), Native: true,
+			Chains: []ir.GatherChain{{SrcField: "a", Target: "tgt"}, {SrcField: "b", Target: "tgt"}}}}
+	}
+	l.Body = append([]ir.Stmt{
+		&ir.If{Cond: ir.Eq(iv(), ir.C(0)), Then: gather(iv(), ir.Add(iv(), ir.C(g)))},
+		&ir.If{Cond: ir.Eq(ir.Mod(iv(), ir.C(g)), ir.C(0)), Then: gather(ir.Add(iv(), ir.C(g)), ir.Add(iv(), ir.C(2*g)))},
+	}, l.Body...)
+	return p
+}
+
+// A gathered chain allocates nothing once warm: the executor refills its
+// window scratch and rt.PrefetchBatch its claimed-line scratch, both sized by
+// the first execution. Checked with every target line resident (each gather
+// only refreshes recency) and with a target section of 8 lines that every
+// window cycles (each gather claims, evicts and lands lines).
+func TestWarmGatherAllocatesNothing(t *testing.T) {
+	const n, m, g = 512, 256, 8
+	p := gatherProgram(n, m, g)
+	for _, cycling := range []bool{false, true} {
+		be := rtBackend(t, p)
+		if cycling {
+			cfg := rt.Config{
+				LocalBudget: 8 << 20,
+				Sections: []rt.SectionSpec{
+					{Cache: cache.Config{Name: "src", Structure: cache.Direct, LineBytes: 2048, SizeBytes: 16 << 10}},
+					{Cache: cache.Config{Name: "tgt", Structure: cache.SetAssoc, Ways: 4, LineBytes: 64, SizeBytes: 8 * 64}},
+				},
+				Placements: map[string]rt.Placement{
+					"src": {Kind: rt.PlaceSection, Section: 0},
+					"tgt": {Kind: rt.PlaceSection, Section: 1},
+				},
+			}
+			r, err := rt.New(cfg, farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 24, CPUSlowdown: 1}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Bind(p); err != nil {
+				t.Fatal(err)
+			}
+			src := make([]byte, n*16)
+			for j := range int64(2 * n) {
+				binary.LittleEndian.PutUint64(src[8*j:], uint64(j*37%m))
+			}
+			if err := r.InitObject("src", src); err != nil {
+				t.Fatal(err)
+			}
+			be = r
+		}
+		ex, err := New(p, be, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk := sim.NewClock(0)
+		fn, _ := p.EntryFunc()
+		body := ex.tab.resolve(fn)
+		fr := ex.newFrame(clk, fn, nil)
+		run := func() {
+			if _, _, err := ex.run(&fr, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warms the sections and sizes both scratches
+		issued := be.PrefetchStats().Issued
+		if got := testing.AllocsPerRun(10, run); got != 0 {
+			t.Errorf("cycling %v: %v allocs per warm execution, want 0", cycling, got)
+		}
+		if fetched := be.PrefetchStats().Issued > issued; fetched != cycling {
+			t.Errorf("cycling %v: warm gathers fetched lines: %v", cycling, fetched)
 		}
 	}
 }

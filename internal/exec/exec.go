@@ -69,6 +69,9 @@ type Executor struct {
 	// whose Elems the statement overwrites on each execution.
 	batch   []rt.BatchEntry
 	batchOf *batchSite
+	// gathered is the GatherPrefetch scratch: the window's target entries,
+	// refilled on each execution.
+	gathered []rt.BatchEntry
 }
 
 // missCounter is the optional backend capability behind per-function miss
@@ -347,6 +350,14 @@ func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err er
 			}
 			e.chargeRuntime(fr, clk.Now().Sub(t0))
 
+		case opGatherPrefetch:
+			if e.remote != nil {
+				break
+			}
+			if err := e.gather(fr, n); err != nil {
+				return Value{}, false, err
+			}
+
 		case opEvict:
 			if e.remote != nil {
 				break
@@ -403,6 +414,50 @@ func (e *Executor) run(fr *frame, body []node) (ret Value, returned bool, err er
 		}
 	}
 	return Value{}, false, nil
+}
+
+// gather runs a GatherPrefetch. Each source element in [lo, hi) pays what
+// the loop `for j := lo; j < hi; j++ { load src[j].f; prefetch target[v] }`
+// pays for it — one loop-control operator and the loads — and the window's
+// prefetches go out as one batch: the doorbell's posting cost replaces one
+// message per line.
+func (e *Executor) gather(fr *frame, n *node) error {
+	lo, err := n.a(fr)
+	if err != nil {
+		return err
+	}
+	hi, err := n.b(fr)
+	if err != nil {
+		return err
+	}
+	g := n.gather
+	if g.err != nil {
+		return g.err
+	}
+	clk := fr.clk
+	e.gathered = e.gathered[:0]
+	for j := lo.AsInt(); j < hi.AsInt(); j++ {
+		clk.Advance(e.opt.ComputeOp) // loop control
+		for c, a := range g.src {
+			buf := e.buf[:a.field.Bytes]
+			if err := e.access(fr, a, j, buf, false); err != nil {
+				return err
+			}
+			t := g.targets[c]
+			t.Elem = a.codec.decode(buf).AsInt()
+			e.gathered = append(e.gathered, t)
+		}
+	}
+	if len(e.gathered) == 0 {
+		return nil
+	}
+	e.yield()
+	t0 := clk.Now()
+	if err := e.be.PrefetchBatch(clk, e.gathered); err != nil {
+		return err
+	}
+	e.chargeRuntime(fr, clk.Now().Sub(t0))
+	return nil
 }
 
 // access routes a scalar access to the local backend or, in offloaded mode,

@@ -284,6 +284,53 @@ func (e *refExecutor) block(clk *sim.Clock, fr *refFrame, params map[string]Valu
 			}
 			e.chargeRuntime(fr, clk.Now().Sub(t0))
 
+		case *ir.GatherPrefetch:
+			// The loop the gather stands for, its prefetches posted as
+			// one batch.
+			if e.remote != nil {
+				break
+			}
+			lo, err := e.eval(clk, fr, params, st.Lo)
+			if err != nil {
+				return Value{}, false, err
+			}
+			hi, err := e.eval(clk, fr, params, st.Hi)
+			if err != nil {
+				return Value{}, false, err
+			}
+			var entries []rt.BatchEntry
+			for j := lo.AsInt(); j < hi.AsInt(); j++ {
+				clk.Advance(e.opt.ComputeOp)
+				for _, c := range st.Chains {
+					f, err := e.field(st.Src, c.SrcField)
+					if err != nil {
+						return Value{}, false, err
+					}
+					buf := e.buf[:f.Bytes]
+					if err := e.access(clk, fr, st.Src, j, f, buf, false,
+						rt.AccessOpts{Native: st.Native}); err != nil {
+						return Value{}, false, err
+					}
+					v, err := decodeField(f, buf)
+					if err != nil {
+						return Value{}, false, err
+					}
+					tf, err := e.field(c.Target, "")
+					if err != nil {
+						return Value{}, false, err
+					}
+					entries = append(entries, rt.BatchEntry{Obj: c.Target, Elem: v.AsInt(), Field: tf})
+				}
+			}
+			if len(entries) > 0 {
+				e.yield()
+				t0 := clk.Now()
+				if err := e.be.PrefetchBatch(clk, entries); err != nil {
+					return Value{}, false, err
+				}
+				e.chargeRuntime(fr, clk.Now().Sub(t0))
+			}
+
 		case *ir.Evict:
 			if e.remote != nil {
 				break

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 
 	"mira/internal/ir"
@@ -72,6 +73,7 @@ const (
 	opReturn
 	opPrefetch
 	opBatchPrefetch
+	opGatherPrefetch
 	opEvict
 	opFence
 	opRelease
@@ -90,6 +92,7 @@ const (
 //	opReturn         return a (nil: no value)
 //	opPrefetch       prefetch acc[a]
 //	opBatchPrefetch  batch
+//	opGatherPrefetch for j = a; j < b; j++ { gather's loads of src[j] }, one batch
 //	opEvict          evict acc[a]
 //	opRelease        release acc
 //	opIntrinsic      intr
@@ -103,6 +106,7 @@ type node struct {
 	name      string
 	call      *callSite
 	batch     *batchSite
+	gather    *gatherSite
 	intr      *intrinsicSite
 	err       error // opInvalid: returned when the node executes
 }
@@ -141,6 +145,16 @@ type batchSite struct {
 	idx     []evalFn
 	entries []rt.BatchEntry
 	errs    []error
+}
+
+// gatherSite is a resolved GatherPrefetch: per chain, the scalar access of
+// its source field (native as the statement says) and the entry template of
+// its target (Obj, Field and H set, Elem zero); err is the first chain that
+// failed to resolve.
+type gatherSite struct {
+	src     []*access
+	targets []rt.BatchEntry
+	err     error
 }
 
 // tensor is a resolved ir.TensorRef.
@@ -218,6 +232,17 @@ func (t *table) stmt(fn *ir.Func, s ir.Stmt) node {
 			}
 		}
 		return node{op: opBatchPrefetch, batch: b}
+	case *ir.GatherPrefetch:
+		g := &gatherSite{}
+		for _, c := range st.Chains {
+			src := t.access(st.Src, c.SrcField, true)
+			src.opts = rt.AccessOpts{Native: st.Native}
+			tgt := t.access(c.Target, "", false)
+			g.src = append(g.src, src)
+			g.targets = append(g.targets, rt.BatchEntry{Obj: c.Target, Field: tgt.field, H: tgt.h})
+			g.err = cmp.Or(g.err, src.err, tgt.err)
+		}
+		return node{op: opGatherPrefetch, a: t.expr(fn, st.Lo), b: t.expr(fn, st.Hi), gather: g}
 	case *ir.Evict:
 		return node{op: opEvict, a: t.expr(fn, st.Index), acc: &access{objRef: t.ref(st.Obj)}}
 	case *ir.Fence:

@@ -126,27 +126,36 @@ func TestPrefetchUnderFaults(t *testing.T) {
 
 	// Fault-free baselines per plane: the partition window must land
 	// mid-run, and the line plane finishes an order of magnitude before
-	// the page plane.
+	// the page plane. The compiled policy runs the program's own gathered
+	// chains and finishes several times before the line plane's advisory
+	// policies, so it has a baseline of its own.
 	t0 := map[string]sim.Duration{}
-	for _, plane := range []string{"page", "line"} {
+	for _, base := range []string{"page", "line", "line/" + prefetch.Compiled} {
 		var res Result
 		var err error
-		if plane == "page" {
+		switch base {
+		case "page":
 			res, err = RunPagePolicy(w, Options{Budget: budget}, prefetch.Spec{Policy: "none"})
-		} else {
+		case "line":
 			res, err = RunLinePolicy(w, Options{Budget: budget}, prefetch.Spec{Policy: "none"})
+		default:
+			res, err = RunLinePolicy(w, Options{Budget: budget}, prefetch.Spec{Policy: prefetch.Compiled})
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		t0[plane] = res.Time
+		t0[base] = res.Time
 	}
-	partition := func(plane string) faults.Config {
+	partition := func(plane, policy string) faults.Config {
+		end, ok := t0[plane+"/"+policy]
+		if !ok {
+			end = t0[plane]
+		}
 		return faults.Config{
 			Seed: 5,
 			Schedule: []faults.Event{
-				{At: sim.Time(t0[plane] / 3), Kind: faults.PartitionStart},
-				{At: sim.Time(t0[plane] / 2), Kind: faults.PartitionEnd},
+				{At: sim.Time(end / 3), Kind: faults.PartitionStart},
+				{At: sim.Time(end / 2), Kind: faults.PartitionEnd},
 			},
 		}
 	}
@@ -154,8 +163,8 @@ func TestPrefetchUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedules := map[string]func(plane string) faults.Config{
-		"flaky":     func(string) faults.Config { return flaky },
+	schedules := map[string]func(plane, policy string) faults.Config{
+		"flaky":     func(string, string) faults.Config { return flaky },
 		"partition": partition,
 	}
 
@@ -167,7 +176,7 @@ func TestPrefetchUnderFaults(t *testing.T) {
 			}
 			for _, plane := range planes {
 				label := schedName + "/" + plane + "/" + policy
-				fcCopy := mkSched(plane)
+				fcCopy := mkSched(plane, policy)
 				opts := Options{
 					Budget:     budget,
 					Verify:     true,

@@ -82,6 +82,9 @@ func CloneStmt(s Stmt) Stmt {
 			entries[i] = PrefetchRef{Obj: e.Obj, Index: CloneExpr(e.Index), Field: e.Field}
 		}
 		return &BatchPrefetch{Entries: entries}
+	case *GatherPrefetch:
+		return &GatherPrefetch{Src: st.Src, Lo: CloneExpr(st.Lo), Hi: CloneExpr(st.Hi),
+			Chains: append([]GatherChain(nil), st.Chains...), Native: st.Native}
 	case *Evict:
 		return &Evict{Obj: st.Obj, Index: CloneExpr(st.Index)}
 	case *Fence:
@@ -189,6 +192,9 @@ func SubstRegBlock(body []Stmt, from, to int) {
 			for i := range st.Entries {
 				st.Entries[i].Index = SubstReg(st.Entries[i].Index, from, to)
 			}
+		case *GatherPrefetch:
+			st.Lo = SubstReg(st.Lo, from, to)
+			st.Hi = SubstReg(st.Hi, from, to)
 		case *Evict:
 			st.Index = SubstReg(st.Index, from, to)
 		case *Intrinsic:

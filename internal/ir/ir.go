@@ -215,6 +215,27 @@ type PrefetchRef struct {
 	Field string
 }
 
+// GatherPrefetch is a window of chained indirect prefetches rung on one
+// doorbell (§4.5 data access batching applied to §1's chained prefetch): for
+// every source element j in [Lo, Hi) and every chain c, it loads
+// Src[j].c.SrcField and prefetches the line of c.Target at that value, and it
+// posts all of those prefetches as one batched gather. Native marks the
+// source loads as native loads (§4.4), as Load.Native does. Codegen emits one
+// per window of a pointer-chasing loop.
+type GatherPrefetch struct {
+	Src    string
+	Lo, Hi Expr
+	Chains []GatherChain
+	Native bool
+}
+
+// GatherChain is one chain of a GatherPrefetch: a source field whose values
+// index Target.
+type GatherChain struct {
+	SrcField string
+	Target   string
+}
+
 // Evict marks the line holding Obj[Index] evictable and schedules an
 // asynchronous write-back (§4.5 eviction hints). Codegen inserts these after
 // the lifetime-analysis last access.
@@ -303,19 +324,20 @@ func (k IntrKind) String() string {
 	}
 }
 
-func (*Loop) stmt()          {}
-func (*Load) stmt()          {}
-func (*Store) stmt()         {}
-func (*Assign) stmt()        {}
-func (*If) stmt()            {}
-func (*Call) stmt()          {}
-func (*Return) stmt()        {}
-func (*Prefetch) stmt()      {}
-func (*BatchPrefetch) stmt() {}
-func (*Evict) stmt()         {}
-func (*Fence) stmt()         {}
-func (*Release) stmt()       {}
-func (*Intrinsic) stmt()     {}
+func (*Loop) stmt()           {}
+func (*Load) stmt()           {}
+func (*Store) stmt()          {}
+func (*Assign) stmt()         {}
+func (*If) stmt()             {}
+func (*Call) stmt()           {}
+func (*Return) stmt()         {}
+func (*Prefetch) stmt()       {}
+func (*BatchPrefetch) stmt()  {}
+func (*GatherPrefetch) stmt() {}
+func (*Evict) stmt()          {}
+func (*Fence) stmt()          {}
+func (*Release) stmt()        {}
+func (*Intrinsic) stmt()      {}
 
 // Walk visits every statement in body recursively, pre-order. The visitor
 // returns false to prune a subtree.

@@ -57,6 +57,11 @@ func renameBlock(body []Stmt, rename func(string) string) {
 			for i := range st.Entries {
 				st.Entries[i].Obj = rename(st.Entries[i].Obj)
 			}
+		case *GatherPrefetch:
+			st.Src = rename(st.Src)
+			for i := range st.Chains {
+				st.Chains[i].Target = rename(st.Chains[i].Target)
+			}
 		case *Evict:
 			st.Obj = rename(st.Obj)
 		case *Release:

@@ -96,6 +96,16 @@ func printBlock(sb *strings.Builder, body []Stmt, depth int) {
 				parts[i] = fmt.Sprintf("%s[%s]%s", e.Obj, ExprString(e.Index), fieldSuffix(e.Field))
 			}
 			fmt.Fprintf(sb, "%srmem.prefetch_batch %s\n", ind, strings.Join(parts, ", "))
+		case *GatherPrefetch:
+			parts := make([]string, len(st.Chains))
+			for i, c := range st.Chains {
+				parts[i] = fmt.Sprintf("%s[%s[j]%s]", c.Target, st.Src, fieldSuffix(c.SrcField))
+			}
+			mode := "load"
+			if st.Native {
+				mode = "native.load"
+			}
+			fmt.Fprintf(sb, "%srmem.prefetch_gather j in [%s, %s) %s: %s\n", ind, ExprString(st.Lo), ExprString(st.Hi), mode, strings.Join(parts, ", "))
 		case *Evict:
 			fmt.Fprintf(sb, "%srmem.evict %s[%s]\n", ind, st.Obj, ExprString(st.Index))
 		case *Fence:

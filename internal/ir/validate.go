@@ -153,6 +153,22 @@ func (v *validator) stmt(s Stmt) error {
 			}
 		}
 		return nil
+	case *GatherPrefetch:
+		if len(st.Chains) == 0 {
+			return fmt.Errorf("gather prefetch over %q has no chains", st.Src)
+		}
+		for _, c := range st.Chains {
+			if err := v.access(st.Src, c.SrcField); err != nil {
+				return err
+			}
+			if err := v.access(c.Target, ""); err != nil {
+				return err
+			}
+		}
+		if err := v.expr(st.Lo); err != nil {
+			return err
+		}
+		return v.expr(st.Hi)
 	case *Evict:
 		if err := v.access(st.Obj, ""); err != nil {
 			return err

@@ -342,6 +342,7 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 	}
 
 	normalizeSizes(drafts, remaining)
+	wholeIndirect(prog, merged, drafts)
 	// Making room for the sampled sections, and normalizeSizes, can shrink
 	// a streaming section below the size its leads and batches were read
 	// from: plan them again against the section's final size. The ledger
@@ -354,6 +355,32 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 	}
 	cfg := assembleConfig(prog, drafts, merged, pool, opts)
 	return candidate{cfg, plan, compiled}, nil
+}
+
+// wholeIndirect gives an indirect section that holds its members' whole
+// footprint the sequential line size. Such a section never evicts, so a
+// wider line wastes no capacity: each line is fetched at most once, in a
+// sixteenth of the messages, and the section keeps a sixteenth of the
+// per-line metadata. The section shrinks to the footprint's lines, plus one
+// per member, whose start need not fall on a line boundary.
+func wholeIndirect(prog *ir.Program, merged map[string]*analysis.ObjectAccess, drafts []*sectionDraft) {
+	for _, d := range drafts {
+		if merged[d.members[0]].Pattern != analysis.PatternIndirect {
+			continue
+		}
+		var foot int64
+		for _, m := range d.members {
+			if o, ok := prog.Object(m); ok {
+				foot += o.SizeBytes()
+			}
+		}
+		if d.sizeBytes < foot {
+			continue
+		}
+		line := int64(seqLineBytes(elemBytesOf(prog, d.members[0])))
+		d.lineBytes = int(line)
+		d.sizeBytes = minI64(d.sizeBytes/line*line, (foot+line-1)/line*line+line*int64(len(d.members)))
+	}
 }
 
 // normalizeSizes scales section sizes down proportionally if the carve-up
@@ -598,7 +625,44 @@ func buildPlan(prog *ir.Program, merged map[string]*analysis.ObjectAccess, draft
 			plan.Objects[name] = op
 		}
 	}
+	if !tech.NoBatching {
+		setGatherWindows(prog, plan, drafts)
+	}
 	return plan
+}
+
+// setGatherWindows gives every chained target its gather window G, in
+// source elements: the window in use and the one landing, k chained
+// prefetches per element each, hold at most an eighth of the target's
+// section, so G = max(4, capLines/(16·k)) — 4 is rttElems' floor — read from
+// the section's size as the drafts have it. The gather's native source loads
+// run up to two windows ahead and must find their lines prefetched and still
+// resident, so G is then capped twice: 2G stays within the source stream's
+// lead, and the source lines of both windows fit in the source's section
+// beside the line the loop is reading. The second cap waits for the section
+// to have a size: a reused one is sized by sampling the first plan's
+// program, which must gather as the final program will. A window of 0 keeps
+// the per-element chain.
+func setGatherWindows(prog *ir.Program, plan *codegen.Plan, drafts []*sectionDraft) {
+	ks := codegen.ChainsPerElement(prog, plan)
+	lines := map[string]int64{} // each object's section, in lines
+	for _, d := range drafts {
+		for _, name := range d.members {
+			lines[name] = d.sizeBytes / int64(d.lineBytes)
+		}
+	}
+	for name, op := range plan.Objects {
+		src := plan.Objects[op.ChainedFrom]
+		k := ks[name]
+		if src == nil || k == 0 || op.PrefetchDistance <= 0 {
+			continue
+		}
+		g := minI64(maxI64(4, lines[name]/(16*k)), src.PrefetchDistance/2)
+		if srcLines := lines[op.ChainedFrom]; srcLines > 0 {
+			g = minI64(g, (srcLines-1)*src.LineElems/2)
+		}
+		op.GatherWindow = maxI64(0, g)
+	}
 }
 
 func maxI64(a, b int64) int64 {

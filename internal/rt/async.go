@@ -31,7 +31,9 @@ func (r *Runtime) Prefetch(clk *sim.Clock, name string, elem int64, field ir.Fie
 	return r.PrefetchH(clk, Handle{o}, elem, field)
 }
 
-// PrefetchH is Prefetch on a handle.
+// PrefetchH is Prefetch on a handle. A line already resident, or on its
+// way, has its recency refreshed (cache.Section.Touch): the prefetch
+// announces an access, and the line must not age out before it.
 func (r *Runtime) PrefetchH(clk *sim.Clock, h Handle, elem int64, field ir.Field) error {
 	o := h.o
 	if elem < 0 || elem >= o.decl.Count {
@@ -60,6 +62,7 @@ func (r *Runtime) PrefetchH(clk *sim.Clock, h Handle, elem int64, field ir.Field
 	tag := cache.AlignDown(addr, s.spec.Cache.LineBytes)
 	switch s.locate(tag) {
 	case lineHere:
+		s.sec.Touch(tag)
 		return nil
 	case lineParked:
 		r.unpark(clk, s, tag)
@@ -100,9 +103,10 @@ type BatchEntry struct {
 // data access batching). The issuing thread pays one posting cost for the
 // whole chain; each line is tagged in-flight with its own arrival instant
 // (the reply streams pieces in request order), so a later access waits only
-// for its own line, not for the chain's tail.
+// for its own line, not for the chain's tail. A line already resident has
+// its recency refreshed, as under PrefetchH.
 func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
-	var lines []claimed
+	lines := r.batchLines[:0]
 	var swapFars []uint64
 	for _, e := range entries {
 		o := e.H.o
@@ -131,6 +135,7 @@ func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
 		tag := cache.AlignDown(addr, s.spec.Cache.LineBytes)
 		switch s.locate(tag) {
 		case lineHere:
+			s.sec.Touch(tag)
 			continue
 		case lineParked:
 			r.unpark(clk, s, tag)
@@ -144,6 +149,7 @@ func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
 			lines = append(lines, claimed{s: s, o: o, l: l, tag: tag})
 		}
 	}
+	r.batchLines = lines
 	if len(swapFars) > 0 {
 		if err := r.swapPrefetchFars(clk, swapFars); err != nil {
 			return err

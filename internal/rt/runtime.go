@@ -89,6 +89,8 @@ type Runtime struct {
 	// Scratch of one speculative gather (land): its vectors.
 	landAddrs []uint64
 	landSizes []int
+	// Scratch of one batched prefetch (PrefetchBatch): the lines it claimed.
+	batchLines []claimed
 
 	// byFar indexes section-placed objects sorted by farBase, so dirty-line
 	// owner resolution is deterministic (see ownerOf). Rebuilt by Bind.
@@ -139,6 +141,11 @@ type sectionRT struct {
 	mHit, mMiss, mEvict                          *trace.Counter
 	mPfIssued, mPfUseful, mPfUseless, mPfDropped *trace.Counter
 	mMissLat                                     *trace.Histogram
+	mNativeFallback                              *trace.Counter
+
+	// nativeFallbacks counts native accesses that did not find their line
+	// resident and took the lookup path instead.
+	nativeFallbacks int64
 
 	// Per-tid attribution, indexed by simulated thread id and grown on
 	// demand: interleaved threads sharing this section each see their own
@@ -606,6 +613,10 @@ func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64
 			waitReady(clk, l)
 			return l, ev, nil
 		}
+		// The compiler's residency claim failed: count it, so a run
+		// shows how often it does.
+		s.nativeFallbacks++
+		s.mNativeFallback.Inc()
 	}
 	clk.Advance(r.cfg.Cost.Lookup(s.spec.Cache.Structure))
 	if l, ok := s.sec.Lookup(addr); ok {

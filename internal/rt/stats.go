@@ -59,6 +59,13 @@ func (r *Runtime) SectionStats(idx int) cache.Stats {
 	return r.secs[idx].sec.Stats()
 }
 
+// NativeFallbacks reports how many native accesses to section idx missed
+// their line and fell back to the lookup path: how often the compiler's
+// residency claim failed there (traced as rt.native_fallback{section=}).
+func (r *Runtime) NativeFallbacks(idx int) int64 {
+	return r.secs[idx].nativeFallbacks
+}
+
 // SectionConfig returns section idx's cache configuration.
 func (r *Runtime) SectionConfig(idx int) cache.Config {
 	return r.secs[idx].spec.Cache

@@ -33,6 +33,7 @@ func (r *Runtime) SetTrace(tr *trace.Tracer) {
 		s.mPfUseful = reg.Counter("prefetch.useful" + lbl)
 		s.mPfUseless = reg.Counter("prefetch.useless" + lbl)
 		s.mPfDropped = reg.Counter("prefetch.dropped" + lbl)
+		s.mNativeFallback = reg.Counter("rt.native_fallback{section=" + c.Name + "}")
 	}
 	if r.trT != nil {
 		r.trT.SetTrace(tr, "net")
