@@ -157,9 +157,10 @@ func AnalyzeScatter(p *ir.Program, fn *ir.Func) (*ScatterPlan, bool) {
 
 // stripInstrumentation folds codegen's tile nests back into the flat loops
 // they were built from, removes codegen-inserted hints that do not affect
-// values (prefetches, fences, eviction hints, releases), then dead loads
-// whose destination register is never read, then conditionals emptied by
-// the stripping. Loops keep their bodies stripped in place-order.
+// values (prefetches, intrinsics' operands ahead, fences, eviction hints,
+// releases), then dead loads whose destination register is never read, then
+// conditionals emptied by the stripping. Loops keep their bodies stripped in
+// place-order.
 func stripInstrumentation(body []ir.Stmt) []ir.Stmt {
 	out := stripHints(body)
 	for {
@@ -179,6 +180,10 @@ func stripHints(body []ir.Stmt) []ir.Stmt {
 		switch st := s.(type) {
 		case *ir.Prefetch, *ir.BatchPrefetch, *ir.GatherPrefetch, *ir.Evict, *ir.Fence, *ir.Release:
 			continue
+		case *ir.Intrinsic:
+			cp := *st
+			cp.Ahead = nil // the operands it prefetches ahead are a hint too
+			out = append(out, &cp)
 		case *ir.Loop:
 			cp := *st
 			if flat, guards, ok := ir.MatchTileNest(st); ok && onlyHints(guards) {

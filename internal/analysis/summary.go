@@ -266,7 +266,7 @@ func (w *walker) block(stmts []ir.Stmt) {
 			}
 
 		case *ir.Intrinsic:
-			w.intrinsicAccess(st)
+			w.intrinsicAccess(st) // its Ahead ranges are hints, as prefetches are
 
 		case *ir.Prefetch, *ir.BatchPrefetch, *ir.GatherPrefetch, *ir.Evict, *ir.Fence:
 			// Compiler-inserted operations carry no new program

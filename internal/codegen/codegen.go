@@ -26,11 +26,11 @@ type ObjectPlan struct {
 	// by the most whole lines that fit in its share of a quarter of its
 	// section (the section's streams split the quarter), never nearer than
 	// the round trip max(2·dElems, LineElems) rounded up to a whole line;
-	// an unbatched stream, or one in a section sized after planning, leads
-	// by that round trip. A chained indirect target is nonzero here to
-	// enable its chain: gathered (GatherWindow > 0), it is prefetched one
-	// to two windows ahead; otherwise its per-element chain runs dElems
-	// ahead. dElems is the round trip in elements, RTT / profiled
+	// an unbatched stream, or one in a section not sized yet (a reused
+	// section before sampling sizes it), leads by that round trip. A
+	// chained indirect target is nonzero here to enable its chain: gathered
+	// (GatherWindow > 0), it is prefetched one to two windows ahead;
+	// otherwise its per-element chain runs dElems ahead. dElems is the round trip in elements, RTT / profiled
 	// per-iteration time clamped to [4, 64] (§4.5); that cap bounds only
 	// the per-element chain distance, section sizing and eviction lags.
 	PrefetchDistance int64
@@ -95,6 +95,7 @@ type Plan struct {
 // Apply transforms a clone of p according to plan.
 func Apply(p *ir.Program, plan *Plan) (*ir.Program, error) {
 	out := ir.Clone(p)
+	ahead := prefetches(plan)
 	for _, fn := range out.Funcs {
 		if plan.FuseLoops {
 			fn.Body = fuseBlocks(fn.Body)
@@ -106,7 +107,7 @@ func Apply(p *ir.Program, plan *Plan) (*ir.Program, error) {
 			// far-CPU cycles there.
 			continue
 		}
-		g := &gen{p: out, fn: fn, plan: plan}
+		g := &gen{p: out, fn: fn, plan: plan, ahead: ahead}
 		g.block(fn.Body)
 		if len(plan.Offload) > 0 {
 			fn.Body = markOffloads(fn.Body, plan.Offload)
@@ -270,6 +271,26 @@ type gen struct {
 	p    *ir.Program
 	fn   *ir.Func
 	plan *Plan
+	// ahead reports that the plan prefetches, and so intrinsics prefetch
+	// their successors' operands (operandsAhead).
+	ahead bool
+}
+
+// prefetches reports whether plan emits prefetch statements: some planned
+// object prefetches and the statements are not suppressed. Intrinsics
+// prefetch their successors' operands under the same condition, so a plan
+// without prefetching — the NoPrefetch mask, the programmed arm, a
+// swap-only plan — leaves them as they are.
+func prefetches(plan *Plan) bool {
+	if plan.SuppressPrefetchStmts {
+		return false
+	}
+	for _, op := range plan.Objects {
+		if op.PrefetchDistance > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // newReg allocates a fresh register on the transformed function.
@@ -302,8 +323,109 @@ func (g *gen) block(body []ir.Stmt) {
 					st.NoFetch = true
 				}
 			}
+		case *ir.Intrinsic:
+			if g.ahead {
+				st.Ahead = g.operandsAhead(st, body[:i], body[i+1:])
+			}
 		}
 	}
+}
+
+// pageBytes is the swap page (swap.PageBytes): a swap-placed operand is
+// prefetched one page advisory per page.
+const pageBytes = 4096
+
+// operandsAhead returns the far operands of the next intrinsic in rest that
+// reads far memory, as the ranges cur prefetches ahead (§6.1 layer-wise
+// streaming): a section-placed object one line per step, a swap-placed one
+// one page per step. Local objects are skipped, and so is every object
+// written before that intrinsic reads it — cur's destination, and the
+// destination of each intrinsic passed over (an IntrZero, or one reading
+// only local memory): its lines are resident, or about to be overwritten.
+// The search ends at the first statement that is not an intrinsic, so the
+// ranges' offsets, evaluated when cur runs, are the ones the successor
+// reads: no intrinsic writes a register. An intrinsic that reads no far
+// memory right after another intrinsic (before) prefetches nothing: that one
+// already prefetched the successor they share.
+func (g *gen) operandsAhead(cur *ir.Intrinsic, before, rest []ir.Stmt) []ir.PrefetchRange {
+	if n := len(before); n > 0 && !g.readsFar(cur) {
+		if _, ok := before[n-1].(*ir.Intrinsic); ok {
+			return nil
+		}
+	}
+	for i, s := range rest {
+		next, ok := s.(*ir.Intrinsic)
+		if !ok {
+			return nil
+		}
+		if !g.readsFar(next) {
+			continue
+		}
+		var ahead [3]ir.PrefetchRange
+		n := 0
+		for _, t := range readOperands(next) {
+			o := g.farObject(t.Obj)
+			if o == nil || t.Obj == cur.Dst.Obj || writes(rest[:i], t.Obj) {
+				continue
+			}
+			step := int64(pageBytes / o.ElemBytes)
+			if op := g.plan.Objects[t.Obj]; op != nil {
+				step = op.LineElems
+			}
+			// The offset is shared with the successor's operand: IR
+			// expressions are never changed in place.
+			ahead[n] = ir.PrefetchRange{Obj: t.Obj, Off: t.Off, Elems: t.Elems(), Step: step}
+			n++
+		}
+		if n == 0 {
+			return nil
+		}
+		return slices.Clone(ahead[:n])
+	}
+	return nil
+}
+
+// readsFar reports whether st reads an object that is not local.
+func (g *gen) readsFar(st *ir.Intrinsic) bool {
+	for _, t := range readOperands(st) {
+		if g.farObject(t.Obj) != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// farObject resolves name to an object that lives in far memory, nil for
+// none (no operand) or a local one.
+func (g *gen) farObject(name string) *ir.Object {
+	if o, ok := g.p.Object(name); ok && !o.Local {
+		return o
+	}
+	return nil
+}
+
+// writes reports whether one of the intrinsics in passed writes obj.
+func writes(passed []ir.Stmt, obj string) bool {
+	for _, s := range passed {
+		if s.(*ir.Intrinsic).Dst.Obj == obj {
+			return true
+		}
+	}
+	return false
+}
+
+// readOperands returns the tensors an intrinsic reads: its sources, and the
+// destination a matrix product accumulates into. An operand it does not
+// read has no object: IntrZero reads nothing, a unary kind no B.
+func readOperands(st *ir.Intrinsic) [3]ir.TensorRef {
+	if st.Kind == ir.IntrZero {
+		return [3]ir.TensorRef{}
+	}
+	out := [3]ir.TensorRef{st.A, st.B}
+	if st.Kind == ir.IntrMatMul || st.Kind == ir.IntrMatMulT {
+		out[2] = st.Dst
+	}
+	return out
 }
 
 // loopAccess describes one object's direct accesses in a loop body.

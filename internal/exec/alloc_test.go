@@ -261,3 +261,89 @@ func TestResolveAllocatesLessThanTheTree(t *testing.T) {
 		}
 	}
 }
+
+// aheadProgram runs three elementwise intrinsics whose operands ride one
+// intrinsic ahead: the first prefetches the second's, which read x (kept
+// resident in section 0), w (in section 1, two lines, which the third's v
+// evicts again) and a page of p (swap-placed, in a one-page pool the third's
+// page displaces).
+func aheadProgram() *ir.Program {
+	b := ir.NewBuilder("ahead")
+	for _, name := range []string{"x", "y", "w", "v"} {
+		b.FloatArray(name, 512)
+	}
+	b.FloatArray("p", 2048)
+	fb := b.Func("main")
+	t := func(obj string, off int64) ir.TensorRef { return ir.T(obj, ir.C(off), 8, 64) }
+	fb.Binary(ir.IntrAdd, t("y", 0), t("x", 0), t("x", 0))
+	fb.Binary(ir.IntrAdd, t("y", 0), t("w", 0), t("p", 0))
+	fb.Binary(ir.IntrAdd, t("y", 0), t("v", 0), t("p", 1024))
+	p := b.MustProgram()
+	p.Funcs[0].Body[0].(*ir.Intrinsic).Ahead = []ir.PrefetchRange{
+		{Obj: "x", Off: ir.C(0), Elems: 512, Step: 256},
+		{Obj: "w", Off: ir.C(0), Elems: 512, Step: 256},
+		{Obj: "p", Off: ir.C(0), Elems: 512, Step: 512},
+		{Obj: "w", Off: ir.C(256), Elems: 256, Step: 256}, // in flight by now
+	}
+	return p
+}
+
+// An intrinsic's operands ahead allocate nothing once warm: the executor
+// refills its batch scratch, and rt.PrefetchBatch its claimed-line, far
+// address and page scratch. Every execution prefetches resident lines
+// (refreshed only), lines that go on the wire and are still in flight when
+// the next intrinsic reads them, one of them a second time while it is in
+// flight, and a swap page.
+func TestWarmAheadAllocatesNothing(t *testing.T) {
+	p := aheadProgram()
+	cfg := rt.Config{
+		LocalBudget: 8 << 20,
+		SwapPool:    4096,
+		Sections: []rt.SectionSpec{
+			{Cache: cache.Config{Name: "big", Structure: cache.Direct, LineBytes: 2048, SizeBytes: 64 << 10}},
+			{Cache: cache.Config{Name: "small", Structure: cache.Direct, LineBytes: 2048, SizeBytes: 2 * 2048}},
+		},
+		Placements: map[string]rt.Placement{
+			"x": {Kind: rt.PlaceSection, Section: 0},
+			"y": {Kind: rt.PlaceSection, Section: 0},
+			"w": {Kind: rt.PlaceSection, Section: 1},
+			"v": {Kind: rt.PlaceSection, Section: 1},
+		},
+	}
+	r, err := rt.New(cfg, farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 24, CPUSlowdown: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Bind(p); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := New(p, r, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := sim.NewClock(0)
+	fn, _ := p.EntryFunc()
+	body := ex.tab.resolve(fn)
+	fr := ex.newFrame(clk, fn, nil)
+	run := func() {
+		if _, _, err := ex.run(&fr, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warms the sections and sizes every scratch
+	lines, pages := r.SectionPrefetchStats(1).Issued, r.SwapStats().Prefetches
+	const runs = 10
+	if got := testing.AllocsPerRun(runs, run); got != 0 {
+		t.Errorf("%v allocs per warm execution, want 0", got)
+	}
+	// AllocsPerRun runs once more to warm up.
+	if got := r.SectionPrefetchStats(1).Issued - lines; got != 2*(runs+1) {
+		t.Errorf("%d lines of w prefetched in %d runs, want 2 a run", got, runs+1)
+	}
+	if got := r.SwapStats().Prefetches - pages; got != runs+1 {
+		t.Errorf("%d pages of p prefetched in %d runs, want 1 a run", got, runs+1)
+	}
+	if hits, _ := r.ObjectStats("x"); hits == 0 {
+		t.Error("x never hit")
+	}
+}

@@ -69,8 +69,8 @@ type Executor struct {
 	// whose Elems the statement overwrites on each execution.
 	batch   []rt.BatchEntry
 	batchOf *batchSite
-	// gathered is the GatherPrefetch scratch: the window's target entries,
-	// refilled on each execution.
+	// gathered is the GatherPrefetch scratch — the window's target entries
+	// — and an intrinsic's operands ahead, refilled on each execution.
 	gathered []rt.BatchEntry
 }
 

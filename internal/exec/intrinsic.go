@@ -5,13 +5,15 @@ import (
 	"math"
 
 	"mira/internal/ir"
+	"mira/internal/rt"
 	"mira/internal/sim"
 )
 
 // intrinsic executes one tensor operation: matrices stream through the
 // backend's bulk path (so they exercise the cache sections exactly like
 // scalar code does) and the arithmetic itself runs natively, charged per
-// floating-point operation.
+// floating-point operation. Between the two, once its operands are read,
+// it prefetches the next intrinsic's (see ahead).
 func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 	clk := fr.clk
 	switch st.kind {
@@ -26,6 +28,9 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 		}
 		c, err := e.readMatrix(fr, st.dst, 2)
 		if err != nil {
+			return err
+		}
+		if err := e.ahead(fr, st); err != nil {
 			return err
 		}
 		m, k, n := int(st.a.rows), int(st.a.cols), int(st.b.cols)
@@ -46,6 +51,9 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 		if err != nil {
 			return err
 		}
+		if err := e.ahead(fr, st); err != nil {
+			return err
+		}
 		m, k, n := int(st.a.rows), int(st.a.cols), int(st.b.rows)
 		matMulT(c, a, b, m, k, n)
 		clk.Advance(e.opt.FloatOp * sim.Duration(2*m*n*k))
@@ -58,6 +66,9 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 		}
 		b, err := e.readMatrix(fr, st.b, 1)
 		if err != nil {
+			return err
+		}
+		if err := e.ahead(fr, st); err != nil {
 			return err
 		}
 		if len(a) != len(b) || st.dst.elems() != st.a.elems() {
@@ -73,6 +84,9 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 	case ir.IntrLayerNorm:
 		a, err := e.readMatrix(fr, st.a, 0)
 		if err != nil {
+			return err
+		}
+		if err := e.ahead(fr, st); err != nil {
 			return err
 		}
 		rows, cols := int(st.a.rows), int(st.a.cols)
@@ -103,6 +117,9 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 		if err != nil {
 			return err
 		}
+		if err := e.ahead(fr, st); err != nil {
+			return err
+		}
 		rows, cols := int(st.a.rows), int(st.a.cols)
 		out := e.operand(1, len(a))
 		for i := 0; i < rows; i++ {
@@ -131,6 +148,9 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 		if err != nil {
 			return err
 		}
+		if err := e.ahead(fr, st); err != nil {
+			return err
+		}
 		out := e.operand(1, len(a))
 		const c0 = 0.7978845608028654 // sqrt(2/pi)
 		for i, v := range a {
@@ -144,9 +164,15 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 		if err != nil {
 			return err
 		}
+		if err := e.ahead(fr, st); err != nil {
+			return err
+		}
 		return e.writeMatrix(fr, st.dst, a)
 
 	case ir.IntrZero:
+		if err := e.ahead(fr, st); err != nil {
+			return err
+		}
 		out := e.operand(0, st.dst.elems())
 		clear(out)
 		return e.writeMatrix(fr, st.dst, out)
@@ -154,6 +180,58 @@ func (e *Executor) intrinsic(fr *frame, st *intrinsicSite) error {
 	default:
 		return fmt.Errorf("exec: unknown intrinsic %v", st.kind)
 	}
+}
+
+// maxAheadEntries caps one doorbell of operands ahead at the planner's
+// deepest doorbell batch (its maxBatchLines).
+const maxAheadEntries = 16
+
+// ahead prefetches the operands the next intrinsic reads (ir.Intrinsic.Ahead):
+// one entry per line or page each range touches, posted through the
+// backend's PrefetchBatch in doorbells of at most maxAheadEntries, so the
+// operands land while this intrinsic computes. Offloaded bodies run beside
+// far memory and prefetch nothing.
+func (e *Executor) ahead(fr *frame, st *intrinsicSite) error {
+	if len(st.ahead) == 0 || e.remote != nil {
+		return nil
+	}
+	if e.gathered == nil {
+		e.gathered = make([]rt.BatchEntry, 0, maxAheadEntries)
+	}
+	e.gathered = e.gathered[:0]
+	for _, r := range st.ahead {
+		off, err := r.off(fr)
+		if err != nil {
+			return err
+		}
+		// One entry per step-aligned line or page of [lo, lo+elems): an
+		// object's lines and pages start at its element 0.
+		lo := off.AsInt()
+		for k := lo / r.step; k*r.step < lo+r.elems; k++ {
+			if len(e.gathered) == maxAheadEntries {
+				if err := e.postAhead(fr); err != nil {
+					return err
+				}
+			}
+			e.gathered = append(e.gathered, rt.BatchEntry{Obj: r.name, Elem: max(lo, k*r.step), H: r.h})
+		}
+	}
+	return e.postAhead(fr)
+}
+
+// postAhead posts the pending operands ahead as one doorbell.
+func (e *Executor) postAhead(fr *frame) error {
+	if len(e.gathered) == 0 {
+		return nil
+	}
+	e.yield()
+	t0 := fr.clk.Now()
+	if err := e.be.PrefetchBatch(fr.clk, e.gathered); err != nil {
+		return err
+	}
+	e.chargeRuntime(fr, fr.clk.Now().Sub(t0))
+	e.gathered = e.gathered[:0]
+	return nil
 }
 
 // readMatrix pulls a tensor view through the bulk path straight into float

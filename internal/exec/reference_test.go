@@ -471,6 +471,44 @@ func (e *refExecutor) eval(clk *sim.Clock, fr *refFrame, params map[string]Value
 	}
 }
 
+// ahead prefetches the next intrinsic's operands, one entry per line or
+// page, in doorbells of at most 16 entries.
+func (e *refExecutor) ahead(clk *sim.Clock, fr *refFrame, params map[string]Value, st *ir.Intrinsic) error {
+	if e.remote != nil {
+		return nil
+	}
+	var entries []rt.BatchEntry
+	post := func() error {
+		if len(entries) == 0 {
+			return nil
+		}
+		e.yield()
+		t0 := clk.Now()
+		if err := e.be.PrefetchBatch(clk, entries); err != nil {
+			return err
+		}
+		e.chargeRuntime(fr, clk.Now().Sub(t0))
+		entries = nil
+		return nil
+	}
+	for _, r := range st.Ahead {
+		off, err := e.eval(clk, fr, params, r.Off)
+		if err != nil {
+			return err
+		}
+		lo := off.AsInt()
+		for k := lo / r.Step; k*r.Step < lo+r.Elems; k++ {
+			if len(entries) == 16 {
+				if err := post(); err != nil {
+					return err
+				}
+			}
+			entries = append(entries, rt.BatchEntry{Obj: r.Obj, Elem: max(lo, k*r.Step)})
+		}
+	}
+	return post()
+}
+
 // intrinsic executes one tensor operation: matrices stream through the
 // backend's bulk path (so they exercise the cache sections exactly like
 // scalar code does) and the arithmetic itself runs natively, charged per
@@ -488,6 +526,9 @@ func (e *refExecutor) intrinsic(clk *sim.Clock, fr *refFrame, params map[string]
 		}
 		c, err := e.readMatrix(clk, fr, params, st.Dst)
 		if err != nil {
+			return err
+		}
+		if err := e.ahead(clk, fr, params, st); err != nil {
 			return err
 		}
 		m, k, n := int(st.A.Rows), int(st.A.Cols), int(st.B.Cols)
@@ -520,6 +561,9 @@ func (e *refExecutor) intrinsic(clk *sim.Clock, fr *refFrame, params map[string]
 		if err != nil {
 			return err
 		}
+		if err := e.ahead(clk, fr, params, st); err != nil {
+			return err
+		}
 		m, k, n := int(st.A.Rows), int(st.A.Cols), int(st.B.Rows)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
@@ -544,6 +588,9 @@ func (e *refExecutor) intrinsic(clk *sim.Clock, fr *refFrame, params map[string]
 		if err != nil {
 			return err
 		}
+		if err := e.ahead(clk, fr, params, st); err != nil {
+			return err
+		}
 		if len(a) != len(b) || st.Dst.Elems() != st.A.Elems() {
 			return fmt.Errorf("exec: add shape mismatch")
 		}
@@ -557,6 +604,9 @@ func (e *refExecutor) intrinsic(clk *sim.Clock, fr *refFrame, params map[string]
 	case ir.IntrLayerNorm:
 		a, err := e.readMatrix(clk, fr, params, st.A)
 		if err != nil {
+			return err
+		}
+		if err := e.ahead(clk, fr, params, st); err != nil {
 			return err
 		}
 		rows, cols := int(st.A.Rows), int(st.A.Cols)
@@ -587,6 +637,9 @@ func (e *refExecutor) intrinsic(clk *sim.Clock, fr *refFrame, params map[string]
 		if err != nil {
 			return err
 		}
+		if err := e.ahead(clk, fr, params, st); err != nil {
+			return err
+		}
 		rows, cols := int(st.A.Rows), int(st.A.Cols)
 		out := make([]float64, len(a))
 		for i := 0; i < rows; i++ {
@@ -615,6 +668,9 @@ func (e *refExecutor) intrinsic(clk *sim.Clock, fr *refFrame, params map[string]
 		if err != nil {
 			return err
 		}
+		if err := e.ahead(clk, fr, params, st); err != nil {
+			return err
+		}
 		out := make([]float64, len(a))
 		const c0 = 0.7978845608028654 // sqrt(2/pi)
 		for i, v := range a {
@@ -628,9 +684,15 @@ func (e *refExecutor) intrinsic(clk *sim.Clock, fr *refFrame, params map[string]
 		if err != nil {
 			return err
 		}
+		if err := e.ahead(clk, fr, params, st); err != nil {
+			return err
+		}
 		return e.writeMatrix(clk, fr, params, st.Dst, a)
 
 	case ir.IntrZero:
+		if err := e.ahead(clk, fr, params, st); err != nil {
+			return err
+		}
 		return e.writeMatrix(clk, fr, params, st.Dst, make([]float64, st.Dst.Elems()))
 
 	default:

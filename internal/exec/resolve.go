@@ -169,6 +169,14 @@ func (t tensor) elems() int { return int(t.rows * t.cols) }
 type intrinsicSite struct {
 	kind      ir.IntrKind
 	dst, a, b tensor
+	ahead     []aheadRange
+}
+
+// aheadRange is a resolved ir.PrefetchRange.
+type aheadRange struct {
+	objRef
+	off         evalFn
+	elems, step int64
 }
 
 // block resolves stmts as part of fn's body (fn supplies the parameter
@@ -250,12 +258,19 @@ func (t *table) stmt(fn *ir.Func, s ir.Stmt) node {
 	case *ir.Release:
 		return node{op: opRelease, acc: &access{objRef: t.ref(st.Obj)}}
 	case *ir.Intrinsic:
-		return node{op: opIntrinsic, intr: &intrinsicSite{
+		site := &intrinsicSite{
 			kind: st.Kind,
 			dst:  t.tensor(fn, st.Dst),
 			a:    t.tensor(fn, st.A),
 			b:    t.tensor(fn, st.B),
-		}}
+		}
+		if len(st.Ahead) > 0 {
+			site.ahead = make([]aheadRange, len(st.Ahead))
+			for i, r := range st.Ahead {
+				site.ahead[i] = aheadRange{objRef: t.ref(r.Obj), off: t.expr(fn, r.Off), elems: r.Elems, step: r.Step}
+			}
+		}
+		return node{op: opIntrinsic, intr: site}
 	default:
 		return node{op: opInvalid, err: fmt.Errorf("exec: unknown statement %T", s)}
 	}

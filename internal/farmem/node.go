@@ -208,12 +208,12 @@ func (n *Node) Free(addr uint64) error {
 	return nil
 }
 
-// Release frees every allocation at once and hands the backing to the
-// free list the next node's allocations draw on — what the far node does
-// when its tenant is gone. The node stays usable: it is empty, so every
-// access answers ErrUnmapped until something is allocated again. A window
-// from Mem.Slice must not be used past Release; its bytes belong to whoever
-// allocates next.
+// Release frees every allocation at once and hands the backing, and the
+// Gather reply buffer, to the free lists the next node draws on — what the
+// far node does when its tenant is gone. The node stays usable: it is empty,
+// so every access answers ErrUnmapped until something is allocated again. A
+// window from Mem.Slice, or a Gather reply, must not be used past Release;
+// its bytes belong to whoever allocates next.
 func (n *Node) Release() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -221,6 +221,8 @@ func (n *Node) Release() {
 		regionCache.put(r)
 	}
 	n.mem.regions = nil
+	replyCache.put(n.reply)
+	n.reply = nil
 	n.alloc = NewAllocator(DefaultBase, n.cfg.Capacity)
 }
 
@@ -285,7 +287,8 @@ func (n *Node) Gather(addrs []uint64, sizes []int) ([]byte, error) {
 		total += s
 	}
 	if total > cap(n.reply) {
-		n.reply = make([]byte, total)
+		replyCache.put(n.reply)
+		n.reply = replyCache.take(total)
 	}
 	out := n.reply[:total]
 	off := 0

@@ -1,6 +1,9 @@
 package farmem
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // regionCacheBytes bounds the backing the free list keeps between
 // sessions: a few dozen workload footprints at the sizes the harness and the
@@ -64,4 +67,55 @@ func (l *regionList) put(r memRegion) {
 	r.base = 0
 	l.bySize[size] = append(l.bySize[size], r)
 	l.held += size
+}
+
+// replyCache is the far side's free list of Gather reply buffers, kept on
+// regionCache's terms: Release hands a node's reply to the list, and a node
+// whose reply must grow takes the smallest one large enough. A process that
+// opens one session after another would otherwise grow a reply afresh in
+// every node, up to the longest doorbell chain its program posts. Every
+// reply is overwritten up to the gather's length before it is returned, so
+// a recycled buffer leaves runs replay-identical.
+var replyCache = replyList{max: maxSpareReplies}
+
+// maxSpareReplies bounds replyCache: a few sessions' worth, each reply at
+// most the few tens of KiB one doorbell chain gathers.
+const maxSpareReplies = 16
+
+type replyList struct {
+	mu    sync.Mutex
+	max   int
+	spare [][]byte
+}
+
+// take returns a buffer of at least n bytes, recycled when the list holds
+// one, its contents unspecified.
+func (l *replyList) take(n int) []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	best := -1
+	for i, b := range l.spare {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(l.spare[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]byte, n)
+	}
+	b := l.spare[best]
+	l.spare = slices.Delete(l.spare, best, best+1)
+	return b[:cap(b)]
+}
+
+// put keeps b for a later take; past the bound, the oldest spare goes.
+func (l *replyList) put(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.spare) == l.max {
+		l.spare = slices.Delete(l.spare, 0, 1)
+	}
+	l.spare = append(l.spare, b)
 }

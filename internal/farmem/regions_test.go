@@ -237,3 +237,46 @@ func TestConcurrentAllocReleaseRace(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// A released node hands its Gather reply on: the next node's first gather
+// that fits it assembles its own bytes there instead of growing a reply.
+func TestReleasedNodeHandsOnItsReply(t *testing.T) {
+	replyCache.mu.Lock()
+	replyCache.spare = nil
+	replyCache.mu.Unlock()
+	a := newTestNode()
+	base := mustAlloc(t, a, 1<<14)
+	fill(t, a, base, 1<<14, 7)
+	ra, err := a.Gather([]uint64{base, base + 8192}, []int{4096, 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Release()
+	b := newTestNode()
+	base = mustAlloc(t, b, 1<<14)
+	fill(t, b, base, 1<<14, 9)
+	rb, err := b.Gather([]uint64{base + 100}, []int{5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &rb[0] != &ra[0] {
+		t.Error("the second node grew a reply of its own")
+	}
+	if len(rb) != 5000 || bytes.Count(rb, []byte{9}) != 5000 {
+		t.Errorf("the handed-on reply holds %d bytes, %d of them the node's", len(rb), bytes.Count(rb, []byte{9}))
+	}
+}
+
+// replyList hands on the smallest spare that fits, keeps at most its bound
+// (the oldest goes first), and makes a buffer when none fits.
+func TestReplyListTakesTheSmallestFit(t *testing.T) {
+	l := replyList{max: 2}
+	l.put(make([]byte, 10))
+	l.put(make([]byte, 30))
+	l.put(make([]byte, 20)) // the 10-byte spare goes
+	for _, c := range []struct{ n, cap int }{{15, 20}, {25, 30}, {5, 5}} {
+		if got := l.take(c.n); len(got) < c.n || cap(got) != c.cap {
+			t.Errorf("take(%d): len %d cap %d, want cap %d", c.n, len(got), cap(got), c.cap)
+		}
+	}
+}

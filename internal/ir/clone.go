@@ -93,10 +93,11 @@ func CloneStmt(s Stmt) Stmt {
 		return &Release{Obj: st.Obj}
 	case *Intrinsic:
 		return &Intrinsic{
-			Kind: st.Kind,
-			Dst:  cloneTensor(st.Dst),
-			A:    cloneTensor(st.A),
-			B:    cloneTensor(st.B),
+			Kind:  st.Kind,
+			Dst:   cloneTensor(st.Dst),
+			A:     cloneTensor(st.A),
+			B:     cloneTensor(st.B),
+			Ahead: cloneRanges(st.Ahead),
 		}
 	default:
 		panic("ir: CloneStmt of unknown statement")
@@ -107,6 +108,18 @@ func cloneTensor(t TensorRef) TensorRef {
 	out := t
 	if t.Off != nil {
 		out.Off = CloneExpr(t.Off)
+	}
+	return out
+}
+
+func cloneRanges(rs []PrefetchRange) []PrefetchRange {
+	if rs == nil {
+		return nil
+	}
+	out := make([]PrefetchRange, len(rs))
+	for i, r := range rs {
+		out[i] = r
+		out[i].Off = CloneExpr(r.Off)
 	}
 	return out
 }
@@ -201,6 +214,9 @@ func SubstRegBlock(body []Stmt, from, to int) {
 			st.Dst.Off = SubstReg(st.Dst.Off, from, to)
 			st.A.Off = SubstReg(st.A.Off, from, to)
 			st.B.Off = SubstReg(st.B.Off, from, to)
+			for i := range st.Ahead {
+				st.Ahead[i].Off = SubstReg(st.Ahead[i].Off, from, to)
+			}
 		}
 	}
 }

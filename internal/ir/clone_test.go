@@ -25,10 +25,19 @@ func cloneFixture() *Program {
 	fb.BatchPrefetch(PrefetchRef{Obj: "s", Index: C(0), Field: "a"})
 	fb.Fence()
 	fb.MatMul(T("m", C(32), 4, 4), T("m", C(0), 4, 4), T("m", C(16), 4, 4))
+	fb.Unary(IntrCopy, T("m", C(48), 4, 4), T("m", C(32), 4, 4))
 	fb.Call("helper", C(3))
 	fb.Return(nil)
 	b.SetEntry("main")
-	return b.MustProgram()
+	p := b.MustProgram()
+	main, _ := p.Func("main")
+	Walk(main.Body, func(s Stmt) bool {
+		if st, ok := s.(*Intrinsic); ok && st.Kind == IntrMatMul {
+			st.Ahead = []PrefetchRange{{Obj: "m", Off: C(32), Elems: 16, Step: 8}}
+		}
+		return true
+	})
+	return p
 }
 
 func TestCloneIsDeepAndEqual(t *testing.T) {
@@ -36,6 +45,9 @@ func TestCloneIsDeepAndEqual(t *testing.T) {
 	c := Clone(p)
 	if Print(p) != Print(c) {
 		t.Fatal("clone prints differently")
+	}
+	if !strings.Contains(Print(p), "ahead=m[32:+16/8]") {
+		t.Fatalf("the operands ahead do not print:\n%s", Print(p))
 	}
 	// Mutate the clone everywhere reachable; original must not change.
 	before := Print(p)
@@ -52,6 +64,10 @@ func TestCloneIsDeepAndEqual(t *testing.T) {
 			st.Start = C(5)
 		case *Intrinsic:
 			st.Dst.Off = C(0)
+			for i := range st.Ahead {
+				st.Ahead[i].Off = C(1)
+				st.Ahead[i].Elems = 1
+			}
 		case *Call:
 			st.Offload = true
 		case *BatchPrefetch:

@@ -264,6 +264,22 @@ type Intrinsic struct {
 	Dst  TensorRef
 	A    TensorRef
 	B    TensorRef // unused for unary kinds
+	// Ahead lists the far operands of the next intrinsic that reads far
+	// memory, for the executor to prefetch once this one has read its own
+	// operands and before it computes (§6.1 layer-wise streaming: an
+	// operator sequence is static, so the next operator's inputs can be on
+	// the wire while this one runs). Codegen fills it; nil issues nothing.
+	Ahead []PrefetchRange
+}
+
+// PrefetchRange is a contiguous element range of one object to prefetch:
+// elements [Off, Off+Elems) of Obj, one prefetch per Step elements — one
+// cache line of a section-placed object, one page of a swap-placed one.
+type PrefetchRange struct {
+	Obj   string
+	Off   Expr
+	Elems int64
+	Step  int64
 }
 
 // TensorRef addresses a Rows x Cols row-major float64 matrix starting at

@@ -161,6 +161,35 @@ func TestValidateIntrinsicNeedsFloatObject(t *testing.T) {
 	}
 }
 
+// An intrinsic's range ahead must name a far object, cover some elements in
+// positive steps, and have a valid offset.
+func TestValidateIntrinsicAhead(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		r     PrefetchRange
+		valid bool
+	}{
+		{"line steps", PrefetchRange{Obj: "m", Off: C(3), Elems: 10, Step: 4}, true},
+		{"undefined object", PrefetchRange{Obj: "nope", Off: C(0), Elems: 4, Step: 4}, false},
+		{"local object", PrefetchRange{Obj: "loc", Off: C(0), Elems: 4, Step: 4}, false},
+		{"no elements", PrefetchRange{Obj: "m", Off: C(0), Elems: 0, Step: 4}, false},
+		{"no step", PrefetchRange{Obj: "m", Off: C(0), Elems: 4, Step: 0}, false},
+		{"bad offset", PrefetchRange{Obj: "m", Off: R(9), Elems: 4, Step: 4}, false},
+	} {
+		b := NewBuilder("p")
+		b.FloatArray("m", 64)
+		b.FloatArray("loc", 64)
+		fb := b.Func("main")
+		fb.Unary(IntrCopy, T("m", C(0), 4, 4), T("m", C(16), 4, 4))
+		p := b.MustProgram()
+		p.Objects[1].Local = true
+		p.Funcs[0].Body[0].(*Intrinsic).Ahead = []PrefetchRange{c.r}
+		if err := Validate(p); (err == nil) != c.valid {
+			t.Errorf("%s: Validate = %v, want valid %v", c.name, err, c.valid)
+		}
+	}
+}
+
 func TestWalkVisitsNested(t *testing.T) {
 	p := buildGraphExample(t)
 	f, _ := p.EntryFunc()

@@ -11,10 +11,11 @@ func ReplicaName(name string, i int) string {
 // MergeReplicas builds one program holding n independent renamed copies of
 // p: every object and function of copy i is suffixed "#t<i>", and every
 // reference (loads, stores, prefetches, eviction hints, releases, tensor
-// intrinsics, calls) is rewritten to the suffixed names. The multithreaded
-// drivers bind the merged program to ONE runtime, so n simulated threads
-// with private data contend for the same cache sections, write-back
-// queues, and swap pool — thread i enters at ReplicaName(p.Entry, i).
+// intrinsics and their operands ahead, calls) is rewritten to the suffixed
+// names. The multithreaded drivers bind the merged program to ONE runtime,
+// so n simulated threads with private data contend for the same cache
+// sections, write-back queues, and swap pool — thread i enters at
+// ReplicaName(p.Entry, i).
 //
 // The merged program's Entry is replica 0's entry.
 func MergeReplicas(p *Program, n int) *Program {
@@ -71,6 +72,9 @@ func renameBlock(body []Stmt, rename func(string) string) {
 				if t.Obj != "" {
 					t.Obj = rename(t.Obj)
 				}
+			}
+			for i := range st.Ahead {
+				st.Ahead[i].Obj = rename(st.Ahead[i].Obj)
 			}
 		}
 	}

@@ -27,7 +27,8 @@ func mtTestProgram() *Program {
 						&Evict{Obj: "a", Index: &Reg{ID: 0}},
 					}},
 					&BatchPrefetch{Entries: []PrefetchRef{{Obj: "a", Index: &Const{I: 0}}}},
-					&Intrinsic{Kind: IntrCopy, Dst: TensorRef{Obj: "b", Rows: 4, Cols: 4, Off: &Const{I: 0}}, A: TensorRef{Obj: "b", Rows: 4, Cols: 4, Off: &Const{I: 0}}},
+					&Intrinsic{Kind: IntrCopy, Dst: TensorRef{Obj: "b", Rows: 4, Cols: 4, Off: &Const{I: 0}}, A: TensorRef{Obj: "b", Rows: 4, Cols: 4, Off: &Const{I: 0}},
+						Ahead: []PrefetchRange{{Obj: "b", Off: &Const{I: 4}, Elems: 8, Step: 4}}},
 					&Call{Dst: -1, Callee: "helper"},
 					&Release{Obj: "a"},
 					&Return{},
@@ -91,6 +92,9 @@ func TestMergeReplicasRenamesEverything(t *testing.T) {
 				check(st.Callee)
 			case *Intrinsic:
 				check(st.Dst.Obj)
+				for _, r := range st.Ahead {
+					check(r.Obj)
+				}
 			}
 			return true
 		})

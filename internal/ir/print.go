@@ -113,7 +113,15 @@ func printBlock(sb *strings.Builder, body []Stmt, depth int) {
 		case *Release:
 			fmt.Fprintf(sb, "%srmem.release %s\n", ind, st.Obj)
 		case *Intrinsic:
-			fmt.Fprintf(sb, "%srmem.%s dst=%s a=%s b=%s\n", ind, st.Kind, tensorString(st.Dst), tensorString(st.A), tensorString(st.B))
+			fmt.Fprintf(sb, "%srmem.%s dst=%s a=%s b=%s", ind, st.Kind, tensorString(st.Dst), tensorString(st.A), tensorString(st.B))
+			if len(st.Ahead) > 0 {
+				parts := make([]string, len(st.Ahead))
+				for i, r := range st.Ahead {
+					parts[i] = fmt.Sprintf("%s[%s:+%d/%d]", r.Obj, ExprString(r.Off), r.Elems, r.Step)
+				}
+				fmt.Fprintf(sb, " ahead=%s", strings.Join(parts, ", "))
+			}
+			sb.WriteString("\n")
 		default:
 			fmt.Fprintf(sb, "%s<unknown %T>\n", ind, s)
 		}

@@ -201,6 +201,19 @@ func (v *validator) stmt(s Stmt) error {
 				return err
 			}
 		}
+		for _, r := range st.Ahead {
+			o, ok := v.p.Object(r.Obj)
+			if !ok {
+				return fmt.Errorf("intrinsic %v prefetches undefined object %q ahead", st.Kind, r.Obj)
+			}
+			if o.Local || r.Elems <= 0 || r.Step <= 0 {
+				return fmt.Errorf("intrinsic %v: range ahead over %q (local %v) has %d elements in steps of %d",
+					st.Kind, r.Obj, o.Local, r.Elems, r.Step)
+			}
+			if err := v.expr(r.Off); err != nil {
+				return err
+			}
+		}
 		switch st.Kind {
 		case IntrMatMul:
 			if st.A.Cols != st.B.Rows || st.Dst.Rows != st.A.Rows || st.Dst.Cols != st.B.Cols {

@@ -584,11 +584,13 @@ func buildPlan(prog *ir.Program, merged map[string]*analysis.ObjectAccess, draft
 					// reads the section, not the noisy profile. An unbatched
 					// stream keeps the round trip: with no priming doorbell,
 					// every line its lead skips at the loop's start is a
-					// demand miss. Reused sections, unsized when the plan is
-					// first built and sized later by sampling, get the
-					// round-trip lead and no batching rather than a guess.
+					// demand miss. A reused section is unsized when the plan
+					// is first built: it gets the round-trip lead and no
+					// batching rather than a guess. Once sampling has sized it,
+					// the final plan reads its leads and batches from that
+					// size, as from any other section's.
 					capLines := int64(0)
-					if d.lineBytes > 0 && !d.reused {
+					if d.lineBytes > 0 && d.sizeBytes > 0 {
 						capLines = d.sizeBytes / int64(d.lineBytes)
 					}
 					rtt = maxI64(2*dElems, le)

@@ -214,7 +214,9 @@ func tileNests(prog *ir.Program) map[string]bool {
 // TestStreamLeadRule pins buildPlan's lead on a 24-byte-element stream,
 // whose 2040-byte line holds 85 elements, so the round trip max(2·64, 85) =
 // 128 elements is not a whole number of lines. Two such streams in one
-// section split its quarter.
+// section split its quarter. A reused section has no size before sampling
+// sizes it: the first plan leads by the round trip, unbatched; the final
+// plan reads lead and batch from the sampled size.
 func TestStreamLeadRule(t *testing.T) {
 	b := ir.NewBuilder("p")
 	b.Object("recs", 24, 4096, ir.F("f", 0, 8))
@@ -241,7 +243,8 @@ func TestStreamLeadRule(t *testing.T) {
 		{name: "quarter of a small section", lines: 8, tech: DefaultTechniques(), lead: rttLead, batch: true},
 		{name: "shared quarter", lines: 64, shared: true, tech: DefaultTechniques(), lead: 8 * le, batch: true},
 		{name: "unbatched", lines: 64, tech: noBatching, lead: rttLead},
-		{name: "unsized", lines: 64, reused: true, tech: DefaultTechniques(), lead: rttLead},
+		{name: "reused before sampling", lines: 0, reused: true, tech: DefaultTechniques(), lead: rttLead},
+		{name: "reused and sized", lines: 64, reused: true, tech: DefaultTechniques(), lead: 16 * le, batch: true},
 	} {
 		members := []string{"recs"}
 		if c.shared {

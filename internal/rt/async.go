@@ -104,10 +104,11 @@ type BatchEntry struct {
 // whole chain; each line is tagged in-flight with its own arrival instant
 // (the reply streams pieces in request order), so a later access waits only
 // for its own line, not for the chain's tail. A line already resident has
-// its recency refreshed, as under PrefetchH.
+// its recency refreshed, as under PrefetchH. Entries whose object lives on
+// the paged plane become one page advisory doorbell, charged by the same
+// rule: the posting cost of the pages it puts on the wire.
 func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
-	lines := r.batchLines[:0]
-	var swapFars []uint64
+	lines, swapFars := r.batchLines[:0], r.swapFars[:0]
 	for _, e := range entries {
 		o := e.H.o
 		if o == nil {
@@ -117,10 +118,7 @@ func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
 			}
 		}
 		if o.place.Kind != PlaceSection {
-			if o.place.Kind == PlaceSwap && r.cfg.Hybrid && r.swapC != nil &&
-				e.Elem >= 0 && e.Elem < o.decl.Count {
-				// Hybrid plane: batch entries whose object lives on the
-				// paged plane become one page advisory batch below.
+			if o.place.Kind == PlaceSwap && r.swapC != nil && e.Elem >= 0 && e.Elem < o.decl.Count {
 				swapFars = append(swapFars,
 					o.farBase+uint64(e.Elem)*uint64(o.decl.ElemBytes)+uint64(e.Field.Offset))
 			}
@@ -149,9 +147,11 @@ func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
 			lines = append(lines, claimed{s: s, o: o, l: l, tag: tag})
 		}
 	}
-	r.batchLines = lines
+	r.batchLines, r.swapFars = lines, swapFars
 	if len(swapFars) > 0 {
-		if err := r.swapPrefetchFars(clk, swapFars); err != nil {
+		pnos := r.swapPages(swapFars)
+		clk.Advance(r.cfg.Net.VectoredPostCost(r.swapC.AbsentPages(pnos)))
+		if err := r.swapAdvise(clk, pnos); err != nil {
 			return err
 		}
 	}

@@ -172,8 +172,14 @@ func (r *Runtime) swapPrefetchFars(clk *sim.Clock, fars []uint64) error {
 	if r.swapC == nil {
 		return nil
 	}
+	return r.swapAdvise(clk, r.swapPages(fars))
+}
+
+// swapPages maps far addresses to swap page numbers, -1 below the swap
+// region, in the runtime's page scratch: valid until the next call.
+func (r *Runtime) swapPages(fars []uint64) []int64 {
 	base := r.swapC.Base()
-	pnos := make([]int64, 0, len(fars))
+	pnos := r.pnos[:0]
 	for _, far := range fars {
 		if far < base {
 			pnos = append(pnos, -1)
@@ -181,6 +187,13 @@ func (r *Runtime) swapPrefetchFars(clk *sim.Clock, fars []uint64) error {
 		}
 		pnos = append(pnos, int64((far-base)/swap.PageBytes))
 	}
+	r.pnos = pnos
+	return pnos
+}
+
+// swapAdvise issues page advisories through the runtime's swap codec
+// settings.
+func (r *Runtime) swapAdvise(clk *sim.Clock, pnos []int64) error {
 	if r.cfg.SwapCompress {
 		r.setCodec(codec.ByteRun)
 		defer r.setCodec(codec.None)

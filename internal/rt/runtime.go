@@ -89,8 +89,12 @@ type Runtime struct {
 	// Scratch of one speculative gather (land): its vectors.
 	landAddrs []uint64
 	landSizes []int
-	// Scratch of one batched prefetch (PrefetchBatch): the lines it claimed.
+	// Scratch of one batched prefetch (PrefetchBatch): the lines it claimed
+	// and the far addresses of its swap-placed entries; and of one page
+	// advisory (swapPages): its page numbers.
 	batchLines []claimed
+	swapFars   []uint64
+	pnos       []int64
 
 	// byFar indexes section-placed objects sorted by farBase, so dirty-line
 	// owner resolution is deterministic (see ownerOf). Rebuilt by Bind.

@@ -1,6 +1,8 @@
 package swap
 
 import (
+	"slices"
+
 	"mira/internal/plane"
 	"mira/internal/sim"
 	"mira/internal/trace"
@@ -76,6 +78,18 @@ func (c *Cache) FlushRange(clk *sim.Clock, far uint64, length int64) error {
 // keep their hints effective across a plane switch.
 func (c *Cache) PrefetchPages(clk *sim.Clock, pnos []int64) error {
 	return c.issueAdvisory(clk, -1, pnos)
+}
+
+// AbsentPages counts the distinct pages among pnos that PrefetchPages asks
+// far memory for: inside the region and neither resident nor in flight.
+func (c *Cache) AbsentPages(pnos []int64) int {
+	n := 0
+	for i, pno := range pnos {
+		if pno >= 0 && pno < c.npages() && c.frameOf[pno] < 0 && !slices.Contains(pnos[:i], pno) {
+			n++
+		}
+	}
+	return n
 }
 
 // Plane adapts the cache to the plane.DataPlane contract.
