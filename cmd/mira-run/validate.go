@@ -56,9 +56,6 @@ func validateFlags(f runFlags) error {
 		if f.threadsActive() {
 			return fmt.Errorf("-plane does not combine with -threads (the multithreaded driver plans its own sections)")
 		}
-		if f.Nodes > 0 {
-			return fmt.Errorf("-plane uses the unified hybrid layout, which is single-node (drop -nodes)")
-		}
 	}
 	switch f.Offload {
 	case "", "off", "on", "auto":
@@ -72,12 +69,12 @@ func validateFlags(f runFlags) error {
 		if f.threadsActive() {
 			return fmt.Errorf("-offload does not combine with -threads (the multithreaded driver runs a fixed batch, not the planner)")
 		}
-		if f.Plane != "" {
-			return fmt.Errorf("-offload does not combine with -plane (plane modes are single-node; offload scatters across the cluster)")
-		}
 	}
 	if f.set("offload-chunk") && (f.Offload == "" || f.Offload == "off") {
 		return fmt.Errorf("-offload-chunk sizes the offload engine's streams; pass -offload on or -offload auto as well")
+	}
+	if f.set("private-sections") && (!f.threadsActive() || f.System != "mira") {
+		return fmt.Errorf("-private-sections splits mira's multithreaded sections; pass -threads and -system mira as well")
 	}
 	if f.Prefetch != "" && f.Prefetch != mira.PrefetchCompiled && !slices.Contains(mira.PrefetchPolicyNames(), f.Prefetch) {
 		return fmt.Errorf("unknown -prefetch policy %q (%s)", f.Prefetch, prefetchHelp())

@@ -28,7 +28,7 @@ func TestValidateFlags(t *testing.T) {
 		{"plane-with-prefetch", func(f *runFlags) { f.Plane = "line"; f.Prefetch = "leap" }, "mutually exclusive"},
 		{"plane-with-threads", func(f *runFlags) { f.Plane = "hybrid"; f.Threads = 4 }, "-threads"},
 		{"plane-with-threads-1", func(f *runFlags) { f.Plane = "hybrid"; f.Set["threads"] = true }, "-threads"},
-		{"plane-with-nodes", func(f *runFlags) { f.Plane = "hybrid"; f.Nodes = 4 }, "single-node"},
+		{"plane-with-nodes-ok", func(f *runFlags) { f.Plane = "hybrid"; f.Nodes = 4 }, ""},
 		{"window-without-prefetch", func(f *runFlags) { f.PrefetchWindow = 32; f.Set["prefetch-window"] = true }, "-prefetch"},
 		{"window-with-prefetch-ok", func(f *runFlags) {
 			f.Prefetch = "programmed"
@@ -63,7 +63,7 @@ func TestValidateFlags(t *testing.T) {
 		{"offload-wrong-system", func(f *runFlags) { f.Offload = "on"; f.System = "fastswap" }, "-system mira"},
 		{"offload-off-any-system-ok", func(f *runFlags) { f.Offload = "off"; f.System = "leap" }, ""},
 		{"offload-with-threads", func(f *runFlags) { f.Offload = "on"; f.Threads = 4 }, "-threads"},
-		{"offload-with-plane", func(f *runFlags) { f.Offload = "auto"; f.Plane = "hybrid" }, "-plane"},
+		{"offload-with-plane-ok", func(f *runFlags) { f.Offload = "auto"; f.Plane = "hybrid" }, ""},
 		{"chunk-without-offload", func(f *runFlags) { f.OffloadChunk = 4096; f.Set["offload-chunk"] = true }, "-offload"},
 		{"chunk-with-offload-off", func(f *runFlags) {
 			f.Offload = "off"
@@ -75,6 +75,13 @@ func TestValidateFlags(t *testing.T) {
 			f.OffloadChunk = 4096
 			f.Set["offload-chunk"] = true
 		}, ""},
+		{"private-sections-without-threads", func(f *runFlags) { f.Set["private-sections"] = true }, "-threads"},
+		{"private-sections-with-fastswap", func(f *runFlags) {
+			f.System = "fastswap"
+			f.Threads = 4
+			f.Set["private-sections"] = true
+		}, "-system mira"},
+		{"private-sections-ok", func(f *runFlags) { f.Threads = 4; f.Set["private-sections"] = true }, ""},
 	}
 	for _, c := range cases {
 		err := validateFlags(flags(c.mutate))

@@ -108,8 +108,9 @@ type Options struct {
 	// flash and promoted back on access). Requires Nodes > 0.
 	Tier *cluster.TierConfig
 	// Plane selects Mira's data-plane mode ("page", "line", or "hybrid" —
-	// see planner.Options.Plane). Mira-only, single-node, and mutually
-	// exclusive with Prefetch: the zoo policies pick their own plane.
+	// see planner.Options.Plane). Mira-only and mutually exclusive with
+	// Prefetch: the zoo policies pick their own plane. Composes with Nodes
+	// and Offload.
 	Plane string
 	// Offload selects the scatter-gather offload mode for Mira runs ("",
 	// "off", "on", "auto" — see planner.Options.Offload).
@@ -214,9 +215,6 @@ func Run(sys System, w workload.Workload, opts Options) (Result, error) {
 		}
 		if opts.Prefetch != nil {
 			return Result{}, fmt.Errorf("harness: -plane and -prefetch are mutually exclusive (zoo policies pick their own plane)")
-		}
-		if opts.Nodes > 0 {
-			return Result{}, fmt.Errorf("harness: -plane uses the unified hybrid layout, which is single-node (drop -nodes)")
 		}
 	}
 	if opts.Prefetch != nil {

@@ -2,14 +2,13 @@
 // mechanisms implement: the kernel-paging plane (internal/swap, 4 KiB pages)
 // and the runtime line plane (internal/rt sections over internal/cache). A
 // DataPlane caches some unit of far memory locally, charges every move to the
-// simulated clock, and can always be flushed back to a consistent far image —
-// which is what makes mid-run migration between planes possible: drain one
-// plane's dirty state through the transport, then re-register the address
-// range on the other.
+// simulated clock, and can always be flushed back to a consistent far image.
 //
 // The contract is deliberately address-based (far addresses, not object
 // names) so a conformance suite (planetest) can drive both implementations
-// through one script and compare behavior.
+// through one script and compare behavior. It is that suite's contract: the
+// runtime serves each object from the plane its placement names, and the
+// placement never changes mid-run.
 package plane
 
 import (
@@ -80,9 +79,8 @@ type DataPlane interface {
 	// in-flight proposals are dropped (and counted), never errors.
 	PrefetchBatch(clk *sim.Clock, fars []uint64) error
 	// Evict writes back and drops every unit overlapping [far, far+length),
-	// blocking clk until the dirty bytes are in far memory. This is the
-	// migration drain: after Evict the range's authoritative bytes live in
-	// far memory and the other plane may register it.
+	// blocking clk until the dirty bytes are in far memory: after Evict the
+	// range's authoritative bytes live in far memory.
 	Evict(clk *sim.Clock, far uint64, length int64) error
 	// Fence blocks clk until every in-flight speculative fetch and
 	// asynchronous write-back has landed.

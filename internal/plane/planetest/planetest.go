@@ -328,7 +328,7 @@ func testStatsCount(t *testing.T, h *Harness) {
 
 // testDeterminism runs one mixed script against two fresh harnesses and
 // requires identical elapsed simulated time, identical stats, and identical
-// read-back bytes — the property migration replay relies on.
+// read-back bytes — the property byte-identical replays rely on.
 func testDeterminism(t *testing.T, mk Factory) {
 	run := func(h *Harness) (sim.Time, plane.Stats, []byte) {
 		clk := sim.NewClock(0)

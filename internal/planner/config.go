@@ -542,10 +542,9 @@ const maxBatchLines = 16
 // buildPlan assembles the codegen plan from the drafts.
 func buildPlan(prog *ir.Program, merged map[string]*analysis.ObjectAccess, drafts []*sectionDraft, dElems int64, tech TechniqueMask, net netmodel.Config) *codegen.Plan {
 	plan := &codegen.Plan{
-		Objects:               map[string]*codegen.ObjectPlan{},
-		FuseLoops:             !tech.NoBatching,
-		BatchFusedPrefetch:    !tech.NoBatching,
-		SuppressPrefetchStmts: tech.Programmed,
+		Objects:            map[string]*codegen.ObjectPlan{},
+		FuseLoops:          !tech.NoBatching,
+		BatchFusedPrefetch: !tech.NoBatching,
 	}
 	for _, d := range drafts {
 		// streams counts the section's sequential and strided members: they

@@ -121,7 +121,6 @@ func (p *planning) planeRace(prog *ir.Program, col *profile.Collector) {
 			trace.S("err", err.Error()))
 		return
 	}
-	line.cfg.Hybrid = true
 	p.res.Report = report
 	out, _ := p.try(move{name: "plane line", prog: line.prog, cfg: line.cfg, plan: line.plan,
 		force: p.opts.Plane == "line"})

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mira/internal/apps/graphtraverse"
-	"mira/internal/cluster"
 )
 
 func TestPlaneModeValidation(t *testing.T) {
@@ -14,7 +13,6 @@ func TestPlaneModeValidation(t *testing.T) {
 		opts Options
 	}{
 		{"unknown", Options{Plane: "both"}},
-		{"cluster", Options{Plane: "hybrid", Cluster: &cluster.Options{Nodes: 2}}},
 		{"line-noseparation", Options{Plane: "line", DisableSeparation: true}},
 		{"hybrid-noseparation", Options{Plane: "hybrid", DisableSeparation: true}},
 	}
@@ -46,9 +44,6 @@ func TestPlaneModesRace(t *testing.T) {
 		if res.Planes == nil {
 			t.Fatalf("Plane=%s: no plane assignment", mode)
 		}
-		if !res.Config.Hybrid {
-			t.Fatalf("Plane=%s: accepted config is not hybrid-layout", mode)
-		}
 		times[mode] = res
 		t.Logf("Plane=%s: final %v, planes %v", mode, res.FinalTime, res.Planes)
 	}
@@ -62,8 +57,8 @@ func TestPlaneModesRace(t *testing.T) {
 			t.Fatalf("Plane=page placed %s on the line plane", name)
 		}
 	}
-	// Pure-page on the hybrid layout must time exactly like the classic
-	// swap baseline: the all-swap layouts are byte-identical.
+	// Pure-page must time exactly like the classic swap baseline: it is
+	// the same all-swap configuration.
 	if bt := times["page"].BaselineTime; times["page"].FinalTime != bt {
 		t.Fatalf("page mode final %v != its baseline %v", times["page"].FinalTime, bt)
 	}
@@ -72,7 +67,7 @@ func TestPlaneModesRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if classic.BaselineTime != times["page"].BaselineTime {
-		t.Fatalf("hybrid-layout page baseline %v != classic swap baseline %v",
+		t.Fatalf("page-mode baseline %v != classic swap baseline %v",
 			times["page"].BaselineTime, classic.BaselineTime)
 	}
 	if classic.Planes != nil {

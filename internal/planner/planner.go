@@ -95,9 +95,8 @@ type Options struct {
 	// "page" serves everything from the paged swap plane, "line" forces the
 	// line-granular section plan, and "hybrid" races both and a per-object
 	// classified split (dense sequential/strided objects paged, sparse ones
-	// line-cached), accepting only improvements. All three modes plan on
-	// the unified hybrid heap layout (rt.Config.Hybrid), so a mid-run
-	// MigrateObject can move any far object between the planes.
+	// line-cached), accepting only improvements. Every mode plans on the
+	// runtime's one heap layout, so it composes with Cluster and Offload.
 	Plane string
 	// Trace, when non-nil, records per-iteration planner spans (scope,
 	// section count, accept/rollback) into the run's trace. The timing
@@ -109,19 +108,13 @@ type Options struct {
 
 // TechniqueMask disables individual Mira techniques (all false = all on).
 type TechniqueMask struct {
-	NoPrefetch   bool
-	NoEvictHints bool
-	NoBatching   bool
-	NoNative     bool
-	NoSelective  bool
-	NoRWOpt      bool // read/write-only optimizations (no-fetch stores)
-	// Programmed keeps every planning decision (prefetch distances, Native,
-	// batching math) but suppresses the emitted Prefetch/BatchPrefetch
-	// statements: an access-program runner (prefetch zoo, 3PO-style) covers
-	// residency instead, so the program sheds the per-iteration guard
-	// arithmetic the compiled stream pays.
-	Programmed     bool
-	ForceStructure int // -1 = planner's choice; else cache.Structure value
+	NoPrefetch     bool
+	NoEvictHints   bool
+	NoBatching     bool
+	NoNative       bool
+	NoSelective    bool
+	NoRWOpt        bool // read/write-only optimizations (no-fetch stores)
+	ForceStructure int  // -1 = planner's choice; else cache.Structure value
 }
 
 // DefaultTechniques enables everything.
@@ -194,8 +187,8 @@ func plan(l *ledger, opts Options) (*Result, error) {
 		return nil, err
 	}
 	if opts.Plane == "page" {
-		// Pure-page is the swap-only baseline on the hybrid layout; there
-		// is nothing for the structural iterations to improve.
+		// Pure-page is the swap-only baseline; there is nothing for the
+		// structural iterations to improve.
 		opts.DisableSeparation = true
 	}
 	if opts.LocalBudget <= 0 {
@@ -388,9 +381,7 @@ func (p *planning) iterate(prog *ir.Program, col *profile.Collector) error {
 }
 
 // validateModes checks the three mode strings, then what the plane modes
-// need of the other options: every plane mode plans on the unified hybrid
-// heap layout, which is single-node, and "line" and "hybrid" need cache
-// sections.
+// need of the other options: "line" and "hybrid" need cache sections.
 func validateModes(opts Options) error {
 	for _, m := range []struct {
 		field, mode string
@@ -404,11 +395,7 @@ func validateModes(opts Options) error {
 			return fmt.Errorf("planner: unknown %s mode %q (want %s, %s, or %s)", m.field, m.mode, m.want[0], m.want[1], m.want[2])
 		}
 	}
-	switch {
-	case opts.Plane == "":
-	case opts.Cluster != nil:
-		return fmt.Errorf("planner: Plane=%q uses the unified hybrid layout, which is single-node (drop Cluster)", opts.Plane)
-	case opts.Plane != "page" && opts.DisableSeparation:
+	if (opts.Plane == "line" || opts.Plane == "hybrid") && opts.DisableSeparation {
 		return fmt.Errorf("planner: Plane=%q needs cache sections, but DisableSeparation is set", opts.Plane)
 	}
 	return nil
@@ -476,10 +463,6 @@ func swapOnlyConfig(prog *ir.Program, opts Options) (rt.Config, error) {
 	cfg.Cluster = opts.Cluster
 	cfg.WritebackQueueLines = opts.WritebackQueueLines
 	cfg.SwapCompress = opts.Compress == "on"
-	// Plane modes lay the whole heap out hybrid-style so objects can
-	// migrate between planes; all-swap hybrid layout is byte-identical
-	// to the classic one, so this never changes baseline timings.
-	cfg.Hybrid = opts.Plane != ""
 	return cfg, nil
 }
 

@@ -48,14 +48,10 @@ func (r *Runtime) PrefetchH(clk *sim.Clock, h Handle, elem int64, field ir.Field
 	case PlaceLocal:
 		return nil
 	case PlaceSwap:
-		if r.cfg.Hybrid && r.swapC != nil {
-			// Hybrid plane: compiled prefetch statements survive a
-			// migration to the paged plane as page advisories, so the
-			// program's hints keep working on either side of a switch.
-			addr := o.farBase + uint64(elem)*uint64(o.decl.ElemBytes) + uint64(field.Offset)
-			return r.swapPrefetchFars(clk, []uint64{addr})
-		}
-		return fmt.Errorf("rt: prefetch into swap section for %q (compiler bug: swap objects use the page prefetcher)", o.decl.Name)
+		// A swap-placed object's prefetch is a page advisory, as in
+		// PrefetchBatch; Bind gave it a swap cache.
+		addr := o.farBase + uint64(elem)*uint64(o.decl.ElemBytes) + uint64(field.Offset)
+		return r.swapPrefetchFars(clk, []uint64{addr})
 	}
 	s := r.secs[o.place.Section]
 	addr := o.farBase + uint64(elem)*uint64(o.decl.ElemBytes) + uint64(field.Offset)

@@ -117,13 +117,6 @@ type Config struct {
 	// size in bytes (operand, result, and commit streams). Zero selects
 	// netmodel.DefaultStreamChunk. Cluster mode only.
 	OffloadChunk int
-	// Hybrid binds every far object — swap- and section-placed — into one
-	// contiguous far region covered end-to-end by the swap cache, with each
-	// object padded to whole pages. That unified layout is what makes
-	// per-object plane switching possible: MigrateObject can flush an
-	// object's state off one plane and re-register its (page-exclusive)
-	// address range on the other mid-run. Single-node only.
-	Hybrid bool
 }
 
 // Validate checks structural sanity and that the carve-up fits the budget.
@@ -153,9 +146,6 @@ func (c Config) Validate() error {
 		}
 		if c.Faults != nil && c.Faults.Enabled() {
 			return fmt.Errorf("rt: single-node Faults config with a cluster — put per-node faults in Cluster.Faults")
-		}
-		if c.Hybrid {
-			return fmt.Errorf("rt: Hybrid layout is single-node (cluster placement routes per section, not per page)")
 		}
 	}
 	return nil

@@ -1,17 +1,13 @@
 package rt
 
 import (
-	"bytes"
 	"testing"
 
 	"mira/internal/cache"
 	"mira/internal/farmem"
 	"mira/internal/ir"
-	"mira/internal/plane"
 	"mira/internal/plane/planetest"
 	"mira/internal/prefetch"
-	"mira/internal/sim"
-	"mira/internal/trace"
 )
 
 // TestLinePlaneConformance runs the shared plane suite against a cache
@@ -24,7 +20,6 @@ func TestLinePlaneConformance(t *testing.T) {
 		b.Object("grid", 8, 125, ir.F("v", 0, 8))
 		b.Func("main")
 		cfg := Config{
-			Hybrid:      true,
 			LocalBudget: 1 << 20,
 			Sections: []SectionSpec{{
 				Cache: cache.Config{Name: "grid", Structure: cache.SetAssoc, Ways: 4, LineBytes: 64, SizeBytes: 2 << 10},
@@ -49,8 +44,8 @@ func TestLinePlaneConformance(t *testing.T) {
 }
 
 // TestPagePlaneConformanceViaRuntime runs the same suite against the paged
-// plane as the runtime exposes it (hybrid layout, swap cache over the
-// unified heap). The object is 4936 bytes so its last page is partial.
+// plane as the runtime exposes it (the swap cache over the swap heap). The
+// object is 4936 bytes so its last page is partial.
 func TestPagePlaneConformanceViaRuntime(t *testing.T) {
 	planetest.Run(t, "rt.page", func(t *testing.T) *planetest.Harness {
 		t.Helper()
@@ -58,7 +53,6 @@ func TestPagePlaneConformanceViaRuntime(t *testing.T) {
 		b.Object("vec", 8, 617, ir.F("v", 0, 8))
 		b.Func("main")
 		cfg := Config{
-			Hybrid:      true,
 			LocalBudget: 1 << 20,
 			SwapPool:    16 << 10,
 			Placements:  map[string]Placement{"vec": {Kind: PlaceSwap}},
@@ -78,196 +72,6 @@ func TestPagePlaneConformanceViaRuntime(t *testing.T) {
 		o := r.objs["vec"]
 		return &planetest.Harness{P: p, Base: o.farBase, Length: o.decl.SizeBytes(), FarRead: node.Read}
 	})
-}
-
-// mkHybridRuntime builds a hybrid-layout runtime over testProgram: items in
-// section 0 (and migratable), vec in swap.
-func mkHybridRuntime(t *testing.T) (*Runtime, *sim.Clock) {
-	t.Helper()
-	cfg := Config{
-		Hybrid:      true,
-		LocalBudget: 1 << 20,
-		SwapPool:    64 << 10,
-		Sections: []SectionSpec{{
-			Cache: cache.Config{Name: "items", Structure: cache.SetAssoc, Ways: 4, LineBytes: 128, SizeBytes: 16 << 10},
-		}},
-		Placements: map[string]Placement{
-			"items": {Kind: PlaceSection, Section: 0},
-			"vec":   {Kind: PlaceSwap},
-		},
-	}
-	node := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 26, CPUSlowdown: 1})
-	r, err := New(cfg, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Bind(testProgram()); err != nil {
-		t.Fatal(err)
-	}
-	return r, sim.NewClock(0)
-}
-
-// TestHybridAllSwapMatchesClassicLayout pins the bindHybrid invariant the
-// pure-page benchmark arm relies on: an all-swap program lays out at the
-// same offsets under Hybrid as under the classic Bind.
-func TestHybridAllSwapMatchesClassicLayout(t *testing.T) {
-	bases := make([]uint64, 2)
-	for i, hybrid := range []bool{false, true} {
-		cfg := Config{
-			LocalBudget: 1 << 20,
-			SwapPool:    64 << 10,
-			Hybrid:      hybrid,
-			Placements: map[string]Placement{
-				"items": {Kind: PlaceSwap},
-				"vec":   {Kind: PlaceSwap},
-			},
-		}
-		node := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 26, CPUSlowdown: 1})
-		r, err := New(cfg, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Bind(testProgram()); err != nil {
-			t.Fatal(err)
-		}
-		if r.swapC == nil {
-			t.Fatal("no swap cache")
-		}
-		bases[i] = r.objs["vec"].farBase - r.objs["items"].farBase
-		if got, want := r.swapC.Base(), r.objs["items"].farBase; got != want {
-			t.Fatalf("hybrid=%v: swap base %#x, want first object base %#x", hybrid, got, want)
-		}
-	}
-	if bases[0] != bases[1] {
-		t.Fatalf("relative layout differs: classic %#x vs hybrid %#x", bases[0], bases[1])
-	}
-}
-
-// migrationScript drives one full line->page->line tenure cycle with
-// interleaved accesses, maintaining a native mirror of items as the oracle.
-// It returns elapsed sim time, the trace bytes, and the final far image.
-func migrationScript(t *testing.T) (sim.Time, []byte, []byte) {
-	t.Helper()
-	r, clk := mkHybridRuntime(t)
-	tr := trace.New()
-	r.SetTrace(tr)
-
-	mirror := make([]byte, 64*128) // items: 128 elements x 64 bytes
-	rd := func(elem int64) {
-		got := make([]byte, 8)
-		if err := r.Access(clk, "items", elem, fld(0, 8), got, false, AccessOpts{}); err != nil {
-			t.Fatalf("read items[%d]: %v", elem, err)
-		}
-		if want := mirror[elem*64 : elem*64+8]; !bytes.Equal(got, want) {
-			t.Fatalf("items[%d] = %v, oracle %v", elem, got, want)
-		}
-	}
-	wr := func(elem int64, seed byte) {
-		buf := make([]byte, 8)
-		for i := range buf {
-			buf[i] = seed + byte(i)
-		}
-		if err := r.Access(clk, "items", elem, fld(0, 8), buf, true, AccessOpts{}); err != nil {
-			t.Fatalf("write items[%d]: %v", elem, err)
-		}
-		copy(mirror[elem*64:], buf)
-	}
-
-	if k, ok := r.ObjectPlane("items"); !ok || k != plane.Line {
-		t.Fatalf("items starts on %v, want line", k)
-	}
-	// Line tenure: dirty a few lines, leave them cached.
-	for e := int64(0); e < 8; e++ {
-		wr(e, byte(10+e))
-	}
-	rd(3)
-
-	if err := r.MigrateObject(clk, "items", plane.Page); err != nil {
-		t.Fatalf("migrate to page: %v", err)
-	}
-	if k, _ := r.ObjectPlane("items"); k != plane.Page {
-		t.Fatalf("items on %v after migration, want page", k)
-	}
-	// Page tenure: the line tenure's dirty bytes must be visible, and new
-	// writes land through the swap cache.
-	rd(0)
-	rd(7)
-	for e := int64(4); e < 12; e++ {
-		wr(e, byte(40+e))
-	}
-	// Migrating to the current plane is a no-op, in time and in state.
-	before := clk.Now()
-	if err := r.MigrateObject(clk, "items", plane.Page); err != nil {
-		t.Fatalf("no-op migrate: %v", err)
-	}
-	if clk.Now() != before {
-		t.Fatalf("no-op migration moved the clock")
-	}
-
-	if err := r.MigrateObject(clk, "items", plane.Line); err != nil {
-		t.Fatalf("migrate back to line: %v", err)
-	}
-	if k, _ := r.ObjectPlane("items"); k != plane.Line {
-		t.Fatal("items not back on the line plane")
-	}
-	// Line tenure again: page tenure's writes must be visible.
-	rd(5)
-	rd(11)
-	wr(2, 99)
-
-	if err := r.FlushAll(clk); err != nil {
-		t.Fatalf("flush all: %v", err)
-	}
-	img, err := r.DumpObject("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(img, mirror) {
-		t.Fatal("far image diverged from the native oracle after migrations")
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return clk.Now(), buf.Bytes(), img
-}
-
-// TestMigrationDeterminism replays the identical migration script twice:
-// elapsed sim time, the full trace, and the far image must be
-// byte-identical — the property BENCH replays and the CI A/B gate rely on.
-func TestMigrationDeterminism(t *testing.T) {
-	t1, trace1, img1 := migrationScript(t)
-	t2, trace2, img2 := migrationScript(t)
-	if t1 != t2 {
-		t.Fatalf("elapsed time diverged: %v vs %v", t1, t2)
-	}
-	if !bytes.Equal(trace1, trace2) {
-		t.Fatal("trace bytes diverged across identical runs")
-	}
-	if !bytes.Equal(img1, img2) {
-		t.Fatal("far image diverged across identical runs")
-	}
-}
-
-func TestMigrateObjectErrors(t *testing.T) {
-	// Non-hybrid layouts cannot migrate: pages are shared between objects.
-	r, clk := mkRuntime(t, nil)
-	if err := r.MigrateObject(clk, "items", plane.Page); err == nil {
-		t.Fatal("migration allowed without the hybrid layout")
-	}
-
-	r, clk = mkHybridRuntime(t)
-	if err := r.MigrateObject(clk, "nosuch", plane.Page); err == nil {
-		t.Fatal("migration of unknown object did not error")
-	}
-	// vec has no home section: it can never move to the line plane.
-	if err := r.MigrateObject(clk, "vec", plane.Line); err == nil {
-		t.Fatal("migration of a sectionless object to the line plane did not error")
-	}
-	// ...but migrating it to the plane it is on stays a no-op.
-	if err := r.MigrateObject(clk, "vec", plane.Page); err != nil {
-		t.Fatalf("no-op migrate of swap object: %v", err)
-	}
 }
 
 // TestSetSectionScaleRecapsPrefetchWindow is the regression test for the

@@ -166,10 +166,6 @@ type objectRT struct {
 	place   Placement
 	farBase uint64 // far address of element 0 (swap or section placement)
 	local   []byte // backing when PlaceLocal
-	// homeSec is the cache section this object belongs to when it is (or
-	// returns to) the line plane: its bound placement's section under the
-	// hybrid layout, -1 when it has none (swap- or local-only objects).
-	homeSec int
 	// selective-transmission resolution for the object's section
 	selFields []ir.Field
 	selBytes  int
@@ -186,8 +182,8 @@ func (o *objectRT) lineRange(s *sectionRT) (lo, hi uint64) {
 // the same object many times (the executor's resolved access nodes) holds in
 // place of the string, so the dereference path starts at the object instead
 // of at a map. A handle stays valid for the runtime's life — Bind makes each
-// objectRT once and MigrateObject flips its placement in place — and means
-// nothing to any other runtime. The zero Handle names no object.
+// objectRT once and its placement never changes — and means nothing to any
+// other runtime. The zero Handle names no object.
 type Handle struct{ o *objectRT }
 
 // Handle resolves a bound object's handle.
@@ -323,9 +319,6 @@ func (r *Runtime) Config() Config { return r.cfg }
 // and creates the swap section over the swap-placed heap. Initial object
 // contents are zero; use InitObject to load workload data.
 func (r *Runtime) Bind(p *ir.Program) error {
-	if r.cfg.Hybrid {
-		return r.bindHybrid(p)
-	}
 	// Partition objects.
 	var swapObjs []*ir.Object
 	for _, o := range p.Objects {
@@ -337,7 +330,7 @@ func (r *Runtime) Bind(p *ir.Program) error {
 				pl = Placement{Kind: PlaceSwap}
 			}
 		}
-		ort := &objectRT{decl: o, place: pl, homeSec: -1}
+		ort := &objectRT{decl: o, place: pl}
 		switch pl.Kind {
 		case PlaceLocal:
 			ort.local = make([]byte, o.SizeBytes())
@@ -345,7 +338,6 @@ func (r *Runtime) Bind(p *ir.Program) error {
 		case PlaceSwap:
 			swapObjs = append(swapObjs, o)
 		case PlaceSection:
-			ort.homeSec = pl.Section
 			s := r.secs[pl.Section]
 			lb := uint64(s.spec.Cache.LineBytes)
 			// Align the base and pad the tail so every line of

@@ -125,7 +125,6 @@ func TestRawSizeReaders(t *testing.T) {
 		"rt:Config.CarveUpBytes":      2, // the raw total, the other half of the ledger's key
 		"rt:Config.Geometry":          2, // pool positive or not; the pool handed to swap.Config.Pages
 		"rt:Runtime.Bind":             1, // the pool handed to effectiveSwapCfg → swap.New, after a positive-or-not check
-		"rt:Runtime.bindHybrid":       1, // the same, for the hybrid layout
 	}
 	sized := map[string]bool{"SizeBytes": true, "SwapPool": true, "PoolBytes": true}
 	got := map[string]int{}

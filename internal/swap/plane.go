@@ -24,9 +24,8 @@ func (c *Cache) Fence(clk *sim.Clock) {
 }
 
 // FlushRange writes back and drops every resident page overlapping
-// [far, far+length), blocking clk until the last write-back lands. The
-// plane-migration protocol uses it to hand one object's pages over to the
-// line plane (and to shed clean stray readahead before handing back).
+// [far, far+length), blocking clk until the last write-back lands: the page
+// plane's Evict.
 func (c *Cache) FlushRange(clk *sim.Clock, far uint64, length int64) error {
 	if length <= 0 || c.Resident() == 0 {
 		return nil
@@ -74,8 +73,8 @@ func (c *Cache) FlushRange(clk *sim.Clock, far uint64, length int64) error {
 // PrefetchPages issues an advisory fetch for the given page numbers, exactly
 // as a prefetcher proposal would (out-of-range and resident pages dropped,
 // batch gather when configured). Callers outside the fault path — compiled
-// prefetch statements whose object migrated to the paged plane — use it to
-// keep their hints effective across a plane switch.
+// prefetch statements of swap-placed objects — use it to turn their hints
+// into page advisories.
 func (c *Cache) PrefetchPages(clk *sim.Clock, pnos []int64) error {
 	return c.issueAdvisory(clk, -1, pnos)
 }

@@ -633,9 +633,8 @@ func (c *refCache) Fence(clk *sim.Clock) {
 }
 
 // FlushRange writes back and drops every resident page overlapping
-// [far, far+length), blocking clk until the last write-back lands. The
-// plane-migration protocol uses it to hand one object's pages over to the
-// line plane (and to shed clean stray readahead before handing back).
+// [far, far+length), blocking clk until the last write-back lands: the page
+// plane's Evict.
 func (c *refCache) FlushRange(clk *sim.Clock, far uint64, length int64) error {
 	if length <= 0 || len(c.pages) == 0 {
 		return nil
@@ -694,8 +693,8 @@ func (c *refCache) FlushRange(clk *sim.Clock, far uint64, length int64) error {
 // PrefetchPages issues an advisory fetch for the given page numbers, exactly
 // as a prefetcher proposal would (out-of-range and resident pages dropped,
 // batch gather when configured). Callers outside the fault path — compiled
-// prefetch statements whose object migrated to the paged plane — use it to
-// keep their hints effective across a plane switch.
+// prefetch statements of swap-placed objects — use it to turn their hints
+// into page advisories.
 func (c *refCache) PrefetchPages(clk *sim.Clock, pnos []int64) error {
 	return c.issueAdvisory(clk, nil, pnos)
 }
