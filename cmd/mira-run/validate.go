@@ -41,6 +41,9 @@ func validateFlags(f runFlags) error {
 	default:
 		return fmt.Errorf("unknown -compress mode %q (off, on, auto)", f.Compress)
 	}
+	if f.Compress != "" && f.Compress != "off" && f.System != "mira" && f.System != "mira-swap" {
+		return fmt.Errorf("-compress %s compresses mira's wire; system %q sends it raw (use -system mira or mira-swap)", f.Compress, f.System)
+	}
 	switch f.Plane {
 	case "", "page", "line", "hybrid":
 	default:
@@ -72,6 +75,12 @@ func validateFlags(f runFlags) error {
 	}
 	if f.set("offload-chunk") && (f.Offload == "" || f.Offload == "off") {
 		return fmt.Errorf("-offload-chunk sizes the offload engine's streams; pass -offload on or -offload auto as well")
+	}
+	if (f.set("aifm-chunk") || f.set("aifm-meta")) && f.System != "aifm" {
+		return fmt.Errorf("-aifm-chunk and -aifm-meta configure the AIFM library model; pass -system aifm as well")
+	}
+	if f.set("fault-seed") && (f.Faults == "" || f.Faults == "none") {
+		return fmt.Errorf("-fault-seed seeds the fault injector's draws; pass a -faults schedule as well")
 	}
 	if f.set("private-sections") && (!f.threadsActive() || f.System != "mira") {
 		return fmt.Errorf("-private-sections splits mira's multithreaded sections; pass -threads and -system mira as well")

@@ -82,6 +82,20 @@ func TestValidateFlags(t *testing.T) {
 			f.Set["private-sections"] = true
 		}, "-system mira"},
 		{"private-sections-ok", func(f *runFlags) { f.Threads = 4; f.Set["private-sections"] = true }, ""},
+		{"compress-with-fastswap", func(f *runFlags) { f.Compress = "on"; f.System = "fastswap" }, "-system mira"},
+		{"compress-auto-with-native", func(f *runFlags) { f.Compress = "auto"; f.System = "native" }, "-system mira"},
+		{"compress-mira-swap-ok", func(f *runFlags) { f.Compress = "on"; f.System = "mira-swap" }, ""},
+		{"compress-off-any-system-ok", func(f *runFlags) { f.Compress = "off"; f.System = "leap" }, ""},
+		{"aifm-chunk-with-mira", func(f *runFlags) { f.Set["aifm-chunk"] = true }, "-system aifm"},
+		{"aifm-meta-with-fastswap", func(f *runFlags) { f.System = "fastswap"; f.Set["aifm-meta"] = true }, "-system aifm"},
+		{"aifm-flags-ok", func(f *runFlags) {
+			f.System = "aifm"
+			f.Set["aifm-chunk"] = true
+			f.Set["aifm-meta"] = true
+		}, ""},
+		{"fault-seed-without-faults", func(f *runFlags) { f.Set["fault-seed"] = true }, "-faults"},
+		{"fault-seed-with-faults-none", func(f *runFlags) { f.Faults = "none"; f.Set["fault-seed"] = true }, "-faults"},
+		{"fault-seed-with-faults-ok", func(f *runFlags) { f.Faults = "chaos"; f.Set["fault-seed"] = true }, ""},
 	}
 	for _, c := range cases {
 		err := validateFlags(flags(c.mutate))

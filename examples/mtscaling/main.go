@@ -1,9 +1,8 @@
 // Multithreading example: the paper's §4.6 strategies on both sharing
 // patterns. Read-only threads (GPT-2 inference batch, Fig. 24) get private
 // per-thread cache sections; threads writing one shared result vector
-// (DataFrame filter, Fig. 25) share a fully-associative section with
-// don't-evict pins. Both are compared against FastSwap's shared page pool
-// behind the kernel fault lock.
+// (DataFrame filter, Fig. 25) share a fully-associative section. Both are
+// compared against FastSwap's shared page pool behind the kernel fault lock.
 package main
 
 import (

@@ -168,22 +168,3 @@ func (e *env) evalAffine(x ir.Expr) affine {
 // paramReg is the sentinel register id representing "some loop-invariant
 // symbolic value" in affine coefficient maps.
 const paramReg = -1
-
-// strideOf returns the coefficient of the innermost loop's IV in the form,
-// and whether the form depends on any IV at all.
-func (e *env) strideOf(a affine) (stride int64, dependsOnIV bool) {
-	if !a.ok {
-		return 0, false
-	}
-	for reg, c := range a.coef {
-		if reg == paramReg || c == 0 {
-			continue
-		}
-		dependsOnIV = true
-	}
-	if len(e.loops) == 0 {
-		return 0, dependsOnIV
-	}
-	inner := e.loops[len(e.loops)-1]
-	return a.coef[inner.IVReg], dependsOnIV
-}

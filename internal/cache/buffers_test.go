@@ -12,14 +12,13 @@ import (
 type lineView struct {
 	Tag              uint64
 	Dirty, Evictable bool
-	Pins             int
 	LastUse          uint64
 	First            byte
 }
 
 func viewOf(s interface{ ForEachResident(func(*Line)) }) (out []lineView) {
 	s.ForEachResident(func(l *Line) {
-		out = append(out, lineView{l.Tag, l.Dirty, l.Evictable, l.pins, l.lastUse, l.Data[0]})
+		out = append(out, lineView{l.Tag, l.Dirty, l.Evictable, l.lastUse, l.Data[0]})
 	})
 	return out
 }
@@ -49,7 +48,7 @@ func TestFullAssocAgainstReference(t *testing.T) {
 				for step := 0; step < 2000; step++ {
 					addr := uint64(rng.Intn(3*lines+2)*lineBytes + rng.Intn(lineBytes))
 					switch k := rng.Intn(16); {
-					case k < 8:
+					case k < 10:
 						l, ok := f.Lookup(addr)
 						rl, rok := ref.Lookup(addr)
 						if ok != rok {
@@ -65,14 +64,9 @@ func TestFullAssocAgainstReference(t *testing.T) {
 							l.Data[0], l.Dirty = byte(step), true
 							rl.Data[0], rl.Dirty = byte(step), true
 						}
-					case k < 10:
+					case k < 13:
 						if a, b := f.MarkEvictable(addr), ref.MarkEvictable(addr); a != b {
 							t.Fatalf("step %d: MarkEvictable %v, reference %v", step, a, b)
-						}
-					case k < 13:
-						delta := rng.Intn(3) - 1
-						if a, b := f.Pin(addr, delta), ref.Pin(addr, delta); a != b {
-							t.Fatalf("step %d: Pin %v, reference %v", step, a, b)
 						}
 					default:
 						v, ok := f.Drop(addr)

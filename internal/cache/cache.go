@@ -3,8 +3,7 @@
 // with one of three structures — direct-mapped, K-way set-associative, or
 // fully-associative — and supports the program-guided mechanisms the
 // compiler emits: eviction hints (mark-evictable + prefer-evictable victim
-// selection), don't-evict pins for shared multithreaded sections (§4.6), and
-// dirty-line write-back.
+// selection) and dirty-line write-back.
 //
 // Sections are purely mechanical: they track lines, choose victims, and
 // count events. They perform no I/O and charge no time; the runtime layer
@@ -116,17 +115,11 @@ type Line struct {
 	// untouched prefetch) are runtime-owned marks that the slot only carries.
 	Ready sim.Time
 	Spec  bool
-	// pins is the don't-evict reference count for shared sections
-	// (§4.6). A pinned line is never chosen as a victim.
-	pins int
 	// lastUse is a logical timestamp for LRU within sets.
 	lastUse uint64
 	// valid distinguishes an occupied slot from an empty one.
 	valid bool
 }
-
-// Pinned reports whether the line is protected by don't-evict pins.
-func (l *Line) Pinned() bool { return l.pins > 0 }
 
 // Victim describes an evicted line the caller must handle: if Dirty, its
 // bytes must be written back to far memory.
@@ -159,13 +152,13 @@ type Stats struct {
 	Writebacks  int64 // dirty victims handed to the caller
 	HintEvicts  int64 // victims chosen because they were marked evictable
 	Conflicts   int64 // evictions with spare capacity elsewhere
-	PinSkips    int64 // victim candidates skipped because pinned
 	FlushedHint int64 // lines flushed early via eviction hints
 }
 
 // Section is a configured cache section. Implementations are not safe for
-// concurrent use; shared sections are serialized by the runtime with the
-// pin protocol of §4.6.
+// concurrent use; simulated threads share one only between memory
+// operations (internal/mtrun), so no access is interrupted partway through
+// a line.
 type Section interface {
 	// Config returns the section's configuration.
 	Config() Config
@@ -197,9 +190,6 @@ type Section interface {
 	Recycle(buf []byte)
 	// MarkEvictable applies an eviction hint to addr's line if resident.
 	MarkEvictable(addr uint64) bool
-	// Pin adjusts the don't-evict count of addr's line if resident
-	// (delta may be negative). It reports whether the line was found.
-	Pin(addr uint64, delta int) bool
 	// Drop invalidates addr's line if resident and returns it as a
 	// victim so the caller can write back dirty data. Used by early
 	// flush (§4.5) and by section teardown at lifetime end.

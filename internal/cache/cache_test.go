@@ -210,41 +210,6 @@ func TestFullAssocHintPreferred(t *testing.T) {
 	}
 }
 
-func TestPinPreventsEviction(t *testing.T) {
-	for _, st := range []Structure{SetAssoc, FullAssoc} {
-		cfg := Config{Structure: st, Ways: 2, LineBytes: 64, SizeBytes: 128}
-		s := mkSection(t, cfg)
-		s.Reserve(0 * 64)
-		s.Reserve(2 * 64)
-		s.Lookup(2 * 64) // line 0 is now LRU
-		s.Pin(0*64, 1)   // ...but pinned
-		_, v := s.Reserve(4 * 64)
-		if v.Tag == 0 {
-			t.Fatalf("%v: pinned line evicted", st)
-		}
-		if _, ok := s.Lookup(0); !ok {
-			t.Fatalf("%v: pinned line gone", st)
-		}
-		// Unpin, make line 0 the LRU again, and evict: now it is fair
-		// game.
-		s.Pin(0*64, -1)
-		s.Lookup(4 * 64)
-		_, v = s.Reserve(6 * 64)
-		if v.Tag != 0 {
-			t.Fatalf("%v: unpinned LRU line not evicted (victim %d)", st, v.Tag)
-		}
-	}
-}
-
-func TestPinUnderflowClamped(t *testing.T) {
-	s := mkSection(t, Config{Structure: FullAssoc, LineBytes: 64, SizeBytes: 128})
-	l, _ := s.Reserve(0)
-	s.Pin(0, -5)
-	if l.Pinned() {
-		t.Fatal("negative pin count left line pinned")
-	}
-}
-
 func TestDrop(t *testing.T) {
 	for _, cfg := range allStructures(64, 1024) {
 		s := mkSection(t, cfg)

@@ -84,17 +84,6 @@ func (d *direct) MarkEvictable(addr uint64) bool {
 	return false
 }
 
-func (d *direct) Pin(addr uint64, delta int) bool {
-	if l, ok := d.Peek(addr); ok {
-		l.pins += delta
-		if l.pins < 0 {
-			l.pins = 0
-		}
-		return true
-	}
-	return false
-}
-
 func (d *direct) Drop(addr uint64) (Victim, bool) {
 	tag := AlignDown(addr, d.cfg.LineBytes)
 	s := &d.slots[d.slotOf(tag)]

@@ -108,54 +108,29 @@ func (f *fullAssoc) vacate(i int32) Victim {
 	return f.retire(f.lines[i])
 }
 
-// chooseVictim scans the inactive tail for an evictable-marked unpinned line
-// within the scan budget, falling back to the least-recent unpinned line
-// scanned; when everything scanned was pinned (or the list is empty) the
-// active tail is scanned for its least-recent unpinned line.
+// chooseVictim scans the inactive tail for an evictable-marked line within
+// the scan budget, falling back to the tail itself. After Refill the inactive
+// list is empty only when nothing is resident; the active tail is then the
+// empty-list index.
 func (f *fullAssoc) chooseVictim() int32 {
 	f.lru.Refill()
-	for _, l := range [...]List{Inactive, Active} {
-		fallback := int32(-1)
-		scanned := 0
-		for i := f.lru.Back(l); i >= 0 && scanned < evictScanLimit; i = f.lru.Prev(i) {
-			scanned++
-			if f.lines[i].Pinned() {
-				f.stats.PinSkips++
-				continue
-			}
-			if l == Active || f.lines[i].Evictable {
-				return i
-			}
-			if fallback < 0 {
-				fallback = i
-			}
-		}
-		if fallback >= 0 {
-			return fallback
-		}
+	tail := f.lru.Back(Inactive)
+	if tail < 0 {
+		return f.lru.Back(Active)
 	}
-	// Fully pinned cache: evict the inactive tail (or active tail)
-	// regardless — the alternative is deadlock.
-	if i := f.lru.Back(Inactive); i >= 0 {
-		return i
+	scanned := 0
+	for i := tail; i >= 0 && scanned < evictScanLimit; i = f.lru.Prev(i) {
+		if f.lines[i].Evictable {
+			return i
+		}
+		scanned++
 	}
-	return f.lru.Back(Active)
+	return tail
 }
 
 func (f *fullAssoc) MarkEvictable(addr uint64) bool {
 	if l, ok := f.Peek(addr); ok {
 		l.Evictable = true
-		return true
-	}
-	return false
-}
-
-func (f *fullAssoc) Pin(addr uint64, delta int) bool {
-	if l, ok := f.Peek(addr); ok {
-		l.pins += delta
-		if l.pins < 0 {
-			l.pins = 0
-		}
 		return true
 	}
 	return false

@@ -111,9 +111,8 @@ func (f *refFullAssoc) evictOne() Victim {
 	return Victim{Tag: e.line.Tag, Data: e.line.Data, Dirty: e.line.Dirty}
 }
 
-// chooseVictim scans the inactive tail (then the active tail) for an
-// evictable-marked unpinned line within the scan budget, falling back to the
-// least-recent unpinned line, then the raw tail.
+// chooseVictim scans the inactive tail for an evictable-marked line within
+// the scan budget, falling back to the inactive tail, then the active tail.
 func (f *refFullAssoc) chooseVictim() *list.Element {
 	// Refill the inactive list from the active tail if empty.
 	if f.inactive.Len() == 0 {
@@ -124,39 +123,13 @@ func (f *refFullAssoc) chooseVictim() *list.Element {
 			f.lines[e.line.Tag] = f.inactive.PushBack(e)
 		}
 	}
-	var fallback *list.Element
 	scanned := 0
 	for el := f.inactive.Back(); el != nil && scanned < evictScanLimit; el = el.Prev() {
-		e := el.Value.(*refFaEntry)
 		scanned++
-		if e.line.Pinned() {
-			f.stats.PinSkips++
-			continue
-		}
-		if e.line.Evictable {
+		if el.Value.(*refFaEntry).line.Evictable {
 			return el
 		}
-		if fallback == nil {
-			fallback = el
-		}
 	}
-	if fallback != nil {
-		return fallback
-	}
-	// Everything scanned was pinned (or list empty): scan the active
-	// list the same way.
-	scanned = 0
-	for el := f.active.Back(); el != nil && scanned < evictScanLimit; el = el.Prev() {
-		e := el.Value.(*refFaEntry)
-		scanned++
-		if e.line.Pinned() {
-			f.stats.PinSkips++
-			continue
-		}
-		return el
-	}
-	// Fully pinned cache: evict the inactive tail (or active tail)
-	// regardless — the alternative is deadlock.
 	if el := f.inactive.Back(); el != nil {
 		return el
 	}
@@ -166,17 +139,6 @@ func (f *refFullAssoc) chooseVictim() *list.Element {
 func (f *refFullAssoc) MarkEvictable(addr uint64) bool {
 	if l, ok := f.Peek(addr); ok {
 		l.Evictable = true
-		return true
-	}
-	return false
-}
-
-func (f *refFullAssoc) Pin(addr uint64, delta int) bool {
-	if l, ok := f.Peek(addr); ok {
-		l.pins += delta
-		if l.pins < 0 {
-			l.pins = 0
-		}
 		return true
 	}
 	return false

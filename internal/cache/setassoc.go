@@ -117,53 +117,28 @@ func (s *setAssoc) Reserve(addr uint64) (*Line, Victim) {
 	return vl, v
 }
 
-// chooseVictim picks a slot index within a full set: evictable-marked lines
-// first (LRU among them), then unpinned LRU, then overall LRU.
+// chooseVictim picks a slot index within a full set: the least-recent
+// evictable-marked line, else the least-recent line (0 for an empty set).
 func (s *setAssoc) chooseVictim(set []Line) int {
-	best, bestEvictable := -1, -1
+	best, bestEvictable := 0, -1
 	for i := range set {
 		l := &set[i]
-		if l.Pinned() {
-			s.stats.PinSkips++
-			continue
-		}
 		if l.Evictable && (bestEvictable == -1 || l.lastUse < set[bestEvictable].lastUse) {
 			bestEvictable = i
 		}
-		if best == -1 || l.lastUse < set[best].lastUse {
+		if l.lastUse < set[best].lastUse {
 			best = i
 		}
 	}
 	if bestEvictable != -1 {
 		return bestEvictable
 	}
-	if best != -1 {
-		return best
-	}
-	// Whole set pinned: fall back to global LRU of the set.
-	lru := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lastUse < set[lru].lastUse {
-			lru = i
-		}
-	}
-	return lru
+	return best
 }
 
 func (s *setAssoc) MarkEvictable(addr uint64) bool {
 	if l, ok := s.Peek(addr); ok {
 		l.Evictable = true
-		return true
-	}
-	return false
-}
-
-func (s *setAssoc) Pin(addr uint64, delta int) bool {
-	if l, ok := s.Peek(addr); ok {
-		l.pins += delta
-		if l.pins < 0 {
-			l.pins = 0
-		}
 		return true
 	}
 	return false

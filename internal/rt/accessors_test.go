@@ -86,44 +86,6 @@ func TestConfigAndPtrStrings(t *testing.T) {
 	}
 }
 
-// Pinned lines survive eviction pressure; unpinning releases them. This is
-// the §4.6 shared-section don't-evict mechanism at the runtime level.
-func TestPinBlocksEviction(t *testing.T) {
-	r, clk := mkRuntime(t, func(c *Config) {
-		// Shrink the section to 4 lines of 128 B so pressure is easy.
-		c.Sections[0].Cache.SizeBytes = 512
-		c.Sections[0].Cache.Ways = 4
-		c.Sections[0].Cache.Structure = cache.FullAssoc
-	})
-	buf := make([]byte, 8)
-	// Write element 0 (dirty), pin its line, then stream far past
-	// capacity.
-	if err := r.Access(clk, "items", 0, fld(0, 8), []byte{1, 2, 3, 4, 5, 6, 7, 8}, true, AccessOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	r.Pin("items", 0, +1)
-	for e := int64(2); e < 40; e += 2 { // element stride 2 = one per 128B line
-		if err := r.Access(clk, "items", e, fld(0, 8), buf, false, AccessOpts{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The pinned line must still hit (no miss-count change on re-access).
-	before := r.MissCount()
-	if err := r.Access(clk, "items", 0, fld(0, 8), buf, false, AccessOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if r.MissCount() != before {
-		t.Fatal("pinned line was evicted")
-	}
-	if string(buf) != string([]byte{1, 2, 3, 4, 5, 6, 7, 8}) {
-		t.Fatalf("pinned line lost its data: %v", buf)
-	}
-	r.Pin("items", 0, -1)
-	// Pinning unknown or swap-placed objects is a harmless no-op.
-	r.Pin("nosuch", 0, +1)
-	r.Pin("vec", 0, +1)
-}
-
 // TestMissCountIsTheSectionsAndSwapSum: MissCount is a field read kept in
 // step with what it used to add up on every call — every section's Misses
 // plus the swap pool's major faults — through misses on both planes, a

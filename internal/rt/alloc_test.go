@@ -168,29 +168,22 @@ func TestBulkReadInFlightAllocatesNothing(t *testing.T) {
 	}
 }
 
-// A Fence — the runtime's and the line plane's — folds every resident line's
-// landing instant without allocating.
+// A Fence folds every resident line's landing instant without allocating.
 func TestFenceAllocatesNothing(t *testing.T) {
 	r, clk, prefetch := quietPrefetcher(t)
-	p, err := r.LinePlane(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	elem := int64(0)
 	fence := func() {
-		for _, f := range []func(*sim.Clock){r.Fence, p.Fence} {
-			elem = (elem + 2) % 128
-			prefetch(elem)
-			ready := readyOf(r.secs[0], r.objs["items"].farBase+uint64(elem)*64)
-			f(clk)
-			if ready == 0 || clk.Now() != ready {
-				t.Fatalf("fenced at %v, want the prefetch's landing at %v", clk.Now(), ready)
-			}
+		elem = (elem + 2) % 128
+		prefetch(elem)
+		ready := readyOf(r.secs[0], r.objs["items"].farBase+uint64(elem)*64)
+		r.Fence(clk)
+		if ready == 0 || clk.Now() != ready {
+			t.Fatalf("fenced at %v, want the prefetch's landing at %v", clk.Now(), ready)
 		}
 	}
 	fence()
 	if got := testing.AllocsPerRun(100, fence); got != 0 {
-		t.Errorf("%v allocs per two prefetches and fences, want 0", got)
+		t.Errorf("%v allocs per prefetch and fence, want 0", got)
 	}
 }
 

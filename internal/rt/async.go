@@ -9,6 +9,7 @@ import (
 	"mira/internal/codec"
 	"mira/internal/ir"
 	"mira/internal/sim"
+	"mira/internal/swap"
 	"mira/internal/trace"
 	"mira/internal/transport"
 )
@@ -169,6 +170,41 @@ func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
 	return nil
 }
 
+// swapPrefetchFars turns far addresses into page advisories (out-of-range
+// addresses become dropped proposals, as the advisory contract requires).
+func (r *Runtime) swapPrefetchFars(clk *sim.Clock, fars []uint64) error {
+	if r.swapC == nil {
+		return nil
+	}
+	return r.swapAdvise(clk, r.swapPages(fars))
+}
+
+// swapPages maps far addresses to swap page numbers, -1 below the swap
+// region, in the runtime's page scratch: valid until the next call.
+func (r *Runtime) swapPages(fars []uint64) []int64 {
+	base := r.swapC.Base()
+	pnos := r.pnos[:0]
+	for _, far := range fars {
+		if far < base {
+			pnos = append(pnos, -1)
+			continue
+		}
+		pnos = append(pnos, int64((far-base)/swap.PageBytes))
+	}
+	r.pnos = pnos
+	return pnos
+}
+
+// swapAdvise issues page advisories through the runtime's swap codec
+// settings.
+func (r *Runtime) swapAdvise(clk *sim.Clock, pnos []int64) error {
+	if r.cfg.SwapCompress {
+		r.setCodec(codec.ByteRun)
+		defer r.setCodec(codec.None)
+	}
+	return r.swapC.PrefetchPages(clk, pnos)
+}
+
 // EvictHint marks obj[elem]'s line evictable and flushes it asynchronously
 // if dirty (§4.5 eviction hints).
 func (r *Runtime) EvictHint(clk *sim.Clock, name string, elem int64) error {
@@ -205,18 +241,6 @@ func (r *Runtime) EvictHintH(clk *sim.Clock, h Handle, elem int64) error {
 		l.Dirty = false
 	}
 	return nil
-}
-
-// Pin adjusts the don't-evict count of obj[elem]'s line (§4.6 shared
-// sections). Pinning an absent line is a no-op.
-func (r *Runtime) Pin(name string, elem int64, delta int) {
-	o, ok := r.objs[name]
-	if !ok || o.place.Kind != PlaceSection {
-		return
-	}
-	s := r.secs[o.place.Section]
-	addr := o.farBase + uint64(elem)*uint64(o.decl.ElemBytes)
-	s.sec.Pin(addr, delta)
 }
 
 // SettleAsync marks all in-flight prefetches and write-backs complete
@@ -376,24 +400,6 @@ func (r *Runtime) FlushAll(clk *sim.Clock) error {
 	clk.AdvanceTo(done)
 	r.Fence(clk)
 	r.trc.Span(flushStart, clk.Now(), "rt", "flush.all")
-	return nil
-}
-
-// ReleaseSection ends a section's lifetime (§4.1: "we end a section as soon
-// as its lifetime in the program ends"): dirty lines are flushed
-// asynchronously and every line is dropped, freeing the space for live
-// sections. (Static sizing already accounts for overlap via the ILP; the
-// runtime release keeps the model honest and the stats meaningful.)
-func (r *Runtime) ReleaseSection(clk *sim.Clock, idx int) error {
-	if idx < 0 || idx >= len(r.secs) {
-		return fmt.Errorf("rt: release of section %d of %d", idx, len(r.secs))
-	}
-	s := r.secs[idx]
-	for _, l := range s.linesIn(0, ^uint64(0)) {
-		if _, err := r.drop(clk, s, l.Tag); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

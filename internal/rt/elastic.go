@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"sort"
 
 	"mira/internal/cache"
 	"mira/internal/prefetch"
@@ -28,7 +29,7 @@ func (r *Runtime) SetSectionScale(clk *sim.Clock, scale float64) error {
 	}
 	start := clk.Now()
 	for _, s := range r.secs {
-		if err := r.flushSectionRange(clk, s, 0, ^uint64(0)); err != nil {
+		if err := r.flushSection(clk, s); err != nil {
 			return err
 		}
 		sec, err := cache.New(s.spec.Cache.Scaled(scale))
@@ -72,4 +73,28 @@ func (r *Runtime) SectionLiveBytes() int64 {
 		t += s.spec.Cache.Scaled(scale).SizeBytes
 	}
 	return t
+}
+
+// flushSection writes back and drops every resident line of s, draining the
+// section's write-back queue so the bytes are authoritative in far memory on
+// return.
+func (r *Runtime) flushSection(clk *sim.Clock, s *sectionRT) error {
+	lines := s.linesIn(0, ^uint64(0))
+	// Sorted write-back order keeps queueing on the shared link — and so
+	// sim times — independent of the section's internal iteration order.
+	sort.Slice(lines, func(i, j int) bool { return lines[i].Tag < lines[j].Tag })
+	for _, l := range lines {
+		if l.Dirty && s.wbq == nil {
+			clk.Advance(r.cfg.Net.PerMessageOverhead)
+		}
+		if _, err := r.drop(clk, s, l.Tag); err != nil {
+			return err
+		}
+	}
+	done, err := r.drainWbq(clk, s)
+	if err != nil {
+		return err
+	}
+	clk.AdvanceTo(done)
+	return nil
 }

@@ -159,12 +159,6 @@ func lineEntries() []lineEntry {
 			mustNot(t, "trigger miss", r.Access(clk, "items", triggerElem, fld(0, 8), make([]byte, 8), false, AccessOpts{}))
 			return img
 		}},
-		{"LinePlane.PrefetchBatch", false, false, false, func(t *testing.T, r *Runtime, clk *sim.Clock, img []byte) []byte {
-			p, err := r.LinePlane(0)
-			mustNot(t, "line plane", err)
-			mustNot(t, "plane batch", p.PrefetchBatch(clk, []uint64{r.objs["items"].farBase + lineElem*64 + 5}))
-			return img
-		}},
 		{"BulkRead", true, true, false, func(t *testing.T, r *Runtime, clk *sim.Clock, img []byte) []byte {
 			got := make([]byte, 128)
 			mustNot(t, "bulk read", r.BulkRead(clk, "items", lineElem, got))

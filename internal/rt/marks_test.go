@@ -209,18 +209,11 @@ func (c *marksCell) step(i int) {
 	c.check(i, what, lo, hi)
 }
 
-// fence runs a Fence — the runtime's or the line plane's — and checks where
-// it ends.
+// fence runs a Fence and checks where it ends.
 func (c *marksCell) fence(i int) {
 	latest := c.clk.Now()
 	c.s.sec.ForEachResident(func(l *cache.Line) { latest = max(latest, l.Ready) })
-	if c.rng.Intn(2) == 0 {
-		c.r.Fence(c.clk)
-	} else {
-		p, err := c.r.LinePlane(0)
-		mustNot(c.t, "line plane", err)
-		p.Fence(c.clk)
-	}
+	c.r.Fence(c.clk)
 	// A drain inside the fence posts before lastFlush: the fence must end at
 	// the later of the drain's completion and the last landing.
 	if want := max(latest, c.r.lastFlush); c.clk.Now() != want {

@@ -76,20 +76,6 @@ func (r *Runtime) policyIssue(clk *sim.Clock, s *sectionRT) {
 	r.issueWanted(clk, s)
 }
 
-// issueSpeculative filters candidate line tags of one section (served by
-// this section's objects, absent, not in flight) and fetches the survivors
-// in a single doorbell-batched gather, marking each landed line speculative.
-// Entirely advisory: any failure — no evictable slot, far node unreachable,
-// line re-tenanted mid-batch — drops the affected pieces and counts them,
-// never surfacing an error (the triggering demand access already succeeded).
-func (r *Runtime) issueSpeculative(clk *sim.Clock, s *sectionRT, tags []uint64) {
-	s.want = s.want[:0]
-	for _, t := range tags {
-		r.propose(clk, s, t)
-	}
-	r.issueWanted(clk, s)
-}
-
 // propose runs the filter on one candidate tag: a line parked in the
 // write-back queue is recovered at once, a line only far memory holds joins
 // s.want.
@@ -135,12 +121,7 @@ func (r *Runtime) issueWanted(clk *sim.Clock, s *sectionRT) {
 	if len(got) == 0 {
 		return
 	}
-	post := clk.Now().Add(r.cfg.Net.VectoredPostCost(len(got)))
-	if s.policy != nil {
-		// Plane-adapter callers issue without an installed policy; only the
-		// policy hook charges the predictor's own overhead.
-		post = post.Add(s.policy.PerMissOverhead())
-	}
+	post := clk.Now().Add(r.cfg.Net.VectoredPostCost(len(got))).Add(s.policy.PerMissOverhead())
 	done, err := r.land(post, got)
 	if err == nil && r.trc != nil {
 		r.trc.Span(post, done, "rt", "prefetch.policy",

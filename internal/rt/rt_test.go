@@ -502,20 +502,6 @@ func TestFlushObjectOnlyTouchesTarget(t *testing.T) {
 	}
 }
 
-func TestReleaseSectionFlushesDirty(t *testing.T) {
-	r, clk := mkRuntime(t, nil)
-	w := []byte{7, 7, 7, 7, 7, 7, 7, 7}
-	_ = r.Access(clk, "items", 2, fld(0, 8), w, true, AccessOpts{})
-	if err := r.ReleaseSection(clk, 0); err != nil {
-		t.Fatal(err)
-	}
-	r.Fence(clk)
-	dump, _ := r.DumpObject("items")
-	if !bytes.Equal(dump[2*64:2*64+8], w) {
-		t.Fatal("ReleaseSection lost dirty data")
-	}
-}
-
 func TestMetadataAccounting(t *testing.T) {
 	r, _ := mkRuntime(t, nil)
 	md := r.MetadataBytes()

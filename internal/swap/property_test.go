@@ -317,9 +317,7 @@ type swapUnderTest interface {
 	Read(*sim.Clock, uint64, []byte) error
 	Write(*sim.Clock, uint64, []byte) error
 	PrefetchPages(*sim.Clock, []int64) error
-	FlushRange(*sim.Clock, uint64, int64) error
 	FlushAll(*sim.Clock) error
-	Fence(*sim.Clock)
 	SettleAsync()
 	Stats() Stats
 	FaultsInRange(uint64, int64) int64
@@ -463,7 +461,7 @@ func (d *diffPair) both(what string, do func(c swapUnderTest, clk *sim.Clock) ([
 // TestDifferentialAgainstReference drives the arena cache and the map +
 // container/list cache it replaced with the same seeded script — reads,
 // writes, degraded full-page stores, policy proposals, batched prefetch,
-// FlushRange, FlushAll, stream top-ups and injected transport failures,
+// FlushAll, SettleAsync, stream top-ups and injected transport failures,
 // over pools of 1, 2, 3 and many pages and a region with a short tail page
 // — checking everything diffPair.both checks after every step. The
 // reference charges a prefetcher's fault-path cost in the handler and its
@@ -530,24 +528,13 @@ func runScript(d *diffPair, rng *sim.RNG, fails []error) {
 			d.both("prefetch", func(c swapUnderTest, clk *sim.Clock) ([]byte, error) {
 				return nil, c.PrefetchPages(clk, pnos)
 			})
-		case k < 16:
-			lo := uint64(rng.Int63()) % uint64(length)
-			span := rng.Int63() % (4 * PageBytes)
-			d.both("flush range", func(c swapUnderTest, clk *sim.Clock) ([]byte, error) {
-				return nil, c.FlushRange(clk, base+lo, span)
-			})
 		case k < 17:
 			d.both("flush all", func(c swapUnderTest, clk *sim.Clock) ([]byte, error) {
 				return nil, c.FlushAll(clk)
 			})
 		case k < 18:
-			settle := rng.Intn(2) == 0
-			d.both("fence/settle", func(c swapUnderTest, clk *sim.Clock) ([]byte, error) {
-				if settle {
-					c.SettleAsync()
-				} else {
-					c.Fence(clk)
-				}
+			d.both("settle", func(c swapUnderTest, clk *sim.Clock) ([]byte, error) {
+				c.SettleAsync()
 				return nil, nil
 			})
 		default: // one of the next few transport operations fails

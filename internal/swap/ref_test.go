@@ -99,9 +99,6 @@ type refCache struct {
 	// lock, when set, serializes the fault path across simulated
 	// threads (the kernel swap lock).
 	lock *sim.Serializer
-	// lastWb is when the most recently issued asynchronous write-back
-	// lands; Fence waits for it.
-	lastWb sim.Time
 
 	// Tracing (all nil when disabled — every use is nil-safe).
 	trc                 *trace.Buffer
@@ -510,12 +507,8 @@ func (c *refCache) evictOne(now sim.Time) error {
 	}
 	if p.dirty {
 		c.stats.Writebacks++
-		done, err := c.tr.WriteOneSided(now, c.base+uint64(p.no)*PageBytes, p.data)
-		if err != nil {
+		if _, err := c.tr.WriteOneSided(now, c.base+uint64(p.no)*PageBytes, p.data); err != nil {
 			return err
-		}
-		if done > c.lastWb {
-			c.lastWb = done
 		}
 	}
 	return nil
@@ -549,9 +542,6 @@ func (c *refCache) FlushAll(clk *sim.Clock) error {
 	c.pages = make(map[int64]*list.Element, c.capacity)
 	c.active.Init()
 	c.inactive.Init()
-	if last > c.lastWb {
-		c.lastWb = last
-	}
 	clk.AdvanceTo(last)
 	return nil
 }
@@ -619,76 +609,6 @@ func (c *refCache) ResetStats() { c.stats = Stats{} }
 
 // Base reports the far address of the region's first byte.
 func (c *refCache) Base() uint64 { return c.base }
-
-// Fence blocks clk until every in-flight prefetched page and asynchronous
-// eviction write-back has landed.
-func (c *refCache) Fence(clk *sim.Clock) {
-	latest := c.lastWb
-	for _, el := range c.pages {
-		if p := el.Value.(*refPage); p.readyAt > latest {
-			latest = p.readyAt
-		}
-	}
-	clk.AdvanceTo(latest)
-}
-
-// FlushRange writes back and drops every resident page overlapping
-// [far, far+length), blocking clk until the last write-back lands: the page
-// plane's Evict.
-func (c *refCache) FlushRange(clk *sim.Clock, far uint64, length int64) error {
-	if length <= 0 || len(c.pages) == 0 {
-		return nil
-	}
-	lo, hi := far, far+uint64(length)
-	regEnd := c.base + uint64(c.length)
-	if lo < c.base {
-		lo = c.base
-	}
-	if hi > regEnd {
-		hi = regEnd
-	}
-	if lo >= hi {
-		return nil
-	}
-	first := int64((lo - c.base) / PageBytes)
-	last := int64((hi - 1 - c.base) / PageBytes)
-	// Collect in page order: map iteration order would make write-back
-	// queueing on the shared link run-dependent.
-	nos := make([]int64, 0, len(c.pages))
-	for no := range c.pages {
-		if no >= first && no <= last {
-			nos = append(nos, no)
-		}
-	}
-	sort.Slice(nos, func(i, j int) bool { return nos[i] < nos[j] })
-	var done sim.Time
-	for _, no := range nos {
-		el := c.pages[no]
-		p := el.Value.(*refPage)
-		if p.inActive {
-			c.active.Remove(el)
-		} else {
-			c.inactive.Remove(el)
-		}
-		delete(c.pages, no)
-		p.resident = false
-		if p.dirty {
-			c.stats.Writebacks++
-			t, err := c.tr.WriteOneSided(clk.Now(), c.base+uint64(no)*PageBytes, p.data)
-			if err != nil {
-				return err
-			}
-			if t > done {
-				done = t
-			}
-		}
-	}
-	if done > c.lastWb {
-		c.lastWb = done
-	}
-	clk.AdvanceTo(done)
-	return nil
-}
 
 // PrefetchPages issues an advisory fetch for the given page numbers, exactly
 // as a prefetcher proposal would (out-of-range and resident pages dropped,

@@ -13,6 +13,7 @@ package swap
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mira/internal/cache"
 	"mira/internal/netmodel"
@@ -141,9 +142,6 @@ type Cache struct {
 	// lock, when set, serializes the fault path across simulated
 	// threads (the kernel swap lock).
 	lock *sim.Serializer
-	// lastWb is when the most recently issued asynchronous write-back
-	// lands; Fence waits for it.
-	lastWb sim.Time
 
 	// Tracing (all nil when disabled — every use is nil-safe).
 	trc                 *trace.Buffer
@@ -348,6 +346,27 @@ func (c *Cache) issueAdvisory(clk *sim.Clock, pin int32, proposals []int64) erro
 	}
 	c.pinned = -1
 	return err
+}
+
+// PrefetchPages issues an advisory fetch for the given page numbers, exactly
+// as a prefetcher proposal would (out-of-range and resident pages dropped,
+// batch gather when configured). Callers outside the fault path — compiled
+// prefetch statements of swap-placed objects — use it to turn their hints
+// into page advisories.
+func (c *Cache) PrefetchPages(clk *sim.Clock, pnos []int64) error {
+	return c.issueAdvisory(clk, -1, pnos)
+}
+
+// AbsentPages counts the distinct pages among pnos that PrefetchPages asks
+// far memory for: inside the region and neither resident nor in flight.
+func (c *Cache) AbsentPages(pnos []int64) int {
+	n := 0
+	for i, pno := range pnos {
+		if pno >= 0 && pno < c.npages() && c.frameOf[pno] < 0 && !slices.Contains(pnos[:i], pno) {
+			n++
+		}
+	}
+	return n
 }
 
 // prefetchEach issues one read per candidate page (the unbatched path).
@@ -555,12 +574,8 @@ func (c *Cache) evictOne(now sim.Time) error {
 	}
 	if p.dirty {
 		c.stats.Writebacks++
-		done, err := c.tr.WriteOneSided(now, c.base+uint64(p.no)*PageBytes, p.data)
-		if err != nil {
+		if _, err := c.tr.WriteOneSided(now, c.base+uint64(p.no)*PageBytes, p.data); err != nil {
 			return err
-		}
-		if done > c.lastWb {
-			c.lastWb = done
 		}
 	}
 	return nil
@@ -590,9 +605,6 @@ func (c *Cache) FlushAll(clk *sim.Clock) error {
 		if c.resident(int32(i)) {
 			c.release(int32(i))
 		}
-	}
-	if last > c.lastWb {
-		c.lastWb = last
 	}
 	clk.AdvanceTo(last)
 	return nil

@@ -8,7 +8,6 @@ import (
 	"mira/internal/codec"
 	"mira/internal/farmem"
 	"mira/internal/netmodel"
-	"mira/internal/plane/planetest"
 	"mira/internal/prefetch"
 	"mira/internal/sim"
 	"mira/internal/transport"
@@ -19,6 +18,7 @@ import (
 // length bytes (not necessarily page-aligned), keeping the node handle so
 // tests can inspect the raw far image.
 type unalignedRig struct {
+	t    *testing.T
 	node *farmem.Node
 	tr   *transport.T
 	c    *Cache
@@ -46,7 +46,7 @@ func newUnalignedRig(t *testing.T, poolPages int, length int64, pf prefetch.Poli
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &unalignedRig{node: node, tr: tr, c: c, clk: sim.NewClock(0)}
+	return &unalignedRig{t: t, node: node, tr: tr, c: c, clk: sim.NewClock(0)}
 }
 
 // TestUnalignedRegionLengths is the tail-page audit: regions whose length is
@@ -180,20 +180,4 @@ func TestFaultsInRangeClamping(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestSwapPlaneConformance runs the shared DataPlane suite over the bare
-// paged plane, with a deliberately unaligned region so the tail-unit
-// behaviors are exercised.
-func TestSwapPlaneConformance(t *testing.T) {
-	planetest.Run(t, "swap", func(t *testing.T) *planetest.Harness {
-		length := int64(6*PageBytes + 1234)
-		rig := newUnalignedRig(t, 16, length, nil, true)
-		return &planetest.Harness{
-			P:       Plane{C: rig.c},
-			Base:    rig.c.Base(),
-			Length:  length,
-			FarRead: rig.node.Read,
-		}
-	})
 }
