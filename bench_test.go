@@ -672,9 +672,9 @@ type compressRunRecord struct {
 func compressMeasure(t *testing.T, w Workload, mode string) compressRunRecord {
 	t.Helper()
 	res, err := Run(SystemMira, w, RunOptions{
-		Budget:   int64(float64(w.FullMemoryBytes()) * 0.25),
-		Verify:   true,
-		Compress: mode,
+		Budget:  int64(float64(w.FullMemoryBytes()) * 0.25),
+		Verify:  true,
+		Planner: PlanOptions{Compress: mode},
 	})
 	if err != nil {
 		t.Fatalf("%s compress=%s: %v", w.Name(), mode, err)
@@ -750,11 +750,11 @@ func TestBenchCompress(t *testing.T) {
 	// still verifying byte-identical.
 	tw := NewGraphWorkload(GraphConfig{Edges: 8192, Nodes: 1024, Passes: 3, Seed: 7})
 	tres, err := Run(SystemMira, tw, RunOptions{
-		Budget:   int64(float64(tw.FullMemoryBytes()) * 0.25),
-		Verify:   true,
-		Compress: "on",
-		Nodes:    2,
-		Tier:     &TierConfig{DRAMBytes: uint64(tw.FullMemoryBytes() / 8)},
+		Budget:  int64(float64(tw.FullMemoryBytes()) * 0.25),
+		Verify:  true,
+		Planner: PlanOptions{Compress: "on"},
+		Nodes:   2,
+		Tier:    &TierConfig{DRAMBytes: uint64(tw.FullMemoryBytes() / 8)},
 	})
 	if err != nil {
 		t.Fatalf("tiered run: %v", err)
@@ -818,9 +818,9 @@ type hybridRunRecord struct {
 func hybridMeasure(t *testing.T, w Workload, mode string) hybridRunRecord {
 	t.Helper()
 	res, err := Run(SystemMira, w, RunOptions{
-		Budget: int64(float64(w.FullMemoryBytes()) * 0.25),
-		Verify: true,
-		Plane:  mode,
+		Budget:  int64(float64(w.FullMemoryBytes()) * 0.25),
+		Verify:  true,
+		Planner: PlanOptions{Plane: mode},
 	})
 	if err != nil {
 		t.Fatalf("%s plane=%s: %v", w.Name(), mode, err)
@@ -906,7 +906,7 @@ func offloadMeasure(t *testing.T, kernel string, nodes int, mode string) offload
 		Verify:      true,
 		Nodes:       nodes,
 		StripeBytes: 16 << 10,
-		Offload:     mode,
+		Planner:     PlanOptions{Offload: mode},
 	})
 	if err != nil {
 		t.Fatalf("%s nodes=%d offload=%s: %v", kernel, nodes, mode, err)

@@ -81,18 +81,12 @@ func buildWorkload(app string) (mira.Workload, error) {
 // traces — the interleaving is fully determined by (virtual time, tid).
 func runMultithreaded(w mira.Workload, budget int64, app, system string, mem float64,
 	threads int, privateSections, verify bool, traceOut, metricsOut string) {
-	var mode mira.MTMode
-	switch system {
-	case "mira":
+	mode := mira.MTFastSwapShared // validateFlags admits mira and fastswap
+	if system == "mira" {
 		mode = mira.MTMiraShared
 		if privateSections {
 			mode = mira.MTMiraPrivate
 		}
-	case "fastswap":
-		mode = mira.MTFastSwapShared
-	default:
-		fmt.Fprintf(os.Stderr, "mira-run: system %q has no multithreaded driver (mira, fastswap)\n", system)
-		os.Exit(2)
 	}
 	var tracer *mira.Tracer
 	if traceOut != "" || metricsOut != "" {
@@ -165,18 +159,19 @@ func main() {
 	}
 	budget := int64(float64(w.FullMemoryBytes()) * *mem)
 	rf := runFlags{
-		System:         *system,
-		Plane:          *plane,
-		Compress:       *compress,
-		Offload:        *offloadMode,
-		OffloadChunk:   *offloadChunk,
-		Prefetch:       *prefetchPol,
-		PrefetchWindow: *prefetchWin,
-		Threads:        *threads,
-		Nodes:          *nodes,
-		TierDRAM:       *tierDRAM,
-		Faults:         *faultsName,
-		Set:            map[string]bool{},
+		System:    *system,
+		Plane:     *plane,
+		Compress:  *compress,
+		Offload:   *offloadMode,
+		Prefetch:  *prefetchPol,
+		Threads:   *threads,
+		Nodes:     *nodes,
+		Replicas:  *replicas,
+		FaultNode: *faultNode,
+		TierDRAM:  *tierDRAM,
+		Faults:    *faultsName,
+		NoBatch:   !*batch,
+		Set:       map[string]bool{},
 	}
 	flag.Visit(func(f *flag.Flag) { rf.Set[f.Name] = true })
 	if err := validateFlags(rf); err != nil {
@@ -191,17 +186,14 @@ func main() {
 			*traceOut, *metricsOut)
 		return
 	}
-	opts := mira.RunOptions{Budget: budget, Verify: *verify, Plane: *plane}
+	opts := mira.RunOptions{Budget: budget, Verify: *verify, NoBatching: !*batch}
+	opts.Planner = mira.PlanOptions{Plane: *plane, Compress: *compress, Offload: *offloadMode,
+		OffloadChunk: *offloadChunk, WritebackQueueLines: *wbq}
 	if *prefetchPol != "" {
 		opts.Prefetch = &mira.PrefetchSpec{Policy: *prefetchPol, Window: *prefetchWin}
 	}
-	opts.NoBatching = !*batch
-	opts.WritebackQueueLines = *wbq
 	opts.AIFM.ChunkBytes = *aifmChunk
 	opts.AIFM.MetaPerObject = *aifmMeta
-	opts.Compress = *compress
-	opts.Offload = *offloadMode
-	opts.OffloadChunk = *offloadChunk
 	if *nodes > 0 {
 		opts.Nodes = *nodes
 		opts.Replicas = *replicas
@@ -288,7 +280,8 @@ func main() {
 			}
 			fmt.Println()
 		}
-		if planes := res.PlanResult.Planes; len(planes) > 0 {
+		if *plane != "" { // mira-swap plans on the page plane too, unasked
+			planes := res.PlanResult.Planes
 			names := make([]string, 0, len(planes))
 			for name := range planes {
 				names = append(names, name)

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"mira"
 )
@@ -12,18 +13,19 @@ import (
 // combinations are only wrong when a flag was actually spelled out, not
 // when it sits at its default.
 type runFlags struct {
-	System         string
-	Plane          string
-	Compress       string
-	Offload        string
-	OffloadChunk   int
-	Prefetch       string
-	PrefetchWindow int
-	Threads        int
-	Nodes          int
-	TierDRAM       int64
-	Faults         string
-	Set            map[string]bool
+	System    string
+	Plane     string
+	Compress  string
+	Offload   string
+	Prefetch  string
+	Threads   int
+	Nodes     int
+	Replicas  int
+	FaultNode int
+	TierDRAM  int64
+	Faults    string
+	NoBatch   bool // -batch=false
+	Set       map[string]bool
 }
 
 func (f runFlags) set(name string) bool { return f.Set[name] }
@@ -32,58 +34,97 @@ func (f runFlags) set(name string) bool { return f.Set[name] }
 // the multithreaded driver, so it constrains like any other thread count.
 func (f runFlags) threadsActive() bool { return f.Threads > 1 || f.set("threads") }
 
-// validateFlags rejects contradictory flag combinations with one clear
-// message each, before any simulation runs. Every rule here is also the
-// documentation of what composes with what.
+func (f runFlags) compressOn() bool { return f.Compress != "" && f.Compress != "off" }
+func (f runFlags) offloadOn() bool  { return f.Offload != "" && f.Offload != "off" }
+func (f runFlags) faultsOn() bool   { return f.Faults != "" && f.Faults != "none" }
+
+// The drivers main dispatches a run to; exactly one runs.
+const (
+	plainRun   = "the plain run"
+	linePlane  = "the line-plane -prefetch runner"
+	pagePlane  = "the page-plane -prefetch runner"
+	threadsRun = "the -threads driver"
+)
+
+// driver mirrors main's dispatch: -threads wins, then -prefetch picks the
+// plane by system.
+func (f runFlags) driver() string {
+	switch {
+	case f.threadsActive():
+		return threadsRun
+	case f.Prefetch == "":
+		return plainRun
+	case f.System == "mira":
+		return linePlane
+	default:
+		return pagePlane
+	}
+}
+
+// reader is one row of the table of which driver reads which flag: a flag
+// in use on a driver or system that does not read it is an error, so no
+// flag is ever silently dropped.
+type reader struct {
+	flag    string
+	used    func(runFlags) bool // nil: the flag was passed explicitly
+	drivers []string            // nil: every driver
+	systems []string            // nil: every system
+}
+
+// allRuns is every driver but -threads, which runs a fixed read-only batch
+// on one node, fault-free.
+var allRuns = []string{plainRun, linePlane, pagePlane}
+
+// readers is the table. The line-plane runner plans with the plain run's
+// planner options, so every planner flag reaches it; the page plane plans
+// nothing.
+var readers = []reader{
+	{"threads", runFlags.threadsActive, nil, []string{"mira", "fastswap"}},
+	{"prefetch", func(f runFlags) bool { return f.Prefetch != "" }, []string{linePlane, pagePlane},
+		[]string{"mira", "mira-swap", "fastswap", "leap"}},
+	{"plane", func(f runFlags) bool { return f.Plane != "" }, []string{plainRun}, []string{"mira"}},
+	{"compress", runFlags.compressOn, []string{plainRun, linePlane}, []string{"mira", "mira-swap"}},
+	{"offload", runFlags.offloadOn, []string{plainRun, linePlane}, []string{"mira"}},
+	{"offload-chunk", nil, []string{plainRun, linePlane}, []string{"mira"}},
+	{"wbq", nil, []string{plainRun, linePlane}, []string{"mira"}},
+	{"batch", func(f runFlags) bool { return f.NoBatch }, allRuns, nil},
+	{"faults", runFlags.faultsOn, allRuns, nil},
+	{"nodes", func(f runFlags) bool { return f.Nodes > 0 }, allRuns, nil},
+	{"private-sections", nil, []string{threadsRun}, []string{"mira"}},
+	{"aifm-chunk", nil, nil, []string{"aifm"}},
+	{"aifm-meta", nil, nil, []string{"aifm"}},
+}
+
+// check rejects a flag in use that f's system or driver does not read.
+func (r reader) check(f runFlags) error {
+	if r.used == nil && !f.set(r.flag) || r.used != nil && !r.used(f) {
+		return nil
+	}
+	if r.systems != nil && !slices.Contains(r.systems, f.System) {
+		return fmt.Errorf("-%s applies only with -system %s; system %q does not read it",
+			r.flag, list(r.systems, "or"), f.System)
+	}
+	if d := f.driver(); r.drivers != nil && !slices.Contains(r.drivers, d) {
+		return fmt.Errorf("-%s does not apply to %s; only %s read it", r.flag, d, list(r.drivers, "and"))
+	}
+	return nil
+}
+
+// list joins items as prose: "a", "a or b", "a, b or c".
+func list(items []string, conj string) string {
+	if n := len(items); n > 1 {
+		return strings.Join(items[:n-1], ", ") + " " + conj + " " + items[n-1]
+	}
+	return strings.Join(items, "")
+}
+
+// validateFlags rejects bad values and flags the chosen run would not read,
+// with one clear message each, before any simulation runs. The readers
+// table and the value rules below are also the documentation of what
+// composes with what.
 func validateFlags(f runFlags) error {
-	switch f.Compress {
-	case "", "off", "on", "auto":
-	default:
-		return fmt.Errorf("unknown -compress mode %q (off, on, auto)", f.Compress)
-	}
-	if f.Compress != "" && f.Compress != "off" && f.System != "mira" && f.System != "mira-swap" {
-		return fmt.Errorf("-compress %s compresses mira's wire; system %q sends it raw (use -system mira or mira-swap)", f.Compress, f.System)
-	}
-	switch f.Plane {
-	case "", "page", "line", "hybrid":
-	default:
-		return fmt.Errorf("unknown -plane mode %q (page, line, hybrid)", f.Plane)
-	}
-	if f.Plane != "" {
-		if f.System != "mira" {
-			return fmt.Errorf("-plane selects mira's data plane; system %q has only one (use -system mira)", f.System)
-		}
-		if f.Prefetch != "" {
-			return fmt.Errorf("-plane and -prefetch are mutually exclusive: zoo policies pick their own plane")
-		}
-		if f.threadsActive() {
-			return fmt.Errorf("-plane does not combine with -threads (the multithreaded driver plans its own sections)")
-		}
-	}
-	switch f.Offload {
-	case "", "off", "on", "auto":
-	default:
-		return fmt.Errorf("unknown -offload mode %q (off, on, auto)", f.Offload)
-	}
-	if f.Offload != "" && f.Offload != "off" {
-		if f.System != "mira" {
-			return fmt.Errorf("-offload ships compute through mira's planner; system %q cannot (use -system mira)", f.System)
-		}
-		if f.threadsActive() {
-			return fmt.Errorf("-offload does not combine with -threads (the multithreaded driver runs a fixed batch, not the planner)")
-		}
-	}
-	if f.set("offload-chunk") && (f.Offload == "" || f.Offload == "off") {
-		return fmt.Errorf("-offload-chunk sizes the offload engine's streams; pass -offload on or -offload auto as well")
-	}
-	if (f.set("aifm-chunk") || f.set("aifm-meta")) && f.System != "aifm" {
-		return fmt.Errorf("-aifm-chunk and -aifm-meta configure the AIFM library model; pass -system aifm as well")
-	}
-	if f.set("fault-seed") && (f.Faults == "" || f.Faults == "none") {
-		return fmt.Errorf("-fault-seed seeds the fault injector's draws; pass a -faults schedule as well")
-	}
-	if f.set("private-sections") && (!f.threadsActive() || f.System != "mira") {
-		return fmt.Errorf("-private-sections splits mira's multithreaded sections; pass -threads and -system mira as well")
+	if err := (mira.PlanOptions{Compress: f.Compress, Offload: f.Offload, Plane: f.Plane}).Validate(); err != nil {
+		return err
 	}
 	if f.Prefetch != "" && f.Prefetch != mira.PrefetchCompiled && !slices.Contains(mira.PrefetchPolicyNames(), f.Prefetch) {
 		return fmt.Errorf("unknown -prefetch policy %q (%s)", f.Prefetch, prefetchHelp())
@@ -91,19 +132,19 @@ func validateFlags(f runFlags) error {
 	if f.Prefetch == mira.PrefetchCompiled && f.System != "mira" {
 		return fmt.Errorf("-prefetch compiled is mira's line plane only; system %q runs the page plane (use -system mira)", f.System)
 	}
+	for _, r := range readers {
+		if err := r.check(f); err != nil {
+			return err
+		}
+	}
+	if f.set("offload-chunk") && !f.offloadOn() {
+		return fmt.Errorf("-offload-chunk sizes the offload engine's streams; pass -offload on or -offload auto as well")
+	}
 	if f.set("prefetch-window") && f.Prefetch != "programmed" {
 		return fmt.Errorf("-prefetch-window sizes the programmed runner; pass -prefetch programmed as well")
 	}
-	if f.Prefetch != "" && f.threadsActive() {
-		return fmt.Errorf("-prefetch does not combine with -threads")
-	}
-	if f.threadsActive() {
-		if f.Faults != "" && f.Faults != "none" {
-			return fmt.Errorf("-threads cannot combine with -faults")
-		}
-		if f.Nodes > 0 {
-			return fmt.Errorf("-threads cannot combine with -nodes")
-		}
+	if f.set("fault-seed") && !f.faultsOn() {
+		return fmt.Errorf("-fault-seed seeds the fault injector's draws; pass a -faults schedule as well")
 	}
 	if f.Nodes <= 0 {
 		if f.TierDRAM > 0 {
@@ -114,6 +155,13 @@ func validateFlags(f runFlags) error {
 				return fmt.Errorf("-%s only applies in cluster mode; pass -nodes as well", name)
 			}
 		}
+		return nil
+	}
+	if f.Replicas < 1 || f.Replicas > f.Nodes {
+		return fmt.Errorf("-replicas %d is outside [1, %d]: every range lives on at most -nodes homes", f.Replicas, f.Nodes)
+	}
+	if f.FaultNode < 0 || f.FaultNode >= f.Nodes {
+		return fmt.Errorf("-fault-node %d is outside [0, %d): the pool's nodes are numbered from 0", f.FaultNode, f.Nodes)
 	}
 	return nil
 }

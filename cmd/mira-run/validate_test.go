@@ -6,7 +6,7 @@ import (
 )
 
 func flags(mutate func(*runFlags)) runFlags {
-	f := runFlags{System: "mira", Compress: "off", Threads: 1, Set: map[string]bool{}}
+	f := runFlags{System: "mira", Compress: "off", Threads: 1, Replicas: 1, Set: map[string]bool{}}
 	if mutate != nil {
 		mutate(&f)
 	}
@@ -20,25 +20,23 @@ func TestValidateFlags(t *testing.T) {
 		wantErr string // "" = must pass
 	}{
 		{"defaults", nil, ""},
-		{"bad-compress", func(f *runFlags) { f.Compress = "gzip" }, "-compress"},
-		{"bad-plane", func(f *runFlags) { f.Plane = "both" }, "-plane"},
+		{"bad-compress", func(f *runFlags) { f.Compress = "gzip" }, "unknown Compress mode"},
+		{"bad-plane", func(f *runFlags) { f.Plane = "both" }, "unknown Plane mode"},
 		{"plane-hybrid-ok", func(f *runFlags) { f.Plane = "hybrid" }, ""},
 		{"plane-page-ok", func(f *runFlags) { f.Plane = "page" }, ""},
 		{"plane-wrong-system", func(f *runFlags) { f.Plane = "hybrid"; f.System = "fastswap" }, "-plane"},
-		{"plane-with-prefetch", func(f *runFlags) { f.Plane = "line"; f.Prefetch = "leap" }, "mutually exclusive"},
+		{"plane-with-prefetch", func(f *runFlags) { f.Plane = "line"; f.Prefetch = "leap" }, "does not apply to the line-plane"},
 		{"plane-with-threads", func(f *runFlags) { f.Plane = "hybrid"; f.Threads = 4 }, "-threads"},
 		{"plane-with-threads-1", func(f *runFlags) { f.Plane = "hybrid"; f.Set["threads"] = true }, "-threads"},
 		{"plane-with-nodes-ok", func(f *runFlags) { f.Plane = "hybrid"; f.Nodes = 4 }, ""},
-		{"window-without-prefetch", func(f *runFlags) { f.PrefetchWindow = 32; f.Set["prefetch-window"] = true }, "-prefetch"},
+		{"window-without-prefetch", func(f *runFlags) { f.Set["prefetch-window"] = true }, "-prefetch"},
 		{"window-with-prefetch-ok", func(f *runFlags) {
 			f.Prefetch = "programmed"
-			f.PrefetchWindow = 32
 			f.Set["prefetch-window"] = true
 		}, ""},
-		{"window-default-ok", func(f *runFlags) { f.PrefetchWindow = 0 }, ""},
+		{"window-default-ok", nil, ""},
 		{"window-with-leap", func(f *runFlags) {
 			f.Prefetch = "leap"
-			f.PrefetchWindow = 32
 			f.Set["prefetch-window"] = true
 		}, "-prefetch programmed"},
 		{"prefetch-unknown", func(f *runFlags) { f.Prefetch = "stride" }, "unknown -prefetch"},
@@ -56,7 +54,7 @@ func TestValidateFlags(t *testing.T) {
 		{"stripe-without-nodes", func(f *runFlags) { f.Set["stripe"] = true }, "-nodes"},
 		{"faultnode-without-nodes", func(f *runFlags) { f.Set["fault-node"] = true }, "-nodes"},
 		{"replicas-with-nodes-ok", func(f *runFlags) { f.Set["replicas"] = true; f.Nodes = 3 }, ""},
-		{"bad-offload", func(f *runFlags) { f.Offload = "maybe" }, "-offload"},
+		{"bad-offload", func(f *runFlags) { f.Offload = "maybe" }, "unknown Offload mode"},
 		{"offload-on-ok", func(f *runFlags) { f.Offload = "on"; f.Nodes = 4 }, ""},
 		{"offload-auto-ok", func(f *runFlags) { f.Offload = "auto" }, ""},
 		{"offload-off-ok", func(f *runFlags) { f.Offload = "off" }, ""},
@@ -64,15 +62,13 @@ func TestValidateFlags(t *testing.T) {
 		{"offload-off-any-system-ok", func(f *runFlags) { f.Offload = "off"; f.System = "leap" }, ""},
 		{"offload-with-threads", func(f *runFlags) { f.Offload = "on"; f.Threads = 4 }, "-threads"},
 		{"offload-with-plane-ok", func(f *runFlags) { f.Offload = "auto"; f.Plane = "hybrid" }, ""},
-		{"chunk-without-offload", func(f *runFlags) { f.OffloadChunk = 4096; f.Set["offload-chunk"] = true }, "-offload"},
+		{"chunk-without-offload", func(f *runFlags) { f.Set["offload-chunk"] = true }, "-offload"},
 		{"chunk-with-offload-off", func(f *runFlags) {
 			f.Offload = "off"
-			f.OffloadChunk = 4096
 			f.Set["offload-chunk"] = true
 		}, "-offload"},
 		{"chunk-with-offload-ok", func(f *runFlags) {
 			f.Offload = "on"
-			f.OffloadChunk = 4096
 			f.Set["offload-chunk"] = true
 		}, ""},
 		{"private-sections-without-threads", func(f *runFlags) { f.Set["private-sections"] = true }, "-threads"},
@@ -96,6 +92,44 @@ func TestValidateFlags(t *testing.T) {
 		{"fault-seed-without-faults", func(f *runFlags) { f.Set["fault-seed"] = true }, "-faults"},
 		{"fault-seed-with-faults-none", func(f *runFlags) { f.Faults = "none"; f.Set["fault-seed"] = true }, "-faults"},
 		{"fault-seed-with-faults-ok", func(f *runFlags) { f.Faults = "chaos"; f.Set["fault-seed"] = true }, ""},
+		// Pool ranges: cluster.Options clamps them, so an out-of-range value
+		// would run a different pool than the one asked for.
+		{"replicas-above-nodes", func(f *runFlags) { f.Nodes = 2; f.Replicas = 3; f.Set["replicas"] = true }, "-replicas 3"},
+		{"replicas-zero", func(f *runFlags) { f.Nodes = 2; f.Replicas = 0; f.Set["replicas"] = true }, "-replicas 0"},
+		{"replicas-equal-nodes-ok", func(f *runFlags) { f.Nodes = 2; f.Replicas = 2; f.Set["replicas"] = true }, ""},
+		{"fault-node-out-of-range", func(f *runFlags) {
+			f.Nodes = 2
+			f.Faults = "crash"
+			f.FaultNode = 7
+			f.Set["fault-node"] = true
+		}, "-fault-node 7"},
+		{"fault-node-negative", func(f *runFlags) { f.Nodes = 2; f.FaultNode = -1; f.Set["fault-node"] = true }, "-fault-node -1"},
+		{"fault-node-last-ok", func(f *runFlags) { f.Nodes = 2; f.FaultNode = 1; f.Set["fault-node"] = true }, ""},
+		// Flags the chosen driver does not read.
+		{"threads-with-batch-false", func(f *runFlags) { f.Threads = 2; f.NoBatch = true }, "-batch does not apply to the -threads driver"},
+		{"threads-with-wbq", func(f *runFlags) { f.Threads = 2; f.Set["wbq"] = true }, "-wbq does not apply to the -threads driver"},
+		{"threads-with-compress", func(f *runFlags) { f.Threads = 2; f.Compress = "on" }, "-compress does not apply to the -threads driver"},
+		{"threads-with-leap", func(f *runFlags) { f.Threads = 2; f.System = "leap" }, "-system mira or fastswap"},
+		{"wbq-with-fastswap", func(f *runFlags) { f.System = "fastswap"; f.Set["wbq"] = true }, "-system mira"},
+		{"wbq-with-mira-swap", func(f *runFlags) { f.System = "mira-swap"; f.Set["wbq"] = true }, "-system mira"},
+		{"wbq-with-page-prefetch", func(f *runFlags) { f.System = "leap"; f.Prefetch = "leap"; f.Set["wbq"] = true }, "-system mira"},
+		{"compress-with-page-prefetch", func(f *runFlags) {
+			f.System = "mira-swap"
+			f.Prefetch = "history"
+			f.Compress = "on"
+		}, "-compress does not apply to the page-plane -prefetch runner"},
+		{"prefetch-with-aifm", func(f *runFlags) { f.System = "aifm"; f.Prefetch = "leap" }, "-system mira, mira-swap, fastswap or leap"},
+		// The line-plane runner plans with the plain run's planner options.
+		{"wbq-ok", func(f *runFlags) { f.Set["wbq"] = true }, ""},
+		{"line-prefetch-with-planner-flags-ok", func(f *runFlags) {
+			f.Prefetch = "history"
+			f.Compress = "auto"
+			f.Offload = "on"
+			f.NoBatch = true
+			f.Set["offload-chunk"] = true
+			f.Set["wbq"] = true
+		}, ""},
+		{"batch-false-with-page-prefetch-ok", func(f *runFlags) { f.System = "leap"; f.Prefetch = "history"; f.NoBatch = true }, ""},
 	}
 	for _, c := range cases {
 		err := validateFlags(flags(c.mutate))

@@ -29,7 +29,7 @@ func main() {
 	noBatching, err := mira.Plan(mira.NewDataFrameWorkload(cfg), mira.PlanOptions{
 		LocalBudget:   budget,
 		MaxIterations: 3,
-		Techniques:    mira.TechniqueMask{ForceStructure: -1, NoBatching: true},
+		Techniques:    mira.TechniqueMask{NoBatching: true},
 	})
 	if err != nil {
 		log.Fatal(err)

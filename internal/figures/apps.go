@@ -191,8 +191,8 @@ func fig23(scale Scale) (*Figure, error) {
 		name string
 		mask planner.TechniqueMask
 	}{
-		{"mira+batching", planner.DefaultTechniques()},
-		{"mira-no-batching", planner.TechniqueMask{ForceStructure: -1, NoBatching: true}},
+		{"mira+batching", planner.TechniqueMask{}},
+		{"mira-no-batching", planner.TechniqueMask{NoBatching: true}},
 	}
 	for _, v := range variants {
 		s := Series{Name: v.name}

@@ -73,32 +73,29 @@ var techniqueSteps = []struct {
 	Name string
 	Opts func() planner.Options
 }{
-	{"swap", func() planner.Options { return planner.Options{DisableSeparation: true} }},
+	{"swap", func() planner.Options { return planner.Options{Plane: "page"} }},
 	{"+separation", func() planner.Options {
 		return planner.Options{Techniques: planner.TechniqueMask{
-			ForceStructure: int(cache.FullAssoc),
+			ForceFullAssoc: true,
 			NoPrefetch:     true, NoEvictHints: true, NoBatching: true, NoNative: true, NoSelective: true, NoRWOpt: true,
 		}}
 	}},
 	{"+structure", func() planner.Options {
 		return planner.Options{Techniques: planner.TechniqueMask{
-			ForceStructure: -1,
-			NoPrefetch:     true, NoEvictHints: true, NoBatching: true, NoNative: true, NoSelective: true, NoRWOpt: true,
+			NoPrefetch: true, NoEvictHints: true, NoBatching: true, NoNative: true, NoSelective: true, NoRWOpt: true,
 		}}
 	}},
 	{"+prefetch", func() planner.Options {
 		return planner.Options{Techniques: planner.TechniqueMask{
-			ForceStructure: -1,
-			NoEvictHints:   true, NoBatching: true, NoSelective: true, NoRWOpt: true,
+			NoEvictHints: true, NoBatching: true, NoSelective: true, NoRWOpt: true,
 		}}
 	}},
 	{"+evict-hints", func() planner.Options {
 		return planner.Options{Techniques: planner.TechniqueMask{
-			ForceStructure: -1,
-			NoBatching:     true, NoSelective: true, NoRWOpt: true,
+			NoBatching: true, NoSelective: true, NoRWOpt: true,
 		}}
 	}},
-	{"+batch/selective/rw", func() planner.Options { return planner.Options{Techniques: planner.DefaultTechniques()} }},
+	{"+batch/selective/rw", func() planner.Options { return planner.Options{} }},
 }
 
 // techniqueLadder runs the cumulative ladder for one workload at one budget.
@@ -533,9 +530,9 @@ func fig15(scale Scale) (*Figure, error) {
 		name string
 		opts planner.Options
 	}{
-		{"mira-no-pf-no-hints", planner.Options{Techniques: planner.TechniqueMask{ForceStructure: -1, NoPrefetch: true, NoEvictHints: true}}},
-		{"mira+prefetch", planner.Options{Techniques: planner.TechniqueMask{ForceStructure: -1, NoEvictHints: true}}},
-		{"mira+pf+hints", planner.Options{Techniques: planner.DefaultTechniques()}},
+		{"mira-no-pf-no-hints", planner.Options{Techniques: planner.TechniqueMask{NoPrefetch: true, NoEvictHints: true}}},
+		{"mira+prefetch", planner.Options{Techniques: planner.TechniqueMask{NoEvictHints: true}}},
+		{"mira+pf+hints", planner.Options{}},
 	}
 	fig := &Figure{XLabel: "local memory fraction", YLabel: "relative performance (native=1)"}
 	for _, v := range variants {
@@ -589,8 +586,8 @@ func fig22(scale Scale) (*Figure, error) {
 		name string
 		mask planner.TechniqueMask
 	}{
-		{"mira+selective", planner.DefaultTechniques()},
-		{"mira-no-selective", planner.TechniqueMask{ForceStructure: -1, NoSelective: true}},
+		{"mira+selective", planner.TechniqueMask{}},
+		{"mira-no-selective", planner.TechniqueMask{NoSelective: true}},
 	}
 	for _, v := range variants {
 		s := Series{Name: v.name}

@@ -110,10 +110,7 @@ func TestClusterAppsVerifyAcrossNodeCounts(t *testing.T) {
 // replicated pool the replicas are the retry, and transport-internal
 // persistence would mask the failover path this test exists to exercise.
 func failFastPolicy() *transport.Policy {
-	p := transport.DefaultPolicy()
-	p.MaxAttempts = 1
-	p.BreakerThreshold = 2
-	p.BreakerCooldown = 50 * sim.Microsecond
+	p := transport.FailFastPolicy()
 	return &p
 }
 

@@ -48,8 +48,11 @@ type Options struct {
 	Net netmodel.Config
 	// NodeCfg overrides the far node.
 	NodeCfg farmem.NodeConfig
-	// Planner customizes Mira's planning (budget is overridden by
-	// Budget).
+	// Planner customizes Mira's planning: the data-plane, compression and
+	// offload modes, the write-back queue bound and the technique mask all
+	// live here, and every Mira driver plans with them (planOptions). The
+	// budget, tracer, pool and — when unset — interconnect and far node come
+	// from the fields below.
 	Planner planner.Options
 	// Verify checks workload output after the run when the workload
 	// implements workload.Verifier.
@@ -81,14 +84,12 @@ type Options struct {
 	// heaps actually spread across nodes.
 	StripeBytes uint64
 	// NoBatching disables the vectored-I/O data path end to end: Mira's
-	// doorbell-batched prefetch and async write-back pipeline, and Leap's
-	// batched prefetch gather — the PR 2 data path, kept for A/B
-	// benchmarking.
+	// doorbell-batched prefetch and async write-back pipeline (the
+	// technique mask's NoBatching, and the write-back queue off unless
+	// Planner.WritebackQueueLines sets it), and the page plane's batched
+	// prefetch gather (Leap and the page-plane policy runner) — the
+	// unbatched data path, kept for A/B benchmarking.
 	NoBatching bool
-	// WritebackQueueLines overrides the runtime's async write-back queue
-	// bound (0 = default, negative = disabled). NoBatching forces it off
-	// unless set explicitly.
-	WritebackQueueLines int
 	// Trace, when non-nil, records the run's events and metrics into the
 	// deterministic tracing layer. For Mira it attaches to the timed
 	// re-run of the accepted configuration (and to the planner's
@@ -96,37 +97,15 @@ type Options struct {
 	Trace *trace.Tracer
 	// Prefetch, when non-nil, replaces the system's stock prefetching with
 	// the named zoo policy: Mira runs it on the line plane (one instance
-	// per cache section, via RunLinePolicy); the swap systems (mira-swap,
-	// fastswap, leap) run it on the page plane (via RunPagePolicy).
+	// per cache section, via RunLinePolicy, planned with Planner); the swap
+	// systems (mira-swap, fastswap, leap) run it on the page plane (via
+	// RunPagePolicy, which plans nothing). Planner.Plane must stay empty:
+	// the zoo policies pick their own plane.
 	Prefetch *prefetch.Spec
-	// Compress selects the wire-compression mode for Mira and MiraSwap
-	// runs ("", "off", "on", "auto" — see planner.Options.Compress). The
-	// other systems model stock far-memory stacks and ignore it.
-	Compress string
 	// Tier, when non-nil, puts a simulated SSD capacity tier under every
 	// cluster node's DRAM (hot granules in DRAM, cold ones demoted to
 	// flash and promoted back on access). Requires Nodes > 0.
 	Tier *cluster.TierConfig
-	// Plane selects Mira's data-plane mode ("page", "line", or "hybrid" —
-	// see planner.Options.Plane). Mira-only and mutually exclusive with
-	// Prefetch: the zoo policies pick their own plane. Composes with Nodes
-	// and Offload.
-	Plane string
-	// Offload selects the scatter-gather offload mode for Mira runs ("",
-	// "off", "on", "auto" — see planner.Options.Offload).
-	Offload string
-	// OffloadChunk overrides the offload engine's streaming chunk size in
-	// bytes (0 = netmodel.DefaultStreamChunk).
-	OffloadChunk int
-}
-
-// wbqLines resolves the write-back queue knob: NoBatching runs the PR 2
-// data path, which had no queue.
-func (o Options) wbqLines() int {
-	if o.NoBatching && o.WritebackQueueLines == 0 {
-		return -1
-	}
-	return o.WritebackQueueLines
 }
 
 func (o Options) faultsEnabled() bool { return o.Faults != nil && o.Faults.Enabled() }
@@ -209,12 +188,12 @@ func (o Options) withDefaults() Options {
 // Run executes w on sys.
 func Run(sys System, w workload.Workload, opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	if opts.Plane != "" {
+	if opts.Planner.Plane != "" {
 		if sys != Mira {
-			return Result{}, fmt.Errorf("harness: -plane selects Mira's data plane; %s has only one", sys)
+			return Result{}, fmt.Errorf("harness: a plane mode selects Mira's data plane; %s has only one", sys)
 		}
 		if opts.Prefetch != nil {
-			return Result{}, fmt.Errorf("harness: -plane and -prefetch are mutually exclusive (zoo policies pick their own plane)")
+			return Result{}, fmt.Errorf("harness: a plane mode and a prefetch policy are mutually exclusive (zoo policies pick their own plane)")
 		}
 	}
 	if opts.Prefetch != nil {
@@ -274,8 +253,10 @@ func runNative(w workload.Workload, opts Options) (Result, error) {
 	return runSpec(Native, session.Spec{Workload: w, Config: cfg, NodeCfg: opts.NodeCfg}, opts)
 }
 
-// planOptions derives the planner options of a Mira run from the harness
-// knobs; planning is offline and fault-free.
+// planOptions is the one translation from a run's options to the planner
+// options every Mira driver plans with (runMira and RunLinePolicies):
+// Planner, plus the budget, NoBatching, the tracer and the pool. Planning
+// is offline and fault-free.
 func (o Options) planOptions() planner.Options {
 	popts := o.Planner
 	popts.LocalBudget = o.Budget
@@ -285,39 +266,26 @@ func (o Options) planOptions() planner.Options {
 	if popts.NodeCfg.Capacity == 0 {
 		popts.NodeCfg = o.NodeCfg
 	}
-	popts.WritebackQueueLines = o.wbqLines()
+	if o.NoBatching {
+		popts.Techniques.NoBatching = true
+		if popts.WritebackQueueLines == 0 {
+			popts.WritebackQueueLines = -1 // the unbatched data path has no queue
+		}
+	}
 	if co := o.clusterOpts(false); co != nil {
 		popts.Cluster = co
 	}
+	popts.Trace = o.Trace
 	return popts
 }
 
-// runMira plans (or, for MiraSwap, stops at iteration 0) and reports the
-// accepted configuration's time.
+// runMira plans (or, for MiraSwap, stops at iteration 0: the page plane is
+// the swap baseline) and reports the accepted configuration's time.
 func runMira(sys System, w workload.Workload, opts Options) (Result, error) {
 	popts := opts.planOptions()
 	if sys == MiraSwap {
-		popts.DisableSeparation = true
+		popts.Plane = "page"
 	}
-	if opts.Plane != "" {
-		popts.Plane = opts.Plane
-	}
-	if opts.Compress != "" {
-		popts.Compress = opts.Compress
-	}
-	if opts.Offload != "" {
-		popts.Offload = opts.Offload
-	}
-	if opts.OffloadChunk != 0 {
-		popts.OffloadChunk = opts.OffloadChunk
-	}
-	if opts.NoBatching {
-		if popts.Techniques == (planner.TechniqueMask{}) {
-			popts.Techniques = planner.DefaultTechniques()
-		}
-		popts.Techniques.NoBatching = true
-	}
-	popts.Trace = opts.Trace
 	res, err := planner.Plan(w, popts)
 	if err != nil {
 		return Result{}, err
@@ -327,24 +295,7 @@ func runMira(sys System, w workload.Workload, opts Options) (Result, error) {
 	// (planning itself is always fault-free — an offline activity), or to
 	// trace it (the planner's internal runs are not instrumented).
 	if opts.Verify || opts.faultsEnabled() || opts.Trace != nil {
-		rres, err := runSpec(sys, session.Spec{
-			Workload: w,
-			Program:  res.Program,
-			Config:   opts.runConfig(res.Config),
-			NodeCfg:  popts.NodeCfg,
-			Swap:     session.Fixed(planner.SwapPolicy()),
-		}, opts)
-		if err != nil {
-			return Result{}, err
-		}
-		rres.PlanResult = res
-		if !opts.faultsEnabled() {
-			// The re-run is the planner's accepted timing run minus its
-			// profiling probes (TestHarnessRerunIsThePlannersRun); report
-			// the time the planner accepted the plan at.
-			rres.Time = res.FinalTime
-		}
-		return rres, nil
+		return runAccepted(sys, w, opts, popts, res, &programVariant{}, prefetch.Spec{Policy: prefetch.Compiled})
 	}
 	return Result{System: sys, Stats: session.Stats{Time: res.FinalTime}, PlanResult: res}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"mira/internal/apps/arraysum"
 	"mira/internal/apps/distagg"
 	"mira/internal/apps/graphtraverse"
+	"mira/internal/planner"
 	"mira/internal/sim"
 	"mira/internal/workload"
 )
@@ -34,7 +35,8 @@ func TestPlaneComposesWithPoolAndOffload(t *testing.T) {
 				for _, plane := range []string{"page", "line", "hybrid"} {
 					cell := fmt.Sprintf("%s/nodes%d/offload-%s/%s", app.name, nodes, offload, plane)
 					w := app.mk()
-					opts := Options{Budget: w.FullMemoryBytes() / 4, Verify: true, Plane: plane, Offload: offload}
+					opts := Options{Budget: w.FullMemoryBytes() / 4, Verify: true,
+						Planner: planner.Options{Plane: plane, Offload: offload}}
 					if nodes > 0 {
 						opts.Nodes, opts.Replicas, opts.StripeBytes = nodes, 2, 4096
 					}

@@ -6,13 +6,14 @@
 // policy installed on every cache section's demand-miss stream.
 //
 // Line-plane fairness: every cell shares ONE accepted plan per app — the
-// planner runs once with default techniques, and the policy variants are
-// derived by re-applying codegen with the statement emission altered
-// ("programmed" suppresses the compiled Prefetch/BatchPrefetch stream and
-// lets the access-program runner cover residency; the online family
-// strips prefetch and the Native conversion that depended on it). Section
-// placements, line sizes, and budgets are identical across cells, so
-// elapsed-time deltas isolate the prefetch policy.
+// planner runs once with the run's planner options, exactly as the plain
+// Mira run plans, and the policy variants are derived by re-applying codegen
+// with the statement emission altered ("programmed" suppresses the compiled
+// Prefetch/BatchPrefetch stream and lets the access-program runner cover
+// residency; the online family strips prefetch and the Native conversion
+// that depended on it). Section placements, line sizes, and budgets are
+// identical across cells, so elapsed-time deltas isolate the prefetch
+// policy, and the "compiled" cell is the plain run.
 package harness
 
 import (
@@ -43,7 +44,6 @@ func RunPagePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 	}
 	cfg.Net = opts.Net
 	cfg.SwapCfg.BatchPrefetch = !opts.NoBatching
-	cfg.WritebackQueueLines = opts.wbqLines()
 	return runSpec(System("page/"+spec.Policy), session.Spec{
 		Workload: w,
 		Config:   opts.runConfig(cfg),
@@ -71,7 +71,8 @@ func RunLinePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 	return res[0], nil
 }
 
-// RunLinePolicies plans w once (default techniques) and runs one cell per
+// RunLinePolicies plans w once, with the run's planner options
+// (planOptions, as the plain Mira run plans), and runs one cell per
 // spec against the accepted sectioned configuration: "compiled" executes
 // the planner's program as accepted; every other policy executes a derived
 // program (see the package comment) with one fresh policy instance
@@ -79,7 +80,8 @@ func RunLinePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 // readahead in every cell so only the section policies differ.
 func RunLinePolicies(w workload.Workload, opts Options, specs []prefetch.Spec) ([]Result, error) {
 	opts = opts.withDefaults()
-	pres, err := planner.Plan(w, opts.planOptions())
+	popts := opts.planOptions()
+	pres, err := planner.Plan(w, popts)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +106,7 @@ func RunLinePolicies(w workload.Workload, opts Options, specs []prefetch.Spec) (
 		if err != nil {
 			return nil, err
 		}
-		res, err := runLineCell(w, opts, pres, v, spec)
+		res, err := runAccepted(System("line/"+spec.Policy), w, opts, popts, pres, v, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -170,9 +172,17 @@ func clonePlan(p *codegen.Plan) *codegen.Plan {
 	return &out
 }
 
-// runLineCell executes one (policy, app) line-plane cell on a fresh
-// runtime bound to the accepted configuration.
-func runLineCell(w workload.Workload, opts Options, pres *planner.Result, v *programVariant, spec prefetch.Spec) (Result, error) {
+// runAccepted executes one cell of the accepted plan pres on a fresh runtime
+// bound to its configuration, under the run's fault domain and tracer: v's
+// program (v.prog nil: the accepted program as accepted), with one fresh
+// instance of spec's policy on every cache section unless spec is
+// "compiled". The swap pool runs the planner's policy, as the planner timed
+// it. Fault-free, the accepted program as accepted is the planner's accepted
+// timing run minus its profiling probes (TestHarnessRerunIsThePlannersRun),
+// so it reports the time the planner accepted the plan at: the plain Mira
+// run and the compiled arm are one run (TestCompiledArmIsThePlainRun).
+func runAccepted(sys System, w workload.Workload, opts Options, popts planner.Options, pres *planner.Result,
+	v *programVariant, spec prefetch.Spec) (Result, error) {
 	prog := pres.Program
 	if v.prog != nil {
 		var err error
@@ -181,13 +191,11 @@ func runLineCell(w workload.Workload, opts Options, pres *planner.Result, v *pro
 			return Result{}, err
 		}
 	}
-	// The swap pool stays as the planner timed it in every cell; the raced
-	// policies live on the sections.
 	s, err := session.Open(session.Spec{
 		Workload: w,
 		Program:  prog,
 		Config:   opts.runConfig(pres.Config),
-		NodeCfg:  opts.NodeCfg,
+		NodeCfg:  popts.NodeCfg,
 		Swap:     session.Fixed(planner.SwapPolicy()),
 		Trace:    opts.Trace,
 	})
@@ -218,10 +226,13 @@ func runLineCell(w workload.Workload, opts Options, pres *planner.Result, v *pro
 			}
 		}
 	}
-	res, err := finish(System("line/"+spec.Policy), s, opts)
+	res, err := finish(sys, s, opts)
 	if err != nil {
 		return Result{}, err
 	}
 	res.PlanResult = pres
+	if spec.Policy == prefetch.Compiled && !opts.faultsEnabled() {
+		res.Time = pres.FinalTime
+	}
 	return res, nil
 }

@@ -230,7 +230,7 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 			Net:           net,
 			MaxIterations: 6,
 			Techniques: planner.TechniqueMask{
-				ForceStructure: int(cache.FullAssoc),
+				ForceFullAssoc: true,
 				NoEvictHints:   true,
 				NoNative:       true,
 			},

@@ -461,11 +461,8 @@ func groupSections(prog *ir.Program, merged map[string]*analysis.ObjectAccess, t
 			key = "rand-" + name
 			d = sectionDraft{name: key, structure: cache.FullAssoc, lineBytes: randLineBytes(o.ElemBytes)}
 		}
-		if tech.ForceStructure >= 0 {
-			d.structure = cache.Structure(tech.ForceStructure)
-			if d.structure == cache.SetAssoc && d.ways == 0 {
-				d.ways = 4
-			}
+		if tech.ForceFullAssoc {
+			d.structure = cache.FullAssoc
 		}
 		if existing, ok := byKey[key]; ok {
 			existing.members = append(existing.members, name)

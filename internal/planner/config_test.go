@@ -39,7 +39,7 @@ func TestGroupSectionsByPattern(t *testing.T) {
 		"ind":  mkMerged(analysis.PatternIndirect, 128, []string{"c"}, 8),
 		"rnd":  mkMerged(analysis.PatternRandom, 8, []string{""}, 8),
 	}
-	drafts := groupSections(p, merged, DefaultTechniques(), netmodel.DefaultConfig())
+	drafts := groupSections(p, merged, TechniqueMask{}, netmodel.DefaultConfig())
 	// Two sequential objects share one section (§4.1 "multiple objects
 	// can be in one section if their access patterns are similar");
 	// indirect and random objects get their own.
@@ -79,20 +79,18 @@ func TestSelectiveTransmissionChosen(t *testing.T) {
 	merged := map[string]*analysis.ObjectAccess{
 		"wide": mkMerged(analysis.PatternIndirect, 4096, []string{"c"}, 8),
 	}
-	drafts := groupSections(p, merged, DefaultTechniques(), netmodel.DefaultConfig())
+	drafts := groupSections(p, merged, TechniqueMask{}, netmodel.DefaultConfig())
 	if len(drafts) != 1 || !drafts[0].twoSided || len(drafts[0].selFields) != 1 {
 		t.Fatalf("selective not chosen: %+v", drafts[0])
 	}
 	// Masked off.
-	mask := DefaultTechniques()
-	mask.NoSelective = true
-	drafts = groupSections(p, merged, mask, netmodel.DefaultConfig())
+	drafts = groupSections(p, merged, TechniqueMask{NoSelective: true}, netmodel.DefaultConfig())
 	if drafts[0].twoSided {
 		t.Fatal("NoSelective mask ignored")
 	}
 	// Whole-element access: no selective benefit.
 	merged["wide"] = mkMerged(analysis.PatternIndirect, 4096, []string{""}, 4096)
-	drafts = groupSections(p, merged, DefaultTechniques(), netmodel.DefaultConfig())
+	drafts = groupSections(p, merged, TechniqueMask{}, netmodel.DefaultConfig())
 	if drafts[0].twoSided {
 		t.Fatal("selective chosen despite whole-element access")
 	}
@@ -106,7 +104,7 @@ func TestSelectiveRejectedWhenLineIsCheap(t *testing.T) {
 	merged := map[string]*analysis.ObjectAccess{
 		"ind": mkMerged(analysis.PatternIndirect, 128, []string{"c"}, 8),
 	}
-	drafts := groupSections(p, merged, DefaultTechniques(), netmodel.DefaultConfig())
+	drafts := groupSections(p, merged, TechniqueMask{}, netmodel.DefaultConfig())
 	if drafts[0].twoSided {
 		t.Fatal("selective chosen where the full line is cheaper")
 	}
@@ -117,9 +115,7 @@ func TestForceStructureMask(t *testing.T) {
 	merged := map[string]*analysis.ObjectAccess{
 		"seqA": mkMerged(analysis.PatternSequential, 16, []string{"f"}, 8),
 	}
-	mask := DefaultTechniques()
-	mask.ForceStructure = int(cache.FullAssoc)
-	drafts := groupSections(p, merged, mask, netmodel.DefaultConfig())
+	drafts := groupSections(p, merged, TechniqueMask{ForceFullAssoc: true}, netmodel.DefaultConfig())
 	if drafts[0].structure != cache.FullAssoc {
 		t.Fatalf("structure %v, want forced full-assoc", drafts[0].structure)
 	}

@@ -29,7 +29,6 @@ var fingerprintModes = []struct {
 	set  func(o *Options)
 }{
 	{"default", func(o *Options) {}},
-	{"no-separation", func(o *Options) { o.DisableSeparation = true }},
 	{"compress-on", func(o *Options) { o.Compress = "on" }},
 	{"compress-auto", func(o *Options) { o.Compress = "auto" }},
 	{"plane-page", func(o *Options) { o.Plane = "page" }},

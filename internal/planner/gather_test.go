@@ -74,9 +74,7 @@ func TestGatherWindowRule(t *testing.T) {
 				t.Errorf("program has %d gathers and %d per-element chained prefetches", g, p)
 			}
 
-			tech := DefaultTechniques()
-			tech.NoBatching = true
-			off, err := Plan(w, Options{LocalBudget: budget, Techniques: tech})
+			off, err := Plan(w, Options{LocalBudget: budget, Techniques: TechniqueMask{NoBatching: true}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,8 +43,7 @@ func TestStreamLeadFitsQuarter(t *testing.T) {
 				feasible := 0
 				for _, div := range []int64{4, 2, 1} {
 					w := apps[app]()
-					tech := DefaultTechniques()
-					tech.NoBatching = noBatching
+					tech := TechniqueMask{NoBatching: noBatching}
 					opts := withDefaults(Options{LocalBudget: w.FullMemoryBytes() / div, Techniques: tech})
 					if q, re, ok := checkStreamLeads(t, w, opts, scans[app]); ok {
 						feasible++
@@ -228,8 +227,7 @@ func TestStreamLeadRule(t *testing.T) {
 	merged := map[string]*analysis.ObjectAccess{"recs": m, "more": m}
 	const le, rttLead, lag = 85, 2 * 85, 2 * 128
 	net := netmodel.DefaultConfig()
-	noBatching := DefaultTechniques()
-	noBatching.NoBatching = true
+	noBatching := TechniqueMask{NoBatching: true}
 	for _, c := range []struct {
 		name   string
 		lines  int64
@@ -239,12 +237,12 @@ func TestStreamLeadRule(t *testing.T) {
 		lead   int64
 		batch  bool
 	}{
-		{name: "quarter", lines: 64, tech: DefaultTechniques(), lead: 16 * le, batch: true},
-		{name: "quarter of a small section", lines: 8, tech: DefaultTechniques(), lead: rttLead, batch: true},
-		{name: "shared quarter", lines: 64, shared: true, tech: DefaultTechniques(), lead: 8 * le, batch: true},
+		{name: "quarter", lines: 64, tech: TechniqueMask{}, lead: 16 * le, batch: true},
+		{name: "quarter of a small section", lines: 8, tech: TechniqueMask{}, lead: rttLead, batch: true},
+		{name: "shared quarter", lines: 64, shared: true, tech: TechniqueMask{}, lead: 8 * le, batch: true},
 		{name: "unbatched", lines: 64, tech: noBatching, lead: rttLead},
-		{name: "reused before sampling", lines: 0, reused: true, tech: DefaultTechniques(), lead: rttLead},
-		{name: "reused and sized", lines: 64, reused: true, tech: DefaultTechniques(), lead: 16 * le, batch: true},
+		{name: "reused before sampling", lines: 0, reused: true, tech: TechniqueMask{}, lead: rttLead},
+		{name: "reused and sized", lines: 64, reused: true, tech: TechniqueMask{}, lead: 16 * le, batch: true},
 	} {
 		members := []string{"recs"}
 		if c.shared {

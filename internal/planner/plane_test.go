@@ -12,18 +12,20 @@ func TestPlaneModeValidation(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"unknown", Options{Plane: "both"}},
-		{"line-noseparation", Options{Plane: "line", DisableSeparation: true}},
-		{"hybrid-noseparation", Options{Plane: "hybrid", DisableSeparation: true}},
+		{"unknown-plane", Options{Plane: "both"}},
+		{"unknown-compress", Options{Compress: "gzip"}},
+		{"unknown-offload", Options{Offload: "maybe"}},
 	}
 	for _, c := range cases {
+		if err := c.opts.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted an invalid mode", c.name)
+		}
 		if _, err := Plan(w, c.opts); err == nil {
-			t.Errorf("%s: Plan accepted invalid plane options", c.name)
+			t.Errorf("%s: Plan accepted an invalid mode", c.name)
 		}
 	}
-	// page + DisableSeparation is fine: page IS the no-separation plan.
-	if _, err := Plan(w, Options{Plane: "page", DisableSeparation: true}); err != nil {
-		t.Errorf("page+DisableSeparation rejected: %v", err)
+	if err := (Options{Plane: "page", Compress: "off", Offload: "auto"}).Validate(); err != nil {
+		t.Errorf("valid modes rejected: %v", err)
 	}
 }
 
@@ -62,7 +64,7 @@ func TestPlaneModesRace(t *testing.T) {
 	if bt := times["page"].BaselineTime; times["page"].FinalTime != bt {
 		t.Fatalf("page mode final %v != its baseline %v", times["page"].FinalTime, bt)
 	}
-	classic, err := Plan(w, func() Options { o := graphOpts(budget); o.DisableSeparation = true; return o }())
+	classic, err := Plan(w, graphOpts(budget))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,11 +58,8 @@ type Options struct {
 	SampleRatios []float64
 	// EnableOffload allows function offloading decisions (§4.8).
 	EnableOffload bool
-	// DisableSeparation keeps everything in the swap section (the
-	// Mira-baseline configuration of Figs. 7 and 21).
-	DisableSeparation bool
 	// Techniques masks individual optimizations for the Fig. 21-style
-	// breakdowns; zero value enables everything.
+	// breakdowns; the zero value enables everything.
 	Techniques TechniqueMask
 	// WritebackQueueLines is copied into every emitted rt.Config: it
 	// bounds the runtime's asynchronous write-back queues (0 = default,
@@ -92,7 +89,8 @@ type Options struct {
 	// (0 = netmodel.DefaultStreamChunk).
 	OffloadChunk int
 	// Plane selects the data-plane mode: "" leaves the classic flow alone,
-	// "page" serves everything from the paged swap plane, "line" forces the
+	// "page" serves everything from the paged swap plane (the swap-only
+	// Mira-baseline configuration of Figs. 7 and 21), "line" forces the
 	// line-granular section plan, and "hybrid" races both and a per-object
 	// classified split (dense sequential/strided objects paged, sparse ones
 	// line-cached), accepting only improvements. Every mode plans on the
@@ -106,7 +104,8 @@ type Options struct {
 	Trace *trace.Tracer
 }
 
-// TechniqueMask disables individual Mira techniques (all false = all on).
+// TechniqueMask disables individual Mira techniques (the zero value turns
+// every technique on).
 type TechniqueMask struct {
 	NoPrefetch     bool
 	NoEvictHints   bool
@@ -114,11 +113,8 @@ type TechniqueMask struct {
 	NoNative       bool
 	NoSelective    bool
 	NoRWOpt        bool // read/write-only optimizations (no-fetch stores)
-	ForceStructure int  // -1 = planner's choice; else cache.Structure value
+	ForceFullAssoc bool // every section fully associative, not the planner's choice
 }
-
-// DefaultTechniques enables everything.
-func DefaultTechniques() TechniqueMask { return TechniqueMask{ForceStructure: -1} }
 
 // Iteration records one profiling-optimization round.
 type Iteration struct {
@@ -179,17 +175,12 @@ func Plan(w Workload, opts Options) (*Result, error) {
 
 // plan is Plan's flow on a given ledger; opts already carry their defaults.
 // The baseline runs, then one structural step — nothing with
-// DisableSeparation or Plane "page", the plane race for "line" and "hybrid",
-// the iterations otherwise — then the offload and compression phases.
+// Plane "page", the plane race for "line" and "hybrid", the iterations
+// otherwise — then the offload and compression phases.
 func plan(l *ledger, opts Options) (*Result, error) {
 	w := l.w
-	if err := validateModes(opts); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Plane == "page" {
-		// Pure-page is the swap-only baseline; there is nothing for the
-		// structural iterations to improve.
-		opts.DisableSeparation = true
 	}
 	if opts.LocalBudget <= 0 {
 		// Default to half the workload's far footprint — the common
@@ -217,9 +208,11 @@ func plan(l *ledger, opts Options) (*Result, error) {
 	p.ptrc.Span(0, p.cursor, "planner", "baseline",
 		trace.I("time_ns", int64(base.time)))
 
-	switch {
-	case opts.DisableSeparation:
-	case opts.Plane != "":
+	switch opts.Plane {
+	case "page":
+		// Pure-page is the swap-only baseline; there is nothing for the
+		// structural iterations to improve.
+	case "line", "hybrid":
 		// Plane modes replace the structural iterations; compression then
 		// tunes whichever plane split won.
 		p.planeRace(prog, base.col)
@@ -380,9 +373,9 @@ func (p *planning) iterate(prog *ir.Program, col *profile.Collector) error {
 	return nil
 }
 
-// validateModes checks the three mode strings, then what the plane modes
-// need of the other options: "line" and "hybrid" need cache sections.
-func validateModes(opts Options) error {
+// Validate checks the three mode strings — Compress, Offload and Plane — so a
+// caller can reject a bad mode before anything runs; Plan checks them too.
+func (opts Options) Validate() error {
 	for _, m := range []struct {
 		field, mode string
 		want        []string
@@ -394,9 +387,6 @@ func validateModes(opts Options) error {
 		if m.mode != "" && !slices.Contains(m.want, m.mode) {
 			return fmt.Errorf("planner: unknown %s mode %q (want %s, %s, or %s)", m.field, m.mode, m.want[0], m.want[1], m.want[2])
 		}
-	}
-	if (opts.Plane == "line" || opts.Plane == "hybrid") && opts.DisableSeparation {
-		return fmt.Errorf("planner: Plane=%q needs cache sections, but DisableSeparation is set", opts.Plane)
 	}
 	return nil
 }
@@ -438,9 +428,6 @@ func withDefaults(opts Options) Options {
 	}
 	if opts.NodeCfg.Capacity == 0 {
 		opts.NodeCfg = farmem.DefaultNodeConfig()
-	}
-	if opts.Techniques == (TechniqueMask{}) {
-		opts.Techniques = DefaultTechniques()
 	}
 	return opts
 }

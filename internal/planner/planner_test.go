@@ -76,16 +76,16 @@ func TestPlannedProgramStillCorrect(t *testing.T) {
 	}
 }
 
-func TestDisableSeparationStaysOnSwap(t *testing.T) {
+func TestPageModeStaysOnSwap(t *testing.T) {
 	w := graphtraverse.New(graphtraverse.Config{Edges: 2048, Nodes: 256, Passes: 1, Seed: 3})
 	opts := graphOpts(w.FullMemoryBytes() / 2)
-	opts.DisableSeparation = true
+	opts.Plane = "page"
 	res, err := Plan(w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Config.Sections) != 0 {
-		t.Fatalf("separation disabled but %d sections created", len(res.Config.Sections))
+		t.Fatalf("page mode but %d sections created", len(res.Config.Sections))
 	}
 	if res.FinalTime != res.BaselineTime {
 		t.Fatal("swap-only plan should report baseline time")

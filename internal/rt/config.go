@@ -203,7 +203,10 @@ func (c Config) writebackQueueLimit() int {
 	}
 }
 
-// DefaultSwapConfig fills in fault-path costs if the caller left them zero.
+// effectiveSwapCfg is the swap section's configuration for a pool of the
+// given size: SwapCfg with swap.DefaultConfig's fault-path costs filled in
+// when the caller left them zero, and the run's interconnect when SwapCfg
+// names none.
 func (c Config) effectiveSwapCfg(pool int64) swap.Config {
 	sc := c.SwapCfg
 	sc.PoolBytes = pool

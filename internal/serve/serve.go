@@ -146,17 +146,6 @@ type Result struct {
 	BytesEffective int64
 }
 
-// failFastPolicy is the pool-member transport policy: replicas are the
-// retry, so members fail fast and trip their breakers early (the serving
-// layer's degraded-mode signal).
-func failFastPolicy() transport.Policy {
-	p := transport.DefaultPolicy()
-	p.MaxAttempts = 1
-	p.BreakerThreshold = 2
-	p.BreakerCooldown = 50 * sim.Microsecond
-	return p
-}
-
 // tenant is one tenant's live serving state. All mutation happens from
 // scheduler threads, which run one at a time — no locks.
 type tenant struct {
@@ -352,7 +341,7 @@ func buildTenant(spec TenantSpec, opts Options, net netmodel.Config, bw *netmode
 		return nil, fmt.Errorf("serve: tenant %q: plan: %w", spec.Name, err)
 	}
 	cfg := plan.Config
-	pol := failFastPolicy()
+	pol := transport.FailFastPolicy()
 	co := &cluster.Options{
 		Nodes:       opts.Nodes,
 		Replicas:    opts.Replicas,

@@ -77,6 +77,18 @@ func DefaultPolicy() Policy {
 	}
 }
 
+// FailFastPolicy is the policy of a replicated pool's members: the pool's
+// replicas are the retry, so a member gives up after one attempt and trips
+// its breaker early — transport-internal persistence would only delay
+// failover (and a tripped breaker is the serving layer's degraded signal).
+func FailFastPolicy() Policy {
+	p := DefaultPolicy()
+	p.MaxAttempts = 1
+	p.BreakerThreshold = 2
+	p.BreakerCooldown = 50 * sim.Microsecond
+	return p
+}
+
 // RecoveryPolicy returns a policy able to ride out crash/partition windows
 // lasting a sizable fraction of the given run horizon (the named fault
 // schedules place windows at thirds of the measured fault-free run time).

@@ -198,13 +198,7 @@ type TierStats = cluster.TierStats
 // ClusterResiliencePolicy returns the per-node transport policy suited to a
 // replicated pool: members fail fast and the pool's replicas are the retry —
 // transport-internal persistence would only delay failover.
-func ClusterResiliencePolicy() ResiliencePolicy {
-	p := transport.DefaultPolicy()
-	p.MaxAttempts = 1
-	p.BreakerThreshold = 2
-	p.BreakerCooldown = 50 * sim.Microsecond
-	return p
-}
+func ClusterResiliencePolicy() ResiliencePolicy { return transport.FailFastPolicy() }
 
 // Duration is a span of virtual time in nanoseconds.
 type Duration = sim.Duration

@@ -25,7 +25,7 @@ func TestOffloadDeterminism(t *testing.T) {
 							Verify:      true,
 							Nodes:       nodes,
 							StripeBytes: 16 << 10,
-							Offload:     mode,
+							Planner:     PlanOptions{Offload: mode},
 							Trace:       tr,
 						})
 						if err != nil {
