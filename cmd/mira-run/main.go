@@ -132,22 +132,20 @@ func main() {
 	batch := flag.Bool("batch", true, "vectored remote I/O: doorbell-batched prefetch and async write-back (false = PR 2 data path)")
 	compress := flag.String("compress", "off", "wire compression for mira/mira-swap: off, on (every section + swap), auto (planner measures per section)")
 	offloadMode := flag.String("offload", "off", "scatter-gather offload for mira: off, on (offload every scatter-safe function), auto (planner races offload vs fetch per function, keeping only wins)")
-	offloadChunk := flag.Int("offload-chunk", 0, "offload engine streaming chunk in bytes for operand/result/commit transfers (0 = default)")
 	plane := flag.String("plane", "", "mira data-plane mode: page (swap only), line (cache sections only), hybrid (planner races both + a per-object split); empty = classic planning")
 	tierDRAM := flag.Int64("tier-dram", 0, "with -nodes: per-node DRAM budget in bytes; the rest of each node's data lives on a simulated SSD tier (0 = no tier)")
 	wbq := flag.Int("wbq", 0, "async write-back queue bound in lines (0 = default, negative = disabled)")
 	aifmChunk := flag.Int64("aifm-chunk", 0, "AIFM remotable-object granularity in bytes (0 = per-element array library)")
 	aifmMeta := flag.Int64("aifm-meta", 0, "AIFM per-object metadata bytes (0 = default)")
-	faultsName := flag.String("faults", "", fmt.Sprintf("named fault schedule %v; empty = fault-free (crash-wipe loses data: run it with -verify=false)", mira.FaultScheduleNames()))
+	faultsName := flag.String("faults", "", fmt.Sprintf("named fault schedule %v; empty = fault-free (crash-wipe loses the node's memory: without a replica to restore it from, the run fails with a read error; -nodes 2 -replicas 2 rides it out)", mira.FaultScheduleNames()))
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault injector's probabilistic draws")
-	nodes := flag.Int("nodes", 0, "shard far memory across this many far nodes (0 = classic single node)")
-	replicas := flag.Int("replicas", 1, "replication factor R in cluster mode: every range lives on R nodes")
+	nodes := flag.Int("nodes", 0, "shard far memory across this many far nodes and print the per-node cluster report (0 = one far node, no report)")
+	replicas := flag.Int("replicas", 1, "with -nodes: replication factor R, every range lives on R nodes")
 	stripe := flag.Int64("stripe", 64<<10, "cluster placement stripe in bytes")
 	faultNode := flag.Int("fault-node", 0, "which cluster node receives the -faults schedule")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
 	metricsOut := flag.String("metrics", "", "write the run's metrics registry as JSON to this file")
 	prefetchPol := flag.String("prefetch", "", fmt.Sprintf("zoo prefetch policy replacing the system's stock prefetching: %s (systems: mira = line plane, mira-swap/fastswap/leap = page plane); empty = stock", prefetchHelp()))
-	prefetchWin := flag.Int("prefetch-window", 0, "with -prefetch programmed: the runner's in-flight window in units (0 = default, clamped to half the plane's capacity)")
 	threads := flag.Int("threads", 1, "interleave this many simulated threads on the deterministic scheduler, dividing a fixed read-only batch (systems: mira, fastswap)")
 	privateSections := flag.Bool("private-sections", false, "with -threads: give each thread private cache sections (default: one shared conservative section set, the paper's Mira-unopt)")
 	flag.Parse()
@@ -188,9 +186,9 @@ func main() {
 	}
 	opts := mira.RunOptions{Budget: budget, Verify: *verify, NoBatching: !*batch}
 	opts.Planner = mira.PlanOptions{Plane: *plane, Compress: *compress, Offload: *offloadMode,
-		OffloadChunk: *offloadChunk, WritebackQueueLines: *wbq}
+		WritebackQueueLines: *wbq}
 	if *prefetchPol != "" {
-		opts.Prefetch = &mira.PrefetchSpec{Policy: *prefetchPol, Window: *prefetchWin}
+		opts.Prefetch = &mira.PrefetchSpec{Policy: *prefetchPol}
 	}
 	opts.AIFM.ChunkBytes = *aifmChunk
 	opts.AIFM.MetaPerObject = *aifmMeta
@@ -305,7 +303,7 @@ func main() {
 			*faultsName, *faultSeed, n.Retries, n.Timeouts, n.Corruptions, n.BreakerTrips,
 			n.QueuedWritebacks, n.DegradedReads, n.DegradedTime, n.BackoffTime)
 	}
-	if len(res.Cluster) > 0 {
+	if *nodes > 0 {
 		fmt.Printf("  cluster: %d nodes, R=%d, stripe %d bytes\n", *nodes, *replicas, *stripe)
 		for _, ns := range res.Cluster {
 			fmt.Printf("    node %d: %d reads (%d B), %d writes (%d B), %d failovers, %d repairs, %d resyncs (%d B), %d/%d B allocated",

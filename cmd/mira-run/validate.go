@@ -37,6 +37,7 @@ func (f runFlags) threadsActive() bool { return f.Threads > 1 || f.set("threads"
 func (f runFlags) compressOn() bool { return f.Compress != "" && f.Compress != "off" }
 func (f runFlags) offloadOn() bool  { return f.Offload != "" && f.Offload != "off" }
 func (f runFlags) faultsOn() bool   { return f.Faults != "" && f.Faults != "none" }
+func (f runFlags) noBatch() bool    { return f.NoBatch }
 
 // The drivers main dispatches a run to; exactly one runs.
 const (
@@ -63,7 +64,8 @@ func (f runFlags) driver() string {
 
 // reader is one row of the table of which driver reads which flag: a flag
 // in use on a driver or system that does not read it is an error, so no
-// flag is ever silently dropped.
+// flag is ever silently dropped. A flag with several rows is read where any
+// of them reads it.
 type reader struct {
 	flag    string
 	used    func(runFlags) bool // nil: the flag was passed explicitly
@@ -75,9 +77,19 @@ type reader struct {
 // on one node, fault-free.
 var allRuns = []string{plainRun, linePlane, pagePlane}
 
+// farSystems is every system with far memory: all but native.
+var farSystems = []string{"mira", "mira-swap", "fastswap", "leap", "aifm"}
+
+// poolSystems is every system that runs over a pool of far nodes: aifm
+// models a single far node.
+var poolSystems = []string{"mira", "mira-swap", "fastswap", "leap"}
+
 // readers is the table. The line-plane runner plans with the plain run's
 // planner options, so every planner flag reaches it; the page plane plans
-// nothing.
+// nothing. -batch=false turns off Mira's batched prefetch and write-back
+// queue and Leap's page gathers; the plain fastswap, mira-swap, aifm and
+// native runs batch nothing. A native run holds everything local: it has
+// no far node to shard or to fault; aifm has one and shards nothing.
 var readers = []reader{
 	{"threads", runFlags.threadsActive, nil, []string{"mira", "fastswap"}},
 	{"prefetch", func(f runFlags) bool { return f.Prefetch != "" }, []string{linePlane, pagePlane},
@@ -85,11 +97,11 @@ var readers = []reader{
 	{"plane", func(f runFlags) bool { return f.Plane != "" }, []string{plainRun}, []string{"mira"}},
 	{"compress", runFlags.compressOn, []string{plainRun, linePlane}, []string{"mira", "mira-swap"}},
 	{"offload", runFlags.offloadOn, []string{plainRun, linePlane}, []string{"mira"}},
-	{"offload-chunk", nil, []string{plainRun, linePlane}, []string{"mira"}},
 	{"wbq", nil, []string{plainRun, linePlane}, []string{"mira"}},
-	{"batch", func(f runFlags) bool { return f.NoBatch }, allRuns, nil},
-	{"faults", runFlags.faultsOn, allRuns, nil},
-	{"nodes", func(f runFlags) bool { return f.Nodes > 0 }, allRuns, nil},
+	{"batch", runFlags.noBatch, []string{plainRun}, []string{"mira", "leap"}},
+	{"batch", runFlags.noBatch, []string{linePlane, pagePlane}, nil},
+	{"faults", runFlags.faultsOn, allRuns, farSystems},
+	{"nodes", func(f runFlags) bool { return f.Nodes > 0 }, allRuns, poolSystems},
 	{"private-sections", nil, []string{threadsRun}, []string{"mira"}},
 	{"aifm-chunk", nil, nil, []string{"aifm"}},
 	{"aifm-meta", nil, nil, []string{"aifm"}},
@@ -133,15 +145,10 @@ func validateFlags(f runFlags) error {
 		return fmt.Errorf("-prefetch compiled is mira's line plane only; system %q runs the page plane (use -system mira)", f.System)
 	}
 	for _, r := range readers {
-		if err := r.check(f); err != nil {
+		err := r.check(f)
+		if err != nil && !slices.ContainsFunc(readers, func(o reader) bool { return o.flag == r.flag && o.check(f) == nil }) {
 			return err
 		}
-	}
-	if f.set("offload-chunk") && !f.offloadOn() {
-		return fmt.Errorf("-offload-chunk sizes the offload engine's streams; pass -offload on or -offload auto as well")
-	}
-	if f.set("prefetch-window") && f.Prefetch != "programmed" {
-		return fmt.Errorf("-prefetch-window sizes the programmed runner; pass -prefetch programmed as well")
 	}
 	if f.set("fault-seed") && !f.faultsOn() {
 		return fmt.Errorf("-fault-seed seeds the fault injector's draws; pass a -faults schedule as well")
@@ -162,6 +169,9 @@ func validateFlags(f runFlags) error {
 	}
 	if f.FaultNode < 0 || f.FaultNode >= f.Nodes {
 		return fmt.Errorf("-fault-node %d is outside [0, %d): the pool's nodes are numbered from 0", f.FaultNode, f.Nodes)
+	}
+	if f.set("fault-node") && !f.faultsOn() {
+		return fmt.Errorf("-fault-node picks the node a -faults schedule hits; pass a -faults schedule as well")
 	}
 	return nil
 }

@@ -29,16 +29,6 @@ func TestValidateFlags(t *testing.T) {
 		{"plane-with-threads", func(f *runFlags) { f.Plane = "hybrid"; f.Threads = 4 }, "-threads"},
 		{"plane-with-threads-1", func(f *runFlags) { f.Plane = "hybrid"; f.Set["threads"] = true }, "-threads"},
 		{"plane-with-nodes-ok", func(f *runFlags) { f.Plane = "hybrid"; f.Nodes = 4 }, ""},
-		{"window-without-prefetch", func(f *runFlags) { f.Set["prefetch-window"] = true }, "-prefetch"},
-		{"window-with-prefetch-ok", func(f *runFlags) {
-			f.Prefetch = "programmed"
-			f.Set["prefetch-window"] = true
-		}, ""},
-		{"window-default-ok", nil, ""},
-		{"window-with-leap", func(f *runFlags) {
-			f.Prefetch = "leap"
-			f.Set["prefetch-window"] = true
-		}, "-prefetch programmed"},
 		{"prefetch-unknown", func(f *runFlags) { f.Prefetch = "stride" }, "unknown -prefetch"},
 		{"prefetch-unknown-page-plane", func(f *runFlags) { f.Prefetch = "oracle"; f.System = "fastswap" }, "unknown -prefetch"},
 		{"prefetch-history-ok", func(f *runFlags) { f.Prefetch = "history"; f.System = "leap" }, ""},
@@ -62,15 +52,6 @@ func TestValidateFlags(t *testing.T) {
 		{"offload-off-any-system-ok", func(f *runFlags) { f.Offload = "off"; f.System = "leap" }, ""},
 		{"offload-with-threads", func(f *runFlags) { f.Offload = "on"; f.Threads = 4 }, "-threads"},
 		{"offload-with-plane-ok", func(f *runFlags) { f.Offload = "auto"; f.Plane = "hybrid" }, ""},
-		{"chunk-without-offload", func(f *runFlags) { f.Set["offload-chunk"] = true }, "-offload"},
-		{"chunk-with-offload-off", func(f *runFlags) {
-			f.Offload = "off"
-			f.Set["offload-chunk"] = true
-		}, "-offload"},
-		{"chunk-with-offload-ok", func(f *runFlags) {
-			f.Offload = "on"
-			f.Set["offload-chunk"] = true
-		}, ""},
 		{"private-sections-without-threads", func(f *runFlags) { f.Set["private-sections"] = true }, "-threads"},
 		{"private-sections-with-fastswap", func(f *runFlags) {
 			f.System = "fastswap"
@@ -104,7 +85,13 @@ func TestValidateFlags(t *testing.T) {
 			f.Set["fault-node"] = true
 		}, "-fault-node 7"},
 		{"fault-node-negative", func(f *runFlags) { f.Nodes = 2; f.FaultNode = -1; f.Set["fault-node"] = true }, "-fault-node -1"},
-		{"fault-node-last-ok", func(f *runFlags) { f.Nodes = 2; f.FaultNode = 1; f.Set["fault-node"] = true }, ""},
+		{"fault-node-last-ok", func(f *runFlags) {
+			f.Nodes = 2
+			f.Faults = "crash"
+			f.FaultNode = 1
+			f.Set["fault-node"] = true
+		}, ""},
+		{"fault-node-without-faults", func(f *runFlags) { f.Nodes = 2; f.FaultNode = 1; f.Set["fault-node"] = true }, "-faults"},
 		// Flags the chosen driver does not read.
 		{"threads-with-batch-false", func(f *runFlags) { f.Threads = 2; f.NoBatch = true }, "-batch does not apply to the -threads driver"},
 		{"threads-with-wbq", func(f *runFlags) { f.Threads = 2; f.Set["wbq"] = true }, "-wbq does not apply to the -threads driver"},
@@ -126,10 +113,26 @@ func TestValidateFlags(t *testing.T) {
 			f.Compress = "auto"
 			f.Offload = "on"
 			f.NoBatch = true
-			f.Set["offload-chunk"] = true
 			f.Set["wbq"] = true
 		}, ""},
 		{"batch-false-with-page-prefetch-ok", func(f *runFlags) { f.System = "leap"; f.Prefetch = "history"; f.NoBatch = true }, ""},
+		{"batch-false-with-fastswap-page-prefetch-ok", func(f *runFlags) {
+			f.System = "fastswap"
+			f.Prefetch = "readahead"
+			f.NoBatch = true
+		}, ""},
+		// A plain fastswap, mira-swap, aifm or native run batches nothing.
+		{"batch-false-ok", func(f *runFlags) { f.NoBatch = true }, ""},
+		{"batch-false-with-leap-ok", func(f *runFlags) { f.System = "leap"; f.NoBatch = true }, ""},
+		{"batch-false-with-fastswap", func(f *runFlags) { f.System = "fastswap"; f.NoBatch = true }, "-system mira or leap"},
+		{"batch-false-with-mira-swap", func(f *runFlags) { f.System = "mira-swap"; f.NoBatch = true }, "-system mira or leap"},
+		{"batch-false-with-aifm", func(f *runFlags) { f.System = "aifm"; f.NoBatch = true }, "-system mira or leap"},
+		{"batch-false-with-native", func(f *runFlags) { f.System = "native"; f.NoBatch = true }, "-system mira or leap"},
+		// A native run holds everything local.
+		{"nodes-with-native", func(f *runFlags) { f.System = "native"; f.Nodes = 2 }, "-nodes applies only"},
+		// aifm models a single far node.
+		{"nodes-with-aifm", func(f *runFlags) { f.System = "aifm"; f.Nodes = 2 }, "-nodes applies only"},
+		{"faults-with-native", func(f *runFlags) { f.System = "native"; f.Faults = "crash" }, "-faults applies only"},
 	}
 	for _, c := range cases {
 		err := validateFlags(flags(c.mutate))

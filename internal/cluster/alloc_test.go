@@ -41,3 +41,48 @@ func TestWarmGatherAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// The pool's read, write and scatter paths allocate nothing once their
+// scratch is warm, on one node and on a replicated pool whose pieces cross
+// stripes: the segments of a Read, Write, ReadOneSided or WriteOneSided and
+// the per-node vectors of a scatter all live on the pool.
+func TestWarmDataPathAllocatesNothing(t *testing.T) {
+	for _, opts := range []Options{testOptions(1, 1), testOptions(4, 2)} {
+		p := mustPool(t, opts)
+		base, err := p.Alloc(64 << 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.WriteOneSided(0, base, fill(64<<10, 5)); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 2048)
+		addrs := make([]uint64, 12)
+		pieces := make([][]byte, 12)
+		for i := range addrs {
+			addrs[i], pieces[i] = base+uint64(i)*4096+3000, fill(2048, byte(i)) // every piece crosses a stripe
+		}
+		now := sim.Time(0)
+		for _, op := range []struct {
+			name string
+			run  func() (sim.Time, error)
+		}{
+			{"ReadOneSided", func() (sim.Time, error) { return p.ReadOneSided(now, base+3000, buf) }},
+			{"WriteOneSided", func() (sim.Time, error) { return p.WriteOneSided(now, base+7000, buf) }},
+			{"ScatterWrite", func() (sim.Time, error) { return p.ScatterWrite(now, addrs, pieces) }},
+			{"Read", func() (sim.Time, error) { return now, p.Read(base+3000, buf) }},
+		} {
+			run := func() {
+				done, err := op.run()
+				if err != nil {
+					t.Fatalf("%s: %v", op.name, err)
+				}
+				now = done
+			}
+			run()
+			if got := testing.AllocsPerRun(200, run); got != 0 {
+				t.Errorf("%d nodes: %v allocs per warm %s, want 0", opts.Nodes, got, op.name)
+			}
+		}
+	}
+}

@@ -123,7 +123,9 @@ type NodeStats struct {
 	Tier           TierStats
 }
 
-// farNode is one member of the pool.
+// farNode is one member of the pool. Its stale flag and counters belong to
+// the pool's data path, which — like the scratch below — has one caller at a
+// time; only the allocated-bytes count is the table's, under Pool.mu.
 type farNode struct {
 	fm *farmem.Node
 	tr *transport.T
@@ -139,19 +141,27 @@ type farNode struct {
 
 // Pool is a sharded, replicated far-memory pool. It implements
 // transport.Link (the timed data plane the runtime and swap cache drive)
-// and the runtime's direct-store operations (Alloc/Read/Write).
+// and the runtime's direct-store operations (Alloc/Read/Write). A runtime
+// without a cluster runs on a one-node pool.
 type Pool struct {
 	opts Options
 
+	// mu guards the placement table against allocation: a data-path
+	// operation takes it once, to split its range (route).
 	mu    sync.Mutex
 	nodes []*farNode
 	table []*PlacementEntry // sorted by VBase; entries are stable pointers
 	next  uint64            // virtual bump pointer
 	seq   uint64            // allocation sequence number, feeds the hash
 
-	// gather is gatherVec's scratch, the reply buffer included. Unlike the
-	// table it is not guarded by mu: a link has one caller at a time.
-	gather gatherScratch
+	// Scratch of the data path, kept on the pool so a warm operation
+	// allocates nothing: io is the segments of one Read, Write,
+	// ReadOneSided or WriteOneSided; gather is gatherVec's, the reply buffer
+	// included; scatter is scatterVec's. Unlike the table none of it is
+	// guarded by mu: a link has one caller at a time.
+	io      []seg
+	gather  gatherScratch
+	scatter scatterScratch
 
 	// Tracing (nil when disabled — every use is nil-safe).
 	trc       *trace.Buffer
@@ -215,6 +225,7 @@ func New(opts Options) (*Pool, error) {
 		p.nodes = append(p.nodes, n)
 	}
 	p.gather.byNode = make([][]int, opts.Nodes)
+	p.scatter.byNode = make([][]scatterPiece, opts.Nodes)
 	return p, nil
 }
 
@@ -255,23 +266,13 @@ func (p *Pool) WireCodec() codec.ID {
 }
 
 // markStale flags a node as having lost its memory. Called from the fault
-// injector's wipe callback, which always runs under some operation that
-// already holds the node's injector lock — never the pool lock — so taking
-// p.mu here is safe.
-func (p *Pool) markStale(i int) {
-	p.mu.Lock()
-	p.nodes[i].stale = true
-	p.mu.Unlock()
-}
+// injector's wipe callback, inside the data-path operation that fired it.
+func (p *Pool) markStale(i int) { p.nodes[i].stale = true }
 
 // NodeStale reports whether node i's memory was wiped since the last
 // re-sync — replicas homed there are unreadable until resynced. The offload
 // engine uses it to detect a sub-offload's serving node dying mid-run.
-func (p *Pool) NodeStale(i int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.nodes[i].stale
-}
+func (p *Pool) NodeStale(i int) bool { return p.nodes[i].stale }
 
 // splitmix64 is the placement hash: a full-avalanche mix of the seed and
 // the placement key, so node ranking is uniform and deterministic.
@@ -351,7 +352,9 @@ const allocAlign = 8
 // Alloc reserves size bytes of pool virtual address space, striped across
 // the cluster at StripeBytes granularity. Each stripe is placed
 // independently, so a large heap spreads over every node. The virtual
-// range is contiguous; only the backing is sharded.
+// range is contiguous; only the backing is sharded. A one-node pool places
+// the allocation whole — stripes only spread a heap across nodes — so its
+// every allocation is one entry that View answers in place.
 func (p *Pool) Alloc(size uint64) (uint64, error) {
 	if size == 0 {
 		return 0, fmt.Errorf("cluster: zero-size allocation")
@@ -359,6 +362,9 @@ func (p *Pool) Alloc(size uint64) (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	stripe := p.opts.stripe()
+	if len(p.nodes) == 1 {
+		stripe = size
+	}
 	vbase := p.next
 	for off := uint64(0); off < size; off += stripe {
 		n := stripe
@@ -433,8 +439,8 @@ func (p *Pool) findEntry(vaddr uint64) (*PlacementEntry, error) {
 	return e, nil
 }
 
-// segments splits [vaddr, vaddr+n) into per-entry pieces, appended to out
-// (nil for a fresh slice). Called with p.mu held.
+// segments splits [vaddr, vaddr+n) into per-entry pieces, appended to out.
+// Called with p.mu held.
 func (p *Pool) segments(out []seg, vaddr uint64, n int) ([]seg, error) {
 	at := 0
 	for n > 0 {
@@ -453,6 +459,20 @@ func (p *Pool) segments(out []seg, vaddr uint64, n int) ([]seg, error) {
 		at += take
 	}
 	return out, nil
+}
+
+// route splits [vaddr, vaddr+n) into the pool's io scratch, under the one
+// lock a data-path operation takes. The result is valid until the next
+// route.
+func (p *Pool) route(vaddr uint64, n int) ([]seg, error) {
+	p.mu.Lock()
+	segs, err := p.segments(p.io[:0], vaddr, n)
+	p.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	p.io = segs
+	return segs, nil
 }
 
 // Table snapshots the placement table, sorted by virtual base.

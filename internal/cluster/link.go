@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mira/internal/sim"
 	"mira/internal/trace"
@@ -18,11 +19,7 @@ var errStale = errors.New("cluster: node lost its memory since last re-sync")
 // cluster through exactly the interface they drive a single transport.
 var _ transport.Link = (*Pool)(nil)
 
-func (p *Pool) isStale(node int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.nodes[node].stale
-}
+func (p *Pool) isStale(node int) bool { return p.nodes[node].stale }
 
 // chooseHome picks the home a segment read should be served from: the
 // first home that has its memory and a closed breaker. A home with an open
@@ -30,8 +27,6 @@ func (p *Pool) isStale(node int) bool {
 // home is dark, the first non-stale one takes the degraded path (overlay
 // serve or half-open wait) rather than failing outright.
 func (p *Pool) chooseHome(now sim.Time, homes []Home) (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	fallback := -1
 	for i, h := range homes {
 		n := p.nodes[h.Node]
@@ -53,8 +48,6 @@ func (p *Pool) chooseHome(now sim.Time, homes []Home) (int, error) {
 }
 
 func (p *Pool) noteRead(now sim.Time, node, nbytes int, failedOver bool, primary int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	s := &p.nodes[node].stats
 	s.Reads++
 	s.ReadBytes += int64(nbytes)
@@ -67,8 +60,6 @@ func (p *Pool) noteRead(now sim.Time, node, nbytes int, failedOver bool, primary
 }
 
 func (p *Pool) noteWrite(node, nbytes int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	s := &p.nodes[node].stats
 	s.Writes++
 	s.WriteBytes += int64(nbytes)
@@ -130,9 +121,7 @@ func (p *Pool) readRepair(now sim.Time, targets []Home, s seg, buf []byte) {
 			continue // re-sync owns wiped nodes
 		}
 		if _, err := p.nodes[h.Node].link.WriteOneSided(now, h.Base+s.off, buf); err == nil {
-			p.mu.Lock()
 			p.nodes[h.Node].stats.Repairs++
-			p.mu.Unlock()
 		}
 	}
 }
@@ -149,21 +138,17 @@ func (p *Pool) readRepair(now sim.Time, targets []Home, s seg, buf []byte) {
 // links (delaying later traffic) but its completion is not folded into
 // the operation that detected the wipe.
 func (p *Pool) resyncStale(now sim.Time) sim.Time {
-	// Apply pending wipes and learn who is reachable BEFORE taking p.mu:
-	// the injector's wipe callback takes p.mu via markStale.
-	down := make([]bool, len(p.nodes))
-	for i, n := range p.nodes {
-		if n.inj != nil {
-			n.inj.Sync(now)
-			down[i] = n.inj.Down(now)
-		}
+	// Apply pending wipes first: a wipe marks its node stale.
+	p.Sync(now)
+	if !slices.ContainsFunc(p.nodes, func(n *farNode) bool { return n.stale }) {
+		return now
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	done := now
 	ranges, moved := 0, int64(0)
 	for idx, n := range p.nodes {
-		if !n.stale || down[idx] {
+		if !n.stale || n.inj != nil && n.inj.Down(now) {
 			continue
 		}
 		// The node's memory is gone; its transport's queued degraded-mode
@@ -232,9 +217,7 @@ func (p *Pool) resyncStale(now sim.Time) sim.Time {
 // its primary with failover to replicas. Completion is the max across the
 // independent links.
 func (p *Pool) ReadOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, error) {
-	p.mu.Lock()
-	segs, err := p.segments(nil, addr, len(buf))
-	p.mu.Unlock()
+	segs, err := p.route(addr, len(buf))
 	if err != nil {
 		return now, err
 	}
@@ -289,9 +272,7 @@ func (p *Pool) writeSegment(now sim.Time, s seg, data []byte) (sim.Time, error) 
 
 // WriteOneSided implements transport.Link.
 func (p *Pool) WriteOneSided(now sim.Time, addr uint64, buf []byte) (sim.Time, error) {
-	p.mu.Lock()
-	segs, err := p.segments(nil, addr, len(buf))
-	p.mu.Unlock()
+	segs, err := p.route(addr, len(buf))
 	if err != nil {
 		return now, err
 	}
@@ -327,8 +308,9 @@ func (p *Pool) GatherOneSided(now sim.Time, addrs []uint64, sizes []int) ([]byte
 }
 
 // gatherScratch is what one gatherVec call works in, kept on the pool so a
-// warm gather allocates nothing. out is the reply: like a single
-// transport's it belongs to the link and is overwritten by the next gather.
+// warm gather allocates nothing. out is the reply of a gather split across
+// nodes: like a single transport's it belongs to the link and is
+// overwritten by the next gather.
 type gatherScratch struct {
 	segs   []seg
 	chosen []int    // serving home index per segment
@@ -344,7 +326,9 @@ type gatherScratch struct {
 // handling are identical for both flavors. Each node's reply is copied into
 // the pool's own before the next message goes out (a node link's reply does
 // not outlive the next call on that link, and the per-segment fallback makes
-// such calls).
+// such calls) — unless one message carried the whole gather: its reply is
+// handed on as it is, valid until the next call on that link, so on the
+// pool.
 func (p *Pool) gatherVec(now sim.Time, addrs []uint64, sizes []int, oneSided bool) ([]byte, sim.Time, error) {
 	g := &p.gather
 	total := 0
@@ -423,13 +407,21 @@ func (p *Pool) gatherVec(now sim.Time, addrs []uint64, sizes []int, oneSided boo
 			}
 			continue
 		}
+		// One message that carries every piece, in request order, replies
+		// with the gather's bytes: they stay where the link put them.
+		whole := len(idxs) == len(segs)
 		off := 0
 		for _, i := range idxs {
 			s := segs[i]
-			copy(out[s.at:s.at+s.n], data[off:off+s.n])
+			if !whole {
+				copy(out[s.at:s.at+s.n], data[off:off+s.n])
+			}
 			off += s.n
 			primary := s.entry.Homes[0].Node
 			p.noteRead(now, node, s.n, node != primary, primary)
+		}
+		if whole {
+			out = data
 		}
 		if d > done {
 			done = d
@@ -455,80 +447,95 @@ func (p *Pool) ScatterWrite(now sim.Time, addrs []uint64, pieces [][]byte) (sim.
 	return p.scatterVec(now, addrs, pieces, true)
 }
 
+// scatterScratch is what one scatterVec call works in, kept on the pool so
+// a warm scatter allocates nothing.
+type scatterScratch struct {
+	segs   []seg
+	data   [][]byte         // the caller's bytes of each segment
+	landed []int            // homes that accepted each segment
+	byNode [][]scatterPiece // node -> its copies of segments, in request order
+	addrs  []uint64         // the vectors of the node message being issued
+	pieces [][]byte
+	failed []int // nodes that refused their batch
+}
+
+// scatterPiece is one home's copy of a segment: its index and the address
+// on that home.
+type scatterPiece struct {
+	seg  int
+	addr uint64
+}
+
 // scatterVec replicates every piece to all its homes, one vectored message
-// per node, two-sided or doorbell-batched one-sided.
+// per node in ascending node order, two-sided or doorbell-batched one-sided.
 func (p *Pool) scatterVec(now sim.Time, addrs []uint64, pieces [][]byte, oneSided bool) (sim.Time, error) {
-	type placed struct {
-		s    seg
-		data []byte
-	}
-	var all []placed
+	sc := &p.scatter
+	segs, data := sc.segs[:0], sc.data[:0]
 	p.mu.Lock()
 	for i, a := range addrs {
-		ss, err := p.segments(nil, a, len(pieces[i]))
+		first := len(segs)
+		var err error
+		segs, err = p.segments(segs, a, len(pieces[i]))
 		if err != nil {
 			p.mu.Unlock()
 			return now, err
 		}
-		for _, s := range ss {
-			all = append(all, placed{s: s, data: pieces[i][s.at : s.at+s.n]})
+		for _, s := range segs[first:] {
+			data = append(data, pieces[i][s.at:s.at+s.n])
 		}
 	}
 	p.mu.Unlock()
+	sc.segs, sc.data = segs, data
 
-	type batch struct {
-		addrs  []uint64
-		pieces [][]byte
-		segIdx []int
+	for node := range sc.byNode {
+		sc.byNode[node] = sc.byNode[node][:0]
 	}
-	byNode := make(map[int]*batch)
-	for i, pl := range all {
-		for _, h := range pl.s.entry.Homes {
-			b := byNode[h.Node]
-			if b == nil {
-				b = &batch{}
-				byNode[h.Node] = b
-			}
-			b.addrs = append(b.addrs, h.Base+pl.s.off)
-			b.pieces = append(b.pieces, pl.data)
-			b.segIdx = append(b.segIdx, i)
+	landed := sc.landed[:0]
+	for i, s := range segs {
+		landed = append(landed, 0)
+		for _, h := range s.entry.Homes {
+			sc.byNode[h.Node] = append(sc.byNode[h.Node], scatterPiece{seg: i, addr: h.Base + s.off})
 		}
 	}
-	nodesInUse := make([]int, 0, len(byNode))
-	for node := range byNode {
-		nodesInUse = append(nodesInUse, node)
-	}
-	sortInts(nodesInUse)
+	sc.landed = landed
 
-	landed := make([]int, len(all))
 	done := now
-	var failedNodes []int
-	for _, node := range nodesInUse {
-		b := byNode[node]
+	failed := sc.failed[:0]
+	for node, mine := range sc.byNode {
+		if len(mine) == 0 {
+			continue
+		}
+		na, np := sc.addrs[:0], sc.pieces[:0]
+		for _, pc := range mine {
+			na = append(na, pc.addr)
+			np = append(np, data[pc.seg])
+		}
+		sc.addrs, sc.pieces = na, np
 		var d sim.Time
 		var err error
 		if oneSided {
-			d, err = p.nodes[node].link.ScatterWrite(now, b.addrs, b.pieces)
+			d, err = p.nodes[node].link.ScatterWrite(now, na, np)
 		} else {
-			d, err = p.nodes[node].link.ScatterTwoSided(now, b.addrs, b.pieces)
+			d, err = p.nodes[node].link.ScatterTwoSided(now, na, np)
 		}
 		if err != nil {
-			failedNodes = append(failedNodes, node)
+			failed = append(failed, node)
 			continue
 		}
-		for _, i := range b.segIdx {
-			landed[i]++
-			p.noteWrite(node, len(all[i].data))
+		for _, pc := range mine {
+			landed[pc.seg]++
+			p.noteWrite(node, segs[pc.seg].n)
 		}
 		if d > done {
 			done = d
 		}
 	}
-	for i, pl := range all {
+	sc.failed = failed
+	for i, s := range segs {
 		if landed[i] > 0 {
 			continue
 		}
-		d, err := p.writeSegment(now, pl.s, pl.data)
+		d, err := p.writeSegment(now, s, data[i])
 		if err != nil {
 			return now, err
 		}
@@ -538,7 +545,7 @@ func (p *Pool) scatterVec(now sim.Time, addrs []uint64, pieces [][]byte, oneSide
 	}
 	// Nodes that refused their batch missed writes their peers accepted:
 	// stale until re-synced.
-	for _, node := range failedNodes {
+	for _, node := range failed {
 		p.markStale(node)
 	}
 	return done, nil
@@ -629,12 +636,4 @@ func (p *Pool) Failovers() int64 {
 		sum += n.stats.Failovers
 	}
 	return sum
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -7,58 +7,65 @@ import (
 	"mira/internal/sim"
 )
 
-// This file is the pool's direct (untimed) store interface — the
-// counterpart of calling farmem.Node.Read/Write directly in single-node
-// mode. The runtime uses it for workload setup (InitObject), result
-// extraction (DumpObject), and offloaded-procedure memory access, where
-// the timing is charged separately by the offload model.
+// This file is the pool's direct (untimed) store interface: farmem.Node's
+// Read, Write and View over the placement table. The runtime uses it for
+// workload setup (InitObject), result extraction (DumpObject), and
+// offloaded-procedure memory access, where the timing is charged
+// separately by the offload model.
 
 // Read copies len(buf) bytes at pool virtual address addr from the first
 // home that still has its memory. A range whose every home was wiped is
 // unrecoverable and errors.
 func (p *Pool) Read(addr uint64, buf []byte) error {
-	p.mu.Lock()
-	segs, err := p.segments(nil, addr, len(buf))
+	segs, err := p.route(addr, len(buf))
 	if err != nil {
-		p.mu.Unlock()
 		return err
 	}
-	type pick struct {
-		node int
-		base uint64
-		s    seg
-	}
-	picks := make([]pick, 0, len(segs))
 	for _, s := range segs {
-		found := false
-		for _, h := range s.entry.Homes {
-			if p.nodes[h.Node].stale {
-				continue
-			}
-			picks = append(picks, pick{node: h.Node, base: h.Base, s: s})
-			found = true
-			break
-		}
-		if !found {
-			p.mu.Unlock()
+		h, ok := p.liveHome(s.entry)
+		if !ok {
 			return fmt.Errorf("cluster: read [%#x,+%d): every replica lost its memory", addr, len(buf))
 		}
-	}
-	p.mu.Unlock()
-	for _, pk := range picks {
-		if err := p.nodes[pk.node].fm.Read(pk.base+pk.s.off, buf[pk.s.at:pk.s.at+pk.s.n]); err != nil {
+		if err := p.nodes[h.Node].fm.Read(h.Base+s.off, buf[s.at:s.at+s.n]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// View returns the n bytes at addr in place when one live home holds them
+// whole — always on a one-node pool, which places every allocation whole —
+// and otherwise a copy Read assembles. Like farmem.Node.View it is not
+// traffic; the result is read-only and valid until the pool is next
+// written, allocated from or released.
+func (p *Pool) View(addr uint64, n int) ([]byte, error) {
+	segs, err := p.route(addr, n)
+	if err != nil {
+		return nil, err
+	}
+	if len(segs) == 1 {
+		if h, ok := p.liveHome(segs[0].entry); ok {
+			return p.nodes[h.Node].fm.View(h.Base+segs[0].off, n)
+		}
+	}
+	out := make([]byte, n)
+	return out, p.Read(addr, out)
+}
+
+// liveHome is e's first home that still has its memory.
+func (p *Pool) liveHome(e *PlacementEntry) (Home, bool) {
+	for _, h := range e.Homes {
+		if !p.nodes[h.Node].stale {
+			return h, true
+		}
+	}
+	return Home{}, false
+}
+
 // Write copies buf to pool virtual address addr on every home, keeping the
 // replicas identical.
 func (p *Pool) Write(addr uint64, buf []byte) error {
-	p.mu.Lock()
-	segs, err := p.segments(nil, addr, len(buf))
-	p.mu.Unlock()
+	segs, err := p.route(addr, len(buf))
 	if err != nil {
 		return err
 	}

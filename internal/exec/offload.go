@@ -15,12 +15,13 @@ import (
 // over, run the body against far-node memory on the far CPU, and ship the
 // result back.
 //
-// When the backend exposes a scatter-gather engine (cluster mode) and the
-// function fits the scatter shape, the call is split into per-node
-// sub-offloads running in parallel against the stripe replicas each node
-// owns. Otherwise the legacy whole-call RPC path below runs: the remote
-// body is measured on its own clock and the local clock is charged the
-// full RPC.
+// When the backend exposes a scatter-gather engine (every Mira runtime
+// does, one node or many) and the function fits the scatter shape, the
+// call is split into per-node sub-offloads running in parallel against the
+// stripe replicas each node owns. Otherwise — a function AnalyzeScatter
+// declines, or a backend without an engine — the whole-call RPC path below
+// runs: the remote body is measured on its own clock and the local clock
+// is charged the full RPC.
 func (e *Executor) offloadCall(clk *sim.Clock, fn *ir.Func, args []Value) (Value, error) {
 	renv, ok := e.be.(RemoteEnv)
 	if !ok {
@@ -64,7 +65,7 @@ func (e *Executor) offloadCall(clk *sim.Clock, fn *ir.Func, args []Value) (Value
 }
 
 // scatterer is the optional backend capability behind scatter-gather
-// offloading; only the cluster-mode Mira runtime reports a non-nil engine.
+// offloading; the Mira runtime reports its pool's engine.
 type scatterer interface {
 	ScatterEngine() *offload.Engine
 }

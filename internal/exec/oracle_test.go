@@ -320,9 +320,11 @@ func smallApps() map[string]func() workload.Workload {
 // oracleCells are every app's canonical program on the generic swap
 // configuration and its planner-compiled clone on the planned one (native
 // loads, NoFetch stores, prefetch / batch / evict / release statements), plus
-// the two scatter-shaped apps with their kernels offloaded three ways: to a
-// 4-node pool and to a 1-node pool (the scatter-gather engine) and to a
-// single far node without a pool (the whole-call RPC).
+// offloaded kernels: the two scatter-shaped apps planned with offload on over
+// a 4-node and a 1-node pool, and with every function marked on the swap
+// configuration (all three the scatter-gather engine), and mcf with every
+// function marked — AnalyzeScatter declines price and update, so they take
+// the whole-call RPC.
 func oracleCells(t *testing.T) []cell {
 	t.Helper()
 	var cells []cell
@@ -340,29 +342,32 @@ func oracleCells(t *testing.T) []cell {
 		}
 		cells = append(cells, cell{name + "/planned", mk, res.Program, res.Config})
 
-		if name != "distagg" && name != "distfilter" {
+		switch name {
+		case "distagg", "distfilter":
+			for _, nodes := range []int{4, 1} {
+				co := cluster.Options{Nodes: nodes, Replicas: (nodes + 2) / 3, Seed: 1, StripeBytes: 4 << 10}
+				res, err := planner.Plan(w, planner.Options{LocalBudget: budget, Offload: "on", Cluster: &co})
+				if err != nil {
+					t.Fatalf("%s: plan offload on %d nodes: %v", name, nodes, err)
+				}
+				if len(res.Offloaded) == 0 {
+					t.Fatalf("%s: nothing offloaded on %d nodes", name, nodes)
+				}
+				cells = append(cells, cell{fmt.Sprintf("%s/offload-%dnode", name, nodes), mk, res.Program, res.Config})
+			}
+		case "mcf":
+		default:
 			continue
-		}
-		for _, nodes := range []int{4, 1} {
-			co := cluster.Options{Nodes: nodes, Replicas: (nodes + 2) / 3, Seed: 1, StripeBytes: 4 << 10}
-			res, err := planner.Plan(w, planner.Options{LocalBudget: budget, Offload: "on", Cluster: &co})
-			if err != nil {
-				t.Fatalf("%s: plan offload on %d nodes: %v", name, nodes, err)
-			}
-			if len(res.Offloaded) == 0 {
-				t.Fatalf("%s: nothing offloaded on %d nodes", name, nodes)
-			}
-			cells = append(cells, cell{fmt.Sprintf("%s/offload-%dnode", name, nodes), mk, res.Program, res.Config})
 		}
 		marks := map[string]bool{}
 		for _, f := range w.Program().Funcs {
 			marks[f.Name] = f.Name != w.Program().Entry
 		}
-		rpc, err := codegen.Apply(w.Program(), &codegen.Plan{Offload: marks})
+		marked, err := codegen.Apply(w.Program(), &codegen.Plan{Offload: marks})
 		if err != nil {
 			t.Fatalf("%s: mark offloaded: %v", name, err)
 		}
-		cells = append(cells, cell{name + "/offload-rpc", mk, rpc, swapCfg})
+		cells = append(cells, cell{name + "/offload-marked", mk, marked, swapCfg})
 	}
 	return cells
 }

@@ -60,24 +60,25 @@ type Options struct {
 	// AIFM customizes the AIFM baseline's library model (budget and
 	// interconnect are overridden by Budget/Net).
 	AIFM aifm.Options
-	// Faults injects the deterministic fault schedule into the run's
+	// Faults injects the deterministic fault schedule into node FaultNode's
 	// transport (nil: fault-free). Native runs never see faults — they
 	// are the golden reference the faulted runs are compared against.
 	Faults *faults.Config
-	// Resilience overrides the transport's retry/deadline/breaker policy.
+	// Resilience overrides every node transport's retry/deadline/breaker
+	// policy.
 	Resilience *transport.Policy
-	// Nodes, when > 0, shards far memory across that many far nodes behind
-	// a cluster.Pool (placement, replication, failover). Zero keeps the
-	// classic single-node data path. Native runs ignore it — they hold
-	// everything local and remain the golden reference either way.
+	// Nodes shards far memory across that many far nodes behind the
+	// run's cluster.Pool (placement, replication, failover). Zero is one
+	// node, as is the paper's testbed. Native runs hold everything local
+	// and remain the golden reference either way.
 	Nodes int
-	// Replicas is the replication factor R in cluster mode (default 1:
+	// Replicas is the pool's replication factor R (default 1:
 	// each placement range lives on R nodes, writes fan out to all of
 	// them, reads fail over between them).
 	Replicas int
-	// FaultNode selects which cluster node receives Options.Faults when
-	// Nodes > 0 (clamped to the node range). The other nodes stay clean —
-	// that asymmetry is what makes replicated failover observable.
+	// FaultNode selects which pool node receives Options.Faults (clamped
+	// to the node range). The other nodes stay clean — that asymmetry is
+	// what makes replicated failover observable.
 	FaultNode int
 	// StripeBytes overrides the cluster placement granularity (0:
 	// cluster.DefaultStripeBytes). Tests use small stripes so test-sized
@@ -103,23 +104,20 @@ type Options struct {
 	// the zoo policies pick their own plane.
 	Prefetch *prefetch.Spec
 	// Tier, when non-nil, puts a simulated SSD capacity tier under every
-	// cluster node's DRAM (hot granules in DRAM, cold ones demoted to
-	// flash and promoted back on access). Requires Nodes > 0.
+	// pool node's DRAM (hot granules in DRAM, cold ones demoted to flash
+	// and promoted back on access).
 	Tier *cluster.TierConfig
 }
 
 func (o Options) faultsEnabled() bool { return o.Faults != nil && o.Faults.Enabled() }
 
-// clusterOpts translates the harness knobs into cluster.Options, or nil in
-// single-node mode. withFaults moves Options.Faults onto the chosen node's
-// fault domain (planning runs pass false: planning is offline and
-// fault-free).
+// clusterOpts translates the harness knobs into the run's pool: Nodes far
+// nodes, one when Nodes is zero. withFaults moves Options.Faults onto the
+// chosen node's fault domain (planning runs pass false: planning is offline
+// and fault-free).
 func (o Options) clusterOpts(withFaults bool) *cluster.Options {
-	if o.Nodes <= 0 {
-		return nil
-	}
 	co := &cluster.Options{
-		Nodes:       o.Nodes,
+		Nodes:       max(o.Nodes, 1),
 		Replicas:    o.Replicas,
 		Seed:        1,
 		StripeBytes: o.StripeBytes,
@@ -132,30 +130,18 @@ func (o Options) clusterOpts(withFaults bool) *cluster.Options {
 		co.Policy = &pol
 	}
 	if withFaults && o.faultsEnabled() {
-		at := o.FaultNode
-		if at < 0 {
-			at = 0
-		}
-		if at >= o.Nodes {
-			at = o.Nodes - 1
-		}
-		co.Faults = make([]*faults.Config, o.Nodes)
+		at := min(max(o.FaultNode, 0), co.Nodes-1)
+		co.Faults = make([]*faults.Config, co.Nodes)
 		fc := *o.Faults
 		co.Faults[at] = &fc
 	}
 	return co
 }
 
-// runConfig projects the timed run's fault domain onto cfg: the fault
-// schedule and resilience policy on the single link, or — in cluster mode —
-// the pool with the schedule on its chosen node.
+// runConfig puts the timed run's pool on cfg, with the fault schedule on
+// its chosen node.
 func (o Options) runConfig(cfg rt.Config) rt.Config {
-	cfg.Faults = o.Faults
-	cfg.Resilience = o.Resilience
-	if co := o.clusterOpts(true); co != nil {
-		cfg.Cluster = co
-		cfg.Faults = nil // per-node fault domains live in Cluster.Faults
-	}
+	cfg.Cluster = o.clusterOpts(true)
 	return cfg
 }
 
@@ -272,9 +258,7 @@ func (o Options) planOptions() planner.Options {
 			popts.WritebackQueueLines = -1 // the unbatched data path has no queue
 		}
 	}
-	if co := o.clusterOpts(false); co != nil {
-		popts.Cluster = co
-	}
+	popts.Cluster = o.clusterOpts(false)
 	popts.Trace = o.Trace
 	return popts
 }

@@ -59,7 +59,6 @@ func openChaosCluster(t *testing.T, w workload.Workload, budget int64, fc *fault
 		co.Faults = []*faults.Config{fc, nil}
 	}
 	cfg.Cluster = co
-	cfg.Faults = nil
 	return openPlan(t, w, plan, cfg, tr)
 }
 

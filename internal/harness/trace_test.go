@@ -88,7 +88,7 @@ func TestTraceWellFormed(t *testing.T) {
 	if err := json.Unmarshal([]byte(mj), &mdoc); err != nil {
 		t.Fatalf("metrics not valid JSON: %v", err)
 	}
-	if mdoc.Counters["net.ops{link=net}"] == 0 {
+	if mdoc.Counters["net.ops{link=net.node0}"] == 0 {
 		t.Fatalf("no transport ops counted: %v", mdoc.Counters)
 	}
 	found := false

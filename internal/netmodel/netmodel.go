@@ -227,20 +227,18 @@ type Bandwidth struct {
 	// wire slots and serialize everyone behind the paced tenant, because
 	// the synchronous Acquire contract commits completions immediately.)
 	// Shares are weight over the total weight of tenants active within
-	// fairWindow, so a sole active tenant has share 1 and pays nothing.
-	tenants    map[string]*tenantBW
-	order      []string // sorted tenant names: deterministic share scans
-	active     string   // tenant charged for subsequent Acquires
-	fairWindow sim.Duration
+	// DefaultFairWindow, so a sole active tenant has share 1 and pays
+	// nothing.
+	tenants map[string]*tenantBW
+	order   []string // sorted tenant names: deterministic share scans
+	active  string   // tenant charged for subsequent Acquires
 }
 
-// tenantBW is one tenant's pacing state and traffic totals.
+// tenantBW is one tenant's pacing state and traffic total.
 type tenantBW struct {
-	weight    float64
-	lastSeen  sim.Time // completion of the tenant's latest transfer
-	bytes     int64
-	transfers int64
-	paced     sim.Duration // cumulative pacing surcharge (reporting)
+	weight   float64
+	lastSeen sim.Time // completion of the tenant's latest transfer
+	bytes    int64
 }
 
 // DefaultFairWindow is the activity window of the weighted-fair arbiter: a
@@ -251,7 +249,7 @@ const DefaultFairWindow = 200 * sim.Microsecond
 
 // NewBandwidth returns a contention accountant over cfg's link.
 func NewBandwidth(cfg Config) *Bandwidth {
-	return &Bandwidth{cfg: cfg, fairWindow: DefaultFairWindow}
+	return &Bandwidth{cfg: cfg}
 }
 
 // SetTenantWeight registers a tenant with the weighted-fair arbiter (or
@@ -288,17 +286,6 @@ func (b *Bandwidth) SetActiveTenant(name string) {
 	b.mu.Unlock()
 }
 
-// SetFairWindow overrides the arbiter's activity window (0 restores the
-// default).
-func (b *Bandwidth) SetFairWindow(d sim.Duration) {
-	b.mu.Lock()
-	if d <= 0 {
-		d = DefaultFairWindow
-	}
-	b.fairWindow = d
-	b.mu.Unlock()
-}
-
 // TenantBytes reports the bytes moved by transfers attributed to name.
 func (b *Bandwidth) TenantBytes(name string) int64 {
 	b.mu.Lock()
@@ -309,33 +296,11 @@ func (b *Bandwidth) TenantBytes(name string) int64 {
 	return 0
 }
 
-// TenantTransfers reports the link acquisitions attributed to name.
-func (b *Bandwidth) TenantTransfers(name string) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if t := b.tenants[name]; t != nil {
-		return t.transfers
-	}
-	return 0
-}
-
-// TenantPaced reports the cumulative pacing surcharge charged to name — the
-// virtual time the fair arbiter delayed the tenant's completions beyond raw
-// link contention.
-func (b *Bandwidth) TenantPaced(name string) sim.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if t := b.tenants[name]; t != nil {
-		return t.paced
-	}
-	return 0
-}
-
 // shareLocked computes the active tenant's weight share among tenants seen
 // within the fair window of `at` (the requester always counts). Scanning
 // the sorted order keeps the result independent of map iteration.
 func (b *Bandwidth) shareLocked(name string, at sim.Time) float64 {
-	cutoff := at.Add(-b.fairWindow)
+	cutoff := at.Add(-DefaultFairWindow)
 	var total, mine float64
 	for _, tn := range b.order {
 		t := b.tenants[tn]
@@ -385,13 +350,10 @@ func (b *Bandwidth) Acquire(now sim.Time, n int) sim.Time {
 	if b.active != "" {
 		if t := b.tenants[b.active]; t != nil {
 			t.bytes += int64(n)
-			t.transfers++
 			share := b.shareLocked(b.active, start)
 			t.lastSeen = end
 			if share < 1 && busy > 0 {
-				surcharge := sim.Duration(float64(busy) * (1/share - 1))
-				t.paced += surcharge
-				end = end.Add(surcharge)
+				end = end.Add(sim.Duration(float64(busy) * (1/share - 1)))
 			}
 		}
 	}
@@ -424,7 +386,5 @@ func (b *Bandwidth) Reset() {
 	for _, t := range b.tenants {
 		t.lastSeen = 0
 		t.bytes = 0
-		t.transfers = 0
-		t.paced = 0
 	}
 }

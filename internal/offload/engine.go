@@ -91,8 +91,8 @@ type Stats struct {
 	Redispatches int
 }
 
-// Engine is the scatter-gather offload engine. Construct one per cluster
-// runtime with NewEngine.
+// Engine is the scatter-gather offload engine. Every runtime constructs one
+// over its pool with NewEngine.
 type Engine struct {
 	pool *cluster.Pool
 	res  Resolver
@@ -116,19 +116,17 @@ type Engine struct {
 	stats Stats
 }
 
-// NewEngine wires an engine over a cluster pool.
+// NewEngine wires an engine over a pool.
 func NewEngine(pool *cluster.Pool, res Resolver, cfg Config) *Engine {
-	e := &Engine{pool: pool, res: res, cfg: cfg}
-	if pool != nil {
-		n := pool.NodeCount()
-		e.cOps = make([]*trace.Counter, n)
-		e.cBytes = make([]*trace.Counter, n)
-		e.lost = make([]bool, n)
-		e.load = make([]int, n)
-		e.seen = make([]bool, n)
-		e.byNode = make([]*sub, n)
+	n := pool.NodeCount()
+	return &Engine{pool: pool, res: res, cfg: cfg,
+		cOps:   make([]*trace.Counter, n),
+		cBytes: make([]*trace.Counter, n),
+		lost:   make([]bool, n),
+		load:   make([]int, n),
+		seen:   make([]bool, n),
+		byNode: make([]*sub, n),
 	}
-	return e
 }
 
 // SetTrace attaches the tracing layer: offload.dispatch / offload.exec /
@@ -177,9 +175,6 @@ type sub struct {
 // whole-call RPC path. Partials are ordered by ascending first index, so
 // combining them in order is deterministic.
 func (e *Engine) Execute(clk *sim.Clock, req Request, run Runner) ([]Scalar, bool, error) {
-	if e == nil || e.pool == nil {
-		return nil, false, nil
-	}
 	base, elemBytes, count, ok := e.res.ObjectExtent(req.Object)
 	if !ok || elemBytes <= 0 {
 		return nil, false, nil

@@ -568,13 +568,6 @@ func TestStagingByteRanges(t *testing.T) {
 	}
 }
 
-// TestEngineNilPool: an engine without a pool declines every request.
-func TestEngineNilPool(t *testing.T) {
-	if _, handled, err := NewEngine(nil, nil, Config{}).Execute(sim.NewClock(0), Request{}, nil); handled || err != nil {
-		t.Errorf("handled=%v err=%v, want an unhandled request", handled, err)
-	}
-}
-
 var benchPartials []Scalar
 
 // BenchmarkExecute is one dense map-shaped offload (read in[i], store

@@ -147,7 +147,6 @@ func (p *planning) offloadPhase() {
 			continue
 		}
 		cfg := baseCfg
-		cfg.OffloadChunk = opts.OffloadChunk
 		if c.scatter {
 			scattered, ok := scatterPlacements(baseProg, cfg, c.funcs)
 			if !ok {

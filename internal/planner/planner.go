@@ -74,8 +74,8 @@ type Options struct {
 	// the all-on configuration against the accepted plan, and keeps
 	// whichever is fastest. Auto therefore never loses to off or on.
 	Compress string
-	// Cluster, when non-nil, plans against a sharded far-node pool instead
-	// of a single node. Planning itself is offline and fault-free: any
+	// Cluster, when non-nil, plans against that pool of far nodes instead
+	// of a one-node pool. Planning itself is offline and fault-free: any
 	// per-node fault schedules belong to the final run, not here.
 	Cluster *cluster.Options
 	// Offload selects the scatter-gather offload mode (Offload 2.0): "" or
@@ -85,9 +85,6 @@ type Options struct {
 	// offload only where it is strictly faster — auto never loses to off
 	// or on. Distinct from the legacy EnableOffload whole-call heuristic.
 	Offload string
-	// OffloadChunk is the offload engine's streaming chunk size in bytes
-	// (0 = netmodel.DefaultStreamChunk).
-	OffloadChunk int
 	// Plane selects the data-plane mode: "" leaves the classic flow alone,
 	// "page" serves everything from the paged swap plane (the swap-only
 	// Mira-baseline configuration of Figs. 7 and 21), "line" forces the

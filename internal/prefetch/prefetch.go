@@ -212,15 +212,13 @@ func (p *Leap) OnMiss(unit int64, out []int64) []int64 {
 // PerMissOverhead is the trend-detection cost on every miss.
 func (p *Leap) PerMissOverhead() sim.Duration { return 300 * sim.Nanosecond }
 
-// Spec names a policy and its knobs for CLI/harness plumbing. The zero
-// Depth/Window select each family's defaults.
+// Spec names a policy and its knob for CLI/harness plumbing. The zero
+// Depth selects each family's default.
 type Spec struct {
 	// Policy is a registry name: "none", "readahead", "leap", "history",
 	// "programmed" — or "compiled" on the line plane (the planner's
 	// statically emitted prefetch, no runtime policy object).
 	Policy string
-	// Window bounds the programmed runner's in-flight units (default 64).
-	Window int
 	// Depth is readahead count / Leap trend depth / history chain depth.
 	Depth int64
 }
@@ -237,8 +235,8 @@ var builders = map[string]func(s Spec, program []int64) Policy{
 	"readahead": func(s Spec, _ []int64) Policy { return Readahead{N: defDepth(s.Depth, 2)} },
 	"leap":      func(s Spec, _ []int64) Policy { return NewLeap(0, s.Depth) },
 	"history":   func(s Spec, _ []int64) Policy { return NewHistory(HistoryConfig{Depth: int(s.Depth)}) },
-	"programmed": func(s Spec, program []int64) Policy {
-		return NewProgrammed(program, s.Window)
+	"programmed": func(_ Spec, program []int64) Policy {
+		return NewProgrammed(program, DefaultWindow)
 	},
 }
 

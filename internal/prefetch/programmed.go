@@ -2,8 +2,8 @@ package prefetch
 
 import "mira/internal/sim"
 
-// DefaultWindow bounds a programmed runner's in-flight units when the spec
-// leaves Window zero.
+// DefaultWindow bounds a programmed runner's in-flight units: the window
+// Build gives it, and NewProgrammed's for a window that is not positive.
 const DefaultWindow = 64
 
 // Programmed is 3PO-style programmed prefetch: the compiler hands the

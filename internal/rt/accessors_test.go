@@ -10,8 +10,11 @@ import (
 
 func TestAccessorsAndStats(t *testing.T) {
 	r, clk := mkRuntime(t, nil)
-	if r.Transport() == nil {
-		t.Fatal("no transport")
+	if p := r.Pool(); p == nil || p.NodeCount() != 1 {
+		t.Fatal("a runtime without a cluster does not run on a one-node pool")
+	}
+	if r.Transport() != nil {
+		t.Fatal("Transport is not nil: the pool is the one data path")
 	}
 	if got := r.Config().SwapPool; got != 64<<10 {
 		t.Fatalf("config swap pool %d", got)

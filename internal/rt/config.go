@@ -5,10 +5,8 @@ import (
 
 	"mira/internal/cache"
 	"mira/internal/cluster"
-	"mira/internal/faults"
 	"mira/internal/netmodel"
 	"mira/internal/swap"
-	"mira/internal/transport"
 )
 
 // PlaceKind says where an object's data lives.
@@ -100,23 +98,12 @@ type Config struct {
 	// DefaultWritebackQueueLines; negative disables the pipeline (dirty
 	// victims write back immediately on the miss path).
 	WritebackQueueLines int
-	// Faults, when non-nil and enabled, interposes the deterministic
-	// fault injector between the transport and the far node. Single-node
-	// only: a cluster carries per-node fault domains in Cluster.Faults.
-	Faults *faults.Config
-	// Resilience overrides the transport's retry/deadline/breaker policy.
-	// Nil uses transport.DefaultPolicy. In cluster mode it seeds each
-	// node's policy unless Cluster.Policy is set explicitly.
-	Resilience *transport.Policy
-	// Cluster, when non-nil, replaces the single far node with a sharded,
-	// replicated pool of far nodes: sections and the swap heap are placed
-	// across the pool and the runtime's data path routes per placement
-	// entry. Cluster.Net defaults to Config.Net.
+	// Cluster is the pool of far nodes the runtime runs over: sections and
+	// the swap heap are placed across it, the data path routes per
+	// placement entry, and fault domains (Cluster.Faults) and the
+	// resilience policy (Cluster.Policy) are per node. Nil is a one-node
+	// pool (see New). Cluster.Net defaults to Config.Net.
 	Cluster *cluster.Options
-	// OffloadChunk is the scatter-gather offload engine's streaming chunk
-	// size in bytes (operand, result, and commit streams). Zero selects
-	// netmodel.DefaultStreamChunk. Cluster mode only.
-	OffloadChunk int
 }
 
 // Validate checks structural sanity and that the carve-up fits the budget.
@@ -140,13 +127,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("rt: object %q placed in section %d of %d", name, pl.Section, len(c.Sections))
 		}
 	}
-	if c.Cluster != nil {
-		if c.Cluster.Nodes < 1 {
-			return fmt.Errorf("rt: cluster with %d nodes", c.Cluster.Nodes)
-		}
-		if c.Faults != nil && c.Faults.Enabled() {
-			return fmt.Errorf("rt: single-node Faults config with a cluster — put per-node faults in Cluster.Faults")
-		}
+	if c.Cluster != nil && c.Cluster.Nodes < 1 {
+		return fmt.Errorf("rt: cluster with %d nodes", c.Cluster.Nodes)
 	}
 	return nil
 }

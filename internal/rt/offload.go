@@ -36,9 +36,9 @@ func (r *Runtime) RemoteAccess(clk *sim.Clock, name string, elem int64, field ir
 	}
 	clk.Advance(r.cfg.Cost.NativeAccess)
 	if write {
-		return r.store.Write(addr, buf)
+		return r.pool.Write(addr, buf)
 	}
-	return r.store.Read(addr, buf)
+	return r.pool.Read(addr, buf)
 }
 
 // RemoteBulk is RemoteAccess for a contiguous element range; the far
@@ -58,18 +58,18 @@ func (r *Runtime) RemoteBulk(clk *sim.Clock, name string, elem int64, buf []byte
 	addr := o.farBase + off
 	clk.Advance(r.cfg.Cost.NativeAccess * sim.Duration(len(buf)/64+1))
 	if write {
-		return r.store.Write(addr, buf)
+		return r.pool.Write(addr, buf)
 	}
-	return r.store.Read(addr, buf)
+	return r.pool.Read(addr, buf)
 }
 
 // CPUSlowdown reports the far node's compute slowdown.
-func (r *Runtime) CPUSlowdown() float64 { return r.store.CPUSlowdown() }
+func (r *Runtime) CPUSlowdown() float64 { return r.pool.CPUSlowdown() }
 
 // OffloadTransfer charges the RPC round trip: arguments out (two-sided),
 // remote compute scaled by the far CPU's slowdown, results back.
 func (r *Runtime) OffloadTransfer(clk *sim.Clock, argBytes, resBytes int, remoteCompute sim.Duration) {
 	clk.Advance(r.cfg.Net.TwoSidedCost(argBytes))
-	clk.Advance(sim.Duration(float64(remoteCompute) * r.store.CPUSlowdown()))
+	clk.Advance(sim.Duration(float64(remoteCompute) * r.pool.CPUSlowdown()))
 	clk.Advance(r.cfg.Net.TwoSidedCost(resBytes))
 }

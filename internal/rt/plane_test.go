@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mira/internal/cache"
+	"mira/internal/cluster"
 	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/prefetch"
@@ -14,12 +15,12 @@ import (
 
 // planeRig is one runtime serving one object whose length is not a multiple
 // of its placement's transfer unit — the line of a cache section or the
-// swap page — with the far node and a tap on the link behind it. The checks
+// swap page — with its one-node pool and a tap on the link behind it. The checks
 // below drive it only through the verbs the executor calls: Access,
 // PrefetchBatch, FlushObject, Fence and FlushAll.
 type planeRig struct {
 	r      *Runtime
-	node   *farmem.Node
+	pool   *cluster.Pool
 	o      *objectRT
 	length int64
 	unit   int64
@@ -65,7 +66,7 @@ func newPlaneRig(t *testing.T, count int64, unit int64, cfg Config, place Placem
 	if err := r.Bind(b.MustProgram()); err != nil {
 		t.Fatal(err)
 	}
-	return &planeRig{r: r, node: node, o: r.objs["obj"], length: count * planeElemBytes, unit: unit, link: link}
+	return &planeRig{r: r, pool: r.Pool(), o: r.objs["obj"], length: count * planeElemBytes, unit: unit, link: link}
 }
 
 // lineRig serves 1000 bytes from a section of 64-byte lines.
@@ -97,10 +98,10 @@ func (p *planeRig) prefetch(clk *sim.Clock, offs ...int64) error {
 
 func (p *planeRig) flush(clk *sim.Clock) error { return p.r.FlushObject(clk, "obj") }
 
-// farRead reads the object's far bytes at off from the node, behind the
+// farRead reads the object's far bytes at off from the pool, behind the
 // cache.
 func (p *planeRig) farRead(off int64, buf []byte) error {
-	return p.node.Read(p.o.farBase+uint64(off), buf)
+	return p.pool.Read(p.o.farBase+uint64(off), buf)
 }
 
 // span returns an access window of up to want bytes at off, clipped to the

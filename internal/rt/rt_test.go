@@ -48,39 +48,6 @@ func TestRemotePtrOverflowPanics(t *testing.T) {
 	MakePtr(1, 1<<48)
 }
 
-func TestLocalAllocatorBuffers(t *testing.T) {
-	next := uint64(1 << 20)
-	calls := 0
-	la := NewLocalAllocator(4096, func(n uint64) (uint64, error) {
-		calls++
-		base := next
-		next += n
-		return base, nil
-	})
-	seen := map[uint64]bool{}
-	for i := 0; i < 64; i++ {
-		a, err := la.Alloc(32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[a] {
-			t.Fatalf("duplicate address %#x", a)
-		}
-		seen[a] = true
-	}
-	// 64 x 32B = 2 KB, served by a single 4 KB remote refill.
-	if calls != 1 {
-		t.Fatalf("remote allocator consulted %d times, want 1", calls)
-	}
-	if la.RemoteCalls() != calls {
-		t.Fatalf("RemoteCalls = %d, want %d", la.RemoteCalls(), calls)
-	}
-	if la.BufferedBytes() != 4096-64*32 {
-		t.Fatalf("BufferedBytes = %d", la.BufferedBytes())
-	}
-}
-
-// testProgram returns a program with one struct array and one float array.
 func testProgram() *ir.Program {
 	b := ir.NewBuilder("rttest")
 	b.Object("items", 64, 128,
@@ -336,7 +303,7 @@ func TestEvictHintFlushesDirty(t *testing.T) {
 
 func TestNoFetchStoreSkipsNetworkRead(t *testing.T) {
 	r, clk := mkRuntime(t, nil)
-	node := r.Node()
+	node := r.Pool().FarNode(0)
 	readBefore, _, _ := node.Stats()
 	// Write a whole 128B line (elements 0 and 1) with NoFetch.
 	w := make([]byte, 64)

@@ -1,8 +1,8 @@
 // Package rt implements Mira's local-node runtime (§4.4, §5): the section
 // manager over the configurable cache, the remote-pointer dereference fast
 // and slow paths, asynchronous prefetch and eviction-hint machinery,
-// selective transmission, bulk tensor paths, and the allocator pair
-// (buffering local allocator over the far node's remote allocator).
+// selective transmission, and bulk tensor paths, over a cluster.Pool of far
+// nodes — one node unless the configuration names a cluster.
 //
 // Every operation takes the simulated thread's clock and charges virtual
 // time according to the CostModel and the network model; data movement is
@@ -17,7 +17,6 @@ import (
 	"mira/internal/cluster"
 	"mira/internal/codec"
 	"mira/internal/farmem"
-	"mira/internal/faults"
 	"mira/internal/ir"
 	"mira/internal/offload"
 	"mira/internal/prefetch"
@@ -39,31 +38,13 @@ type AccessOpts struct {
 	NoFetch bool
 }
 
-// farStore is the untimed far-memory store behind the runtime: allocation
-// and direct byte access, satisfied by a single *farmem.Node or by a
-// *cluster.Pool spanning many of them.
-type farStore interface {
-	Alloc(size uint64) (uint64, error)
-	Read(addr uint64, buf []byte) error
-	Write(addr uint64, buf []byte) error
-	CPUSlowdown() float64
-	// Release frees every allocation and hands the backing to the far
-	// side's free list; every address answers farmem.ErrUnmapped after.
-	Release()
-}
-
 // Runtime is one compute-node runtime instance.
 type Runtime struct {
-	cfg   Config
-	node  *farmem.Node   // the single far node (nil in cluster mode)
-	pool  *cluster.Pool  // the far-node cluster (nil in single-node mode)
-	store farStore       // node or pool: the untimed data/alloc path
-	tr    transport.Link // the timed data path (node's transport or the pool)
-	trT   *transport.T   // the single transport (nil in cluster mode)
+	cfg  Config
+	pool *cluster.Pool  // the far side: the untimed data and alloc path
+	tr   transport.Link // the timed data path: the pool
 
-	inj    *faults.Injector // nil unless Config.Faults is enabled
-	engine *offload.Engine  // scatter-gather offload engine (cluster mode only)
-	la     *LocalAllocator
+	engine *offload.Engine // scatter-gather offload engine
 	swapC  *swap.Cache
 	swapSz int64 // bytes of swap-placed objects
 	secs   []*sectionRT
@@ -197,9 +178,10 @@ func (r *Runtime) Handle(name string) (Handle, bool) {
 // outside tests.
 var wrapLink func(transport.Link) transport.Link
 
-// New creates a runtime over node, or — when cfg.Cluster is set — over a
-// sharded cluster.Pool built from it (node is then ignored and may be
-// nil). Call Bind before executing a program.
+// New creates a runtime over a pool of far nodes: cfg.Cluster's, or — when
+// cfg names no cluster — a one-node pool whose node is configured like
+// node (the default node when node is nil). Call Bind before executing a
+// program.
 func New(cfg Config, node *farmem.Node) (*Runtime, error) {
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCostModel()
@@ -210,49 +192,29 @@ func New(cfg Config, node *farmem.Node) (*Runtime, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	copts := cluster.Options{Nodes: 1}
+	if cfg.Cluster != nil {
+		copts = *cfg.Cluster
+	} else if node != nil {
+		copts.NodeCfg = farmem.NodeConfig{Capacity: node.Capacity(), CPUSlowdown: node.CPUSlowdown()}
+	}
+	if copts.Net.BytesPerSecond == 0 {
+		copts.Net = cfg.Net
+	}
+	pool, err := cluster.New(copts)
+	if err != nil {
+		return nil, err
+	}
 	r := &Runtime{
 		cfg:  cfg,
 		objs: make(map[string]*objectRT),
+		pool: pool,
+		tr:   pool,
 	}
-	if cfg.Cluster != nil {
-		copts := *cfg.Cluster
-		if copts.Net.BytesPerSecond == 0 {
-			copts.Net = cfg.Net
-		}
-		if copts.Policy == nil && cfg.Resilience != nil {
-			pol := *cfg.Resilience
-			copts.Policy = &pol
-		}
-		pool, err := cluster.New(copts)
-		if err != nil {
-			return nil, err
-		}
-		r.pool = pool
-		r.store = pool
-		r.tr = pool
-		r.engine = offload.NewEngine(pool, r, offload.Config{
-			Net:       cfg.Net,
-			Chunk:     cfg.OffloadChunk,
-			LocalCost: cfg.Cost.NativeAccess,
-		})
-	} else {
-		r.node = node
-		r.store = node
-		trT := transport.New(node, cfg.Net)
-		if cfg.Resilience != nil {
-			trT.SetPolicy(*cfg.Resilience)
-		}
-		if cfg.Faults != nil && cfg.Faults.Enabled() {
-			r.inj = faults.New(node, *cfg.Faults)
-			trT.SetBackend(r.inj)
-		}
-		r.trT = trT
-		r.tr = trT
-	}
+	r.engine = offload.NewEngine(pool, r, offload.Config{Net: cfg.Net, LocalCost: cfg.Cost.NativeAccess})
 	if wrapLink != nil {
 		r.tr = wrapLink(r.tr)
 	}
-	r.la = NewLocalAllocator(1<<20, r.store.Alloc)
 	for i, spec := range cfg.Sections {
 		sec, err := cache.New(spec.Cache)
 		if err != nil {
@@ -272,20 +234,20 @@ func New(cfg Config, node *farmem.Node) (*Runtime, error) {
 	return r, nil
 }
 
-// Transport exposes the runtime's single-node transport (offload glue,
-// bandwidth sharing, tests). Nil in cluster mode — use Link or Pool there.
-func (r *Runtime) Transport() *transport.T { return r.trT }
+// Transport is nil: every runtime runs over its pool (Pool). It is kept for
+// the benchmark's decorators, which tap the pool's node transports when it
+// is nil.
+func (r *Runtime) Transport() *transport.T { return nil }
 
-// Link exposes the timed far-memory data path: the single transport or
-// the cluster pool.
+// Link exposes the timed far-memory data path: the pool.
 func (r *Runtime) Link() transport.Link { return r.tr }
 
-// Pool exposes the far-node cluster, or nil in single-node mode.
+// Pool exposes the far-node pool.
 func (r *Runtime) Pool() *cluster.Pool { return r.pool }
 
-// ScatterEngine exposes the scatter-gather offload engine, or nil in
-// single-node mode. The executor probes for this capability to decide
-// whether an offloaded call can be scattered across the cluster.
+// ScatterEngine exposes the scatter-gather offload engine. The executor
+// probes for this capability to scatter an offloaded call across the
+// pool's nodes.
 func (r *Runtime) ScatterEngine() *offload.Engine { return r.engine }
 
 // ObjectExtent implements offload.Resolver: the far extent of a bound,
@@ -299,18 +261,11 @@ func (r *Runtime) ObjectExtent(name string) (base uint64, elemBytes int, count i
 	return o.farBase, o.decl.ElemBytes, o.decl.Count, true
 }
 
-// Injector exposes the fault injector, or nil when faults are disabled.
-// In cluster mode fault domains are per-node: see Pool().Injector(i).
-func (r *Runtime) Injector() *faults.Injector { return r.inj }
-
-// Node exposes the far-memory node (nil in cluster mode).
-func (r *Runtime) Node() *farmem.Node { return r.node }
-
-// ReleaseFarMemory gives the far memory the runtime allocated — the node's
-// regions, or every pool member's — back to the far side's free list
-// (farmem.Node.Release). The runtime's counters stay readable; its data
-// does not. session.Session.Close is the caller.
-func (r *Runtime) ReleaseFarMemory() { r.store.Release() }
+// ReleaseFarMemory gives the far memory the runtime allocated — every pool
+// member's regions — back to the far side's free list (farmem.Node.Release).
+// The runtime's counters stay readable; its data does not.
+// session.Session.Close is the caller.
+func (r *Runtime) ReleaseFarMemory() { r.pool.Release() }
 
 // Config returns the runtime's configuration.
 func (r *Runtime) Config() Config { return r.cfg }
@@ -343,16 +298,10 @@ func (r *Runtime) Bind(p *ir.Program) error {
 			// Align the base and pad the tail so every line of
 			// the object stays inside its allocation.
 			size := (uint64(o.SizeBytes()) + 2*lb + lb - 1) / lb * lb
-			var base uint64
-			var err error
-			if r.pool != nil {
-				// Cluster mode: the section ID is the placement key, so
-				// every object of a section colocates on the section's
-				// home node and misses/evictions/flushes route there.
-				base, err = r.pool.AllocSection(s.id, size)
-			} else {
-				base, err = r.la.Alloc(size)
-			}
+			// The section ID is the placement key, so every object of a
+			// section colocates on the section's home node and
+			// misses/evictions/flushes route there.
+			base, err := r.pool.AllocSection(s.id, size)
 			if err != nil {
 				return fmt.Errorf("rt: bind %q: %w", o.Name, err)
 			}
@@ -370,14 +319,8 @@ func (r *Runtime) Bind(p *ir.Program) error {
 			offsets[o.Name] = total
 			total += (o.SizeBytes() + swap.PageBytes - 1) / swap.PageBytes * swap.PageBytes
 		}
-		var base uint64
-		var err error
-		if r.pool != nil {
-			// Cluster mode: the swap heap is striped across the nodes.
-			base, err = r.pool.Alloc(uint64(total))
-		} else {
-			base, err = r.la.Alloc(uint64(total))
-		}
+		// The swap heap is striped across the nodes.
+		base, err := r.pool.Alloc(uint64(total))
 		if err != nil {
 			return fmt.Errorf("rt: bind swap heap: %w", err)
 		}
@@ -439,12 +382,12 @@ func (r *Runtime) InitObject(name string, data []byte) error {
 		copy(o.local, data)
 		return nil
 	}
-	return r.store.Write(o.farBase, data)
+	return r.pool.Write(o.farBase, data)
 }
 
 // DumpObject returns the object's current contents where one home holds
-// them, in place: a local object's backing, or the single far node's bytes
-// (farmem.Node.View). Only an object a pool stripes across nodes is
+// them, in place: a local object's backing, or a far node's bytes
+// (cluster.Pool.View). Only an object a pool stripes across nodes is
 // assembled into a copy. The result is read-only and valid until the
 // runtime is next used; a caller that keeps it past that clones it. Call
 // FlushAll first to include dirty cached lines.
@@ -453,17 +396,10 @@ func (r *Runtime) DumpObject(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("rt: DumpObject: unknown object %q", name)
 	}
-	switch {
-	case o.place.Kind == PlaceLocal:
+	if o.place.Kind == PlaceLocal {
 		return o.local[:len(o.local):len(o.local)], nil
-	case r.node != nil:
-		return r.node.View(o.farBase, int(o.decl.SizeBytes()))
 	}
-	out := make([]byte, o.decl.SizeBytes())
-	if err := r.store.Read(o.farBase, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return r.pool.View(o.farBase, int(o.decl.SizeBytes()))
 }
 
 // FarAddr returns the far address of obj[elem] (offload argument marshaling,
@@ -661,19 +597,13 @@ func (r *Runtime) lineFor(clk *sim.Clock, s *sectionRT, o *objectRT, addr uint64
 	return l, accessMissed, nil
 }
 
-// setCodec installs a wire codec on the timed data path (the single
-// transport or every cluster link). The runtime flips it around each
+// setCodec installs a wire codec on the timed data path (every node link
+// of the pool). The runtime flips it around each
 // operation, so the codec is a property of the section or swap pool, not
 // of the link — one link serves compressed and raw sections side by side.
 // When nothing compresses, setCodec is never called and the transport's
 // zero-cost None path carries all traffic untouched.
-func (r *Runtime) setCodec(id codec.ID) {
-	if r.trT != nil {
-		r.trT.SetWireCodec(id)
-	} else if r.pool != nil {
-		r.pool.SetWireCodec(id)
-	}
-}
+func (r *Runtime) setCodec(id codec.ID) { r.pool.SetWireCodec(id) }
 
 // writebackLine pushes a dirty line to far memory (whole line one-sided or
 // selective ranges two-sided).

@@ -93,62 +93,43 @@ func (r *Runtime) SwapPrefetcher(pf prefetch.Policy) {
 	}
 }
 
-// BytesMoved reports total bytes that crossed the interconnect (summed
-// over every link in cluster mode).
+// BytesMoved reports total bytes that crossed the interconnect, summed over
+// the pool's links.
 func (r *Runtime) BytesMoved() int64 { return r.tr.BytesMoved() }
 
 // NetStats reports the transport's resilience counters: retries, timeouts,
 // checksum failures, breaker trips, and degraded-mode activity.
 func (r *Runtime) NetStats() transport.Stats { return r.tr.Stats() }
 
-// FaultStats reports what the fault injector actually injected (zero when
-// faults are disabled). In cluster mode fault domains are per-node and
-// their stats are summed here; see ClusterStats for the breakdown.
+// FaultStats reports what the fault injectors actually injected, summed
+// over the pool's per-node fault domains (zero when faults are disabled);
+// see ClusterStats for the breakdown.
 func (r *Runtime) FaultStats() faults.Stats {
-	if r.pool != nil {
-		var sum faults.Stats
-		for _, ns := range r.pool.NodeStats() {
-			f := ns.Faults
-			sum.Ops += f.Ops
-			sum.DownRefusals += f.DownRefusals
-			sum.Partitioned += f.Partitioned
-			sum.IOErrors += f.IOErrors
-			sum.Delays += f.Delays
-			sum.BitFlips += f.BitFlips
-			sum.Wipes += f.Wipes
-		}
-		return sum
+	var sum faults.Stats
+	for _, ns := range r.pool.NodeStats() {
+		f := ns.Faults
+		sum.Ops += f.Ops
+		sum.DownRefusals += f.DownRefusals
+		sum.Partitioned += f.Partitioned
+		sum.IOErrors += f.IOErrors
+		sum.Delays += f.Delays
+		sum.BitFlips += f.BitFlips
+		sum.Wipes += f.Wipes
 	}
-	if r.inj == nil {
-		return faults.Stats{}
-	}
-	return r.inj.Stats()
+	return sum
 }
 
-// ClusterStats reports the per-node cluster counters (nil in single-node
-// mode), ordered by node ID.
-func (r *Runtime) ClusterStats() []cluster.NodeStats {
-	if r.pool == nil {
-		return nil
-	}
-	return r.pool.NodeStats()
-}
+// ClusterStats reports the per-node pool counters, ordered by node ID: one
+// row on a one-node pool.
+func (r *Runtime) ClusterStats() []cluster.NodeStats { return r.pool.NodeStats() }
 
 // ShareBandwidth makes this runtime contend for bw with other runtimes —
 // simulated threads with private cache sections share the physical link
 // (§4.6 multithreading), and co-located tenants share the compute node's
-// NIC in serving mode. In cluster mode every far node's link is replaced
-// by bw: the shared bottleneck is the compute side, which all remote
-// traffic crosses regardless of which far node serves it.
-func (r *Runtime) ShareBandwidth(bw *netmodel.Bandwidth) {
-	if r.trT != nil {
-		r.trT.BW = bw
-		return
-	}
-	if r.pool != nil {
-		r.pool.ShareBandwidth(bw)
-	}
-}
+// NIC in serving mode. Every far node's link is replaced by bw: the shared
+// bottleneck is the compute side, which all remote traffic crosses
+// regardless of which far node serves it.
+func (r *Runtime) ShareBandwidth(bw *netmodel.Bandwidth) { r.pool.ShareBandwidth(bw) }
 
 // SwapLock serializes the swap fault path across threads (must be called
 // after Bind; no-op without a swap section).
@@ -219,14 +200,4 @@ func (r *Runtime) ObjectStats(name string) (hits, misses int64) {
 		return o.hits, o.misses
 	}
 	return 0, 0
-}
-
-// ObjectPlacement reports where an object was placed (tests, planner
-// introspection).
-func (r *Runtime) ObjectPlacement(name string) (Placement, bool) {
-	o, ok := r.objs[name]
-	if !ok {
-		return Placement{}, false
-	}
-	return o.place, true
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // SetTrace attaches the deterministic tracing layer to the runtime and its
-// whole data path: per-section cache metrics, the transport (or the cluster
-// pool's per-node transports), and the swap cache. Call after Bind — the
+// whole data path: per-section cache metrics, the pool's per-node
+// transports, the offload engine, and the swap cache. Call after Bind — the
 // swap cache only exists then. A nil tracer leaves tracing disabled; every
 // instrumentation site is nil-safe, so an un-traced runtime pays only nil
 // checks.
@@ -35,15 +35,8 @@ func (r *Runtime) SetTrace(tr *trace.Tracer) {
 		s.mPfDropped = reg.Counter("prefetch.dropped" + lbl)
 		s.mNativeFallback = reg.Counter("rt.native_fallback{section=" + c.Name + "}")
 	}
-	if r.trT != nil {
-		r.trT.SetTrace(tr, "net")
-	}
-	if r.pool != nil {
-		r.pool.SetTrace(tr)
-	}
-	if r.engine != nil {
-		r.engine.SetTrace(tr)
-	}
+	r.pool.SetTrace(tr)
+	r.engine.SetTrace(tr)
 	if r.swapC != nil {
 		r.swapC.SetTrace(tr)
 	}

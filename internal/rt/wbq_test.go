@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"mira/internal/cache"
+	"mira/internal/cluster"
+	"mira/internal/farmem"
 	"mira/internal/faults"
 	"mira/internal/sim"
 	"mira/internal/transport"
@@ -171,11 +173,15 @@ func TestWbqDegradedDrainReExpandsPatches(t *testing.T) {
 		c.Sections[0].Cache = cache.Config{Name: "items", Structure: cache.Direct, LineBytes: 128, SizeBytes: 1 << 10}
 		c.Sections[0].Compress = true
 		c.WritebackQueueLines = 16
-		c.Faults = &faults.Config{Seed: 7, Schedule: []faults.Event{
-			{At: crash, Kind: faults.Crash, LoseMemory: true},
-			{At: restart, Kind: faults.Restart},
-		}}
-		c.Resilience = &pol
+		c.Cluster = &cluster.Options{
+			Nodes:   1,
+			NodeCfg: farmem.NodeConfig{Capacity: 1 << 26, CPUSlowdown: 1},
+			Policy:  &pol,
+			Faults: []*faults.Config{{Seed: 7, Schedule: []faults.Event{
+				{At: crash, Kind: faults.Crash, LoseMemory: true},
+				{At: restart, Kind: faults.Restart},
+			}}},
+		}
 	})
 	data := make([]byte, 128*64)
 	for i := range data {
@@ -228,21 +234,34 @@ func TestWbqDegradedDrainReExpandsPatches(t *testing.T) {
 		t.Fatalf("degraded drain queued %d overlay pieces, want 1 full line (a patch would queue 2)", got)
 	}
 
-	// Heal, flush the overlay into the wiped node, and check the line.
+	// Heal, flush the overlay into the wiped node, and check the line. The
+	// wipe leaves the node stale — with no replica to restore the rest of
+	// its memory from, the pool refuses to read it — so read the line off
+	// the node at its home address.
 	clk.AdvanceTo(restart.Add(5 * sim.Microsecond))
 	if err := r.FlushAll(clk); err != nil {
 		t.Fatal(err)
 	}
-	dump, err := r.DumpObject("items")
+	far, err := r.FarAddr("items", 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var home uint64
+	for _, e := range r.Pool().Table() {
+		if far >= e.VBase && far < e.VBase+e.Size {
+			home = e.Homes[0].Base + (far - e.VBase)
+		}
+	}
+	got := make([]byte, 128)
+	if err := r.Pool().FarNode(0).Read(home+128, got); err != nil {
 		t.Fatal(err)
 	}
 	want := append([]byte(nil), data[128:256]...)
 	copy(want[0:], w1)
 	copy(want[64:], w2)
-	if !bytes.Equal(dump[128:256], want) {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("far line after wipe+flush wrong at %d: a patch merged over wiped base bytes",
-			firstMismatch(dump[128:256], want))
+			firstMismatch(got, want))
 	}
 }
 

@@ -360,7 +360,6 @@ func buildTenant(spec TenantSpec, opts Options, net netmodel.Config, bw *netmode
 		co.Faults[0] = &fc
 	}
 	cfg.Cluster = co
-	cfg.Faults = nil
 	s, err := open(spec, plan, cfg, bw, opts.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %q: runtime: %w", spec.Name, err)
@@ -552,7 +551,7 @@ func restoreLease(clk *sim.Clock, l *lease) error {
 }
 
 // NativeReplay executes spec's workload reps times on a fault-free
-// single-node runtime planned identically to the serving tenant, and
+// one-node runtime planned identically to the serving tenant, and
 // returns its far-object dumps — the integrity reference: a chaos-serving
 // run that admitted `reps` requests must leave byte-identical far memory.
 func NativeReplay(spec TenantSpec, reps int) (map[string][]byte, error) {

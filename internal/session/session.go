@@ -56,8 +56,8 @@ type Spec struct {
 	Program *ir.Program
 	// Config is the runtime configuration.
 	Config rt.Config
-	// NodeCfg configures the single far node (zero: defaults; unused in
-	// cluster mode).
+	// NodeCfg configures the far node of the one-node pool a Config without
+	// a Cluster runs on (zero: defaults). Unused when Config.Cluster is set.
 	NodeCfg farmem.NodeConfig
 	// Swap states what runs on the swap pool. Required whenever the bound
 	// configuration has one.
@@ -104,14 +104,11 @@ func Open(spec Spec) (*Session, error) {
 	if prog == nil {
 		prog = spec.Workload.Program()
 	}
-	var node *farmem.Node
-	if spec.Config.Cluster == nil {
-		if spec.NodeCfg.Capacity == 0 {
-			spec.NodeCfg = farmem.DefaultNodeConfig()
-		}
-		node = farmem.NewNode(spec.NodeCfg)
+	cfg := spec.Config
+	if cfg.Cluster == nil {
+		cfg.Cluster = &cluster.Options{Nodes: 1, NodeCfg: spec.NodeCfg}
 	}
-	r, err := rt.New(spec.Config, node)
+	r, err := rt.New(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -146,8 +143,8 @@ func Over(be Backend, w workload.Workload, prog *ir.Program, tr *trace.Tracer) *
 	return &Session{be: be, w: w, prog: prog, clk: sim.NewClock(0)}
 }
 
-// Close ends the session and returns the far memory it allocated — the
-// single node's regions or every pool member's — to the far side's free list
+// Close ends the session and returns the far memory it allocated — every
+// pool member's regions — to the far side's free list
 // (farmem.Node.Release), where the next session's allocations of the same
 // sizes find it instead of making and zeroing their own. Everything worth
 // keeping must have been read before: Finish and Dump refuse a closed
@@ -278,14 +275,13 @@ type Stats struct {
 	// Time is the session clock after the final flush.
 	Time sim.Duration
 	// Net reports the transport's resilience counters (retries, timeouts,
-	// breaker trips, degraded-mode activity); summed across node links in
-	// cluster mode.
+	// breaker trips, degraded-mode activity), summed across node links.
 	Net transport.Stats
-	// Cluster carries the per-node counters when the run used a cluster
-	// (nil otherwise), ordered by node ID.
+	// Cluster carries the per-node counters of the run's pool, ordered by
+	// node ID: one row on a one-node pool, nil on a foreign backend.
 	Cluster []cluster.NodeStats
-	// Messages counts link-level transfers (summed across node links in
-	// cluster mode) — the metric vectored I/O collapses.
+	// Messages counts link-level transfers, summed across node links — the
+	// metric vectored I/O collapses.
 	Messages int64
 	// BytesMoved counts the bytes that crossed the interconnect.
 	BytesMoved int64

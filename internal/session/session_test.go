@@ -105,11 +105,7 @@ func TestCloseReleasesAndRefuses(t *testing.T) {
 		}
 		s.Close()
 		s.Close()
-		allocated := s.RT.Node().AllocatedBytes
-		if pool {
-			allocated = s.RT.Pool().AllocatedBytes
-		}
-		if got := allocated(); got != 0 {
+		if got := s.RT.Pool().AllocatedBytes(); got != 0 {
 			t.Fatalf("pool %v: %d bytes still allocated after Close", pool, got)
 		}
 		if _, err := s.Finish(true); err == nil || !strings.Contains(err.Error(), "after Close") {

@@ -260,13 +260,6 @@ func (t *T) WireCodec() codec.ID {
 	return t.wireCodec
 }
 
-// SetCodecCost replaces the codec CPU cost model.
-func (t *T) SetCodecCost(m codec.CostModel) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.wireCost = m
-}
-
 // wireLenLocked reports the bytes payload occupies on the wire under the
 // active codec and the codec CPU time (far-side encode + near-side decode)
 // to add to the op's completion, updating the codec counters. Callers invoke

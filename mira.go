@@ -107,7 +107,7 @@ func Run(sys System, w Workload, opts RunOptions) (RunResult, error) {
 // Prefetcher zoo (set RunOptions.Prefetch, or use the race runners below,
 // to replace a system's stock prefetching with a named policy).
 
-// PrefetchSpec names a zoo prefetch policy and its knobs (window, depth).
+// PrefetchSpec names a zoo prefetch policy and its depth knob.
 type PrefetchSpec = prefetch.Spec
 
 // PrefetchEfficacy carries a run's prefetch accounting: issued, useful,
@@ -126,13 +126,6 @@ func PrefetchPolicyNames() []string { return prefetch.Names() }
 // a uniform swap configuration with the policy as its page prefetcher.
 func RunPagePrefetch(w Workload, opts RunOptions, spec PrefetchSpec) (RunResult, error) {
 	return harness.RunPagePolicy(w, opts, spec)
-}
-
-// RunLinePrefetch races one policy on the line plane: the planner's
-// accepted sectioned configuration with the policy installed on every
-// cache section's demand-miss stream.
-func RunLinePrefetch(w Workload, opts RunOptions, spec PrefetchSpec) (RunResult, error) {
-	return harness.RunLinePolicy(w, opts, spec)
 }
 
 // RunLinePrefetchRace runs several line-plane policies against one shared
@@ -163,9 +156,6 @@ const (
 // breaker.
 type ResiliencePolicy = transport.Policy
 
-// DefaultResiliencePolicy returns the transport's default policy.
-func DefaultResiliencePolicy() ResiliencePolicy { return transport.DefaultPolicy() }
-
 // RecoveryResiliencePolicy returns a policy able to ride out the named
 // schedules' crash/partition windows on a run of the given length.
 func RecoveryResiliencePolicy(horizon Duration) ResiliencePolicy {
@@ -175,8 +165,9 @@ func RecoveryResiliencePolicy(horizon Duration) ResiliencePolicy {
 // NetStats are the transport's resilience counters (RunResult.Net).
 type NetStats = transport.Stats
 
-// Multi-node cluster mode (set RunOptions.Nodes / RunOptions.Replicas to
-// shard far memory across a replicated pool of far nodes).
+// Multi-node pools (set RunOptions.Nodes / RunOptions.Replicas to shard far
+// memory across a replicated pool of far nodes; a run without them is a
+// one-node pool).
 
 // ClusterOptions configures the sharded far-node pool directly (most
 // callers just set RunOptions.Nodes and RunOptions.Replicas).
@@ -336,7 +327,7 @@ func Serve(specs []TenantSpec, opts ServeOptions) (*ServeResult, error) {
 func DefaultTenantMix() []TenantSpec { return serve.DefaultTenantMix() }
 
 // NativeTenantReplay executes a tenant's workload reps times on a
-// fault-free single-node runtime and returns its far-object dumps — the
+// fault-free one-node runtime and returns its far-object dumps — the
 // integrity reference for chaos serving runs.
 func NativeTenantReplay(spec TenantSpec, reps int) (map[string][]byte, error) {
 	return serve.NativeReplay(spec, reps)
