@@ -17,14 +17,12 @@ import (
 
 // perIterEstimate derives the profiled per-iteration time the prefetch
 // distance computation needs: the entry function's non-runtime time divided
-// by the largest analyzed trip count.
-func perIterEstimate(prog *ir.Program, report *analysis.Report, col *profile.Collector) sim.Duration {
+// by the largest trip count among the scope's objects.
+func perIterEstimate(prog *ir.Program, merged map[string]*analysis.ObjectAccess, col *profile.Collector) sim.Duration {
 	var trips int64 = 1
-	for _, fr := range report.Funcs {
-		for _, a := range fr.Objects {
-			if a.TripCount > trips {
-				trips = a.TripCount
-			}
+	for _, a := range merged {
+		if a.TripCount > trips {
+			trips = a.TripCount
 		}
 	}
 	var nonRT sim.Duration = 50 * sim.Nanosecond
@@ -48,8 +46,8 @@ func perIterEstimate(prog *ir.Program, report *analysis.Report, col *profile.Col
 // is at least this round trip, and a batched stream's is sized from its
 // section (buildPlan): at the 64-element cap, a lead of this round trip
 // keeps a scan one to four lines ahead.
-func rttElems(prog *ir.Program, report *analysis.Report, col *profile.Collector, net netmodel.Config) int64 {
-	d := int64(net.RTTEstimate(2048) / perIterEstimate(prog, report, col))
+func rttElems(prog *ir.Program, merged map[string]*analysis.ObjectAccess, col *profile.Collector, net netmodel.Config) int64 {
+	d := int64(net.RTTEstimate(2048) / perIterEstimate(prog, merged, col))
 	return minI64(maxI64(d, 4), 64)
 }
 
@@ -96,12 +94,7 @@ type compileError struct{ error }
 // same program.
 func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []string, col *profile.Collector, opts Options) (candidate, error) {
 	tech := opts.Techniques
-	merged := map[string]*analysis.ObjectAccess{}
-	for _, name := range objs {
-		if m := report.MergedObject(name); m != nil && m.Pattern != analysis.PatternNone {
-			merged[name] = m
-		}
-	}
+	merged := scopeAccess(report, objs)
 	if len(merged) == 0 {
 		return candidate{}, fmt.Errorf("planner: no analyzable objects among %v", objs)
 	}
@@ -157,7 +150,7 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 		}
 	}
 
-	dElems := rttElems(prog, report, col, opts.Net)
+	dElems := rttElems(prog, merged, col, opts.Net)
 
 	// Size sequential sections analytically: enough lines to hold the
 	// prefetch window twice over (§4.3: "sequential and strided cache
@@ -357,6 +350,18 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 	return candidate{cfg, plan, compiled}, nil
 }
 
+// scopeAccess is the program-level view of each of objs the report
+// classifies: the objects a candidate places in sections.
+func scopeAccess(report *analysis.Report, objs []string) map[string]*analysis.ObjectAccess {
+	merged := map[string]*analysis.ObjectAccess{}
+	for _, name := range objs {
+		if m := report.MergedObject(name); m != nil && m.Pattern != analysis.PatternNone {
+			merged[name] = m
+		}
+	}
+	return merged
+}
+
 // wholeIndirect gives an indirect section that holds its members' whole
 // footprint the sequential line size. Such a section never evicts, so a
 // wider line wastes no capacity: each line is fetched at most once, in a
@@ -442,16 +447,14 @@ func groupSections(prog *ir.Program, merged map[string]*analysis.ObjectAccess, t
 		switch m.Pattern {
 		case analysis.PatternSequential, analysis.PatternStrided, analysis.PatternInvariant:
 			line := seqLineBytes(o.ElemBytes)
-			if m.Scans >= 2 {
+			if key = streamSection(o, m); key == "" {
 				// Re-scanned objects get private sections so the
 				// sampling + ILP can trade their footprints off
-				// against each other (§4.3); single-pass streams
-				// share one small streaming section.
+				// against each other (§4.3).
 				key = "seqr-" + name
 				d = sectionDraft{name: key, structure: cache.Direct, lineBytes: line, seqLike: true, reused: true}
 				break
 			}
-			key = fmt.Sprintf("seq%d", line)
 			d = sectionDraft{name: key, structure: cache.Direct, lineBytes: line, seqLike: true}
 		case analysis.PatternIndirect:
 			key = "ind-" + name // indirect objects get private sections: their
@@ -492,6 +495,22 @@ func groupSections(prog *ir.Program, merged map[string]*analysis.ObjectAccess, t
 		out = append(out, d)
 	}
 	return out
+}
+
+// streamSection names the shared streaming section that object o, accessed
+// as m describes, goes to: single-pass streams of one line size share one
+// small section, sized by its prefetch lead rather than by its members'
+// footprint (§4.2). It is "" for every other object. groupSections places
+// objects by it, and the planner's scope rule (joinStreams) admits streams
+// by it, so the two cannot disagree on where a stream lands.
+func streamSection(o *ir.Object, m *analysis.ObjectAccess) string {
+	switch m.Pattern {
+	case analysis.PatternSequential, analysis.PatternStrided, analysis.PatternInvariant:
+		if m.Scans < 2 {
+			return fmt.Sprintf("seq%d", seqLineBytes(o.ElemBytes))
+		}
+	}
+	return ""
 }
 
 func containsWhole(fields []string) bool {
@@ -678,11 +697,17 @@ func minI64(a, b int64) int64 {
 }
 
 // decideOffloads applies the §4.8 cost model when EnableOffload is set,
-// never offloading the entry.
-func (p *planning) decideOffloads(prog *ir.Program, report *analysis.Report) []string {
+// never offloading the entry. The model weighs the bytes each function
+// touches of the scope's objects, so it analyses the scope funcs × objs on
+// its own rather than reading the iteration's wider report.
+func (p *planning) decideOffloads(prog *ir.Program, funcs, objs []string) ([]string, error) {
 	opts := p.opts
 	if !opts.EnableOffload {
-		return nil
+		return nil, nil
+	}
+	report, err := analysis.Analyze(prog, funcs, objs)
+	if err != nil {
+		return nil, err
 	}
 	params := analysis.OffloadParams{
 		Net:            opts.Net,
@@ -696,7 +721,7 @@ func (p *planning) decideOffloads(prog *ir.Program, report *analysis.Report) []s
 			out = append(out, d.Func)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // sizeBySampling profiles each non-sequential section at the sampled size

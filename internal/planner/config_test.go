@@ -171,7 +171,7 @@ func TestPerIterEstimateClamps(t *testing.T) {
 	p := twoObjProgram()
 	r, _ := analysis.Analyze(p, nil, nil)
 	col := newEmptyCollector()
-	per := perIterEstimate(p, r, col)
+	per := perIterEstimate(p, scopeAccess(r, []string{"seqA", "seqB", "ind", "wide", "rnd"}), col)
 	if per < 5 || per > 10_000_000 {
 		t.Fatalf("per-iteration estimate %v outside clamps", per)
 	}

@@ -111,7 +111,7 @@ func checkStreamLeads(t *testing.T, w Workload, opts Options, scan bool) (int, b
 		!reflect.DeepEqual(c.plan, cand.plan) || !reflect.DeepEqual(c.cfg, cand.cfg) || ir.Print(c.prog) != ir.Print(cand.prog) {
 		t.Errorf("%s: a forgetting ledger builds another candidate (replanned %v, err %v)", at, replanned, err)
 	}
-	dElems := rttElems(prog, report, base.col, opts.Net)
+	dElems := rttElems(prog, scopeAccess(report, objs), base.col, opts.Net)
 
 	// rttPlan is the candidate with every stream led by the round trip.
 	rttPlan := *cand.plan

@@ -1,7 +1,11 @@
 // Package planner implements Mira's iterative optimization flow (§3,
 // Fig. 1): profile the program on the generic swap configuration, pick the
 // highest-overhead functions (10%, then 20%, …) and the largest objects
-// within them, run the static analyses, derive cache-section configurations
+// within them, plus each object they only read in one sequential or strided
+// pass whose shared streaming section those objects already open (§4.2
+// sizes such a section by its prefetch lead, not by its members' footprint,
+// so a stream need not rank by size to be prefetched instead of
+// page-faulting); run the static analyses, derive cache-section configurations
 // (structure, line size, communication method), size the sections by
 // sampling + ILP, compile the program against the configuration, and accept
 // or roll back based on measured performance. The loop always runs its
@@ -140,7 +144,8 @@ type Result struct {
 	FinalTime sim.Duration
 	// Iterations records every round, including rejected ones.
 	Iterations []Iteration
-	// Report is the last analysis report (informational).
+	// Report is the last analysis report (informational). It covers every
+	// object the iteration's functions access, not only the scope's.
 	Report *analysis.Report
 	// Planes maps each object to the data plane the accepted configuration
 	// serves it from ("page", "line", or "local"). Set only when
@@ -301,18 +306,23 @@ func (p *planning) iterate(prog *ir.Program, col *profile.Collector) error {
 		if len(funcs) == 0 {
 			break
 		}
-		for _, o := range largestObjectsIn(prog, col, funcs, atLeast(frac, iter, len(col.Objects()))) {
+		accessed := accessedObjects(prog, funcs)
+		for _, o := range largestObjectsIn(col, accessed, atLeast(frac, iter, len(col.Objects()))) {
 			objSet[o] = true
 		}
-		objs := sortedKeys(objSet)
-		if len(objs) == 0 {
+		ranked := sortedKeys(objSet)
+		if len(ranked) == 0 {
 			break
 		}
-		report, err := analysis.Analyze(prog, funcs, objs)
+		// One analysis pass covers every object the selected functions
+		// access: the scope rule reads the streams it admits from it, and
+		// buildConfig reads only the scope's objects.
+		report, err := analysis.Analyze(prog, funcs, accessed)
 		if err != nil {
 			return err
 		}
 		p.res.Report = report
+		objs := joinStreams(prog, report, ranked, accessed)
 
 		rec := Iteration{Index: iter, FuncFrac: frac, Funcs: funcs, Objects: objs}
 		cand, err := buildConfig(p.l, prog, report, objs, col, p.opts)
@@ -349,7 +359,11 @@ func (p *planning) iterate(prog *ir.Program, col *profile.Collector) error {
 		}
 		// The legacy §4.8 cost model's offload choice races the candidate
 		// it would offload from, so offload stays only where it is faster.
-		if offloaded := p.decideOffloads(prog, report); len(offloaded) > 0 {
+		offloaded, err := p.decideOffloads(prog, funcs, objs)
+		if err != nil {
+			return err
+		}
+		if len(offloaded) > 0 {
 			plan := *cand.plan
 			plan.Offload = map[string]bool{}
 			for _, f := range offloaded {
@@ -450,9 +464,9 @@ func swapOnlyConfig(prog *ir.Program, opts Options) (rt.Config, error) {
 	return cfg, nil
 }
 
-// largestObjectsIn returns the largest frac of objects accessed by the
-// selected functions (§4.1).
-func largestObjectsIn(prog *ir.Program, col *profile.Collector, funcs []string, frac float64) []string {
+// accessedObjects returns, sorted, the non-local objects the selected
+// functions and their callees access.
+func accessedObjects(prog *ir.Program, funcs []string) []string {
 	accessed := map[string]bool{}
 	seen := map[string]bool{}
 	var visit func(name string)
@@ -486,16 +500,21 @@ func largestObjectsIn(prog *ir.Program, col *profile.Collector, funcs []string, 
 	for _, f := range funcs {
 		visit(f)
 	}
-	// Rank the objects the selected functions access by profiled size
-	// (§4.1: "we pick the largest 10% objects" *in* those functions),
-	// then take the top fraction of that ranking.
+	for name := range accessed {
+		if o, ok := prog.Object(name); !ok || o.Local {
+			delete(accessed, name)
+		}
+	}
+	return sortedKeys(accessed)
+}
+
+// largestObjectsIn returns the largest frac of the accessed objects (§4.1:
+// "we pick the largest 10% objects" *in* the selected functions), ranked by
+// profiled size.
+func largestObjectsIn(col *profile.Collector, accessed []string, frac float64) []string {
 	var ranked []string
 	for _, name := range col.LargestObjects(1.0) {
-		o, ok := prog.Object(name)
-		if !ok || o.Local {
-			continue
-		}
-		if accessed[name] {
+		if slices.Contains(accessed, name) {
 			ranked = append(ranked, name)
 		}
 	}
@@ -510,4 +529,43 @@ func largestObjectsIn(prog *ir.Program, col *profile.Collector, funcs []string, 
 		k = len(ranked)
 	}
 	return ranked[:k]
+}
+
+// joinStreams widens the size-ranked scope ranked (§4.1) by the streams the
+// size cut leaves out: an accessed object the selected functions only read,
+// in a single sequential or strided pass, joins the scope when a ranked
+// object already opened the shared streaming section it would go to
+// (streamSection). Such a section is sized by its prefetch lead, not by its
+// members' footprint (§4.2), so the stream rides a prefetched path the plan
+// already has instead of page-faulting through the swap pool. The rule
+// opens no section, so a stream with no open section to join stays out, and
+// it admits no object the scope writes: admitting written streams was
+// measured slower (DESIGN §4, "Analysis scope").
+func joinStreams(prog *ir.Program, report *analysis.Report, ranked, accessed []string) []string {
+	section := func(name string) (string, *analysis.ObjectAccess) {
+		m := report.MergedObject(name)
+		if m == nil {
+			return "", nil
+		}
+		o, _ := prog.Object(name)
+		return streamSection(o, m), m
+	}
+	open := map[string]bool{}
+	for _, name := range ranked {
+		if key, _ := section(name); key != "" {
+			open[key] = true
+		}
+	}
+	objs := slices.Clone(ranked)
+	for _, name := range accessed {
+		if slices.Contains(ranked, name) {
+			continue
+		}
+		key, m := section(name)
+		if open[key] && m.ReadOnly() && (m.Pattern == analysis.PatternSequential || m.Pattern == analysis.PatternStrided) {
+			objs = append(objs, name)
+		}
+	}
+	sort.Strings(objs)
+	return objs
 }
