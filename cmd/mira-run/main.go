@@ -133,13 +133,13 @@ func main() {
 	compress := flag.String("compress", "off", "wire compression for mira/mira-swap: off, on (every section + swap), auto (planner measures per section)")
 	offloadMode := flag.String("offload", "off", "scatter-gather offload for mira: off, on (offload every scatter-safe function), auto (planner races offload vs fetch per function, keeping only wins)")
 	plane := flag.String("plane", "", "mira data-plane mode: page (swap only), line (cache sections only), hybrid (planner races both + a per-object split); empty = classic planning")
-	tierDRAM := flag.Int64("tier-dram", 0, "with -nodes: per-node DRAM budget in bytes; the rest of each node's data lives on a simulated SSD tier (0 = no tier)")
+	tierDRAM := flag.Int64("tier-dram", 0, "per-node DRAM budget in bytes; the rest of each node's data lives on a simulated SSD tier and the cluster report is printed (0 = no tier)")
 	wbq := flag.Int("wbq", 0, "async write-back queue bound in lines (0 = default, negative = disabled)")
 	aifmChunk := flag.Int64("aifm-chunk", 0, "AIFM remotable-object granularity in bytes (0 = per-element array library)")
 	aifmMeta := flag.Int64("aifm-meta", 0, "AIFM per-object metadata bytes (0 = default)")
 	faultsName := flag.String("faults", "", fmt.Sprintf("named fault schedule %v; empty = fault-free (crash-wipe loses the node's memory: without a replica to restore it from, the run fails with a read error; -nodes 2 -replicas 2 rides it out)", mira.FaultScheduleNames()))
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault injector's probabilistic draws")
-	nodes := flag.Int("nodes", 0, "shard far memory across this many far nodes and print the per-node cluster report (0 = one far node, no report)")
+	nodes := flag.Int("nodes", 0, "shard far memory across this many far nodes and print the per-node cluster report (0 = one far node)")
 	replicas := flag.Int("replicas", 1, "with -nodes: replication factor R, every range lives on R nodes")
 	stripe := flag.Int64("stripe", 64<<10, "cluster placement stripe in bytes")
 	faultNode := flag.Int("fault-node", 0, "which cluster node receives the -faults schedule")
@@ -158,6 +158,7 @@ func main() {
 	budget := int64(float64(w.FullMemoryBytes()) * *mem)
 	rf := runFlags{
 		System:    *system,
+		Mem:       *mem,
 		Plane:     *plane,
 		Compress:  *compress,
 		Offload:   *offloadMode,
@@ -166,6 +167,7 @@ func main() {
 		Nodes:     *nodes,
 		Replicas:  *replicas,
 		FaultNode: *faultNode,
+		Stripe:    *stripe,
 		TierDRAM:  *tierDRAM,
 		Faults:    *faultsName,
 		NoBatch:   !*batch,
@@ -196,12 +198,10 @@ func main() {
 		opts.Nodes = *nodes
 		opts.Replicas = *replicas
 		opts.FaultNode = *faultNode
-		if *stripe > 0 {
-			opts.StripeBytes = uint64(*stripe)
-		}
-		if *tierDRAM > 0 {
-			opts.Tier = &mira.TierConfig{DRAMBytes: uint64(*tierDRAM)}
-		}
+		opts.StripeBytes = uint64(*stripe)
+	}
+	if *tierDRAM > 0 {
+		opts.Tier = &mira.TierConfig{DRAMBytes: uint64(*tierDRAM)}
 	}
 	if *faultsName != "" && *faultsName != "none" {
 		// Dry run fault-free to learn the run length, so the schedule's
@@ -303,8 +303,13 @@ func main() {
 			*faultsName, *faultSeed, n.Retries, n.Timeouts, n.Corruptions, n.BreakerTrips,
 			n.QueuedWritebacks, n.DegradedReads, n.DegradedTime, n.BackoffTime)
 	}
-	if *nodes > 0 {
-		fmt.Printf("  cluster: %d nodes, R=%d, stripe %d bytes\n", *nodes, *replicas, *stripe)
+	if *nodes > 0 || *tierDRAM > 0 {
+		// Replicas and stripes only mean something across -nodes.
+		fmt.Printf("  cluster: %d nodes", len(res.Cluster))
+		if *nodes > 0 {
+			fmt.Printf(", R=%d, stripe %d bytes", *replicas, *stripe)
+		}
+		fmt.Println()
 		for _, ns := range res.Cluster {
 			fmt.Printf("    node %d: %d reads (%d B), %d writes (%d B), %d failovers, %d repairs, %d resyncs (%d B), %d/%d B allocated",
 				ns.Node, ns.Reads, ns.ReadBytes, ns.Writes, ns.WriteBytes,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -14,6 +15,7 @@ import (
 // when it sits at its default.
 type runFlags struct {
 	System    string
+	Mem       float64
 	Plane     string
 	Compress  string
 	Offload   string
@@ -22,6 +24,7 @@ type runFlags struct {
 	Nodes     int
 	Replicas  int
 	FaultNode int
+	Stripe    int64
 	TierDRAM  int64
 	Faults    string
 	NoBatch   bool // -batch=false
@@ -77,19 +80,16 @@ type reader struct {
 // on one node, fault-free.
 var allRuns = []string{plainRun, linePlane, pagePlane}
 
-// farSystems is every system with far memory: all but native.
+// farSystems is every system with far memory, each on a pool of far nodes:
+// all but native.
 var farSystems = []string{"mira", "mira-swap", "fastswap", "leap", "aifm"}
-
-// poolSystems is every system that runs over a pool of far nodes: aifm
-// models a single far node.
-var poolSystems = []string{"mira", "mira-swap", "fastswap", "leap"}
 
 // readers is the table. The line-plane runner plans with the plain run's
 // planner options, so every planner flag reaches it; the page plane plans
 // nothing. -batch=false turns off Mira's batched prefetch and write-back
 // queue and Leap's page gathers; the plain fastswap, mira-swap, aifm and
 // native runs batch nothing. A native run holds everything local: it has
-// no far node to shard or to fault; aifm has one and shards nothing.
+// no far node to shard, to fault or to tier.
 var readers = []reader{
 	{"threads", runFlags.threadsActive, nil, []string{"mira", "fastswap"}},
 	{"prefetch", func(f runFlags) bool { return f.Prefetch != "" }, []string{linePlane, pagePlane},
@@ -101,7 +101,8 @@ var readers = []reader{
 	{"batch", runFlags.noBatch, []string{plainRun}, []string{"mira", "leap"}},
 	{"batch", runFlags.noBatch, []string{linePlane, pagePlane}, nil},
 	{"faults", runFlags.faultsOn, allRuns, farSystems},
-	{"nodes", func(f runFlags) bool { return f.Nodes > 0 }, allRuns, poolSystems},
+	{"nodes", func(f runFlags) bool { return f.Nodes > 0 }, allRuns, farSystems},
+	{"tier-dram", func(f runFlags) bool { return f.TierDRAM > 0 }, allRuns, farSystems},
 	{"private-sections", nil, []string{threadsRun}, []string{"mira"}},
 	{"aifm-chunk", nil, nil, []string{"aifm"}},
 	{"aifm-meta", nil, nil, []string{"aifm"}},
@@ -153,10 +154,16 @@ func validateFlags(f runFlags) error {
 	if f.set("fault-seed") && !f.faultsOn() {
 		return fmt.Errorf("-fault-seed seeds the fault injector's draws; pass a -faults schedule as well")
 	}
+	if !(f.Mem > 0) || math.IsInf(f.Mem, 1) {
+		return fmt.Errorf("-mem %g is not a positive, finite fraction of the footprint", f.Mem)
+	}
+	if f.Stripe <= 0 {
+		return fmt.Errorf("-stripe %d is not a positive byte count", f.Stripe)
+	}
+	if f.TierDRAM < 0 {
+		return fmt.Errorf("-tier-dram %d is negative (0 = no tier)", f.TierDRAM)
+	}
 	if f.Nodes <= 0 {
-		if f.TierDRAM > 0 {
-			return fmt.Errorf("-tier-dram requires -nodes (the SSD tier lives under each cluster node's DRAM)")
-		}
 		for _, name := range []string{"replicas", "stripe", "fault-node"} {
 			if f.set(name) {
 				return fmt.Errorf("-%s only applies in cluster mode; pass -nodes as well", name)

@@ -1,12 +1,13 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
 func flags(mutate func(*runFlags)) runFlags {
-	f := runFlags{System: "mira", Compress: "off", Threads: 1, Replicas: 1, Set: map[string]bool{}}
+	f := runFlags{System: "mira", Mem: 0.5, Compress: "off", Threads: 1, Replicas: 1, Stripe: 64 << 10, Set: map[string]bool{}}
 	if mutate != nil {
 		mutate(&f)
 	}
@@ -38,12 +39,28 @@ func TestValidateFlags(t *testing.T) {
 		{"threads-with-faults", func(f *runFlags) { f.Threads = 4; f.Faults = "crash" }, "-faults"},
 		{"threads-faults-none-ok", func(f *runFlags) { f.Threads = 4; f.Faults = "none" }, ""},
 		{"threads-with-nodes", func(f *runFlags) { f.Threads = 4; f.Nodes = 2 }, "-nodes"},
-		{"tier-without-nodes", func(f *runFlags) { f.TierDRAM = 1 << 20 }, "-nodes"},
+		{"tier-without-nodes-ok", func(f *runFlags) { f.TierDRAM = 1 << 20 }, ""},
 		{"tier-with-nodes-ok", func(f *runFlags) { f.TierDRAM = 1 << 20; f.Nodes = 2 }, ""},
+		{"tier-with-aifm-ok", func(f *runFlags) { f.System = "aifm"; f.TierDRAM = 1 << 20 }, ""},
+		{"tier-with-native", func(f *runFlags) { f.System = "native"; f.TierDRAM = 1 << 20 }, "-tier-dram applies only"},
+		{"tier-with-threads", func(f *runFlags) { f.Threads = 4; f.TierDRAM = 1 << 20 }, "-tier-dram does not apply to the -threads driver"},
+		{"tier-zero-ok", func(f *runFlags) { f.TierDRAM = 0; f.Set["tier-dram"] = true }, ""},
+		{"tier-negative", func(f *runFlags) { f.TierDRAM = -1; f.Set["tier-dram"] = true }, "-tier-dram -1"},
 		{"replicas-without-nodes", func(f *runFlags) { f.Set["replicas"] = true }, "-nodes"},
 		{"stripe-without-nodes", func(f *runFlags) { f.Set["stripe"] = true }, "-nodes"},
 		{"faultnode-without-nodes", func(f *runFlags) { f.Set["fault-node"] = true }, "-nodes"},
 		{"replicas-with-nodes-ok", func(f *runFlags) { f.Set["replicas"] = true; f.Nodes = 3 }, ""},
+		// Values the run would otherwise replace with a default or run as given.
+		{"mem-zero", func(f *runFlags) { f.Mem = 0 }, "-mem 0"},
+		{"mem-negative", func(f *runFlags) { f.Mem = -1 }, "-mem -1"},
+		{"mem-zero-fastswap", func(f *runFlags) { f.System = "fastswap"; f.Mem = 0 }, "-mem 0"},
+		{"mem-nan", func(f *runFlags) { f.Mem = math.NaN() }, "-mem NaN"},
+		{"mem-inf", func(f *runFlags) { f.Mem = math.Inf(1) }, "-mem +Inf"},
+		{"mem-small-ok", func(f *runFlags) { f.Mem = 0.01 }, ""},
+		{"mem-above-one-ok", func(f *runFlags) { f.Mem = 1.5 }, ""},
+		{"stripe-zero", func(f *runFlags) { f.Nodes = 2; f.Stripe = 0; f.Set["stripe"] = true }, "-stripe 0"},
+		{"stripe-negative", func(f *runFlags) { f.Nodes = 2; f.Stripe = -4096; f.Set["stripe"] = true }, "-stripe -4096"},
+		{"stripe-with-nodes-ok", func(f *runFlags) { f.Nodes = 2; f.Stripe = 4096; f.Set["stripe"] = true }, ""},
 		{"bad-offload", func(f *runFlags) { f.Offload = "maybe" }, "unknown Offload mode"},
 		{"offload-on-ok", func(f *runFlags) { f.Offload = "on"; f.Nodes = 4 }, ""},
 		{"offload-auto-ok", func(f *runFlags) { f.Offload = "auto" }, ""},
@@ -130,8 +147,18 @@ func TestValidateFlags(t *testing.T) {
 		{"batch-false-with-native", func(f *runFlags) { f.System = "native"; f.NoBatch = true }, "-system mira or leap"},
 		// A native run holds everything local.
 		{"nodes-with-native", func(f *runFlags) { f.System = "native"; f.Nodes = 2 }, "-nodes applies only"},
-		// aifm models a single far node.
-		{"nodes-with-aifm", func(f *runFlags) { f.System = "aifm"; f.Nodes = 2 }, "-nodes applies only"},
+		// aifm keeps its objects on the pool like every other far system.
+		{"nodes-with-aifm-ok", func(f *runFlags) { f.System = "aifm"; f.Nodes = 2 }, ""},
+		{"aifm-pool-flags-ok", func(f *runFlags) {
+			f.System = "aifm"
+			f.Nodes = 4
+			f.Replicas = 2
+			f.Faults = "crash-wipe"
+			f.FaultNode = 1
+			f.Set["replicas"] = true
+			f.Set["stripe"] = true
+			f.Set["fault-node"] = true
+		}, ""},
 		{"faults-with-native", func(f *runFlags) { f.System = "native"; f.Faults = "crash" }, "-faults applies only"},
 	}
 	for _, c := range cases {

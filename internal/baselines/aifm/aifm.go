@@ -21,8 +21,7 @@ import (
 	"fmt"
 	"sort"
 
-	"mira/internal/farmem"
-	"mira/internal/faults"
+	"mira/internal/cluster"
 	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/rt"
@@ -42,9 +41,6 @@ type Options struct {
 	// size of AIFM's unified remotable pointer; the element data itself
 	// carries the object header when cached.
 	MetaPerObject int64
-	// DerefCost is the software cost of each remotable-pointer
-	// dereference. Default 85 ns.
-	DerefCost sim.Duration
 	// ChunkBytes selects the remotable-object granularity. Zero models
 	// AIFM's array library (one remotable object per element — the
 	// configuration whose metadata makes MCF fail below full memory);
@@ -53,38 +49,34 @@ type Options struct {
 	// remotable objects (fewer pointers, but whole chunks move even
 	// when one field is needed).
 	ChunkBytes int64
-	// Net overrides the interconnect model.
-	Net netmodel.Config
-	// NodeCfg overrides the far node.
-	NodeCfg farmem.NodeConfig
-	// Faults wires the deterministic fault injector into the transport.
-	Faults *faults.Config
-	// Resilience overrides the transport's retry/deadline/breaker policy.
-	Resilience *transport.Policy
+	// Cluster is the pool of far nodes the remotable objects live on, with
+	// its interconnect, fault domains and resilience policy (nil: one
+	// default node).
+	Cluster *cluster.Options
 }
+
+// derefCost is the software cost of each remotable-pointer dereference.
+const derefCost = 85 * sim.Nanosecond
 
 func (o Options) withDefaults() Options {
 	if o.MetaPerObject == 0 {
 		o.MetaPerObject = 8
 	}
-	if o.DerefCost == 0 {
-		o.DerefCost = 85 * sim.Nanosecond
+	co := cluster.Options{Nodes: 1}
+	if o.Cluster != nil {
+		co = *o.Cluster
 	}
-	if o.Net.BytesPerSecond == 0 {
-		o.Net = netmodel.DefaultConfig()
+	if co.Net.BytesPerSecond == 0 {
+		co.Net = netmodel.DefaultConfig()
 	}
-	if o.NodeCfg.Capacity == 0 {
-		o.NodeCfg = farmem.DefaultNodeConfig()
-	}
+	o.Cluster = &co
 	return o
 }
 
 // Runtime is the AIFM-style backend.
 type Runtime struct {
-	opts    Options
-	node    *farmem.Node
-	trT     *transport.T   // the transport, for what only a *T has (SetTrace)
-	tr      transport.Link // trT as the data path drives it
+	pool    *cluster.Pool
+	tr      transport.Link // pool as the data path drives it
 	objs    map[string]*objState
 	cap     int64 // usable data bytes after metadata
 	used    int64
@@ -186,14 +178,9 @@ func (r *Runtime) writeBack(now sim.Time, e *entry) (sim.Time, error) {
 }
 
 // SetTrace attaches the deterministic tracing layer to the baseline's
-// transport, so AIFM runs emit the same net-level spans and counters as
-// the other systems. A nil tracer leaves tracing disabled.
-func (r *Runtime) SetTrace(tr *trace.Tracer) {
-	if tr == nil {
-		return
-	}
-	r.trT.SetTrace(tr, "net")
-}
+// pool, so AIFM runs emit the same net-level spans and counters as the
+// other systems. A nil tracer leaves tracing disabled.
+func (r *Runtime) SetTrace(tr *trace.Tracer) { r.pool.SetTrace(tr) }
 
 // wrapLink, when a test sets it, wraps the link every new runtime's data
 // path drives (transporttest.ScribbleLink). Nil outside tests.
@@ -205,20 +192,12 @@ var wrapLink func(transport.Link) transport.Link
 func New(w workload.Workload, opts Options) (*Runtime, error) {
 	opts = opts.withDefaults()
 	prog := w.Program()
-	r := &Runtime{
-		opts: opts,
-		node: farmem.NewNode(opts.NodeCfg),
-		objs: map[string]*objState{},
+	pool, err := cluster.New(*opts.Cluster)
+	if err != nil {
+		return nil, err
 	}
+	r := &Runtime{pool: pool, tr: pool, objs: map[string]*objState{}}
 	r.lru.prev, r.lru.next = &r.lru, &r.lru
-	r.trT = transport.New(r.node, opts.Net)
-	if opts.Resilience != nil {
-		r.trT.SetPolicy(*opts.Resilience)
-	}
-	if opts.Faults != nil && opts.Faults.Enabled() {
-		r.trT.SetBackend(faults.New(r.node, *opts.Faults))
-	}
-	r.tr = r.trT
 	if wrapLink != nil {
 		r.tr = wrapLink(r.tr)
 	}
@@ -227,7 +206,7 @@ func New(w workload.Workload, opts Options) (*Runtime, error) {
 		if o.Local {
 			continue
 		}
-		base, err := r.node.Alloc(uint64(o.SizeBytes()))
+		base, err := pool.Alloc(uint64(o.SizeBytes()))
 		if err != nil {
 			return nil, err
 		}
@@ -269,17 +248,17 @@ func (r *Runtime) InitObject(name string, data []byte) error {
 	if !ok {
 		return fmt.Errorf("aifm: unknown object %q", name)
 	}
-	return r.node.Write(o.farBase, data)
+	return r.pool.Write(o.farBase, data)
 }
 
-// DumpObject returns the object's far contents in place (farmem.Node.View):
+// DumpObject returns the object's far contents in place (cluster.Pool.View):
 // read-only, and valid until the runtime is next used. Call FlushAll first.
 func (r *Runtime) DumpObject(name string) ([]byte, error) {
 	o, ok := r.objs[name]
 	if !ok {
 		return nil, fmt.Errorf("aifm: unknown object %q", name)
 	}
-	return r.node.View(o.farBase, int(o.decl.SizeBytes()))
+	return r.pool.View(o.farBase, int(o.decl.SizeBytes()))
 }
 
 // Access dereferences one remotable object (element) and copies the field
@@ -297,8 +276,8 @@ func (r *Runtime) Access(clk *sim.Clock, name string, elem int64, field ir.Field
 	// Take the shared cache lock for the dereference; a concurrent
 	// thread's dereference (or in-progress miss) pushes the acquisition
 	// instant forward.
-	clk.AdvanceTo(r.lock.Acquire(clk.Now(), r.opts.DerefCost))
-	clk.Advance(r.opts.DerefCost)
+	clk.AdvanceTo(r.lock.Acquire(clk.Now(), derefCost))
+	clk.Advance(derefCost)
 	e, err := r.deref(clk, o, elem/o.chunkElems)
 	if err != nil {
 		return err
@@ -479,8 +458,8 @@ func (r *Runtime) FlushAll(clk *sim.Clock) error {
 	return nil
 }
 
-// NetStats reports the transport's resilience counters.
-func (r *Runtime) NetStats() transport.Stats { return r.tr.Stats() }
+// Pool exposes the far-node pool the remotable objects live on.
+func (r *Runtime) Pool() *cluster.Pool { return r.pool }
 
 // MissCount reports cumulative misses (the profiler's per-access probe).
 func (r *Runtime) MissCount() int64 { return r.misses }

@@ -18,9 +18,8 @@ import (
 // refRuntime is the object cache the runtime had before the per-object
 // table, kept as the oracle: a map keyed by (object name, chunk) over a
 // container/list LRU, a fresh entry and buffer per miss, fresh one-element
-// vectors per gather and scatter. The embedded Runtime supplies the far
-// node, the transport, the objects, the budget and the counters; its own
-// cache stays empty.
+// vectors per gather and scatter. The embedded Runtime supplies the pool,
+// the objects, the budget and the counters; its own cache stays empty.
 type refRuntime struct {
 	*Runtime
 	entries map[refKey]*list.Element
@@ -55,8 +54,8 @@ func (r *refRuntime) Access(clk *sim.Clock, name string, elem int64, field ir.Fi
 		return fmt.Errorf("aifm: %q[%d] out of range", name, elem)
 	}
 	r.derefs++
-	clk.AdvanceTo(r.lock.Acquire(clk.Now(), r.opts.DerefCost))
-	clk.Advance(r.opts.DerefCost)
+	clk.AdvanceTo(r.lock.Acquire(clk.Now(), derefCost))
+	clk.Advance(derefCost)
 	e, err := r.deref(clk, o, elem/o.chunkElems)
 	if err != nil {
 		return err
@@ -298,9 +297,9 @@ func TestCacheMatchesReference(t *testing.T) {
 			d, h, m, e, wb := side.Stats()
 			stats[i] = [5]int64{d, h, m, e, wb}
 		}
-		if stats[0] != stats[1] || got.NetStats() != want.NetStats() {
+		if stats[0] != stats[1] || got.Pool().Stats() != want.Pool().Stats() {
 			t.Fatalf("seed %d: derefs/hits/misses/evictions/writebacks %v, reference %v (net %+v vs %+v)",
-				seed, stats[0], stats[1], got.NetStats(), want.NetStats())
+				seed, stats[0], stats[1], got.Pool().Stats(), want.Pool().Stats())
 		}
 		if stats[0][3] == 0 || stats[0][1] == 0 {
 			t.Fatalf("seed %d: stream made %d hits and %d evictions; it must make both", seed, stats[0][1], stats[0][3])

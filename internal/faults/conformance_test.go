@@ -6,6 +6,7 @@ import (
 	"mira/internal/farmem"
 	"mira/internal/faults"
 	"mira/internal/sim"
+	"mira/internal/transport"
 	"mira/internal/transport/transporttest"
 )
 
@@ -15,7 +16,7 @@ func TestInjectorConformance(t *testing.T) {
 	transporttest.Conformance(t, func(t *testing.T) transporttest.Instance {
 		node := farmem.NewNode(farmem.DefaultNodeConfig())
 		return transporttest.Instance{
-			Backend: faults.New(node, faults.Config{Seed: 42}),
+			Backend: faults.Wrap(transport.NewNodeBackend(node), node.WipeMemory, faults.Config{Seed: 42}),
 			Node:    node,
 		}
 	})
@@ -34,6 +35,6 @@ func TestInjectorConformanceWithDelays(t *testing.T) {
 			DelayMin:  1 * sim.Microsecond,
 			DelayMax:  20 * sim.Microsecond,
 		}
-		return transporttest.Instance{Backend: faults.New(node, cfg), Node: node}
+		return transporttest.Instance{Backend: faults.Wrap(transport.NewNodeBackend(node), node.WipeMemory, cfg), Node: node}
 	})
 }

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"sync"
 
-	"mira/internal/farmem"
 	"mira/internal/sim"
 	"mira/internal/transport"
 )
@@ -146,11 +145,6 @@ type Injector struct {
 	wiped    int        // prefix of wipeAt already applied
 	stats    Stats
 	log      []string
-}
-
-// New wraps the given far-memory node with fault injection.
-func New(node *farmem.Node, cfg Config) *Injector {
-	return Wrap(transport.NewNodeBackend(node), node.WipeMemory, cfg)
 }
 
 // Wrap builds an injector over an arbitrary backend. wipe (which may be nil)

@@ -12,6 +12,12 @@ import (
 	"mira/internal/transport"
 )
 
+// onNode wraps a far node's backend with fault injection; a memory-losing
+// restart wipes the node.
+func onNode(node *farmem.Node, cfg Config) *Injector {
+	return Wrap(transport.NewNodeBackend(node), node.WipeMemory, cfg)
+}
+
 func newNode(t *testing.T) (*farmem.Node, uint64) {
 	t.Helper()
 	node := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 20, CPUSlowdown: 2})
@@ -50,7 +56,7 @@ func TestErrorClassification(t *testing.T) {
 
 func TestCrashWindowRefusesThenRecovers(t *testing.T) {
 	node, base := newNode(t)
-	in := New(node, Config{Schedule: []Event{
+	in := onNode(node, Config{Schedule: []Event{
 		{At: 100, Kind: Crash},
 		{At: 200, Kind: Restart},
 	}})
@@ -75,7 +81,7 @@ func TestCrashWindowRefusesThenRecovers(t *testing.T) {
 
 func TestPartitionWindowDrops(t *testing.T) {
 	node, base := newNode(t)
-	in := New(node, Config{Schedule: []Event{
+	in := onNode(node, Config{Schedule: []Event{
 		{At: 100, Kind: PartitionStart},
 		{At: 200, Kind: PartitionEnd},
 	}})
@@ -92,7 +98,7 @@ func TestPartitionWindowDrops(t *testing.T) {
 
 func TestMemoryLosingRestartWipes(t *testing.T) {
 	node, base := newNode(t)
-	in := New(node, Config{Schedule: []Event{
+	in := onNode(node, Config{Schedule: []Event{
 		{At: 100, Kind: Crash, LoseMemory: true},
 		{At: 200, Kind: Restart},
 	}})
@@ -114,7 +120,7 @@ func TestMemoryLosingRestartWipes(t *testing.T) {
 
 func TestNonLosingRestartKeepsMemory(t *testing.T) {
 	node, base := newNode(t)
-	in := New(node, Config{Schedule: []Event{
+	in := onNode(node, Config{Schedule: []Event{
 		{At: 100, Kind: Crash},
 		{At: 200, Kind: Restart},
 	}})
@@ -137,7 +143,7 @@ func TestNonLosingRestartKeepsMemory(t *testing.T) {
 func TestDeterministicInjection(t *testing.T) {
 	run := func() ([]string, Stats, []string) {
 		node, base := newNode(t)
-		in := New(node, Config{
+		in := onNode(node, Config{
 			Seed:        42,
 			ErrorRate:   0.2,
 			DelayRate:   0.3,
@@ -196,7 +202,7 @@ func errString(err error) string {
 func TestCorruptionCaughtEndToEnd(t *testing.T) {
 	node, base := newNode(t)
 	tr := transport.New(node, netmodel.DefaultConfig())
-	tr.SetBackend(New(node, Config{Seed: 9, CorruptRate: 1}))
+	tr.SetBackend(onNode(node, Config{Seed: 9, CorruptRate: 1}))
 	if err := node.Write(base, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +220,7 @@ func TestCorruptionCaughtEndToEnd(t *testing.T) {
 func TestOccasionalCorruptionCured(t *testing.T) {
 	node, base := newNode(t)
 	tr := transport.New(node, netmodel.DefaultConfig())
-	tr.SetBackend(New(node, Config{Seed: 5, CorruptRate: 0.3}))
+	tr.SetBackend(onNode(node, Config{Seed: 5, CorruptRate: 0.3}))
 	want := []byte{9, 8, 7, 6, 5, 4, 3, 2}
 	if err := node.Write(base, want); err != nil {
 		t.Fatal(err)
@@ -241,7 +247,7 @@ func TestOccasionalCorruptionCured(t *testing.T) {
 func TestGatherCorruptionOnTheOwnedReplyCured(t *testing.T) {
 	node, base := newNode(t)
 	tr := transport.New(node, netmodel.DefaultConfig())
-	tr.SetBackend(New(node, Config{Seed: 5, CorruptRate: 0.3}))
+	tr.SetBackend(onNode(node, Config{Seed: 5, CorruptRate: 0.3}))
 	want := []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 2, 3, 4, 5, 6, 7, 8}
 	if err := node.Write(base, want); err != nil {
 		t.Fatal(err)
@@ -296,7 +302,7 @@ func TestNamedSchedules(t *testing.T) {
 
 func TestZeroConfigInjectsNothing(t *testing.T) {
 	node, base := newNode(t)
-	in := New(node, Config{})
+	in := onNode(node, Config{})
 	if in.Stats().Ops != 0 {
 		t.Fatal("fresh injector has ops")
 	}

@@ -136,6 +136,7 @@ func fig20(scale Scale) (*Figure, error) {
 			}
 			aifmS.Y = append(aifmS.Y, float64(ar.MetadataBytes()))
 			aifmS.Absent = append(aifmS.Absent, false)
+			ar.Pool().Release()
 		}
 		fig.Notes = append(fig.Notes, fmt.Sprintf("workload %d = %s", i, wl.name))
 	}

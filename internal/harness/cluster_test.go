@@ -180,12 +180,57 @@ func TestClusterCrashWipeFailoverRecovers(t *testing.T) {
 		t0, res.Time, failovers, resyncs, res.Cluster[victim].Faults.Wipes)
 }
 
-// TestClusterAIFMUnsupported pins that AIFM — which models a single far
-// node's per-object metadata — refuses a multi-node request instead of
-// silently ignoring it.
-func TestClusterAIFMUnsupported(t *testing.T) {
-	w := arraysum.New(arraysum.Config{N: 1 << 10, Seed: 1})
-	if _, err := Run(AIFM, w, Options{Budget: w.FullMemoryBytes() / 2, Nodes: 2}); err == nil {
-		t.Fatal("aifm accepted a cluster request")
+// TestClusterAIFMCrashWipeFailoverRecovers: AIFM keeps its remotable objects
+// on the same pool as every other system, so it rides out the same failure:
+// node 1 of a 4-node R=2 pool crashes with memory loss mid-run, reads fail
+// over to the surviving replicas, the node is re-synced after restart, and
+// the output verifies and replays bit-identically.
+func TestClusterAIFMCrashWipeFailoverRecovers(t *testing.T) {
+	w := graphtraverse.New(graphtraverse.Config{Edges: 4096, Nodes: 4096, Passes: 1, Seed: 21})
+	opts := Options{Budget: w.FullMemoryBytes() / 2, Nodes: 4, Replicas: 2, StripeBytes: 4096}
+	base, err := Run(AIFM, w, opts)
+	if err != nil || base.Failed {
+		t.Fatalf("fault-free cluster run: %v %s", err, base.FailReason)
 	}
+	t0 := base.Time
+	const victim = 1
+	opts.Verify, opts.FaultNode, opts.Resilience = true, victim, failFastPolicy()
+	opts.Faults = &faults.Config{
+		Seed: 7,
+		Schedule: []faults.Event{
+			{At: sim.Time(t0 / 3), Kind: faults.Crash, LoseMemory: true},
+			{At: sim.Time(2 * t0 / 3), Kind: faults.Restart},
+		},
+	}
+	res, err := Run(AIFM, w, opts)
+	if err != nil || res.Failed {
+		t.Fatalf("crash-wipe run failed verification or execution: %v %s", err, res.FailReason)
+	}
+	if len(res.Cluster) != 4 {
+		t.Fatalf("%d node rows for 4 nodes", len(res.Cluster))
+	}
+	v := res.Cluster[victim]
+	if v.Faults.Wipes == 0 {
+		t.Error("victim never wiped — the schedule exercised nothing")
+	}
+	if v.Failovers == 0 {
+		t.Error("no read the victim should have served failed over to a replica")
+	}
+	if v.Resyncs == 0 {
+		t.Error("the wiped node was never re-synced from its replicas")
+	}
+	res2, err := Run(AIFM, w, opts)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if res2.Time != res.Time || res2.Net != res.Net || res2.Messages != res.Messages || res2.BytesMoved != res.BytesMoved {
+		t.Errorf("replay diverged: %v, %+v, %d messages, %d B vs %v, %+v, %d messages, %d B",
+			res2.Time, res2.Net, res2.Messages, res2.BytesMoved, res.Time, res.Net, res.Messages, res.BytesMoved)
+	}
+	for i := range res.Cluster {
+		if res2.Cluster[i] != res.Cluster[i] {
+			t.Errorf("node %d stats diverged on replay:\n  %+v\nvs\n  %+v", i, res.Cluster[i], res2.Cluster[i])
+		}
+	}
+	t.Logf("t0=%v crashed=%v failovers=%d resyncs=%d wipes=%d", t0, res.Time, v.Failovers, v.Resyncs, v.Faults.Wipes)
 }

@@ -57,8 +57,8 @@ type Options struct {
 	// Verify checks workload output after the run when the workload
 	// implements workload.Verifier.
 	Verify bool
-	// AIFM customizes the AIFM baseline's library model (budget and
-	// interconnect are overridden by Budget/Net).
+	// AIFM customizes the AIFM baseline's library model (its budget and
+	// pool come from Budget and the pool fields below).
 	AIFM aifm.Options
 	// Faults injects the deterministic fault schedule into node FaultNode's
 	// transport (nil: fault-free). Native runs never see faults — they
@@ -148,9 +148,9 @@ func (o Options) runConfig(cfg rt.Config) rt.Config {
 // Result is one run's outcome.
 type Result struct {
 	System System
-	// Stats is the timed run's counter block: Time, and — for every system
-	// on the Mira runtime — Net, Cluster, Messages, the byte counts,
-	// Prefetch and DemandMisses. AIFM reports Time and Net.
+	// Stats is the timed run's counter block: Time, Net, Cluster, Messages
+	// and the byte counts for every system, and — for every system on the
+	// Mira runtime — Prefetch and DemandMisses.
 	session.Stats
 	// Failed marks systems that could not execute at this budget (AIFM
 	// metadata exhaustion, Fig. 18) — plotted as absent in the paper.
@@ -302,20 +302,16 @@ func runSwapBaseline(sys System, w workload.Workload, opts Options) (Result, err
 }
 
 func runAIFM(w workload.Workload, opts Options) (Result, error) {
-	if opts.Nodes > 0 {
-		return Result{}, fmt.Errorf("harness: aifm models a single far node; -nodes is not supported")
-	}
 	aopts := opts.AIFM
 	aopts.LocalBudget = opts.Budget
-	aopts.Net = opts.Net
-	aopts.NodeCfg = opts.NodeCfg
-	aopts.Faults = opts.Faults
-	aopts.Resilience = opts.Resilience
+	aopts.Cluster = opts.clusterOpts(true)
 	r, err := aifm.New(w, aopts)
 	if err != nil {
 		// AIFM's metadata-exhaustion failure is a *result* the paper
 		// reports, not a harness error.
 		return Result{System: AIFM, Failed: true, FailReason: err.Error()}, nil
 	}
-	return finish(AIFM, session.Over(r, w, w.Program(), opts.Trace), opts)
+	s := session.Over(r, w, w.Program(), opts.Trace)
+	defer s.Close()
+	return finish(AIFM, s, opts)
 }

@@ -35,6 +35,7 @@ import (
 	"mira/internal/baselines/aifm"
 	"mira/internal/baselines/fastswap"
 	"mira/internal/cache"
+	"mira/internal/cluster"
 	"mira/internal/codegen"
 	"mira/internal/exec"
 	"mira/internal/ir"
@@ -115,11 +116,9 @@ func (res *Result) runThreads(ths []session.Thread) error {
 		return err
 	}
 	// Every mode shares one link (private runtimes share one Bandwidth),
-	// so any runtime's link counters are the group totals.
-	if r := ths[0].S.RT; r != nil {
-		res.Messages = r.Link().Messages()
-		res.BytesMoved = r.Link().BytesMoved()
-	}
+	// so any session's pool counters are the group totals.
+	p := ths[0].S.Pool()
+	res.Messages, res.BytesMoved = p.Messages(), p.BytesMoved()
 	return nil
 }
 
@@ -397,7 +396,7 @@ func SharedWriteFilter(mode Mode, cfg dataframe.Config, budget int64, threads in
 	case AIFMShared:
 		fw := filterWorkload{Workload: w, prog: progMT}
 		var r *aifm.Runtime
-		r, err = aifm.New(fw, aifm.Options{LocalBudget: budget, ChunkBytes: 4096, Net: net})
+		r, err = aifm.New(fw, aifm.Options{LocalBudget: budget, ChunkBytes: 4096, Cluster: &cluster.Options{Nodes: 1, Net: net}})
 		if err == nil {
 			s = session.Over(r, fw, progMT, nil)
 		}

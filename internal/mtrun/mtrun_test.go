@@ -115,6 +115,11 @@ func TestSharedWriteFilterVerifies(t *testing.T) {
 		if err := res.Verify(); err != nil {
 			t.Errorf("%s: %v", mode, err)
 		}
+		// The budget holds two of five columns: every mode misses to its
+		// pool, and the group reports what crossed the link.
+		if res.Messages == 0 || res.BytesMoved == 0 {
+			t.Errorf("%s: %d messages, %d bytes moved; want both > 0", mode, res.Messages, res.BytesMoved)
+		}
 	}
 }
 

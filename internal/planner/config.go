@@ -724,6 +724,10 @@ func (p *planning) decideOffloads(prog *ir.Program, funcs, objs []string) ([]str
 	return out, nil
 }
 
+// sampleRatios are the section sizes sampled, as fractions of the available
+// budget (§4.3).
+var sampleRatios = [...]float64{0.2, 0.4, 0.6, 0.8}
+
 // sizeBySampling profiles each non-sequential section at the sampled size
 // ratios and solves the ILP (§4.3).
 func sizeBySampling(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSeq []*sectionDraft, avail, pool int64, opts Options) error {
@@ -733,7 +737,7 @@ func sizeBySampling(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, 
 		if sec.End <= sec.Start {
 			sec.End = sec.Start + 1
 		}
-		for _, ratio := range opts.SampleRatios {
+		for _, ratio := range sampleRatios {
 			size := int64(float64(avail) * ratio)
 			if size < int64(d.lineBytes)*4 {
 				size = int64(d.lineBytes) * 4

@@ -120,14 +120,15 @@ func TestEachCandidateOnce(t *testing.T) {
 // TestMirroredSamplesShareOneSession is the smallest case of the repeat the
 // byte-exact key missed: two sampled sections splitting 4099 B. "arcs at 0.2,
 // nodes the rest" is 819 + 3280 B and its mirror "nodes at 0.8, arcs the
-// rest" is 820 + 3279 B — a byte apart, and 6 + 25 lines of 128 B both times,
-// so the four samples are two runs, and each mirror reads its overhead off
-// the run its twin paid for.
+// rest" is 820 + 3279 B — a byte apart, and 6 + 25 lines of 128 B both times.
+// Every ratio has such a twin (sample i mirrors sample 7−i), so the eight
+// samples are four runs, and each mirror reads its overhead off the run its
+// twin paid for.
 func TestMirroredSamplesShareOneSession(t *testing.T) {
 	w := mcf.New(mcf.Config{Arcs: 256, Nodes: 64, Iterations: 1, WalkLen: 8, Seed: 42})
 	prog := w.Program()
 	const avail = 4099
-	opts := withDefaults(Options{LocalBudget: prog.LocalBytes() + avail, SampleRatios: []float64{0.2, 0.8}})
+	opts := withDefaults(Options{LocalBudget: prog.LocalBytes() + avail})
 	drafts := []*sectionDraft{
 		{name: "arcs", structure: cache.SetAssoc, ways: 4, lineBytes: 128, members: []string{"arcs"}, interval: [2]int{0, 1}},
 		{name: "nodes", structure: cache.FullAssoc, lineBytes: 128, members: []string{"nodes"}, interval: [2]int{0, 1}},
@@ -142,20 +143,23 @@ func TestMirroredSamplesShareOneSession(t *testing.T) {
 	}
 	on, sizes := sample(false)
 	off, want := sample(true)
-	if len(on.runs) != 2 || on.reused != 2 {
-		t.Errorf("four mirrored samples opened %d sessions and reused %d, want 2 and 2", len(on.runs), on.reused)
+	if len(on.runs) != 4 || on.reused != 4 {
+		t.Errorf("eight mirrored samples opened %d sessions and reused %d, want 4 and 4", len(on.runs), on.reused)
 	}
-	if len(off.runs) != 4 || distinctCandidates(off) != 2 {
-		t.Fatalf("forgetting ledger: %d requests, %d distinct, want 4 and 2", len(off.runs), distinctCandidates(off))
+	if len(off.runs) != 8 || distinctCandidates(off) != 4 {
+		t.Fatalf("forgetting ledger: %d requests, %d distinct, want 8 and 4", len(off.runs), distinctCandidates(off))
 	}
-	// The mirrors really are a byte apart, so the old key could not pair them.
-	a, b := off.runs[0].cfg, off.runs[3].cfg
-	if a.Sections[0].Cache.SizeBytes+1 != b.Sections[0].Cache.SizeBytes || a.Sections[1].Cache.SizeBytes-1 != b.Sections[1].Cache.SizeBytes {
-		t.Errorf("samples 0 and 3 are %d+%d B and %d+%d B, want one byte moved from the second section to the first",
-			a.Sections[0].Cache.SizeBytes, a.Sections[1].Cache.SizeBytes, b.Sections[0].Cache.SizeBytes, b.Sections[1].Cache.SizeBytes)
-	}
-	if !reflect.DeepEqual(off.runs[0].out, off.runs[3].out) || !reflect.DeepEqual(off.runs[1].out, off.runs[2].out) {
-		t.Error("a mirrored sample run for real measured something else than its twin")
+	for i := 0; i < 4; i++ {
+		// The mirrors really are a byte apart, so the old key could not
+		// pair them.
+		a, b := off.runs[i].cfg, off.runs[7-i].cfg
+		if a.Sections[0].Cache.SizeBytes+1 != b.Sections[0].Cache.SizeBytes || a.Sections[1].Cache.SizeBytes-1 != b.Sections[1].Cache.SizeBytes {
+			t.Errorf("samples %d and %d are %d+%d B and %d+%d B, want one byte moved from the second section to the first", i, 7-i,
+				a.Sections[0].Cache.SizeBytes, a.Sections[1].Cache.SizeBytes, b.Sections[0].Cache.SizeBytes, b.Sections[1].Cache.SizeBytes)
+		}
+		if !reflect.DeepEqual(off.runs[i].out, off.runs[7-i].out) {
+			t.Errorf("mirrored sample %d ran for real and measured something else than its twin %d", 7-i, i)
+		}
 	}
 	if !reflect.DeepEqual(sizes, want) {
 		t.Errorf("the ILP chose %v from shared runs, %v from four runs", sizes, want)

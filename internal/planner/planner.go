@@ -57,9 +57,6 @@ type Options struct {
 	// MaxIterations bounds the profiling-optimization loop (§3 "system
 	// administrators set an optimization target"). Default 3.
 	MaxIterations int
-	// SampleRatios are the section sizes sampled as fractions of the
-	// available budget (§4.3). Default {0.2, 0.4, 0.6, 0.8}.
-	SampleRatios []float64
 	// EnableOffload allows function offloading decisions (§4.8).
 	EnableOffload bool
 	// Techniques masks individual optimizations for the Fig. 21-style
@@ -427,9 +424,6 @@ func atLeast(frac float64, minK, n int) float64 {
 func withDefaults(opts Options) Options {
 	if opts.MaxIterations == 0 {
 		opts.MaxIterations = 3
-	}
-	if len(opts.SampleRatios) == 0 {
-		opts.SampleRatios = []float64{0.2, 0.4, 0.6, 0.8}
 	}
 	if opts.Net.BytesPerSecond == 0 {
 		opts.Net = netmodel.DefaultConfig()

@@ -261,12 +261,6 @@ func (r *Runtime) ObjectExtent(name string) (base uint64, elemBytes int, count i
 	return o.farBase, o.decl.ElemBytes, o.decl.Count, true
 }
 
-// ReleaseFarMemory gives the far memory the runtime allocated — every pool
-// member's regions — back to the far side's free list (farmem.Node.Release).
-// The runtime's counters stay readable; its data does not.
-// session.Session.Close is the caller.
-func (r *Runtime) ReleaseFarMemory() { r.pool.Release() }
-
 // Config returns the runtime's configuration.
 func (r *Runtime) Config() Config { return r.cfg }
 

@@ -6,18 +6,29 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestOneRunDriver scans every non-test Go file outside benchmark/ and fails
-// on a call to rt.New or to a Bind method anywhere but this package: a
-// runtime constructed elsewhere is a run that can disagree with the one the
-// planner measured.
+// TestOneRunDriver scans every non-test Go file outside benchmark/ for the
+// two things only one place may build:
+//
+//   - a runtime: a call to rt.New or to a Bind method anywhere but this
+//     package is a run that can disagree with the one the planner measured;
+//   - a far side: a call to farmem.NewNode, transport.New,
+//     transport.NewWithPolicy, faults.New or faults.Wrap anywhere but
+//     internal/cluster and the test-support packages is a private far node
+//     that shares no pool with the systems it is compared against.
 func TestOneRunDriver(t *testing.T) {
 	root := filepath.Join("..", "..")
-	const rtPath = "mira/internal/rt"
+	// farSide lists, by import path, the constructors only the pool calls.
+	farSide := map[string][]string{
+		"mira/internal/farmem":    {"NewNode"},
+		"mira/internal/transport": {"New", "NewWithPolicy"},
+		"mira/internal/faults":    {"New", "Wrap"},
+	}
 	fset := token.NewFileSet()
 	scanned := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -27,7 +38,7 @@ func TestOneRunDriver(t *testing.T) {
 		rel, _ := filepath.Rel(root, path)
 		if d.IsDir() {
 			switch filepath.ToSlash(rel) {
-			case "benchmark", ".bench_build", ".git", "internal/rt", "internal/session":
+			case "benchmark", ".bench_build", ".git":
 				return filepath.SkipDir
 			}
 			return nil
@@ -40,17 +51,18 @@ func TestOneRunDriver(t *testing.T) {
 			return err
 		}
 		scanned++
-		rtName := ""
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		runtimeOK := dir == "internal/rt" || dir == "internal/session"
+		farSideOK := dir == "internal/cluster" || strings.HasSuffix(dir, "test")
+		// imported maps each file-local package name to its import path.
+		imported := map[string]string{}
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == rtPath {
-				rtName = "rt"
-				if imp.Name != nil {
-					rtName = imp.Name.Name
-				}
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
 			}
-		}
-		if rtName == "" {
-			return nil
+			imported[name] = p
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -61,10 +73,18 @@ func TestOneRunDriver(t *testing.T) {
 			if !ok {
 				return true
 			}
-			x, _ := sel.X.(*ast.Ident)
-			if sel.Sel.Name == "Bind" || (sel.Sel.Name == "New" && x != nil && x.Name == rtName) {
+			fn := sel.Sel.Name
+			var pkg string
+			if x, ok := sel.X.(*ast.Ident); ok {
+				pkg = imported[x.Name]
+			}
+			if !runtimeOK && (fn == "Bind" || fn == "New" && pkg == "mira/internal/rt") {
 				t.Errorf("%s: %s.%s called outside internal/session — open a session instead",
-					fset.Position(call.Pos()), exprName(sel.X), sel.Sel.Name)
+					fset.Position(call.Pos()), exprName(sel.X), fn)
+			}
+			if !farSideOK && slices.Contains(farSide[pkg], fn) {
+				t.Errorf("%s: %s.%s builds a far side outside internal/cluster — run on a cluster.Pool instead",
+					fset.Position(call.Pos()), exprName(sel.X), fn)
 			}
 			return true
 		})

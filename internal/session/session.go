@@ -72,12 +72,13 @@ type Spec struct {
 }
 
 // Backend is what a session drives: the Mira runtime, or a baseline with its
-// own object cache (AIFM).
+// own object cache (AIFM). Either keeps its far memory on a pool of far
+// nodes, which the session reads its counters from and releases on Close.
 type Backend interface {
 	exec.Backend
 	workload.ObjectDumper
 	FlushAll(clk *sim.Clock) error
-	NetStats() transport.Stats
+	Pool() *cluster.Pool
 	SetTrace(tr *trace.Tracer)
 }
 
@@ -137,29 +138,26 @@ func Open(spec Spec) (*Session, error) {
 }
 
 // Over wraps an already-built, already-initialized backend (AIFM) so it
-// shares Run and Finish.
+// shares Run, Finish and Close.
 func Over(be Backend, w workload.Workload, prog *ir.Program, tr *trace.Tracer) *Session {
 	be.SetTrace(tr)
 	return &Session{be: be, w: w, prog: prog, clk: sim.NewClock(0)}
 }
 
-// Close ends the session and returns the far memory it allocated — every
+// Close ends the session and returns the backend's far memory — every
 // pool member's regions — to the far side's free list
 // (farmem.Node.Release), where the next session's allocations of the same
 // sizes find it instead of making and zeroing their own. Everything worth
 // keeping must have been read before: Finish and Dump refuse a closed
 // session, and the far side answers farmem.ErrUnmapped to anything that
-// still reaches it. Close is idempotent, and releases nothing for a session
-// wrapped around a foreign backend (Over), whose memory is not the
-// session's. A session that is never closed is only not recycled.
+// still reaches it. Close is idempotent. A session that is never closed is
+// only not recycled.
 func (s *Session) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	if s.RT != nil {
-		s.RT.ReleaseFarMemory()
-	}
+	s.Pool().Release()
 }
 
 // errClosed is what a closed session answers to Finish and Dump.
@@ -278,7 +276,7 @@ type Stats struct {
 	// breaker trips, degraded-mode activity), summed across node links.
 	Net transport.Stats
 	// Cluster carries the per-node counters of the run's pool, ordered by
-	// node ID: one row on a one-node pool, nil on a foreign backend.
+	// node ID: one row on a one-node pool.
 	Cluster []cluster.NodeStats
 	// Messages counts link-level transfers, summed across node links — the
 	// metric vectored I/O collapses.
@@ -302,8 +300,9 @@ type Stats struct {
 
 // Finish flushes every dirty line and page on the session clock, checks the
 // output against the workload's native oracle when verify is set (and the
-// workload has one), and reports the run's counters. A foreign backend
-// reports Time and Net only.
+// workload has one), and reports the run's counters. Prefetch and
+// DemandMisses are the Mira runtime's; a foreign backend (AIFM) prefetches
+// nothing and leaves them zero.
 func (s *Session) Finish(verify bool) (Stats, error) {
 	if s.closed {
 		return Stats{}, s.errClosed("Finish")
@@ -316,13 +315,11 @@ func (s *Session) Finish(verify bool) (Stats, error) {
 			return Stats{}, err
 		}
 	}
-	st := Stats{Time: s.clk.Now().Sub(0), Net: s.be.NetStats()}
+	p := s.Pool()
+	st := Stats{Time: s.clk.Now().Sub(0), Net: p.Stats(), Cluster: p.NodeStats(), Messages: p.Messages(), BytesMoved: p.BytesMoved()}
+	st.BytesOnWire = st.BytesMoved
+	st.BytesEffective = st.BytesMoved + st.Net.WireSaved
 	if r := s.RT; r != nil {
-		moved := r.Link().BytesMoved()
-		st.Cluster = r.ClusterStats()
-		st.Messages = r.Link().Messages()
-		st.BytesMoved, st.BytesOnWire = moved, moved
-		st.BytesEffective = moved + st.Net.WireSaved
 		st.Prefetch = r.PrefetchStats()
 		st.DemandMisses = r.MissCount()
 	}
@@ -351,6 +348,9 @@ func (s *Session) Dump() (map[string][]byte, error) {
 	}
 	return out, nil
 }
+
+// Pool is the far side the session's backend keeps its memory on.
+func (s *Session) Pool() *cluster.Pool { return s.be.Pool() }
 
 // Dumper exposes the backend's object contents to oracle checks that address
 // objects by other names than the workload's own (merged replicas).

@@ -86,63 +86,51 @@ func openHalf(t *testing.T, w *arraysum.Workload, pool bool) *Session {
 }
 
 // TestCloseReleasesAndRefuses: Close hands the far memory back — nothing
-// stays allocated on the node or on any pool member — any number of times,
-// and what reads far memory afterwards fails loudly instead of reading
-// whatever the next session put there: Finish and Dump by name, an oracle
-// that goes to the backend directly by the far side's ErrUnmapped.
+// stays allocated on the node or on any pool member, whether the backend is
+// the Mira runtime or AIFM's object cache — any number of times, and what
+// reads far memory afterwards fails loudly instead of reading whatever the
+// next session put there: Finish and Dump by name, an oracle that goes to
+// the backend directly by the far side's ErrUnmapped.
 func TestCloseReleasesAndRefuses(t *testing.T) {
-	for _, pool := range []bool{false, true} {
-		w := arraysum.New(arraysum.Config{N: 1 << 10, Seed: 1})
-		s := openHalf(t, w, pool)
-		if _, err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Finish(true); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Dump(); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		s.Close()
-		if got := s.RT.Pool().AllocatedBytes(); got != 0 {
-			t.Fatalf("pool %v: %d bytes still allocated after Close", pool, got)
-		}
-		if _, err := s.Finish(true); err == nil || !strings.Contains(err.Error(), "after Close") {
-			t.Fatalf("pool %v: Finish after Close: %v", pool, err)
-		}
-		if _, err := s.Dump(); err == nil || !strings.Contains(err.Error(), "after Close") {
-			t.Fatalf("pool %v: Dump after Close: %v", pool, err)
-		}
-		if err := w.Verify(s.Dumper()); !errors.Is(err, farmem.ErrUnmapped) {
-			t.Fatalf("pool %v: Verify after Close: %v, want ErrUnmapped", pool, err)
-		}
+	opens := map[string]func(t *testing.T, w *arraysum.Workload) *Session{
+		"one node": func(t *testing.T, w *arraysum.Workload) *Session { return openHalf(t, w, false) },
+		"pool":     func(t *testing.T, w *arraysum.Workload) *Session { return openHalf(t, w, true) },
+		"aifm": func(t *testing.T, w *arraysum.Workload) *Session {
+			r, err := aifm.New(w, aifm.Options{LocalBudget: 4 * w.FullMemoryBytes()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return Over(r, w, w.Program(), nil)
+		},
 	}
-}
-
-// TestCloseLeavesAForeignBackendAlone: a session wrapped around a backend it
-// did not build (AIFM) has no far memory of its own to give back — the
-// backend still answers — but is closed all the same.
-func TestCloseLeavesAForeignBackendAlone(t *testing.T) {
-	w := arraysum.New(arraysum.Config{N: 1 << 10, Seed: 1})
-	r, err := aifm.New(w, aifm.Options{LocalBudget: 4 * w.FullMemoryBytes()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Over(r, w, w.Program(), nil)
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Finish(true); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s.Close()
-	if err := w.Verify(r); err != nil {
-		t.Fatalf("the backend lost its memory to Close: %v", err)
-	}
-	if _, err := s.Dump(); err == nil || !strings.Contains(err.Error(), "after Close") {
-		t.Fatalf("Dump after Close: %v", err)
+	for name, open := range opens {
+		t.Run(name, func(t *testing.T) {
+			w := arraysum.New(arraysum.Config{N: 1 << 10, Seed: 1})
+			s := open(t, w)
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Finish(true); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Dump(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			s.Close()
+			if got := s.be.Pool().AllocatedBytes(); got != 0 {
+				t.Fatalf("%d bytes still allocated after Close", got)
+			}
+			if _, err := s.Finish(true); err == nil || !strings.Contains(err.Error(), "after Close") {
+				t.Fatalf("Finish after Close: %v", err)
+			}
+			if _, err := s.Dump(); err == nil || !strings.Contains(err.Error(), "after Close") {
+				t.Fatalf("Dump after Close: %v", err)
+			}
+			if err := w.Verify(s.Dumper()); !errors.Is(err, farmem.ErrUnmapped) {
+				t.Fatalf("Verify after Close: %v, want ErrUnmapped", err)
+			}
+		})
 	}
 }
 

@@ -27,7 +27,7 @@ func TestConcurrentOpsUnderFaultsRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faults.New(node, faults.Config{
+	inj := faults.Wrap(transport.NewNodeBackend(node), node.WipeMemory, faults.Config{
 		Seed:      99,
 		ErrorRate: 0.01,
 		DelayRate: 0.02,
