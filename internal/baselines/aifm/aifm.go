@@ -23,7 +23,6 @@ import (
 
 	"mira/internal/cluster"
 	"mira/internal/ir"
-	"mira/internal/netmodel"
 	"mira/internal/rt"
 	"mira/internal/sim"
 	"mira/internal/trace"
@@ -50,8 +49,8 @@ type Options struct {
 	// when one field is needed).
 	ChunkBytes int64
 	// Cluster is the pool of far nodes the remotable objects live on, with
-	// its interconnect, fault domains and resilience policy (nil: one
-	// default node).
+	// its interconnect, fault domains and resilience policy (nil: the
+	// one-node testbed pool).
 	Cluster *cluster.Options
 }
 
@@ -62,14 +61,6 @@ func (o Options) withDefaults() Options {
 	if o.MetaPerObject == 0 {
 		o.MetaPerObject = 8
 	}
-	co := cluster.Options{Nodes: 1}
-	if o.Cluster != nil {
-		co = *o.Cluster
-	}
-	if co.Net.BytesPerSecond == 0 {
-		co.Net = netmodel.DefaultConfig()
-	}
-	o.Cluster = &co
 	return o
 }
 
@@ -192,7 +183,7 @@ var wrapLink func(transport.Link) transport.Link
 func New(w workload.Workload, opts Options) (*Runtime, error) {
 	opts = opts.withDefaults()
 	prog := w.Program()
-	pool, err := cluster.New(*opts.Cluster)
+	pool, err := cluster.New(cluster.Testbed(opts.Cluster))
 	if err != nil {
 		return nil, err
 	}

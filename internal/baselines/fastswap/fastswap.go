@@ -7,8 +7,6 @@
 package fastswap
 
 import (
-	"mira/internal/farmem"
-	"mira/internal/netmodel"
 	"mira/internal/prefetch"
 	"mira/internal/session"
 	"mira/internal/workload"
@@ -21,10 +19,6 @@ type Options struct {
 	// Readahead is the number of following pages pulled on each fault
 	// (Linux swap cluster readahead). Default 2.
 	Readahead int64
-	// Net overrides the interconnect model.
-	Net netmodel.Config
-	// NodeCfg overrides the far node.
-	NodeCfg farmem.NodeConfig
 }
 
 // Readahead is the zoo's cluster readahead policy, which FastSwap runs on
@@ -43,11 +37,9 @@ func Spec(w workload.Workload, opts Options) (session.Spec, error) {
 	if err != nil {
 		return session.Spec{}, err
 	}
-	cfg.Net = opts.Net
 	return session.Spec{
 		Workload: w,
 		Config:   cfg,
-		NodeCfg:  opts.NodeCfg,
 		Swap:     session.Fixed(Readahead{N: opts.Readahead}),
 	}, nil
 }

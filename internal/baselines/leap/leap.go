@@ -8,8 +8,6 @@
 package leap
 
 import (
-	"mira/internal/farmem"
-	"mira/internal/netmodel"
 	"mira/internal/prefetch"
 	"mira/internal/session"
 	"mira/internal/sim"
@@ -21,18 +19,6 @@ import (
 type Options struct {
 	// LocalBudget is the page pool size in bytes.
 	LocalBudget int64
-	// Window is the fault-history window for majority detection
-	// (default 32).
-	Window int
-	// Depth is the prefetch depth along a detected trend (default 8).
-	Depth int64
-	// Net overrides the interconnect model.
-	Net netmodel.Config
-	// NodeCfg overrides the far node.
-	NodeCfg farmem.NodeConfig
-	// NoBatching disables the doorbell-batched prefetch gather (one read
-	// per prefetched page, the pre-vectored-I/O datapath).
-	NoBatching bool
 }
 
 // inKernel is prefetch.Leap detecting inside the fault handler: Spec puts
@@ -42,8 +28,10 @@ type inKernel struct{ *prefetch.Leap }
 func (inKernel) PerMissOverhead() sim.Duration { return 0 }
 
 // Spec describes a Leap run of w: everything in the swap section with the
-// majority-trend prefetcher. Callers add the run's fault domain, pool or
-// tracer to the returned spec before opening it. The trend detection is
+// majority-trend prefetcher (prefetch.NewLeap's window and depth) and the
+// doorbell-batched prefetch gather. Callers add the run's fault domain, pool
+// or tracer to the returned spec before opening it, and clear
+// SwapCfg.BatchPrefetch for the unbatched data path. The trend detection is
 // part of every major fault (SwapCfg.MajorFaultOverhead); both fault costs
 // are set because the runtime fills in defaults only when the major one is
 // zero. That times runs as the fault path's two back-to-back charges did,
@@ -53,16 +41,14 @@ func Spec(w workload.Workload, opts Options) (session.Spec, error) {
 	if err != nil {
 		return session.Spec{}, err
 	}
-	cfg.Net = opts.Net
-	cfg.SwapCfg.BatchPrefetch = !opts.NoBatching
-	pf := prefetch.NewLeap(opts.Window, opts.Depth)
+	cfg.SwapCfg.BatchPrefetch = true
+	pf := prefetch.NewLeap(0, 0)
 	stock := swap.DefaultConfig(0)
 	cfg.SwapCfg.MajorFaultOverhead = stock.MajorFaultOverhead + pf.PerMissOverhead()
 	cfg.SwapCfg.MinorFaultOverhead = stock.MinorFaultOverhead
 	return session.Spec{
 		Workload: w,
 		Config:   cfg,
-		NodeCfg:  opts.NodeCfg,
 		Swap:     session.Fixed(inKernel{pf}),
 	}, nil
 }

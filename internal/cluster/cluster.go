@@ -50,14 +50,15 @@ type Options struct {
 	// section lives whole on its home node so per-section routing is a
 	// single-link operation.
 	StripeBytes uint64
-	// NodeCfg configures every far node. Capacities overrides the
-	// capacity per node when non-nil (skewed clusters); len(Capacities)
-	// must equal Nodes.
+	// NodeCfg configures every far node (zero: the testbed's, see
+	// Testbed). Capacities overrides the capacity per node when non-nil
+	// (skewed clusters); len(Capacities) must equal Nodes.
 	NodeCfg    farmem.NodeConfig
 	Capacities []uint64
-	// Net is the per-link cost model. Every node gets its own
-	// netmodel.Bandwidth accountant, so traffic to different nodes is
-	// charged on independent links and sharding is a real speedup.
+	// Net is the per-link cost model (zero: the testbed's, see Testbed).
+	// Every node gets its own netmodel.Bandwidth accountant, so traffic to
+	// different nodes is charged on independent links and sharding is a
+	// real speedup.
 	Net netmodel.Config
 	// Policy is the per-node resilience policy (nil = transport default).
 	// Each node's jitter stream is decorrelated from its peers'.
@@ -69,6 +70,25 @@ type Options struct {
 	// DRAM only). The tier sits between the fault injector and the raw
 	// node, so injected crashes wipe DRAM but not flash.
 	Tier *TierConfig
+}
+
+// Testbed is o with what it leaves zero filled in from the paper's testbed:
+// the 50 Gbps link (netmodel.DefaultConfig) and the 64 GiB far node whose CPU
+// is 3x slower than the compute node's (farmem.DefaultNodeConfig). A nil o is
+// the one-node testbed pool. This is the one place a run's link and far node
+// are described: New builds the pool from it and the planner plans for it.
+func Testbed(o *Options) Options {
+	co := Options{Nodes: 1}
+	if o != nil {
+		co = *o
+	}
+	if co.Net.BytesPerSecond == 0 {
+		co.Net = netmodel.DefaultConfig()
+	}
+	if co.NodeCfg.Capacity == 0 {
+		co.NodeCfg = farmem.DefaultNodeConfig()
+	}
+	return co
 }
 
 func (o Options) stripe() uint64 {
@@ -173,8 +193,10 @@ type Pool struct {
 var wrapNodeLink func(transport.Link) transport.Link
 
 // New builds the pool: N far nodes, each behind its own transport and
-// optional fault injector.
+// optional fault injector, on the testbed's link and node where opts leaves
+// them zero.
 func New(opts Options) (*Pool, error) {
+	opts = Testbed(&opts)
 	if opts.Nodes < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 node, got %d", opts.Nodes)
 	}

@@ -416,3 +416,31 @@ func TestUnmappedAddressErrors(t *testing.T) {
 		t.Fatalf("read of unallocated pool address succeeded")
 	}
 }
+
+// TestZeroOptionsPoolIsTheTestbed: a pool whose options name no link model
+// and no node config runs on the testbed's — a read completes when it does on
+// a pool given netmodel.DefaultConfig and farmem.DefaultNodeConfig, and the
+// node reports the testbed's 64 GiB — instead of dividing by a zero message
+// size or reporting no capacity.
+func TestZeroOptionsPoolIsTheTestbed(t *testing.T) {
+	read := func(opts Options) (sim.Time, uint64) {
+		p := mustPool(t, opts)
+		addr, err := p.Alloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, err := p.ReadOneSided(0, addr, make([]byte, 4096))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return done, p.NodeStats()[0].CapacityBytes
+	}
+	want, _ := read(Options{Nodes: 1, Net: netmodel.DefaultConfig(), NodeCfg: farmem.DefaultNodeConfig()})
+	done, capacity := read(Options{Nodes: 1})
+	if done != want || done < sim.Time(0).Add(netmodel.DefaultConfig().OneSidedCost(4096)) {
+		t.Errorf("4 KiB read done at %v, want %v as on the testbed link", done, want)
+	}
+	if capacity != 64<<30 {
+		t.Errorf("node capacity %d B, want the testbed's 64 GiB", capacity)
+	}
+}

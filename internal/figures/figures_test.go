@@ -1,8 +1,13 @@
 package figures
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"mira/internal/apps/dataframe"
+	"mira/internal/harness"
+	"mira/internal/planner"
 )
 
 // shapeChecks asserts each figure's paper shape on the already-generated
@@ -21,6 +26,39 @@ var shapeChecks = map[string]func(t *testing.T, f *Figure){
 				t.Errorf("edge overhead rose below the knee: %g@%g -> %g@%g",
 					edge.Y[i-1], edge.X[i-1], edge.Y[i], edge.X[i])
 			}
+		}
+	},
+	"fig16": func(t *testing.T, f *Figure) {
+		// The input-adaptation note runs the trained plan as the planner
+		// timed it (planner.Measure, swap readahead included): on the
+		// training input that is the plan's FinalTime, and the note's
+		// figure is that measurement on the unseen input over native.
+		var note string
+		for _, n := range f.Notes {
+			if strings.HasPrefix(n, "input adaptation:") {
+				note = n
+			}
+		}
+		cfg := dataframeCfg(Quick)
+		train := dataframe.New(cfg)
+		plan, err := planner.Plan(train, planner.Options{LocalBudget: train.FullMemoryBytes() / 2, MaxIterations: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := planner.Measure(plan, dataframe.New(cfg), planner.Options{}); err != nil || got != plan.FinalTime {
+			t.Errorf("trained plan on its training input: %v (err %v), want FinalTime %v", got, err, plan.FinalTime)
+		}
+		cfg.Seed = 2015
+		testTime, err := planner.Measure(plan, dataframe.New(cfg), planner.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		native, err := harness.Run(harness.Native, dataframe.New(cfg), harness.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("achieves %.3g relative", relPerf(native.Time, testTime)); !strings.Contains(note, want) {
+			t.Errorf("adaptation note %q does not say %q", note, want)
 		}
 	},
 	"fig17": func(t *testing.T, f *Figure) {

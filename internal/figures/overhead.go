@@ -42,27 +42,6 @@ func overheadWorkloads(scale Scale) []struct {
 	}
 }
 
-// openPlanned starts an already-planned compilation on a (possibly
-// different-input) workload.
-func openPlanned(w workload.Workload, plan *planner.Result) (*session.Session, error) {
-	return session.Open(session.Spec{Workload: w, Program: plan.Program, Config: plan.Config, Swap: session.NoPrefetch})
-}
-
-// runPlannedOn executes an already-planned compilation against a (possibly
-// different-input) workload — the input-adaptation test of §3.
-func runPlannedOn(w workload.Workload, plan *planner.Result) (sim.Duration, error) {
-	s, err := openPlanned(w, plan)
-	if err != nil {
-		return 0, err
-	}
-	defer s.Close()
-	if _, err := s.Run(); err != nil {
-		return 0, err
-	}
-	st, err := s.Finish(false)
-	return st.Time, err
-}
-
 // fig19: run-time overhead at 100% local memory — Mira and AIFM relative to
 // native. The paper's point: AIFM is far from native even with all data
 // local (per-dereference software costs), while Mira's native-load
@@ -115,7 +94,7 @@ func fig20(scale Scale) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := openPlanned(w, plan)
+		s, err := session.Open(session.Spec{Workload: w, Program: plan.Program, Config: plan.Config, Swap: session.NoPrefetch})
 		if err != nil {
 			return nil, err
 		}

@@ -12,9 +12,7 @@ import (
 	"mira/internal/baselines/fastswap"
 	"mira/internal/baselines/leap"
 	"mira/internal/cluster"
-	"mira/internal/farmem"
 	"mira/internal/faults"
-	"mira/internal/netmodel"
 	"mira/internal/planner"
 	"mira/internal/prefetch"
 	"mira/internal/rt"
@@ -44,15 +42,10 @@ var AllSystems = []System{Mira, FastSwap, Leap, AIFM}
 type Options struct {
 	// Budget is the local memory in bytes (ignored for Native).
 	Budget int64
-	// Net overrides the interconnect model.
-	Net netmodel.Config
-	// NodeCfg overrides the far node.
-	NodeCfg farmem.NodeConfig
 	// Planner customizes Mira's planning: the data-plane, compression and
 	// offload modes, the write-back queue bound and the technique mask all
 	// live here, and every Mira driver plans with them (planOptions). The
-	// budget, tracer, pool and — when unset — interconnect and far node come
-	// from the fields below.
+	// budget, tracer and pool come from the fields below.
 	Planner planner.Options
 	// Verify checks workload output after the run when the workload
 	// implements workload.Verifier.
@@ -121,8 +114,6 @@ func (o Options) clusterOpts(withFaults bool) *cluster.Options {
 		Replicas:    o.Replicas,
 		Seed:        1,
 		StripeBytes: o.StripeBytes,
-		NodeCfg:     o.NodeCfg,
-		Net:         o.Net,
 		Tier:        o.Tier,
 	}
 	if o.Resilience != nil {
@@ -161,19 +152,8 @@ type Result struct {
 	PlanResult *planner.Result
 }
 
-func (o Options) withDefaults() Options {
-	if o.Net.BytesPerSecond == 0 {
-		o.Net = netmodel.DefaultConfig()
-	}
-	if o.NodeCfg.Capacity == 0 {
-		o.NodeCfg = farmem.DefaultNodeConfig()
-	}
-	return o
-}
-
 // Run executes w on sys.
 func Run(sys System, w workload.Workload, opts Options) (Result, error) {
-	opts = opts.withDefaults()
 	if opts.Planner.Plane != "" {
 		if sys != Mira {
 			return Result{}, fmt.Errorf("harness: a plane mode selects Mira's data plane; %s has only one", sys)
@@ -234,9 +214,7 @@ func finish(sys System, s *session.Session, opts Options) (Result, error) {
 // runNative executes with every object in local memory: the figures'
 // normalization denominator ("native execution on full local memory").
 func runNative(w workload.Workload, opts Options) (Result, error) {
-	cfg := session.Native(w.Program())
-	cfg.Net = opts.Net
-	return runSpec(Native, session.Spec{Workload: w, Config: cfg, NodeCfg: opts.NodeCfg}, opts)
+	return runSpec(Native, session.Spec{Workload: w, Config: session.Native(w.Program())}, opts)
 }
 
 // planOptions is the one translation from a run's options to the planner
@@ -246,12 +224,6 @@ func runNative(w workload.Workload, opts Options) (Result, error) {
 func (o Options) planOptions() planner.Options {
 	popts := o.Planner
 	popts.LocalBudget = o.Budget
-	if popts.Net.BytesPerSecond == 0 {
-		popts.Net = o.Net
-	}
-	if popts.NodeCfg.Capacity == 0 {
-		popts.NodeCfg = o.NodeCfg
-	}
 	if o.NoBatching {
 		popts.Techniques.NoBatching = true
 		if popts.WritebackQueueLines == 0 {
@@ -279,7 +251,7 @@ func runMira(sys System, w workload.Workload, opts Options) (Result, error) {
 	// (planning itself is always fault-free — an offline activity), or to
 	// trace it (the planner's internal runs are not instrumented).
 	if opts.Verify || opts.faultsEnabled() || opts.Trace != nil {
-		return runAccepted(sys, w, opts, popts, res, &programVariant{}, prefetch.Spec{Policy: prefetch.Compiled})
+		return runAccepted(sys, w, opts, res, &programVariant{}, prefetch.Spec{Policy: prefetch.Compiled})
 	}
 	return Result{System: sys, Stats: session.Stats{Time: res.FinalTime}, PlanResult: res}, nil
 }
@@ -288,14 +260,15 @@ func runSwapBaseline(sys System, w workload.Workload, opts Options) (Result, err
 	var spec session.Spec
 	var err error
 	if sys == FastSwap {
-		spec, err = fastswap.Spec(w, fastswap.Options{LocalBudget: opts.Budget, Net: opts.Net, NodeCfg: opts.NodeCfg})
+		spec, err = fastswap.Spec(w, fastswap.Options{LocalBudget: opts.Budget})
 	} else {
-		spec, err = leap.Spec(w, leap.Options{
-			LocalBudget: opts.Budget, Net: opts.Net, NodeCfg: opts.NodeCfg, NoBatching: opts.NoBatching,
-		})
+		spec, err = leap.Spec(w, leap.Options{LocalBudget: opts.Budget})
 	}
 	if err != nil {
 		return Result{}, err
+	}
+	if opts.NoBatching {
+		spec.Config.SwapCfg.BatchPrefetch = false
 	}
 	spec.Config = opts.runConfig(spec.Config)
 	return runSpec(sys, spec, opts)

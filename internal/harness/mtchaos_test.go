@@ -8,7 +8,6 @@ import (
 	"mira/internal/apps/seqscan"
 	"mira/internal/cluster"
 	"mira/internal/faults"
-	"mira/internal/netmodel"
 	"mira/internal/planner"
 	"mira/internal/rt"
 	"mira/internal/session"
@@ -22,7 +21,6 @@ func chaosPlan(t *testing.T, w workload.Workload, budget int64) *planner.Result 
 	t.Helper()
 	plan, err := planner.Plan(w, planner.Options{
 		LocalBudget:   budget,
-		Net:           netmodel.DefaultConfig(),
 		MaxIterations: 3,
 	})
 	if err != nil {

@@ -33,7 +33,6 @@ import (
 // prefetcher. "compiled" is rejected — there is no compiled prefetch
 // stream on the page plane.
 func RunPagePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Result, error) {
-	opts = opts.withDefaults()
 	if spec.Policy == prefetch.Compiled {
 		return Result{}, fmt.Errorf("harness: policy %q has no page-plane arm", spec.Policy)
 	}
@@ -42,12 +41,10 @@ func RunPagePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: %w", err)
 	}
-	cfg.Net = opts.Net
 	cfg.SwapCfg.BatchPrefetch = !opts.NoBatching
 	return runSpec(System("page/"+spec.Policy), session.Spec{
 		Workload: w,
 		Config:   opts.runConfig(cfg),
-		NodeCfg:  opts.NodeCfg,
 		Swap: func(r *rt.Runtime) (prefetch.Policy, error) {
 			var program []int64
 			if spec.Policy == "programmed" {
@@ -79,9 +76,7 @@ func RunLinePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 // installed per cache section. The swap pool keeps the planner's standard
 // readahead in every cell so only the section policies differ.
 func RunLinePolicies(w workload.Workload, opts Options, specs []prefetch.Spec) ([]Result, error) {
-	opts = opts.withDefaults()
-	popts := opts.planOptions()
-	pres, err := planner.Plan(w, popts)
+	pres, err := planner.Plan(w, opts.planOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +101,7 @@ func RunLinePolicies(w workload.Workload, opts Options, specs []prefetch.Spec) (
 		if err != nil {
 			return nil, err
 		}
-		res, err := runAccepted(System("line/"+spec.Policy), w, opts, popts, pres, v, spec)
+		res, err := runAccepted(System("line/"+spec.Policy), w, opts, pres, v, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -181,8 +176,8 @@ func clonePlan(p *codegen.Plan) *codegen.Plan {
 // timing run minus its profiling probes (TestHarnessRerunIsThePlannersRun),
 // so it reports the time the planner accepted the plan at: the plain Mira
 // run and the compiled arm are one run (TestCompiledArmIsThePlainRun).
-func runAccepted(sys System, w workload.Workload, opts Options, popts planner.Options, pres *planner.Result,
-	v *programVariant, spec prefetch.Spec) (Result, error) {
+func runAccepted(sys System, w workload.Workload, opts Options, pres *planner.Result, v *programVariant,
+	spec prefetch.Spec) (Result, error) {
 	prog := pres.Program
 	if v.prog != nil {
 		var err error
@@ -195,7 +190,6 @@ func runAccepted(sys System, w workload.Workload, opts Options, popts planner.Op
 		Workload: w,
 		Program:  prog,
 		Config:   opts.runConfig(pres.Config),
-		NodeCfg:  popts.NodeCfg,
 		Swap:     session.Fixed(planner.SwapPolicy()),
 		Trace:    opts.Trace,
 	})

@@ -35,7 +35,6 @@ import (
 	"mira/internal/baselines/aifm"
 	"mira/internal/baselines/fastswap"
 	"mira/internal/cache"
-	"mira/internal/cluster"
 	"mira/internal/codegen"
 	"mira/internal/exec"
 	"mira/internal/ir"
@@ -175,7 +174,6 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 	}
 	res := Result{Mode: mode, Threads: threads}
 	reps := repsFor(threads)
-	net := netmodel.DefaultConfig()
 	ths := make([]session.Thread, threads)
 	// copies[i] reads thread i's copy of the workload's objects, under the
 	// workload's own names.
@@ -195,13 +193,12 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 		// link, arbitrated by event order.
 		plan, err := planner.Plan(w, planner.Options{
 			LocalBudget:   budget / int64(threads),
-			Net:           net,
 			MaxIterations: 6,
 		})
 		if err != nil {
 			return Result{}, err
 		}
-		bw := netmodel.NewBandwidth(net)
+		bw := netmodel.NewBandwidth(netmodel.DefaultConfig())
 		for i := range ths {
 			s, err := session.Open(session.Spec{
 				Workload: w, Program: plan.Program, Config: plan.Config,
@@ -226,7 +223,6 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 		// emergent from the interleaving.
 		plan, err := planner.Plan(w, planner.Options{
 			LocalBudget:   budget,
-			Net:           net,
 			MaxIterations: 6,
 			Techniques: planner.TechniqueMask{
 				ForceFullAssoc: true,
@@ -273,7 +269,6 @@ func ReadOnlyScalingTraced(mode Mode, w workload.Workload, budget int64, threads
 			// Keep the shared pool at `budget` like the single-thread
 			// baseline: replica locals are per-thread stacks outside it.
 			LocalBudget: budget + int64(threads-1)*prog.LocalBytes(),
-			Net:         net,
 		})
 		if err != nil {
 			return Result{}, err
@@ -364,7 +359,6 @@ func SharedWriteFilter(mode Mode, cfg dataframe.Config, budget int64, threads in
 	cfg.FilterOnly = true
 	w := dataframe.New(cfg)
 	rows := w.Config().Rows
-	net := netmodel.DefaultConfig()
 	res := Result{Mode: mode, Threads: threads}
 
 	prog := w.Program()
@@ -387,16 +381,16 @@ func SharedWriteFilter(mode Mode, cfg dataframe.Config, budget int64, threads in
 		// lives in a shared fully-associative section with conservative
 		// configuration (§4.6); the scanned columns get a sequential
 		// direct section with prefetch.
-		s, err = miraSharedFilterSession(w, progMT, budget, net)
+		s, err = miraSharedFilterSession(w, progMT, budget)
 	case FastSwapShared:
-		s, err = fastswap.New(filterWorkload{Workload: w, prog: progMT}, fastswap.Options{LocalBudget: budget, Net: net})
+		s, err = fastswap.New(filterWorkload{Workload: w, prog: progMT}, fastswap.Options{LocalBudget: budget})
 		if err == nil {
 			s.RT.SwapLock(&sim.Serializer{})
 		}
 	case AIFMShared:
 		fw := filterWorkload{Workload: w, prog: progMT}
 		var r *aifm.Runtime
-		r, err = aifm.New(fw, aifm.Options{LocalBudget: budget, ChunkBytes: 4096, Cluster: &cluster.Options{Nodes: 1, Net: net}})
+		r, err = aifm.New(fw, aifm.Options{LocalBudget: budget, ChunkBytes: 4096})
 		if err == nil {
 			s = session.Over(r, fw, progMT, nil)
 		}
@@ -442,7 +436,7 @@ func (f filterWorkload) Program() *ir.Program { return f.prog }
 // indexing would let aliasing streams conflict-evict each other's lines on
 // every access — the §4.6 conservative rule (assume any other thread may
 // touch the section) applies to the scanned columns too.
-func miraSharedFilterSession(w workload.Workload, prog *ir.Program, budget int64, net netmodel.Config) (*session.Session, error) {
+func miraSharedFilterSession(w workload.Workload, prog *ir.Program, budget int64) (*session.Session, error) {
 	seqBytes := budget / 4
 	cfg := rt.Config{
 		LocalBudget: budget,
@@ -456,7 +450,6 @@ func miraSharedFilterSession(w workload.Workload, prog *ir.Program, budget int64
 			"fare":    {Kind: rt.PlaceSection, Section: 0},
 			"result":  {Kind: rt.PlaceSection, Section: 1},
 		},
-		Net: net,
 	}
 	plan := &codegen.Plan{Objects: map[string]*codegen.ObjectPlan{
 		"payment": {Object: "payment", Pattern: analysis.PatternSequential, PrefetchDistance: 512, LineElems: 256, Native: true},

@@ -23,7 +23,7 @@ func Adapt(prev *Result, w Workload, opts Options, tolerance float64) (*Result, 
 	}
 
 	// Measure the existing compilation on the sampled input.
-	m := measure(prev, w, withDefaults(opts))
+	m := measure(prev, w)
 	if m.err != nil {
 		return nil, false, fmt.Errorf("planner: adapt measurement: %w", m.err)
 	}
@@ -57,14 +57,14 @@ func Measure(prev *Result, w Workload, opts Options) (sim.Duration, error) {
 	if prev == nil {
 		return 0, fmt.Errorf("planner: Measure with nil result")
 	}
-	m := measure(prev, w, withDefaults(opts))
+	m := measure(prev, w)
 	return m.time, m.err
 }
 
 // measure times prev's compilation on w with the probes off, on a ledger of
 // its own: a new input is never answered from an old input's record.
-func measure(prev *Result, w Workload, opts Options) *outcome {
+func measure(prev *Result, w Workload) *outcome {
 	cfg := prev.Config
 	cfg.Profiling = false
-	return newLedger(w, opts).time(prev.Program, cfg)
+	return newLedger(w).time(prev.Program, cfg)
 }

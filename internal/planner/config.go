@@ -6,6 +6,7 @@ import (
 
 	"mira/internal/analysis"
 	"mira/internal/cache"
+	"mira/internal/cluster"
 	"mira/internal/codegen"
 	"mira/internal/ir"
 	"mira/internal/netmodel"
@@ -101,7 +102,7 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 
 	// Group similar patterns into shared sections (§4.1 "we group
 	// similar patterns into one section").
-	drafts := groupSections(prog, merged, tech, opts.Net)
+	drafts := groupSections(prog, merged, tech, opts.link())
 
 	// Budget carve-up.
 	local := prog.LocalBytes()
@@ -150,7 +151,7 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 		}
 	}
 
-	dElems := rttElems(prog, merged, col, opts.Net)
+	dElems := rttElems(prog, merged, col, opts.link())
 
 	// Size sequential sections analytically: enough lines to hold the
 	// prefetch window twice over (§4.3: "sequential and strided cache
@@ -198,7 +199,7 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 			// Doorbell-batched prefetch lands a whole batch of future
 			// lines at once; the section must hold it alongside the
 			// regular window.
-			window += analysis.DoorbellBatchLines(opts.Net, d.lineBytes, maxBatchLines)
+			window += analysis.DoorbellBatchLines(opts.link(), d.lineBytes, maxBatchLines)
 		}
 		d.sizeBytes = 2 * window * int64(d.lineBytes) * int64(len(d.members))
 		var coRes int64
@@ -255,7 +256,7 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 		}
 	}
 
-	plan := buildPlan(prog, merged, drafts, dElems, tech, opts.Net)
+	plan := buildPlan(prog, merged, drafts, dElems, tech, opts.link())
 	// Lifetime-bounded sections: release each object where its global
 	// lifetime ends (§4.1), unless eviction hints are masked (the
 	// Fig. 21 breakdown treats releases as part of the hint technique).
@@ -340,7 +341,7 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 	// a streaming section below the size its leads and batches were read
 	// from: plan them again against the section's final size. The ledger
 	// hands back the program already built when the plan is unchanged.
-	final := buildPlan(prog, merged, drafts, dElems, tech, opts.Net)
+	final := buildPlan(prog, merged, drafts, dElems, tech, opts.link())
 	final.ReleaseAfter = plan.ReleaseAfter
 	plan = final
 	if compiled, err = l.compile(prog, plan); err != nil {
@@ -710,9 +711,9 @@ func (p *planning) decideOffloads(prog *ir.Program, funcs, objs []string) ([]str
 		return nil, err
 	}
 	params := analysis.OffloadParams{
-		Net:            opts.Net,
-		ComputeOp:      opts.Cost.ComputeOp,
-		RemoteSlowdown: opts.NodeCfg.CPUSlowdown,
+		Net:            opts.link(),
+		ComputeOp:      rt.DefaultCostModel().ComputeOp,
+		RemoteSlowdown: cluster.Testbed(opts.Cluster).NodeCfg.CPUSlowdown,
 		LineBytes:      2048,
 	}
 	var out []string
@@ -825,9 +826,9 @@ func sampleRun(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSe
 	}
 	// Target section's share of runtime overhead, from its counters.
 	st := out.secs[sectionIndex(all, nonSeq[target].name)]
-	lookup := opts.Cost.Lookup(nonSeq[target].structure)
-	secTime := sim.Duration(st.Hits+st.Misses)*lookup +
-		sim.Duration(st.Misses)*(opts.Cost.MissHandling+opts.Net.RTTEstimate(nonSeq[target].lineBytes))
+	cost := rt.DefaultCostModel()
+	secTime := sim.Duration(st.Hits+st.Misses)*cost.Lookup(nonSeq[target].structure) +
+		sim.Duration(st.Misses)*(cost.MissHandling+opts.link().RTTEstimate(nonSeq[target].lineBytes))
 	return float64(secTime) / float64(total), nil
 }
 
@@ -870,8 +871,8 @@ func assembleConfig(prog *ir.Program, drafts []*sectionDraft, merged map[string]
 		LocalBudget:         opts.LocalBudget,
 		SwapPool:            pool,
 		Placements:          map[string]rt.Placement{},
-		Cost:                opts.Cost,
-		Net:                 opts.Net,
+		Cost:                rt.DefaultCostModel(),
+		Net:                 opts.link(),
 		Cluster:             opts.Cluster,
 		WritebackQueueLines: opts.WritebackQueueLines,
 		SwapCompress:        opts.Compress == "on",

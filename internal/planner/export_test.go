@@ -7,7 +7,7 @@ package planner
 // nothing outside the tests can turn on.
 func planOn(w Workload, opts Options, forget bool) (*Result, *ledger, error) {
 	opts = withDefaults(opts)
-	l := newLedger(w, opts)
+	l := newLedger(w)
 	l.forget = forget
 	res, err := plan(l, opts)
 	return res, l, err

@@ -76,7 +76,7 @@ func TestStreamLeadFitsQuarter(t *testing.T) {
 func checkStreamLeads(t *testing.T, w Workload, opts Options, scan bool) (int, bool, bool) {
 	t.Helper()
 	at := fmt.Sprintf("budget %d, batching off %v", opts.LocalBudget, opts.Techniques.NoBatching)
-	l := newLedger(w, opts)
+	l := newLedger(w)
 	prog := w.Program()
 	swapCfg, err := swapOnlyConfig(prog, opts)
 	if err != nil {
@@ -105,13 +105,13 @@ func checkStreamLeads(t *testing.T, w Workload, opts Options, scan bool) (int, b
 	if want, err := codegen.Apply(prog, cand.plan); err != nil || ir.Print(want) != ir.Print(cand.prog) {
 		t.Errorf("%s: the candidate's program is not its plan's (replanned %v, err %v)", at, replanned, err)
 	}
-	off := newLedger(w, opts)
+	off := newLedger(w)
 	off.forget = true
 	if c, err := buildConfig(off, prog, report, objs, base.col, opts); err != nil ||
 		!reflect.DeepEqual(c.plan, cand.plan) || !reflect.DeepEqual(c.cfg, cand.cfg) || ir.Print(c.prog) != ir.Print(cand.prog) {
 		t.Errorf("%s: a forgetting ledger builds another candidate (replanned %v, err %v)", at, replanned, err)
 	}
-	dElems := rttElems(prog, scopeAccess(report, objs), base.col, opts.Net)
+	dElems := rttElems(prog, scopeAccess(report, objs), base.col, opts.link())
 
 	// rttPlan is the candidate with every stream led by the round trip.
 	rttPlan := *cand.plan

@@ -5,7 +5,6 @@ import (
 
 	"mira/internal/cache"
 	"mira/internal/codegen"
-	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/profile"
 	"mira/internal/rt"
@@ -25,8 +24,7 @@ import (
 // workload: nothing is remembered across calls, so a different input is
 // always measured.
 type ledger struct {
-	w       Workload
-	nodeCfg farmem.NodeConfig
+	w Workload
 	// runs holds one entry per session opened, builds one per compilation.
 	runs   []ledgerRun
 	builds []ledgerBuild
@@ -37,8 +35,8 @@ type ledger struct {
 	forget bool
 }
 
-func newLedger(w Workload, opts Options) *ledger {
-	return &ledger{w: w, nodeCfg: opts.NodeCfg}
+func newLedger(w Workload) *ledger {
+	return &ledger{w: w}
 }
 
 // ledgerRun is one executed candidate. Identity is the program's pointer —
@@ -133,7 +131,6 @@ func (l *ledger) execute(prog *ir.Program, cfg rt.Config) *outcome {
 		Workload:  l.w,
 		Program:   prog,
 		Config:    cfg,
-		NodeCfg:   l.nodeCfg,
 		Swap:      session.Fixed(SwapPolicy()),
 		Collector: col,
 	})

@@ -134,7 +134,7 @@ func TestMirroredSamplesShareOneSession(t *testing.T) {
 		{name: "nodes", structure: cache.FullAssoc, lineBytes: 128, members: []string{"nodes"}, interval: [2]int{0, 1}},
 	}
 	sample := func(forget bool) (*ledger, []int64) {
-		l := newLedger(w, opts)
+		l := newLedger(w)
 		l.forget = forget
 		if err := sizeBySampling(l, prog, prog, drafts, drafts, avail, 0, opts); err != nil {
 			t.Fatal(err)
@@ -269,7 +269,7 @@ func TestLedgerDoesNotOutliveItsPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	// What w2 takes, from a session nothing planned through.
-	want := newLedger(dataframe.New(cfg), withDefaults(opts)).time(res.Program, res.Config)
+	want := newLedger(dataframe.New(cfg)).time(res.Program, res.Config)
 	if want.err != nil {
 		t.Fatal(want.err)
 	}
@@ -310,7 +310,7 @@ func TestLedgerCollectorsAreFinal(t *testing.T) {
 				continue
 			}
 			profiled++
-			fresh := newLedger(mk(), withDefaults(opts)).time(r.prog, r.cfg)
+			fresh := newLedger(mk()).time(r.prog, r.cfg)
 			if !reflect.DeepEqual(fresh.col, r.out.col) {
 				t.Errorf("%s: run %d's collector was written to after the run returned", app, i)
 			}

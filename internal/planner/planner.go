@@ -28,7 +28,6 @@ import (
 	"mira/internal/analysis"
 	"mira/internal/cluster"
 	"mira/internal/codegen"
-	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/prefetch"
@@ -48,12 +47,6 @@ type Options struct {
 	// LocalBudget is the application's local memory in bytes. Zero
 	// defaults to half the workload's far-memory footprint.
 	LocalBudget int64
-	// Net is the interconnect model (zero: paper defaults).
-	Net netmodel.Config
-	// Cost is the local cost model (zero: defaults).
-	Cost rt.CostModel
-	// NodeCfg configures the far-memory node (zero: 64 GB, 3x CPU).
-	NodeCfg farmem.NodeConfig
 	// MaxIterations bounds the profiling-optimization loop (§3 "system
 	// administrators set an optimization target"). Default 3.
 	MaxIterations int
@@ -76,8 +69,11 @@ type Options struct {
 	// whichever is fastest. Auto therefore never loses to off or on.
 	Compress string
 	// Cluster, when non-nil, plans against that pool of far nodes instead
-	// of a one-node pool. Planning itself is offline and fault-free: any
-	// per-node fault schedules belong to the final run, not here.
+	// of a one-node pool. Its link model and far node — the testbed's where
+	// it leaves them zero, or when it is nil — are what the planner plans
+	// for; the local cost model is always rt.DefaultCostModel. Planning
+	// itself is offline and fault-free: any per-node fault schedules belong
+	// to the final run, not here.
 	Cluster *cluster.Options
 	// Offload selects the scatter-gather offload mode (Offload 2.0): "" or
 	// "off" plans without offloading, "on" marks every scatter-safe
@@ -163,7 +159,7 @@ type Result struct {
 // Plan runs the full iterative flow for one workload.
 func Plan(w Workload, opts Options) (*Result, error) {
 	opts = withDefaults(opts)
-	l := newLedger(w, opts)
+	l := newLedger(w)
 	res, err := plan(l, opts)
 	if err != nil {
 		return nil, err
@@ -425,17 +421,12 @@ func withDefaults(opts Options) Options {
 	if opts.MaxIterations == 0 {
 		opts.MaxIterations = 3
 	}
-	if opts.Net.BytesPerSecond == 0 {
-		opts.Net = netmodel.DefaultConfig()
-	}
-	if opts.Cost == (rt.CostModel{}) {
-		opts.Cost = rt.DefaultCostModel()
-	}
-	if opts.NodeCfg.Capacity == 0 {
-		opts.NodeCfg = farmem.DefaultNodeConfig()
-	}
 	return opts
 }
+
+// link is the interconnect the planner plans for: the pool's link model
+// (cluster.Testbed).
+func (o Options) link() netmodel.Config { return cluster.Testbed(o.Cluster).Net }
 
 // SwapPolicy is what runs on the swap pool of every configuration the
 // planner times: the generic swap section behaves like a traditional swap
@@ -450,8 +441,8 @@ func swapOnlyConfig(prog *ir.Program, opts Options) (rt.Config, error) {
 	if err != nil {
 		return rt.Config{}, fmt.Errorf("planner: %w", err)
 	}
-	cfg.Cost = opts.Cost
-	cfg.Net = opts.Net
+	cfg.Cost = rt.DefaultCostModel()
+	cfg.Net = opts.link()
 	cfg.Cluster = opts.Cluster
 	cfg.WritebackQueueLines = opts.WritebackQueueLines
 	cfg.SwapCompress = opts.Compress == "on"

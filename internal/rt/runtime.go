@@ -180,8 +180,8 @@ var wrapLink func(transport.Link) transport.Link
 
 // New creates a runtime over a pool of far nodes: cfg.Cluster's, or — when
 // cfg names no cluster — a one-node pool whose node is configured like
-// node (the default node when node is nil). Call Bind before executing a
-// program.
+// node (the testbed's, cluster.Testbed, when node is nil). Call Bind before
+// executing a program.
 func New(cfg Config, node *farmem.Node) (*Runtime, error) {
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCostModel()

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"mira/internal/cluster"
-	"mira/internal/farmem"
 	"mira/internal/faults"
 	"mira/internal/netmodel"
 	"mira/internal/planner"
@@ -91,9 +90,6 @@ type Options struct {
 	// Faults names a fault schedule (faults.Names) injected on node 0 of
 	// every tenant's pool; "" or "none" serves fault-free.
 	Faults string
-	// Horizon places the fault schedule's windows; 0 estimates it from
-	// the arrival schedules.
-	Horizon sim.Duration
 	// Nodes and Replicas shape each tenant's pool (defaults 2 and 2, so
 	// one faulty node never loses data).
 	Nodes, Replicas int
@@ -194,7 +190,7 @@ func Run(specs []TenantSpec, opts Options) (*Result, error) {
 	if opts.Faults == "none" {
 		opts.Faults = ""
 	}
-	horizon := opts.Horizon
+	var horizon sim.Duration // places the fault windows: the longest arrival schedule
 	seen := map[string]bool{}
 	for i := range specs {
 		s := &specs[i]
@@ -226,8 +222,7 @@ func Run(specs []TenantSpec, opts Options) (*Result, error) {
 	if opts.Trace != nil {
 		reg = opts.Trace.Registry()
 	}
-	net := netmodel.DefaultConfig()
-	bw := netmodel.NewBandwidth(net)
+	bw := netmodel.NewBandwidth(netmodel.DefaultConfig())
 
 	tenants := make([]*tenant, len(specs))
 	// Everything the result carries (latencies, counters, dumps) is a copy:
@@ -240,7 +235,7 @@ func Run(specs []TenantSpec, opts Options) (*Result, error) {
 		}
 	}()
 	for i := range specs {
-		t, err := buildTenant(specs[i], opts, net, bw, horizon)
+		t, err := buildTenant(specs[i], opts, bw, horizon)
 		if err != nil {
 			return nil, err
 		}
@@ -312,10 +307,9 @@ func Run(specs []TenantSpec, opts Options) (*Result, error) {
 }
 
 // planTenant is the tenant's compilation; NativeReplay plans identically.
-func planTenant(spec TenantSpec, net netmodel.Config) (*planner.Result, error) {
+func planTenant(spec TenantSpec) (*planner.Result, error) {
 	return planner.Plan(spec.Workload, planner.Options{
 		LocalBudget:   spec.Budget,
-		Net:           net,
 		MaxIterations: 3,
 	})
 }
@@ -335,8 +329,8 @@ func open(spec TenantSpec, plan *planner.Result, cfg rt.Config, bw *netmodel.Ban
 
 // buildTenant plans the tenant's workload and binds it to a replicated pool
 // of its own, with the chaos schedule (if any) on node 0.
-func buildTenant(spec TenantSpec, opts Options, net netmodel.Config, bw *netmodel.Bandwidth, horizon sim.Duration) (*tenant, error) {
-	plan, err := planTenant(spec, net)
+func buildTenant(spec TenantSpec, opts Options, bw *netmodel.Bandwidth, horizon sim.Duration) (*tenant, error) {
+	plan, err := planTenant(spec)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %q: plan: %w", spec.Name, err)
 	}
@@ -347,8 +341,6 @@ func buildTenant(spec TenantSpec, opts Options, net netmodel.Config, bw *netmode
 		Replicas:    opts.Replicas,
 		Seed:        sim.SplitSeed(opts.Seed, "cluster/"+spec.Name),
 		StripeBytes: 4096,
-		NodeCfg:     farmem.DefaultNodeConfig(),
-		Net:         net,
 		Policy:      &pol,
 	}
 	if opts.Faults != "" {
@@ -555,7 +547,7 @@ func restoreLease(clk *sim.Clock, l *lease) error {
 // returns its far-object dumps — the integrity reference: a chaos-serving
 // run that admitted `reps` requests must leave byte-identical far memory.
 func NativeReplay(spec TenantSpec, reps int) (map[string][]byte, error) {
-	plan, err := planTenant(spec, netmodel.DefaultConfig())
+	plan, err := planTenant(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,6 @@ import (
 
 	"mira/internal/cluster"
 	"mira/internal/exec"
-	"mira/internal/farmem"
 	"mira/internal/ir"
 	"mira/internal/netmodel"
 	"mira/internal/prefetch"
@@ -54,11 +53,9 @@ type Spec struct {
 	// Program is the program to bind and run: a planner's compiled clone, a
 	// merged replica set. Nil runs Workload.Program().
 	Program *ir.Program
-	// Config is the runtime configuration.
+	// Config is the runtime configuration. Without a Cluster it runs on the
+	// one-node testbed pool rt.New builds.
 	Config rt.Config
-	// NodeCfg configures the far node of the one-node pool a Config without
-	// a Cluster runs on (zero: defaults). Unused when Config.Cluster is set.
-	NodeCfg farmem.NodeConfig
 	// Swap states what runs on the swap pool. Required whenever the bound
 	// configuration has one.
 	Swap SwapPolicy
@@ -105,11 +102,7 @@ func Open(spec Spec) (*Session, error) {
 	if prog == nil {
 		prog = spec.Workload.Program()
 	}
-	cfg := spec.Config
-	if cfg.Cluster == nil {
-		cfg.Cluster = &cluster.Options{Nodes: 1, NodeCfg: spec.NodeCfg}
-	}
-	r, err := rt.New(cfg, nil)
+	r, err := rt.New(spec.Config, nil)
 	if err != nil {
 		return nil, err
 	}

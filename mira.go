@@ -56,6 +56,9 @@ import (
 type Workload = workload.Workload
 
 // PlanOptions configures the iterative optimization flow (§3 of the paper).
+// The planner plans for the paper's testbed — its 50 Gbps link, its far node
+// with a 3x slower CPU and the default local cost model — or for the link and
+// nodes of the pool PlanOptions.Cluster names; there is no separate knob.
 type PlanOptions = planner.Options
 
 // PlanResult is the planning outcome: baseline vs final time, the accepted
@@ -84,7 +87,10 @@ const (
 	SystemAIFM     = harness.AIFM
 )
 
-// RunOptions configures a single system run.
+// RunOptions configures a single system run. Every system runs on a pool of
+// the paper's testbed nodes behind the testbed's link (RunOptions.Nodes of
+// them, one by default); the budget, the pool's shape, faults and tracing
+// are what a run chooses.
 type RunOptions = harness.Options
 
 // Tracer collects deterministic trace events and metrics from a run (set
