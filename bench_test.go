@@ -246,9 +246,9 @@ type batchAppRecord struct {
 func batchMeasure(t *testing.T, sys System, w Workload, noBatching bool) batchRunRecord {
 	t.Helper()
 	res, err := Run(sys, w, RunOptions{
-		Budget:     int64(float64(w.FullMemoryBytes()) * 0.25),
-		Verify:     true,
-		NoBatching: noBatching,
+		Budget:  int64(float64(w.FullMemoryBytes()) * 0.25),
+		Verify:  true,
+		Planner: PlanOptions{Techniques: TechniqueMask{NoBatching: noBatching}},
 	})
 	if err != nil {
 		t.Fatalf("%s %s (noBatching=%v): %v", w.Name(), sys, noBatching, err)

@@ -129,12 +129,11 @@ func main() {
 	system := flag.String("system", "mira", "system: native, mira, mira-swap, fastswap, leap, aifm")
 	mem := flag.Float64("mem", 0.5, "local memory as a fraction of the workload's footprint")
 	verify := flag.Bool("verify", true, "verify workload output against the native oracle")
-	batch := flag.Bool("batch", true, "vectored remote I/O: doorbell-batched prefetch and async write-back (false = PR 2 data path)")
+	batch := flag.Bool("batch", true, "vectored remote I/O: doorbell-batched prefetch and async write-back (false = the unbatched data path: per-line and per-page fetches, synchronous write-back)")
 	compress := flag.String("compress", "off", "wire compression for mira/mira-swap: off, on (every section + swap), auto (planner measures per section)")
 	offloadMode := flag.String("offload", "off", "scatter-gather offload for mira: off, on (offload every scatter-safe function), auto (planner races offload vs fetch per function, keeping only wins)")
 	plane := flag.String("plane", "", "mira data-plane mode: page (swap only), line (cache sections only), hybrid (planner races both + a per-object split); empty = classic planning")
 	tierDRAM := flag.Int64("tier-dram", 0, "per-node DRAM budget in bytes; the rest of each node's data lives on a simulated SSD tier and the cluster report is printed (0 = no tier)")
-	wbq := flag.Int("wbq", 0, "async write-back queue bound in lines (0 = default, negative = disabled)")
 	aifmChunk := flag.Int64("aifm-chunk", 0, "AIFM remotable-object granularity in bytes (0 = per-element array library)")
 	aifmMeta := flag.Int64("aifm-meta", 0, "AIFM per-object metadata bytes (0 = default)")
 	faultsName := flag.String("faults", "", fmt.Sprintf("named fault schedule %v; empty = fault-free (crash-wipe loses the node's memory: without a replica to restore it from, the run fails with a read error; -nodes 2 -replicas 2 rides it out)", mira.FaultScheduleNames()))
@@ -186,9 +185,9 @@ func main() {
 			*traceOut, *metricsOut)
 		return
 	}
-	opts := mira.RunOptions{Budget: budget, Verify: *verify, NoBatching: !*batch}
+	opts := mira.RunOptions{Budget: budget, Verify: *verify}
 	opts.Planner = mira.PlanOptions{Plane: *plane, Compress: *compress, Offload: *offloadMode,
-		WritebackQueueLines: *wbq}
+		Techniques: mira.TechniqueMask{NoBatching: !*batch}}
 	if *prefetchPol != "" {
 		opts.Prefetch = &mira.PrefetchSpec{Policy: *prefetchPol}
 	}

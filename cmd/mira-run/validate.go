@@ -97,7 +97,6 @@ var readers = []reader{
 	{"plane", func(f runFlags) bool { return f.Plane != "" }, []string{plainRun}, []string{"mira"}},
 	{"compress", runFlags.compressOn, []string{plainRun, linePlane}, []string{"mira", "mira-swap"}},
 	{"offload", runFlags.offloadOn, []string{plainRun, linePlane}, []string{"mira"}},
-	{"wbq", nil, []string{plainRun, linePlane}, []string{"mira"}},
 	{"batch", runFlags.noBatch, []string{plainRun}, []string{"mira", "leap"}},
 	{"batch", runFlags.noBatch, []string{linePlane, pagePlane}, nil},
 	{"faults", runFlags.faultsOn, allRuns, farSystems},
@@ -156,6 +155,9 @@ func validateFlags(f runFlags) error {
 	}
 	if !(f.Mem > 0) || math.IsInf(f.Mem, 1) {
 		return fmt.Errorf("-mem %g is not a positive, finite fraction of the footprint", f.Mem)
+	}
+	if f.Threads < 1 {
+		return fmt.Errorf("-threads %d is not a positive thread count", f.Threads)
 	}
 	if f.Stripe <= 0 {
 		return fmt.Errorf("-stripe %d is not a positive byte count", f.Stripe)

@@ -58,6 +58,9 @@ func TestValidateFlags(t *testing.T) {
 		{"mem-inf", func(f *runFlags) { f.Mem = math.Inf(1) }, "-mem +Inf"},
 		{"mem-small-ok", func(f *runFlags) { f.Mem = 0.01 }, ""},
 		{"mem-above-one-ok", func(f *runFlags) { f.Mem = 1.5 }, ""},
+		{"threads-zero", func(f *runFlags) { f.Threads = 0; f.Set["threads"] = true }, "-threads 0"},
+		{"threads-negative", func(f *runFlags) { f.Threads = -2; f.Set["threads"] = true }, "-threads -2"},
+		{"threads-one-ok", func(f *runFlags) { f.Threads = 1; f.Set["threads"] = true }, ""},
 		{"stripe-zero", func(f *runFlags) { f.Nodes = 2; f.Stripe = 0; f.Set["stripe"] = true }, "-stripe 0"},
 		{"stripe-negative", func(f *runFlags) { f.Nodes = 2; f.Stripe = -4096; f.Set["stripe"] = true }, "-stripe -4096"},
 		{"stripe-with-nodes-ok", func(f *runFlags) { f.Nodes = 2; f.Stripe = 4096; f.Set["stripe"] = true }, ""},
@@ -111,12 +114,8 @@ func TestValidateFlags(t *testing.T) {
 		{"fault-node-without-faults", func(f *runFlags) { f.Nodes = 2; f.FaultNode = 1; f.Set["fault-node"] = true }, "-faults"},
 		// Flags the chosen driver does not read.
 		{"threads-with-batch-false", func(f *runFlags) { f.Threads = 2; f.NoBatch = true }, "-batch does not apply to the -threads driver"},
-		{"threads-with-wbq", func(f *runFlags) { f.Threads = 2; f.Set["wbq"] = true }, "-wbq does not apply to the -threads driver"},
 		{"threads-with-compress", func(f *runFlags) { f.Threads = 2; f.Compress = "on" }, "-compress does not apply to the -threads driver"},
 		{"threads-with-leap", func(f *runFlags) { f.Threads = 2; f.System = "leap" }, "-system mira or fastswap"},
-		{"wbq-with-fastswap", func(f *runFlags) { f.System = "fastswap"; f.Set["wbq"] = true }, "-system mira"},
-		{"wbq-with-mira-swap", func(f *runFlags) { f.System = "mira-swap"; f.Set["wbq"] = true }, "-system mira"},
-		{"wbq-with-page-prefetch", func(f *runFlags) { f.System = "leap"; f.Prefetch = "leap"; f.Set["wbq"] = true }, "-system mira"},
 		{"compress-with-page-prefetch", func(f *runFlags) {
 			f.System = "mira-swap"
 			f.Prefetch = "history"
@@ -124,13 +123,11 @@ func TestValidateFlags(t *testing.T) {
 		}, "-compress does not apply to the page-plane -prefetch runner"},
 		{"prefetch-with-aifm", func(f *runFlags) { f.System = "aifm"; f.Prefetch = "leap" }, "-system mira, mira-swap, fastswap or leap"},
 		// The line-plane runner plans with the plain run's planner options.
-		{"wbq-ok", func(f *runFlags) { f.Set["wbq"] = true }, ""},
 		{"line-prefetch-with-planner-flags-ok", func(f *runFlags) {
 			f.Prefetch = "history"
 			f.Compress = "auto"
 			f.Offload = "on"
 			f.NoBatch = true
-			f.Set["wbq"] = true
 		}, ""},
 		{"batch-false-with-page-prefetch-ok", func(f *runFlags) { f.System = "leap"; f.Prefetch = "history"; f.NoBatch = true }, ""},
 		{"batch-false-with-fastswap-page-prefetch-ok", func(f *runFlags) {

@@ -27,7 +27,7 @@ func main() {
 		cfg := train
 		cfg.Seed = 2015
 		cfg.CreditRate = rate
-		stale, err := mira.Measure(res, mira.NewDataFrameWorkload(cfg), opts)
+		stale, err := mira.Measure(res, mira.NewDataFrameWorkload(cfg))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		after, err := mira.Measure(adapted, mira.NewDataFrameWorkload(cfg), opts)
+		after, err := mira.Measure(adapted, mira.NewDataFrameWorkload(cfg))
 		if err != nil {
 			log.Fatal(err)
 		}

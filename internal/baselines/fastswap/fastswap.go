@@ -16,10 +16,11 @@ import (
 type Options struct {
 	// LocalBudget is the page pool size in bytes.
 	LocalBudget int64
-	// Readahead is the number of following pages pulled on each fault
-	// (Linux swap cluster readahead). Default 2.
-	Readahead int64
 }
+
+// readaheadPages is the number of following pages pulled on each fault
+// (Linux swap cluster readahead).
+const readaheadPages = 2
 
 // Readahead is the zoo's cluster readahead policy, which FastSwap runs on
 // every fault. The name stays for callers that spell it this way.
@@ -30,9 +31,6 @@ type Readahead = prefetch.Readahead
 // every fault. Callers add the run's fault domain, pool or tracer to the
 // returned spec before opening it.
 func Spec(w workload.Workload, opts Options) (session.Spec, error) {
-	if opts.Readahead == 0 {
-		opts.Readahead = 2
-	}
 	cfg, err := session.SwapOnly(w.Program(), opts.LocalBudget)
 	if err != nil {
 		return session.Spec{}, err
@@ -40,7 +38,7 @@ func Spec(w workload.Workload, opts Options) (session.Spec, error) {
 	return session.Spec{
 		Workload: w,
 		Config:   cfg,
-		Swap:     session.Fixed(Readahead{N: opts.Readahead}),
+		Swap:     session.Fixed(Readahead{N: readaheadPages}),
 	}, nil
 }
 

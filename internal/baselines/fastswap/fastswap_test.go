@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mira/internal/apps/arraysum"
+	"mira/internal/session"
 	"mira/internal/sim"
 )
 
@@ -23,7 +24,12 @@ func TestSequentialScanBenefitsFromReadahead(t *testing.T) {
 		w := arraysum.New(arraysum.Config{N: 1 << 14, Seed: 2})
 		// Pool comfortably above the readahead window — a window larger
 		// than the pool thrashes, which the model reproduces.
-		s, err := New(w, Options{LocalBudget: w.FullMemoryBytes() / 2, Readahead: readahead})
+		spec, err := Spec(w, Options{LocalBudget: w.FullMemoryBytes() / 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Swap = session.Fixed(Readahead{N: readahead})
+		s, err := session.Open(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,36 +13,18 @@ import (
 // one SSD page. Demotion and promotion move whole granules.
 const DefaultTierGranule = 4096
 
+// DefaultPromoteLatency is charged per granule read back from flash: one
+// NVMe random read.
+const DefaultPromoteLatency = 15 * sim.Microsecond
+
 // TierConfig configures a node's simulated SSD capacity tier. The node's
-// DRAM holds at most DRAMBytes of touched granules; the LRU tail spills to
-// a flash tier that costs PromoteLatency per granule to read back but
-// survives a crash-wipe (flash is non-volatile; farmem.Node.WipeMemory only
-// zeroes DRAM).
+// DRAM holds at most DRAMBytes of touched granules (DefaultTierGranule
+// each); the LRU tail spills to a flash tier that costs
+// DefaultPromoteLatency per granule to read back but survives a crash-wipe
+// (flash is non-volatile; farmem.Node.WipeMemory only zeroes DRAM).
 type TierConfig struct {
 	// DRAMBytes is the hot-tier budget. Zero disables the tier.
 	DRAMBytes uint64
-	// GranuleBytes is the demotion granule (0 = DefaultTierGranule).
-	GranuleBytes uint64
-	// PromoteLatency is charged per granule read back from flash
-	// (0 = DefaultPromoteLatency).
-	PromoteLatency sim.Duration
-}
-
-// DefaultPromoteLatency models one NVMe random read.
-const DefaultPromoteLatency = 15 * sim.Microsecond
-
-func (c TierConfig) granule() uint64 {
-	if c.GranuleBytes == 0 {
-		return DefaultTierGranule
-	}
-	return c.GranuleBytes
-}
-
-func (c TierConfig) promote() sim.Duration {
-	if c.PromoteLatency == 0 {
-		return DefaultPromoteLatency
-	}
-	return c.PromoteLatency
 }
 
 // TierStats are the capacity-tier counters of one node.
@@ -57,7 +39,7 @@ type TierStats struct {
 // granule is one tracked hot/cold unit, a member of the LRU list when
 // resident.
 type granule struct {
-	key        uint64 // granule index (addr / GranuleBytes)
+	key        uint64 // granule index (addr / DefaultTierGranule)
 	resident   bool
 	sticky     bool   // straddles an allocation edge — cannot be snapshotted
 	lastOp     uint64 // op sequence of the last touch (eviction pin)
@@ -155,7 +137,7 @@ func (tb *tierBackend) touch(addr uint64, n int) sim.Duration {
 	if n <= 0 {
 		return 0
 	}
-	g := tb.cfg.granule()
+	g := uint64(DefaultTierGranule)
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	tb.opSeq++
@@ -176,7 +158,7 @@ func (tb *tierBackend) touch(addr uint64, n int) sim.Duration {
 			hit = false
 			tb.stats.Misses++
 			tb.cMiss.Inc()
-			extra += tb.cfg.promote()
+			extra += DefaultPromoteLatency
 			if bytes := tb.ssd[key]; bytes != nil {
 				// Restore the flash copy into DRAM before the inner backend
 				// reads it. Ignore failure: the allocation was freed.
@@ -201,7 +183,7 @@ func (tb *tierBackend) touch(addr uint64, n int) sim.Duration {
 // straddling an allocation edge (snapshot fails) turn sticky and stay
 // resident forever. Called with tb.mu held.
 func (tb *tierBackend) demoteToBudget() {
-	g := tb.cfg.granule()
+	g := uint64(DefaultTierGranule)
 	victim := tb.tail
 	for tb.resident > tb.cfg.DRAMBytes && victim != nil {
 		prev := victim.prev
@@ -233,7 +215,7 @@ func (tb *tierBackend) Restore(addr uint64, n int) {
 	if n <= 0 {
 		return
 	}
-	g := tb.cfg.granule()
+	g := uint64(DefaultTierGranule)
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	for key := addr / g; key <= (addr+uint64(n)-1)/g; key++ {

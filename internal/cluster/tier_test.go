@@ -86,14 +86,14 @@ func TestTierDemotesAndPromotes(t *testing.T) {
 }
 
 func TestTierPromotionChargesLatency(t *testing.T) {
-	lat := 15 * sim.Microsecond
+	lat := DefaultPromoteLatency
 	fm := farmem.NewNode(farmem.NodeConfig{Capacity: 1 << 20, CPUSlowdown: 1})
 	addr, err := fm.Alloc(8192)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tb := newTierBackend(transport.NewNodeBackend(fm), fm,
-		TierConfig{DRAMBytes: 4096, PromoteLatency: lat})
+		TierConfig{DRAMBytes: 4096})
 	now := sim.Time(0)
 	if _, err := tb.Write(now, addr, fillPattern(4096, 2)); err != nil {
 		t.Fatal(err)

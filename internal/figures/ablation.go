@@ -118,7 +118,7 @@ func figAdapt(scale Scale) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := planner.Measure(res, dataframe.New(cfg), opts)
+		st, err := planner.Measure(res, dataframe.New(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +126,7 @@ func figAdapt(scale Scale) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		at, err := planner.Measure(adapted, dataframe.New(cfg), opts)
+		at, err := planner.Measure(adapted, dataframe.New(cfg))
 		if err != nil {
 			return nil, err
 		}

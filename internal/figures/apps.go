@@ -95,7 +95,7 @@ func fig16(scale Scale) (*Figure, error) {
 	}
 	testCfg := cfg
 	testCfg.Seed = 2015
-	testTime, err := planner.Measure(plan, dataframe.New(testCfg), planner.Options{})
+	testTime, err := planner.Measure(plan, dataframe.New(testCfg))
 	if err != nil {
 		return nil, err
 	}

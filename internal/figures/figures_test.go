@@ -45,11 +45,11 @@ var shapeChecks = map[string]func(t *testing.T, f *Figure){
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := planner.Measure(plan, dataframe.New(cfg), planner.Options{}); err != nil || got != plan.FinalTime {
+		if got, err := planner.Measure(plan, dataframe.New(cfg)); err != nil || got != plan.FinalTime {
 			t.Errorf("trained plan on its training input: %v (err %v), want FinalTime %v", got, err, plan.FinalTime)
 		}
 		cfg.Seed = 2015
-		testTime, err := planner.Measure(plan, dataframe.New(cfg), planner.Options{})
+		testTime, err := planner.Measure(plan, dataframe.New(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,10 +37,11 @@ func figuresOf(res Result, tr *trace.Tracer) armFigures {
 
 // TestCompiledArmIsThePlainRun: the line plane's "compiled" arm executes the
 // planner's program as accepted, so with the same options it is the plain
-// Mira run — every planner knob, NoBatching and the tracer reach both, and
-// no option is dropped on either path. Each row but the first sets one knob
-// and must move the plain run off the default row (or, for offload, ship
-// something), so no row passes by the knob doing nothing.
+// Mira run — every planner knob (the technique mask's NoBatching included)
+// and the tracer reach both, and no option is dropped on either path. Each
+// row but the first sets one knob and must move the plain run off the
+// default row (or, for offload, ship something), so no row passes by the
+// knob doing nothing.
 func TestCompiledArmIsThePlainRun(t *testing.T) {
 	scan := func() workload.Workload { return seqscan.New(seqscan.DefaultConfig()) }
 	rows := []struct {
@@ -52,8 +53,7 @@ func TestCompiledArmIsThePlainRun(t *testing.T) {
 		{name: "default", mk: scan},
 		{name: "compress-on", mk: scan, opts: Options{Planner: planner.Options{Compress: "on"}}},
 		{name: "compress-auto", mk: scan, opts: Options{Planner: planner.Options{Compress: "auto"}}},
-		{name: "no-batching", mk: scan, opts: Options{NoBatching: true}},
-		{name: "wbq-8", mk: scan, opts: Options{Planner: planner.Options{WritebackQueueLines: 8}}},
+		{name: "no-batching", mk: scan, opts: Options{Planner: planner.Options{Techniques: planner.TechniqueMask{NoBatching: true}}}},
 		{name: "offload-auto-pool", mk: func() workload.Workload { return distagg.New(distagg.Config{N: 1 << 12, Seed: 3}) },
 			opts: Options{Nodes: 4, Replicas: 2, StripeBytes: 4096, Planner: planner.Options{Offload: "auto"}}},
 		{name: "traced", mk: scan, traced: true},

@@ -43,9 +43,11 @@ type Options struct {
 	// Budget is the local memory in bytes (ignored for Native).
 	Budget int64
 	// Planner customizes Mira's planning: the data-plane, compression and
-	// offload modes, the write-back queue bound and the technique mask all
-	// live here, and every Mira driver plans with them (planOptions). The
-	// budget, tracer and pool come from the fields below.
+	// offload modes and the technique mask all live here, and every Mira
+	// driver plans with them (planOptions). The budget, tracer and pool
+	// come from the fields below. The mask's NoBatching is the unbatched
+	// data path of every system that batches: Mira's plans and the page
+	// plane's prefetch gather (runConfig) alike.
 	Planner planner.Options
 	// Verify checks workload output after the run when the workload
 	// implements workload.Verifier.
@@ -77,13 +79,6 @@ type Options struct {
 	// cluster.DefaultStripeBytes). Tests use small stripes so test-sized
 	// heaps actually spread across nodes.
 	StripeBytes uint64
-	// NoBatching disables the vectored-I/O data path end to end: Mira's
-	// doorbell-batched prefetch and async write-back pipeline (the
-	// technique mask's NoBatching, and the write-back queue off unless
-	// Planner.WritebackQueueLines sets it), and the page plane's batched
-	// prefetch gather (Leap and the page-plane policy runner) — the
-	// unbatched data path, kept for A/B benchmarking.
-	NoBatching bool
 	// Trace, when non-nil, records the run's events and metrics into the
 	// deterministic tracing layer. For Mira it attaches to the timed
 	// re-run of the accepted configuration (and to the planner's
@@ -130,9 +125,13 @@ func (o Options) clusterOpts(withFaults bool) *cluster.Options {
 }
 
 // runConfig puts the timed run's pool on cfg, with the fault schedule on
-// its chosen node.
+// its chosen node, and turns the page plane's batched prefetch gather off
+// on the unbatched data path.
 func (o Options) runConfig(cfg rt.Config) rt.Config {
 	cfg.Cluster = o.clusterOpts(true)
+	if o.Planner.Techniques.NoBatching {
+		cfg.SwapCfg.BatchPrefetch = false
+	}
 	return cfg
 }
 
@@ -219,17 +218,11 @@ func runNative(w workload.Workload, opts Options) (Result, error) {
 
 // planOptions is the one translation from a run's options to the planner
 // options every Mira driver plans with (runMira and RunLinePolicies):
-// Planner, plus the budget, NoBatching, the tracer and the pool. Planning
-// is offline and fault-free.
+// Planner, plus the budget, the tracer and the pool. Planning is offline
+// and fault-free.
 func (o Options) planOptions() planner.Options {
 	popts := o.Planner
 	popts.LocalBudget = o.Budget
-	if o.NoBatching {
-		popts.Techniques.NoBatching = true
-		if popts.WritebackQueueLines == 0 {
-			popts.WritebackQueueLines = -1 // the unbatched data path has no queue
-		}
-	}
 	popts.Cluster = o.clusterOpts(false)
 	popts.Trace = o.Trace
 	return popts
@@ -266,9 +259,6 @@ func runSwapBaseline(sys System, w workload.Workload, opts Options) (Result, err
 	}
 	if err != nil {
 		return Result{}, err
-	}
-	if opts.NoBatching {
-		spec.Config.SwapCfg.BatchPrefetch = false
 	}
 	spec.Config = opts.runConfig(spec.Config)
 	return runSpec(sys, spec, opts)

@@ -41,7 +41,7 @@ func RunPagePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: %w", err)
 	}
-	cfg.SwapCfg.BatchPrefetch = !opts.NoBatching
+	cfg.SwapCfg.BatchPrefetch = true // runConfig clears it on the unbatched data path
 	return runSpec(System("page/"+spec.Policy), session.Spec{
 		Workload: w,
 		Config:   opts.runConfig(cfg),

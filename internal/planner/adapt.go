@@ -53,7 +53,7 @@ func Adapt(prev *Result, w Workload, opts Options, tolerance float64) (*Result, 
 // and returns the execution time. It is the measurement half of Adapt,
 // exposed so harnesses can report how a stale compilation fares on a new
 // input without triggering re-optimization.
-func Measure(prev *Result, w Workload, opts Options) (sim.Duration, error) {
+func Measure(prev *Result, w Workload) (sim.Duration, error) {
 	if prev == nil {
 		return 0, fmt.Errorf("planner: Measure with nil result")
 	}

@@ -73,7 +73,7 @@ func TestMeasureMatchesPlanTime(t *testing.T) {
 	// Measuring the accepted compilation on the training input reproduces
 	// the planner's recorded FinalTime (up to the profiling run's
 	// sampling jitter, well under 0.1%).
-	got, err := Measure(res, dataframe.New(dataframe.Config{Rows: 4096, Seed: 2014}), opts)
+	got, err := Measure(res, dataframe.New(dataframe.Config{Rows: 4096, Seed: 2014}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestMeasureMatchesPlanTime(t *testing.T) {
 
 func TestMeasureNilResult(t *testing.T) {
 	w := dataframe.New(dataframe.Config{Rows: 256, Seed: 1})
-	if _, err := Measure(nil, w, Options{LocalBudget: 1 << 20}); err == nil {
+	if _, err := Measure(nil, w); err == nil {
 		t.Fatal("nil result accepted")
 	}
 }
@@ -107,7 +107,7 @@ func TestAdaptContainment(t *testing.T) {
 	shifted := cfg
 	shifted.Seed = 2015
 	shifted.CreditRate = 0.9
-	stale, err := Measure(res, dataframe.New(shifted), opts)
+	stale, err := Measure(res, dataframe.New(shifted))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAdaptContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := Measure(adapted, dataframe.New(shifted), opts)
+	after, err := Measure(adapted, dataframe.New(shifted))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -874,7 +874,7 @@ func assembleConfig(prog *ir.Program, drafts []*sectionDraft, merged map[string]
 		Cost:                rt.DefaultCostModel(),
 		Net:                 opts.link(),
 		Cluster:             opts.Cluster,
-		WritebackQueueLines: opts.WritebackQueueLines,
+		WritebackQueueLines: opts.Techniques.writebackQueueLines(),
 		SwapCompress:        opts.Compress == "on",
 	}
 	for i, d := range drafts {

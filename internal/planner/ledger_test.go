@@ -264,7 +264,7 @@ func TestLedgerDoesNotOutliveItsPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Seed, cfg.CreditRate = 2015, 0.9
-	got, err := Measure(res, dataframe.New(cfg), opts)
+	got, err := Measure(res, dataframe.New(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

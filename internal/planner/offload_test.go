@@ -61,7 +61,7 @@ func TestOffloadedPlanStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := Measure(res, w, Options{})
+	t1, err := Measure(res, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,11 +55,6 @@ type Options struct {
 	// Techniques masks individual optimizations for the Fig. 21-style
 	// breakdowns; the zero value enables everything.
 	Techniques TechniqueMask
-	// WritebackQueueLines is copied into every emitted rt.Config: it
-	// bounds the runtime's asynchronous write-back queues (0 = default,
-	// negative = disabled). The planner's own timing iterations run with
-	// the same setting so accepted plans reflect it.
-	WritebackQueueLines int
 	// Compress selects the wire-compression mode: "" or "off" leaves every
 	// codec knob alone (the zero-cost disabled path), "on" forces ByteRun
 	// compression on every section and the swap pool, and "auto" lets the
@@ -101,13 +96,26 @@ type Options struct {
 // TechniqueMask disables individual Mira techniques (the zero value turns
 // every technique on).
 type TechniqueMask struct {
-	NoPrefetch     bool
-	NoEvictHints   bool
+	NoPrefetch   bool
+	NoEvictHints bool
+	// NoBatching is the unbatched data path (§4.5), the one switch for it:
+	// no loop fusion or batched prefetch in the compiled program, no
+	// asynchronous write-back queue in any emitted rt.Config, and no
+	// batched gather on the page plane of the swap systems that read it.
 	NoBatching     bool
 	NoNative       bool
 	NoSelective    bool
 	NoRWOpt        bool // read/write-only optimizations (no-fetch stores)
 	ForceFullAssoc bool // every section fully associative, not the planner's choice
+}
+
+// writebackQueueLines is the rt.Config.WritebackQueueLines every plan
+// emits: the runtime's default queue, or none on the unbatched data path.
+func (t TechniqueMask) writebackQueueLines() int {
+	if t.NoBatching {
+		return -1
+	}
+	return 0
 }
 
 // Iteration records one profiling-optimization round.
@@ -444,7 +452,7 @@ func swapOnlyConfig(prog *ir.Program, opts Options) (rt.Config, error) {
 	cfg.Cost = rt.DefaultCostModel()
 	cfg.Net = opts.link()
 	cfg.Cluster = opts.Cluster
-	cfg.WritebackQueueLines = opts.WritebackQueueLines
+	cfg.WritebackQueueLines = opts.Techniques.writebackQueueLines()
 	cfg.SwapCompress = opts.Compress == "on"
 	return cfg, nil
 }

@@ -115,11 +115,14 @@ func dirtyFrames(t *testing.T, r *unalignedRig) {
 func TestRecycledFrameNoFetchIsZeroed(t *testing.T) {
 	r := newUnalignedRig(t, 2, 4*PageBytes, nil, false)
 	dirtyFrames(t, r)
-	i, err := r.c.fetch(r.clk.Now(), 3, false, true)
+	cl, err := r.c.claim(r.clk.Now(), 3, false)
+	if err == nil {
+		err = r.c.fetch(r.clk.Now(), cl, true)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := r.c.frames[i]; !bytes.Equal(p.data, make([]byte, PageBytes)) {
+	if p := r.c.frames[cl.frame]; !bytes.Equal(p.data, make([]byte, PageBytes)) {
 		t.Fatal("noFetch page on a recycled frame is not zeroed")
 	}
 }

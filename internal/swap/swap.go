@@ -54,13 +54,7 @@ type Config struct {
 }
 
 // Pages reports how many page frames the pool holds.
-func (c Config) Pages() int {
-	n := int(c.PoolBytes / PageBytes)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+func (c Config) Pages() int { return max(int(c.PoolBytes/PageBytes), 1) }
 
 // DefaultConfig returns a FastSwap-calibrated fault path.
 func DefaultConfig(poolBytes int64) Config {
@@ -107,10 +101,12 @@ type page struct {
 	gen uint32
 }
 
-// placeholder names one page of a batched prefetch waiting for its bytes.
-type placeholder struct {
+// claimed names the frame claim readied for page no and its tenancy, which a
+// later claim of the same batch may end before the bytes arrive.
+type claimed struct {
 	frame int32
 	gen   uint32
+	no    int64
 }
 
 // Cache is a swap cache over one contiguous far-memory region.
@@ -136,7 +132,7 @@ type Cache struct {
 	// the prefetcher's proposals, then the survivors of the filter.
 	props []int64
 	cands []int64
-	batch []placeholder
+	batch []claimed
 	addrs []uint64
 	sizes []int
 	// lock, when set, serializes the fault path across simulated
@@ -191,13 +187,7 @@ func (c *Cache) pageOf(far uint64) (int64, error) {
 }
 
 // pageSize returns the byte count of page no (the last page may be short).
-func (c *Cache) pageSize(no int64) int {
-	sz := c.length - no*PageBytes
-	if sz > PageBytes {
-		sz = PageBytes
-	}
-	return int(sz)
-}
+func (c *Cache) pageSize(no int64) int { return int(min(c.length-no*PageBytes, PageBytes)) }
 
 // Read copies len(dst) bytes at far into dst, faulting pages as needed and
 // advancing clk by the access cost.
@@ -225,10 +215,7 @@ func (c *Cache) access(clk *sim.Clock, far uint64, buf []byte, isWrite bool) err
 		if err != nil {
 			return err
 		}
-		n := len(p.data) - pageOff
-		if n > len(buf)-off {
-			n = len(buf) - off
-		}
+		n := min(len(p.data)-pageOff, len(buf)-off)
 		if n <= 0 {
 			return fmt.Errorf("swap: access [%#x,+%d) overruns region", far, len(buf))
 		}
@@ -290,11 +277,14 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 	// circuit breaker is open allocates the page locally instead of
 	// stalling on a fetch that cannot succeed.
 	noFetch := fullWrite && c.tr.BreakerOpen(clk.Now())
-	i, err := c.fetch(clk.Now(), no, false, noFetch)
+	cl, err := c.claim(clk.Now(), no, false)
+	if err == nil {
+		err = c.fetch(clk.Now(), cl, noFetch)
+	}
 	if err != nil {
 		return nil, err
 	}
-	p := c.frames[i]
+	p := c.frames[cl.frame]
 	clk.AdvanceTo(p.readyAt)
 	if c.trc != nil {
 		c.trc.Span(faultStart, clk.Now(), "swap", "fault.major", trace.I("page", no))
@@ -307,7 +297,7 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 	// Consult the policy after servicing the demand page so its traffic
 	// queues behind the demand fetch.
 	c.props = c.pf.OnMiss(no, c.props[:0])
-	if err := c.issueAdvisory(clk, i, c.props); err != nil {
+	if err := c.issueAdvisory(clk, cl.frame, c.props); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -371,18 +361,18 @@ func (c *Cache) AbsentPages(pnos []int64) int {
 
 // prefetchEach issues one read per candidate page (the unbatched path).
 func (c *Cache) prefetchEach(now sim.Time, cands []int64) error {
-	for i, pno := range cands {
+	for k, pno := range cands {
 		if c.frameOf[pno] >= 0 {
 			continue
 		}
-		if _, err := c.fetch(now, pno, true, false); err != nil {
-			if err == errNoEvictable {
-				c.dropCands(len(cands) - i)
-				return nil // pool too small to prefetch into
-			}
-			if errors.Is(err, transport.ErrFarUnavailable) || transport.IsTransient(err) {
-				c.dropCands(len(cands) - i)
-				return nil // prefetch is advisory: give up under faults
+		cl, err := c.claim(now, pno, true)
+		if err == nil {
+			err = c.fetch(now, cl, false)
+		}
+		if err != nil {
+			if err == errNoEvictable || errors.Is(err, transport.ErrFarUnavailable) || transport.IsTransient(err) {
+				c.dropCands(len(cands) - k)
+				return nil // advisory: no evictable frame, or the far side is failing
 			}
 			return err
 		}
@@ -399,53 +389,99 @@ func (c *Cache) dropCands(n int) {
 	c.cPfDropped.Add(int64(n))
 }
 
-// prefetchBatch brings every candidate page in with one doorbell-batched
-// gather. Page i becomes usable once its bytes have streamed in — chain
-// completion minus the wire time of the pages behind it in the reply.
+// prefetchBatch claims a frame for every candidate page and brings them all
+// in with one doorbell-batched gather (land).
 func (c *Cache) prefetchBatch(now sim.Time, cands []int64) error {
-	c.batch, c.addrs, c.sizes = c.batch[:0], c.addrs[:0], c.sizes[:0]
-	behind := 0
+	c.batch = c.batch[:0]
 	for _, pno := range cands {
 		if c.frameOf[pno] >= 0 {
 			continue
 		}
-		if c.Resident() >= c.capacity {
-			if err := c.evictOne(now); err != nil {
-				if err == errNoEvictable {
-					break // pool too small; gather what we have
-				}
-				c.dropPlaceholders()
-				return err
-			}
+		cl, err := c.claim(now, pno, true)
+		if err == errNoEvictable {
+			break // pool too small; gather what we have
 		}
-		i := c.takeFrame(pno, true)
-		c.place(i)
-		c.batch = append(c.batch, placeholder{frame: i, gen: c.frames[i].gen})
-		c.addrs = append(c.addrs, c.base+uint64(pno)*PageBytes)
-		c.sizes = append(c.sizes, len(c.frames[i].data))
-		behind += len(c.frames[i].data)
+		if err != nil {
+			for _, held := range c.batch {
+				c.unclaim(held)
+			}
+			return err
+		}
+		c.batch = append(c.batch, cl)
 	}
-	n := int64(len(c.batch))
-	if n == 0 {
+	if len(c.batch) == 0 {
 		return nil
 	}
+	if err := c.land(now, c.batch); err != nil && !errors.Is(err, transport.ErrFarUnavailable) && !transport.IsTransient(err) {
+		return err
+	}
+	return nil
+}
+
+// claim, fetch, land and unclaim are the page plane's lifecycle seam, the
+// line plane's (rt/line.go) at page granularity. claim readies a frame for
+// page no — it evicts the approximate-LRU victim when the pool is full,
+// takes a frame and makes the page resident at the inactive front — and is
+// the only caller of takeFrame and place. The frame holds no bytes yet:
+// fetch or land brings them, and unclaim gives the frame back if they fail.
+func (c *Cache) claim(now sim.Time, no int64, isPrefetch bool) (claimed, error) {
+	if c.Resident() >= c.capacity {
+		if err := c.evictOne(now); err != nil {
+			return claimed{}, err
+		}
+	}
+	i := c.takeFrame(no, isPrefetch)
+	c.place(i)
+	return claimed{frame: i, gen: c.frames[i].gen, no: no}, nil
+}
+
+// fetch reads a claimed page's bytes in a message posted at now; its
+// readyAt records completion, which a prefetch does not wait for. noFetch
+// instead clears the frame without touching the network (degraded
+// full-page write-allocate). A failed read gives the frame back.
+func (c *Cache) fetch(now sim.Time, cl claimed, noFetch bool) error {
+	p := c.frames[cl.frame]
+	if noFetch {
+		clear(p.data)
+		p.readyAt = now
+		return nil
+	}
+	done, err := c.tr.ReadOneSided(now, c.base+uint64(cl.no)*PageBytes, p.data)
+	if err != nil {
+		c.unclaim(cl)
+		return err
+	}
+	p.readyAt = done
+	c.stats.PagesFetched++
+	return nil
+}
+
+// land fetches claimed prefetch pages with one doorbell-batched gather
+// posted at now. Page k is usable once its bytes have streamed in: chain
+// completion minus the wire time of the pages behind it in the reply. A page
+// a later claim of the batch evicted has lost its frame; its bytes are
+// dropped. A failed gather unclaims every frame and drops every page.
+func (c *Cache) land(now sim.Time, cls []claimed) error {
+	c.addrs, c.sizes = c.addrs[:0], c.sizes[:0]
+	behind := 0
+	for _, cl := range cls {
+		sz := c.pageSize(cl.no)
+		c.addrs, c.sizes = append(c.addrs, c.base+uint64(cl.no)*PageBytes), append(c.sizes, sz)
+		behind += sz
+	}
+	n := int64(len(cls))
 	data, done, err := c.tr.GatherOneSided(now, c.addrs, c.sizes)
 	if err != nil {
-		// Prefetch is advisory: the placeholder pages hold no data yet, so
-		// they must not stay resident looking like valid prefetches.
-		c.dropPlaceholders()
-		c.dropCands(int(n))
-		if errors.Is(err, transport.ErrFarUnavailable) || transport.IsTransient(err) {
-			return nil
+		for _, cl := range cls {
+			c.unclaim(cl)
 		}
+		c.dropCands(int(n))
 		return err
 	}
 	off := 0
-	for k, ph := range c.batch {
+	for k, cl := range cls {
 		behind -= c.sizes[k]
-		// A placeholder evicted by a later allocation of this batch has lost
-		// its frame, maybe to another page of the batch: its bytes are dropped.
-		if p := c.frames[ph.frame]; c.holds(ph) {
+		if p := c.frames[cl.frame]; c.holds(cl) {
 			copy(p.data, data[off:off+c.sizes[k]])
 			p.readyAt = done
 			if c.cfg.Net.BytesPerSecond > 0 {
@@ -463,27 +499,25 @@ func (c *Cache) prefetchBatch(now sim.Time, cands []int64) error {
 	return nil
 }
 
-// holds reports whether ph's frame still holds the page it was taken for.
-func (c *Cache) holds(ph placeholder) bool {
-	p := c.frames[ph.frame]
-	return p.gen == ph.gen && c.frameOf[p.no] == ph.frame
+// holds reports whether cl's frame still holds the page it was claimed for.
+func (c *Cache) holds(cl claimed) bool {
+	p := c.frames[cl.frame]
+	return p.gen == cl.gen && c.frameOf[p.no] == cl.frame
 }
 
-// dropPlaceholders removes the batch's placeholder pages that never received
-// data, skipping those a later allocation of the same batch already evicted.
-func (c *Cache) dropPlaceholders() {
-	for _, ph := range c.batch {
-		if c.holds(ph) {
-			c.release(ph.frame)
-		}
+// unclaim gives a claimed frame back when its bytes never arrived — unless
+// a later claim of the same batch already evicted its page.
+func (c *Cache) unclaim(cl claimed) {
+	if c.holds(cl) {
+		c.release(cl.frame)
 	}
 }
 
 // takeFrame readies a free frame for page no, making one if none was ever
-// vacated (the callers have checked that the pool has room). The buffer is
-// sliced to the page's size — the region's last page may be short, and a
-// frame's previous tenant must not leak into its write-back — and is NOT
-// cleared: every caller overwrites all of it or clears it itself.
+// vacated (claim has made room in the pool). The buffer is sliced to the
+// page's size — the region's last page may be short, and a frame's previous
+// tenant must not leak into its write-back — and is NOT cleared: fetch and
+// land overwrite all of it or clear it.
 func (c *Cache) takeFrame(no int64, isPrefetch bool) int32 {
 	var i int32
 	if n := len(c.free); n > 0 {
@@ -510,35 +544,6 @@ func (c *Cache) release(i int32) {
 	c.lru.Remove(i)
 	c.frameOf[c.frames[i].no] = -1
 	c.free = append(c.free, i)
-}
-
-// fetch brings page no into the pool (evicting as needed) and returns its
-// frame. Prefetch fetches do not block the caller; readyAt records
-// completion. noFetch allocates the page locally without touching the
-// network (degraded full-page write-allocate). When the read fails the
-// frame goes back to the free list.
-func (c *Cache) fetch(now sim.Time, no int64, isPrefetch, noFetch bool) (int32, error) {
-	if c.Resident() >= c.capacity {
-		if err := c.evictOne(now); err != nil {
-			return -1, err
-		}
-	}
-	i := c.takeFrame(no, isPrefetch)
-	p := c.frames[i]
-	if noFetch {
-		clear(p.data)
-		p.readyAt = now
-	} else {
-		done, err := c.tr.ReadOneSided(now, c.base+uint64(no)*PageBytes, p.data)
-		if err != nil {
-			c.free = append(c.free, i)
-			return -1, err
-		}
-		p.readyAt = done
-		c.stats.PagesFetched++
-	}
-	c.place(i)
-	return i, nil
 }
 
 // errNoEvictable reports that every page in the pool is pinned — only
@@ -621,14 +626,7 @@ func (c *Cache) FaultsInRange(far uint64, length int64) int64 {
 	if length <= 0 {
 		return 0
 	}
-	lo, hi := far, far+uint64(length)
-	regEnd := c.base + uint64(c.length)
-	if lo < c.base {
-		lo = c.base
-	}
-	if hi > regEnd {
-		hi = regEnd
-	}
+	lo, hi := max(far, c.base), min(far+uint64(length), c.base+uint64(c.length))
 	if lo >= hi {
 		return 0
 	}

@@ -245,8 +245,8 @@ func Adapt(prev *PlanResult, w Workload, opts PlanOptions, tolerance float64) (*
 
 // Measure runs an existing compilation against a (possibly different)
 // input and returns its execution time — the measurement half of Adapt.
-func Measure(prev *PlanResult, w Workload, opts PlanOptions) (sim.Duration, error) {
-	return planner.Measure(prev, w, opts)
+func Measure(prev *PlanResult, w Workload) (sim.Duration, error) {
+	return planner.Measure(prev, w)
 }
 
 // MTMode selects a multithreading strategy for the scaling drivers (§4.6).
