@@ -198,6 +198,48 @@ func TestEvictionHintPreferred(t *testing.T) {
 	}
 }
 
+// TestUntouchedPrefetchIsNotAVictim fills one 4-way set with lines 0–3,
+// least recent first, and checks the victim rule's three tiers: the
+// least-recent untouched prefetch (Spec) survives while a touched line is
+// there to go instead; a set of nothing but untouched prefetches falls back to
+// plain LRU; an eviction-hinted line goes first, Spec lines or not.
+func TestUntouchedPrefetchIsNotAVictim(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		spec      []uint64 // lines left as untouched prefetches
+		evictable uint64   // a line marked evictable (0: none)
+		want      uint64
+	}{
+		{"touched line goes first", []uint64{0, 1}, 0, 2},
+		{"all untouched is LRU", []uint64{0, 1, 2, 3}, 0, 0},
+		{"hint goes first", []uint64{0, 1}, 3, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := mkSection(t, Config{Structure: SetAssoc, Ways: 4, LineBytes: 64, SizeBytes: 4 * 64})
+			lines := map[uint64]*Line{}
+			for i := uint64(0); i < 4; i++ {
+				l, _ := s.Reserve(i * 64)
+				lines[i] = l
+			}
+			for _, i := range c.spec {
+				lines[i].Spec = true
+			}
+			if c.evictable != 0 && !s.MarkEvictable(c.evictable*64) {
+				t.Fatal("MarkEvictable failed on resident line")
+			}
+			_, v := s.Reserve(4 * 64)
+			if v.Tag != c.want*64 {
+				t.Fatalf("victim line %d, want %d", v.Tag/64, c.want)
+			}
+			for i := uint64(0); i < 4; i++ {
+				if _, ok := s.Peek(i * 64); ok == (i == c.want) {
+					t.Errorf("line %d resident %v after evicting line %d", i, ok, c.want)
+				}
+			}
+		})
+	}
+}
+
 func TestFullAssocHintPreferred(t *testing.T) {
 	s := mkSection(t, Config{Structure: FullAssoc, LineBytes: 64, SizeBytes: 256})
 	for i := uint64(0); i < 4; i++ {

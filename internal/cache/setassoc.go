@@ -2,10 +2,8 @@ package cache
 
 // setAssoc is a K-way set-associative section: line tags map to sets of K
 // slots with true LRU within the set. Victim selection prefers lines marked
-// evictable by compiler hints and never picks pinned lines unless the whole
-// set is pinned (in which case the LRU pinned line is evicted anyway — a
-// pinned-full set would otherwise deadlock; the compiler's conservative
-// shared-section sizing makes this rare).
+// evictable by compiler hints and spares prefetched lines nothing has touched
+// yet while the set holds another (see chooseVictim).
 type setAssoc struct {
 	lineBufs
 	cfg      Config
@@ -118,20 +116,29 @@ func (s *setAssoc) Reserve(addr uint64) (*Line, Victim) {
 }
 
 // chooseVictim picks a slot index within a full set: the least-recent
-// evictable-marked line, else the least-recent line (0 for an empty set).
+// evictable-marked line, else the least-recent line that is not an untouched
+// prefetch (Spec), else — every way holds one — the least-recent line (0 for
+// an empty set). Evicting a prefetch before its first use turns the fetch it
+// paid for into a demand miss.
 func (s *setAssoc) chooseVictim(set []Line) int {
-	best, bestEvictable := 0, -1
+	best, bestEvictable, bestTouched := 0, -1, -1
 	for i := range set {
 		l := &set[i]
 		if l.Evictable && (bestEvictable == -1 || l.lastUse < set[bestEvictable].lastUse) {
 			bestEvictable = i
 		}
+		if !l.Spec && (bestTouched == -1 || l.lastUse < set[bestTouched].lastUse) {
+			bestTouched = i
+		}
 		if l.lastUse < set[best].lastUse {
 			best = i
 		}
 	}
-	if bestEvictable != -1 {
+	switch {
+	case bestEvictable != -1:
 		return bestEvictable
+	case bestTouched != -1:
+		return bestTouched
 	}
 	return best
 }

@@ -29,10 +29,11 @@ type ObjectPlan struct {
 	// an unbatched stream, or one in a section not sized yet (a reused
 	// section before sampling sizes it), leads by that round trip. A
 	// chained indirect target is nonzero here to enable its chain: gathered
-	// (GatherWindow > 0), it is prefetched one to two windows ahead;
-	// otherwise its per-element chain runs dElems ahead. dElems is the round trip in elements, RTT / profiled
-	// per-iteration time clamped to [4, 64] (§4.5); that cap bounds only
-	// the per-element chain distance, section sizing and eviction lags.
+	// (GatherWindow > 0), it is prefetched GatherAhead to GatherAhead+1
+	// windows ahead; otherwise its per-element chain runs dElems ahead.
+	// dElems is the round trip in elements, RTT / profiled per-iteration
+	// time clamped to [4, 64] (§4.5); that cap bounds only the per-element
+	// chain distance, section sizing and eviction lags.
 	PrefetchDistance int64
 	// LineElems is elements per cache line: prefetches and eviction
 	// hints fire once per line boundary, not per element.
@@ -56,17 +57,23 @@ type ObjectPlan struct {
 	// come from values loaded from ChainedFrom, so codegen loads
 	// ChainedFrom's elements ahead of the loop and prefetches this object
 	// at their values (§1's motivating example). With a GatherWindow of G,
-	// one guard per G iterations loads the next window's G source elements
-	// and posts their prefetches as one doorbell-batched gather
-	// (ir.GatherPrefetch); with none, every iteration loads
-	// ChainedFrom[i+PrefetchDistance] and prefetches on its own.
+	// one guard per G iterations loads the G source elements of the window
+	// GatherAhead windows on and posts their prefetches as one
+	// doorbell-batched gather (ir.GatherPrefetch); with none, every
+	// iteration loads ChainedFrom[i+PrefetchDistance] and prefetches on its
+	// own.
 	ChainedFrom string
 	// GatherWindow is the chained target's window G in source elements (0:
 	// the per-element chain). The planner sizes it so the window in use and
 	// the one landing hold at most an eighth of the target's section, and
-	// so the gather's source loads, up to 2G ahead, stay within the source
-	// stream's lead and its section.
+	// so the gather's source loads, up to (GatherAhead+1)·G ahead, stay
+	// within the source stream's lead and its section.
 	GatherWindow int64
+	// GatherAhead is the gathered chain's lead D in windows: the gather
+	// posted at iteration iv covers [iv+D·G, iv+(D+1)·G), so a target line
+	// has D windows of the loop to land in (§4.5: a round trip ahead).
+	// Values below 1 mean 1.
+	GatherAhead int64
 }
 
 // Plan is codegen's complete instruction set for one compilation.
@@ -529,7 +536,7 @@ func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 				continue
 			}
 			if w := tplan.GatherWindow; w > 0 && gatherable(l) {
-				windows = joinWindow(windows, a, w, ir.GatherChain{SrcField: ch.srcField, Target: ch.target})
+				windows = joinWindow(windows, a, w, max(1, tplan.GatherAhead), ir.GatherChain{SrcField: ch.srcField, Target: ch.target})
 				continue
 			}
 			d := tplan.PrefetchDistance
@@ -576,33 +583,36 @@ func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 	return l
 }
 
-// gatherWindow is one source's gathered chains that share a window.
+// gatherWindow is one source's gathered chains that share a window G and a
+// lead of d windows.
 type gatherWindow struct {
 	src    *loopAccess
-	g      int64
+	g, d   int64
 	chains []ir.GatherChain
 }
 
-// joinWindow adds chain c of source a to the window of g elements it shares
-// with a's other chains of that window, opening one if there is none.
-func joinWindow(ws []*gatherWindow, a *loopAccess, g int64, c ir.GatherChain) []*gatherWindow {
+// joinWindow adds chain c of source a to the window of g elements, d
+// windows ahead, that it shares with a's other chains of that shape, opening
+// one if there is none.
+func joinWindow(ws []*gatherWindow, a *loopAccess, g, d int64, c ir.GatherChain) []*gatherWindow {
 	for _, w := range ws {
-		if w.src == a && w.g == g {
+		if w.src == a && w.g == g && w.d == d {
 			w.chains = append(w.chains, c)
 			return ws
 		}
 	}
-	return append(ws, &gatherWindow{src: a, g: g, chains: []ir.GatherChain{c}})
+	return append(ws, &gatherWindow{src: a, g: g, d: d, chains: []ir.GatherChain{c}})
 }
 
 // guards builds the window's two gathers over loop l, whose iterations run
-// iv = S, S+1, …, E-1: at iv == S a priming gather of [S, min(E, S+G)), and
-// whenever (iv−S) % G == 0 the gather of the next window,
-// [iv+G, min(E, iv+2G)). Every source element in [S, E) is gathered exactly
-// once, a window ahead of its use, and none past E. The steady gathers' source
-// loads are native when the source's are: they read within the source
-// stream's lead. The priming gather's are not — its lines are the loop's
-// first, which the source stream only starts to prefetch with the loop.
+// iv = S, S+1, …, E-1: at iv == S a priming gather of [S, min(E, S+D·G)),
+// and whenever (iv−S) % G == 0 the gather of the window D on,
+// [iv+D·G, min(E, iv+(D+1)·G)). Every source element in [S, E) is gathered
+// exactly once, D windows ahead of its use, and none past E. The steady
+// gathers' source loads are native when the source's are: they read within
+// the source stream's lead. The priming gather's are not — its lines are the
+// loop's first, which the source stream only starts to prefetch with the
+// loop.
 func (w *gatherWindow) guards(l *ir.Loop) []ir.Stmt {
 	iv := func() ir.Expr { return &ir.Reg{ID: l.IVReg} }
 	gather := func(lo, hi ir.Expr, native bool) []ir.Stmt {
@@ -617,11 +627,11 @@ func (w *gatherWindow) guards(l *ir.Loop) []ir.Stmt {
 	return []ir.Stmt{
 		&ir.If{
 			Cond: ir.Eq(iv(), ir.CloneExpr(l.Start)),
-			Then: gather(iv(), ir.Add(iv(), ir.C(w.g)), false),
+			Then: gather(iv(), ir.Add(iv(), ir.C(w.d*w.g)), false),
 		},
 		&ir.If{
 			Cond: ir.Eq(ir.Mod(ir.Sub(iv(), ir.CloneExpr(l.Start)), ir.C(w.g)), ir.C(0)),
-			Then: gather(ir.Add(iv(), ir.C(w.g)), ir.Add(iv(), ir.C(2*w.g)), w.src.plan.Native),
+			Then: gather(ir.Add(iv(), ir.C(w.d*w.g)), ir.Add(iv(), ir.C((w.d+1)*w.g)), w.src.plan.Native),
 		},
 	}
 }
