@@ -199,20 +199,25 @@ func TestEvictionHintPreferred(t *testing.T) {
 }
 
 // TestUntouchedPrefetchIsNotAVictim fills one 4-way set with lines 0–3,
-// least recent first, and checks the victim rule's three tiers: the
-// least-recent untouched prefetch (Spec) survives while a touched line is
-// there to go instead; a set of nothing but untouched prefetches falls back to
-// plain LRU; an eviction-hinted line goes first, Spec lines or not.
+// least recent first, and checks the victim rule's tiers: the least-recent
+// untouched prefetch (Spec) survives while a touched line is there to go
+// instead; a set of nothing but untouched prefetches falls back to plain LRU;
+// an eviction-hinted line goes first, Spec lines or not; and a prefetch is
+// spared only until the section turns over after it lands: with one hit on
+// line 3, line 0 has seen four operations in a four-line section (three fills
+// and the hit) and goes, while line 1, landed one later, is still spared.
 func TestUntouchedPrefetchIsNotAVictim(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		spec      []uint64 // lines left as untouched prefetches
 		evictable uint64   // a line marked evictable (0: none)
+		hits      int      // hits on line 3 before the next fill
 		want      uint64
 	}{
-		{"touched line goes first", []uint64{0, 1}, 0, 2},
-		{"all untouched is LRU", []uint64{0, 1, 2, 3}, 0, 0},
-		{"hint goes first", []uint64{0, 1}, 3, 3},
+		{"touched line goes first", []uint64{0, 1}, 0, 0, 2},
+		{"all untouched is LRU", []uint64{0, 1, 2, 3}, 0, 0, 0},
+		{"hint goes first", []uint64{0, 1}, 3, 0, 3},
+		{"a stale prefetch ages out", []uint64{0, 1}, 0, 1, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := mkSection(t, Config{Structure: SetAssoc, Ways: 4, LineBytes: 64, SizeBytes: 4 * 64})
@@ -226,6 +231,11 @@ func TestUntouchedPrefetchIsNotAVictim(t *testing.T) {
 			}
 			if c.evictable != 0 && !s.MarkEvictable(c.evictable*64) {
 				t.Fatal("MarkEvictable failed on resident line")
+			}
+			for range c.hits {
+				if _, ok := s.Lookup(3 * 64); !ok {
+					t.Fatal("line 3 not resident")
+				}
 			}
 			_, v := s.Reserve(4 * 64)
 			if v.Tag != c.want*64 {

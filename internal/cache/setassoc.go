@@ -2,8 +2,8 @@ package cache
 
 // setAssoc is a K-way set-associative section: line tags map to sets of K
 // slots with true LRU within the set. Victim selection prefers lines marked
-// evictable by compiler hints and spares prefetched lines nothing has touched
-// yet while the set holds another (see chooseVictim).
+// evictable by compiler hints and spares recent prefetched lines nothing has
+// touched yet while the set holds another (see chooseVictim).
 type setAssoc struct {
 	lineBufs
 	cfg      Config
@@ -116,10 +116,13 @@ func (s *setAssoc) Reserve(addr uint64) (*Line, Victim) {
 }
 
 // chooseVictim picks a slot index within a full set: the least-recent
-// evictable-marked line, else the least-recent line that is not an untouched
-// prefetch (Spec), else — every way holds one — the least-recent line (0 for
-// an empty set). Evicting a prefetch before its first use turns the fetch it
-// paid for into a demand miss.
+// evictable-marked line, else the least-recent line that is not a fresh
+// untouched prefetch, else — every way holds one — the least-recent line (0
+// for an empty set). Evicting a prefetch before its first use turns the fetch
+// it paid for into a demand miss. A prefetch (Spec) is fresh until the section
+// has turned over once since it landed or was last refreshed — as many hits,
+// touches and fills as it has lines — so one that nothing wanted ages out
+// instead of holding its way against the lines in use.
 func (s *setAssoc) chooseVictim(set []Line) int {
 	best, bestEvictable, bestTouched := 0, -1, -1
 	for i := range set {
@@ -127,7 +130,8 @@ func (s *setAssoc) chooseVictim(set []Line) int {
 		if l.Evictable && (bestEvictable == -1 || l.lastUse < set[bestEvictable].lastUse) {
 			bestEvictable = i
 		}
-		if !l.Spec && (bestTouched == -1 || l.lastUse < set[bestTouched].lastUse) {
+		fresh := l.Spec && s.tick-l.lastUse < uint64(len(s.slots))
+		if !fresh && (bestTouched == -1 || l.lastUse < set[bestTouched].lastUse) {
 			bestTouched = i
 		}
 		if l.lastUse < set[best].lastUse {

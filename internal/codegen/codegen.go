@@ -64,17 +64,22 @@ type ObjectPlan struct {
 	// own.
 	ChainedFrom string
 	// GatherWindow is the chained target's window G in source elements (0:
-	// the per-element chain). The planner sizes it so the window in use and
-	// the one landing hold at most an eighth of the target's section, and
-	// so the gather's source loads, up to (GatherAhead+1)·G ahead, stay
-	// within the source stream's lead and its section.
+	// the per-element chain). The planner sizes it so that two windows of
+	// target lines hold at most an eighth of the target's section; with
+	// GatherAhead+1 windows resident or landing, 3·G·k lines for k chains
+	// per element, that is 3/16 of it (DESIGN §9 records why the budget
+	// for all of them was rejected). The gather's source loads, up to
+	// (GatherAhead+1)·G ahead, stay within the source stream's lead and its
+	// section.
 	GatherWindow int64
-	// GatherAhead is the gathered chain's lead D in windows: the gather
-	// posted at iteration iv covers [iv+D·G, iv+(D+1)·G), so a target line
-	// has D windows of the loop to land in (§4.5: a round trip ahead).
-	// Values below 1 mean 1.
-	GatherAhead int64
 }
+
+// GatherAhead is every gathered chain's lead D in windows: the gather
+// posted at iteration iv covers [iv+D·G, iv+(D+1)·G), so a target line has
+// D windows of the loop to land in (§4.5: one round trip ahead). One window
+// left mcf's pointer lines still on the wire when the loop read them; three
+// crowd graph's section (DESIGN §9).
+const GatherAhead = 2
 
 // Plan is codegen's complete instruction set for one compilation.
 type Plan struct {
@@ -536,7 +541,7 @@ func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 				continue
 			}
 			if w := tplan.GatherWindow; w > 0 && gatherable(l) {
-				windows = joinWindow(windows, a, w, max(1, tplan.GatherAhead), ir.GatherChain{SrcField: ch.srcField, Target: ch.target})
+				windows = joinWindow(windows, a, w, ir.GatherChain{SrcField: ch.srcField, Target: ch.target})
 				continue
 			}
 			d := tplan.PrefetchDistance
@@ -583,36 +588,34 @@ func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 	return l
 }
 
-// gatherWindow is one source's gathered chains that share a window G and a
-// lead of d windows.
+// gatherWindow is one source's gathered chains that share a window.
 type gatherWindow struct {
 	src    *loopAccess
-	g, d   int64
+	g      int64
 	chains []ir.GatherChain
 }
 
-// joinWindow adds chain c of source a to the window of g elements, d
-// windows ahead, that it shares with a's other chains of that shape, opening
-// one if there is none.
-func joinWindow(ws []*gatherWindow, a *loopAccess, g, d int64, c ir.GatherChain) []*gatherWindow {
+// joinWindow adds chain c of source a to the window of g elements it shares
+// with a's other chains of that window, opening one if there is none.
+func joinWindow(ws []*gatherWindow, a *loopAccess, g int64, c ir.GatherChain) []*gatherWindow {
 	for _, w := range ws {
-		if w.src == a && w.g == g && w.d == d {
+		if w.src == a && w.g == g {
 			w.chains = append(w.chains, c)
 			return ws
 		}
 	}
-	return append(ws, &gatherWindow{src: a, g: g, d: d, chains: []ir.GatherChain{c}})
+	return append(ws, &gatherWindow{src: a, g: g, chains: []ir.GatherChain{c}})
 }
 
 // guards builds the window's two gathers over loop l, whose iterations run
-// iv = S, S+1, …, E-1: at iv == S a priming gather of [S, min(E, S+D·G)),
-// and whenever (iv−S) % G == 0 the gather of the window D on,
-// [iv+D·G, min(E, iv+(D+1)·G)). Every source element in [S, E) is gathered
-// exactly once, D windows ahead of its use, and none past E. The steady
-// gathers' source loads are native when the source's are: they read within
-// the source stream's lead. The priming gather's are not — its lines are the
-// loop's first, which the source stream only starts to prefetch with the
-// loop.
+// iv = S, S+1, …, E-1, with D = GatherAhead: at iv == S a priming gather
+// of [S, min(E, S+D·G)), and whenever (iv−S) % G == 0 the gather of the
+// window D on, [iv+D·G, min(E, iv+(D+1)·G)). Every source element in
+// [S, E) is gathered exactly once, D windows ahead of its use, and none
+// past E. The steady gathers' source loads are native when the source's
+// are: they read within the source stream's lead. The priming gather's are
+// not — its lines are the loop's first, which the source stream only starts
+// to prefetch with the loop.
 func (w *gatherWindow) guards(l *ir.Loop) []ir.Stmt {
 	iv := func() ir.Expr { return &ir.Reg{ID: l.IVReg} }
 	gather := func(lo, hi ir.Expr, native bool) []ir.Stmt {
@@ -627,11 +630,11 @@ func (w *gatherWindow) guards(l *ir.Loop) []ir.Stmt {
 	return []ir.Stmt{
 		&ir.If{
 			Cond: ir.Eq(iv(), ir.CloneExpr(l.Start)),
-			Then: gather(iv(), ir.Add(iv(), ir.C(w.d*w.g)), false),
+			Then: gather(iv(), ir.Add(iv(), ir.C(GatherAhead*w.g)), false),
 		},
 		&ir.If{
 			Cond: ir.Eq(ir.Mod(ir.Sub(iv(), ir.CloneExpr(l.Start)), ir.C(w.g)), ir.C(0)),
-			Then: gather(ir.Add(iv(), ir.C(w.d*w.g)), ir.Add(iv(), ir.C((w.d+1)*w.g)), w.src.plan.Native),
+			Then: gather(ir.Add(iv(), ir.C(GatherAhead*w.g)), ir.Add(iv(), ir.C((GatherAhead+1)*w.g)), w.src.plan.Native),
 		},
 	}
 }

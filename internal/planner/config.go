@@ -649,24 +649,21 @@ func buildPlan(prog *ir.Program, merged map[string]*analysis.ObjectAccess, draft
 	return plan
 }
 
-// gatherAhead is every gathered chain's lead D in windows. A chain posts
-// its gather D windows before the loop reaches it (§4.5: one round trip
-// ahead); one window left mcf's pointer lines still on the wire when the
-// loop read them, and three crowd graph's section.
-const gatherAhead = 2
-
 // setGatherWindows gives every chained target its gather window G, in
-// source elements, and its lead of gatherAhead windows: the window in use and
-// the one landing, k chained prefetches per element each, hold at most an
-// eighth of the target's section, so G = max(4, capLines/(16·k)) — 4 is
-// rttElems' floor — read from the section's size as the drafts have it. The
-// gather's native source loads run up to D+1 windows ahead and must find their
-// lines prefetched and still resident, so G is then capped twice: (D+1)·G
-// stays within the source stream's lead, and the source lines of all D+1
-// windows fit in the source's section beside the line the loop is reading.
-// The second cap waits for the section to have a size: a reused one is sized
-// by sampling the first plan's program, which must gather as the final
-// program will. A window of 0 keeps the per-element chain.
+// source elements, for a lead of D = codegen.GatherAhead windows. Two
+// windows of target lines, k chained prefetches per element each, hold at
+// most an eighth of the target's section, so G = max(4, capLines/(16·k)) —
+// 4 is rttElems' floor — read from the section's size as the drafts have
+// it. With the lead, D+1 windows (3·G·k lines) are resident or landing
+// against that budget for two; DESIGN §9 records why budgeting for all of
+// them, capLines/(8·(D+1)·k), was rejected. The gather's native source
+// loads run up to D+1 windows ahead and must find their lines prefetched
+// and still resident, so G is then capped twice: (D+1)·G stays within the
+// source stream's lead, and the source lines of all D+1 windows fit in the
+// source's section beside the line the loop is reading. The second cap
+// waits for the section to have a size: a reused one is sized by sampling
+// the first plan's program, which must gather as the final program will.
+// A window of 0 keeps the per-element chain.
 func setGatherWindows(prog *ir.Program, plan *codegen.Plan, drafts []*sectionDraft) {
 	ks := codegen.ChainsPerElement(prog, plan)
 	lines := map[string]int64{} // each object's section, in lines
@@ -675,7 +672,7 @@ func setGatherWindows(prog *ir.Program, plan *codegen.Plan, drafts []*sectionDra
 			lines[name] = d.sizeBytes / int64(d.lineBytes)
 		}
 	}
-	const inFlight = gatherAhead + 1 // windows of source loads in flight
+	const inFlight = codegen.GatherAhead + 1 // windows of source loads in flight
 	for name, op := range plan.Objects {
 		src := plan.Objects[op.ChainedFrom]
 		k := ks[name]
@@ -687,7 +684,6 @@ func setGatherWindows(prog *ir.Program, plan *codegen.Plan, drafts []*sectionDra
 			g = minI64(g, (srcLines-1)*src.LineElems/inFlight)
 		}
 		op.GatherWindow = maxI64(0, g)
-		op.GatherAhead = gatherAhead
 	}
 }
 

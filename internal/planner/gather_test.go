@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mira/internal/analysis"
+	"mira/internal/codegen"
 	"mira/internal/exec"
 	"mira/internal/ir"
 	"mira/internal/rt"
@@ -27,16 +28,16 @@ var gatherCells = []struct {
 }
 
 // TestGatherWindowRule plans mcf at a quarter and a tenth of its footprint
-// and graph at a quarter and a half. Every chained target leads by
-// gatherAhead windows, and its gather window is the rule read from the
-// accepted configuration's final sections — G = max(4, lines/(16·k)) with
-// k = 2 chained prefetches per source element, capped so that the D+1
-// windows of source loads in flight, (D+1)·G, stay within the source's lead
-// and their source lines fit in the source's section beside the current one
-// — it is positive, and the program gathers instead of chaining per element.
-// With batching off, every window is 0 and the per-element chain is back. On the three
-// pointer_chase cells, no gathered source load takes a native fallback: each
-// finds its line resident, as the window's cap promises.
+// and graph at a quarter and a half. Every chained target's gather window is
+// the rule read from the accepted configuration's final sections — G =
+// max(4, lines/(16·k)) with k = 2 chained prefetches per source element,
+// capped so that the D+1 windows of source loads in flight
+// (D = codegen.GatherAhead), (D+1)·G, stay within the source's lead and
+// their source lines fit in the source's section beside the current one —
+// it is positive, and the program gathers instead of chaining per element.
+// With batching off, every window is 0 and the per-element chain is back.
+// On the three pointer_chase cells, no gathered source load takes a native
+// fallback: each finds its line resident, as the window's cap promises.
 func TestGatherWindowRule(t *testing.T) {
 	for _, c := range gatherCells {
 		t.Run(c.name, func(t *testing.T) {
@@ -57,12 +58,10 @@ func TestGatherWindowRule(t *testing.T) {
 				}
 				chained++
 				src := res.Plan.Objects[op.ChainedFrom]
-				const inFlight = gatherAhead + 1
+				const inFlight = codegen.GatherAhead + 1
 				want := min(max(4, lines(name)/(16*2)), src.PrefetchDistance/inFlight, (lines(op.ChainedFrom)-1)*src.LineElems/inFlight)
-				t.Logf("%s: window %d, %d ahead, section %d lines, source lead %d in %d lines of %d", name, op.GatherWindow, op.GatherAhead, lines(name), src.PrefetchDistance, lines(op.ChainedFrom), src.LineElems)
+				t.Logf("%s: window %d, section %d lines, source lead %d in %d lines of %d", name, op.GatherWindow, lines(name), src.PrefetchDistance, lines(op.ChainedFrom), src.LineElems)
 				switch g := op.GatherWindow; {
-				case op.GatherAhead != gatherAhead:
-					t.Errorf("%s: %d windows ahead, want %d", name, op.GatherAhead, gatherAhead)
 				case g != want:
 					t.Errorf("%s: window %d, the rule gives %d", name, g, want)
 				case g <= 0:
@@ -85,8 +84,8 @@ func TestGatherWindowRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, op := range off.Plan.Objects {
-				if op.GatherWindow != 0 || op.GatherAhead != 0 {
-					t.Errorf("batching off: %s has window %d, %d ahead", name, op.GatherWindow, op.GatherAhead)
+				if op.GatherWindow != 0 {
+					t.Errorf("batching off: %s has window %d", name, op.GatherWindow)
 				}
 			}
 			if g, p := chainShapes(off.Program); g > 0 || p == 0 {

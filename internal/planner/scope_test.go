@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"cmp"
 	"reflect"
 	"slices"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"mira/internal/apps/dataframe"
 	"mira/internal/apps/distagg"
 	"mira/internal/apps/graphtraverse"
-	"mira/internal/ir"
 	"mira/internal/rt"
 )
 
@@ -78,25 +76,34 @@ func TestReadOnlyStreamsJoinOpenSection(t *testing.T) {
 		if it := res.Iterations[0]; !reflect.DeepEqual(it.Objects, []string{"a"}) {
 			t.Errorf("iteration 1 objects %v, want [a]: the written out must not join a's section", it.Objects)
 		}
-		// Iteration i's size-ranked scope is the program's i largest
-		// objects (one object per 10 % step of three). The written out
-		// never joins: it is in an iteration's scope only once the size
-		// ranking reaches it, and in a section only from such a scope.
-		objs := slices.Clone(w.Program().Objects)
-		slices.SortStableFunc(objs, func(a, b *ir.Object) int { return cmp.Compare(b.SizeBytes(), a.SizeBytes()) })
-		sectioned := false
+		// The written out never joins: for every iteration's scope, the
+		// scope rule given that scope without out does not add it back,
+		// though out would go to the streaming section a opened. So out
+		// is in a scope only where the size ranking put it.
+		prog := w.Program()
 		for _, it := range res.Iterations {
-			ranked := slices.ContainsFunc(objs[:min(it.Index, len(objs))], func(o *ir.Object) bool { return o.Name == "out" })
-			if slices.Contains(it.Objects, "out") && !ranked {
-				t.Errorf("iteration %d objects %v: out joined before the size ranking reached it", it.Index, it.Objects)
+			accessed := accessedObjects(prog, it.Funcs)
+			report, err := analysis.Analyze(prog, it.Funcs, accessed)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sectioned = sectioned || it.Accepted && ranked
+			ranked := slices.DeleteFunc(slices.Clone(it.Objects), func(o string) bool { return o == "out" })
+			if slices.Contains(joinStreams(prog, report, ranked, accessed), "out") {
+				t.Errorf("iteration %d: the scope rule joins out to %v", it.Index, ranked)
+			}
 		}
-		if !sectioned {
-			inSwap(t, res, "out")
+		a, _ := prog.Object("a")
+		out, _ := prog.Object("out")
+		report, err := analysis.Analyze(prog, res.Iterations[0].Funcs, []string{"a", "out"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := res.FinalTime.String(); got != "439.148us" {
-			t.Errorf("final time %s, want 439.148us", got)
+		if ka, ko := streamSection(a, report.MergedObject("a")), streamSection(out, report.MergedObject("out")); ka == "" || ka != ko {
+			t.Errorf("a streams to section %q and out to %q: out has no open section to be kept from", ka, ko)
+		}
+		inSwap(t, res, "out")
+		if got := res.FinalTime.String(); got != "776.120us" {
+			t.Errorf("final time %s, want 776.120us", got)
 		}
 	})
 

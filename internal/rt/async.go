@@ -104,10 +104,10 @@ type BatchEntry struct {
 // its recency refreshed, as under PrefetchH. Entries whose object lives on
 // the paged plane become one page advisory doorbell, charged by the same
 // rule: the posting cost of the pages it puts on the wire. A gathered
-// chain's window (ir.GatherPrefetch) arrives here GatherAhead windows before
-// the loop reads it; its lines stay untouched prefetches (Line.Spec) until
-// then, and a set-associative section evicts one only when every way of its
-// set holds one.
+// chain's window (ir.GatherPrefetch) arrives here codegen.GatherAhead
+// windows before the loop reads it; its lines stay untouched prefetches
+// (Line.Spec) until then, and a set-associative section spares them while
+// they are fresh (cache.setAssoc.chooseVictim).
 func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
 	lines, swapFars := r.batchLines[:0], r.swapFars[:0]
 	for _, e := range entries {
