@@ -59,6 +59,13 @@ type Config struct {
 	// SizeBytes is the section's local-memory budget. The line count is
 	// SizeBytes/LineBytes, minimum 1.
 	SizeBytes int64
+	// Stride is the far-address distance between the lines the section
+	// is meant to hold, derived from the data: a section that caches one
+	// field span of each element (lines narrower than the element) strides
+	// by the element. A set-associative section indexes its sets by
+	// tag/Stride, so consecutive elements land in consecutive sets. Zero
+	// means LineBytes; otherwise it is a multiple of LineBytes.
+	Stride int
 }
 
 // Validate reports an error for malformed configurations.
@@ -68,6 +75,9 @@ func (c Config) Validate() error {
 	}
 	if c.SizeBytes <= 0 {
 		return fmt.Errorf("cache: section %q: SizeBytes must be positive, got %d", c.Name, c.SizeBytes)
+	}
+	if c.Stride < 0 || c.Stride%c.LineBytes != 0 {
+		return fmt.Errorf("cache: section %q: Stride %d is not a multiple of LineBytes %d", c.Name, c.Stride, c.LineBytes)
 	}
 	if c.Structure == SetAssoc && c.Ways <= 0 {
 		return fmt.Errorf("cache: section %q: set-associative section needs Ways >= 1, got %d", c.Name, c.Ways)
@@ -99,24 +109,26 @@ func (c Config) Scaled(scale float64) Config {
 	return out
 }
 
-// Line is one resident cache line.
+// Line is one resident cache line. The word-sized fields come first and the
+// four flags share the last word: a section of narrow lines holds many slots
+// (TestLineIs56Bytes).
 type Line struct {
 	// Tag is the far-memory address of the line's first byte (aligned to
 	// LineBytes).
 	Tag uint64
 	// Data is the line's local copy; len(Data) == LineBytes.
 	Data []byte
+	// Ready (when an in-flight fetch lands; zero: none) and Spec below (an
+	// untouched prefetch) are runtime-owned marks that the slot only carries.
+	Ready sim.Time
+	// lastUse is a logical timestamp for LRU within sets.
+	lastUse uint64
 	// Dirty records whether Data diverged from far memory.
 	Dirty bool
 	// Evictable is the compiler's eviction hint (§4.5): set after the
 	// last access in a scope; victim selection prefers these lines.
 	Evictable bool
-	// Ready (when an in-flight fetch lands; zero: none) and Spec (an
-	// untouched prefetch) are runtime-owned marks that the slot only carries.
-	Ready sim.Time
-	Spec  bool
-	// lastUse is a logical timestamp for LRU within sets.
-	lastUse uint64
+	Spec      bool
 	// valid distinguishes an occupied slot from an empty one.
 	valid bool
 }

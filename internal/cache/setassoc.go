@@ -1,14 +1,17 @@
 package cache
 
 // setAssoc is a K-way set-associative section: line tags map to sets of K
-// slots with true LRU within the set. Victim selection prefers lines marked
-// evictable by compiler hints and spares recent prefetched lines nothing has
-// touched yet while the set holds another (see chooseVictim).
+// slots with true LRU within the set. Sets are indexed by tag/Stride, so a
+// section of one narrow line per element spreads consecutive elements over
+// consecutive sets. Victim selection prefers lines marked evictable by
+// compiler hints and spares recent prefetched lines nothing has touched yet
+// while the set holds another (see chooseVictim).
 type setAssoc struct {
 	lineBufs
 	cfg      Config
 	ways     int
 	nSets    int
+	stride   uint64 // cfg.Stride resolved
 	slots    []Line // nSets * ways, set-major
 	stats    Stats
 	tick     uint64
@@ -25,19 +28,21 @@ func newSetAssoc(cfg Config) *setAssoc {
 	if nSets < 1 {
 		nSets = 1
 	}
+	slots, free := slotCache.take(nSets*ways, cfg.LineBytes)
 	return &setAssoc{
-		lineBufs: lineBufs{lineBytes: cfg.LineBytes},
+		lineBufs: lineBufs{lineBytes: cfg.LineBytes, free: free},
 		cfg:      cfg,
 		ways:     ways,
 		nSets:    nSets,
-		slots:    make([]Line, nSets*ways),
+		stride:   uint64(max(cfg.Stride, cfg.LineBytes)),
+		slots:    slots,
 	}
 }
 
 func (s *setAssoc) Config() Config { return s.cfg }
 
 func (s *setAssoc) setOf(tag uint64) int {
-	return int((tag / uint64(s.cfg.LineBytes)) % uint64(s.nSets))
+	return int((tag / s.stride) % uint64(s.nSets))
 }
 
 // set returns the slot slice backing tag's set.

@@ -529,7 +529,9 @@ func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 
 	// Chained prefetches: a gathered target's chains join their source's
 	// window; any other loads src[i+D] and prefetches target[that value]
-	// on every iteration.
+	// on every iteration. Either prefetches the line of the field the loop
+	// reads of the target: a section that caches one field span of each
+	// element holds no other line of it.
 	var windows []*gatherWindow
 	for _, a := range accesses {
 		if g.plan.SuppressPrefetchStmts {
@@ -540,15 +542,16 @@ func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 			if tplan == nil || tplan.PrefetchDistance <= 0 || tplan.ChainedFrom != a.obj {
 				continue
 			}
+			tf := targetField(accesses, ch.target)
 			if w := tplan.GatherWindow; w > 0 && gatherable(l) {
-				windows = joinWindow(windows, a, w, ir.GatherChain{SrcField: ch.srcField, Target: ch.target})
+				windows = joinWindow(windows, a, w, ir.GatherChain{SrcField: ch.srcField, Target: ch.target, TargetField: tf})
 				continue
 			}
 			d := tplan.PrefetchDistance
 			tmp := g.newReg()
 			chainBody := []ir.Stmt{
 				&ir.Load{Dst: tmp, Obj: a.obj, Index: ir.Add(iv(), ir.C(d)), Field: ch.srcField},
-				&ir.Prefetch{Obj: ch.target, Index: &ir.Reg{ID: tmp}},
+				&ir.Prefetch{Obj: ch.target, Index: &ir.Reg{ID: tmp}, Field: tf},
 			}
 			// Guard i+D < End so the chain load never runs past the
 			// source object.
@@ -586,6 +589,17 @@ func (g *gen) instrumentLoop(l *ir.Loop) ir.Stmt {
 		l.Body = slices.Concat(pre, chains, l.Body, post)
 	}
 	return l
+}
+
+// targetField is the field the loop's body reads or writes of a chained
+// target, "" when it reaches the target only in a nested loop.
+func targetField(accesses []*loopAccess, target string) string {
+	for _, a := range accesses {
+		if a.obj == target {
+			return a.field
+		}
+	}
+	return ""
 }
 
 // gatherWindow is one source's gathered chains that share a window.

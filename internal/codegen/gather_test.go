@@ -426,3 +426,54 @@ func checkPriming(t *testing.T, c chainCase, evs []gatherEvent, where func() str
 	}
 	return checked
 }
+
+// TestChainPrefetchesTheFieldTheLoopReads: a chained prefetch — per element
+// or gathered — fetches the line of the field the loop reads of its target.
+// A section caching one field span per element (8 B lines 128 B apart)
+// holds only that field's line, and here it is 64 B into the node.
+func TestChainPrefetchesTheFieldTheLoopReads(t *testing.T) {
+	b := ir.NewBuilder("span")
+	b.Object("edges", 16, nEdges, ir.F("from", 0, 8), ir.F("to", 8, 8))
+	b.Object("nodes", 128, nNodes, ir.F("pad", 0, 8), ir.F("count", 64, 8))
+	fb := b.Func("traverse")
+	fb.Loop(ir.C(0), ir.C(nEdges), ir.C(1), func(i ir.Expr) {
+		from := fb.Load("edges", i, "from")
+		c := fb.Load("nodes", from, "count")
+		fb.Store("nodes", from, "count", ir.Add(c, ir.C(1)))
+	})
+	prog := b.MustProgram()
+	for _, window := range []int64{0, 16} {
+		plan := graphPlan()
+		plan.Objects["nodes"].GatherWindow = window
+		out, err := Apply(prog, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, _ := out.Func("traverse")
+		var fields []string
+		ir.Walk(fn.Body, func(s ir.Stmt) bool {
+			switch st := s.(type) {
+			case *ir.Prefetch:
+				if st.Obj == "nodes" {
+					fields = append(fields, st.Field)
+				}
+			case *ir.GatherPrefetch:
+				for _, c := range st.Chains {
+					fields = append(fields, c.TargetField)
+				}
+			}
+			return true
+		})
+		if len(fields) == 0 {
+			t.Fatalf("window %d: no chained prefetch of nodes", window)
+		}
+		if gathered := strings.Contains(ir.Print(out), "prefetch_gather"); gathered != (window > 0) {
+			t.Fatalf("window %d: gathered %v", window, gathered)
+		}
+		for _, f := range fields {
+			if f != "count" {
+				t.Errorf("window %d: a chained prefetch fetches nodes' %q line, want count's", window, f)
+			}
+		}
+	}
+}

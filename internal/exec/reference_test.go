@@ -315,7 +315,7 @@ func (e *refExecutor) block(clk *sim.Clock, fr *refFrame, params map[string]Valu
 					if err != nil {
 						return Value{}, false, err
 					}
-					tf, err := e.field(c.Target, "")
+					tf, err := e.field(c.Target, c.TargetField)
 					if err != nil {
 						return Value{}, false, err
 					}

@@ -245,7 +245,7 @@ func (t *table) stmt(fn *ir.Func, s ir.Stmt) node {
 		for _, c := range st.Chains {
 			src := t.access(st.Src, c.SrcField, true)
 			src.opts = rt.AccessOpts{Native: st.Native}
-			tgt := t.access(c.Target, "", false)
+			tgt := t.access(c.Target, c.TargetField, false)
 			g.src = append(g.src, src)
 			g.targets = append(g.targets, rt.BatchEntry{Obj: c.Target, Field: tgt.field, H: tgt.h})
 			g.err = cmp.Or(g.err, src.err, tgt.err)

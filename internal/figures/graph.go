@@ -256,11 +256,13 @@ func sectionOverhead(r *rt.Runtime, idx int, total sim.Duration) float64 {
 	return float64(secTime) / float64(rest)
 }
 
-// fig9: overhead vs line size for the node and edge sections. The node
-// array uses the skewed (realistic-graph) endpoint distribution: with hot
-// nodes scattered across the array, lines larger than one element waste
-// capacity on cold neighbours, so the smallest line holding the accessed
-// unit (128 B) wins — the paper's result.
+// fig9: overhead vs line size for the node and edge sections, hand-built
+// configurations. The node array uses the skewed (realistic-graph) endpoint
+// distribution: with hot nodes scattered across the array, lines larger than
+// one element waste capacity on cold neighbours, so the smallest whole-node
+// line (128 B) wins among whole-node lines — the paper's result. The
+// planner goes one step further and caches only the 8 B counter span of
+// each node (planner.spanLineBytes), which this sweep does not build.
 func fig9(scale Scale) (*Figure, error) {
 	cfg := graphCfg(scale)
 	cfg.Nodes = cfg.Nodes * 2
@@ -302,7 +304,7 @@ func fig9(scale Scale) (*Figure, error) {
 	}
 	fig.Series = []Series{nodeS, edgeS}
 	fig.Notes = append(fig.Notes,
-		"node line sizes below the 128B element clamp to 128B (the smallest unit holding the accessed data)",
+		"node lines are hand-built whole nodes: sizes below the 128B element clamp to 128B; the planner's own node line is the 8B counter span",
 		"paper: edge overhead drops until ~2KB (network knee); node best at 128B")
 	return fig, nil
 }
@@ -571,9 +573,10 @@ func fig22(scale Scale) (*Figure, error) {
 	cfg := graphCfg(scale)
 	// Wide nodes: 4 KB records of which the traversal touches only the
 	// 8 B counter. Pulling the whole line one-sided needs two network
-	// chunks (past the 2 KB knee); the two-sided gather moves 8 bytes —
-	// this is the regime where §4.5's selective transmission pays, and
-	// the planner's cost model picks it automatically.
+	// chunks (past the 2 KB knee); with selective transmission the node
+	// section caches only the counter, in 8 B lines one record apart, and
+	// moves those 8 bytes one-sided — the regime where §4.5's selective
+	// transmission pays. NoSelective keeps the 4 KB record lines.
 	cfg.NodeWidth = 4096
 	cfg.Edges /= 4 // keep the footprint comparable despite wider nodes
 	w0 := graphtraverse.New(cfg)
@@ -607,7 +610,7 @@ func fig22(scale Scale) (*Figure, error) {
 		fig.Series = append(fig.Series, s)
 	}
 	fig.Notes = append(fig.Notes,
-		"the node array holds 4KB records of which the traversal touches 8B; selective transmission gathers only the counter field two-sided",
+		"the node array holds 4KB records of which the traversal touches 8B; selective transmission caches and moves only that counter, in 8B lines",
 		"the paper's figure 22 text is truncated in our source; §4.5's selective transmission is the remaining unplotted technique (see DESIGN.md)")
 	return fig, nil
 }

@@ -230,10 +230,12 @@ type GatherPrefetch struct {
 }
 
 // GatherChain is one chain of a GatherPrefetch: a source field whose values
-// index Target.
+// index Target. TargetField is the field of Target the loop reads: the
+// prefetch fetches its line ("" names the element, whose line is its first).
 type GatherChain struct {
-	SrcField string
-	Target   string
+	SrcField    string
+	Target      string
+	TargetField string
 }
 
 // Evict marks the line holding Obj[Index] evictable and schedules an

@@ -99,7 +99,7 @@ func printBlock(sb *strings.Builder, body []Stmt, depth int) {
 		case *GatherPrefetch:
 			parts := make([]string, len(st.Chains))
 			for i, c := range st.Chains {
-				parts[i] = fmt.Sprintf("%s[%s[j]%s]", c.Target, st.Src, fieldSuffix(c.SrcField))
+				parts[i] = fmt.Sprintf("%s[%s[j]%s]%s", c.Target, st.Src, fieldSuffix(c.SrcField), fieldSuffix(c.TargetField))
 			}
 			mode := "load"
 			if st.Native {

@@ -161,7 +161,7 @@ func (v *validator) stmt(s Stmt) error {
 			if err := v.access(st.Src, c.SrcField); err != nil {
 				return err
 			}
-			if err := v.access(c.Target, ""); err != nil {
+			if err := v.access(c.Target, c.TargetField); err != nil {
 				return err
 			}
 		}

@@ -58,8 +58,11 @@ type sectionDraft struct {
 	structure cache.Structure
 	ways      int
 	lineBytes int
-	members   []string // object names
-	seqLike   bool
+	// stride is the element size of a section whose line caches one field
+	// span of each element (spanLineBytes); 0 for every other section.
+	stride  int
+	members []string // object names
+	seqLike bool
 	// reused marks sequential sections whose members are scanned more
 	// than once: caching their footprint can beat streaming, so they are
 	// sized by sampling like non-sequential sections (§4.3) instead of
@@ -291,9 +294,13 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 		}
 	}
 	avail = remaining - seqTotal
-	if minAvail := int64(len(nonSeq)) * 8 * 2048; avail < minAvail && len(nonSeq) > 0 {
+	var minAvail int64
+	for _, d := range nonSeq {
+		minAvail += 8 * int64(d.lineBytes)
+	}
+	if avail < minAvail {
 		// Streaming sections squeezed the budget dry: scale them back
-		// so every sampled section can hold at least a few lines.
+		// so every sampled section can hold at least a few of its lines.
 		if seqTotal > 0 {
 			scale := float64(remaining-minAvail) / float64(seqTotal)
 			if scale < 0 {
@@ -368,10 +375,14 @@ func scopeAccess(report *analysis.Report, objs []string) map[string]*analysis.Ob
 // wider line wastes no capacity: each line is fetched at most once, in a
 // sixteenth of the messages, and the section keeps a sixteenth of the
 // per-line metadata. The section shrinks to the footprint's lines, plus one
-// per member, whose start need not fall on a line boundary.
+// per member, whose start need not fall on a line boundary. A span section
+// trades its span for the wider line only when that line holds several
+// elements: with one element per line it would save no message and fetch
+// every field the scope never reads.
 func wholeIndirect(prog *ir.Program, merged map[string]*analysis.ObjectAccess, drafts []*sectionDraft) {
 	for _, d := range drafts {
-		if merged[d.members[0]].Pattern != analysis.PatternIndirect {
+		eb := elemBytesOf(prog, d.members[0])
+		if merged[d.members[0]].Pattern != analysis.PatternIndirect || (d.stride > 0 && seqLineBytes(eb) <= eb) {
 			continue
 		}
 		var foot int64
@@ -383,8 +394,8 @@ func wholeIndirect(prog *ir.Program, merged map[string]*analysis.ObjectAccess, d
 		if d.sizeBytes < foot {
 			continue
 		}
-		line := int64(seqLineBytes(elemBytesOf(prog, d.members[0])))
-		d.lineBytes = int(line)
+		line := int64(seqLineBytes(eb))
+		d.lineBytes, d.stride = int(line), 0
 		d.sizeBytes = minI64(d.sizeBytes/line*line, (foot+line-1)/line*line+line*int64(len(d.members)))
 	}
 }
@@ -465,6 +476,14 @@ func groupSections(prog *ir.Program, merged map[string]*analysis.ObjectAccess, t
 			key = "rand-" + name
 			d = sectionDraft{name: key, structure: cache.FullAssoc, lineBytes: randLineBytes(o.ElemBytes)}
 		}
+		if !d.seqLike && !tech.NoSelective {
+			// Selective transmission (§4.5) by line size: a line that holds
+			// only the accessed field span of an element moves only those
+			// bytes, one-sided.
+			if line := spanLineBytes(o, m.Fields); line > 0 {
+				d.lineBytes, d.stride = line, o.ElemBytes
+			}
+		}
 		if tech.ForceFullAssoc {
 			d.structure = cache.FullAssoc
 		}
@@ -479,13 +498,13 @@ func groupSections(prog *ir.Program, merged map[string]*analysis.ObjectAccess, t
 	out := make([]*sectionDraft, 0, len(order))
 	for _, k := range order {
 		d := byKey[k]
-		// Selective transmission (§4.5): only the accessed fields
-		// travel, when they cover less than half the element AND the
-		// modeled two-sided gather beats pulling the whole line
-		// one-sided — the penalty of the two-sided path (the far CPU
-		// assembles the reply) only pays off once the line is large
-		// enough that its wire and chunking time dominate.
-		if !tech.NoSelective {
+		// Two-sided selective transmission (§4.5), for accessed fields no
+		// span line holds: only they travel, when they cover less than
+		// half the element AND the modeled two-sided gather beats pulling
+		// the whole line one-sided — the penalty of the two-sided path (the
+		// far CPU assembles the reply) only pays off once the line is
+		// large enough that its wire and chunking time dominate.
+		if !tech.NoSelective && d.stride == 0 {
 			m := merged[d.members[0]]
 			if len(d.members) == 1 && m.AccessedBytes > 0 && m.AccessedBytes*2 <= m.ElemBytes && !containsWhole(m.Fields) &&
 				net.TwoSidedCost(int(m.AccessedBytes)) < net.OneSidedCost(d.lineBytes) {
@@ -535,15 +554,66 @@ func seqLineBytes(elemBytes int) int {
 	return line
 }
 
-// randLineBytes picks a random/indirect section's line size: the smallest
-// power of two holding one element (§4.2: "128 bytes is the smallest size
-// that can hold the accessed data unit").
+// spanLineBytes is the line of a random/indirect section that caches only
+// the fields the scope accesses of each element (§4.2: "the smallest size
+// that can hold the accessed data unit"): the smallest power of two, at
+// least 8 B, that divides the element and whose aligned slot holds every
+// one of fields. It is 0 when there is none narrower than the element — the
+// whole element is accessed, or the fields straddle every slot that divides
+// it — and the section keeps randLineBytes' whole-element line.
+func spanLineBytes(o *ir.Object, fields []string) int {
+	lo, hi := o.ElemBytes, 0
+	for _, name := range fields {
+		f, ok := o.FieldByName(name)
+		if !ok || name == "" {
+			return 0
+		}
+		lo, hi = min(lo, f.Offset), max(hi, f.Offset+f.Bytes)
+	}
+	if hi <= lo {
+		return 0
+	}
+	for line := 8; line < o.ElemBytes; line *= 2 {
+		if o.ElemBytes%line == 0 && lo/line == (hi-1)/line {
+			return line
+		}
+	}
+	return 0
+}
+
+// randLineBytes picks a random/indirect section's line size when no span
+// line does: the smallest power of two holding one element.
 func randLineBytes(elemBytes int) int {
 	line := 64
 	for line < elemBytes {
 		line *= 2
 	}
 	return line
+}
+
+// spanBytes is the most a span section (stride set) can use: one line per
+// element of its members, since lines past that could never fill. It is 0
+// for every other section, which has no such bound.
+func (d *sectionDraft) spanBytes(prog *ir.Program) int64 {
+	if d.stride == 0 {
+		return 0
+	}
+	var elems int64
+	for _, m := range d.members {
+		if o, ok := prog.Object(m); ok {
+			elems += o.Count
+		}
+	}
+	return elems * int64(d.lineBytes)
+}
+
+// held is the part of d's size its section holds: all of it, or a span
+// section's spanBytes. assembleConfig gives the rest to the swap pool.
+func (d *sectionDraft) held(prog *ir.Program) int64 {
+	if sb := d.spanBytes(prog); sb > 0 {
+		return min(d.sizeBytes, sb)
+	}
+	return d.sizeBytes
 }
 
 func elemBytesOf(prog *ir.Program, name string) int {
@@ -669,7 +739,7 @@ func setGatherWindows(prog *ir.Program, plan *codegen.Plan, drafts []*sectionDra
 	lines := map[string]int64{} // each object's section, in lines
 	for _, d := range drafts {
 		for _, name := range d.members {
-			lines[name] = d.sizeBytes / int64(d.lineBytes)
+			lines[name] = d.held(prog) / int64(d.lineBytes)
 		}
 	}
 	const inFlight = codegen.GatherAhead + 1 // windows of source loads in flight
@@ -747,7 +817,13 @@ func sizeBySampling(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, 
 			if size < int64(d.lineBytes)*4 {
 				size = int64(d.lineBytes) * 4
 			}
-			overhead, err := sampleRun(l, compiled, prog, all, nonSeq, i, size, avail, pool, opts)
+			if sb := d.spanBytes(prog); sb > 0 && size > sb {
+				// A span section gains nothing past one line per
+				// element: offer the ILP that size, not budget it
+				// would hand to the swap pool.
+				size = sb
+			}
+			overhead, size, err := sampleRun(l, compiled, prog, all, nonSeq, i, size, avail, pool, opts)
 			if err != nil {
 				return err
 			}
@@ -789,8 +865,10 @@ func sizeBySampling(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, 
 
 // sampleRun executes the compiled program with nonSeq[target] at size and
 // the other non-sequential sections splitting the rest, returning the
-// target section's profiled overhead.
-func sampleRun(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSeq []*sectionDraft, target int, size, avail, pool int64, opts Options) (float64, error) {
+// target section's profiled overhead and the size it ran at: the others
+// hold at least two lines each, and when those floors leave less than size,
+// the target runs at what they leave, so the sample fits the budget.
+func sampleRun(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSeq []*sectionDraft, target int, size, avail, pool int64, opts Options) (float64, int64, error) {
 	rest := avail - size
 	if rest < 0 {
 		rest = 0
@@ -800,14 +878,18 @@ func sampleRun(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSe
 		share = rest / int64(len(nonSeq)-1)
 	}
 	saved := make([]int64, len(nonSeq))
+	var others int64
 	for i, d := range nonSeq {
 		saved[i] = d.sizeBytes
-		if i == target {
-			d.sizeBytes = size
-		} else {
+		if i != target {
 			d.sizeBytes = maxI64(share, int64(d.lineBytes)*2)
+			others += d.sizeBytes
 		}
 	}
+	if left := avail - others; left < size && left >= int64(nonSeq[target].lineBytes) {
+		size = left
+	}
+	nonSeq[target].sizeBytes = size
 	defer func() {
 		for i, d := range nonSeq {
 			d.sizeBytes = saved[i]
@@ -822,18 +904,18 @@ func sampleRun(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSe
 	}
 	out := l.time(compiled, assembleConfig(prog, all, merged, pool, opts))
 	if out.err != nil {
-		return 0, out.err
+		return 0, size, out.err
 	}
 	total := out.run
 	if total <= 0 {
-		return 0, nil
+		return 0, size, nil
 	}
 	// Target section's share of runtime overhead, from its counters.
 	st := out.secs[sectionIndex(all, nonSeq[target].name)]
 	cost := rt.DefaultCostModel()
 	secTime := sim.Duration(st.Hits+st.Misses)*cost.Lookup(nonSeq[target].structure) +
 		sim.Duration(st.Misses)*(cost.MissHandling+opts.link().RTTEstimate(nonSeq[target].lineBytes))
-	return float64(secTime) / float64(total), nil
+	return float64(secTime) / float64(total), size, nil
 }
 
 func sectionIndex(all []*sectionDraft, name string) int {
@@ -848,14 +930,19 @@ func sectionIndex(all []*sectionDraft, name string) int {
 // assembleConfig turns drafts into an rt.Config. merged is used only for
 // membership (placements).
 func assembleConfig(prog *ir.Program, drafts []*sectionDraft, merged map[string]*analysis.ObjectAccess, pool int64, opts Options) rt.Config {
-	// Line-size floors may nudge the carve-up past the budget; the swap
-	// pool's headroom absorbs the slack.
+	// A span section's surplus over its held size goes to the swap pool,
+	// so the carve-up stays what was asked for. Line-size floors may nudge
+	// the carve-up past the budget; the swap pool's headroom absorbs the
+	// slack.
+	sizes := make([]int64, len(drafts))
 	var total int64
-	for _, d := range drafts {
-		size := d.sizeBytes
-		if size < int64(d.lineBytes) {
-			size = int64(d.lineBytes)
+	for i, d := range drafts {
+		size := max(d.sizeBytes, int64(d.lineBytes))
+		if h := max(d.held(prog), int64(d.lineBytes)); h < size {
+			pool += size - h
+			size = h
 		}
+		sizes[i] = size
 		total += size
 	}
 	if excess := total + pool - (opts.LocalBudget - prog.LocalBytes()); excess > 0 {
@@ -882,17 +969,14 @@ func assembleConfig(prog *ir.Program, drafts []*sectionDraft, merged map[string]
 		SwapCompress:        opts.Compress == "on",
 	}
 	for i, d := range drafts {
-		size := d.sizeBytes
-		if size < int64(d.lineBytes) {
-			size = int64(d.lineBytes)
-		}
 		cfg.Sections = append(cfg.Sections, rt.SectionSpec{
 			Cache: cache.Config{
 				Name:      d.name,
 				Structure: d.structure,
 				Ways:      d.ways,
 				LineBytes: d.lineBytes,
-				SizeBytes: size,
+				SizeBytes: sizes[i],
+				Stride:    d.stride,
 			},
 			TwoSided:        d.twoSided,
 			SelectiveFields: d.selFields,

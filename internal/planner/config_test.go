@@ -24,8 +24,8 @@ func twoObjProgram() *ir.Program {
 	b := ir.NewBuilder("p")
 	b.Object("seqA", 16, 128, ir.F("f", 0, 8))
 	b.Object("seqB", 16, 128, ir.F("f", 0, 8))
-	b.Object("ind", 128, 64, ir.F("c", 0, 8))
-	b.Object("wide", 4096, 64, ir.F("c", 0, 8))
+	b.Object("ind", 128, 64, ir.F("c", 0, 8), ir.F("e", 64, 8))
+	b.Object("wide", 4096, 64, ir.F("c", 0, 8), ir.F("d", 2048, 8))
 	b.IntArray("rnd", 64)
 	b.Func("main")
 	return b.MustProgram()
@@ -73,20 +73,31 @@ func TestGroupSectionsByPattern(t *testing.T) {
 
 func TestSelectiveTransmissionChosen(t *testing.T) {
 	p := twoObjProgram()
-	// wide: 4 KB element, 8 B accessed => the one-sided line needs two
-	// network chunks while the two-sided gather moves 8 bytes, so the
-	// cost model picks selective transmission.
+	// wide: 4 KB element, two 8 B fields 2 KB apart. No slot narrower than
+	// the element holds both, so the line stays the whole element, which
+	// needs two network chunks one-sided while the two-sided gather moves
+	// 16 bytes: the cost model picks two-sided selective transmission.
 	merged := map[string]*analysis.ObjectAccess{
-		"wide": mkMerged(analysis.PatternIndirect, 4096, []string{"c"}, 8),
+		"wide": mkMerged(analysis.PatternIndirect, 4096, []string{"c", "d"}, 16),
 	}
 	drafts := groupSections(p, merged, TechniqueMask{}, netmodel.DefaultConfig())
-	if len(drafts) != 1 || !drafts[0].twoSided || len(drafts[0].selFields) != 1 {
+	if len(drafts) != 1 || !drafts[0].twoSided || len(drafts[0].selFields) != 2 || drafts[0].lineBytes != 4096 {
 		t.Fatalf("selective not chosen: %+v", drafts[0])
 	}
-	// Masked off.
-	drafts = groupSections(p, merged, TechniqueMask{NoSelective: true}, netmodel.DefaultConfig())
-	if drafts[0].twoSided {
-		t.Fatal("NoSelective mask ignored")
+	// One 8 B field: an 8 B slot holds it, so the line is that span, one
+	// element apart, and only it travels — one-sided.
+	merged["wide"] = mkMerged(analysis.PatternIndirect, 4096, []string{"c"}, 8)
+	drafts = groupSections(p, merged, TechniqueMask{}, netmodel.DefaultConfig())
+	if d := drafts[0]; d.twoSided || d.lineBytes != 8 || d.stride != 4096 {
+		t.Fatalf("the 8 B field has no span line: %+v", d)
+	}
+	// Masked off: neither the span line nor the two-sided path.
+	for _, fields := range [][]string{{"c", "d"}, {"c"}} {
+		merged["wide"] = mkMerged(analysis.PatternIndirect, 4096, fields, 8*len(fields))
+		drafts = groupSections(p, merged, TechniqueMask{NoSelective: true}, netmodel.DefaultConfig())
+		if d := drafts[0]; d.twoSided || d.stride != 0 || d.lineBytes != 4096 {
+			t.Fatalf("NoSelective mask ignored for %v: %+v", fields, d)
+		}
 	}
 	// Whole-element access: no selective benefit.
 	merged["wide"] = mkMerged(analysis.PatternIndirect, 4096, []string{""}, 4096)
@@ -98,15 +109,16 @@ func TestSelectiveTransmissionChosen(t *testing.T) {
 
 func TestSelectiveRejectedWhenLineIsCheap(t *testing.T) {
 	p := twoObjProgram()
-	// ind: 128 B element, 8 B accessed. The coverage test passes (8*2 <=
-	// 128) but pulling the 128 B line one-sided (~3.3 us) beats the
-	// two-sided gather (~4.2 us), so the cost model rejects selective.
+	// ind: 128 B element, two 8 B fields 64 B apart, which no slot
+	// narrower than the element holds. The coverage test passes (16*2 <=
+	// 128) but pulling the 128 B line one-sided beats the two-sided
+	// gather, so the cost model rejects selective.
 	merged := map[string]*analysis.ObjectAccess{
-		"ind": mkMerged(analysis.PatternIndirect, 128, []string{"c"}, 8),
+		"ind": mkMerged(analysis.PatternIndirect, 128, []string{"c", "e"}, 16),
 	}
 	drafts := groupSections(p, merged, TechniqueMask{}, netmodel.DefaultConfig())
-	if drafts[0].twoSided {
-		t.Fatal("selective chosen where the full line is cheaper")
+	if drafts[0].twoSided || drafts[0].lineBytes != 128 {
+		t.Fatalf("selective chosen where the full line is cheaper: %+v", drafts[0])
 	}
 }
 
@@ -152,6 +164,43 @@ func TestSeqLineBytes(t *testing.T) {
 	}
 	if got := seqLineBytes(4096); got != 4096 {
 		t.Fatalf("seqLineBytes(4096) = %d", got)
+	}
+}
+
+// TestSpanLineBytes pins the span rule: the smallest power of two, at least
+// 8 B, that divides the element and whose aligned slot holds every accessed
+// field; none (0, the whole-element line) when that is the element itself.
+func TestSpanLineBytes(t *testing.T) {
+	b := ir.NewBuilder("span")
+	b.Object("graphnode", 128, 4, ir.F("count", 0, 8))
+	b.Object("mcfnode", 64, 4, ir.F("pot", 0, 8), ir.F("parent", 8, 8))
+	b.Object("scalar", 8, 4)
+	b.Object("straddle", 64, 4, ir.F("a", 4, 8), ir.F("b", 40, 8))
+	b.Object("odd", 24, 4, ir.F("x", 0, 8), ir.F("y", 8, 8), ir.F("z", 16, 8))
+	b.Object("high", 128, 4, ir.F("tail", 96, 16))
+	b.Func("main")
+	p := b.MustProgram()
+	for _, c := range []struct {
+		name, obj string
+		fields    []string
+		want      int
+	}{
+		{"graph's count", "graphnode", []string{"count"}, 8},
+		{"mcf's pot and parent", "mcfnode", []string{"parent", "pot"}, 16},
+		{"mcf's pot alone", "mcfnode", []string{"pot"}, 8},
+		{"whole element, by name", "graphnode", []string{""}, 0},
+		{"whole scalar element", "scalar", []string{""}, 0},
+		{"a span straddling 8 B slots", "straddle", []string{"a"}, 16},
+		{"fields straddling every narrower slot", "straddle", []string{"a", "b"}, 0},
+		{"16 B does not divide a 24 B element", "odd", []string{"x", "y"}, 0},
+		{"8 B divides a 24 B element", "odd", []string{"y"}, 8},
+		{"a span away from the element's start", "high", []string{"tail"}, 16},
+		{"an unknown field", "graphnode", []string{"nope"}, 0},
+	} {
+		o, _ := p.Object(c.obj)
+		if got := spanLineBytes(o, c.fields); got != c.want {
+			t.Errorf("%s: spanLineBytes(%s, %v) = %d, want %d", c.name, c.obj, c.fields, got, c.want)
+		}
 	}
 }
 

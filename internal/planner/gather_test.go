@@ -201,30 +201,42 @@ func chainShapes(p *ir.Program) (gathers, perElement int) {
 // TestWholeIndirectLine: an indirect section sized to hold its object's
 // whole footprint takes the sequential line size and shrinks to the
 // footprint's lines plus one; one even a byte short of it keeps its line and
-// its size. A random section is left alone either way.
+// its size. A random section is left alone either way. A span section (8 B
+// lines one element apart) widens too when the sequential line holds several
+// elements, and keeps its span when that line is one element: it would save
+// no message and fetch every field the scope never reads.
 func TestWholeIndirectLine(t *testing.T) {
 	b := ir.NewBuilder("p")
 	b.Object("nodes", 128, 4096, ir.F("v", 0, 8))
+	b.Object("wide", 4096, 64, ir.F("v", 0, 8))
 	b.Func("main")
 	prog := b.MustProgram()
 	const foot = 128 * 4096
 	for _, c := range []struct {
-		pattern  analysis.Pattern
-		size     int64
-		wantLine int
-		wantSize int64
+		obj          string
+		pattern      analysis.Pattern
+		line, stride int
+		size         int64
+		wantLine     int
+		wantSize     int64
 	}{
-		{analysis.PatternIndirect, 1 << 20, 2048, foot + 2048},
-		{analysis.PatternIndirect, foot, 2048, foot},
-		{analysis.PatternIndirect, foot - 1, 128, foot - 1},
-		{analysis.PatternRandom, 1 << 20, 128, 1 << 20},
+		{"nodes", analysis.PatternIndirect, 128, 0, 1 << 20, 2048, foot + 2048},
+		{"nodes", analysis.PatternIndirect, 128, 0, foot, 2048, foot},
+		{"nodes", analysis.PatternIndirect, 128, 0, foot - 1, 128, foot - 1},
+		{"nodes", analysis.PatternRandom, 128, 0, 1 << 20, 128, 1 << 20},
+		{"nodes", analysis.PatternIndirect, 8, 128, 1 << 20, 2048, foot + 2048},
+		{"wide", analysis.PatternIndirect, 8, 4096, 1 << 20, 8, 1 << 20},
 	} {
-		d := &sectionDraft{name: "s", members: []string{"nodes"}, lineBytes: 128, sizeBytes: c.size}
-		merged := map[string]*analysis.ObjectAccess{"nodes": mkMerged(c.pattern, 128, []string{"v"}, 8)}
+		d := &sectionDraft{name: "s", members: []string{c.obj}, lineBytes: c.line, stride: c.stride, sizeBytes: c.size}
+		o, _ := prog.Object(c.obj)
+		merged := map[string]*analysis.ObjectAccess{c.obj: mkMerged(c.pattern, o.ElemBytes, []string{"v"}, 8)}
 		wholeIndirect(prog, merged, []*sectionDraft{d})
+		if c.wantLine != c.line && d.stride != 0 {
+			t.Errorf("%s: stride %d after widening, want 0", c.obj, d.stride)
+		}
 		if d.lineBytes != c.wantLine || d.sizeBytes != c.wantSize {
-			t.Errorf("%v section of %d bytes: line %d, size %d; want line %d, size %d",
-				c.pattern, c.size, d.lineBytes, d.sizeBytes, c.wantLine, c.wantSize)
+			t.Errorf("%v section of %s, %d B lines, %d bytes: line %d, size %d; want line %d, size %d",
+				c.pattern, c.obj, c.line, c.size, d.lineBytes, d.sizeBytes, c.wantLine, c.wantSize)
 		}
 	}
 }

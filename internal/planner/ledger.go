@@ -77,7 +77,10 @@ type outcome struct {
 
 // compile is codegen.Apply, memoised per (source program, equal plan), so an
 // equal plan yields the same *ir.Program and time can tell a repeated
-// candidate by pointer.
+// candidate by pointer. A plan that differs only in what codegen ignores (a
+// gathered target's PrefetchDistance, say) yields an equal program: that
+// too is handed the program already built, so the memo is keyed on what
+// runs, not on how it was asked for.
 func (l *ledger) compile(src *ir.Program, plan *codegen.Plan) (*ir.Program, error) {
 	if !l.forget {
 		for i := range l.builds {
@@ -87,6 +90,14 @@ func (l *ledger) compile(src *ir.Program, plan *codegen.Plan) (*ir.Program, erro
 		}
 	}
 	out, err := codegen.Apply(src, plan)
+	if err == nil && !l.forget {
+		for i := range l.builds {
+			if b := &l.builds[i]; b.src == src && b.err == nil && reflect.DeepEqual(b.out, out) {
+				out = b.out
+				break
+			}
+		}
+	}
 	l.builds = append(l.builds, ledgerBuild{src, plan, out, err})
 	return out, err
 }

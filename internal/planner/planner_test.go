@@ -121,19 +121,30 @@ func TestThreeSectionSamplingAndILP(t *testing.T) {
 	if len(res.Config.Sections) < 3 {
 		t.Fatalf("sections = %d, want >= 3", len(res.Config.Sections))
 	}
-	// The node section (indirect) should get more memory than the edge
-	// (sequential) section — Fig. 12's qualitative result.
-	var edgeSize, nodeSize int64
+	// The node (indirect) and rand3 (random) sections cache one 8 B span
+	// per element, so the ILP's best point for each is every element's
+	// span: 512·8 and 1024·8 B. The sampled sizes stop there, so the ILP
+	// hands nothing past it to the swap pool, which the footprint-
+	// proportional fallback would. The edge (sequential) section streams.
+	var edgeSize, nodeSize, randSize int64
 	for _, s := range res.Config.Sections {
 		switch {
 		case s.Cache.Structure == cache.Direct:
 			edgeSize += s.Cache.SizeBytes
 		case s.Cache.Name == "ind-nodes":
 			nodeSize = s.Cache.SizeBytes
+		case s.Cache.Name == "rand-rand3":
+			randSize = s.Cache.SizeBytes
 		}
 	}
-	if nodeSize <= edgeSize {
-		t.Fatalf("node section (%d) not larger than edge section (%d)", nodeSize, edgeSize)
+	if nodeSize != 512*8 || randSize != 1024*8 {
+		t.Fatalf("node section %d B, rand3 section %d B: want every element's span, %d and %d B", nodeSize, randSize, 512*8, 1024*8)
+	}
+	if edgeSize == 0 {
+		t.Fatal("no edge section")
+	}
+	if res.Config.SwapPool != 0 {
+		t.Fatalf("swap pool %d B: the ILP budgeted past a span section's elements", res.Config.SwapPool)
 	}
 }
 

@@ -112,13 +112,27 @@ func TestReadOnlyStreamsJoinOpenSection(t *testing.T) {
 		res := plan(t, w, w.FullMemoryBytes()/16)
 		// Iteration 1's ranked scope is the indirect nodes alone: it opens
 		// no streaming section, so the read-only edges scan has none to
-		// join.
-		if it := res.Iterations[0]; !reflect.DeepEqual(it.Objects, []string{"nodes"}) {
+		// join — it stays in the swap pool, and iteration 1 runs the one
+		// section of nodes' 8 B count spans (256·8 B, all of them).
+		it := res.Iterations[0]
+		if !reflect.DeepEqual(it.Objects, []string{"nodes"}) {
 			t.Errorf("iteration 1 objects %v, want [nodes]", it.Objects)
 		}
-		inSwap(t, res, "edges")
-		if got := res.FinalTime.String(); got != "7.250ms" {
-			t.Errorf("final time %s, want 7.250ms", got)
+		if it.NumSecs != 1 {
+			t.Errorf("iteration 1 ran %d sections, want nodes' alone: edges joined", it.NumSecs)
+		}
+		if got := it.Time.String(); got != "2.243ms" {
+			t.Errorf("iteration 1 time %s, want 2.243ms", got)
+		}
+		// Edges enters a section only where the size ranking puts it in
+		// the scope: iteration 2, whose plan is accepted.
+		if pl := res.Config.Placements["edges"]; pl.Kind == rt.PlaceSection && !slices.ContainsFunc(res.Iterations, func(it Iteration) bool {
+			return it.Accepted && slices.Contains(it.Objects, "edges")
+		}) {
+			t.Error("edges placed in a section no accepted scope ranked it into")
+		}
+		if got := res.FinalTime.String(); got != "468.827us" {
+			t.Errorf("final time %s, want 468.827us", got)
 		}
 	})
 

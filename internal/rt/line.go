@@ -149,14 +149,16 @@ func (r *Runtime) drop(clk *sim.Clock, s *sectionRT, tag uint64) (sim.Time, erro
 }
 
 // linesIn lists the resident lines of s with tags in [lo, hi), in the
-// section's own iteration order.
+// section's own iteration order. The list is the section's scratch: it is
+// valid until the next linesIn on s.
 func (s *sectionRT) linesIn(lo, hi uint64) []*cache.Line {
-	var ls []*cache.Line
+	ls := s.lines[:0]
 	s.sec.ForEachResident(func(l *cache.Line) {
 		if l.Tag >= lo && l.Tag < hi {
 			ls = append(ls, l)
 		}
 	})
+	s.lines = ls
 	return ls
 }
 

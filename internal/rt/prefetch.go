@@ -3,7 +3,6 @@ package rt
 import (
 	"fmt"
 
-	"mira/internal/cache"
 	"mira/internal/prefetch"
 	"mira/internal/sim"
 	"mira/internal/swap"
@@ -37,9 +36,9 @@ func (r *Runtime) policyMiss(clk *sim.Clock, s *sectionRT, tag uint64) {
 	if s.policy == nil {
 		return
 	}
-	lb := int64(s.spec.Cache.LineBytes)
-	s.props = s.policy.OnMiss(int64(tag)/lb, s.props[:0])
-	r.policyIssue(clk, s)
+	ub := s.unitBytes()
+	s.props = s.policy.OnMiss(int64(tag/ub), s.props[:0])
+	r.policyIssue(clk, s, tag%ub)
 }
 
 // policyTouch feeds the first demand touch of a speculatively fetched line
@@ -51,27 +50,30 @@ func (r *Runtime) policyTouch(clk *sim.Clock, s *sectionRT, tag uint64) {
 	if !ok {
 		return
 	}
-	lb := int64(s.spec.Cache.LineBytes)
-	s.props = tu.OnPrefetchedTouch(int64(tag)/lb, s.props[:0])
-	r.policyIssue(clk, s)
+	ub := s.unitBytes()
+	s.props = tu.OnPrefetchedTouch(int64(tag/ub), s.props[:0])
+	r.policyIssue(clk, s, tag%ub)
 }
 
-// policyIssue turns the policy's proposals in s.props (line units) into
-// tags and issues them speculatively.
+// policyIssue turns the policy's proposals in s.props (units of the
+// section's stride, unitBytes) into tags — each unit's line at offset off
+// into it, the offset of the line that fired the policy — and issues them
+// speculatively. On a strided section a unit is an element, and "the next
+// line" is the same field span of the next element.
 //
 // The policy runs on the runner thread, off the access path: its table
 // work (PerMissOverhead) and the speculative doorbell are charged by
 // delaying when the gather is posted — slower predictors land their lines
 // later (and count Late more often) — never by stalling the demand access.
-func (r *Runtime) policyIssue(clk *sim.Clock, s *sectionRT) {
-	lb := int64(s.spec.Cache.LineBytes)
+func (r *Runtime) policyIssue(clk *sim.Clock, s *sectionRT, off uint64) {
+	ub := s.unitBytes()
 	s.want = s.want[:0]
 	for _, u := range s.props {
 		if u < 0 {
 			s.dropped()
 			continue
 		}
-		r.propose(clk, s, uint64(u*lb))
+		r.propose(clk, s, uint64(u)*ub+off)
 	}
 	r.issueWanted(clk, s)
 }
@@ -130,8 +132,10 @@ func (r *Runtime) issueWanted(clk *sim.Clock, s *sectionRT) {
 }
 
 // LineUnit maps obj[elem] to its cache section and the section plane's
-// prefetch unit (the global line index of the element's line). ok=false
-// for non-section placements — access programs skip those elements.
+// prefetch unit: the global index of the element's line, or, on a strided
+// section, of the element's stride-aligned unit (Bind aligns such an object
+// to its stride). ok=false for non-section placements — access programs skip
+// those elements.
 func (r *Runtime) LineUnit(name string, elem int64) (sec int, unit int64, ok bool) {
 	o, found := r.objs[name]
 	if !found || o.place.Kind != PlaceSection || elem < 0 || elem >= o.decl.Count {
@@ -139,8 +143,7 @@ func (r *Runtime) LineUnit(name string, elem int64) (sec int, unit int64, ok boo
 	}
 	s := r.secs[o.place.Section]
 	addr := o.farBase + uint64(elem)*uint64(o.decl.ElemBytes)
-	tag := cache.AlignDown(addr, s.spec.Cache.LineBytes)
-	return o.place.Section, int64(tag) / int64(s.spec.Cache.LineBytes), true
+	return o.place.Section, int64(addr / s.unitBytes()), true
 }
 
 // PageUnit maps obj[elem] to its swap page number — the page plane's

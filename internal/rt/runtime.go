@@ -110,6 +110,8 @@ type sectionRT struct {
 	// allocate nothing: the policy's proposals, then the lines worth a fetch.
 	props []int64
 	want  []claimed
+	// lines is linesIn's scratch.
+	lines []*cache.Line
 	// latestReady's running maximum and the visitor that folds into it.
 	latest    sim.Time
 	foldReady func(*cache.Line)
@@ -152,6 +154,12 @@ type objectRT struct {
 	selBytes  int
 	// per-object access counters (Fig. 8's per-array miss rates)
 	hits, misses int64
+}
+
+// unitBytes is the section's prefetch unit: its stride (cache.Config.Stride),
+// which is its line unless the section caches one field span per element.
+func (s *sectionRT) unitBytes() uint64 {
+	return uint64(max(s.spec.Cache.Stride, s.spec.Cache.LineBytes))
 }
 
 // lineRange is the tag range [lo, hi) of o's lines in its section s.
@@ -234,6 +242,15 @@ func New(cfg Config, node *farmem.Node) (*Runtime, error) {
 	return r, nil
 }
 
+// Close hands the runtime's section storage back for the next runtime of
+// the process to reuse (cache.Release). The runtime must not be used
+// afterwards; its far memory is its pool's to release.
+func (r *Runtime) Close() {
+	for _, s := range r.secs {
+		cache.Release(s.sec)
+	}
+}
+
 // Transport is nil: every runtime runs over its pool (Pool). It is kept for
 // the benchmark's decorators, which tap the pool's node transports when it
 // is nil.
@@ -288,9 +305,11 @@ func (r *Runtime) Bind(p *ir.Program) error {
 			swapObjs = append(swapObjs, o)
 		case PlaceSection:
 			s := r.secs[pl.Section]
-			lb := uint64(s.spec.Cache.LineBytes)
+			lb := s.unitBytes()
 			// Align the base and pad the tail so every line of
-			// the object stays inside its allocation.
+			// the object stays inside its allocation. A strided
+			// section aligns to its stride, so an element's lines share
+			// its unit (LineUnit).
 			size := (uint64(o.SizeBytes()) + 2*lb + lb - 1) / lb * lb
 			// The section ID is the placement key, so every object of a
 			// section colocates on the section's home node and

@@ -140,7 +140,8 @@ func Over(be Backend, w workload.Workload, prog *ir.Program, tr *trace.Tracer) *
 // Close ends the session and returns the backend's far memory — every
 // pool member's regions — to the far side's free list
 // (farmem.Node.Release), where the next session's allocations of the same
-// sizes find it instead of making and zeroing their own. Everything worth
+// sizes find it instead of making and zeroing their own, and the runtime's
+// set-associative section storage to the cache's (rt.Runtime.Close). Everything worth
 // keeping must have been read before: Finish and Dump refuse a closed
 // session, and the far side answers farmem.ErrUnmapped to anything that
 // still reaches it. Close is idempotent. A session that is never closed is
@@ -151,6 +152,9 @@ func (s *Session) Close() {
 	}
 	s.closed = true
 	s.Pool().Release()
+	if s.RT != nil {
+		s.RT.Close()
+	}
 }
 
 // errClosed is what a closed session answers to Finish and Dump.
