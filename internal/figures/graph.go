@@ -490,9 +490,11 @@ func fig12(scale Scale) (*Figure, error) {
 		}
 		s.X = append(s.X, split)
 		s.Y = append(s.Y, relPerf(native.Time, total))
-		samples = append(samples, sample{split: split, nodeOv: sectionOverhead(r, 1, total), randOv: sectionOverhead(r, 2, total)})
+		samples = append(samples, sample{split: split, nodeOv: float64(r.SectionStall(1)), randOv: float64(r.SectionStall(2))})
 	}
-	// The ILP's choice from the sampled curves (§4.3).
+	// The ILP's choice from the sampled curves (§4.3), each section priced
+	// as the planner's sizing samples price it: by the sim time it stalled
+	// the run.
 	prob := solver.Problem{Budget: avail}
 	nodeSec := solver.Section{Name: "nodes", Start: 0, End: 1}
 	randSec := solver.Section{Name: "rand3", Start: 0, End: 1}

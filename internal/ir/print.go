@@ -57,6 +57,9 @@ func printBlock(sb *strings.Builder, body []Stmt, depth int) {
 			if st.Native {
 				mode = "native.store"
 			}
+			if st.NoFetch {
+				mode += ".nofetch"
+			}
 			fmt.Fprintf(sb, "%s%s %s[%s]%s = %s\n", ind, mode, st.Obj, ExprString(st.Index), fieldSuffix(st.Field), ExprString(st.Val))
 		case *Assign:
 			fmt.Fprintf(sb, "%s%%%d = %s\n", ind, st.Dst, ExprString(st.Val))

@@ -259,20 +259,34 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 		}
 	}
 
-	plan := buildPlan(prog, merged, drafts, dElems, tech, opts.link())
 	// Lifetime-bounded sections: release each object where its global
 	// lifetime ends (§4.1), unless eviction hints are masked (the
 	// Fig. 21 breakdown treats releases as part of the hint technique).
+	var release map[string][]string
 	if !tech.NoEvictHints {
-		plan.ReleaseAfter = map[string][]string{}
+		release = map[string][]string{}
 		for name := range merged {
 			if fn := lastFunc[name]; fn != "" && fn != prog.Entry {
-				plan.ReleaseAfter[fn] = append(plan.ReleaseAfter[fn], name)
+				release[fn] = append(release[fn], name)
 			}
 		}
-		for fn := range plan.ReleaseAfter {
-			sort.Strings(plan.ReleaseAfter[fn])
+		for fn := range release {
+			sort.Strings(release[fn])
 		}
+	}
+	// build plans the drafts at their sizes as they stand — gather windows,
+	// leads and batches are read from them — and compiles that plan: every
+	// sizing sample runs the program its sizes give, and so does the final
+	// candidate. The ledger hands back the program already built when the
+	// plan, or what it compiles to, is unchanged.
+	build := func() (*codegen.Plan, *ir.Program, error) {
+		plan := buildPlan(prog, merged, drafts, dElems, tech, opts.link())
+		plan.ReleaseAfter = release
+		out, err := l.compile(prog, plan)
+		if err != nil {
+			return nil, nil, compileError{err}
+		}
+		return plan, out, nil
 	}
 	// Size non-sequential sections — and reused sequential ones, whose
 	// footprint-vs-streaming tradeoff only sampling can settle: a single
@@ -326,10 +340,6 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 			return candidate{}, fmt.Errorf("planner: budget %d too small for %d sampled sections", opts.LocalBudget, len(nonSeq))
 		}
 	}
-	compiled, err := l.compile(prog, plan)
-	if err != nil {
-		return candidate{}, compileError{err}
-	}
 	switch len(nonSeq) {
 	case 0:
 		// Sequential-only: return unused budget to the swap pool.
@@ -337,22 +347,16 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 	case 1:
 		nonSeq[0].sizeBytes = avail
 	default:
-		if err := sizeBySampling(l, compiled, prog, drafts, nonSeq, avail, pool, opts); err != nil {
+		if err := sizeBySampling(l, build, prog, drafts, nonSeq, avail, pool, opts); err != nil {
 			return candidate{}, err
 		}
 	}
 
 	normalizeSizes(drafts, remaining)
 	wholeIndirect(prog, merged, drafts)
-	// Making room for the sampled sections, and normalizeSizes, can shrink
-	// a streaming section below the size its leads and batches were read
-	// from: plan them again against the section's final size. The ledger
-	// hands back the program already built when the plan is unchanged.
-	final := buildPlan(prog, merged, drafts, dElems, tech, opts.link())
-	final.ReleaseAfter = plan.ReleaseAfter
-	plan = final
-	if compiled, err = l.compile(prog, plan); err != nil {
-		return candidate{}, compileError{err}
+	plan, compiled, err := build()
+	if err != nil {
+		return candidate{}, err
 	}
 	cfg := assembleConfig(prog, drafts, merged, pool, opts)
 	return candidate{cfg, plan, compiled}, nil
@@ -804,8 +808,9 @@ func (p *planning) decideOffloads(prog *ir.Program, funcs, objs []string) ([]str
 var sampleRatios = [...]float64{0.2, 0.4, 0.6, 0.8}
 
 // sizeBySampling profiles each non-sequential section at the sampled size
-// ratios and solves the ILP (§4.3).
-func sizeBySampling(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSeq []*sectionDraft, avail, pool int64, opts Options) error {
+// ratios and solves the ILP (§4.3). build compiles the program the drafts'
+// sizes give (buildConfig's build).
+func sizeBySampling(l *ledger, build func() (*codegen.Plan, *ir.Program, error), prog *ir.Program, all []*sectionDraft, nonSeq []*sectionDraft, avail, pool int64, opts Options) error {
 	problem := solver.Problem{Budget: avail}
 	for i, d := range nonSeq {
 		sec := solver.Section{Name: d.name, Start: d.interval[0], End: d.interval[1]}
@@ -823,7 +828,7 @@ func sizeBySampling(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, 
 				// would hand to the swap pool.
 				size = sb
 			}
-			overhead, size, err := sampleRun(l, compiled, prog, all, nonSeq, i, size, avail, pool, opts)
+			overhead, size, err := sampleRun(l, build, prog, all, nonSeq, i, size, avail, pool, opts)
 			if err != nil {
 				return err
 			}
@@ -863,12 +868,15 @@ func sizeBySampling(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, 
 	return nil
 }
 
-// sampleRun executes the compiled program with nonSeq[target] at size and
-// the other non-sequential sections splitting the rest, returning the
-// target section's profiled overhead and the size it ran at: the others
-// hold at least two lines each, and when those floors leave less than size,
-// the target runs at what they leave, so the sample fits the budget.
-func sampleRun(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSeq []*sectionDraft, target int, size, avail, pool int64, opts Options) (float64, int64, error) {
+// sampleRun runs the program planned with nonSeq[target] at size and the
+// other non-sequential sections splitting the rest, returning the sim time
+// the target section stalled that run (rt.Runtime.SectionStall) and the size
+// it ran at: the others hold at least two lines each, and when those floors
+// leave less than size, the target runs at what they leave, so the sample
+// fits the budget. The stall is absolute, not its share of the run: a share
+// also falls when the rest of the run grows, so it can price a section size
+// that slows the whole run as the cheaper one.
+func sampleRun(l *ledger, build func() (*codegen.Plan, *ir.Program, error), prog *ir.Program, all []*sectionDraft, nonSeq []*sectionDraft, target int, size, avail, pool int64, opts Options) (float64, int64, error) {
 	rest := avail - size
 	if rest < 0 {
 		rest = 0
@@ -896,6 +904,10 @@ func sampleRun(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSe
 		}
 	}()
 
+	_, compiled, err := build()
+	if err != nil {
+		return 0, size, err
+	}
 	merged := map[string]*analysis.ObjectAccess{} // placements only need membership
 	for _, d := range all {
 		for _, m := range d.members {
@@ -906,16 +918,7 @@ func sampleRun(l *ledger, compiled, prog *ir.Program, all []*sectionDraft, nonSe
 	if out.err != nil {
 		return 0, size, out.err
 	}
-	total := out.run
-	if total <= 0 {
-		return 0, size, nil
-	}
-	// Target section's share of runtime overhead, from its counters.
-	st := out.secs[sectionIndex(all, nonSeq[target].name)]
-	cost := rt.DefaultCostModel()
-	secTime := sim.Duration(st.Hits+st.Misses)*cost.Lookup(nonSeq[target].structure) +
-		sim.Duration(st.Misses)*(cost.MissHandling+opts.link().RTTEstimate(nonSeq[target].lineBytes))
-	return float64(secTime) / float64(total), size, nil
+	return float64(out.stall[sectionIndex(all, nonSeq[target].name)]), size, nil
 }
 
 func sectionIndex(all []*sectionDraft, name string) int {

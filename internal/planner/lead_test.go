@@ -25,7 +25,7 @@ import (
 // is set by its section, and on the scan apps every loop the round-trip plan
 // strip-mines into a tile nest is a tile nest under the lead. The candidate's
 // program is its plan's, and a forgetting ledger builds the same candidate;
-// some candidate's plan is rebuilt once its sections reach their final size.
+// some candidate is planned at more than one set of section sizes.
 func TestStreamLeadFitsQuarter(t *testing.T) {
 	scans := map[string]bool{"seqscan": true, "stridescan": true, "arraysum": true}
 	apps := ledgerApps()
@@ -63,15 +63,15 @@ func TestStreamLeadFitsQuarter(t *testing.T) {
 		t.Error("no stream's lead was sized from its section")
 	}
 	if ran == len(names) && replanned == 0 {
-		t.Error("no candidate's plan was rebuilt at its final section sizes")
+		t.Error("no candidate was planned at more than one set of section sizes")
 	}
 }
 
 // checkStreamLeads runs TestStreamLeadFitsQuarter's checks on w's
 // whole-program candidate under opts and returns how many streams the
-// section, not the round trip, set the lead of, and whether the plan was
-// rebuilt at the final section sizes. It reports false when the budget
-// cannot host the candidate's sections, which only rejects the candidate
+// section, not the round trip, set the lead of, and whether the candidate
+// was planned at more than one set of section sizes. It reports false when
+// the budget cannot host the candidate's sections, which only rejects the candidate
 // (iterate rolls it back); a scan app must always be feasible.
 func checkStreamLeads(t *testing.T, w Workload, opts Options, scan bool) (int, bool, bool) {
 	t.Helper()
@@ -99,8 +99,8 @@ func checkStreamLeads(t *testing.T, w Workload, opts Options, scan bool) (int, b
 		t.Logf("%s: no feasible candidate: %v", at, err)
 		return 0, false, false
 	}
-	// The first build is the plan read from the analytic sizes; a second
-	// one means the final sizes changed it.
+	// A second build means the candidate was planned at more than one set
+	// of section sizes: its sizing samples', or its final ones.
 	replanned := len(l.builds) > 1
 	if want, err := codegen.Apply(prog, cand.plan); err != nil || ir.Print(want) != ir.Print(cand.prog) {
 		t.Errorf("%s: the candidate's program is not its plan's (replanned %v, err %v)", at, replanned, err)

@@ -1,9 +1,12 @@
 package planner
 
 import (
+	"fmt"
+	"maps"
 	"reflect"
+	"slices"
+	"strings"
 
-	"mira/internal/cache"
 	"mira/internal/codegen"
 	"mira/internal/ir"
 	"mira/internal/profile"
@@ -53,11 +56,13 @@ type ledgerRun struct {
 	out   *outcome
 }
 
-// ledgerBuild is one compilation: src transformed by plan.
+// ledgerBuild is one compilation: src transformed by the plan whose planKey
+// is plan, to out, whose ir.Print is text.
 type ledgerBuild struct {
 	src  *ir.Program
-	plan *codegen.Plan
+	plan string
 	out  *ir.Program
+	text string
 	err  error
 }
 
@@ -65,11 +70,12 @@ type ledgerBuild struct {
 // same *outcome back, collector included: nothing may write to it once time
 // has returned.
 type outcome struct {
-	// run is the session clock when the program returned; time is the clock
-	// after the final flush — the figure candidates are compared by.
-	run, time sim.Duration
-	// secs holds each cache section's counters when the program returned.
-	secs []cache.Stats
+	// time is the session clock after the final flush — the figure
+	// candidates are compared by.
+	time sim.Duration
+	// stall holds each cache section's rt.Runtime.SectionStall when the
+	// program returned.
+	stall []sim.Duration
 	// col is the run's profile (nil unless cfg.Profiling).
 	col *profile.Collector
 	err error
@@ -80,26 +86,46 @@ type outcome struct {
 // candidate by pointer. A plan that differs only in what codegen ignores (a
 // gathered target's PrefetchDistance, say) yields an equal program: that
 // too is handed the program already built, so the memo is keyed on what
-// runs, not on how it was asked for.
+// runs, not on how it was asked for. Plans are matched by planKey and
+// programs by their print, which shows every field codegen sets: each is
+// made once per build, so a lookup compares strings, not trees.
 func (l *ledger) compile(src *ir.Program, plan *codegen.Plan) (*ir.Program, error) {
+	key := planKey(plan)
 	if !l.forget {
 		for i := range l.builds {
-			if b := &l.builds[i]; b.src == src && reflect.DeepEqual(b.plan, plan) {
+			if b := &l.builds[i]; b.src == src && b.plan == key {
 				return b.out, b.err
 			}
 		}
 	}
 	out, err := codegen.Apply(src, plan)
-	if err == nil && !l.forget {
-		for i := range l.builds {
-			if b := &l.builds[i]; b.src == src && b.err == nil && reflect.DeepEqual(b.out, out) {
-				out = b.out
-				break
+	var text string
+	if err == nil {
+		text = ir.Print(out)
+		if !l.forget {
+			for i := range l.builds {
+				if b := &l.builds[i]; b.src == src && b.err == nil && b.text == text {
+					out = b.out
+					break
+				}
 			}
 		}
 	}
-	l.builds = append(l.builds, ledgerBuild{src, plan, out, err})
+	l.builds = append(l.builds, ledgerBuild{src, key, out, text, err})
 	return out, err
+}
+
+// planKey prints plan canonically: each object's plan by value, in name
+// order, then the rest of the plan, whose maps fmt prints in key order.
+func planKey(plan *codegen.Plan) string {
+	var b strings.Builder
+	for _, name := range slices.Sorted(maps.Keys(plan.Objects)) {
+		fmt.Fprintf(&b, "%+v\n", *plan.Objects[name])
+	}
+	rest := *plan
+	rest.Objects = nil
+	fmt.Fprintf(&b, "%+v", rest)
+	return b.String()
 }
 
 // time executes prog under cfg on the ledger's workload — fault-free, with
@@ -151,13 +177,12 @@ func (l *ledger) execute(prog *ir.Program, cfg rt.Config) *outcome {
 	// The outcome holds copies (times, counters, the collector); the far
 	// heap goes back for the next candidate's session to reuse.
 	defer s.Close()
-	run, err := s.Run()
-	if err != nil {
+	if _, err := s.Run(); err != nil {
 		return &outcome{err: err}
 	}
-	out := &outcome{run: run, col: col, secs: make([]cache.Stats, s.RT.NumSections())}
-	for i := range out.secs {
-		out.secs[i] = s.RT.SectionStats(i)
+	out := &outcome{col: col, stall: make([]sim.Duration, s.RT.NumSections())}
+	for i := range out.stall {
+		out.stall[i] = s.RT.SectionStall(i)
 	}
 	st, err := s.Finish(false)
 	if err != nil {

@@ -21,7 +21,9 @@ import (
 	"mira/internal/apps/stridescan"
 	"mira/internal/cache"
 	"mira/internal/cluster"
+	"mira/internal/codegen"
 	"mira/internal/farmem"
+	"mira/internal/ir"
 	"mira/internal/sim"
 	"mira/internal/trace"
 )
@@ -121,9 +123,9 @@ func TestEachCandidateOnce(t *testing.T) {
 // byte-exact key missed: two sampled sections splitting 4099 B. "arcs at 0.2,
 // nodes the rest" is 819 + 3280 B and its mirror "nodes at 0.8, arcs the
 // rest" is 820 + 3279 B — a byte apart, and 6 + 25 lines of 128 B both times.
-// Every ratio has such a twin (sample i mirrors sample 7−i), so the eight
-// samples are four runs, and each mirror reads its overhead off the run its
-// twin paid for.
+// Every ratio has such a twin (sample i mirrors sample 7−i): both plan the
+// same program, so the eight samples are four runs, and each mirror reads its
+// overhead off the run its twin paid for.
 func TestMirroredSamplesShareOneSession(t *testing.T) {
 	w := mcf.New(mcf.Config{Arcs: 256, Nodes: 64, Iterations: 1, WalkLen: 8, Seed: 42})
 	prog := w.Program()
@@ -133,10 +135,20 @@ func TestMirroredSamplesShareOneSession(t *testing.T) {
 		{name: "arcs", structure: cache.SetAssoc, ways: 4, lineBytes: 128, members: []string{"arcs"}, interval: [2]int{0, 1}},
 		{name: "nodes", structure: cache.FullAssoc, lineBytes: 128, members: []string{"nodes"}, interval: [2]int{0, 1}},
 	}
+	report, _, err := analyzeAll(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := scopeAccess(report, []string{"arcs", "nodes"})
 	sample := func(forget bool) (*ledger, []int64) {
 		l := newLedger(w)
 		l.forget = forget
-		if err := sizeBySampling(l, prog, prog, drafts, drafts, avail, 0, opts); err != nil {
+		build := func() (*codegen.Plan, *ir.Program, error) {
+			plan := buildPlan(prog, merged, drafts, 4, opts.Techniques, opts.link())
+			out, err := l.compile(prog, plan)
+			return plan, out, err
+		}
+		if err := sizeBySampling(l, build, prog, drafts, drafts, avail, 0, opts); err != nil {
 			t.Fatal(err)
 		}
 		return l, []int64{drafts[0].sizeBytes, drafts[1].sizeBytes}

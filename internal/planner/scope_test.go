@@ -139,6 +139,8 @@ func TestReadOnlyStreamsJoinOpenSection(t *testing.T) {
 	t.Run("re-scanned columns plan as before", func(t *testing.T) {
 		// With three queries every column is scanned three times: none is
 		// a single-pass stream, so the scope is the size ranking's alone.
+		// The sizing ILP prices each column's section by the stall it
+		// causes in the program its sample plans.
 		w := dataframe.New(dataframe.Config{Rows: 1 << 14, Queries: 3, Seed: 2014})
 		res := plan(t, w, w.FullMemoryBytes()/4)
 		want := []struct {
@@ -147,8 +149,8 @@ func TestReadOnlyStreamsJoinOpenSection(t *testing.T) {
 			time string
 		}{
 			{[]string{"distance"}, 1, "3.980ms"},
-			{[]string{"distance", "fare"}, 2, "3.017ms"},
-			{[]string{"distance", "fare", "passengers"}, 3, "2.629ms"},
+			{[]string{"distance", "fare"}, 2, "2.994ms"},
+			{[]string{"distance", "fare", "passengers"}, 3, "2.597ms"},
 		}
 		if len(res.Iterations) != len(want) {
 			t.Fatalf("%d iterations, want %d", len(res.Iterations), len(want))
@@ -159,8 +161,8 @@ func TestReadOnlyStreamsJoinOpenSection(t *testing.T) {
 					it.Index, it.Objects, it.NumSecs, it.Time, it.Accepted, want[i].objs, want[i].secs, want[i].time)
 			}
 		}
-		if got := res.FinalTime.String(); got != "2.629ms" {
-			t.Errorf("final time %s, want 2.629ms", got)
+		if got := res.FinalTime.String(); got != "2.597ms" {
+			t.Errorf("final time %s, want 2.597ms", got)
 		}
 	})
 }

@@ -1,10 +1,16 @@
 package planner
 
 import (
+	"slices"
 	"testing"
 
 	"mira/internal/apps/dataframe"
+	"mira/internal/apps/mcf"
 	"mira/internal/cache"
+	"mira/internal/codegen"
+	"mira/internal/ir"
+	"mira/internal/rt"
+	"mira/internal/sim"
 )
 
 func draftsOf(sizes []int64, line int) []*sectionDraft {
@@ -126,5 +132,86 @@ func TestPlanZeroBudgetDefaulted(t *testing.T) {
 	}
 	if res.FinalTime <= 0 {
 		t.Fatal("no time recorded")
+	}
+}
+
+// mcfDrafts are the sampled sections buildConfig makes of the benchmark's mcf
+// at a quarter of its footprint: the re-scanned arcs and the 16 B count
+// spans of the indirect nodes, 512 of them (8,192 B).
+func mcfDrafts() (arcs, nodes *sectionDraft) {
+	arcs = &sectionDraft{name: "seqr-arcs", structure: cache.Direct, lineBytes: 1536, members: []string{"arcs"},
+		seqLike: true, reused: true, interval: [2]int{6, 27}}
+	nodes = &sectionDraft{name: "ind-nodes", structure: cache.SetAssoc, ways: 4, lineBytes: 16, stride: 64,
+		members: []string{"nodes"}, interval: [2]int{9, 24}}
+	return arcs, nodes
+}
+
+// TestSampleRunsItsOwnPlan: a sizing sample times the program buildPlan gives
+// at the sample's sizes, not the draft's. On the benchmark's mcf at a
+// quarter, the nodes section's gather window at 4,915 B differs from the one
+// at 8,192 B, so one program for both samples would time one of them wrongly.
+func TestSampleRunsItsOwnPlan(t *testing.T) {
+	w := benchMCF()
+	prog := w.Program()
+	opts := withDefaults(Options{LocalBudget: w.FullMemoryBytes() / 4})
+	report, _, err := analyzeAll(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := scopeAccess(report, []string{"arcs", "nodes"})
+	arcs, nodes := mcfDrafts()
+	drafts := []*sectionDraft{arcs, nodes}
+	const avail, dElems = 24576, 4
+	l := newLedger(w)
+	planAt := func() *codegen.Plan { return buildPlan(prog, merged, drafts, dElems, opts.Techniques, opts.link()) }
+	build := func() (*codegen.Plan, *ir.Program, error) {
+		plan := planAt()
+		out, err := l.compile(prog, plan)
+		return plan, out, err
+	}
+	windows := map[int64]int64{}
+	for _, size := range []int64{4915, 8192} {
+		if _, _, err := sampleRun(l, build, prog, drafts, drafts, 1, size, avail, 0, opts); err != nil {
+			t.Fatal(err)
+		}
+		ran := l.runs[len(l.runs)-1]
+		// The plan at the sizes the sample's configuration gave its sections.
+		arcs.sizeBytes, nodes.sizeBytes = ran.cfg.Sections[0].Cache.SizeBytes, ran.cfg.Sections[1].Cache.SizeBytes
+		want := planAt()
+		arcs.sizeBytes, nodes.sizeBytes = 0, 0
+		prog, err := codegen.Apply(prog, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ir.Print(ran.prog) != ir.Print(prog) {
+			t.Errorf("nodes at %d B: the sample timed another program than its sizes plan", size)
+		}
+		windows[size] = want.Objects["nodes"].GatherWindow
+	}
+	if windows[4915] == windows[8192] {
+		t.Errorf("nodes gathers %d elements at 4,915 B and at 8,192 B: the samples do not tell plans apart", windows[4915])
+	}
+}
+
+// TestMCFNodesGetTheirSpans: on the benchmark's mcf at a quarter, the ILP
+// gives the indirect nodes every one of their 16 B spans (8,192 B) at seeds
+// 1–10. A score that is a share of the run can price the 4,915 B section
+// lower though it makes the run 74 % slower.
+func TestMCFNodesGetTheirSpans(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		w := mcf.New(mcf.Config{Arcs: 2048, Nodes: 512, Iterations: 3, WalkLen: 64,
+			Seed: sim.SplitSeed(seed, "app/mcf")&0x3fffffff | 1})
+		res, err := Plan(w, Options{LocalBudget: w.FullMemoryBytes() / 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(res.Config.Sections, func(s rt.SectionSpec) bool { return s.Cache.Name == "ind-nodes" })
+		if i < 0 {
+			t.Errorf("seed %d: no ind-nodes section", seed)
+			continue
+		}
+		if got := res.Config.Sections[i].Cache.SizeBytes; got != 8192 {
+			t.Errorf("seed %d: ind-nodes holds %d B, want all 8,192 B of its spans", seed, got)
+		}
 	}
 }

@@ -159,7 +159,12 @@ func (r *Runtime) PrefetchBatch(clk *sim.Clock, entries []BatchEntry) error {
 	if len(lines) == 0 {
 		return nil
 	}
-	clk.Advance(r.cfg.Net.VectoredPostCost(len(lines)))
+	// The posting cost stalls the section of the line that opened the
+	// chain: a gather's is its target's, and a fused batch's is that of the
+	// stream whose entry comes first.
+	cost := r.cfg.Net.VectoredPostCost(len(lines))
+	clk.Advance(cost)
+	lines[0].s.stall += cost
 	post := clk.Now()
 	done, err := r.land(post, lines)
 	if err != nil {

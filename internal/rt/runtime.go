@@ -133,6 +133,9 @@ type sectionRT struct {
 	// nativeFallbacks counts native accesses that did not find their line
 	// resident and took the lookup path instead.
 	nativeFallbacks int64
+	// stall is the sim time the section has stalled its program
+	// (SectionStall).
+	stall sim.Duration
 
 	// Per-tid attribution, indexed by simulated thread id and grown on
 	// demand: interleaved threads sharing this section each see their own
@@ -242,12 +245,16 @@ func New(cfg Config, node *farmem.Node) (*Runtime, error) {
 	return r, nil
 }
 
-// Close hands the runtime's section storage back for the next runtime of
-// the process to reuse (cache.Release). The runtime must not be used
-// afterwards; its far memory is its pool's to release.
+// Close hands the runtime's section storage and swap frames back for the
+// next runtime of the process to reuse (cache.Release, swap.Cache.Release).
+// The runtime must not be used afterwards; its far memory is its pool's to
+// release.
 func (r *Runtime) Close() {
 	for _, s := range r.secs {
 		cache.Release(s.sec)
+	}
+	if r.swapC != nil {
+		r.swapC.Release()
 	}
 }
 
@@ -501,7 +508,9 @@ func (r *Runtime) sectionAccess(clk *sim.Clock, o *objectRT, far uint64, buf []b
 			n = len(buf) - done
 		}
 		full := write && lineOff == 0 && n == lb
+		start := clk.Now()
 		l, ev, err := r.lineFor(clk, s, o, addr, opts, write, full)
+		s.stall += clk.Now().Sub(start)
 		if err != nil {
 			return err
 		}

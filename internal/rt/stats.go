@@ -59,6 +59,15 @@ func (r *Runtime) SectionStats(idx int) cache.Stats {
 	return r.secs[idx].sec.Stats()
 }
 
+// SectionStall is the sim time section idx has stalled its program: every
+// demand access's dereference (the lookup or native check, miss handling,
+// the fetch and the wait for a line still in flight) and the posting cost of
+// each batched prefetch of its lines. It is what the section costs the run,
+// and the planner's sizing ILP prices a section by it.
+func (r *Runtime) SectionStall(idx int) sim.Duration {
+	return r.secs[idx].stall
+}
+
 // NativeFallbacks reports how many native accesses to section idx missed
 // their line and fell back to the lookup path: how often the compiler's
 // residency claim failed there (traced as rt.native_fallback{section=}).
@@ -165,6 +174,7 @@ func (r *Runtime) TidStats(idx, tid int) (hits, misses, evicts int64) {
 func (r *Runtime) ResetStats() {
 	for _, s := range r.secs {
 		s.sec.ResetStats()
+		s.stall = 0
 	}
 	r.secMisses = 0
 	if r.swapC != nil {

@@ -141,11 +141,11 @@ func Over(be Backend, w workload.Workload, prog *ir.Program, tr *trace.Tracer) *
 // pool member's regions — to the far side's free list
 // (farmem.Node.Release), where the next session's allocations of the same
 // sizes find it instead of making and zeroing their own, and the runtime's
-// set-associative section storage to the cache's (rt.Runtime.Close). Everything worth
-// keeping must have been read before: Finish and Dump refuse a closed
-// session, and the far side answers farmem.ErrUnmapped to anything that
-// still reaches it. Close is idempotent. A session that is never closed is
-// only not recycled.
+// set-associative section storage and swap frames to their free lists
+// (rt.Runtime.Close). Everything worth keeping must have been read before:
+// Finish and Dump refuse a closed session, and the far side answers
+// farmem.ErrUnmapped to anything that still reaches it. Close is
+// idempotent. A session that is never closed is only not recycled.
 func (s *Session) Close() {
 	if s.closed {
 		return

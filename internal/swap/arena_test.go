@@ -161,3 +161,53 @@ func TestRecycledFrameShortTailPage(t *testing.T) {
 		t.Fatal("tail page bytes wrong after write-back")
 	}
 }
+
+// A closed session's frames serve the next session's pool (Release, then
+// takeFrame): the new pool makes none of its own while the free list holds
+// spares, and a recycled frame shows nothing of its previous tenant — a
+// fetched page reads the far copy, a degraded write-allocate page starts
+// from zeroes. Releasing a pool twice hands its frames over once.
+func TestReleasedFramesServeNextSession(t *testing.T) {
+	frameCache.mu.Lock()
+	frameCache.spare = nil
+	frameCache.mu.Unlock()
+	first := newUnalignedRig(t, 2, 4*PageBytes, nil, false)
+	dirtyFrames(t, first)
+	recycled := map[*page]bool{}
+	for _, p := range first.c.frames {
+		recycled[p] = true
+	}
+	first.c.Release()
+	first.c.Release()
+	if n := len(frameCache.spare); n != len(recycled) {
+		t.Fatalf("free list holds %d frames after releasing a pool of %d twice", n, len(recycled))
+	}
+
+	second := newUnalignedRig(t, 2, 4*PageBytes, nil, false)
+	got := make([]byte, PageBytes)
+	if err := second.c.Read(second.clk, second.c.Base(), got); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, PageBytes)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("a page fetched into a recycled frame does not read its far copy")
+	}
+	cl, err := second.c.claim(second.clk.Now(), 3, false)
+	if err == nil {
+		err = second.c.fetch(second.clk.Now(), cl, true)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := second.c.frames[cl.frame]; !bytes.Equal(p.data, make([]byte, PageBytes)) {
+		t.Error("noFetch page on a frame of the previous session is not zeroed")
+	}
+	for _, p := range second.c.frames {
+		if !recycled[p] {
+			t.Error("the second pool made a frame while the free list held spares")
+		}
+	}
+}

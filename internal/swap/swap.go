@@ -86,9 +86,10 @@ type Stats struct {
 }
 
 // page is one frame of the pool and the page it currently holds. The pool
-// is an arena: a frame (this struct and its 4 KiB buffer) is made on first
-// use, up to the capacity, and from then on only recycled, so a warm cache
-// allocates nothing on any path.
+// is an arena: a frame (this struct and its 4 KiB buffer) is taken on first
+// use, up to the capacity — from the frames closed sessions left (Release),
+// else made — and from then on only recycled, so a warm cache allocates
+// nothing on any path.
 type page struct {
 	no       int64
 	data     []byte // the frame's buffer, sliced to the page's size
@@ -513,8 +514,9 @@ func (c *Cache) unclaim(cl claimed) {
 	}
 }
 
-// takeFrame readies a free frame for page no, making one if none was ever
-// vacated (claim has made room in the pool). The buffer is sliced to the
+// takeFrame readies a free frame for page no, taking one from the process's
+// free list (frameCache) if none was ever vacated (claim has made room in
+// the pool). The buffer is sliced to the
 // page's size — the region's last page may be short, and a frame's previous
 // tenant must not leak into its write-back — and is NOT cleared: fetch and
 // land overwrite all of it or clear it.
@@ -525,7 +527,7 @@ func (c *Cache) takeFrame(no int64, isPrefetch bool) int32 {
 		c.free = c.free[:n-1]
 	} else {
 		i = int32(len(c.frames))
-		c.frames = append(c.frames, &page{data: make([]byte, PageBytes)})
+		c.frames = append(c.frames, frameCache.take())
 	}
 	p := c.frames[i]
 	*p = page{no: no, data: p.data[:c.pageSize(no)], prefetch: isPrefetch, gen: p.gen + 1}
