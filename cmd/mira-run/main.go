@@ -33,6 +33,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"mira"
 )
@@ -48,31 +49,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func buildWorkload(app string) (mira.Workload, error) {
-	switch app {
-	case "graph":
-		return mira.NewGraphWorkload(mira.GraphConfig{}), nil
-	case "mcf":
-		return mira.NewMCFWorkload(mira.MCFConfig{}), nil
-	case "dataframe":
-		return mira.NewDataFrameWorkload(mira.DataFrameConfig{}), nil
-	case "gpt2":
-		return mira.NewGPT2Workload(mira.GPT2Config{}), nil
-	case "arraysum":
-		return mira.NewArraySumWorkload(mira.ArraySumConfig{}), nil
-	case "seqscan":
-		return mira.NewSeqScanWorkload(mira.SeqScanConfig{}), nil
-	case "stridescan":
-		return mira.NewStrideScanWorkload(mira.StrideScanConfig{}), nil
-	case "distagg":
-		return mira.NewDistAggWorkload(mira.DistAggConfig{}), nil
-	case "distfilter":
-		return mira.NewDistAggWorkload(mira.DistAggConfig{Mode: "filter"}), nil
-	default:
-		return nil, fmt.Errorf("unknown app %q (graph, mcf, dataframe, gpt2, arraysum, seqscan, stridescan, distagg, distfilter)", app)
-	}
 }
 
 // runMultithreaded drives the Fig. 24 read-only scaling experiment from
@@ -125,7 +101,7 @@ func runMultithreaded(w mira.Workload, budget int64, app, system string, mem flo
 }
 
 func main() {
-	app := flag.String("app", "graph", "workload: graph, mcf, dataframe, gpt2, arraysum, seqscan, stridescan, distagg, distfilter")
+	app := flag.String("app", "graph", "workload: "+strings.Join(mira.AppNames(), ", "))
 	system := flag.String("system", "mira", "system: native, mira, mira-swap, fastswap, leap, aifm")
 	mem := flag.Float64("mem", 0.5, "local memory as a fraction of the workload's footprint")
 	verify := flag.Bool("verify", true, "verify workload output against the native oracle")
@@ -149,7 +125,7 @@ func main() {
 	privateSections := flag.Bool("private-sections", false, "with -threads: give each thread private cache sections (default: one shared conservative section set, the paper's Mira-unopt)")
 	flag.Parse()
 
-	w, err := buildWorkload(*app)
+	w, err := mira.NewApp(*app)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mira-run: %v\n", err)
 		os.Exit(2)

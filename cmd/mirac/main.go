@@ -15,39 +15,23 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 
-	"mira/internal/apps/dataframe"
-	"mira/internal/apps/gpt2"
-	"mira/internal/apps/graphtraverse"
-	"mira/internal/apps/mcf"
+	"mira"
 	"mira/internal/ir"
 	"mira/internal/planner"
-	"mira/internal/workload"
+	"mira/internal/rt"
 )
 
-func buildWorkload(app string) (workload.Workload, error) {
-	switch app {
-	case "graph":
-		return graphtraverse.New(graphtraverse.Config{}), nil
-	case "mcf":
-		return mcf.New(mcf.Config{}), nil
-	case "dataframe":
-		return dataframe.New(dataframe.Config{}), nil
-	case "gpt2":
-		return gpt2.New(gpt2.Config{}), nil
-	default:
-		return nil, fmt.Errorf("unknown app %q (graph, mcf, dataframe, gpt2)", app)
-	}
-}
-
 func main() {
-	app := flag.String("app", "graph", "workload: graph, mcf, dataframe, gpt2")
+	app := flag.String("app", "graph", "workload: "+strings.Join(mira.AppNames(), ", "))
 	mem := flag.Float64("mem", 0.25, "local memory fraction")
 	iters := flag.Int("iters", 3, "max profiling-optimization iterations")
 	dumpIR := flag.Bool("ir", false, "dump the IR before and after compilation")
 	flag.Parse()
 
-	w, err := buildWorkload(*app)
+	w, err := mira.NewApp(*app)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mirac: %v\n", err)
 		os.Exit(2)
@@ -90,8 +74,21 @@ func main() {
 			i, s.Cache.Name, s.Cache.Structure, s.Cache.LineBytes, s.Cache.SizeBytes, comm)
 	}
 	fmt.Printf("  swap pool: %d bytes\n", res.Config.SwapPool)
-	for name, pl := range res.Config.Placements {
-		fmt.Printf("  object %-12s -> %v\n", name, pl.Kind)
+	names := make([]string, 0, len(res.Config.Placements))
+	for name := range res.Config.Placements {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		pl := res.Config.Placements[name]
+		where := pl.Kind.String()
+		if pl.Kind == rt.PlaceSection {
+			where = fmt.Sprintf("section %d", pl.Section)
+		}
+		if op := res.Plan.Objects[name]; op != nil && op.Native {
+			where += ", native loads"
+		}
+		fmt.Printf("  object %-12s -> %s\n", name, where)
 	}
 
 	if *dumpIR {

@@ -2,6 +2,7 @@ package mira
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mira/internal/planner"
@@ -24,6 +25,28 @@ func nineApps() map[string]func() Workload {
 		"stridescan": func() Workload { return NewStrideScanWorkload(StrideScanConfig{}) },
 		"distagg":    func() Workload { return NewDistAggWorkload(DistAggConfig{}) },
 		"distfilter": func() Workload { return NewDistAggWorkload(DistAggConfig{Mode: "filter"}) },
+	}
+}
+
+// TestNewAppTakesEveryApp: mira-run and mirac both build their workloads
+// with NewApp, which takes exactly the nine apps above and lists them all
+// when it refuses a name.
+func TestNewAppTakesEveryApp(t *testing.T) {
+	apps := nineApps()
+	names := AppNames()
+	if len(names) != len(apps) {
+		t.Errorf("NewApp takes %v, want the %d apps of nineApps", names, len(apps))
+	}
+	for _, name := range names {
+		if _, ok := apps[name]; !ok {
+			t.Errorf("NewApp takes %q, which nineApps does not run", name)
+		}
+		if w, err := NewApp(name); err != nil || w == nil {
+			t.Errorf("NewApp(%q): %v", name, err)
+		}
+	}
+	if _, err := NewApp("nope"); err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
+		t.Errorf("NewApp(\"nope\"): %v, want an error listing every app", err)
 	}
 }
 

@@ -43,9 +43,14 @@ type ObjectPlan struct {
 	// once per BatchLines line boundaries instead of per line (§4.5 data
 	// access batching). 0 or 1 keeps the per-line prefetch.
 	BatchLines int64
-	// Native converts this object's loop accesses to native loads —
-	// legal when the planner proved prefetch-covered residency and no
-	// conflicting accesses (§4.4).
+	// Native converts this object's accesses to native loads — legal when
+	// the planner proved prefetch-covered residency and no conflicting
+	// accesses (§4.4). The planner sets it on a prefetched stream in a
+	// sequential section, and on a chained target whose non-sequential
+	// section holds every line its members can have (one per element of a
+	// span section, the whole footprint of any other): that section never
+	// evicts, and the chain's gathers cover each line's first touch. The
+	// runtime falls back to a lookup, and counts it, where a claim fails.
 	Native bool
 	// NoFetch marks sequential whole-element stores as
 	// allocate-without-fetch (§4.5 read/write optimization).

@@ -170,13 +170,7 @@ func buildConfig(l *ledger, prog *ir.Program, report *analysis.Report, objs []st
 		if !(d.seqLike && d.reused) {
 			continue
 		}
-		var foot int64
-		for _, m := range d.members {
-			if o, ok := prog.Object(m); ok {
-				foot += o.SizeBytes()
-			}
-		}
-		if full := foot + 2*int64(d.lineBytes); full <= remaining/8 {
+		if full := d.footprint(prog) + 2*int64(d.lineBytes); full <= remaining/8 {
 			d.sizeBytes = full
 			d.reused = false
 			d.fixed = true
@@ -389,12 +383,7 @@ func wholeIndirect(prog *ir.Program, merged map[string]*analysis.ObjectAccess, d
 		if merged[d.members[0]].Pattern != analysis.PatternIndirect || (d.stride > 0 && seqLineBytes(eb) <= eb) {
 			continue
 		}
-		var foot int64
-		for _, m := range d.members {
-			if o, ok := prog.Object(m); ok {
-				foot += o.SizeBytes()
-			}
-		}
+		foot := d.footprint(prog)
 		if d.sizeBytes < foot {
 			continue
 		}
@@ -611,6 +600,34 @@ func (d *sectionDraft) spanBytes(prog *ir.Program) int64 {
 	return elems * int64(d.lineBytes)
 }
 
+// footprint is the bytes d's members take in far memory.
+func (d *sectionDraft) footprint(prog *ir.Program) int64 {
+	var foot int64
+	for _, m := range d.members {
+		if o, ok := prog.Object(m); ok {
+			foot += o.SizeBytes()
+		}
+	}
+	return foot
+}
+
+// holdsAll reports whether d's section has a slot for every line its
+// members can have — one per element of a span section (spanBytes), the
+// whole footprint of any other, each member starting on a line boundary —
+// so it never evicts. A set-associative section holds whole sets only.
+func (d *sectionDraft) holdsAll(prog *ir.Program) bool {
+	lb := int64(d.lineBytes)
+	need := d.spanBytes(prog) / lb
+	if need == 0 {
+		need = (d.footprint(prog)+lb-1)/lb + int64(len(d.members)) - 1
+	}
+	lines := d.held(prog) / lb
+	if ways := int64(d.ways); d.structure == cache.SetAssoc && ways > 0 && ways < lines {
+		lines -= lines % ways
+	}
+	return lines >= need
+}
+
 // held is the part of d's size its section holds: all of it, or a span
 // section's spanBytes. assembleConfig gives the rest to the swap pool.
 func (d *sectionDraft) held(prog *ir.Program) int64 {
@@ -719,6 +736,21 @@ func buildPlan(prog *ir.Program, merged map[string]*analysis.ObjectAccess, draft
 	}
 	if !tech.NoBatching {
 		setGatherWindows(prog, plan, drafts)
+	}
+	// A chained target whose section holds every line it can have compiles
+	// to native loads (§4.4): the section never evicts, and the chain's
+	// priming gather and the gathers that follow cover each line's first
+	// touch, so every later access finds its line resident. The runtime
+	// still checks each one and counts a failed claim (rt.NativeFallbacks).
+	for _, d := range drafts {
+		if tech.NoNative || d.seqLike || !d.holdsAll(prog) {
+			continue
+		}
+		for _, name := range d.members {
+			if op := plan.Objects[name]; op.ChainedFrom != "" && op.PrefetchDistance > 0 {
+				op.Native = true
+			}
+		}
 	}
 	return plan
 }
@@ -844,11 +876,7 @@ func sizeBySampling(l *ledger, build func() (*codegen.Plan, *ir.Program, error),
 		var totalFoot int64
 		foots := make([]int64, len(nonSeq))
 		for i, d := range nonSeq {
-			for _, m := range d.members {
-				if o, ok := prog.Object(m); ok {
-					foots[i] += o.SizeBytes()
-				}
-			}
+			foots[i] = d.footprint(prog)
 			totalFoot += foots[i]
 		}
 		if totalFoot <= 0 {

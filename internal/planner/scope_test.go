@@ -131,8 +131,8 @@ func TestReadOnlyStreamsJoinOpenSection(t *testing.T) {
 		}) {
 			t.Error("edges placed in a section no accepted scope ranked it into")
 		}
-		if got := res.FinalTime.String(); got != "468.827us" {
-			t.Errorf("final time %s, want 468.827us", got)
+		if got := res.FinalTime.String(); got != "417.294us" {
+			t.Errorf("final time %s, want 417.294us", got)
 		}
 	})
 

@@ -28,6 +28,9 @@
 package mira
 
 import (
+	"fmt"
+	"strings"
+
 	"mira/internal/apps/arraysum"
 	"mira/internal/apps/dataframe"
 	"mira/internal/apps/distagg"
@@ -392,6 +395,42 @@ type DistAggConfig = distagg.Config
 // scatter-gather offload engine's showcase: offloaded, each node reduces
 // the stripe ranges it owns and returns one scalar.
 func NewDistAggWorkload(cfg DistAggConfig) Workload { return distagg.New(cfg) }
+
+// apps are the bundled applications by command-line name, each at its
+// default size; mira-run and mirac both build theirs from this table.
+var apps = []struct {
+	name  string
+	build func() Workload
+}{
+	{"graph", func() Workload { return NewGraphWorkload(GraphConfig{}) }},
+	{"mcf", func() Workload { return NewMCFWorkload(MCFConfig{}) }},
+	{"dataframe", func() Workload { return NewDataFrameWorkload(DataFrameConfig{}) }},
+	{"gpt2", func() Workload { return NewGPT2Workload(GPT2Config{}) }},
+	{"arraysum", func() Workload { return NewArraySumWorkload(ArraySumConfig{}) }},
+	{"seqscan", func() Workload { return NewSeqScanWorkload(SeqScanConfig{}) }},
+	{"stridescan", func() Workload { return NewStrideScanWorkload(StrideScanConfig{}) }},
+	{"distagg", func() Workload { return NewDistAggWorkload(DistAggConfig{}) }},
+	{"distfilter", func() Workload { return NewDistAggWorkload(DistAggConfig{Mode: "filter"}) }},
+}
+
+// AppNames lists the names NewApp takes.
+func AppNames() []string {
+	names := make([]string, len(apps))
+	for i, a := range apps {
+		names[i] = a.name
+	}
+	return names
+}
+
+// NewApp builds the bundled application called name at its default size.
+func NewApp(name string) (Workload, error) {
+	for _, a := range apps {
+		if a.name == name {
+			return a.build(), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown app %q (%s)", name, strings.Join(AppNames(), ", "))
+}
 
 // IR construction surface: NewProgram returns the ir.Builder, and the
 // expression constructors below are re-exported so custom programs can be
