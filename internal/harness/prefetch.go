@@ -140,6 +140,14 @@ func buildVariant(key string, w workload.Workload, pres *planner.Result) (*progr
 	case "programmed":
 		plan := clonePlan(pres.Plan)
 		plan.SuppressPrefetchStmts = true
+		// A chained target is native only because the gathers this variant
+		// suppresses bring its lines in, and the access program skips
+		// indirect accesses: nothing else would.
+		for _, op := range plan.Objects {
+			if op.ChainedFrom != "" {
+				op.Native = false
+			}
+		}
 		v.prog = plan
 		v.phases = analysis.AccessProgram(w.Program())
 	default: // online family: no compiled stream, no proven residency

@@ -98,6 +98,32 @@ func TestPrefetchMetricsRegistered(t *testing.T) {
 	}
 }
 
+// The programmed arm suppresses the gathers that make a chained target's
+// lines resident, so it must not keep the plan's claim that the target
+// compiles to native loads: every node's first touch would miss the claim.
+// graph at a quarter of its footprint is the plan that makes that claim.
+func TestProgrammedArmDropsChainedNativeMarks(t *testing.T) {
+	w := graphtraverse.New(graphtraverse.DefaultConfig())
+	tr := trace.New()
+	opts := Options{Budget: w.FullMemoryBytes() / 4, Verify: true, Trace: tr}
+	for _, policy := range []string{prefetch.Compiled, "programmed"} {
+		before := tr.Registry().Counter("rt.native_fallback{section=ind-nodes}").Value()
+		res, err := RunLinePolicy(w, opts, prefetch.Spec{Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed {
+			t.Fatalf("%s failed: %s", policy, res.FailReason)
+		}
+		if !res.PlanResult.Plan.Objects["nodes"].Native {
+			t.Fatal("the accepted plan no longer compiles graph's nodes to native loads")
+		}
+		if n := tr.Registry().Counter("rt.native_fallback{section=ind-nodes}").Value() - before; n != 0 {
+			t.Errorf("%s: %d native fallbacks on ind-nodes, want 0", policy, n)
+		}
+	}
+}
+
 // checkEfficacy pins the no-double-charge invariants: a prefetched unit is
 // resolved at most once (useful when touched, useless when evicted), late
 // only within useful, and every failed piece is dropped, never issued.
