@@ -108,7 +108,7 @@ func TestLeapPrefetchesPureSequentialStream(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.RT.SwapStats().Prefetches == 0 {
+	if s.RT.SwapStats().Prefetch.Issued == 0 {
 		t.Fatal("Leap issued no prefetches on a pure sequential stream")
 	}
 }

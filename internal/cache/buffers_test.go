@@ -79,12 +79,11 @@ func TestFullAssocAgainstReference(t *testing.T) {
 					if f.Stats() != ref.Stats() {
 						t.Fatalf("step %d: stats %+v, reference %+v", step, f.Stats(), ref.Stats())
 					}
-					if a, b := viewOf(f), viewOf(ref); !reflect.DeepEqual(a, b) || f.Resident() != ref.Resident() {
+					if a, b := viewOf(f), viewOf(ref); !reflect.DeepEqual(a, b) || len(f.slotOf) != ref.Resident() {
 						t.Fatalf("step %d: resident lines\n%+v\nreference\n%+v", step, a, b)
 					}
-					if len(f.lines) > lines || len(f.free)+f.Resident() != len(f.lines) {
-						t.Fatalf("step %d: %d slots made (%d free) for %d lines, %d resident",
-							step, len(f.lines), len(f.free), lines, f.Resident())
+					if _, err := Inspect(f); err != nil {
+						t.Fatalf("step %d: %v", step, err)
 					}
 				}
 			})

@@ -110,7 +110,7 @@ func (c Config) Scaled(scale float64) Config {
 }
 
 // Line is one resident cache line. The word-sized fields come first and the
-// four flags share the last word: a section of narrow lines holds many slots
+// five flags share the last word: a section of narrow lines holds many slots
 // (TestLineIs56Bytes).
 type Line struct {
 	// Tag is the far-memory address of the line's first byte (aligned to
@@ -129,6 +129,10 @@ type Line struct {
 	// last access in a scope; victim selection prefers these lines.
 	Evictable bool
 	Spec      bool
+	// Pinned keeps a fully-associative section from choosing the line as
+	// its victim (the swap pool's demand page, while the prefetches its
+	// fault issues claim slots). Other structures ignore it.
+	Pinned bool
 	// valid distinguishes an occupied slot from an empty one.
 	valid bool
 }
@@ -191,7 +195,8 @@ type Section interface {
 	// nothing — plus the victim it displaced (Victim.Data nil if none).
 	// The caller fills Data and must write back dirty victims. Reserve
 	// panics if addr's line is already resident — callers always Lookup
-	// first.
+	// first. A full fully-associative section whose every line is Pinned
+	// has no victim: Reserve returns a nil line and claims nothing.
 	Reserve(addr uint64) (*Line, Victim)
 	// Spare lends a zeroed line buffer from the section's stock, for a copy
 	// of a line that stays resident (an early flush parks one in the
@@ -215,38 +220,95 @@ type Section interface {
 	ResetStats()
 }
 
-// lineBufs is a section's stock of line buffers, embedded by all three
-// structures: every Line.Data comes from Spare and returns through retire (a
-// clean line leaving) or Recycle (the caller done with a dirty victim).
-type lineBufs struct {
-	lineBytes int
-	free      [][]byte
+// base is what the three structures share: the configuration, the slots —
+// taken from the process's free list (slotCache) and handed back to it by
+// Release — the stock of line buffers, the counters and the recency clock.
+// Every Line.Data comes from Spare and returns through retire (a clean line
+// leaving) or Recycle (the caller done with a dirty victim).
+type base struct {
+	cfg   Config
+	slots []Line
+	free  [][]byte
+	stats Stats
+	tick  uint64
 }
 
-// Spare returns a zeroed line buffer. Reserve calls it before it retires the
-// victim, which is what keeps a clean Victim.Data readable until the next
-// Reserve.
-func (b *lineBufs) Spare() []byte {
-	n := len(b.free)
-	if n == 0 {
-		return make([]byte, b.lineBytes)
+// newBase takes n cleared slots for cfg's lines.
+func newBase(cfg Config, n int) base {
+	s := slotCache.take(n)
+	return base{cfg: cfg, slots: s.slots, free: s.stock[:0]}
+}
+
+func (b *base) Config() Config { return b.cfg }
+func (b *base) Stats() Stats   { return b.stats }
+func (b *base) ResetStats()    { b.stats = Stats{} }
+
+// ForEachResident visits the occupied slots in slot order (a
+// fully-associative section walks its lists instead).
+func (b *base) ForEachResident(fn func(*Line)) {
+	for i := range b.slots {
+		if b.slots[i].valid {
+			fn(&b.slots[i])
+		}
 	}
-	buf := b.free[n-1]
-	b.free = b.free[:n-1]
+}
+
+// Spare returns a zeroed line buffer: from the stock, else one an earlier
+// section left the process's free list, else a new one. Reserve calls it
+// before it retires the victim, which is what keeps a clean Victim.Data
+// readable until the next Reserve.
+func (b *base) Spare() []byte {
+	var buf []byte
+	if n := len(b.free); n > 0 {
+		buf = b.free[n-1]
+		b.free = b.free[:n-1]
+	} else if buf = slotCache.buffer(b.cfg.LineBytes); buf == nil {
+		return make([]byte, b.cfg.LineBytes)
+	}
 	clear(buf)
 	return buf
 }
 
 // retire describes the line leaving l's slot, keeping its buffer when clean.
-func (b *lineBufs) retire(l *Line) Victim {
+func (b *base) retire(l *Line) Victim {
 	if !l.Dirty {
 		b.free = append(b.free, l.Data)
 	}
 	return Victim{Tag: l.Tag, Data: l.Data, Dirty: l.Dirty, Spec: l.Spec}
 }
 
-func (b *lineBufs) Recycle(buf []byte) {
-	if len(buf) == b.lineBytes {
+// evict retires l as Reserve's victim and counts it.
+func (b *base) evict(l *Line) Victim {
+	b.stats.Evictions++
+	if l.Evictable {
+		b.stats.HintEvicts++
+	}
+	if l.Dirty {
+		b.stats.Writebacks++
+	}
+	return b.retire(l)
+}
+
+// drop retires l as Drop's victim and empties its slot.
+func (b *base) drop(l *Line) Victim {
+	if l.Evictable {
+		b.stats.FlushedHint++
+	}
+	v := b.retire(l)
+	*l = Line{}
+	return v
+}
+
+// markEvictable is MarkEvictable on the line Peek found, if any.
+func markEvictable(l *Line, ok bool) bool {
+	if ok {
+		l.Evictable = true
+	}
+	return ok
+}
+
+func (b *base) Recycle(buf []byte) {
+	if len(buf) == b.cfg.LineBytes {
 		b.free = append(b.free, buf)
 	}
 }
@@ -270,5 +332,8 @@ func New(cfg Config) (Section, error) {
 
 // AlignDown returns the line-aligned base address for addr.
 func AlignDown(addr uint64, lineBytes int) uint64 {
+	if lineBytes&(lineBytes-1) == 0 {
+		return addr &^ uint64(lineBytes-1) // a power of two: no division
+	}
 	return addr - addr%uint64(lineBytes)
 }

@@ -329,12 +329,64 @@ func TestFullAssocActiveInactivePromotion(t *testing.T) {
 	f := newFullAssoc(Config{Structure: FullAssoc, LineBytes: 64, SizeBytes: 4 * 64})
 	// First touch -> inactive; second touch -> active.
 	f.Reserve(0)
-	if f.lru.Len(Active) != 0 || f.lru.Len(Inactive) != 1 {
-		t.Fatalf("after insert: active=%d inactive=%d", f.lru.Len(Active), f.lru.Len(Inactive))
+	if f.lru.Len(active) != 0 || f.lru.Len(inactive) != 1 {
+		t.Fatalf("after insert: active=%d inactive=%d", f.lru.Len(active), f.lru.Len(inactive))
 	}
 	f.Lookup(0)
-	if f.lru.Len(Active) != 1 || f.lru.Len(Inactive) != 0 {
-		t.Fatalf("after promote: active=%d inactive=%d", f.lru.Len(Active), f.lru.Len(Inactive))
+	if f.lru.Len(active) != 1 || f.lru.Len(inactive) != 0 {
+		t.Fatalf("after promote: active=%d inactive=%d", f.lru.Len(active), f.lru.Len(inactive))
+	}
+}
+
+// A pinned line of a fully-associative section is never its victim, wherever
+// it sits — the inactive tail, marked evictable, or demoted from the active
+// list — and a full section whose every line is pinned claims nothing.
+func TestPinnedLineIsNeverTheVictim(t *testing.T) {
+	f := newFullAssoc(Config{Structure: FullAssoc, LineBytes: 64, SizeBytes: 4 * 64})
+	for a := uint64(0); a < 4; a++ {
+		f.Reserve(a * 64)
+	}
+	pinned, _ := f.Peek(0)
+	pinned.Pinned = true
+	if tail := f.lru.Back(inactive); f.slots[tail].Tag != 0 {
+		t.Fatal("setup: the pinned line is not the inactive tail")
+	}
+	for a := uint64(4); a < 64; a++ {
+		if a == 20 {
+			pinned.Evictable = true
+		}
+		if a == 40 {
+			f.Lookup(0) // to the active list, from where it is demoted again
+		}
+		l, v := f.Reserve(a * 64)
+		if l == nil || v.Data == nil {
+			t.Fatalf("reserve %d: no victim with three unpinned lines", a)
+		}
+		if v.Tag == 0 {
+			t.Fatalf("reserve %d: the pinned line was the victim", a)
+		}
+		if a%3 == 0 {
+			f.Lookup(a * 64)
+		}
+	}
+	if l, ok := f.Peek(0); !ok || l != pinned {
+		t.Fatal("the pinned line left the section")
+	}
+
+	f.ForEachResident(func(l *Line) { l.Pinned = true })
+	before := f.Stats()
+	if l, v := f.Reserve(1 << 20); l != nil || v.Data != nil {
+		t.Fatal("a section whose every line is pinned reserved a line")
+	}
+	if _, ok := f.Peek(1 << 20); ok || len(f.slotOf) != 4 || f.Stats() != before {
+		t.Fatal("a failed Reserve changed the section")
+	}
+	if _, err := Inspect(f); err != nil {
+		t.Fatal(err)
+	}
+	pinned.Pinned = false
+	if l, v := f.Reserve(1 << 20); l == nil || v.Tag != 0 {
+		t.Fatalf("with one line unpinned the victim is %#x, want it", v.Tag)
 	}
 }
 

@@ -5,19 +5,11 @@ package cache
 // evicted (the compiler only chooses Direct for sequential/strided patterns,
 // where conflicts do not occur — §4.2).
 type direct struct {
-	lineBufs
-	cfg      Config
-	slots    []Line
-	stats    Stats
-	tick     uint64
+	base
 	occupied int
 }
 
-func newDirect(cfg Config) *direct {
-	return &direct{lineBufs: lineBufs{lineBytes: cfg.LineBytes}, cfg: cfg, slots: make([]Line, cfg.Lines())}
-}
-
-func (d *direct) Config() Config { return d.cfg }
+func newDirect(cfg Config) *direct { return &direct{base: newBase(cfg, cfg.Lines())} }
 
 func (d *direct) slotOf(tag uint64) int {
 	return int((tag / uint64(d.cfg.LineBytes)) % uint64(len(d.slots)))
@@ -56,17 +48,10 @@ func (d *direct) Reserve(addr uint64) (*Line, Victim) {
 	data := d.Spare()
 	var v Victim
 	if s.valid {
-		v = d.retire(s)
-		d.stats.Evictions++
-		if s.Evictable {
-			d.stats.HintEvicts++
-		}
+		v = d.evict(s)
 		if d.occupied < len(d.slots) {
 			d.stats.Conflicts++
 			v.Conflict = true
-		}
-		if v.Dirty {
-			d.stats.Writebacks++
 		}
 	} else {
 		d.occupied++
@@ -76,38 +61,15 @@ func (d *direct) Reserve(addr uint64) (*Line, Victim) {
 	return s, v
 }
 
-func (d *direct) MarkEvictable(addr uint64) bool {
-	if l, ok := d.Peek(addr); ok {
-		l.Evictable = true
-		return true
-	}
-	return false
-}
+func (d *direct) MarkEvictable(addr uint64) bool { return markEvictable(d.Peek(addr)) }
 
 func (d *direct) Drop(addr uint64) (Victim, bool) {
-	tag := AlignDown(addr, d.cfg.LineBytes)
-	s := &d.slots[d.slotOf(tag)]
-	if !s.valid || s.Tag != tag {
+	l, ok := d.Peek(addr)
+	if !ok {
 		return Victim{}, false
 	}
-	v := d.retire(s)
-	if s.Evictable {
-		d.stats.FlushedHint++
-	}
-	*s = Line{}
 	d.occupied--
-	return v, true
+	return d.drop(l), true
 }
-
-func (d *direct) ForEachResident(fn func(*Line)) {
-	for i := range d.slots {
-		if d.slots[i].valid {
-			fn(&d.slots[i])
-		}
-	}
-}
-
-func (d *direct) Stats() Stats { return d.stats }
-func (d *direct) ResetStats()  { d.stats = Stats{} }
 
 var _ Section = (*direct)(nil)

@@ -7,14 +7,10 @@ package cache
 // compiler hints and spares recent prefetched lines nothing has touched yet
 // while the set holds another (see chooseVictim).
 type setAssoc struct {
-	lineBufs
-	cfg      Config
+	base     // nSets * ways slots, set-major
 	ways     int
 	nSets    int
 	stride   uint64 // cfg.Stride resolved
-	slots    []Line // nSets * ways, set-major
-	stats    Stats
-	tick     uint64
 	occupied int
 }
 
@@ -28,18 +24,13 @@ func newSetAssoc(cfg Config) *setAssoc {
 	if nSets < 1 {
 		nSets = 1
 	}
-	slots, free := slotCache.take(nSets*ways, cfg.LineBytes)
 	return &setAssoc{
-		lineBufs: lineBufs{lineBytes: cfg.LineBytes, free: free},
-		cfg:      cfg,
-		ways:     ways,
-		nSets:    nSets,
-		stride:   uint64(max(cfg.Stride, cfg.LineBytes)),
-		slots:    slots,
+		base:   newBase(cfg, nSets*ways),
+		ways:   ways,
+		nSets:  nSets,
+		stride: uint64(max(cfg.Stride, cfg.LineBytes)),
 	}
 }
-
-func (s *setAssoc) Config() Config { return s.cfg }
 
 func (s *setAssoc) setOf(tag uint64) int {
 	return int((tag / s.stride) % uint64(s.nSets))
@@ -103,14 +94,7 @@ func (s *setAssoc) Reserve(addr uint64) (*Line, Victim) {
 
 	data := s.Spare()
 	vl := &set[s.chooseVictim(set)]
-	v := s.retire(vl)
-	s.stats.Evictions++
-	if vl.Evictable {
-		s.stats.HintEvicts++
-	}
-	if vl.Dirty {
-		s.stats.Writebacks++
-	}
+	v := s.evict(vl)
 	if s.occupied < len(s.slots) {
 		s.stats.Conflicts++
 		v.Conflict = true
@@ -152,37 +136,15 @@ func (s *setAssoc) chooseVictim(set []Line) int {
 	return best
 }
 
-func (s *setAssoc) MarkEvictable(addr uint64) bool {
-	if l, ok := s.Peek(addr); ok {
-		l.Evictable = true
-		return true
-	}
-	return false
-}
+func (s *setAssoc) MarkEvictable(addr uint64) bool { return markEvictable(s.Peek(addr)) }
 
 func (s *setAssoc) Drop(addr uint64) (Victim, bool) {
 	l, ok := s.Peek(addr)
 	if !ok {
 		return Victim{}, false
 	}
-	v := s.retire(l)
-	if l.Evictable {
-		s.stats.FlushedHint++
-	}
-	*l = Line{}
 	s.occupied--
-	return v, true
+	return s.drop(l), true
 }
-
-func (s *setAssoc) ForEachResident(fn func(*Line)) {
-	for i := range s.slots {
-		if s.slots[i].valid {
-			fn(&s.slots[i])
-		}
-	}
-}
-
-func (s *setAssoc) Stats() Stats { return s.stats }
-func (s *setAssoc) ResetStats()  { s.stats = Stats{} }
 
 var _ Section = (*setAssoc)(nil)

@@ -331,7 +331,7 @@ func TestWarmAheadAllocatesNothing(t *testing.T) {
 		}
 	}
 	run() // warms the sections and sizes every scratch
-	lines, pages := r.SectionPrefetchStats(1).Issued, r.SwapStats().Prefetches
+	lines, pages := r.SectionPrefetchStats(1).Issued, r.SwapStats().Prefetch.Issued
 	const runs = 10
 	if got := testing.AllocsPerRun(runs, run); got != 0 {
 		t.Errorf("%v allocs per warm execution, want 0", got)
@@ -340,7 +340,7 @@ func TestWarmAheadAllocatesNothing(t *testing.T) {
 	if got := r.SectionPrefetchStats(1).Issued - lines; got != 2*(runs+1) {
 		t.Errorf("%d lines of w prefetched in %d runs, want 2 a run", got, runs+1)
 	}
-	if got := r.SwapStats().Prefetches - pages; got != runs+1 {
+	if got := r.SwapStats().Prefetch.Issued - pages; got != runs+1 {
 		t.Errorf("%d pages of p prefetched in %d runs, want 1 a run", got, runs+1)
 	}
 	if hits, _ := r.ObjectStats("x"); hits == 0 {

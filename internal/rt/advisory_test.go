@@ -49,7 +49,7 @@ func TestBatchedPageAdvisoryCharge(t *testing.T) {
 		{Obj: "pages", Elem: 8 * 512}, // past the end
 		{Obj: "lines", Elem: 0},       // one line
 	}
-	before, issued := clk.Now(), r.SwapStats().Prefetches
+	before, issued := clk.Now(), r.SwapStats().Prefetch.Issued
 	if err := r.PrefetchBatch(clk, entries); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestBatchedPageAdvisoryCharge(t *testing.T) {
 	if got := clk.Now().Sub(before); got != want {
 		t.Errorf("batch charged %v, want %v (3 pages and 1 line)", got, want)
 	}
-	if got := r.SwapStats().Prefetches - issued; got != 3 {
+	if got := r.SwapStats().Prefetch.Issued - issued; got != 3 {
 		t.Errorf("%d pages prefetched, want 3", got)
 	}
 	before = clk.Now()
@@ -95,7 +95,7 @@ func TestSwapPrefetchIsPageAdvisory(t *testing.T) {
 		if err := r.Prefetch(clk, "pages", elem, f); err != nil {
 			t.Fatalf("prefetch %d: %v", i, err)
 		}
-		if got := r.SwapStats().Prefetches; got != 1 {
+		if got := r.SwapStats().Prefetch.Issued; got != 1 {
 			t.Fatalf("after prefetch %d (elem %d): %d pages prefetched, want 1", i, elem, got)
 		}
 	}

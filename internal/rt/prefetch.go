@@ -170,14 +170,7 @@ func (r *Runtime) PrefetchStats() prefetch.Efficacy {
 		e.Add(s.pf)
 	}
 	if r.swapC != nil {
-		st := r.swapC.Stats()
-		e.Add(prefetch.Efficacy{
-			Issued:  st.Prefetches,
-			Useful:  st.PrefetchUsed,
-			Useless: st.PrefetchUseless,
-			Dropped: st.PrefetchDropped,
-			Late:    st.PrefetchLate,
-		})
+		e.Add(r.swapC.Stats().Prefetch)
 	}
 	return e
 }

@@ -245,8 +245,8 @@ func New(cfg Config, node *farmem.Node) (*Runtime, error) {
 	return r, nil
 }
 
-// Close hands the runtime's section storage and swap frames back for the
-// next runtime of the process to reuse (cache.Release, swap.Cache.Release).
+// Close hands the storage of the runtime's sections and swap pool back for
+// the next runtime of the process to reuse (cache.Release, swap.Cache.Release).
 // The runtime must not be used afterwards; its far memory is its pool's to
 // release.
 func (r *Runtime) Close() {

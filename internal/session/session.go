@@ -140,8 +140,8 @@ func Over(be Backend, w workload.Workload, prog *ir.Program, tr *trace.Tracer) *
 // Close ends the session and returns the backend's far memory — every
 // pool member's regions — to the far side's free list
 // (farmem.Node.Release), where the next session's allocations of the same
-// sizes find it instead of making and zeroing their own, and the runtime's
-// set-associative section storage and swap frames to their free lists
+// sizes find it instead of making and zeroing their own, and the storage of
+// the runtime's sections and swap pool to cache's free list
 // (rt.Runtime.Close). Everything worth keeping must have been read before:
 // Finish and Dump refuse a closed session, and the far side answers
 // farmem.ErrUnmapped to anything that still reaches it. Close is

@@ -29,7 +29,7 @@ func (*nextPages) PerMissOverhead() sim.Duration { return 0 }
 const allocRegionPages = 64
 
 // warmCache returns a cache of pool pages over a QuietLink that has faulted on
-// every page of its region once, dirtying each: every frame is made, every
+// every page of its region once, dirtying each: every buffer is made, every
 // scratch slice has reached its size.
 func warmCache(tb testing.TB, pool int, pf prefetch.Policy, batch bool) (*Cache, *sim.Clock) {
 	tb.Helper()
@@ -56,8 +56,8 @@ func wantNoAllocs(t *testing.T, what string, runs int, f func()) {
 	}
 }
 
-// A warm page plane allocates nothing: frames, list links, the page table and
-// the scratch of an advisory issue are all reused.
+// A warm page plane allocates nothing: buffers, slots, list links, the tag
+// map and the scratch of an advisory issue are all reused.
 func TestWarmCacheAllocatesNothing(t *testing.T) {
 	var buf [8]byte
 	no := uint64(0)
@@ -86,12 +86,12 @@ func TestWarmCacheAllocatesNothing(t *testing.T) {
 	}
 
 	c, clk = warmCache(t, 16, &nextPages{n: 8}, true)
-	fetched := c.Stats().Prefetches
+	fetched := c.Stats().Prefetch.Issued
 	wantNoAllocs(t, "fault with a batched prefetch of 8", 100, func() {
 		no += 20
 		_ = c.Read(clk, page(c), buf[:])
 	})
-	if got := c.Stats().Prefetches - fetched; got < 500 {
+	if got := c.Stats().Prefetch.Issued - fetched; got < 500 {
 		t.Fatalf("only %d pages prefetched by 100 batches of 8", got)
 	}
 	wantNoAllocs(t, "FlushAll", 20, func() {

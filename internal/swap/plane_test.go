@@ -129,7 +129,7 @@ func checkPrefetchAdvisory(rig *unalignedRig) {
 	if !bytes.Equal(got, buf) {
 		rig.t.Fatal("prefetched bytes differ from far image")
 	}
-	if st := rig.c.Stats(); st.Prefetches == 0 {
+	if st := rig.c.Stats(); st.Prefetch.Issued == 0 {
 		rig.t.Fatalf("prefetch issued nothing: %+v", st)
 	}
 }
@@ -155,17 +155,18 @@ func checkPrefetchSeesNewestBytes(rig *unalignedRig) {
 }
 
 // checkPrefetchedAccessWaits: PrefetchPages then Read never completes before
-// the page's bytes land, at its frame's readyAt.
+// the page's bytes land, at its line's Ready.
 func checkPrefetchedAccessWaits(rig *unalignedRig) {
 	off, buf := span(0, PageBytes)
 	fillPattern(off, buf)
 	rig.access(off, buf, true)
 	rig.flush()
 	rig.prefetch(0)
-	if st := rig.c.Stats(); st.Prefetches == 0 {
+	if st := rig.c.Stats(); st.Prefetch.Issued == 0 {
 		rig.t.Fatalf("prefetch of a flushed page issued nothing: %+v", st)
 	}
-	arrived := rig.c.frames[rig.c.frameOf[0]].readyAt
+	l, _ := rig.c.sec.Peek(0)
+	arrived := l.Ready
 	if arrived <= rig.clk.Now() {
 		rig.t.Fatalf("the prefetched page is ready at %v, not after it was posted at %v: nothing was in flight", arrived, rig.clk.Now())
 	}

@@ -213,14 +213,14 @@ func TestSetPrefetcherSwapsBehavior(t *testing.T) {
 	if err := c.Read(clk, c.Base(), buf); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().Prefetches != 0 {
+	if c.Stats().Prefetch.Issued != 0 {
 		t.Fatal("no policy, yet prefetches were issued")
 	}
 	c.SetPrefetcher(seqPrefetch{n: 2})
 	if err := c.Read(clk, c.Base()+4*PageBytes, buf); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().Prefetches == 0 {
+	if c.Stats().Prefetch.Issued == 0 {
 		t.Fatal("installed prefetcher never ran")
 	}
 	// Nil resets to prefetch.None without crashing.
@@ -311,7 +311,7 @@ type diffPolicy struct {
 	fault sim.Duration
 }
 
-// swapUnderTest is what the differential script drives: the arena cache and
+// swapUnderTest is what the differential script drives: the cache and
 // the reference model it replaced.
 type swapUnderTest interface {
 	Read(*sim.Clock, uint64, []byte) error
@@ -327,9 +327,10 @@ type swapUnderTest interface {
 // lists reports the page numbers on the inactive and the active list, front
 // to back: equal lists mean equal victims from here on.
 func (c *Cache) lists() (out [2][]int64) {
+	o, _ := cache.Inspect(c.sec)
 	for l := range out {
-		for i := c.lru.Front(cache.List(l)); i >= 0; i = c.lru.Next(i) {
-			out[l] = append(out[l], c.frames[i].no)
+		for _, tag := range o.Lists[l] {
+			out[l] = append(out[l], int64(tag/PageBytes))
 		}
 	}
 	return out
@@ -344,24 +345,19 @@ func (c *refCache) lists() (out [2][]int64) {
 	return out
 }
 
-// checkArena asserts the frame accounting: every frame ever made is either
-// resident or free, and no more were made than the pool holds.
-func checkArena(t *testing.T, c *Cache) {
+// checkSlots asserts the pool section's slot accounting (cache.Inspect):
+// every slot the section made holds a page or is vacant, once, and no more
+// were made than the pool holds.
+func checkSlots(t *testing.T, c *Cache) cache.Occupancy {
 	t.Helper()
-	if c.Resident()+len(c.free) != len(c.frames) || len(c.frames) > c.capacity {
-		t.Fatalf("arena: resident %d + free %d != frames %d (capacity %d)",
-			c.Resident(), len(c.free), len(c.frames), c.capacity)
+	o, err := cache.Inspect(c.sec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seen := map[int32]bool{}
-	for _, i := range c.free {
-		if seen[i] || c.resident(i) {
-			t.Fatalf("arena: frame %d is on the free list twice or still resident", i)
-		}
-		seen[i] = true
-	}
+	return o
 }
 
-// diffPair is the arena cache and the reference model it replaced
+// diffPair is the cache and the reference model it replaced
 // (ref_test.go) over twin far nodes, driven in lockstep.
 type diffPair struct {
 	t          *testing.T
@@ -409,7 +405,7 @@ func (d *diffPair) failNext(in int, err error) {
 
 // both runs one step on the two caches and demands the same error, bytes,
 // clock, Stats, fault attribution, list order (so the same victims from here
-// on), wire log and far image, and a consistent arena. It returns the error.
+// on), wire log and far image, and consistent slot accounting. It returns the error.
 func (d *diffPair) both(what string, do func(c swapUnderTest, clk *sim.Clock) ([]byte, error)) error {
 	t, cn, cr := d.t, d.cn, d.cr
 	t.Helper()
@@ -454,11 +450,11 @@ func (d *diffPair) both(what string, do func(c swapUnderTest, clk *sim.Clock) ([
 	if !bytes.Equal(imgN, imgR) {
 		t.Fatalf("%s: far images differ", what)
 	}
-	checkArena(t, cn)
+	checkSlots(t, cn)
 	return errN
 }
 
-// TestDifferentialAgainstReference drives the arena cache and the map +
+// TestDifferentialAgainstReference drives the cache and the map +
 // container/list cache it replaced with the same seeded script — reads,
 // writes, degraded full-page stores, policy proposals, batched prefetch,
 // FlushAll, SettleAsync, stream top-ups and injected transport failures,

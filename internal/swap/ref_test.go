@@ -212,10 +212,10 @@ func (c *refCache) touch(clk *sim.Clock, no int64, fullWrite bool) (*refPage, er
 			// for the in-flight fetch if it has not landed yet.
 			c.stats.MinorFaults++
 			c.cMinor.Inc()
-			c.stats.PrefetchUsed++
+			c.stats.Prefetch.Useful++
 			c.cPfUseful.Inc()
 			if p.readyAt > clk.Now() {
-				c.stats.PrefetchLate++
+				c.stats.Prefetch.Late++
 			}
 			clk.AdvanceTo(p.readyAt)
 			clk.Advance(c.cfg.MinorFaultOverhead)
@@ -283,7 +283,7 @@ func (c *refCache) issueAdvisory(clk *sim.Clock, p *refPage, proposals []int64) 
 	var cands []int64
 	for _, pno := range proposals {
 		if pno < 0 || pno >= c.npages() {
-			c.stats.PrefetchDropped++
+			c.stats.Prefetch.Dropped++
 			c.cPfDropped.Inc()
 			continue
 		}
@@ -323,7 +323,7 @@ func (c *refCache) prefetchEach(now sim.Time, cands []int64) error {
 			}
 			return err
 		}
-		c.stats.Prefetches++
+		c.stats.Prefetch.Issued++
 		c.cPrefetch.Inc()
 	}
 	return nil
@@ -332,7 +332,7 @@ func (c *refCache) prefetchEach(now sim.Time, cands []int64) error {
 // dropCands charges n prefetcher proposals that were abandoned before any
 // data landed (advisory fetch failed, or no evictable slot).
 func (c *refCache) dropCands(n int) {
-	c.stats.PrefetchDropped += int64(n)
+	c.stats.Prefetch.Dropped += int64(n)
 	c.cPfDropped.Add(int64(n))
 }
 
@@ -391,7 +391,7 @@ func (c *refCache) prefetchBatch(now sim.Time, cands []int64) error {
 		off += sizes[i]
 		p.readyAt = readies[i]
 	}
-	c.stats.Prefetches += int64(len(ps))
+	c.stats.Prefetch.Issued += int64(len(ps))
 	c.cPrefetch.Add(int64(len(ps)))
 	c.stats.PagesFetched += int64(len(ps))
 	if c.trc != nil {
@@ -502,7 +502,7 @@ func (c *refCache) evictOne(now sim.Time) error {
 	c.cEvict.Inc()
 	if p.prefetch {
 		// Fetched speculatively, evicted before any touch: wasted pull.
-		c.stats.PrefetchUseless++
+		c.stats.Prefetch.Useless++
 		c.cPfWaste.Inc()
 	}
 	if p.dirty {

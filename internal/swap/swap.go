@@ -1,8 +1,10 @@
 // Package swap implements the page-granular swap cache (§5.3 "swap-based
 // cache section"): a 4 KB-page local pool over far memory with demand
-// faults, an approximate global LRU (active/inactive lists, as in Linux and
-// the paper), asynchronous dirty write-back, and a pluggable
-// prefetch.Policy.
+// faults, asynchronous dirty write-back, and a pluggable prefetch.Policy.
+// The pool is one fully-associative cache.Section of 4 KiB lines, so slots,
+// victim choice (the active/inactive approximate LRU of Linux and the paper)
+// and recycling across sessions are internal/cache's; this package adds the
+// fault path, the advisory fetches and the fault statistics.
 //
 // Three systems share this substrate: Mira's generic swap section (the
 // initial iteration and the fallback for pre-compiled library code), the
@@ -11,6 +13,7 @@
 package swap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -53,7 +56,7 @@ type Config struct {
 	Net netmodel.Config
 }
 
-// Pages reports how many page frames the pool holds.
+// Pages reports how many pages the pool holds.
 func (c Config) Pages() int { return max(int(c.PoolBytes/PageBytes), 1) }
 
 // DefaultConfig returns a FastSwap-calibrated fault path.
@@ -71,71 +74,43 @@ type Stats struct {
 	MajorFaults  int64
 	MinorFaults  int64
 	PagesFetched int64 // demand + prefetch
-	Prefetches   int64
-	PrefetchUsed int64 // prefetched pages that were touched before eviction
-	// PrefetchUseless counts prefetched pages evicted before any touch;
-	// PrefetchDropped counts prefetcher proposals the cache could not honor
-	// (out of range, or the advisory fetch failed under faults);
-	// PrefetchLate counts used prefetches whose bytes were still in flight
-	// at first touch (the minor fault stalled on the fetch tail).
-	PrefetchUseless int64
-	PrefetchDropped int64
-	PrefetchLate    int64
-	Evictions       int64
-	Writebacks      int64
-}
-
-// page is one frame of the pool and the page it currently holds. The pool
-// is an arena: a frame (this struct and its 4 KiB buffer) is taken on first
-// use, up to the capacity — from the frames closed sessions left (Release),
-// else made — and from then on only recycled, so a warm cache allocates
-// nothing on any path.
-type page struct {
-	no       int64
-	data     []byte // the frame's buffer, sliced to the page's size
-	dirty    bool
-	prefetch bool     // arrived via prefetch and not yet touched
-	readyAt  sim.Time // when its fetch completes
-	// gen counts the frame's tenancies: it tells a batch placeholder from
-	// the frame's next tenant when a later allocation of the same batch
-	// evicted the placeholder.
-	gen uint32
-}
-
-// claimed names the frame claim readied for page no and its tenancy, which a
-// later claim of the same batch may end before the bytes arrive.
-type claimed struct {
-	frame int32
-	gen   uint32
-	no    int64
+	// Prefetch counts advisory pages as every line section does: Useful
+	// were touched before eviction (Late when their bytes were still in
+	// flight at that touch), Useless evicted untouched, and Dropped are
+	// proposals the cache could not honor (out of range, no evictable
+	// page, or the advisory fetch failed under faults).
+	Prefetch   prefetch.Efficacy
+	Evictions  int64
+	Writebacks int64
 }
 
 // Cache is a swap cache over one contiguous far-memory region.
 type Cache struct {
-	cfg      Config
-	tr       transport.Link
-	base     uint64  // far address of page 0
-	length   int64   // region bytes
-	capacity int     // max resident pages
-	frames   []*page // the arena; resident + free == len(frames) <= capacity
-	free     []int32 // frames holding no page
-	frameOf  []int32 // page number -> frame, -1 when not resident
-	lru      *cache.TwoList
-	pf       prefetch.Policy
-	stats    Stats
+	cfg    Config
+	tr     transport.Link
+	base   uint64 // far address of page 0
+	length int64  // region bytes
+	// sec is the pool: a 4 KiB line per resident page, tagged by the page's
+	// offset in the region; the line's Dirty, Spec and Ready are the page's.
+	sec cache.Section
+	// mru is the line touched last, unless the lists moved since: touching
+	// it again would change nothing.
+	mru   *cache.Line
+	pf    prefetch.Policy
+	stats Stats
 	// faultsByPage records major-fault counts per page (per-object miss
 	// attribution for the evaluation's Fig. 8); made on the first fault.
 	faultsByPage []int64
-	// pinned is the frame of the in-flight demand page (-1: none), which
-	// the prefetches issued on the same fault must not evict.
-	pinned int32
-	// Scratch of one advisory issue, kept so that issuing allocates nothing:
-	// the prefetcher's proposals, then the survivors of the filter.
-	props []int64
-	cands []int64
-	batch []claimed
-	addrs []uint64
-	sizes []int
+	// Scratch kept so that no path allocates: an advisory issue's proposals,
+	// its candidates, its batch's lines with their pages' addresses and
+	// sizes, and FlushAll's resident lines.
+	props   []int64
+	cands   []int64
+	batch   []*cache.Line
+	addrs   []uint64
+	sizes   []int
+	lines   []*cache.Line
+	collect func(*cache.Line) // appends to lines
 	// lock, when set, serializes the fault path across simulated
 	// threads (the kernel swap lock).
 	lock *sim.Serializer
@@ -158,20 +133,13 @@ func New(cfg Config, tr transport.Link, base uint64, length int64, pf prefetch.P
 	if length <= 0 {
 		return nil, fmt.Errorf("swap: region length must be positive, got %d", length)
 	}
-	capacity := cfg.Pages()
-	c := &Cache{
-		cfg:      cfg,
-		tr:       tr,
-		base:     base,
-		length:   length,
-		capacity: capacity,
-		lru:      cache.NewTwoList(capacity),
-		pinned:   -1,
+	sec, err := cache.New(cache.Config{Name: "swap", Structure: cache.FullAssoc, LineBytes: PageBytes,
+		SizeBytes: int64(cfg.Pages()) * PageBytes})
+	if err != nil {
+		return nil, err
 	}
-	c.frameOf = make([]int32, c.npages())
-	for i := range c.frameOf {
-		c.frameOf[i] = -1
-	}
+	c := &Cache{cfg: cfg, tr: tr, base: base, length: length, sec: sec}
+	c.collect = func(l *cache.Line) { c.lines = append(c.lines, l) }
 	c.SetPrefetcher(pf)
 	return c, nil
 }
@@ -190,6 +158,15 @@ func (c *Cache) pageOf(far uint64) (int64, error) {
 // pageSize returns the byte count of page no (the last page may be short).
 func (c *Cache) pageSize(no int64) int { return int(min(c.length-no*PageBytes, PageBytes)) }
 
+// bytes is the part of l's buffer that holds its page: what moves on the wire.
+func (c *Cache) bytes(l *cache.Line) []byte { return l.Data[:c.pageSize(int64(l.Tag/PageBytes))] }
+
+// present reports whether page no is resident or in flight.
+func (c *Cache) present(no int64) bool {
+	_, ok := c.sec.Peek(uint64(no) * PageBytes)
+	return ok
+}
+
 // Read copies len(dst) bytes at far into dst, faulting pages as needed and
 // advancing clk by the access cost.
 func (c *Cache) Read(clk *sim.Clock, far uint64, dst []byte) error {
@@ -204,27 +181,24 @@ func (c *Cache) Write(clk *sim.Clock, far uint64, src []byte) error {
 // access walks the affected pages, faulting and copying.
 func (c *Cache) access(clk *sim.Clock, far uint64, buf []byte, isWrite bool) error {
 	c.stats.Accesses++
-	off := 0
-	for off < len(buf) {
+	for off := 0; off < len(buf); {
 		no, err := c.pageOf(far + uint64(off))
 		if err != nil {
 			return err
 		}
 		pageOff := int((far + uint64(off) - c.base) % PageBytes)
-		fullWrite := isWrite && pageOff == 0 && len(buf)-off >= c.pageSize(no)
-		p, err := c.touch(clk, no, fullWrite)
+		size := c.pageSize(no)
+		fullWrite := isWrite && pageOff == 0 && len(buf)-off >= size
+		l, err := c.touch(clk, no, fullWrite)
 		if err != nil {
 			return err
 		}
-		n := min(len(p.data)-pageOff, len(buf)-off)
-		if n <= 0 {
-			return fmt.Errorf("swap: access [%#x,+%d) overruns region", far, len(buf))
-		}
+		n := min(size-pageOff, len(buf)-off)
 		if isWrite {
-			copy(p.data[pageOff:], buf[off:off+n])
-			p.dirty = true
+			copy(l.Data[pageOff:], buf[off:off+n])
+			l.Dirty = true
 		} else {
-			copy(buf[off:off+n], p.data[pageOff:])
+			copy(buf[off:off+n], l.Data[pageOff:])
 		}
 		clk.Advance(c.cfg.HitOverhead)
 		off += n
@@ -234,33 +208,37 @@ func (c *Cache) access(clk *sim.Clock, far uint64, buf []byte, isWrite bool) err
 
 // touch ensures page no is resident and mapped, charging fault costs.
 // fullWrite marks an access that will overwrite the whole page.
-func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
-	if i := c.frameOf[no]; i >= 0 {
-		p := c.frames[i]
-		if p.prefetch {
+func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*cache.Line, error) {
+	tag := uint64(no) * PageBytes
+	if l := c.mru; l != nil && l.Tag == tag {
+		return l, nil
+	}
+	if l, ok := c.sec.Peek(tag); ok {
+		if l.Spec {
 			// First touch of a prefetched page: minor fault. Wait
 			// for the in-flight fetch if it has not landed yet.
 			c.stats.MinorFaults++
 			c.cMinor.Inc()
-			c.stats.PrefetchUsed++
+			c.stats.Prefetch.Useful++
 			c.cPfUseful.Inc()
-			if p.readyAt > clk.Now() {
-				c.stats.PrefetchLate++
+			if l.Ready > clk.Now() {
+				c.stats.Prefetch.Late++
 			}
-			clk.AdvanceTo(p.readyAt)
+			clk.AdvanceTo(l.Ready)
 			clk.Advance(c.cfg.MinorFaultOverhead)
-			p.prefetch = false
+			l.Spec = false
 			// Stream-maintaining policies top their window back up on
 			// the touch instead of waiting for the next major fault.
 			if tp, ok := c.pf.(prefetch.StreamTopUp); ok {
 				c.props = tp.OnPrefetchedTouch(no, c.props[:0])
-				if err := c.issueAdvisory(clk, i, c.props); err != nil {
+				if err := c.issueAdvisory(clk, l, c.props); err != nil {
 					return nil, err
 				}
 			}
 		}
-		c.lru.Touch(i)
-		return p, nil
+		c.sec.Touch(tag) // after the top-up, which the page was pinned through
+		c.mru = l
+		return l, nil
 	}
 	// Major fault.
 	c.stats.MajorFaults++
@@ -278,51 +256,52 @@ func (c *Cache) touch(clk *sim.Clock, no int64, fullWrite bool) (*page, error) {
 	// circuit breaker is open allocates the page locally instead of
 	// stalling on a fetch that cannot succeed.
 	noFetch := fullWrite && c.tr.BreakerOpen(clk.Now())
-	cl, err := c.claim(clk.Now(), no, false)
+	l, err := c.claim(clk.Now(), no, false)
 	if err == nil {
-		err = c.fetch(clk.Now(), cl, noFetch)
+		err = c.fetch(clk.Now(), l, noFetch)
 	}
 	if err != nil {
 		return nil, err
 	}
-	p := c.frames[cl.frame]
-	clk.AdvanceTo(p.readyAt)
+	clk.AdvanceTo(l.Ready)
 	if c.trc != nil {
 		c.trc.Span(faultStart, clk.Now(), "swap", "fault.major", trace.I("page", no))
 		c.hFaultLat.Observe(int64(clk.Now().Sub(faultStart)))
 	}
 	if noFetch {
-		return p, nil // the far node is unreachable; skip prefetch too
+		return l, nil // the far node is unreachable; skip prefetch too
 	}
 
 	// Consult the policy after servicing the demand page so its traffic
 	// queues behind the demand fetch.
 	c.props = c.pf.OnMiss(no, c.props[:0])
-	if err := c.issueAdvisory(clk, cl.frame, c.props); err != nil {
+	if err := c.issueAdvisory(clk, l, c.props); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return l, nil
 }
 
 // issueAdvisory filters policy proposals and issues the survivors
-// (batched when configured). The demand page's frame is pinned throughout:
-// prefetch-triggered evictions must not invalidate the page about to be
-// handed to the caller.
+// (batched when configured). The demand page (pin, nil for none) is pinned
+// throughout: prefetch-triggered evictions must not invalidate the page about
+// to be handed to the caller.
 //
 // The policy runs on the runner thread, off the fault path, as on the line
 // plane (rt's policyIssue): its PerMissOverhead is charged by issuing the
 // advisory fetch later — slower predictors land their prefetches later
 // (and count Late more often) — never by stalling the demand access.
-func (c *Cache) issueAdvisory(clk *sim.Clock, pin int32, proposals []int64) error {
-	c.pinned = pin
+func (c *Cache) issueAdvisory(clk *sim.Clock, pin *cache.Line, proposals []int64) error {
+	if pin != nil {
+		pin.Pinned = true
+	}
 	cands := c.cands[:0]
 	for _, pno := range proposals {
 		if pno < 0 || pno >= c.npages() {
-			c.stats.PrefetchDropped++
+			c.stats.Prefetch.Dropped++
 			c.cPfDropped.Inc()
 			continue
 		}
-		if c.frameOf[pno] >= 0 {
+		if c.present(pno) {
 			continue
 		}
 		cands = append(cands, pno)
@@ -335,7 +314,9 @@ func (c *Cache) issueAdvisory(clk *sim.Clock, pin int32, proposals []int64) erro
 	} else {
 		err = c.prefetchEach(at, cands)
 	}
-	c.pinned = -1
+	if pin != nil {
+		pin.Pinned = false
+	}
 	return err
 }
 
@@ -345,7 +326,7 @@ func (c *Cache) issueAdvisory(clk *sim.Clock, pin int32, proposals []int64) erro
 // prefetch statements of swap-placed objects — use it to turn their hints
 // into page advisories.
 func (c *Cache) PrefetchPages(clk *sim.Clock, pnos []int64) error {
-	return c.issueAdvisory(clk, -1, pnos)
+	return c.issueAdvisory(clk, nil, pnos)
 }
 
 // AbsentPages counts the distinct pages among pnos that PrefetchPages asks
@@ -353,7 +334,7 @@ func (c *Cache) PrefetchPages(clk *sim.Clock, pnos []int64) error {
 func (c *Cache) AbsentPages(pnos []int64) int {
 	n := 0
 	for i, pno := range pnos {
-		if pno >= 0 && pno < c.npages() && c.frameOf[pno] < 0 && !slices.Contains(pnos[:i], pno) {
+		if pno >= 0 && pno < c.npages() && !c.present(pno) && !slices.Contains(pnos[:i], pno) {
 			n++
 		}
 	}
@@ -363,21 +344,21 @@ func (c *Cache) AbsentPages(pnos []int64) int {
 // prefetchEach issues one read per candidate page (the unbatched path).
 func (c *Cache) prefetchEach(now sim.Time, cands []int64) error {
 	for k, pno := range cands {
-		if c.frameOf[pno] >= 0 {
+		if c.present(pno) {
 			continue
 		}
-		cl, err := c.claim(now, pno, true)
+		l, err := c.claim(now, pno, true)
 		if err == nil {
-			err = c.fetch(now, cl, false)
+			err = c.fetch(now, l, false)
 		}
 		if err != nil {
 			if err == errNoEvictable || errors.Is(err, transport.ErrFarUnavailable) || transport.IsTransient(err) {
 				c.dropCands(len(cands) - k)
-				return nil // advisory: no evictable frame, or the far side is failing
+				return nil // advisory: no evictable page, or the far side is failing
 			}
 			return err
 		}
-		c.stats.Prefetches++
+		c.stats.Prefetch.Issued++
 		c.cPrefetch.Inc()
 	}
 	return nil
@@ -386,112 +367,112 @@ func (c *Cache) prefetchEach(now sim.Time, cands []int64) error {
 // dropCands charges n prefetcher proposals that were abandoned before any
 // data landed (advisory fetch failed, or no evictable slot).
 func (c *Cache) dropCands(n int) {
-	c.stats.PrefetchDropped += int64(n)
+	c.stats.Prefetch.Dropped += int64(n)
 	c.cPfDropped.Add(int64(n))
 }
 
-// prefetchBatch claims a frame for every candidate page and brings them all
+// prefetchBatch claims a line for every candidate page and brings them all
 // in with one doorbell-batched gather (land).
 func (c *Cache) prefetchBatch(now sim.Time, cands []int64) error {
-	c.batch = c.batch[:0]
+	c.batch, c.addrs, c.sizes = c.batch[:0], c.addrs[:0], c.sizes[:0]
 	for _, pno := range cands {
-		if c.frameOf[pno] >= 0 {
+		if c.present(pno) {
 			continue
 		}
-		cl, err := c.claim(now, pno, true)
+		l, err := c.claim(now, pno, true)
 		if err == errNoEvictable {
 			break // pool too small; gather what we have
 		}
 		if err != nil {
-			for _, held := range c.batch {
-				c.unclaim(held)
-			}
+			c.unclaimBatch()
 			return err
 		}
-		c.batch = append(c.batch, cl)
+		c.batch = append(c.batch, l)
+		c.addrs, c.sizes = append(c.addrs, c.base+l.Tag), append(c.sizes, c.pageSize(pno))
 	}
 	if len(c.batch) == 0 {
 		return nil
 	}
-	if err := c.land(now, c.batch); err != nil && !errors.Is(err, transport.ErrFarUnavailable) && !transport.IsTransient(err) {
+	if err := c.land(now); err != nil && !errors.Is(err, transport.ErrFarUnavailable) && !transport.IsTransient(err) {
 		return err
 	}
 	return nil
 }
 
-// claim, fetch, land and unclaim are the page plane's lifecycle seam, the
-// line plane's (rt/line.go) at page granularity. claim readies a frame for
-// page no — it evicts the approximate-LRU victim when the pool is full,
-// takes a frame and makes the page resident at the inactive front — and is
-// the only caller of takeFrame and place. The frame holds no bytes yet:
-// fetch or land brings them, and unclaim gives the frame back if they fail.
-func (c *Cache) claim(now sim.Time, no int64, isPrefetch bool) (claimed, error) {
-	if c.Resident() >= c.capacity {
-		if err := c.evictOne(now); err != nil {
-			return claimed{}, err
+// claim, fetch, land and unclaimBatch are the page plane's lifecycle seam,
+// the line plane's (rt/line.go) at page granularity. claim readies a line
+// for page no: the section reserves it at the inactive front, evicting the
+// approximate-LRU victim when the pool is full (the pinned demand page is
+// passed over; errNoEvictable when it is the only page). The line holds no
+// bytes yet: fetch or land brings them, and the line goes back if they fail.
+// A victim whose write-back fails gives the new line back too.
+func (c *Cache) claim(now sim.Time, no int64, isPrefetch bool) (*cache.Line, error) {
+	tag := uint64(no) * PageBytes
+	c.mru = nil // the section's lists move; every Drop follows a claim or is FlushAll's
+	l, v := c.sec.Reserve(tag)
+	if l == nil {
+		return nil, errNoEvictable
+	}
+	l.Spec = isPrefetch
+	if v.Data != nil {
+		if err := c.evicted(now, v); err != nil {
+			c.sec.Drop(tag)
+			return nil, err
 		}
 	}
-	i := c.takeFrame(no, isPrefetch)
-	c.place(i)
-	return claimed{frame: i, gen: c.frames[i].gen, no: no}, nil
+	return l, nil
 }
 
-// fetch reads a claimed page's bytes in a message posted at now; its
-// readyAt records completion, which a prefetch does not wait for. noFetch
-// instead clears the frame without touching the network (degraded
-// full-page write-allocate). A failed read gives the frame back.
-func (c *Cache) fetch(now sim.Time, cl claimed, noFetch bool) error {
-	p := c.frames[cl.frame]
+// fetch reads a claimed page's bytes in a message posted at now; its Ready
+// records completion, which a prefetch does not wait for. noFetch instead
+// leaves the zeroes Reserve handed the line out with, without touching the
+// network (degraded full-page write-allocate). A failed read gives the line
+// back.
+func (c *Cache) fetch(now sim.Time, l *cache.Line, noFetch bool) error {
 	if noFetch {
-		clear(p.data)
-		p.readyAt = now
+		l.Ready = now
 		return nil
 	}
-	done, err := c.tr.ReadOneSided(now, c.base+uint64(cl.no)*PageBytes, p.data)
+	done, err := c.tr.ReadOneSided(now, c.base+l.Tag, c.bytes(l))
 	if err != nil {
-		c.unclaim(cl)
+		c.sec.Drop(l.Tag)
 		return err
 	}
-	p.readyAt = done
+	l.Ready = done
 	c.stats.PagesFetched++
 	return nil
 }
 
-// land fetches claimed prefetch pages with one doorbell-batched gather
-// posted at now. Page k is usable once its bytes have streamed in: chain
-// completion minus the wire time of the pages behind it in the reply. A page
-// a later claim of the batch evicted has lost its frame; its bytes are
-// dropped. A failed gather unclaims every frame and drops every page.
-func (c *Cache) land(now sim.Time, cls []claimed) error {
-	c.addrs, c.sizes = c.addrs[:0], c.sizes[:0]
+// land fetches the batch's claimed prefetch pages with one doorbell-batched
+// gather posted at now. Page k is usable once its bytes have streamed in:
+// chain completion minus the wire time of the pages behind it in the reply.
+// A page a later claim of the batch evicted has lost its line; its bytes are
+// dropped. A failed gather unclaims every line and drops every page.
+func (c *Cache) land(now sim.Time) error {
 	behind := 0
-	for _, cl := range cls {
-		sz := c.pageSize(cl.no)
-		c.addrs, c.sizes = append(c.addrs, c.base+uint64(cl.no)*PageBytes), append(c.sizes, sz)
+	for _, sz := range c.sizes {
 		behind += sz
 	}
-	n := int64(len(cls))
+	n := int64(len(c.batch))
 	data, done, err := c.tr.GatherOneSided(now, c.addrs, c.sizes)
 	if err != nil {
-		for _, cl := range cls {
-			c.unclaim(cl)
-		}
+		c.unclaimBatch()
 		c.dropCands(int(n))
 		return err
 	}
 	off := 0
-	for k, cl := range cls {
+	for k, l := range c.batch {
 		behind -= c.sizes[k]
-		if p := c.frames[cl.frame]; c.holds(cl) {
-			copy(p.data, data[off:off+c.sizes[k]])
-			p.readyAt = done
+		if c.owns(l, c.addrs[k]-c.base) {
+			copy(l.Data, data[off:off+c.sizes[k]])
+			l.Ready = done
 			if c.cfg.Net.BytesPerSecond > 0 {
-				p.readyAt = done.Add(-c.cfg.Net.WireTime(behind))
+				l.Ready = done.Add(-c.cfg.Net.WireTime(behind))
 			}
 		}
 		off += c.sizes[k]
 	}
-	c.stats.Prefetches += n
+	c.stats.Prefetch.Issued += n
 	c.cPrefetch.Add(n)
 	c.stats.PagesFetched += n
 	if c.trc != nil {
@@ -500,92 +481,45 @@ func (c *Cache) land(now sim.Time, cls []claimed) error {
 	return nil
 }
 
-// holds reports whether cl's frame still holds the page it was claimed for.
-func (c *Cache) holds(cl claimed) bool {
-	p := c.frames[cl.frame]
-	return p.gen == cl.gen && c.frameOf[p.no] == cl.frame
+// owns reports whether l, claimed for the page at tag, still holds it (rt's
+// rule: the section gives that line back for the tag).
+func (c *Cache) owns(l *cache.Line, tag uint64) bool {
+	cur, ok := c.sec.Peek(tag)
+	return ok && cur == l
 }
 
-// unclaim gives a claimed frame back when its bytes never arrived — unless
-// a later claim of the same batch already evicted its page.
-func (c *Cache) unclaim(cl claimed) {
-	if c.holds(cl) {
-		c.release(cl.frame)
+// unclaimBatch gives the batch's claimed lines back when their bytes never
+// arrived — except those a later claim of the batch already evicted.
+func (c *Cache) unclaimBatch() {
+	for k, l := range c.batch {
+		if tag := c.addrs[k] - c.base; c.owns(l, tag) {
+			c.sec.Drop(tag)
+		}
 	}
-}
-
-// takeFrame readies a free frame for page no, taking one from the process's
-// free list (frameCache) if none was ever vacated (claim has made room in
-// the pool). The buffer is sliced to the
-// page's size — the region's last page may be short, and a frame's previous
-// tenant must not leak into its write-back — and is NOT cleared: fetch and
-// land overwrite all of it or clear it.
-func (c *Cache) takeFrame(no int64, isPrefetch bool) int32 {
-	var i int32
-	if n := len(c.free); n > 0 {
-		i = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		i = int32(len(c.frames))
-		c.frames = append(c.frames, frameCache.take())
-	}
-	p := c.frames[i]
-	*p = page{no: no, data: p.data[:c.pageSize(no)], prefetch: isPrefetch, gen: p.gen + 1}
-	return i
-}
-
-// place makes frame i's page resident, at the inactive front.
-func (c *Cache) place(i int32) {
-	c.frameOf[c.frames[i].no] = i
-	c.lru.Insert(i)
-}
-
-// release drops frame i's page and frees the frame; its bytes stay intact
-// until the frame is taken again.
-func (c *Cache) release(i int32) {
-	c.lru.Remove(i)
-	c.frameOf[c.frames[i].no] = -1
-	c.free = append(c.free, i)
 }
 
 // errNoEvictable reports that every page in the pool is pinned — only
-// possible when a prefetch races the demand page in a tiny pool.
+// possible when a prefetch races the demand page in a pool of one page.
 var errNoEvictable = fmt.Errorf("swap: no evictable page")
 
-// evictOne drops the approximate-LRU page (cache.TwoList; the pinned demand
-// page is passed over), writing it back asynchronously if dirty (write-back
-// consumes link bandwidth but does not block).
-func (c *Cache) evictOne(now sim.Time) error {
-	c.lru.Refill()
-	i := int32(-1)
-	for _, l := range [...]cache.List{cache.Inactive, cache.Active} {
-		i = c.lru.Back(l)
-		for i >= 0 && i == c.pinned {
-			i = c.lru.Prev(i)
-		}
-		if i >= 0 {
-			break
-		}
-	}
-	if i < 0 {
-		return errNoEvictable
-	}
-	p := c.frames[i]
-	c.release(i)
+// evicted settles a page that left the pool: an untouched prefetch was a
+// wasted pull, and dirty bytes are written back asynchronously (write-back
+// consumes link bandwidth but does not block) before the buffer goes back to
+// the section.
+func (c *Cache) evicted(now sim.Time, v cache.Victim) error {
 	c.stats.Evictions++
 	c.cEvict.Inc()
-	if p.prefetch {
-		// Fetched speculatively, evicted before any touch: wasted pull.
-		c.stats.PrefetchUseless++
+	if v.Spec {
+		c.stats.Prefetch.Useless++
 		c.cPfWaste.Inc()
 	}
-	if p.dirty {
-		c.stats.Writebacks++
-		if _, err := c.tr.WriteOneSided(now, c.base+uint64(p.no)*PageBytes, p.data); err != nil {
-			return err
-		}
+	if !v.Dirty {
+		return nil
 	}
-	return nil
+	c.stats.Writebacks++
+	_, err := c.tr.WriteOneSided(now, c.base+v.Tag, v.Data[:c.pageSize(int64(v.Tag/PageBytes))])
+	c.sec.Recycle(v.Data)
+	return err
 }
 
 // FlushAll writes every dirty resident page back and drops all pages,
@@ -593,33 +527,30 @@ func (c *Cache) evictOne(now sim.Time) error {
 // before offloaded calls.
 func (c *Cache) FlushAll(clk *sim.Clock) error {
 	// Write back in page order: write-back queueing on the shared link —
-	// and so final sim times — must not depend on frame order.
+	// and so final sim times — must not depend on the section's list order.
+	c.lines = c.lines[:0]
+	c.sec.ForEachResident(c.collect)
+	slices.SortFunc(c.lines, func(a, b *cache.Line) int { return cmp.Compare(a.Tag, b.Tag) })
 	var last sim.Time
-	for no, i := range c.frameOf {
-		if i < 0 || !c.frames[i].dirty {
+	for _, l := range c.lines {
+		if !l.Dirty {
 			continue
 		}
-		done, err := c.tr.WriteOneSided(clk.Now(), c.base+uint64(no)*PageBytes, c.frames[i].data)
+		done, err := c.tr.WriteOneSided(clk.Now(), c.base+l.Tag, c.bytes(l))
 		if err != nil {
 			return err
 		}
 		c.stats.Writebacks++
-		if done > last {
-			last = done
-		}
+		last = max(last, done)
 	}
-	for i := range c.frames {
-		if c.resident(int32(i)) {
-			c.release(int32(i))
-		}
+	c.mru = nil
+	for _, l := range c.lines {
+		l.Dirty = false // written back: the section keeps the buffer
+		c.sec.Drop(l.Tag)
 	}
 	clk.AdvanceTo(last)
 	return nil
 }
-
-// resident reports whether frame i holds a page (a free frame keeps the
-// number of the page it held last).
-func (c *Cache) resident(i int32) bool { return c.frameOf[c.frames[i].no] == i }
 
 // FaultsInRange reports major faults on pages overlapping [far, far+length).
 // The query range is intersected with the region: an empty or disjoint range
@@ -643,11 +574,9 @@ func (c *Cache) FaultsInRange(far uint64, length int64) int64 {
 
 // SettleAsync marks every in-flight page fetch complete (simulated-thread
 // boundaries; see rt.SettleAsync).
-func (c *Cache) SettleAsync() {
-	for _, p := range c.frames {
-		p.readyAt = 0 // free frames included: taking one resets it anyway
-	}
-}
+func (c *Cache) SettleAsync() { c.sec.ForEachResident(settle) }
+
+func settle(l *cache.Line) { l.Ready = 0 }
 
 // SetTrace attaches the deterministic tracing layer: fault/prefetch/evict
 // counters, a fault-latency histogram, and span events on the major-fault
@@ -680,16 +609,25 @@ func (c *Cache) SetPrefetcher(pf prefetch.Policy) {
 		pf = prefetch.None{}
 	}
 	if wc, ok := pf.(prefetch.WindowCapped); ok {
-		wc.CapWindow(c.capacity)
+		wc.CapWindow(c.Capacity())
 	}
 	c.pf = pf
 }
 
 // Resident reports the number of resident pages.
-func (c *Cache) Resident() int { return c.lru.Len(cache.Inactive) + c.lru.Len(cache.Active) }
+func (c *Cache) Resident() int {
+	n := 0
+	c.sec.ForEachResident(func(*cache.Line) { n++ })
+	return n
+}
 
 // Capacity reports the pool capacity in pages.
-func (c *Cache) Capacity() int { return c.capacity }
+func (c *Cache) Capacity() int { return c.cfg.Pages() }
+
+// Release hands the pool's storage to the process's free list
+// (cache.Release): the cache must not be used again, and a dirty page still
+// resident is dropped unwritten. A second Release does nothing.
+func (c *Cache) Release() { cache.Release(c.sec) }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }

@@ -203,7 +203,7 @@ func TestPrefetchTurnsMajorIntoMinorFaults(t *testing.T) {
 	if st.MinorFaults == 0 {
 		t.Fatal("no minor faults despite prefetching")
 	}
-	if st.PrefetchUsed == 0 {
+	if st.Prefetch.Useful == 0 {
 		t.Fatal("no prefetched pages were used")
 	}
 }
@@ -273,9 +273,9 @@ func TestTouchConsultsOnlyStreamPolicies(t *testing.T) {
 
 	c, clk = newCache(t, 8, 16*PageBytes, prefetch.NewProgrammed([]int64{0, 1, 2, 3, 4, 5, 6, 7}, 2))
 	read(c, clk, 0, 1, 2, 3, 4, 5, 6, 7)
-	if st := c.Stats(); st.MajorFaults != 1 || st.MinorFaults != 7 || st.Prefetches != 7 {
+	if st := c.Stats(); st.MajorFaults != 1 || st.MinorFaults != 7 || st.Prefetch.Issued != 7 {
 		t.Fatalf("programmed: %d major, %d minor faults, %d prefetches; want 1, 7, 7",
-			st.MajorFaults, st.MinorFaults, st.Prefetches)
+			st.MajorFaults, st.MinorFaults, st.Prefetch.Issued)
 	}
 }
 
