@@ -196,7 +196,6 @@ func (c *refCache) access(clk *sim.Clock, far uint64, buf []byte, isWrite bool) 
 		} else {
 			copy(buf[off:off+n], p.data[pageOff:])
 		}
-		clk.Advance(c.cfg.HitOverhead)
 		off += n
 	}
 	return nil

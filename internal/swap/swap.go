@@ -40,11 +40,6 @@ type Config struct {
 	// MinorFaultOverhead is the cost of mapping an already-prefetched
 	// page on first touch.
 	MinorFaultOverhead sim.Duration
-	// HitOverhead is the per-access software overhead once a page is
-	// mapped. For a true swap system this is zero (the MMU resolves
-	// accesses natively); Mira's user-space swap charges nothing either,
-	// matching the paper's "native memory access intact" profiling note.
-	HitOverhead sim.Duration
 	// BatchPrefetch issues each fault's prefetch candidates as one
 	// doorbell-batched gather instead of one read per page: the round trip
 	// and per-message overhead are paid once for the whole batch, and each
@@ -200,7 +195,6 @@ func (c *Cache) access(clk *sim.Clock, far uint64, buf []byte, isWrite bool) err
 		} else {
 			copy(buf[off:off+n], l.Data[pageOff:])
 		}
-		clk.Advance(c.cfg.HitOverhead)
 		off += n
 	}
 	return nil
