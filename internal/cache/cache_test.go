@@ -329,12 +329,12 @@ func TestFullAssocActiveInactivePromotion(t *testing.T) {
 	f := newFullAssoc(Config{Structure: FullAssoc, LineBytes: 64, SizeBytes: 4 * 64})
 	// First touch -> inactive; second touch -> active.
 	f.Reserve(0)
-	if f.lru.Len(active) != 0 || f.lru.Len(inactive) != 1 {
-		t.Fatalf("after insert: active=%d inactive=%d", f.lru.Len(active), f.lru.Len(inactive))
+	if f.lru.n[active] != 0 || f.lru.n[inactive] != 1 {
+		t.Fatalf("after insert: active=%d inactive=%d", f.lru.n[active], f.lru.n[inactive])
 	}
 	f.Lookup(0)
-	if f.lru.Len(active) != 1 || f.lru.Len(inactive) != 0 {
-		t.Fatalf("after promote: active=%d inactive=%d", f.lru.Len(active), f.lru.Len(inactive))
+	if f.lru.n[active] != 1 || f.lru.n[inactive] != 0 {
+		t.Fatalf("after promote: active=%d inactive=%d", f.lru.n[active], f.lru.n[inactive])
 	}
 }
 

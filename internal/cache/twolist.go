@@ -36,9 +36,6 @@ func newTwoList(capacity int) *twoList {
 	return &twoList{links: []link{{0, 0, inactive}, {1, 1, active}}, activeMax: capacity / 2}
 }
 
-// Len reports how many slots are on list l.
-func (t *twoList) Len(l lruList) int { return t.n[l] }
-
 // Front and Back report the most and least recent slot of list l; Next and
 // Prev step from slot i towards the back and the front. All four return a
 // negative value when there is no such slot.
