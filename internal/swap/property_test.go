@@ -311,8 +311,8 @@ type diffPolicy struct {
 	fault sim.Duration
 }
 
-// swapUnderTest is what the differential script drives: the cache and
-// the reference model it replaced.
+// swapUnderTest is what the differential script drives: the cache and the
+// reference model it replaced.
 type swapUnderTest interface {
 	Read(*sim.Clock, uint64, []byte) error
 	Write(*sim.Clock, uint64, []byte) error
@@ -357,8 +357,8 @@ func checkSlots(t *testing.T, c *Cache) cache.Occupancy {
 	return o
 }
 
-// diffPair is the cache and the reference model it replaced
-// (ref_test.go) over twin far nodes, driven in lockstep.
+// diffPair is the cache and the reference model it replaced (ref_test.go)
+// over twin far nodes, driven in lockstep.
 type diffPair struct {
 	t          *testing.T
 	cn         *Cache
@@ -405,7 +405,8 @@ func (d *diffPair) failNext(in int, err error) {
 
 // both runs one step on the two caches and demands the same error, bytes,
 // clock, Stats, fault attribution, list order (so the same victims from here
-// on), wire log and far image, and consistent slot accounting. It returns the error.
+// on), wire log and far image, and consistent slot accounting. It returns
+// the error.
 func (d *diffPair) both(what string, do func(c swapUnderTest, clk *sim.Clock) ([]byte, error)) error {
 	t, cn, cr := d.t, d.cn, d.cr
 	t.Helper()
