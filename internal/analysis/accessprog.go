@@ -1,12 +1,9 @@
 package analysis
 
-import "mira/internal/ir"
-
-// Phase is one contiguous burst of the program's future access sequence:
-// Count accesses to Object starting at element Start, advancing Stride
-// elements per step. The ordered phase list is the "access program" of 3PO
-// — an exact rendering of where the program will touch memory, lowered
-// from the IR before any codegen rewriting.
+// Phase is one contiguous burst of a program's access sequence: Count
+// accesses to Object starting at element Start, advancing Stride elements per
+// step. An ordered phase list is the access tape a programmed prefetcher
+// walks (3PO's prefetch program).
 type Phase struct {
 	Object string
 	Start  int64
@@ -14,352 +11,9 @@ type Phase struct {
 	Count  int64
 }
 
-// Budget caps for the access-program interpreter. The builder abstracts
-// innermost affine loops into single phases, so these bound only outer-loop
-// unrolling and pathological programs; hitting a cap truncates the program
-// (prefetching less is always safe).
-const (
-	maxPhases       = 1 << 16
-	maxUnrollSteps  = 1 << 16
-	maxProgramUnits = 1 << 20
-)
-
-// AccessProgram lowers the program's affine loop structure into its ordered
-// access phases, starting at the entry function. Outer loops with constant
-// bounds are unrolled concretely; an innermost loop whose body is straight
-// line code collapses into one phase per affine access site. Anything the
-// interpreter cannot evaluate statically — indirect indices, data-dependent
-// branches, unknown trip counts — is skipped: the access program is exact
-// where the analysis speaks and silent where it cannot (the demand path
-// covers the rest).
-func AccessProgram(p *ir.Program) []Phase {
-	b := &progBuilder{p: p, steps: maxUnrollSteps}
-	if fn, ok := p.Func(p.Entry); ok {
-		b.walk(fn, map[string]int64{})
-	}
-	return b.phases
-}
-
-type progBuilder struct {
-	p      *ir.Program
-	phases []Phase
-	steps  int // remaining unroll budget
-	depth  int // call depth (recursion guard)
-}
-
-// emit appends a phase, coalescing with the previous one when it continues
-// the same arithmetic run.
-func (b *progBuilder) emit(obj string, start, stride, count int64) {
-	if count <= 0 || len(b.phases) >= maxPhases {
-		return
-	}
-	if n := len(b.phases); n > 0 {
-		prev := &b.phases[n-1]
-		if prev.Object == obj && prev.Stride == stride &&
-			prev.Start+prev.Stride*prev.Count == start {
-			prev.Count += count
-			return
-		}
-	}
-	b.phases = append(b.phases, Phase{Object: obj, Start: start, Stride: stride, Count: count})
-}
-
-// frame is one function activation: concrete register values (only those
-// statically evaluable) and bound scalar parameters.
-type frame struct {
-	regs   map[int]int64
-	params map[string]int64
-}
-
-func (b *progBuilder) walk(fn *ir.Func, params map[string]int64) {
-	if b.depth >= 8 {
-		return
-	}
-	b.depth++
-	defer func() { b.depth-- }()
-	f := &frame{regs: map[int]int64{}, params: params}
-	b.block(fn.Body, f)
-}
-
-func (b *progBuilder) block(stmts []ir.Stmt, f *frame) {
-	for _, s := range stmts {
-		if b.steps <= 0 || len(b.phases) >= maxPhases {
-			return
-		}
-		switch st := s.(type) {
-		case *ir.Assign:
-			if v, ok := b.eval(st.Val, f); ok {
-				f.regs[st.Dst] = v
-			} else {
-				delete(f.regs, st.Dst)
-			}
-		case *ir.Load:
-			if idx, ok := b.eval(st.Index, f); ok {
-				b.emit(st.Obj, idx, 1, 1)
-			}
-			// The loaded value is data, not statically known.
-			delete(f.regs, st.Dst)
-		case *ir.Store:
-			if idx, ok := b.eval(st.Index, f); ok {
-				b.emit(st.Obj, idx, 1, 1)
-			}
-		case *ir.Loop:
-			b.loop(st, f)
-		case *ir.If:
-			if c, ok := b.eval(st.Cond, f); ok {
-				if c != 0 {
-					b.block(st.Then, f)
-				} else {
-					b.block(st.Else, f)
-				}
-			}
-			// A data-dependent branch: neither arm is certain, emit
-			// nothing, and forget registers either arm assigns.
-			clobbered := map[int]bool{}
-			collectAssigned(st.Then, clobbered)
-			collectAssigned(st.Else, clobbered)
-			for reg := range clobbered {
-				delete(f.regs, reg)
-			}
-		case *ir.Call:
-			callee, ok := b.p.Func(st.Callee)
-			if !ok {
-				continue
-			}
-			params := map[string]int64{}
-			for i, a := range st.Args {
-				if i < len(callee.Params) {
-					if v, ok := b.eval(a, f); ok {
-						params[callee.Params[i]] = v
-					}
-				}
-			}
-			b.walk(callee, params)
-			if st.Dst >= 0 {
-				delete(f.regs, st.Dst)
-			}
-		case *ir.Intrinsic:
-			b.intrinsic(st, f)
-		}
-	}
-}
-
-// loop interprets one loop: constant-bound loops whose body is straight
-// line code abstract into one phase per affine access site; loops with
-// nested control flow unroll concretely under the step budget. Unknown
-// bounds skip the loop entirely.
-func (b *progBuilder) loop(l *ir.Loop, f *frame) {
-	start, ok1 := b.eval(l.Start, f)
-	end, ok2 := b.eval(l.End, f)
-	step, ok3 := b.eval(l.Step, f)
-	if !ok1 || !ok2 || !ok3 || step <= 0 || end <= start {
-		return
-	}
-	trips := (end - start + step - 1) / step
-	if b.straightLine(l.Body) {
-		b.abstractLoop(l, f, start, step, trips)
-		return
-	}
-	for iv := start; iv < end && b.steps > 0 && len(b.phases) < maxPhases; iv += step {
-		b.steps--
-		f.regs[l.IVReg] = iv
-		b.block(l.Body, f)
-	}
-	delete(f.regs, l.IVReg)
-}
-
-// straightLine reports whether the body contains no control flow — the
-// shape abstractLoop can collapse without unrolling.
-func (b *progBuilder) straightLine(body []ir.Stmt) bool {
-	for _, s := range body {
-		switch s.(type) {
-		case *ir.Loop, *ir.If, *ir.Call, *ir.Intrinsic, *ir.Return:
-			return false
-		}
-	}
-	return true
-}
-
-// abstractLoop collapses a straight-line loop into one phase per access
-// site whose index is affine in the IV: evaluating the index at the first
-// two iterations yields (start element, element stride). Sites sharing
-// (object, start, stride) are emitted once.
-func (b *progBuilder) abstractLoop(l *ir.Loop, f *frame, start, step, trips int64) {
-	type site struct {
-		obj           string
-		first, stride int64
-	}
-	var sites []site
-	evalAt := func(e ir.Expr, iv int64) (int64, bool) {
-		f.regs[l.IVReg] = iv
-		return b.eval(e, f)
-	}
-	record := func(obj string, index ir.Expr) {
-		i0, ok := evalAt(index, start)
-		if !ok {
-			return
-		}
-		stride := int64(0)
-		if trips > 1 {
-			i1, ok := evalAt(index, start+step)
-			if !ok {
-				return
-			}
-			stride = i1 - i0
-		}
-		for _, sp := range sites {
-			if sp.obj == obj && sp.first == i0 && sp.stride == stride {
-				return
-			}
-		}
-		sites = append(sites, site{obj: obj, first: i0, stride: stride})
-	}
-	// Registers written in the body (loaded data, reductions) are not
-	// functions of the IV alone; forget them so indices through them fail
-	// to evaluate instead of using stale values.
-	clobbered := map[int]bool{}
-	collectAssigned(l.Body, clobbered)
-	for reg := range clobbered {
-		delete(f.regs, reg)
-	}
-	for _, s := range l.Body {
-		switch st := s.(type) {
-		case *ir.Load:
-			record(st.Obj, st.Index)
-		case *ir.Store:
-			record(st.Obj, st.Index)
-		}
-	}
-	delete(f.regs, l.IVReg)
-	for _, sp := range sites {
-		if sp.stride == 0 {
-			b.emit(sp.obj, sp.first, 0, 1)
-			continue
-		}
-		b.emit(sp.obj, sp.first, sp.stride, trips)
-	}
-}
-
-// intrinsic emits the tensor operands' sequential sweeps in access order
-// (inputs, then accumulator read for matmul, then destination write).
-func (b *progBuilder) intrinsic(st *ir.Intrinsic, f *frame) {
-	rec := func(t ir.TensorRef) {
-		if t.Obj == "" {
-			return
-		}
-		if off, ok := b.eval(t.Off, f); ok {
-			b.emit(t.Obj, off, 1, t.Elems())
-		}
-	}
-	rec(st.A)
-	rec(st.B)
-	if st.Kind == ir.IntrMatMul || st.Kind == ir.IntrMatMulT {
-		rec(st.Dst)
-	}
-	rec(st.Dst)
-}
-
-// eval statically evaluates an integer expression under the frame's known
-// registers and parameters.
-func (b *progBuilder) eval(e ir.Expr, f *frame) (int64, bool) {
-	switch t := e.(type) {
-	case *ir.Const:
-		return t.I, true
-	case *ir.Reg:
-		v, ok := f.regs[t.ID]
-		return v, ok
-	case *ir.Param:
-		v, ok := f.params[t.Name]
-		return v, ok
-	case *ir.Bin:
-		a, ok := b.eval(t.A, f)
-		if !ok {
-			return 0, false
-		}
-		bb, ok := b.eval(t.B, f)
-		if !ok {
-			return 0, false
-		}
-		return applyBin(t.Op, a, bb)
-	case *ir.Un:
-		a, ok := b.eval(t.A, f)
-		if !ok {
-			return 0, false
-		}
-		switch t.Op {
-		case ir.OpNeg:
-			return -a, true
-		case ir.OpNot:
-			if a == 0 {
-				return 1, true
-			}
-			return 0, true
-		case ir.OpAbs:
-			if a < 0 {
-				return -a, true
-			}
-			return a, true
-		}
-		return 0, false
-	default:
-		return 0, false
-	}
-}
-
-func applyBin(op ir.BinOp, a, b int64) (int64, bool) {
-	bool01 := func(c bool) (int64, bool) {
-		if c {
-			return 1, true
-		}
-		return 0, true
-	}
-	switch op {
-	case ir.OpAdd:
-		return a + b, true
-	case ir.OpSub:
-		return a - b, true
-	case ir.OpMul:
-		return a * b, true
-	case ir.OpDiv:
-		if b == 0 {
-			return 0, false
-		}
-		return a / b, true
-	case ir.OpMod:
-		if b == 0 {
-			return 0, false
-		}
-		return a % b, true
-	case ir.OpLt:
-		return bool01(a < b)
-	case ir.OpLe:
-		return bool01(a <= b)
-	case ir.OpGt:
-		return bool01(a > b)
-	case ir.OpGe:
-		return bool01(a >= b)
-	case ir.OpEq:
-		return bool01(a == b)
-	case ir.OpNe:
-		return bool01(a != b)
-	case ir.OpAnd:
-		return bool01(a != 0 && b != 0)
-	case ir.OpOr:
-		return bool01(a != 0 || b != 0)
-	case ir.OpMin:
-		if a < b {
-			return a, true
-		}
-		return b, true
-	case ir.OpMax:
-		if a > b {
-			return a, true
-		}
-		return b, true
-	default:
-		return 0, false
-	}
-}
+// maxProgramUnits caps a lowered prefetch program; truncating it only
+// prefetches less.
+const maxProgramUnits = 1 << 20
 
 // LowerPhases expands element-granular phases into the plane-unit sequence
 // a programmed prefetcher consumes. unitOf maps (object, element) to the

@@ -3,67 +3,7 @@ package analysis
 import (
 	"reflect"
 	"testing"
-
-	"mira/internal/ir"
 )
-
-func TestAccessProgramAffineLoopCollapses(t *testing.T) {
-	b := ir.NewBuilder("scan")
-	b.Object("recs", 64, 100, ir.F("key", 0, 8))
-	fb := b.Func("main")
-	fb.Loop(ir.C(0), ir.C(100), ir.C(1), func(i ir.Expr) {
-		v := fb.Load("recs", i, "key")
-		fb.Store("recs", i, "key", ir.Add(v, ir.C(1)))
-	})
-	phases := AccessProgram(b.MustProgram())
-	// Load and store hit the same (object, start, stride) site: one phase.
-	want := []Phase{{Object: "recs", Start: 0, Stride: 1, Count: 100}}
-	if !reflect.DeepEqual(phases, want) {
-		t.Fatalf("phases = %+v, want %+v", phases, want)
-	}
-}
-
-func TestAccessProgramOuterLoopUnrollsAndCoalesces(t *testing.T) {
-	b := ir.NewBuilder("passes")
-	b.Object("a", 8, 50)
-	fb := b.Func("main")
-	fb.Loop(ir.C(0), ir.C(3), ir.C(1), func(pass ir.Expr) {
-		fb.Loop(ir.C(0), ir.C(50), ir.C(1), func(i ir.Expr) {
-			fb.Load("a", i, "")
-		})
-	})
-	phases := AccessProgram(b.MustProgram())
-	// The outer pass loop unrolls concretely: three identical sweeps, not
-	// coalesced (they restart at element 0, breaking the arithmetic run).
-	want := []Phase{
-		{Object: "a", Start: 0, Stride: 1, Count: 50},
-		{Object: "a", Start: 0, Stride: 1, Count: 50},
-		{Object: "a", Start: 0, Stride: 1, Count: 50},
-	}
-	if !reflect.DeepEqual(phases, want) {
-		t.Fatalf("phases = %+v, want %+v", phases, want)
-	}
-}
-
-func TestAccessProgramSkipsIndirectAccesses(t *testing.T) {
-	b := ir.NewBuilder("graph")
-	b.Object("edges", 16, 40, ir.F("to", 8, 8))
-	b.Object("nodes", 128, 10, ir.F("count", 0, 8))
-	fb := b.Func("main")
-	fb.Loop(ir.C(0), ir.C(40), ir.C(1), func(i ir.Expr) {
-		to := fb.Load("edges", i, "to")
-		c := fb.Load("nodes", to, "count")
-		fb.Store("nodes", to, "count", ir.Add(c, ir.C(1)))
-	})
-	phases := AccessProgram(b.MustProgram())
-	// The edges sweep is affine; nodes[to] is data-dependent and must be
-	// absent — programmed prefetch is exact where it speaks and silent
-	// where it cannot.
-	want := []Phase{{Object: "edges", Start: 0, Stride: 1, Count: 40}}
-	if !reflect.DeepEqual(phases, want) {
-		t.Fatalf("phases = %+v, want %+v", phases, want)
-	}
-}
 
 func TestLowerPhasesMapsAndDeduplicates(t *testing.T) {
 	phases := []Phase{

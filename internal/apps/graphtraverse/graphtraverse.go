@@ -89,6 +89,9 @@ func (w *Workload) Name() string { return "graphtraverse" }
 // Program implements planner.Workload.
 func (w *Workload) Program() *ir.Program { return w.prog }
 
+// Training is the same workload on the next seed: its training input.
+func (w *Workload) Training() workload.Workload { c := w.cfg; c.Seed++; return New(c) }
+
 // Params implements planner.Workload.
 func (w *Workload) Params() map[string]exec.Value { return nil }
 

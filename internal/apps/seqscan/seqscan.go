@@ -67,6 +67,9 @@ func (w *Workload) Name() string { return "seqscan" }
 // Program implements workload.Workload.
 func (w *Workload) Program() *ir.Program { return w.prog }
 
+// Training is the same workload on the next seed: its training input.
+func (w *Workload) Training() workload.Workload { c := w.cfg; c.Seed++; return New(c) }
+
 // Params implements workload.Workload.
 func (w *Workload) Params() map[string]exec.Value { return nil }
 

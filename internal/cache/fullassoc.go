@@ -19,6 +19,10 @@ type fullAssoc struct {
 	made   int32            // slots [0, made) have held a line
 	vacant []int32          // vacated slots among them
 	lru    *twoList
+	// peeked is the slot the last Peek hit found. Touch trusts it while
+	// that slot still holds the touched tag, so a Peek and the Touch that
+	// follows it pay one map lookup between them.
+	peeked int32
 }
 
 // evictScanLimit bounds the eviction-hint scan of the inactive tail; a
@@ -49,17 +53,25 @@ func (f *fullAssoc) Lookup(addr uint64) (*Line, bool) {
 
 func (f *fullAssoc) Peek(addr uint64) (*Line, bool) {
 	if i, ok := f.slotOf[AlignDown(addr, f.cfg.LineBytes)]; ok {
+		f.peeked = i
 		return &f.slots[i], true
 	}
 	return nil, false
 }
 
 func (f *fullAssoc) Touch(addr uint64) {
-	if i, ok := f.slotOf[AlignDown(addr, f.cfg.LineBytes)]; ok {
-		f.tick++
-		f.slots[i].lastUse = f.tick
-		f.lru.Touch(i)
+	tag := AlignDown(addr, f.cfg.LineBytes)
+	i := f.peeked
+	// A valid slot holding tag is the one slotOf maps it to.
+	if int(i) >= len(f.slots) || !f.slots[i].valid || f.slots[i].Tag != tag {
+		var ok bool
+		if i, ok = f.slotOf[tag]; !ok {
+			return
+		}
 	}
+	f.tick++
+	f.slots[i].lastUse = f.tick
+	f.lru.Touch(i)
 }
 
 func (f *fullAssoc) Reserve(addr uint64) (*Line, Victim) {

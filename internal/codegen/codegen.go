@@ -97,9 +97,9 @@ type Plan struct {
 	// SuppressPrefetchStmts skips emitting Prefetch/BatchPrefetch
 	// statements (and their guards and priming doorbells) while keeping
 	// every other decision — Native conversion, NoFetch stores, eviction
-	// hints. Used by the programmed-prefetch arm: an access-program runner
-	// provides the residency coverage the statements would have, without
-	// their per-iteration guard arithmetic.
+	// hints. Used by the programmed-prefetch arm: a runner walking the
+	// workload's recorded access tape provides the residency coverage the
+	// statements would have, without their per-iteration guard arithmetic.
 	SuppressPrefetchStmts bool
 	// Offload marks calls to these functions as far-node executions.
 	Offload map[string]bool

@@ -9,11 +9,12 @@
 // planner runs once with the run's planner options, exactly as the plain
 // Mira run plans, and the policy variants are derived by re-applying codegen
 // with the statement emission altered ("programmed" suppresses the compiled
-// Prefetch/BatchPrefetch stream and lets the access-program runner cover
-// residency; the online family strips prefetch and the Native conversion
-// that depended on it). Section placements, line sizes, and budgets are
-// identical across cells, so elapsed-time deltas isolate the prefetch
-// policy, and the "compiled" cell is the plain run.
+// Prefetch/BatchPrefetch stream and walks the access tape recorded on the
+// workload's training input instead, see recordTape; the online family strips
+// prefetch and the Native conversion that depended on it). Section
+// placements, line sizes, and budgets are identical across cells, so
+// elapsed-time deltas isolate the prefetch policy, and the "compiled" cell is
+// the plain run.
 package harness
 
 import (
@@ -48,9 +49,13 @@ func RunPagePolicy(w workload.Workload, opts Options, spec prefetch.Spec) (Resul
 		Swap: func(r *rt.Runtime) (prefetch.Policy, error) {
 			var program []int64
 			if spec.Policy == "programmed" {
-				// Lower the IR's access phases to page numbers; swap-placed
+				// Lower the access tape to page numbers; swap-placed
 				// objects only (everything here).
-				program = analysis.LowerPhases(analysis.AccessProgram(prog), r.PageUnit)
+				phases, err := recordTape(w)
+				if err != nil {
+					return nil, err
+				}
+				program = analysis.LowerPhases(phases, r.PageUnit)
 			}
 			return prefetch.Build(spec, program)
 		},
@@ -112,7 +117,7 @@ func RunLinePolicies(w workload.Workload, opts Options, specs []prefetch.Spec) (
 
 // programVariant is one compiled rendering of the accepted plan: the plan
 // to re-apply (nil = run the accepted program unchanged), plus the access
-// phases the programmed runner lowers per section.
+// tape the programmed runner lowers per section.
 type programVariant struct {
 	prog   *codegen.Plan
 	phases []analysis.Phase
@@ -141,15 +146,18 @@ func buildVariant(key string, w workload.Workload, pres *planner.Result) (*progr
 		plan := clonePlan(pres.Plan)
 		plan.SuppressPrefetchStmts = true
 		// A chained target is native only because the gathers this variant
-		// suppresses bring its lines in, and the access program skips
-		// indirect accesses: nothing else would.
+		// suppresses bring its lines in; a tape from another input does not
+		// bring in the lines this one reads.
 		for _, op := range plan.Objects {
 			if op.ChainedFrom != "" {
 				op.Native = false
 			}
 		}
-		v.prog = plan
-		v.phases = analysis.AccessProgram(w.Program())
+		phases, err := recordTape(w)
+		if err != nil {
+			return nil, err
+		}
+		v.prog, v.phases = plan, phases
 	default: // online family: no compiled stream, no proven residency
 		plan := clonePlan(pres.Plan)
 		for _, op := range plan.Objects {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"mira/internal/apps/graphtraverse"
@@ -124,6 +125,24 @@ func TestProgrammedArmDropsChainedNativeMarks(t *testing.T) {
 	}
 }
 
+// The programmed arm walks a tape of the training run's accesses, the
+// indirect ones included, so at a quarter of graph's footprint it covers
+// nearly all of the line plane's demand misses. The static walk of the IR's
+// affine loops it replaced covered 0.06 of them.
+func TestProgrammedArmCoversGraphMisses(t *testing.T) {
+	w := graphtraverse.New(graphtraverse.DefaultConfig())
+	res, err := RunLinePolicy(w, Options{Budget: w.FullMemoryBytes() / 4, Verify: true}, prefetch.Spec{Policy: "programmed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed {
+		t.Fatalf("run failed: %s", res.FailReason)
+	}
+	if cov := res.Prefetch.Coverage(res.DemandMisses); cov < 0.9 {
+		t.Errorf("coverage %.2f of %d demand misses, want at least 0.9", cov, res.DemandMisses)
+	}
+}
+
 // checkEfficacy pins the no-double-charge invariants: a prefetched unit is
 // resolved at most once (useful when touched, useless when evicted), late
 // only within useful, and every failed piece is dropped, never issued.
@@ -153,10 +172,11 @@ func TestPrefetchUnderFaults(t *testing.T) {
 	// Fault-free baselines per plane: the partition window must land
 	// mid-run, and the line plane finishes an order of magnitude before
 	// the page plane. The compiled policy runs the program's own gathered
-	// chains and finishes several times before the line plane's advisory
-	// policies, so it has a baseline of its own.
+	// chains, and the programmed one walks a tape of every node access;
+	// each finishes several times before the line plane's other advisory
+	// policies, so each has a baseline of its own.
 	t0 := map[string]sim.Duration{}
-	for _, base := range []string{"page", "line", "line/" + prefetch.Compiled} {
+	for _, base := range []string{"page", "line", "line/" + prefetch.Compiled, "line/programmed"} {
 		var res Result
 		var err error
 		switch base {
@@ -165,7 +185,7 @@ func TestPrefetchUnderFaults(t *testing.T) {
 		case "line":
 			res, err = RunLinePolicy(w, Options{Budget: budget}, prefetch.Spec{Policy: "none"})
 		default:
-			res, err = RunLinePolicy(w, Options{Budget: budget}, prefetch.Spec{Policy: prefetch.Compiled})
+			res, err = RunLinePolicy(w, Options{Budget: budget}, prefetch.Spec{Policy: strings.TrimPrefix(base, "line/")})
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -229,7 +229,8 @@ type Spec struct {
 const Compiled = "compiled"
 
 // builders construct each registered policy family. Programmed needs the
-// access program (the future unit sequence), passed separately to Build.
+// future unit sequence (an access tape lowered to the plane's units), passed
+// separately to Build.
 var builders = map[string]func(s Spec, program []int64) Policy{
 	"none":      func(Spec, []int64) Policy { return None{} },
 	"readahead": func(s Spec, _ []int64) Policy { return Readahead{N: defDepth(s.Depth, 2)} },
@@ -262,7 +263,8 @@ func Names() []string {
 // stateful (Leap's window, history's tables, programmed's cursor): build
 // one instance per miss stream — per plane, and per section on the line
 // plane — never share one across streams. program is the future unit
-// sequence for "programmed" (ignored by the online families).
+// sequence for "programmed", a recorded access tape lowered to the plane's
+// units (ignored by the online families).
 func Build(spec Spec, program []int64) (Policy, error) {
 	b, ok := builders[spec.Policy]
 	if !ok {

@@ -6,9 +6,9 @@ import "mira/internal/sim"
 // Build gives it, and NewProgrammed's for a window that is not positive.
 const DefaultWindow = 64
 
-// Programmed is 3PO-style programmed prefetch: the compiler hands the
-// runtime the program's exact future access sequence (lowered from the
-// IR's affine loop summaries to plane units by analysis.AccessProgram),
+// Programmed is 3PO-style programmed prefetch: the runtime is handed the
+// program's future access sequence (a tape recorded from one run of the
+// program's training input, lowered to plane units by analysis.LowerPhases),
 // and a runner walks it arbitrarily far ahead of the fault path, keeping a
 // bounded window of units in flight. The runner is event-clocked: a demand
 // miss re-anchors the cursor at the faulting unit and fills the window,
@@ -18,9 +18,9 @@ const DefaultWindow = 64
 // sustains itself on touch events, with top-up batches big enough to
 // amortize the doorbell.
 //
-// Accesses the access program does not cover (indirect chases the static
-// analysis gave up on) simply miss through to the demand path — programmed
-// prefetch is exact where it speaks and silent where it cannot.
+// Accesses the tape does not foresee (data-dependent ones where the served
+// input differs from the training input) simply miss through to the demand
+// path, and a miss the sequence never mentions leaves the runner where it is.
 type Programmed struct {
 	program []int64 // future unit sequence, consecutive duplicates collapsed
 	window  int
@@ -150,10 +150,10 @@ func (p *Programmed) fill(out []int64) []int64 {
 	return out
 }
 
-// PerMissOverhead is the cursor resync: a pointer chase into the access
-// program, far cheaper than any table-based predictor.
+// PerMissOverhead is the cursor resync: a pointer chase into the unit
+// sequence, far cheaper than any table-based predictor.
 func (*Programmed) PerMissOverhead() sim.Duration { return 20 * sim.Nanosecond }
 
-// Len reports the (deduplicated) program length — zero means the analysis
-// found nothing affine to lower and the policy will never propose.
+// Len reports the (deduplicated) program length — zero means the tape names
+// nothing on this plane and the policy will never propose.
 func (p *Programmed) Len() int { return len(p.program) }

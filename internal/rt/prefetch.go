@@ -134,8 +134,8 @@ func (r *Runtime) issueWanted(clk *sim.Clock, s *sectionRT) {
 // LineUnit maps obj[elem] to its cache section and the section plane's
 // prefetch unit: the global index of the element's line, or, on a strided
 // section, of the element's stride-aligned unit (Bind aligns such an object
-// to its stride). ok=false for non-section placements — access programs skip
-// those elements.
+// to its stride). ok=false for non-section placements — a lowered access tape
+// skips those elements.
 func (r *Runtime) LineUnit(name string, elem int64) (sec int, unit int64, ok bool) {
 	o, found := r.objs[name]
 	if !found || o.place.Kind != PlaceSection || elem < 0 || elem >= o.decl.Count {
